@@ -12,8 +12,8 @@ Config file grammar (JSON object; every key optional):
 
   lab_width      integer >= 1, pointer qubits per lab (default 1)
   seed           unsigned 64-bit integer (default 0)
-  tolerance      positive float for report assertions (default 1e-10)
-  robust_tol     positive float, residual-coherence threshold (default 1e-3)
+  tolerance      positive finite float for report assertions (default 1e-10)
+  robust_tol     positive finite float, residual-coherence threshold (default 1e-3)
   geometry       "default" | "collinear" | {"events": {"A": [t,x,y,z], ...}}
   frame_filter   boolean, drop joint contexts without a simultaneity frame
   frame_triples  list of 3-letter strings over ABCUVW (default the five
@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -201,6 +202,8 @@ def _need(kind, raw, key, default):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigValidationError(f"{key}: expected a number, got {value!r}")
         value = float(value)
+        if not math.isfinite(value):
+            raise ConfigValidationError(f"{key}: must be finite, got {value!r}")
     if kind is bool and not isinstance(value, bool):
         raise ConfigValidationError(f"{key}: expected true or false, got {value!r}")
     if kind is str and not isinstance(value, str):
@@ -353,8 +356,6 @@ def build_config(raw: dict, args: argparse.Namespace | None = None) -> ScenarioC
         out = os.environ.get(ENV_OUT, "reports")
     elif not isinstance(out, str):
         raise ConfigValidationError(f"out: expected a string, got {out!r}")
-    if args is not None and args.out is not None:
-        out = args.out
 
     return ScenarioConfig(
         lab_width=lab_width, seed=seed, tolerance=tolerance,
@@ -534,21 +535,18 @@ def cmd_ghz_check(config: ScenarioConfig) -> RunReport:
     return _report("ghz-check", config, (check1, check2, check3), data)
 
 
-def _constraint_tables(model, state):
-    tables = []
-    for agents in _CONSTRAINT_AGENTS:
-        table = context_born_table(state, scenario_context(model, agents))
-        tables.append(table.with_names(tuple(OUTCOME_VARIABLE[a] for a in agents)))
-    return tables
+def _by_variable(table: qcore.BornTable) -> qcore.BornTable:
+    """The same table with agent names replaced by their outcome variables."""
+    return table.with_names(tuple(OUTCOME_VARIABLE[a] for a in table.names))
 
 
 def cmd_paradox(config: ScenarioConfig) -> RunReport:
     """Recover the four parity constraints and exhibit their joint failure."""
     model = build_scenario(config.lab_width)
     state = run_friend_stage(model)
-    record_table = context_born_table(
-        state, scenario_context(model, _RECORD_AGENTS)
-    ).with_names(tuple(OUTCOME_VARIABLE[a] for a in _RECORD_AGENTS))
+    record_agent_table = context_born_table(
+        state, scenario_context(model, _RECORD_AGENTS))
+    record_table = _by_variable(record_agent_table)
 
     checks = []
     data = {"stage": config.stage}
@@ -564,7 +562,9 @@ def cmd_paradox(config: ScenarioConfig) -> RunReport:
         data["note"] = ("with only the sealed-lab records in play, a joint "
                         "outcome assignment exists")
     else:
-        tables = _constraint_tables(model, state)
+        agent_tables = [context_born_table(state, scenario_context(model, agents))
+                        for agents in _CONSTRAINT_AGENTS]
+        tables = [_by_variable(t) for t in agent_tables]
         extraction = constraints_from_born(tables, zero_tol=config.tolerance)
         expected = scenario_constraints().lines()
         recovered = extraction.system.lines()
@@ -608,10 +608,9 @@ def cmd_paradox(config: ScenarioConfig) -> RunReport:
                         "support; extremal supports rule out probabilistic "
                         "joint distributions as well")
         sampled = {}
-        for agents in (_RECORD_AGENTS,) + _CONSTRAINT_AGENTS:
-            outcome = sample_outcomes(state, scenario_context(model, agents),
-                                      config.seed)
-            key = "".join(OUTCOME_VARIABLE[a] for a in agents)
+        for table in [record_agent_table] + agent_tables:
+            outcome = sample_outcomes(table, config.seed)
+            key = "".join(OUTCOME_VARIABLE[a] for a in outcome.context)
             sampled[key] = {
                 "agents": list(outcome.context),
                 "values": dict(outcome.values),

@@ -24,7 +24,6 @@ from .errors import RecordContextMismatchError, UnknownAgentError
 from .scenario import (
     AGENTS,
     EVENT_OF_AGENT,
-    FRIENDS,
     LAB_INDEX,
     OutcomeRecord,
     ScenarioModel,
@@ -38,11 +37,13 @@ _LETTER_ORDER = ("A", "B", "C", "U", "V", "W")
 
 @dataclass(frozen=True)
 class Record:
-    """One agent's stably recorded outcome: who, on which systems, of what."""
+    """One agent's stably recorded outcome: who, and on which systems.
+
+    What was recorded is the agent's scenario observable.
+    """
 
     agent: str
     systems: frozenset[str]
-    observable_key: str
 
 
 @dataclass(frozen=True)
@@ -82,33 +83,19 @@ def _env_id(records: frozenset[Record]) -> str:
     return "E_" + "".join(letters)
 
 
-def resolve_observable(model: ScenarioModel, record: Record) -> qcore.Operator:
-    kind, _, agent = record.observable_key.partition(":")
-    if agent != record.agent:
-        raise UnknownAgentError(
-            f"record key {record.observable_key!r} does not match agent {record.agent!r}"
-        )
-    if kind == "pointer_record":
-        return model.record_observable(agent)
-    if kind == "lab_x":
-        return model.lifted_x_observable(agent)
-    raise UnknownAgentError(f"unknown observable key {record.observable_key!r}")
-
-
 def primary_context(model: ScenarioModel, agent: str) -> DecoherenceEnvironment:
     """Smallest environment holding one agent's outcome record."""
     if agent not in AGENTS:
         raise UnknownAgentError(f"unknown agent {agent!r}; expected one of {AGENTS}")
     i = LAB_INDEX[agent]
-    kind = "pointer_record" if agent in FRIENDS else "lab_x"
-    rec = Record(agent, frozenset({atom_label(i), lab_label(i)}), f"{kind}:{agent}")
+    rec = Record(agent, frozenset({atom_label(i), lab_label(i)}))
     records = frozenset({rec})
     return DecoherenceEnvironment(_env_id(records),
                                   frozenset({EVENT_OF_AGENT[agent]}), records)
 
 
 def _records_commute(model: ScenarioModel, records) -> bool:
-    ops = [resolve_observable(model, r) for r in records]
+    ops = [model.scenario_observable(r.agent) for r in records]
     for a, b in itertools.combinations(ops, 2):
         if not qcore.commutes(a, b):
             return False
@@ -125,35 +112,32 @@ def compatibly_extends(model: ScenarioModel, extension: DecoherenceEnvironment,
     return _records_commute(model, extension.records)
 
 
-def mutually_isolated(a: DecoherenceEnvironment, b: DecoherenceEnvironment) -> bool:
-    """Disjoint system support and disjoint regions."""
-    sys_a = frozenset().union(*(r.systems for r in a.records)) if a.records else frozenset()
-    sys_b = frozenset().union(*(r.systems for r in b.records)) if b.records else frozenset()
-    return not (sys_a & sys_b) and not (a.region & b.region)
-
-
-def common_extension(model: ScenarioModel, environments) -> DecoherenceEnvironment | None:
-    """Union environment, or None when any two records fail to commute."""
+def _union(environments) -> DecoherenceEnvironment:
     records: frozenset[Record] = frozenset()
     region: frozenset[str] = frozenset()
     for env in environments:
         records |= env.records
         region |= env.region
-    if not _records_commute(model, records):
-        return None
     return DecoherenceEnvironment(_env_id(records), region, records)
+
+
+def common_extension(model: ScenarioModel, environments) -> DecoherenceEnvironment | None:
+    """Union environment, or None when any two records fail to commute."""
+    env = _union(environments)
+    return env if _records_commute(model, env.records) else None
+
+
+def _pair_compatibility(model: ScenarioModel) -> dict[tuple[str, str], bool]:
+    """Whether each pair of agents' observables commute, in AGENTS order."""
+    ops = {agent: model.scenario_observable(agent) for agent in AGENTS}
+    return {(x, y): qcore.commutes(ops[x], ops[y])
+            for x, y in itertools.combinations(AGENTS, 2)}
 
 
 def incompatibility_graph(model: ScenarioModel) -> tuple[tuple[str, str], ...]:
     """Event-letter pairs whose record observables do not commute."""
-    bad = []
-    for x, y in itertools.combinations(AGENTS, 2):
-        ra = primary_context(model, x).records
-        rb = primary_context(model, y).records
-        if not _records_commute(model, ra | rb):
-            pair = tuple(sorted((EVENT_OF_AGENT[x], EVENT_OF_AGENT[y]),
-                                key=_LETTER_ORDER.index))
-            bad.append(pair)
+    bad = [tuple(sorted((EVENT_OF_AGENT[x], EVENT_OF_AGENT[y]), key=_LETTER_ORDER.index))
+           for (x, y), ok in _pair_compatibility(model).items() if not ok]
     return tuple(sorted(bad))
 
 
@@ -183,19 +167,17 @@ def maximal_contexts(model: ScenarioModel,
     """
     if require_frame and geometry is None:
         raise ValueError("require_frame needs a geometry")
-    compatible = {}
-    for x, y in itertools.combinations(AGENTS, 2):
-        recs = primary_context(model, x).records | primary_context(model, y).records
-        compatible[frozenset((x, y))] = _records_commute(model, recs)
+    compatible = _pair_compatibility(model)
     cliques = []
     for size in range(len(AGENTS), 0, -1):
         for subset in itertools.combinations(AGENTS, size):
-            if all(compatible[frozenset(p)] for p in itertools.combinations(subset, 2)):
+            if all(compatible[p] for p in itertools.combinations(subset, 2)):
                 if not any(set(subset) < set(c) for c in cliques):
                     cliques.append(subset)
     reports = []
     for clique in cliques:
-        env = common_extension(model, [primary_context(model, a) for a in clique])
+        # Every pair in the clique commutes, so the union is consistent.
+        env = _union(primary_context(model, a) for a in clique)
         frame = None
         if geometry is not None:
             events = [geometry.events[EVENT_OF_AGENT[a]] for a in clique]

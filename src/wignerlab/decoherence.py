@@ -160,16 +160,6 @@ def onset_step(trajectory: DiagonalityTrajectory, tol: float) -> int | None:
     return onset
 
 
-def robustly_decohered(trajectory: DiagonalityTrajectory, onset: int,
-                       tol: float) -> bool:
-    """Whether coherence stays at or under ``tol`` from ``onset`` onward."""
-    if not 0 <= onset < len(trajectory.values):
-        raise ValueError(
-            f"onset {onset} outside trajectory of length {len(trajectory.values)}"
-        )
-    return all(v <= tol for v in trajectory.values[onset:])
-
-
 def expectation_trajectory(model: ScenarioModel, channel: DephasingChannel,
                            agents, steps: int) -> tuple[float, ...]:
     """Product expectation of a joint context under repeated dephasing.

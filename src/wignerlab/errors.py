@@ -68,10 +68,6 @@ class SuperluminalError(ValueError):
     """Boost velocity at or above the speed of light."""
 
 
-class DegenerateEventsError(ValueError):
-    """Events are affinely dependent; no plane is spanned."""
-
-
 class UniverseTooLargeError(ValueError):
     """Brute-force enumeration refused above the variable cap."""
 

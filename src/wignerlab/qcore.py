@@ -15,7 +15,7 @@ to share across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -377,12 +377,11 @@ class BornTable:
 
     ``rows`` maps each outcome tuple in ``{+1, -1}**k`` (lexicographic, +1
     first) to its probability.  Zero rows are retained.  ``names`` labels the
-    outcome slots; the observables themselves ride along for marginal checks.
+    outcome slots.
     """
 
     names: tuple[str, ...]
     rows: dict[tuple[int, ...], float]
-    observables: tuple[Operator, ...] = field(repr=False, default=())
     tol: float = NUMERIC_TOL
 
     def __post_init__(self) -> None:
@@ -421,13 +420,12 @@ class BornTable:
         for outcome, p in self.rows.items():
             key = tuple(outcome[i] for i in idx)
             rows[key] += p
-        obs = tuple(self.observables[i] for i in idx) if self.observables else ()
-        return BornTable(tuple(self.names[i] for i in idx), rows, obs, self.tol)
+        return BornTable(tuple(self.names[i] for i in idx), rows, self.tol)
 
     def with_names(self, names: tuple[str, ...]) -> "BornTable":
         if len(names) != len(self.names):
             raise ValueError("name tuple length mismatch")
-        return BornTable(tuple(names), dict(self.rows), self.observables, self.tol)
+        return BornTable(tuple(names), dict(self.rows), self.tol)
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Draw one outcome tuple; row order is fixed, so draws are reproducible."""
@@ -498,4 +496,4 @@ def born_table(observables, state, names=None, tol: float = NUMERIC_TOL) -> Born
             rows[outcome] = float(np.real(np.trace(mat)))
     else:
         raise TypeError(f"born_table() got {type(state).__name__}")
-    return BornTable(names, rows, obs, tol)
+    return BornTable(names, rows, tol)

@@ -163,12 +163,9 @@ class ScenarioModel:
         if agent not in WIGNERS:
             raise UnknownAgentError(f"{agent} is not a lab-measuring agent")
         i = LAB_INDEX[agent]
-        friend = FRIENDS[i - 1]
-        v = vn_unitary(self.friend_observable(friend), self._lab_layouts[i])
-        pdim = 2**self.lab_width
-        bare = np.kron(_SIGMA_X, np.eye(pdim, dtype=np.complex128))
-        mat = v.matrix @ bare @ v.matrix.conj().T
-        return Operator(v.layout, mat, self.tol)
+        flip = np.eye(2**self.lab_width, dtype=np.complex128)[::-1]
+        return Operator(self._atom_layouts[i].concat(self._lab_layouts[i]),
+                        np.kron(_SIGMA_X, flip), self.tol)
 
     def record_observable(self, agent: str) -> Operator:
         """Majority-vote pointer reading of a friend's lab."""
@@ -261,8 +258,8 @@ def outcome_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def sample_outcomes(state: QState, context: dict[str, Operator], seed: int) -> OutcomeRecord:
-    table = context_born_table(state, context)
+def sample_outcomes(table: qcore.BornTable, seed: int) -> OutcomeRecord:
+    """One joint outcome drawn from a context's table; names are the agents."""
     outcome = table.sample(outcome_rng(seed))
     return OutcomeRecord(dict(zip(table.names, outcome)), table.names,
                          table.rows[outcome])

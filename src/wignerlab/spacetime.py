@@ -1,11 +1,11 @@
 """Flat-spacetime events, pure boosts, and simultaneity frames.
 
 Metric signature (+, -, -, -), units with c = 1.  A simultaneity frame for
-three mutually spacelike events exists exactly when the plane they span is
-spacelike, i.e. the 2x2 Gram matrix of the difference vectors is negative
-definite.  Among all admissible frames the one returned moves slowest: its
-normal is the Minkowski-orthogonal projection of (1, 0, 0, 0) onto the
-plane's orthogonal complement.
+a set of events exists exactly when the span of their difference vectors
+is spacelike, i.e. the Gram matrix of an independent subset of them is
+negative definite.  Among all admissible frames the one returned moves
+slowest: its normal is the Minkowski-orthogonal projection of (1, 0, 0, 0)
+onto the span's orthogonal complement.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEventsError, SuperluminalError
+from .errors import SuperluminalError
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -125,21 +125,6 @@ def _max_time_spread(events, vel: BoostVelocity) -> float:
     return float(max(times) - min(times))
 
 
-def frame_certificate(e1: Event4, e2: Event4, e3: Event4) -> FrameSolution:
-    """Simultaneity-frame certificate for exactly three independent events."""
-    d2 = e2.as_array() - e1.as_array()
-    d3 = e3.as_array() - e1.as_array()
-    if np.linalg.matrix_rank(np.stack([d2, d3]), tol=1e-12) < 2:
-        raise DegenerateEventsError(
-            f"events {e1.label!r}, {e2.label!r}, {e3.label!r} are affinely dependent; "
-            "reduce to the two-event or single-event case"
-        )
-    exists, vel, gram_t, eig_t = _solve_plane([d2, d3])
-    if not exists:
-        return FrameSolution(False, None, gram_t, eig_t, None)
-    return FrameSolution(True, vel, gram_t, eig_t, _max_time_spread((e1, e2, e3), vel))
-
-
 def frame_for_events(events) -> FrameSolution:
     """Simultaneity frame for any event collection, degeneracy-tolerant.
 
@@ -168,11 +153,6 @@ def frame_for_events(events) -> FrameSolution:
     return FrameSolution(True, vel, gram_t, eig_t, residual)
 
 
-def simultaneity_frame(e1: Event4, e2: Event4, e3: Event4) -> BoostVelocity | None:
-    """Minimal-speed frame in which all three events are simultaneous, or None."""
-    return frame_certificate(e1, e2, e3).velocity
-
-
 EVENT_LABELS = ("A", "B", "C", "U", "V", "W")
 
 
@@ -186,9 +166,6 @@ class Geometry:
         missing = [l for l in EVENT_LABELS if l not in self.events]
         if missing:
             raise ValueError(f"geometry is missing events {missing}")
-
-    def triple(self, labels) -> tuple[Event4, Event4, Event4]:
-        return tuple(self.events[l] for l in labels)
 
 
 def default_geometry(side: float = 5.0) -> Geometry:
@@ -231,11 +208,3 @@ def separation_violations(geometry: Geometry) -> list[str]:
         if not is_timelike(geometry.events[a], geometry.events[b]):
             bad.append(f"{a}-{b} must be timelike")
     return bad
-
-
-def frame_admissible(geometry: Geometry, labels) -> FrameSolution:
-    """Simultaneity-frame certificate for a triple of event labels."""
-    labels = tuple(labels)
-    if len(labels) != 3:
-        raise ValueError(f"need exactly three event labels, got {labels}")
-    return frame_certificate(*geometry.triple(labels))

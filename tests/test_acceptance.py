@@ -41,7 +41,7 @@ from wignerlab.scenario import (
 from wignerlab.spacetime import (
     collinear_geometry,
     default_geometry,
-    frame_admissible,
+    frame_for_events,
 )
 from wignerlab.stabilizer import ghz_scenario_state, parse_pauli, to_operator
 
@@ -168,12 +168,13 @@ def test_criterion_06_simultaneity_frames():
     geometry = default_geometry()
     start = time.perf_counter()
     for labels, frozen in FROZEN_VELOCITIES.items():
-        solution = frame_admissible(geometry, labels)
+        solution = frame_for_events([geometry.events[k] for k in labels])
         assert solution.exists
         assert solution.residual <= 1e-9
         got = (solution.velocity.vx, solution.velocity.vy, solution.velocity.vz)
         assert max(abs(g - f) for g, f in zip(got, frozen)) <= TOL
-    collinear = frame_admissible(collinear_geometry(), ("U", "B", "C"))
+    line = collinear_geometry()
+    collinear = frame_for_events([line.events[k] for k in ("U", "B", "C")])
     elapsed = time.perf_counter() - start
     assert not collinear.exists
     assert max(collinear.gram_eigenvalues) > 0.0

@@ -12,6 +12,14 @@ from wignerlab.cli import (
     main,
 )
 from wignerlab.errors import ConfigParseError, ConfigValidationError
+from wignerlab.scenario import (
+    OUTCOME_VARIABLE,
+    build_scenario,
+    context_born_table,
+    run_friend_stage,
+    sample_outcomes,
+    scenario_context,
+)
 
 
 def config_from(raw):
@@ -113,6 +121,10 @@ def test_defaults_fill_in():
         ({"stage": "both"}, "stage"),
         ({"format": "yaml"}, "format"),
         ({"mystery": 1}, "mystery"),
+        ({"tolerance": float("inf")}, "tolerance"),
+        ({"tolerance": float("nan")}, "tolerance"),
+        ({"robust_tol": float("inf")}, "robust_tol"),
+        ({"robust_tol": float("nan")}, "robust_tol"),
     ],
 )
 def test_validation_errors_name_the_key(raw, key):
@@ -193,6 +205,18 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "lab_width" in capsys.readouterr().err
 
 
+def test_non_finite_tolerance_exits_two(tmp_path, capsys):
+    # json.dumps writes the JSON extension literals Infinity and NaN.
+    path = write_json(tmp_path, "inf.json", {"tolerance": float("inf")})
+    assert main(["ghz-check", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "tolerance" in capsys.readouterr().err
+    path = write_json(tmp_path, "nan.json", {"robust_tol": float("nan")})
+    assert main(["decohere", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "robust_tol" in capsys.readouterr().err
+    assert main(["ghz-check", "--tolerance", "inf", "--out", str(tmp_path)]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
 def test_paradox_report_content(tmp_path, capsys):
     code = main(["paradox", "--out", str(tmp_path), "--format", "json"])
     assert code == 0
@@ -208,6 +232,23 @@ def test_paradox_report_content(tmp_path, capsys):
     assert doc["config_digest"] == doc["config_digest"].lower()
     assert set(doc["data"]["sampled_outcomes"]) == {
         "abc", "ubc", "avc", "abw", "uvw"}
+
+
+def test_paradox_samples_match_fresh_tables(tmp_path, capsys):
+    # Oracle: sample each context again from a freshly built Born table.
+    assert main(["paradox", "--seed", "7", "--lab-width", "2",
+                 "--out", str(tmp_path), "--format", "json"]) == 0
+    sampled = json.loads(capsys.readouterr().out)["data"]["sampled_outcomes"]
+    model = build_scenario(2)
+    state = run_friend_stage(model)
+    for key, entry in sampled.items():
+        agents = tuple(entry["agents"])
+        assert "".join(OUTCOME_VARIABLE[a] for a in agents) == key
+        table = context_born_table(state, scenario_context(model, agents))
+        fresh = sample_outcomes(table, 7)
+        assert entry["values"] == fresh.values
+        assert entry["probability"] == float(f"{fresh.probability:.12g}")
+    assert set(sampled) == {"abc", "ubc", "avc", "abw", "uvw"}
 
 
 def test_paradox_friend_stage_has_global_section(tmp_path, capsys):
@@ -254,6 +295,16 @@ def test_env_var_sets_default_out(tmp_path, monkeypatch):
     flag_dir = tmp_path / "from_flag"
     assert main(["frames", "--out", str(flag_dir)]) == 0
     assert any(flag_dir.iterdir())
+
+
+def test_out_flag_beats_file_beats_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("WIGNERLAB_OUT", str(tmp_path / "env"))
+    path = write_json(tmp_path, "out.json", {"out": str(tmp_path / "file")})
+    parser = build_parser()
+    assert build_config(load_config(path)).out == str(tmp_path / "file")
+    args = parser.parse_args(["frames", "--out", str(tmp_path / "flag")])
+    assert build_config(load_config(path), args).out == str(tmp_path / "flag")
+    assert build_config({}).out == str(tmp_path / "env")
 
 
 def test_contexts_report_counts(tmp_path, capsys):

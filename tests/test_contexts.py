@@ -5,15 +5,12 @@ from wignerlab.contexts import (
     Assessment,
     DecoherenceEnvironment,
     Proposition,
-    Record,
     assess,
     common_extension,
     compatibly_extends,
     incompatibility_graph,
     maximal_contexts,
-    mutually_isolated,
     primary_context,
-    resolve_observable,
 )
 from wignerlab.errors import RecordContextMismatchError, UnknownAgentError
 from wignerlab.scenario import (
@@ -22,6 +19,7 @@ from wignerlab.scenario import (
     LAB_INDEX,
     OutcomeRecord,
     build_scenario,
+    context_born_table,
     run_friend_stage,
     sample_outcomes,
     scenario_context,
@@ -41,7 +39,6 @@ def test_primary_context_of_friend(model):
     (rec,) = env.records
     assert rec.agent == "Alice"
     assert rec.systems == frozenset({"a1", "L1"})
-    assert rec.observable_key == "pointer_record:Alice"
 
 
 def test_primary_context_of_wigner(model):
@@ -52,7 +49,6 @@ def test_primary_context_of_wigner(model):
     # Eugene measures the conjugated x-observable of Alice's whole lab,
     # so his record lives on the same systems as hers.
     assert rec.systems == frozenset({"a1", "L1"})
-    assert rec.observable_key == "lab_x:Eugene"
 
 
 def test_primary_context_rejects_unknown_agent(model):
@@ -61,19 +57,13 @@ def test_primary_context_rejects_unknown_agent(model):
 
 
 def test_resolve_observable_matches_model(model):
-    env = primary_context(model, "Bob")
-    (rec,) = env.records
-    op = resolve_observable(model, rec)
-    assert op.layout == model.record_observable("Bob").layout
-
-
-def test_resolve_observable_rejects_mismatched_key(model):
-    bad = Record("Alice", frozenset({"a1", "L1"}), "pointer_record:Bob")
-    with pytest.raises(UnknownAgentError):
-        resolve_observable(model, bad)
-    worse = Record("Alice", frozenset({"a1", "L1"}), "position:Alice")
-    with pytest.raises(UnknownAgentError):
-        resolve_observable(model, worse)
+    # A record's observable is its agent's scenario observable, supported
+    # within the record's systems.
+    for agent in AGENTS:
+        (rec,) = primary_context(model, agent).records
+        op = model.scenario_observable(rec.agent)
+        assert frozenset(op.layout.labels) <= rec.systems
+    assert model.scenario_observable("Bob").layout == model.record_observable("Bob").layout
 
 
 def test_incompatibility_graph_is_the_three_lab_pairs(model):
@@ -107,15 +97,6 @@ def test_common_extension_id_uses_event_letter_order(model):
     assert env.region == frozenset({"B", "C", "U"})
 
 
-def test_mutual_isolation(model):
-    env_a = primary_context(model, "Alice")
-    env_b = primary_context(model, "Bob")
-    env_u = primary_context(model, "Eugene")
-    assert mutually_isolated(env_a, env_b)
-    # Alice's record and Eugene's record inhabit the same lab systems.
-    assert not mutually_isolated(env_a, env_u)
-
-
 def test_maximal_contexts_are_the_eight_transversals(model):
     reports = maximal_contexts(model)
     assert len(reports) == 8
@@ -128,6 +109,17 @@ def test_maximal_contexts_are_the_eight_transversals(model):
         letters = {EVENT_OF_AGENT[a] for a in report.agents}
         assert report.environment.region == frozenset(letters)
         assert report.frame is None
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_maximal_context_environment_is_the_common_extension(width):
+    # Oracle: the checked union of the agents' primary contexts.
+    wide = build_scenario(lab_width=width)
+    for report in maximal_contexts(wide):
+        oracle = common_extension(wide, [primary_context(wide, a)
+                                         for a in report.agents])
+        assert oracle is not None
+        assert report.environment == oracle
 
 
 def test_named_contexts_flagged(model):
@@ -204,12 +196,12 @@ def test_not_assessable_takes_precedence_over_mismatch(model):
 
 def test_assessability_is_monotone_under_extension(model):
     state = run_friend_stage(model)
-    context = scenario_context(model, ("Alice", "Bob", "Charlie"))
+    table = context_born_table(state, scenario_context(model, ("Alice", "Bob", "Charlie")))
     env_a = primary_context(model, "Alice")
     env_ab = common_extension(model, [env_a, primary_context(model, "Bob")])
     env_abc = common_extension(model, [env_ab, primary_context(model, "Charlie")])
     for seed in range(40):
-        record = sample_outcomes(state, context, seed)
+        record = sample_outcomes(table, seed)
         prop = Proposition("Alice", record.values["Alice"])
         small = assess(model, prop, env_a, record)
         mid = assess(model, prop, env_ab, record)

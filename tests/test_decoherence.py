@@ -3,13 +3,13 @@ import pytest
 
 from wignerlab.decoherence import (
     DephasingChannel,
+    DiagonalityTrajectory,
     correlation_decay,
     dephase,
     diagonality_trajectory,
     expectation_trajectory,
     onset_step,
     pointer_diagonality,
-    robustly_decohered,
 )
 from wignerlab.errors import (
     BadStrengthError,
@@ -120,10 +120,15 @@ def test_onset_and_robustness_threshold():
     traj = diagonality_trajectory(bell_pair(), DephasingChannel("L1", 0.5), 10)
     # 0.25 * 0.5^8 = 9.77e-4 is the first value at or under 1e-3.
     assert onset_step(traj, 1e-3) == 8
-    assert robustly_decohered(traj, 8, 1e-3)
-    assert not robustly_decohered(traj, 7, 1e-3)
-    with pytest.raises(ValueError):
-        robustly_decohered(traj, 11, 1e-3)
+    # Every value from the onset on stays under the threshold; the one
+    # before it does not.
+    assert all(v <= 1e-3 for v in traj.values[8:])
+    assert traj.values[7] > 1e-3
+    assert onset_step(traj, 0.25) == 0
+    # The onset is the first step of the final run under the threshold, so
+    # an early dip that rises again does not count.
+    bumpy = DiagonalityTrajectory("L1", 0.5, (0.5, 1e-4, 0.5, 1e-4, 1e-5))
+    assert onset_step(bumpy, 1e-3) == 3
     assert onset_step(traj, 1e-9) is None
 
 

@@ -130,7 +130,7 @@ def test_samples_sit_inside_supports(post_friend):
         table = context_born_table(state, context)
         support = set(table.support(1e-10))
         for seed in range(30):
-            record = sample_outcomes(state, context, seed)
+            record = sample_outcomes(table, seed)
             outcome = tuple(record.values[a] for a in agents)
             assert outcome in support
             assert record.probability == pytest.approx(

@@ -72,11 +72,13 @@ def test_lifted_x_is_xx_at_width_one():
 
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_lifted_x_general_width_oracle(width):
-    # sigma_x on the atom tensored with a flip of every pointer qubit.
+    # Oracle: conjugate sigma_x (x) I by Bob's explicit premeasurement.
     model = build_scenario(width)
     got = model.lifted_x_observable("Johnny")
-    flip = np.eye(2**width)[::-1]
-    assert np.max(np.abs(got.matrix - np.kron(X, flip))) <= 1e-12
+    v = vn_unitary(model.friend_observable("Bob"), model.layout.subset(["L2"]))
+    oracle = v.matrix @ np.kron(X, np.eye(2**width)) @ v.matrix.conj().T
+    assert got.layout == v.layout
+    assert np.max(np.abs(got.matrix - oracle)) <= 1e-12
 
 
 def test_record_observable_widths():
@@ -251,9 +253,9 @@ def test_erasure_check_control_without_measurement():
 def test_sample_outcomes_deterministic_and_supported():
     model = build_scenario(1)
     post = run_friend_stage(model)
-    ctx = scenario_context(model, ["Eugene", "Bob", "Charlie"])
-    rec1 = sample_outcomes(post, ctx, seed=123)
-    rec2 = sample_outcomes(post, ctx, seed=123)
+    table = context_born_table(post, scenario_context(model, ["Eugene", "Bob", "Charlie"]))
+    rec1 = sample_outcomes(table, seed=123)
+    rec2 = sample_outcomes(table, seed=123)
     assert rec1.values == rec2.values
     assert rec1.context == ("Eugene", "Bob", "Charlie")
     prod = rec1.values["Eugene"] * rec1.values["Bob"] * rec1.values["Charlie"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wignerlab.errors import DegenerateEventsError, SuperluminalError
+from wignerlab.errors import SuperluminalError
 from wignerlab.spacetime import (
     BoostVelocity,
     Event4,
@@ -9,14 +9,11 @@ from wignerlab.spacetime import (
     boost,
     collinear_geometry,
     default_geometry,
-    frame_admissible,
-    frame_certificate,
     frame_for_events,
     interval,
     is_spacelike,
     is_timelike,
     separation_violations,
-    simultaneity_frame,
 )
 
 
@@ -70,7 +67,7 @@ def test_boost_preserves_interval():
 
 def test_simultaneity_frame_already_simultaneous():
     es = [Event4(l, 1.0, x, y, 0.0) for l, x, y in (("A", 0, 0), ("B", 5, 0), ("C", 0, 5))]
-    v = simultaneity_frame(*es)
+    v = frame_for_events(es).velocity
     assert v is not None and v.speed <= 1e-12
 
 
@@ -80,7 +77,7 @@ def test_simultaneity_frame_worked_example():
     u = Event4("U", 2.0, 0.0, 0.0, 0.0)
     b = Event4("B", 1.0, 5.0, 0.0, 0.0)
     c = Event4("C", 1.0, 0.0, 5.0, 0.0)
-    v = simultaneity_frame(u, b, c)
+    v = frame_for_events((u, b, c)).velocity
     assert v is not None
     assert np.max(np.abs(v.as_array() - np.array([-0.2, -0.2, 0.0]))) <= 1e-12
     assert abs(v.speed - 0.2 * np.sqrt(2)) <= 1e-12
@@ -97,22 +94,12 @@ def test_simultaneity_frame_collinear_counterexample():
     u = Event4("U", 2.0, 0.0, 0.0, 0.0)
     b = Event4("B", 1.0, 5.0, 0.0, 0.0)
     c = Event4("C", 1.0, 10.0, 0.0, 0.0)
-    cert = frame_certificate(u, b, c)
+    cert = frame_for_events((u, b, c))
     assert not cert.exists and cert.velocity is None and cert.residual is None
     gram = np.array(cert.gram)
     assert np.max(np.abs(gram - np.array([[-24.0, -49.0], [-49.0, -99.0]]))) <= 1e-12
     assert max(cert.gram_eigenvalues) > 0  # certificate: plane is not spacelike
     assert abs(np.linalg.det(gram) - (-25.0)) <= 1e-9
-
-
-def test_simultaneity_frame_degenerate():
-    o = Event4("o", 0, 0, 0, 0)
-    e1 = Event4("p", 0, 1, 0, 0)
-    e2 = Event4("q", 0, 2, 0, 0)
-    with pytest.raises(DegenerateEventsError):
-        simultaneity_frame(o, e1, e2)
-    with pytest.raises(DegenerateEventsError):
-        simultaneity_frame(o, e1, e1)
 
 
 def test_frame_velocity_is_minimal_speed():
@@ -121,7 +108,7 @@ def test_frame_velocity_is_minimal_speed():
     u = Event4("U", 2.0, 0.0, 0.0, 0.0)
     b = Event4("B", 1.0, 5.0, 0.0, 0.0)
     c = Event4("C", 1.0, 0.0, 5.0, 0.0)
-    v = simultaneity_frame(u, b, c).as_array()
+    v = frame_for_events((u, b, c)).velocity.as_array()
     a_mat = np.array([[5.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
     b_vec = np.array([-1.0, -1.0])
     # Solutions form a line v + t * kernel; sample along it.
@@ -158,7 +145,8 @@ def test_geometry_requires_all_events():
     ],
 )
 def test_frame_admissible_default_geometry(labels, expected):
-    cert = frame_admissible(default_geometry(), labels)
+    geo = default_geometry()
+    cert = frame_for_events([geo.events[k] for k in labels])
     assert cert.exists
     assert np.max(np.abs(cert.velocity.as_array() - np.array(expected))) <= 1e-12
     assert cert.velocity.speed < 1.0
@@ -168,18 +156,14 @@ def test_frame_admissible_default_geometry(labels, expected):
 def test_frame_admissible_collinear_mixed_triples_fail():
     geo = collinear_geometry()
     for labels in (("U", "B", "C"), ("A", "V", "C"), ("A", "B", "W")):
-        cert = frame_admissible(geo, labels)
+        cert = frame_for_events([geo.events[k] for k in labels])
         assert not cert.exists
         assert max(cert.gram_eigenvalues) > 0
-    # Same-stage triples collapse onto one line: affinely dependent.
+    # Same-stage triples collapse onto one line: one independent difference
+    # vector, spacelike, so the rest frame serves.
     for labels in (("A", "B", "C"), ("U", "V", "W")):
-        with pytest.raises(DegenerateEventsError):
-            frame_admissible(geo, labels)
-
-
-def test_frame_admissible_needs_three_labels():
-    with pytest.raises(ValueError):
-        frame_admissible(default_geometry(), ("A", "B"))
+        cert = frame_for_events([geo.events[k] for k in labels])
+        assert cert.exists and len(cert.gram) == 1
 
 
 def test_frame_for_events_collinear_simultaneous_rest_frame():
@@ -191,13 +175,18 @@ def test_frame_for_events_collinear_simultaneous_rest_frame():
 
 
 def test_frame_for_events_matches_certificate_on_independent_triple():
+    # Independent triple: the 2x2 Gram matrix of the difference vectors
+    # certifies the frame, and the velocity is the minimum-norm solution
+    # of v . dx = dt for both differences.
     geo = default_geometry()
     triple = [geo.events[k] for k in ("U", "B", "C")]
-    tolerant = frame_for_events(triple)
-    strict = frame_certificate(*triple)
-    assert tolerant.exists and strict.exists
-    assert np.max(np.abs(tolerant.velocity.as_array()
-                         - strict.velocity.as_array())) <= 1e-12
+    cert = frame_for_events(triple)
+    assert cert.exists
+    assert len(cert.gram) == 2 and max(cert.gram_eigenvalues) < 0
+    diffs = [e.as_array() - triple[0].as_array() for e in triple[1:]]
+    a_mat = np.array([d[1:] for d in diffs])
+    oracle = np.linalg.pinv(a_mat) @ np.array([d[0] for d in diffs])
+    assert np.max(np.abs(cert.velocity.as_array() - oracle)) <= 1e-12
 
 
 def test_frame_for_events_rejects_timelike_pair():
