@@ -20,6 +20,7 @@ Config file grammar (JSON object; every key optional):
                  singled-out triples)
   dephasing      {"target": "L1", "strength": 0.5, "steps": 20}
   generators     three signed Pauli words fixing the entangled state
+                 (ghz-check only; the other subcommands reject the key)
   stage          "full" | "friend" (paradox subcommand only)
   out            output directory (default "reports")
   format         "text" | "json" stdout rendering
@@ -53,9 +54,11 @@ from .contexts import (
 from .decoherence import (
     DephasingChannel,
     correlation_decay,
+    dephased_states,
     diagonality_trajectory,
     expectation_trajectory,
     onset_step,
+    pointer_diagonality,
 )
 from .errors import (
     ConfigError,
@@ -701,8 +704,22 @@ def cmd_frames(config: ScenarioConfig) -> RunReport:
     return _report("frames", config, checks, data)
 
 
+# Largest register dimension at which ``decohere`` also iterates the dense
+# channel to check the closed-form series.  d = 512 (lab_width 2) holds 4 MiB
+# density matrices and costs about 0.1 s; lab_width 3 (d = 4096) would hold
+# 256 MiB ones, and the eigenvalue check of its first one alone took 17.8 s
+# on a 2-core box.
+DENSE_CHECK_MAX_DIM = 512
+
+
 def cmd_decohere(config: ScenarioConfig) -> RunReport:
-    """Trace how environmental dephasing kills the paradox-feeding correlation."""
+    """Trace how environmental dephasing kills the paradox-feeding correlation.
+
+    Every series comes from the channel's closed form on the pure
+    post-premeasurement state; up to ``DENSE_CHECK_MAX_DIM`` the iterated
+    dense channel runs too, and the ``closed_form_matches_iterated`` check
+    compares the two diagonality series.
+    """
     model = build_scenario(config.lab_width)
     channel = DephasingChannel(config.dephasing_target,
                                config.dephasing_strength)
@@ -741,8 +758,16 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
          "p_plus_given_minus": _sig12(erasure.p_plus_given_minus)},
     ))
 
-    trajectory = diagonality_trajectory(
-        qcore.pure_density(run_friend_stage(model)), channel, steps)
+    psi = run_friend_stage(model)
+    trajectory = diagonality_trajectory(psi, channel, steps)
+    if model.layout.total_dim <= DENSE_CHECK_MAX_DIM:
+        iterated = [pointer_diagonality(rho, channel.target)
+                    for rho in dephased_states(psi, channel, steps)]
+        gap = max(abs(c - i) for c, i in zip(trajectory.values, iterated))
+        checks.append(CheckResult(
+            "closed_form_matches_iterated", gap <= 1e-12,
+            {"largest_gap": _sig12(gap)},
+        ))
     onset = onset_step(trajectory, config.robust_tol)
     data = {
         "decay_series": [[k, _sig12(v)] for k, v in enumerate(decay)],
@@ -809,6 +834,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         raw = load_config(args.config)
+        if "generators" in raw and args.command != "ghz-check":
+            raise ConfigValidationError(
+                f"generators: only ghz-check uses this key, not {args.command}"
+            )
         config = build_config(raw, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -178,9 +178,14 @@ class Operator:
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over a layout."""
+    """Hermitian, unit-trace, positive-semidefinite matrix over a layout.
 
-    def __init__(self, layout: RegisterLayout, matrix, tol: float = STRUCTURAL_TOL):
+    ``_known_psd`` is for channel outputs that are PSD by construction; it
+    skips only the O(d**3) eigenvalue check.
+    """
+
+    def __init__(self, layout: RegisterLayout, matrix, tol: float = STRUCTURAL_TOL,
+                 *, _known_psd: bool = False):
         mat = np.array(matrix, dtype=np.complex128)
         d = layout.total_dim
         if mat.shape != (d, d):
@@ -193,9 +198,10 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > tol:
             raise ValueError(f"density matrix trace {tr} deviates from 1 beyond tol={tol}")
-        lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)))
-        if lo < -tol:
-            raise ValueError(f"density matrix has eigenvalue {lo} below -tol={-tol}")
+        if not _known_psd:
+            lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)))
+            if lo < -tol:
+                raise ValueError(f"density matrix has eigenvalue {lo} below -tol={-tol}")
         self.layout = layout
         self.matrix = _frozen(mat)
         self.tol = tol
@@ -484,6 +490,8 @@ def born_table(observables, state, names=None, tol: float = NUMERIC_TOL) -> Born
                 vec = _contract(proj[s], tens, state.layout, axes).reshape(-1)
             rows[outcome] = float(np.real(np.vdot(vec, vec)))
     elif isinstance(state, DensityMatrix):
+        # The projectors commute, so their product P is a projector and
+        # Tr(P rho P) = Tr(P rho): one-sided products suffice.
         d = state.layout.total_dim
         for outcome in itertools.product((1, -1), repeat=len(obs)):
             mat = state.matrix
@@ -491,8 +499,6 @@ def born_table(observables, state, names=None, tol: float = NUMERIC_TOL) -> Born
                 axes = _check_sublayout(o.layout, state.layout)
                 tens = mat.reshape(state.layout.shape + (d,))
                 mat = _contract(proj[s], tens, state.layout, axes).reshape(d, d)
-                tens = mat.conj().T.reshape(state.layout.shape + (d,))
-                mat = _contract(proj[s], tens, state.layout, axes).reshape(d, d).conj().T
             rows[outcome] = float(np.real(np.trace(mat)))
     else:
         raise TypeError(f"born_table() got {type(state).__name__}")

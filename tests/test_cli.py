@@ -371,7 +371,34 @@ def test_decohere_report(tmp_path, capsys):
     assert set(doc["data"]["record_series"]) == {"avc", "abw"}
     names = {c["name"] for c in doc["checks"]}
     assert names == {"decay_matches_analytic", "record_constraints_unchanged",
+                     "erasure_even_odds", "closed_form_matches_iterated"}
+
+
+def test_decohere_width_three_runs_closed_form_only(tmp_path, capsys):
+    code = main(["decohere", "--lab-width", "3", "--out", str(tmp_path),
+                 "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"]
+    names = {c["name"] for c in doc["checks"]}
+    assert names == {"decay_matches_analytic", "record_constraints_unchanged",
                      "erasure_even_odds"}
+
+
+@pytest.mark.parametrize("command", ["paradox", "contexts", "frames", "decohere"])
+def test_generators_rejected_outside_ghz_check(tmp_path, capsys, command):
+    path = write_json(tmp_path, "gen.json",
+                      {"generators": ["-XZZ", "+ZXZ", "+ZZX"]})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "config error: generators" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.report.json"))
+
+
+@pytest.mark.parametrize("command",
+                         ["ghz-check", "paradox", "contexts", "frames", "decohere"])
+def test_seed_accepted_by_every_subcommand(tmp_path, command):
+    path = write_json(tmp_path, "seed.json", {"seed": 5})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
 
 
 def test_decohere_zero_strength_is_flat(tmp_path, capsys):

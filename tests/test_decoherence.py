@@ -6,6 +6,7 @@ from wignerlab.decoherence import (
     DiagonalityTrajectory,
     correlation_decay,
     dephase,
+    dephased_states,
     diagonality_trajectory,
     expectation_trajectory,
     onset_step,
@@ -140,17 +141,37 @@ def test_trajectory_rejects_negative_steps():
                                ("Alice", "Bob", "Charlie"), -1)
 
 
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_mixed(rng, layout, rank):
+    d = layout.total_dim
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    mat = a @ a.conj().T
+    return DensityMatrix(layout, mat / np.trace(mat).real)
+
+
 def test_channel_preserves_trace_positivity_and_marginal():
+    # dephase skips the eigenvalue check on its output, so positivity is
+    # asserted here, on pure and mixed inputs, in the record basis and in
+    # random pointer bases.
     rng = np.random.default_rng(20260822)
-    layout = qubits("a1", "L1")
-    for _ in range(25):
-        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = QState(layout, vec / np.linalg.norm(vec))
+    layout = RegisterLayout((("a1", 2), ("L1", 3)))
+    for trial in range(25):
+        if trial % 2:
+            vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+            state = pure_density(QState(layout, vec / np.linalg.norm(vec)))
+        else:
+            state = random_mixed(rng, layout, rank=int(rng.integers(2, 7)))
+        basis = random_unitary(rng, 3) if trial % 3 else None
         lam = float(rng.uniform(0.0, 1.0))
-        rho = dephase(state, DephasingChannel("L1", lam))
+        rho = dephase(state, DephasingChannel("L1", lam, basis=basis))
         assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
+        assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) <= 1e-12
         assert np.min(np.linalg.eigvalsh(rho.matrix)) >= -1e-12
-        before = partial_trace(pure_density(state), keep=("a1",))
+        before = partial_trace(state, keep=("a1",))
         after = partial_trace(rho, keep=("a1",))
         assert np.max(np.abs(before.matrix - after.matrix)) <= 1e-12
 
@@ -235,3 +256,91 @@ def test_record_context_table_is_invariant():
     noisy = born_table(tuple(context.values()), rho, names=tuple(context))
     for outcome, p in clean.rows.items():
         assert noisy.rows[outcome] == pytest.approx(p, abs=1e-10)
+
+
+def record_contexts(target):
+    """The two constraint contexts that read the target lab through its record."""
+    friend = {"L1": "Alice", "L2": "Bob", "L3": "Charlie"}[target]
+    mixed = (("Eugene", "Bob", "Charlie"), ("Alice", "Johnny", "Charlie"),
+             ("Alice", "Bob", "Daniel"))
+    return [agents for agents in mixed if friend in agents]
+
+
+def iterated_series(model, channel, steps, contexts):
+    """Every series read off the iterated dense channel, one state at a time."""
+    tables = {agents: scenario_context(model, agents) for agents in contexts}
+    series = {agents: [] for agents in contexts}
+    diagonality = []
+    for rho in dephased_states(run_friend_stage(model), channel, steps):
+        for agents, context in tables.items():
+            table = born_table(tuple(context.values()), rho, names=tuple(context))
+            series[agents].append(table.expectation_product())
+        diagonality.append(pointer_diagonality(rho, channel.target, channel.basis))
+    return series, diagonality
+
+
+def largest_gap(a, b):
+    assert len(a) == len(b)
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("target", ["L1", "L2", "L3"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_closed_form_matches_iterated_channel(width, target, lam):
+    model = build_scenario(width)
+    channel = DephasingChannel(target, lam)
+    steps = 3 if width == 1 else 2
+    contexts = record_contexts(target)
+    series, diagonality = iterated_series(
+        model, channel, steps, [("Eugene", "Johnny", "Daniel")] + contexts)
+    decay = correlation_decay(model, channel, steps)
+    assert largest_gap(decay, series[("Eugene", "Johnny", "Daniel")]) <= 1e-12
+    for agents in contexts:
+        closed = expectation_trajectory(model, channel, agents, steps)
+        assert largest_gap(closed, series[agents]) <= 1e-12
+    traj = diagonality_trajectory(run_friend_stage(model), channel, steps)
+    assert largest_gap(traj.values, diagonality) <= 1e-12
+
+
+def test_closed_form_matches_iterated_channel_in_custom_basis():
+    # At width 1 the lab is maximally mixed, so every basis splits it into
+    # equal-weight branches; the width-2 basis gives unequal ones.
+    rng = np.random.default_rng(31)
+    contexts = [("Eugene", "Johnny", "Daniel"), ("Alice", "Johnny", "Charlie"),
+                ("Alice", "Bob", "Daniel"), ("Eugene", "Bob", "Charlie")]
+    cases = [(1, HADAMARD), (1, random_unitary(rng, 2)), (1, random_unitary(rng, 2)),
+             (2, random_unitary(rng, 4))]
+    for width, basis in cases:
+        model = build_scenario(width)
+        channel = DephasingChannel("L1", 0.3, basis=basis)
+        series, diagonality = iterated_series(model, channel, 3, contexts)
+        for agents in contexts:
+            closed = expectation_trajectory(model, channel, agents, 3)
+            assert largest_gap(closed, series[agents]) <= 1e-12
+        traj = diagonality_trajectory(run_friend_stage(model), channel, 3)
+        assert largest_gap(traj.values, diagonality) <= 1e-12
+
+
+def test_pure_state_diagonality_matches_density_path():
+    rng = np.random.default_rng(5)
+    layout = RegisterLayout((("a", 2), ("p", 3), ("b", 4)))
+    for _ in range(10):
+        vec = rng.normal(size=24) + 1j * rng.normal(size=24)
+        state = QState(layout, vec / np.linalg.norm(vec))
+        for target, dim in layout.sites:
+            for basis in (None, random_unitary(rng, dim)):
+                fast = pointer_diagonality(state, target, basis)
+                dense = pointer_diagonality(pure_density(state), target, basis)
+                assert abs(fast - dense) <= 1e-12
+
+
+def test_dephased_states_iterates_the_channel():
+    chan = DephasingChannel("L1", 0.5)
+    states = list(dephased_states(bell_pair(), chan, 3))
+    assert len(states) == 4
+    assert np.max(np.abs(states[0].matrix - pure_density(bell_pair()).matrix)) == 0.0
+    for before, after in zip(states, states[1:]):
+        assert np.max(np.abs(dephase(before, chan).matrix - after.matrix)) == 0.0
+    with pytest.raises(ValueError):
+        dephased_states(bell_pair(), chan, -1)

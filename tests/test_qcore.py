@@ -194,6 +194,14 @@ def test_density_matrix_guards():
         DensityMatrix(lay, [[1.5, 0], [0, -0.5]])
 
 
+def test_density_matrix_rejects_negative_eigenvalue():
+    lay = qubits("a")
+    # Hermitian with unit trace, so only the eigenvalue check can object.
+    for mat in ([[1.5, 0], [0, -0.5]], [[0.5, 1.0], [1.0, 0.5]]):
+        with pytest.raises(ValueError, match="eigenvalue"):
+            DensityMatrix(lay, mat)
+
+
 def test_commutes_basic():
     a = Operator(qubits("q1"), X)
     b = Operator(qubits("q2"), Z)
