@@ -673,16 +673,14 @@ def cmd_contexts(config: ScenarioConfig) -> RunReport:
             "named": report.named,
             "frame": _frame_entry(report.frame),
         })
+    admissible = [r.environment.id for r in reports if r.frame.exists]
     data = {
         "geometry": config.geometry_name,
         "contexts": entries,
-        "frame_admissible_count": sum(
-            1 for r in reports if r.frame is not None and r.frame.exists),
+        "frame_admissible_count": len(admissible),
     }
     if config.frame_filter:
-        kept = maximal_contexts(model, geometry=config.geometry,
-                                require_frame=True)
-        data["frame_filtered_ids"] = [r.environment.id for r in kept]
+        data["frame_filtered_ids"] = admissible
     return _report("contexts", config, checks, data)
 
 

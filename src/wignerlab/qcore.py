@@ -7,6 +7,12 @@ supported on a subset of a state's registers; ``apply``, ``expectation`` and
 full-space matrix, so wide scenarios stay cheap as long as each operator's
 own support is small.
 
+Commutation is locality-aware.  Operators on disjoint registers commute
+exactly: every entry of (A x I)(I x B) and of (I x B)(A x I) is the same
+single product a_ij * b_kl, so for finite matrices the dense commutator is
+identically zero.  ``commutes`` returns True for such pairs without forming
+it, and checks only overlapping pairs densely on the union layout.
+
 All value types are immutable: arrays are copied on construction and marked
 read-only, and every operation returns a fresh object.  Instances are safe
 to share across threads.
@@ -180,7 +186,8 @@ class Operator:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over a layout.
 
-    ``_known_psd`` is for channel outputs that are PSD by construction; it
+    ``_known_psd`` is for matrices that are PSD by construction (channel
+    outputs, and the outer product v v^dagger of a normalized state); it
     skips only the O(d**3) eigenvalue check.
     """
 
@@ -212,7 +219,7 @@ class DensityMatrix:
 
 def pure_density(state: QState) -> DensityMatrix:
     v = state.amplitudes
-    return DensityMatrix(state.layout, np.outer(v, v.conj()), state.tol)
+    return DensityMatrix(state.layout, np.outer(v, v.conj()), state.tol, _known_psd=True)
 
 
 def tensor(a, b):
@@ -357,8 +364,18 @@ def _union_layout(a: RegisterLayout, b: RegisterLayout) -> RegisterLayout:
 
 
 def commutes(a: Operator, b: Operator, tol: float = NUMERIC_TOL) -> bool:
-    """Whether [a, b] vanishes on the union of their supports (max-norm <= tol)."""
+    """Whether [a, b] vanishes on the union of their supports (max-norm <= tol).
+
+    Operators on disjoint registers commute exactly: each entry of both
+    products (A x I)(I x B) and (I x B)(A x I) is the same single product
+    a_ij * b_kl, so for finite matrices the dense commutator is identically
+    zero and is not formed.  The union layout is still built first, so a
+    label shared with different dimensions raises ``LayoutMismatchError``.
+    Overlapping supports are checked densely on the union layout.
+    """
     common = _union_layout(a.layout, b.layout)
+    if not set(a.layout.labels) & set(b.layout.labels):
+        return True
     am = embed(a, common).matrix
     bm = embed(b, common).matrix
     return bool(np.max(np.abs(am @ bm - bm @ am)) <= tol)

@@ -126,6 +126,11 @@ class ScenarioModel:
         self.layout = RegisterLayout(tuple(atoms + labs))
         self._atom_layouts = {i: self.layout.subset([atom_label(i)]) for i in (1, 2, 3)}
         self._lab_layouts = {i: self.layout.subset([lab_label(i)]) for i in (1, 2, 3)}
+        self._observables = {
+            agent: (self.record_observable if agent in FRIENDS
+                    else self.lifted_x_observable)(agent)
+            for agent in AGENTS
+        }
 
     def probe_layout(self, agent: str) -> RegisterLayout:
         _check_agent(agent)
@@ -150,7 +155,7 @@ class ScenarioModel:
         _check_agent(agent)
         if agent not in WIGNERS:
             raise UnknownAgentError(f"{agent} is not a lab-measuring agent")
-        return MeasurementSpec(agent, "wigner", self.lifted_x_observable(agent),
+        return MeasurementSpec(agent, "wigner", self.scenario_observable(agent),
                                self.probe_layout(agent))
 
     def lifted_x_observable(self, agent: str) -> Operator:
@@ -179,11 +184,14 @@ class ScenarioModel:
                         self.tol)
 
     def scenario_observable(self, agent: str) -> Operator:
-        """The outcome-bearing observable: pointer record or conjugated x."""
+        """The outcome-bearing observable: pointer record or conjugated x.
+
+        Built once, with the model, and shared by every caller (operators
+        are immutable); ``record_observable`` and ``lifted_x_observable``
+        build a fresh one.
+        """
         _check_agent(agent)
-        if agent in FRIENDS:
-            return self.record_observable(agent)
-        return self.lifted_x_observable(agent)
+        return self._observables[agent]
 
     def initial_state(self) -> QState:
         """Stabilized atom triple, every lab pointer ready in all-zeros."""
@@ -294,7 +302,7 @@ class ErasureReport:
 def erasure_check(model: ScenarioModel, apply_measurement: bool = True) -> ErasureReport:
     """Condition on Alice's record, run Eugene's premeasurement, reread the record."""
     post = run_friend_stage(model)
-    record = model.record_observable("Alice")
+    record = model.scenario_observable("Alice")
     plus_proj, _ = qcore.spectral_projectors(record)
     probs = {}
     for branch in (1, -1):

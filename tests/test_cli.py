@@ -7,10 +7,12 @@ from wignerlab.cli import (
     build_config,
     build_parser,
     canonical_json,
+    cmd_contexts,
     cmd_frames,
     load_config,
     main,
 )
+from wignerlab.contexts import maximal_contexts
 from wignerlab.errors import ConfigParseError, ConfigValidationError
 from wignerlab.scenario import (
     OUTCOME_VARIABLE,
@@ -331,6 +333,27 @@ def test_contexts_collinear_frame_filter(tmp_path, capsys):
     assert doc["data"]["frame_filtered_ids"] == ["E_ABC", "E_UVW"]
     assert doc["data"]["frame_admissible_count"] == 2
     assert "warning" in captured.err
+
+
+@pytest.mark.parametrize("geometry", ["default", "collinear"])
+def test_contexts_frame_filter_matches_library(geometry):
+    config = config_from({"geometry": geometry, "frame_filter": True})
+    kept = maximal_contexts(build_scenario(1), geometry=config.geometry,
+                            require_frame=True)
+    doc = cmd_contexts(config).document()
+    assert doc["data"]["frame_filtered_ids"] == [r.environment.id for r in kept]
+
+
+@pytest.mark.parametrize("command", ["paradox", "contexts"])
+def test_lab_width_five_runs(tmp_path, capsys, command):
+    # Every pair of observables on distinct labs commutes without a dense
+    # product, so width 5 (d = 262144) takes well under a second here.
+    code = main([command, "--lab-width", "5", "--out", str(tmp_path),
+                 "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"]
+    assert all(c["passed"] for c in doc["checks"])
 
 
 def test_frames_default_velocities(tmp_path, capsys):

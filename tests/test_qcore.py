@@ -220,6 +220,35 @@ def test_commutes_overlapping_supports():
     assert commutes(za_zb, zb)
 
 
+def _random_operator(rng, layout):
+    d = layout.total_dim
+    return Operator(layout, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_commutes_disjoint_supports_matches_embed_oracle(seed):
+    # Random complex non-hermitian operators on disjoint registers of mixed
+    # dimensions.  The dense oracle on a permuted union layout finds the
+    # commutator exactly zero, which commutes() returns without forming it.
+    rng = np.random.default_rng(seed)
+    a = _random_operator(rng, RegisterLayout((("p", 3), ("q", 2))))
+    b = _random_operator(rng, RegisterLayout((("s", 4), ("r", 2))))
+    assert not a.is_hermitian and not b.is_hermitian
+    sites = a.layout.sites + b.layout.sites
+    union = RegisterLayout(tuple(sites[i] for i in rng.permutation(len(sites))))
+    am, bm = embed(a, union).matrix, embed(b, union).matrix
+    assert np.max(np.abs(am @ bm - bm @ am)) == 0.0
+    assert commutes(a, b) and commutes(b, a)
+
+
+def test_commutes_rejects_shared_label_with_other_dimension():
+    a = Operator(RegisterLayout((("p", 2), ("q", 2))), kron(X, Z))
+    b = Operator(RegisterLayout((("q", 3), ("r", 2))), np.eye(6))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(LayoutMismatchError, match="'q'"):
+            commutes(x, y)
+
+
 def test_embed_matches_kron_oracle():
     lay = qubits("a", "b")
     op = Operator(qubits("b"), X)

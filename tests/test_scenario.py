@@ -81,6 +81,22 @@ def test_lifted_x_general_width_oracle(width):
     assert np.max(np.abs(got.matrix - oracle)) <= 1e-12
 
 
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_scenario_observable_built_once_per_model(width):
+    model = build_scenario(width)
+    for agent in FRIENDS + WIGNERS:
+        op = model.scenario_observable(agent)
+        assert op is model.scenario_observable(agent)
+        fresh = (model.record_observable(agent) if agent in FRIENDS
+                 else model.lifted_x_observable(agent))
+        assert fresh is not op
+        assert op.layout == fresh.layout
+        assert np.array_equal(op.matrix, fresh.matrix)
+    context = scenario_context(model, ("Eugene", "Bob", "Charlie"))
+    assert context["Eugene"] is model.scenario_observable("Eugene")
+    assert model.wigner_spec("Eugene").observable is model.scenario_observable("Eugene")
+
+
 def test_record_observable_widths():
     assert np.max(np.abs(build_scenario(1).record_observable("Alice").matrix - Z)) <= 1e-12
     m2 = build_scenario(2).record_observable("Bob").matrix
