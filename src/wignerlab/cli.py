@@ -80,7 +80,6 @@ from .scenario import (
     context_born_table,
     erasure_check,
     lab_label,
-    run_friend_stage,
     sample_outcomes,
     scenario_context,
 )
@@ -546,7 +545,7 @@ def _by_variable(table: qcore.BornTable) -> qcore.BornTable:
 def cmd_paradox(config: ScenarioConfig) -> RunReport:
     """Recover the four parity constraints and exhibit their joint failure."""
     model = build_scenario(config.lab_width)
-    state = run_friend_stage(model)
+    state = model.post_premeasurement_state()
     record_agent_table = context_born_table(
         state, scenario_context(model, _RECORD_AGENTS))
     record_table = _by_variable(record_agent_table)
@@ -756,7 +755,7 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
          "p_plus_given_minus": _sig12(erasure.p_plus_given_minus)},
     ))
 
-    psi = run_friend_stage(model)
+    psi = model.post_premeasurement_state()
     trajectory = diagonality_trajectory(psi, channel, steps)
     if model.layout.total_dim <= DENSE_CHECK_MAX_DIM:
         iterated = [pointer_diagonality(rho, channel.target)

@@ -19,7 +19,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from . import qcore, spacetime
+from . import spacetime
 from .errors import RecordContextMismatchError, UnknownAgentError
 from .scenario import (
     AGENTS,
@@ -95,11 +95,8 @@ def primary_context(model: ScenarioModel, agent: str) -> DecoherenceEnvironment:
 
 
 def _records_commute(model: ScenarioModel, records) -> bool:
-    ops = [model.scenario_observable(r.agent) for r in records]
-    for a, b in itertools.combinations(ops, 2):
-        if not qcore.commutes(a, b):
-            return False
-    return True
+    return all(model.observables_commute(a.agent, b.agent)
+               for a, b in itertools.combinations(records, 2))
 
 
 def compatibly_extends(model: ScenarioModel, extension: DecoherenceEnvironment,
@@ -127,17 +124,11 @@ def common_extension(model: ScenarioModel, environments) -> DecoherenceEnvironme
     return env if _records_commute(model, env.records) else None
 
 
-def _pair_compatibility(model: ScenarioModel) -> dict[tuple[str, str], bool]:
-    """Whether each pair of agents' observables commute, in AGENTS order."""
-    ops = {agent: model.scenario_observable(agent) for agent in AGENTS}
-    return {(x, y): qcore.commutes(ops[x], ops[y])
-            for x, y in itertools.combinations(AGENTS, 2)}
-
-
 def incompatibility_graph(model: ScenarioModel) -> tuple[tuple[str, str], ...]:
     """Event-letter pairs whose record observables do not commute."""
     bad = [tuple(sorted((EVENT_OF_AGENT[x], EVENT_OF_AGENT[y]), key=_LETTER_ORDER.index))
-           for (x, y), ok in _pair_compatibility(model).items() if not ok]
+           for x, y in itertools.combinations(AGENTS, 2)
+           if not model.observables_commute(x, y)]
     return tuple(sorted(bad))
 
 
@@ -167,11 +158,11 @@ def maximal_contexts(model: ScenarioModel,
     """
     if require_frame and geometry is None:
         raise ValueError("require_frame needs a geometry")
-    compatible = _pair_compatibility(model)
     cliques = []
     for size in range(len(AGENTS), 0, -1):
         for subset in itertools.combinations(AGENTS, size):
-            if all(compatible[p] for p in itertools.combinations(subset, 2)):
+            if all(model.observables_commute(x, y)
+                   for x, y in itertools.combinations(subset, 2)):
                 if not any(set(subset) < set(c) for c in cliques):
                     cliques.append(subset)
     reports = []

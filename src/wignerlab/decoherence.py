@@ -40,7 +40,6 @@ from .scenario import (
     WIGNERS,
     ScenarioModel,
     lab_label,
-    run_friend_stage,
     scenario_context,
 )
 
@@ -246,7 +245,7 @@ def expectation_trajectory(model: ScenarioModel, channel: DephasingChannel,
     def product(state: qcore.QState) -> float:
         return qcore.born_table(observables, state, names=names).expectation_product()
 
-    psi = run_friend_stage(model)
+    psi = model.post_premeasurement_state()
     coherent = product(psi)
     recorded = sum(w * product(branch) for w, branch in _pointer_branches(psi, channel))
     q = 1.0 - channel.strength

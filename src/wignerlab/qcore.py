@@ -13,6 +13,15 @@ single product a_ij * b_kl, so for finite matrices the dense commutator is
 identically zero.  ``commutes`` returns True for such pairs without forming
 it, and checks only overlapping pairs densely on the union layout.
 
+``born_table`` walks the outcome tree depth first: each inner node applies
+its observable once and branches into v + O v and v - O v, so k
+observables cost 2**k - 1 contractions (7 for three) rather than one per
+projector per row (24).  The factors 1/2 of the projectors are applied once
+per row as an exact power-of-two rescale, 4**-k for a squared norm and
+2**-k for a trace.  ``_contract`` returns C-contiguous arrays in layout
+order, so the sums that follow each contraction and the next contraction
+read memory in order.
+
 All value types are immutable: arrays are copied on construction and marked
 read-only, and every operation returns a fresh object.  Instances are safe
 to share across threads.
@@ -21,6 +30,7 @@ to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,12 +267,16 @@ def _check_sublayout(op_layout: RegisterLayout, layout: RegisterLayout) -> list[
 
 def _contract(matrix: np.ndarray, arr: np.ndarray, layout: RegisterLayout,
               axes: list[int]) -> np.ndarray:
-    """Apply ``matrix`` to the given axes of ``arr`` (any trailing shape)."""
+    """Apply ``matrix`` to the given axes of ``arr`` (any trailing shape).
+
+    The result is C-contiguous in ``arr``'s axis order, so callers can add
+    to it, contract it again or flatten it without a strided copy.
+    """
     k = len(axes)
     dims = [layout.shape[a] for a in axes]
     tens = matrix.reshape(dims + dims)
     out = np.tensordot(tens, arr, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
+    return np.ascontiguousarray(np.moveaxis(out, list(range(k)), axes))
 
 
 def _apply_to_vector(matrix: np.ndarray, op_layout: RegisterLayout,
@@ -467,9 +481,23 @@ class BornTable:
 def born_table(observables, state, names=None, tol: float = NUMERIC_TOL) -> BornTable:
     """Joint Born distribution of pairwise-commuting involutory observables.
 
-    Probabilities are ||P_s1 ... P_sk |psi>||^2 with P_s = (I + s O)/2, or the
-    corresponding trace for a density matrix.  Works for observables supported
-    on arbitrary (possibly overlapping) subsets of the state's registers.
+    Probabilities are ||P_s1 ... P_sk |psi>||^2 with P_s = (I + s O)/2, or
+    Tr(P_s1 ... P_sk rho) for a density matrix (the projectors commute, so
+    their product P is a projector and Tr(P rho P) = Tr(P rho)).  Works for
+    observables supported on arbitrary (possibly overlapping) subsets of the
+    state's registers.
+
+    The rows are the leaves of a depth-first walk of the outcome tree.  A
+    node at depth j holds 2**j P_s1 ... P_sj applied to the state; it
+    contracts O_(j+1) once, and its children are v + O v and v - O v.  That
+    is 2**k - 1 contractions for k observables, where a projector chain per
+    row would take k * 2**k.  Each leaf is rescaled once by the exact power
+    of two 4**-k (a squared norm) or 2**-k (a trace), so the factors 1/2 are
+    never applied on the way down.  For monomial observables with entries
+    in {0, +-1, +-i}, such as Pauli strings and the scenario's observables,
+    v +- O v is exactly twice the dense (I +- O)/2 v in floating point, so
+    the table is bitwise the one per-row projector chains give.  The walk
+    keeps at most one pending sibling per level.
     """
     obs = tuple(observables)
     if not obs:
@@ -491,32 +519,36 @@ def born_table(observables, state, names=None, tol: float = NUMERIC_TOL) -> Born
     if len(names) != len(obs):
         raise ValueError("names length does not match observables")
 
-    projectors = []
-    for o in obs:
-        d = o.layout.total_dim
-        eye = np.eye(d, dtype=np.complex128)
-        projectors.append({1: (eye + o.matrix) / 2.0, -1: (eye - o.matrix) / 2.0})
-
-    rows: dict[tuple[int, ...], float] = {}
+    k = len(obs)
     if isinstance(state, QState):
-        for outcome in itertools.product((1, -1), repeat=len(obs)):
-            vec = state.amplitudes
-            for o, proj, s in zip(obs, projectors, outcome):
-                tens = vec.reshape(state.layout.shape)
-                axes = _check_sublayout(o.layout, state.layout)
-                vec = _contract(proj[s], tens, state.layout, axes).reshape(-1)
-            rows[outcome] = float(np.real(np.vdot(vec, vec)))
+        root = state.tensor_view()
+
+        def leaf(arr: np.ndarray) -> float:
+            return math.ldexp(float(np.real(np.vdot(arr, arr))), -2 * k)
     elif isinstance(state, DensityMatrix):
-        # The projectors commute, so their product P is a projector and
-        # Tr(P rho P) = Tr(P rho): one-sided products suffice.
         d = state.layout.total_dim
-        for outcome in itertools.product((1, -1), repeat=len(obs)):
-            mat = state.matrix
-            for o, proj, s in zip(obs, projectors, outcome):
-                axes = _check_sublayout(o.layout, state.layout)
-                tens = mat.reshape(state.layout.shape + (d,))
-                mat = _contract(proj[s], tens, state.layout, axes).reshape(d, d)
-            rows[outcome] = float(np.real(np.trace(mat)))
+        root = state.matrix.reshape(state.layout.shape + (d,))
+
+        def leaf(arr: np.ndarray) -> float:
+            return math.ldexp(float(np.real(np.trace(arr.reshape(d, d)))), -k)
     else:
         raise TypeError(f"born_table() got {type(state).__name__}")
+    layout = state.layout
+    axes = [_check_sublayout(o.layout, layout) for o in obs]
+
+    rows: dict[tuple[int, ...], float] = {}
+    # Popping the +1 child first visits the leaves in lexicographic order.
+    pending = [((), root)]
+    while pending:
+        prefix, node = pending.pop()
+        depth = len(prefix)
+        flipped = _contract(obs[depth].matrix, node, layout, axes[depth])
+        if depth + 1 == k:
+            rows[prefix + (1,)] = leaf(node + flipped)
+            rows[prefix + (-1,)] = leaf(node - flipped)
+        else:
+            pending.append((prefix + (-1,), node - flipped))
+            flipped += node  # the +1 child, in place; addition commutes exactly
+            pending.append((prefix + (1,), flipped))
+        del node, flipped  # freed before the next contraction allocates
     return BornTable(names, rows, tol)

@@ -22,6 +22,7 @@ relies on for byte-identical reruns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +132,10 @@ class ScenarioModel:
                     else self.lifted_x_observable)(agent)
             for agent in AGENTS
         }
+        # Built on first use: only contexts reads the pair table, and contexts
+        # never needs psi, which would take 2 GiB at lab_width 8.
+        self._commuting: dict[frozenset[str], bool] | None = None
+        self._post_premeasurement: QState | None = None
 
     def probe_layout(self, agent: str) -> RegisterLayout:
         _check_agent(agent)
@@ -192,6 +197,34 @@ class ScenarioModel:
         """
         _check_agent(agent)
         return self._observables[agent]
+
+    def observables_commute(self, x: str, y: str) -> bool:
+        """Whether two agents' scenario observables commute.
+
+        The first call checks all 15 pairs with ``qcore.commutes``; every
+        later call, from any caller, reads that table.  An observable
+        commutes with itself.
+        """
+        _check_agent(x)
+        _check_agent(y)
+        if x == y:
+            return True
+        if self._commuting is None:
+            self._commuting = {
+                frozenset(pair): qcore.commutes(*(self._observables[a] for a in pair))
+                for pair in itertools.combinations(AGENTS, 2)
+            }
+        return self._commuting[frozenset((x, y))]
+
+    def post_premeasurement_state(self) -> QState:
+        """psi: the state after all three friends' premeasurements.
+
+        Built once, on first use, by ``run_friend_stage`` in the default
+        order, and shared by every caller (states are immutable).
+        """
+        if self._post_premeasurement is None:
+            self._post_premeasurement = run_friend_stage(self)
+        return self._post_premeasurement
 
     def initial_state(self) -> QState:
         """Stabilized atom triple, every lab pointer ready in all-zeros."""
@@ -301,7 +334,7 @@ class ErasureReport:
 
 def erasure_check(model: ScenarioModel, apply_measurement: bool = True) -> ErasureReport:
     """Condition on Alice's record, run Eugene's premeasurement, reread the record."""
-    post = run_friend_stage(model)
+    post = model.post_premeasurement_state()
     record = model.scenario_observable("Alice")
     plus_proj, _ = qcore.spectral_projectors(record)
     probs = {}

@@ -2,12 +2,14 @@ import json
 
 import pytest
 
+from wignerlab import qcore
 from wignerlab.cli import (
     ScenarioConfig,
     build_config,
     build_parser,
     canonical_json,
     cmd_contexts,
+    cmd_decohere,
     cmd_frames,
     load_config,
     main,
@@ -16,6 +18,7 @@ from wignerlab.contexts import maximal_contexts
 from wignerlab.errors import ConfigParseError, ConfigValidationError
 from wignerlab.scenario import (
     OUTCOME_VARIABLE,
+    ScenarioModel,
     build_scenario,
     context_born_table,
     run_friend_stage,
@@ -342,6 +345,39 @@ def test_contexts_frame_filter_matches_library(geometry):
                             require_frame=True)
     doc = cmd_contexts(config).document()
     assert doc["data"]["frame_filtered_ids"] == [r.environment.id for r in kept]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_decohere_prepares_psi_once(monkeypatch, width):
+    # The decay, both record series, the erasure check and the diagonality
+    # series (and at width 2 the dense check) all read the same psi.
+    calls = []
+    original = ScenarioModel.initial_state
+
+    def counting(self):
+        calls.append(self.lab_width)
+        return original(self)
+
+    monkeypatch.setattr(ScenarioModel, "initial_state", counting)
+    assert cmd_decohere(config_from({"lab_width": width})).passed
+    assert calls == [width]
+
+
+@pytest.mark.parametrize("raw", [{}, {"frame_filter": True}, {"lab_width": 2}])
+def test_contexts_builds_the_pair_table_once(monkeypatch, raw):
+    # 15 agent pairs, each checked once: the incompatibility graph, the
+    # maximal contexts and the common-extension check all read one table.
+    calls = []
+    original = qcore.commutes
+
+    def counting(a, b, *args, **kwargs):
+        calls.append((a, b))
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(qcore, "commutes", counting)
+    assert cmd_contexts(config_from(raw)).passed
+    assert len(calls) == 15
+    assert len({frozenset(map(id, pair)) for pair in calls}) == 15
 
 
 @pytest.mark.parametrize("command", ["paradox", "contexts"])

@@ -97,6 +97,29 @@ def test_scenario_observable_built_once_per_model(width):
     assert model.wigner_spec("Eugene").observable is model.scenario_observable("Eugene")
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_post_premeasurement_state_built_once_per_model(width):
+    model = build_scenario(width)
+    psi = model.post_premeasurement_state()
+    assert psi is model.post_premeasurement_state()
+    assert psi.layout == model.layout
+    assert np.array_equal(psi.amplitudes, run_friend_stage(model).amplitudes)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_observables_commute_matches_dense_check(width):
+    model = build_scenario(width)
+    for x, y in itertools.product(FRIENDS + WIGNERS, repeat=2):
+        expected = qcore.commutes(model.scenario_observable(x), model.scenario_observable(y))
+        assert model.observables_commute(x, y) is expected
+    # Only a lab's record and its conjugated x fail to commute.
+    bad = {frozenset((f, w)) for f, w in zip(FRIENDS, WIGNERS)}
+    for x, y in itertools.combinations(FRIENDS + WIGNERS, 2):
+        assert model.observables_commute(x, y) is (frozenset((x, y)) not in bad)
+    with pytest.raises(UnknownAgentError):
+        model.observables_commute("Alice", "Zed")
+
+
 def test_record_observable_widths():
     assert np.max(np.abs(build_scenario(1).record_observable("Alice").matrix - Z)) <= 1e-12
     m2 = build_scenario(2).record_observable("Bob").matrix
