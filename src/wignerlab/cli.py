@@ -10,7 +10,7 @@ file does not move the output.
 
 Config file grammar (JSON object; every key optional):
 
-  lab_width      integer >= 1, pointer qubits per lab (default 1)
+  lab_width      integer 1..57, pointer qubits per lab (default 1)
   seed           unsigned 64-bit integer (default 0)
   tolerance      positive finite float for report assertions (default 1e-10)
   robust_tol     positive finite float, residual-coherence threshold (default 1e-3)
@@ -27,7 +27,8 @@ Config file grammar (JSON object; every key optional):
 
 Flags override file values; the WIGNERLAB_OUT environment variable
 overrides the default output directory.  Exit status: 0 all checks
-passed, 1 a check failed, 2 usage or config error.
+passed, 1 a check failed, 2 usage or config error; a run that does not fit
+in memory is a config error naming ``lab_width``.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ from .paradox import (
     scenario_constraints,
 )
 from .scenario import (
+    MAX_LAB_WIDTH,
     OUTCOME_VARIABLE,
     build_scenario,
     context_born_table,
@@ -265,8 +267,9 @@ def build_config(raw: dict, args: argparse.Namespace | None = None) -> ScenarioC
             merged["out"] = args.out
 
     lab_width = _need(int, merged, "lab_width", 1)
-    if lab_width < 1:
-        raise ConfigValidationError(f"lab_width: must be >= 1, got {lab_width}")
+    if not 1 <= lab_width <= MAX_LAB_WIDTH:
+        raise ConfigValidationError(
+            f"lab_width: must lie in 1..{MAX_LAB_WIDTH}, got {lab_width}")
     seed = _need(int, merged, "seed", 0)
     if not 0 <= seed < 2 ** 64:
         raise ConfigValidationError(f"seed: must fit in 64 unsigned bits, got {seed}")
@@ -845,6 +848,10 @@ def main(argv=None) -> int:
         report = _HANDLERS[args.command](config)
     except (NoncommutingGeneratorsError, RankNotOneError) as exc:
         print(f"config error: generators: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"config error: lab_width: {config.lab_width} needs more memory "
+              f"than this machine has", file=sys.stderr)
         return 2
     json_path, txt_path = write_report(report, config.out)
     if config.format == "json":

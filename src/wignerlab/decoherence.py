@@ -13,8 +13,10 @@ One step is D = (1 - lam)*id + lam*Delta, where Delta removes every
 coherence between pointer states.  Delta is idempotent, so with q = 1 - lam
 the k-th power is exactly D**k = q**k*id + (1 - q**k)*Delta (pointer-basis
 dephasing as in Zurek, Rev. Mod. Phys. 75, 715 (2003)).  Every series here
-is therefore read off the pure post-premeasurement state psi in O(d)
-memory, without a d x d density matrix: an expectation after k steps is
+is therefore read off the pure post-premeasurement state psi, without a
+d x d density matrix (in O(d) memory for a dense psi, and from its nonzero
+entries for the sparse one the scenario builds): an expectation after k
+steps is
 q**k*<psi|O|psi> + (1 - q**k)*sum_j w_j*<psi_j|O|psi_j> over the pointer
 branches psi_j = P_j psi / sqrt(w_j), w_j = ||P_j psi||**2, and the
 residual coherence is q**k times that of psi.  ``dephase`` and
@@ -79,11 +81,14 @@ def _rotate_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _as_density(state) -> qcore.DensityMatrix:
+    if isinstance(state, qcore.SparseState):
+        state = state.to_dense()
     if isinstance(state, qcore.QState):
         return qcore.pure_density(state)
     if isinstance(state, qcore.DensityMatrix):
         return state
-    raise TypeError(f"expected QState or DensityMatrix, got {type(state).__name__}")
+    raise TypeError(
+        f"expected QState, SparseState or DensityMatrix, got {type(state).__name__}")
 
 
 def _target_axis(layout: qcore.RegisterLayout, target: str,
@@ -134,6 +139,15 @@ def dephased_states(state, channel: DephasingChannel, steps: int):
                                 initial=_as_density(state))
 
 
+def _by_pointer(state: qcore.SparseState, target: str) -> dict[int, dict]:
+    """A sparse state's entries grouped by the target's index, in index order."""
+    ax, _ = _target_axis(state.layout, target, None)
+    groups: dict[int, dict] = {}
+    for index in sorted(state.entries):
+        groups.setdefault(index[ax], {})[index] = state.entries[index]
+    return groups
+
+
 def _pointer_tensor(state: qcore.QState, target: str,
                     basis: np.ndarray | None) -> tuple[np.ndarray, int]:
     """Amplitude tensor with the target axis in the pointer basis, and that axis."""
@@ -153,8 +167,15 @@ def pointer_diagonality(state, target: str,
     when the state is block-diagonal in the target's pointer basis.  For a
     pure state the entries are |c_a||c_b|, so with m_j the summed
     magnitudes of pointer branch j the value is ((sum m_j)**2 - sum m_j**2)/d,
-    taken in O(d) without forming the density matrix.
+    taken in O(d) without forming the density matrix, and from the nonzero
+    entries alone for a ``SparseState`` in the computational basis.
     """
+    if isinstance(state, qcore.SparseState):
+        if basis is None:
+            m = np.array([np.sum(np.abs(list(group.values())))
+                          for group in _by_pointer(state, target).values()])
+            return float((m.sum() ** 2 - np.dot(m, m)) / state.layout.total_dim)
+        state = state.to_dense()
     if isinstance(state, qcore.QState):
         tens, ax = _pointer_tensor(state, target, basis)
         m = np.moveaxis(np.abs(tens), ax, 0).reshape(tens.shape[ax], -1).sum(axis=1)
@@ -210,8 +231,23 @@ def onset_step(trajectory: DiagonalityTrajectory, tol: float) -> int | None:
     return onset
 
 
-def _pointer_branches(state: qcore.QState, channel: DephasingChannel):
-    """(w_j, psi_j) for every pointer state j of the target with w_j > 0."""
+def _pointer_branches(state, channel: DephasingChannel):
+    """(w_j, psi_j) for every pointer state j of the target with w_j > 0.
+
+    A ``SparseState`` in the computational basis splits into sparse
+    branches; with a custom basis it is made dense first.
+    """
+    if isinstance(state, qcore.SparseState):
+        if channel.basis is None:
+            out = []
+            for group in _by_pointer(state, channel.target).values():
+                weight = qcore._sparse_norm2(group)
+                amps = np.array(list(group.values())) / np.sqrt(weight)
+                out.append((weight, qcore.SparseState(state.layout,
+                                                      dict(zip(group, amps.tolist())),
+                                                      state.tol)))
+            return out
+        state = state.to_dense()
     tens, ax = _pointer_tensor(state, channel.target, channel.basis)
     out = []
     for j in range(tens.shape[ax]):

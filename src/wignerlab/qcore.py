@@ -1,11 +1,22 @@
-"""Dense linear algebra over small labeled quantum registers.
+"""Linear algebra over small labeled quantum registers, dense or sparse.
 
 States, operators and density matrices all carry a ``RegisterLayout`` naming
-their subsystems.  Everything is dense complex128.  An operator may be
-supported on a subset of a state's registers; ``apply``, ``expectation`` and
-``born_table`` embed it by tensor contraction instead of materializing a
-full-space matrix, so wide scenarios stay cheap as long as each operator's
-own support is small.
+their subsystems.  An operator may be supported on a subset of a state's
+registers; ``apply``, ``expectation`` and ``born_table`` embed it by tensor
+contraction instead of materializing a full-space matrix, so wide scenarios
+stay cheap as long as each operator's own support is small.
+
+``QState``, ``DensityMatrix`` and a dense ``Operator`` are dense complex128.
+An ``Operator`` may instead be held in monomial form, a permutation plus a
+phase per basis state (one nonzero per row and per column, as for Pauli
+strings and the scenario's observables, in the signed-permutation form of
+the Gottesman-Knill observation: Aaronson and Gottesman, PRA 70, 052328
+(2004)).  Its flags come from that form in O(d), and its dense ``matrix``
+is built only on first use.  A ``SparseState`` keeps only the nonzero
+amplitudes of a pure state, keyed by one index per register; ``apply`` and
+``born_table`` move each entry by the monomial form, so their cost follows
+the number of entries, not the dimension.  ``to_dense()`` gives the
+``QState`` back where the dimension allows.
 
 Commutation is locality-aware.  Operators on disjoint registers commute
 exactly: every entry of (A x I)(I x B) and of (I x B)(A x I) is the same
@@ -32,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -143,8 +155,101 @@ def basis_state(layout: RegisterLayout, index: int = 0) -> QState:
     return QState(layout, amp)
 
 
+class SparseState:
+    """Normalized pure state held as its nonzero amplitudes.
+
+    ``entries`` maps index tuples, one index per register in layout order,
+    to amplitudes; exact zeros are dropped.  Tuples rather than flat
+    indices: a flat index over n qubits overflows int64 once n > 63, which
+    the scenario reaches at lab_width 21.
+    """
+
+    def __init__(self, layout: RegisterLayout, entries, tol: float = STRUCTURAL_TOL):
+        shape = layout.shape
+        kept = {}
+        for index, amp in dict(entries).items():
+            index = tuple(int(i) for i in index)
+            if len(index) != len(shape) or not all(0 <= i < d for i, d in zip(index, shape)):
+                raise LayoutMismatchError(f"index {index} does not fit layout shape {shape}")
+            if amp != 0:
+                kept[index] = complex(amp)
+        norm = math.sqrt(_sparse_norm2(kept))
+        if abs(norm - 1.0) > tol:
+            raise ValueError(f"state norm {norm} deviates from 1 beyond tol={tol}")
+        self.layout = layout
+        self.entries = MappingProxyType(kept)
+        self.tol = tol
+
+    @classmethod
+    def from_dense(cls, state: QState) -> "SparseState":
+        tens = state.tensor_view()
+        return cls(state.layout,
+                   {index: tens[index] for index in zip(*np.nonzero(tens))}, state.tol)
+
+    def to_dense(self) -> QState:
+        tens = np.zeros(self.layout.shape, dtype=np.complex128)
+        for index, amp in self.entries.items():
+            tens[index] = amp
+        return QState(self.layout, tens, self.tol)
+
+    def __repr__(self) -> str:
+        return f"SparseState(entries={len(self.entries)}, labels={self.layout.labels})"
+
+
+def _sparse_norm2(entries) -> float:
+    """Squared norm of sparse entries, summed by ``vdot`` in flat-index order."""
+    amps = np.array([entries[index] for index in sorted(entries)], dtype=np.complex128)
+    return float(np.real(np.vdot(amps, amps)))
+
+
+def _sparse_contract(op: "Operator", layout: RegisterLayout, entries) -> dict:
+    """A monomial operator applied to sparse entries: entry j moves to perm[j]."""
+    if op.monomial is None:
+        raise TypeError("a sparse state takes only operators in monomial form")
+    axes = _check_sublayout(op.layout, layout)
+    perm, phase = op.monomial
+    dims = op.layout.shape
+    out = {}
+    for index, amp in entries.items():
+        j = 0
+        for ax, dim in zip(axes, dims):
+            j = j * dim + index[ax]
+        moved = list(index)
+        rest = int(perm[j])
+        for ax, dim in zip(reversed(axes), reversed(dims)):
+            rest, moved[ax] = divmod(rest, dim)
+        out[tuple(moved)] = complex(phase[j]) * amp
+    return out
+
+
+def _sparse_children(op: "Operator", layout: RegisterLayout, node) -> tuple[dict, dict]:
+    """(v + O v, v - O v) of sparse entries v, exact zeros dropped."""
+    return _sparse_sums(node, _sparse_contract(op, layout, node))
+
+
+def _sparse_sums(node, flipped) -> tuple[dict, dict]:
+    """(node + flipped, node - flipped) of sparse entries, exact zeros dropped."""
+    plus, minus = dict(node), dict(node)
+    for index, amp in flipped.items():
+        if index in node:
+            plus[index] = node[index] + amp
+            minus[index] = node[index] - amp
+        else:
+            plus[index] = amp
+            minus[index] = -amp
+    return ({i: a for i, a in plus.items() if a != 0},
+            {i: a for i, a in minus.items() if a != 0})
+
+
 class Operator:
-    """Linear operator over a layout, with lazily cached structural flags."""
+    """Linear operator over a layout, with lazily cached structural flags.
+
+    ``monomial`` is None for a dense operator.  An operator built by
+    ``from_monomial`` holds ``(perm, phase)`` there instead, meaning
+    O|j> = phase[j] |perm[j]> on the layout's flat basis; its ``matrix`` is
+    built on first use, and its flags are read off the form with the same
+    floating-point operations the dense tests make on their nonzero entries.
+    """
 
     def __init__(self, layout: RegisterLayout, matrix, tol: float = STRUCTURAL_TOL):
         mat = np.array(matrix, dtype=np.complex128)
@@ -154,35 +259,91 @@ class Operator:
                 f"matrix of shape {mat.shape} does not fit layout of dimension {d}"
             )
         self.layout = layout
-        self.matrix = _frozen(mat)
+        self._matrix: np.ndarray | None = _frozen(mat)
+        self.monomial: tuple[np.ndarray, np.ndarray] | None = None
         self.tol = tol
         self._flags: dict[str, bool] = {}
+
+    @classmethod
+    def from_monomial(cls, layout: RegisterLayout, perm, phase,
+                      tol: float = STRUCTURAL_TOL) -> "Operator":
+        """The operator sending basis state j to phase[j] times basis state perm[j]."""
+        d = layout.total_dim
+        perm = np.array(perm, dtype=np.int64).reshape(-1)
+        phase = np.array(phase, dtype=np.complex128).reshape(-1)
+        if perm.shape != (d,) or phase.shape != (d,):
+            raise LayoutMismatchError(
+                f"monomial form of sizes {perm.size}, {phase.size} does not fit layout "
+                f"of dimension {d}"
+            )
+        if perm.min() < 0 or perm.max() >= d:
+            raise ValueError("perm must be a permutation of the layout's basis")
+        hit = np.zeros(d, dtype=bool)
+        hit[perm] = True
+        if not hit.all():
+            raise ValueError("perm must be a permutation of the layout's basis")
+        op = cls.__new__(cls)
+        op.layout = layout
+        op._matrix = None
+        op.monomial = (_frozen(perm), _frozen(phase))
+        op.tol = tol
+        op._flags = {}
+        return op
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            perm, phase = self.monomial
+            mat = np.zeros((perm.size, perm.size), dtype=np.complex128)
+            mat[perm, np.arange(perm.size)] = phase
+            self._matrix = _frozen(mat)
+        return self._matrix
 
     def _flag(self, name: str, test) -> bool:
         if name not in self._flags:
             self._flags[name] = bool(test())
         return self._flags[name]
 
+    # Each monomial test takes the max over the entries the dense test can
+    # find nonzero.  Where perm pairs j with perm[j] both ways, O - O^dagger
+    # and O O - I hold one combined entry there; elsewhere the entries of the
+    # two terms sit apart.
+
     @property
     def is_hermitian(self) -> bool:
-        return self._flag(
-            "hermitian",
-            lambda: np.max(np.abs(self.matrix - self.matrix.conj().T)) <= self.tol,
-        )
+        def test():
+            if self.monomial is None:
+                return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= self.tol
+            perm, phase = self.monomial
+            paired = perm[perm] == np.arange(perm.size)
+            resid = np.where(paired, np.abs(phase - phase[perm].conj()), np.abs(phase))
+            return np.max(resid) <= self.tol
+
+        return self._flag("hermitian", test)
 
     @property
     def is_unitary(self) -> bool:
         def test():
-            d = self.matrix.shape[0]
-            return np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(d))) <= self.tol
+            if self.monomial is None:
+                d = self.matrix.shape[0]
+                return np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(d))) <= self.tol
+            _, phase = self.monomial
+            return np.max(np.abs(phase * phase.conj() - 1.0)) <= self.tol
 
         return self._flag("unitary", test)
 
     @property
     def is_involutory(self) -> bool:
         def test():
-            d = self.matrix.shape[0]
-            return np.max(np.abs(self.matrix @ self.matrix - np.eye(d))) <= self.tol
+            if self.monomial is None:
+                d = self.matrix.shape[0]
+                return np.max(np.abs(self.matrix @ self.matrix - np.eye(d))) <= self.tol
+            perm, phase = self.monomial
+            paired = perm[perm] == np.arange(perm.size)
+            square = np.abs(phase[perm] * phase)
+            resid = np.where(paired, np.abs(phase[perm] * phase - 1.0),
+                             np.maximum(square, 1.0))
+            return np.max(resid) <= self.tol
 
         return self._flag("involutory", test)
 
@@ -234,6 +395,11 @@ def pure_density(state: QState) -> DensityMatrix:
 
 def tensor(a, b):
     """Kronecker product of two states or two operators (left factor first)."""
+    if isinstance(a, SparseState) and isinstance(b, SparseState):
+        return SparseState(a.layout.concat(b.layout),
+                           {ia + ib: va * vb for ia, va in a.entries.items()
+                            for ib, vb in b.entries.items()},
+                           max(a.tol, b.tol))
     if isinstance(a, QState) and isinstance(b, QState):
         return QState(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes),
                       max(a.tol, b.tol))
@@ -295,10 +461,17 @@ def _apply_to_rows(matrix: np.ndarray, op_layout: RegisterLayout,
     return _contract(matrix, tens, rho.layout, axes).reshape(d, d)
 
 
-def apply(op: Operator, state: QState) -> QState:
-    """Apply a unitary supported on a subset of the state's registers."""
+def apply(op: Operator, state):
+    """Apply a unitary supported on a subset of the state's registers.
+
+    A ``SparseState`` takes only an operator in monomial form and stays
+    sparse.
+    """
     if not op.is_unitary:
         raise NotUnitaryError("apply() requires a unitary operator")
+    if isinstance(state, SparseState):
+        return SparseState(state.layout, _sparse_contract(op, state.layout, state.entries),
+                           state.tol)
     amp = _apply_to_vector(op.matrix, op.layout, state)
     return QState(state.layout, amp, state.tol)
 
@@ -498,6 +671,13 @@ def born_table(observables, state, names=None, tol: float = NUMERIC_TOL) -> Born
     v +- O v is exactly twice the dense (I +- O)/2 v in floating point, so
     the table is bitwise the one per-row projector chains give.  The walk
     keeps at most one pending sibling per level.
+
+    The walk serves a ``QState``, a ``DensityMatrix`` or a ``SparseState``;
+    each kind supplies its own root, children and leaf.  A sparse state
+    needs observables in monomial form; its leaves sum the same nonzero
+    terms as the dense ones, in flat-index order, so a row can differ from
+    the dense one in the last bit, where ``vdot`` over the full vector
+    groups the terms otherwise.
     """
     obs = tuple(observables)
     if not obs:
@@ -519,36 +699,52 @@ def born_table(observables, state, names=None, tol: float = NUMERIC_TOL) -> Born
     if len(names) != len(obs):
         raise ValueError("names length does not match observables")
 
-    k = len(obs)
-    if isinstance(state, QState):
-        root = state.tensor_view()
-
-        def leaf(arr: np.ndarray) -> float:
-            return math.ldexp(float(np.real(np.vdot(arr, arr))), -2 * k)
-    elif isinstance(state, DensityMatrix):
-        d = state.layout.total_dim
-        root = state.matrix.reshape(state.layout.shape + (d,))
-
-        def leaf(arr: np.ndarray) -> float:
-            return math.ldexp(float(np.real(np.trace(arr.reshape(d, d)))), -k)
-    else:
+    if not isinstance(state, (SparseState, QState, DensityMatrix)):
         raise TypeError(f"born_table() got {type(state).__name__}")
+    k = len(obs)
     layout = state.layout
     axes = [_check_sublayout(o.layout, layout) for o in obs]
+    # Per kind of state: the root node, the two children of a node at a
+    # depth, and a leaf's probability.
+    if isinstance(state, SparseState):
+        root = state.entries
+
+        def children(depth: int, node):
+            return _sparse_children(obs[depth], layout, node)
+
+        def leaf(node) -> float:
+            return math.ldexp(_sparse_norm2(node), -2 * k)
+    else:
+        if isinstance(state, QState):
+            root = state.tensor_view()
+
+            def leaf(arr: np.ndarray) -> float:
+                return math.ldexp(float(np.real(np.vdot(arr, arr))), -2 * k)
+        else:
+            d = state.layout.total_dim
+            root = state.matrix.reshape(state.layout.shape + (d,))
+
+            def leaf(arr: np.ndarray) -> float:
+                return math.ldexp(float(np.real(np.trace(arr.reshape(d, d)))), -k)
+
+        def children(depth: int, node: np.ndarray):
+            flipped = _contract(obs[depth].matrix, node, layout, axes[depth])
+            minus = node - flipped
+            flipped += node  # the +1 child, in place; addition commutes exactly
+            return flipped, minus
 
     rows: dict[tuple[int, ...], float] = {}
     # Popping the +1 child first visits the leaves in lexicographic order.
     pending = [((), root)]
     while pending:
         prefix, node = pending.pop()
-        depth = len(prefix)
-        flipped = _contract(obs[depth].matrix, node, layout, axes[depth])
-        if depth + 1 == k:
-            rows[prefix + (1,)] = leaf(node + flipped)
-            rows[prefix + (-1,)] = leaf(node - flipped)
+        plus, minus = children(len(prefix), node)
+        del node  # freed before the next contraction allocates
+        if len(prefix) + 1 == k:
+            rows[prefix + (1,)] = leaf(plus)
+            rows[prefix + (-1,)] = leaf(minus)
         else:
-            pending.append((prefix + (-1,), node - flipped))
-            flipped += node  # the +1 child, in place; addition commutes exactly
-            pending.append((prefix + (1,), flipped))
-        del node, flipped  # freed before the next contraction allocates
+            pending.append((prefix + (-1,), minus))
+            pending.append((prefix + (1,), plus))
+        del plus, minus
     return BornTable(names, rows, tol)

@@ -9,6 +9,13 @@ pointer.  The module builds all of these as explicit unitaries and
 observables over a labeled register layout and evaluates joint Born tables
 on the exact post-premeasurement state.
 
+Every scenario observable is monomial, and so is a friend's premeasurement
+unitary: the record is a +-1 diagonal, the conjugated x reverses the joint
+(atom, lab) index, and reading sigma_z into a pointer is a permutation.
+They are built in ``qcore``'s monomial form, and the post-premeasurement
+state, which has 8 nonzero amplitudes at every lab width, is a
+``qcore.SparseState``, so no array here grows with more than one lab.
+
 Pointer registers have ``lab_width`` qubits each and are modeled as one
 site of dimension 2**w.  A friend's record observable reads the pointer in
 the computational basis and takes a majority vote across its qubits (ties
@@ -23,12 +30,13 @@ relies on for byte-identical reruns.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qcore, stabilizer
-from .errors import UnknownAgentError, ZeroBranchError
+from .errors import NotInvolutoryError, UnknownAgentError, ZeroBranchError
 from .qcore import Operator, QState, RegisterLayout
 
 FRIENDS = ("Alice", "Bob", "Charlie")
@@ -52,8 +60,10 @@ EVENT_OF_AGENT = {
     "Eugene": "U", "Johnny": "V", "Daniel": "W",
 }
 
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+# Widest lab the model can index.  A lifted x holds 2**(w+1) complex
+# phases, 2**(w+5) bytes, and numpy counts an array's bytes in a signed
+# 64-bit integer.
+MAX_LAB_WIDTH = 57
 
 
 def atom_label(i: int) -> str:
@@ -74,30 +84,47 @@ def _check_agent(agent: str) -> None:
         raise UnknownAgentError(f"unknown agent {agent!r}; expected one of {AGENTS}")
 
 
+def _flip(pointer: RegisterLayout) -> Operator:
+    """X on every qubit of a pointer register: basis state p goes to d - 1 - p."""
+    dp = pointer.total_dim
+    return Operator.from_monomial(pointer, np.arange(dp)[::-1], np.ones(dp))
+
+
+def _is_sign_diagonal(op: Operator) -> bool:
+    if op.monomial is None:
+        return False
+    perm, phase = op.monomial
+    return (np.array_equal(perm, np.arange(perm.size))
+            and bool(np.all((phase == 1.0) | (phase == -1.0))))
+
+
 def vn_unitary(observable: Operator, pointer: RegisterLayout) -> Operator:
     """Premeasurement unitary P_plus x I + P_minus x F for a +-1 observable.
 
     F flips every qubit of the pointer register, so a pointer prepared in
-    all-zeros ends correlated with the observable's eigenvalue.
+    all-zeros ends correlated with the observable's eigenvalue.  For a +-1
+    diagonal observable, such as sigma_z, the unitary is the permutation
+    |s, p> -> |s, p> or |s, F p> by the sign of s, built in monomial form.
     """
-    plus, minus = qcore.spectral_projectors(observable)
     dp = pointer.total_dim
-    flip = np.eye(dp, dtype=np.complex128)[::-1]  # X on every pointer qubit
+    layout = observable.layout.concat(pointer)
+    if _is_sign_diagonal(observable):
+        _, signs = observable.monomial
+        reads = np.where(signs.real[:, None] > 0, np.arange(dp), np.arange(dp)[::-1])
+        perm = np.arange(signs.size)[:, None] * dp + reads
+        return Operator.from_monomial(layout, perm, np.ones(perm.size), observable.tol)
+    plus, minus = qcore.spectral_projectors(observable)
+    flip = np.eye(dp, dtype=np.complex128)[::-1]
     mat = np.kron(plus.matrix, np.eye(dp)) + np.kron(minus.matrix, flip)
-    return Operator(observable.layout.concat(pointer), mat, observable.tol)
+    return Operator(layout, mat, observable.tol)
 
 
 def _majority_diagonal(width: int) -> np.ndarray:
-    dim = 2**width
-    diag = np.empty(dim)
-    for idx in range(dim):
-        ones = bin(idx).count("1")
-        zeros = width - ones
-        if ones == zeros:
-            diag[idx] = 1.0 if idx < dim // 2 else -1.0  # tie: first qubit decides
-        else:
-            diag[idx] = 1.0 if zeros > ones else -1.0
-    return diag
+    """+1 where most pointer qubits read 0; a tie goes to the first qubit."""
+    index = np.arange(2**width, dtype=np.uint64)
+    ones = np.bitwise_count(index).astype(np.int64)
+    first_is_zero = index < 2 ** (width - 1)
+    return np.where((2 * ones < width) | ((2 * ones == width) & first_is_zero), 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -112,13 +139,32 @@ class MeasurementSpec:
     def unitary(self) -> Operator:
         return vn_unitary(self.observable, self.pointer)
 
+    def apply(self, state):
+        """This premeasurement applied to a dense or a sparse state.
+
+        A sparse state never meets a dense unitary.  When ``unitary`` is not
+        monomial, it is applied as its four monomial terms
+        (I x I + I x F + O x I - O x F)/2, O the observable and F the
+        pointer flip: the new state is (v + O v)/2 + F (v - O v)/2.
+        """
+        if isinstance(state, qcore.QState) or _is_sign_diagonal(self.observable):
+            return qcore.apply(self.unitary(), state)
+        if not (self.observable.is_hermitian and self.observable.is_involutory):
+            raise NotInvolutoryError("a premeasured observable must be a +-1 observable")
+        plus, minus = qcore._sparse_children(self.observable, state.layout, state.entries)
+        flipped = qcore._sparse_contract(_flip(self.pointer), state.layout, minus)
+        total, _ = qcore._sparse_sums(plus, flipped)
+        return qcore.SparseState(state.layout, {i: 0.5 * a for i, a in total.items()},
+                                 state.tol)
+
 
 class ScenarioModel:
     """Registers, initial state and measurement specs for one lab width."""
 
     def __init__(self, lab_width: int = 1, tol: float = qcore.STRUCTURAL_TOL):
-        if not isinstance(lab_width, int) or lab_width < 1:
-            raise ValueError(f"lab_width must be a positive integer, got {lab_width!r}")
+        if not isinstance(lab_width, int) or not 1 <= lab_width <= MAX_LAB_WIDTH:
+            raise ValueError(
+                f"lab_width must be an integer in 1..{MAX_LAB_WIDTH}, got {lab_width!r}")
         self.lab_width = lab_width
         self.tol = tol
         pdim = 2**lab_width
@@ -132,10 +178,10 @@ class ScenarioModel:
                     else self.lifted_x_observable)(agent)
             for agent in AGENTS
         }
-        # Built on first use: only contexts reads the pair table, and contexts
-        # never needs psi, which would take 2 GiB at lab_width 8.
+        # Built on first use: only contexts reads the pair table, and only
+        # paradox and decohere need psi.
         self._commuting: dict[frozenset[str], bool] | None = None
-        self._post_premeasurement: QState | None = None
+        self._post_premeasurement: qcore.SparseState | None = None
 
     def probe_layout(self, agent: str) -> RegisterLayout:
         _check_agent(agent)
@@ -149,7 +195,8 @@ class ScenarioModel:
         _check_agent(agent)
         if agent not in FRIENDS:
             raise UnknownAgentError(f"{agent} is not a friend agent")
-        return self.atom_observable(LAB_INDEX[agent], _SIGMA_Z)
+        return Operator.from_monomial(self._atom_layouts[LAB_INDEX[agent]],
+                                      [0, 1], [1.0, -1.0], self.tol)
 
     def friend_spec(self, agent: str) -> MeasurementSpec:
         i = LAB_INDEX[agent]
@@ -167,15 +214,16 @@ class ScenarioModel:
         """The atom's sigma_x conjugated by the friend's premeasurement.
 
         Acts on the atom + lab block; equal to sigma_x on the atom tensored
-        with a flip of every lab pointer qubit.
+        with a flip of every lab pointer qubit, which reverses the joint
+        (atom, lab) index.
         """
         _check_agent(agent)
         if agent not in WIGNERS:
             raise UnknownAgentError(f"{agent} is not a lab-measuring agent")
         i = LAB_INDEX[agent]
-        flip = np.eye(2**self.lab_width, dtype=np.complex128)[::-1]
-        return Operator(self._atom_layouts[i].concat(self._lab_layouts[i]),
-                        np.kron(_SIGMA_X, flip), self.tol)
+        block = self._atom_layouts[i].concat(self._lab_layouts[i])
+        d = block.total_dim
+        return Operator.from_monomial(block, np.arange(d)[::-1], np.ones(d), self.tol)
 
     def record_observable(self, agent: str) -> Operator:
         """Majority-vote pointer reading of a friend's lab."""
@@ -185,8 +233,9 @@ class ScenarioModel:
                 f"{agent} keeps no lab record; record_observable is for friends"
             )
         i = LAB_INDEX[agent]
-        return Operator(self._lab_layouts[i], np.diag(_majority_diagonal(self.lab_width)),
-                        self.tol)
+        dim = 2**self.lab_width
+        return Operator.from_monomial(self._lab_layouts[i], np.arange(dim),
+                                      _majority_diagonal(self.lab_width), self.tol)
 
     def scenario_observable(self, agent: str) -> Operator:
         """The outcome-bearing observable: pointer record or conjugated x.
@@ -216,7 +265,7 @@ class ScenarioModel:
             }
         return self._commuting[frozenset((x, y))]
 
-    def post_premeasurement_state(self) -> QState:
+    def post_premeasurement_state(self) -> qcore.SparseState:
         """psi: the state after all three friends' premeasurements.
 
         Built once, on first use, by ``run_friend_stage`` in the default
@@ -226,44 +275,45 @@ class ScenarioModel:
             self._post_premeasurement = run_friend_stage(self)
         return self._post_premeasurement
 
-    def initial_state(self) -> QState:
-        """Stabilized atom triple, every lab pointer ready in all-zeros."""
+    def initial_state(self) -> qcore.SparseState:
+        """Stabilized atom triple, every lab pointer ready in all-zeros, held sparse."""
         ghz = stabilizer.ghz_scenario_state(labels=tuple(atom_label(i) for i in (1, 2, 3)))
-        pdim = 2**self.lab_width
-        labs_layout = RegisterLayout(tuple((lab_label(i), pdim) for i in (1, 2, 3)))
-        ready = qcore.basis_state(labs_layout, 0)
-        return qcore.tensor(ghz, ready)
+        labs_layout = self.layout.subset([lab_label(i) for i in (1, 2, 3)])
+        ready = qcore.SparseState(labs_layout, {(0, 0, 0): 1.0})
+        return qcore.tensor(qcore.SparseState.from_dense(ghz), ready)
 
 
 def build_scenario(lab_width: int = 1, tol: float = qcore.STRUCTURAL_TOL) -> ScenarioModel:
     return ScenarioModel(lab_width, tol)
 
 
-def run_friend_stage(model: ScenarioModel, order=FRIENDS) -> QState:
+def run_friend_stage(model: ScenarioModel, order=FRIENDS) -> qcore.SparseState:
     """State after all three premeasurements, applied in the given order."""
     order = tuple(order)
     if sorted(order) != sorted(FRIENDS):
         raise UnknownAgentError(f"friend order must permute {FRIENDS}, got {order}")
     state = model.initial_state()
     for agent in order:
-        state = qcore.apply(model.friend_spec(agent).unitary(), state)
+        state = model.friend_spec(agent).apply(state)
     return state
 
 
-def extend_with_probe(model: ScenarioModel, state: QState, agent: str) -> QState:
+def extend_with_probe(model: ScenarioModel, state, agent: str):
     """Adjoin the agent's external pointer register, ready in all-zeros."""
     probe = model.probe_layout(agent)
+    if isinstance(state, qcore.SparseState):
+        return qcore.tensor(state, qcore.SparseState(probe, {(0,): 1.0}))
     return qcore.tensor(state, qcore.basis_state(probe, 0))
 
 
-def run_wigner_stage(model: ScenarioModel, state: QState, order=WIGNERS) -> QState:
+def run_wigner_stage(model: ScenarioModel, state, order=WIGNERS):
     """Apply lab measurements for the given agents, adjoining probes as needed."""
     for agent in order:
         _check_agent(agent)
         if agent not in WIGNERS:
             raise UnknownAgentError(f"{agent} has no lab measurement")
         state = extend_with_probe(model, state, agent)
-        state = qcore.apply(model.wigner_spec(agent).unitary(), state)
+        state = model.wigner_spec(agent).apply(state)
     return state
 
 
@@ -278,7 +328,7 @@ def scenario_context(model: ScenarioModel, agents) -> dict[str, Operator]:
     return out
 
 
-def context_born_table(state: QState, context: dict[str, Operator],
+def context_born_table(state, context: dict[str, Operator],
                        tol: float = qcore.NUMERIC_TOL) -> qcore.BornTable:
     """Joint Born table of a context, rows annotated with agent names."""
     return qcore.born_table(tuple(context.values()), state,
@@ -306,11 +356,25 @@ def sample_outcomes(table: qcore.BornTable, seed: int) -> OutcomeRecord:
                          table.rows[outcome])
 
 
-def conditional_state(state: QState, observable: Operator, value: int,
-                      tol: float = qcore.NUMERIC_TOL) -> tuple[QState, float]:
-    """Renormalized post-selection of a +-1 outcome; returns (state, probability)."""
+def conditional_state(state, observable: Operator, value: int,
+                      tol: float = qcore.NUMERIC_TOL):
+    """Renormalized post-selection of a +-1 outcome; returns (state, probability).
+
+    A sparse state is projected as (v + value * O v)/2, which for a monomial
+    observable with +-1 entries is exactly the dense projector's image.
+    """
     if value not in (1, -1):
         raise ValueError(f"outcome value must be +1 or -1, got {value!r}")
+    if isinstance(state, qcore.SparseState):
+        if not (observable.is_hermitian and observable.is_involutory):
+            raise NotInvolutoryError("conditional_state() needs a +-1 observable")
+        children = qcore._sparse_children(observable, state.layout, state.entries)
+        kept = children[0 if value == 1 else 1]
+        p = math.ldexp(qcore._sparse_norm2(kept), -2)
+        if p <= tol:
+            raise ZeroBranchError(f"outcome {value:+d} has probability {p}")
+        amps = np.array(list(kept.values())) * 0.5 / np.sqrt(p)
+        return qcore.SparseState(state.layout, dict(zip(kept, amps.tolist())), state.tol), p
     plus, minus = qcore.spectral_projectors(observable)
     proj = plus if value == 1 else minus
     amp = qcore._apply_to_vector(proj.matrix, proj.layout, state)
@@ -333,16 +397,19 @@ class ErasureReport:
 
 
 def erasure_check(model: ScenarioModel, apply_measurement: bool = True) -> ErasureReport:
-    """Condition on Alice's record, run Eugene's premeasurement, reread the record."""
+    """Condition on Alice's record, run Eugene's premeasurement, reread the record.
+
+    Works on the sparse psi throughout: Eugene's premeasurement goes in as
+    its four monomial terms (``MeasurementSpec.apply``), and the reread is
+    a one-observable Born table.
+    """
     post = model.post_premeasurement_state()
     record = model.scenario_observable("Alice")
-    plus_proj, _ = qcore.spectral_projectors(record)
     probs = {}
     for branch in (1, -1):
         cond, _ = conditional_state(post, record, branch)
         work = extend_with_probe(model, cond, "Eugene")
         if apply_measurement:
-            work = qcore.apply(model.wigner_spec("Eugene").unitary(), work)
-        amp = qcore._apply_to_vector(plus_proj.matrix, plus_proj.layout, work)
-        probs[branch] = float(np.real(np.vdot(amp, amp)))
+            work = model.wigner_spec("Eugene").apply(work)
+        probs[branch] = qcore.born_table((record,), work).rows[(1,)]
     return ErasureReport(probs[1], probs[-1])

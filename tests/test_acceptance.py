@@ -215,7 +215,7 @@ def test_criterion_09_property_sweeps():
     base = run_friend_stage(model)
     for order in itertools.permutations(FRIENDS):
         state = run_friend_stage(model, order=order)
-        assert np.max(np.abs(state.amplitudes - base.amplitudes)) <= TOL
+        assert np.max(np.abs(state.to_dense().amplitudes - base.to_dense().amplitudes)) <= TOL
     named = (("Alice", "Bob", "Charlie"),) + CONSTRAINT_TRIPLES
     tables = {agents: context_born_table(base, scenario_context(model, agents))
               for agents in named}

@@ -147,7 +147,7 @@ def _paradox_contexts(model):
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_tree_is_bitwise_the_per_row_chain_on_paradox_contexts(width):
     model = build_scenario(width)
-    psi = model.post_premeasurement_state()
+    psi = model.post_premeasurement_state().to_dense()
     for context in _paradox_contexts(model):
         observables = tuple(context.values())
         rows = born_table(observables, psi).rows
@@ -157,7 +157,7 @@ def test_tree_is_bitwise_the_per_row_chain_on_paradox_contexts(width):
 
 def test_tree_is_bitwise_the_per_row_chain_on_density_matrices():
     model = build_scenario(1)
-    psi = model.post_premeasurement_state()
+    psi = model.post_premeasurement_state().to_dense()
     rng = np.random.default_rng(5)
     d = psi.layout.total_dim
     raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

@@ -392,6 +392,29 @@ def test_lab_width_five_runs(tmp_path, capsys, command):
     assert all(c["passed"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("command", ["paradox", "decohere"])
+def test_lab_width_sixteen_runs(tmp_path, capsys, command):
+    # psi keeps 8 nonzero amplitudes and every operator is monomial, so no
+    # array spans more than one lab (2**17 entries) at width 16.
+    code = main([command, "--lab-width", "16", "--out", str(tmp_path),
+                 "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"]
+    assert all(c["passed"] for c in doc["checks"])
+
+
+# Only widths whose first allocation fails at once: 8 TiB at 40.  Widths
+# from about 20 to 35 can commit gigabytes before they fail.
+@pytest.mark.parametrize("command,width", [("contexts", 40), ("paradox", 40),
+                                           ("decohere", 40), ("contexts", 60),
+                                           ("frames", 58)])
+def test_lab_width_beyond_memory_or_indexing_exits_two(tmp_path, capsys, command, width):
+    assert main([command, "--lab-width", str(width), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: lab_width: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_frames_default_velocities(tmp_path, capsys):
     code = main(["frames", "--out", str(tmp_path), "--format", "json"])
     assert code == 0

@@ -249,7 +249,7 @@ def test_record_context_table_is_invariant():
     context = scenario_context(model, ("Alice", "Johnny", "Charlie"))
     state = run_friend_stage(model)
     clean = born_table(tuple(context.values()), state, names=tuple(context))
-    rho = pure_density(state)
+    rho = pure_density(state.to_dense())
     chan = DephasingChannel("L1", 0.7)
     for _ in range(3):
         rho = dephase(rho, chan)

@@ -103,7 +103,8 @@ def test_post_premeasurement_state_built_once_per_model(width):
     psi = model.post_premeasurement_state()
     assert psi is model.post_premeasurement_state()
     assert psi.layout == model.layout
-    assert np.array_equal(psi.amplitudes, run_friend_stage(model).amplitudes)
+    assert np.array_equal(psi.to_dense().amplitudes,
+                          run_friend_stage(model).to_dense().amplitudes)
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -147,7 +148,7 @@ def test_initial_state_layout_and_marginals():
     model = build_scenario(1)
     s = model.initial_state()
     assert s.layout.labels == ("a1", "a2", "a3", "L1", "L2", "L3")
-    red = qcore.partial_trace(s, ["L1", "L2", "L3"])
+    red = qcore.partial_trace(s.to_dense(), ["L1", "L2", "L3"])
     ready = np.zeros((8, 8))
     ready[0, 0] = 1.0
     assert np.max(np.abs(red.matrix - ready)) <= 1e-12
@@ -155,9 +156,9 @@ def test_initial_state_layout_and_marginals():
 
 def test_friend_stage_order_invariance():
     model = build_scenario(1)
-    reference = run_friend_stage(model).amplitudes
+    reference = run_friend_stage(model).to_dense().amplitudes
     for order in itertools.permutations(FRIENDS):
-        got = run_friend_stage(model, order).amplitudes
+        got = run_friend_stage(model, order).to_dense().amplitudes
         assert np.max(np.abs(got - reference)) <= 1e-12
 
 
@@ -180,7 +181,7 @@ POST_FRIEND_EXPECTATIONS = [
 @pytest.mark.parametrize("agents,expected", POST_FRIEND_EXPECTATIONS)
 def test_post_friend_product_expectations(agents, expected):
     model = build_scenario(1)
-    post = run_friend_stage(model)
+    post = run_friend_stage(model).to_dense()
     ops = [model.scenario_observable(a) for a in agents]
     product = qcore.tensor(qcore.tensor(ops[0], ops[1]), ops[2])
     assert abs(qcore.expectation(product, post) - expected) <= 1e-12
@@ -212,7 +213,7 @@ def test_record_matches_atom_z_in_tables():
     # Invariant: swapping a pointer record for sigma_z on the measured atom
     # changes no row of any standard context table.
     model = build_scenario(1)
-    post = run_friend_stage(model)
+    post = run_friend_stage(model).to_dense()
     for agents in [("Eugene", "Bob", "Charlie"), ("Alice", "Bob", "Daniel")]:
         ctx = scenario_context(model, agents)
         swapped = {}
@@ -233,7 +234,7 @@ def test_wigner_probe_reproduces_lifted_x_statistics():
     # Measuring the conjugated x and then reading the probe's record gives
     # the same distribution as the observable itself: vN consistency.
     model = build_scenario(1)
-    post = run_friend_stage(model)
+    post = run_friend_stage(model).to_dense()
     direct = context_born_table(post, scenario_context(model, ["Eugene", "Bob"]))
     final = run_wigner_stage(model, post, ["Eugene"])
     probe_z = Operator(final.layout.subset(["e1"]), Z)
@@ -245,7 +246,7 @@ def test_wigner_probe_reproduces_lifted_x_statistics():
 
 def test_wigner_stage_order_invariance():
     model = build_scenario(1)
-    post = run_friend_stage(model)
+    post = run_friend_stage(model).to_dense()
     tables = []
     for order in itertools.permutations(WIGNERS):
         final = run_wigner_stage(model, post, order)
@@ -263,12 +264,12 @@ def test_conditional_state_record_branches():
     for value in (1, -1):
         cond, p = conditional_state(post, record, value)
         assert abs(p - 0.5) <= 1e-12
-        assert abs(qcore.expectation(record, cond) - value) <= 1e-12
+        assert abs(qcore.expectation(record, cond.to_dense()) - value) <= 1e-12
 
 
 def test_conditional_state_zero_branch():
     model = build_scenario(1)
-    post = run_friend_stage(model)
+    post = run_friend_stage(model).to_dense()
     ops = [model.scenario_observable(a) for a in ("Eugene", "Bob", "Charlie")]
     product = qcore.tensor(qcore.tensor(ops[0], ops[1]), ops[2])
     with pytest.raises(ZeroBranchError):
@@ -323,7 +324,7 @@ def test_extend_with_probe_ready_state():
 @pytest.mark.parametrize("width", [2, 3])
 def test_post_friend_expectations_wider_labs(width):
     model = build_scenario(width)
-    post = run_friend_stage(model)
+    post = run_friend_stage(model).to_dense()
     for agents, expected in POST_FRIEND_EXPECTATIONS:
         ops = [model.scenario_observable(a) for a in agents]
         product = qcore.tensor(qcore.tensor(ops[0], ops[1]), ops[2])
@@ -335,3 +336,5 @@ def test_model_rejects_bad_width():
         ScenarioModel(0)
     with pytest.raises(ValueError):
         ScenarioModel(1.5)
+    with pytest.raises(ValueError):
+        ScenarioModel(scenario.MAX_LAB_WIDTH + 1)
