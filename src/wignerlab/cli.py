@@ -28,7 +28,8 @@ Config file grammar (JSON object; every key optional):
 Flags override file values; the WIGNERLAB_OUT environment variable
 overrides the default output directory.  Exit status: 0 all checks
 passed, 1 a check failed, 2 usage or config error; a run that does not fit
-in memory is a config error naming ``lab_width``.
+in memory is a config error, naming ``lab_width`` for the subcommands that
+build the scenario (paradox, contexts, decohere).
 """
 
 from __future__ import annotations
@@ -829,6 +830,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Subcommands that build a ScenarioModel, whose arrays grow with lab_width.
+_SCENARIO_COMMANDS = frozenset({"paradox", "contexts", "decohere"})
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -850,8 +855,9 @@ def main(argv=None) -> int:
         print(f"config error: generators: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"config error: lab_width: {config.lab_width} needs more memory "
-              f"than this machine has", file=sys.stderr)
+        need = (f"lab_width: {config.lab_width} needs" if args.command in _SCENARIO_COMMANDS
+                else "run needs")
+        print(f"config error: {need} more memory than this machine has", file=sys.stderr)
         return 2
     json_path, txt_path = write_report(report, config.out)
     if config.format == "json":

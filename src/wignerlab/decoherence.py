@@ -28,6 +28,7 @@ lab_width 2 (d = 512), and the tests check every series at widths 1 and 2.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,15 +140,6 @@ def dephased_states(state, channel: DephasingChannel, steps: int):
                                 initial=_as_density(state))
 
 
-def _by_pointer(state: qcore.SparseState, target: str) -> dict[int, dict]:
-    """A sparse state's entries grouped by the target's index, in index order."""
-    ax, _ = _target_axis(state.layout, target, None)
-    groups: dict[int, dict] = {}
-    for index in sorted(state.entries):
-        groups.setdefault(index[ax], {})[index] = state.entries[index]
-    return groups
-
-
 def _pointer_tensor(state: qcore.QState, target: str,
                     basis: np.ndarray | None) -> tuple[np.ndarray, int]:
     """Amplitude tensor with the target axis in the pointer basis, and that axis."""
@@ -172,8 +164,8 @@ def pointer_diagonality(state, target: str,
     """
     if isinstance(state, qcore.SparseState):
         if basis is None:
-            m = np.array([np.sum(np.abs(list(group.values())))
-                          for group in _by_pointer(state, target).values()])
+            m = np.array([math.sqrt(w) * np.sum(np.abs(branch.nonzero()))
+                          for w, branch in qcore.split_register(state, target)])
             return float((m.sum() ** 2 - np.dot(m, m)) / state.layout.total_dim)
         state = state.to_dense()
     if isinstance(state, qcore.QState):
@@ -209,7 +201,8 @@ def diagonality_trajectory(state, channel: DephasingChannel,
 
     With q = 1 - strength, D**k scales every entry between distinct pointer
     states by q**k and keeps the rest, so the series needs one
-    ``pointer_diagonality``; for a pure state that costs O(d).  The dense check iterates ``dephase`` through
+    ``pointer_diagonality``; for a dense pure state that costs O(d), for a
+    sparse one O(entries).  The dense check iterates ``dephase`` through
     ``dephased_states`` and reads ``pointer_diagonality`` at every step; the
     ``decohere`` subcommand runs it up to lab_width 2.
     """
@@ -239,14 +232,7 @@ def _pointer_branches(state, channel: DephasingChannel):
     """
     if isinstance(state, qcore.SparseState):
         if channel.basis is None:
-            out = []
-            for group in _by_pointer(state, channel.target).values():
-                weight = qcore._sparse_norm2(group)
-                amps = np.array(list(group.values())) / np.sqrt(weight)
-                out.append((weight, qcore.SparseState(state.layout,
-                                                      dict(zip(group, amps.tolist())),
-                                                      state.tol)))
-            return out
+            return qcore.split_register(state, channel.target)
         state = state.to_dense()
     tens, ax = _pointer_tensor(state, channel.target, channel.basis)
     out = []

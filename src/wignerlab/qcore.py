@@ -13,10 +13,13 @@ strings and the scenario's observables, in the signed-permutation form of
 the Gottesman-Knill observation: Aaronson and Gottesman, PRA 70, 052328
 (2004)).  Its flags come from that form in O(d), and its dense ``matrix``
 is built only on first use.  A ``SparseState`` keeps only the nonzero
-amplitudes of a pure state, keyed by one index per register; ``apply`` and
-``born_table`` move each entry by the monomial form, so their cost follows
-the number of entries, not the dimension.  ``to_dense()`` gives the
-``QState`` back where the dimension allows.
+amplitudes of a pure state, keyed by one index per register.
+``born_table``, ``project`` (one +-1 outcome), ``apply_controlled`` (a
+unitary where a +-1 observable reads -1) and ``split_register`` (the
+branches on one register's basis states) move each entry by the monomial
+form and keep their results sparse, so their cost follows the number of
+entries, not the dimension, and callers never handle the entries.
+``to_dense()`` gives the ``QState`` back where the dimension allows.
 
 Commutation is locality-aware.  Operators on disjoint registers commute
 exactly: every entry of (A x I)(I x B) and of (I x B)(A x I) is the same
@@ -56,6 +59,7 @@ from .errors import (
     NotInvolutoryError,
     NotUnitaryError,
     UnknownLabelError,
+    ZeroBranchError,
 )
 
 # Structural checks (hermitian / unitary / involutory flags, norm checks).
@@ -192,13 +196,21 @@ class SparseState:
             tens[index] = amp
         return QState(self.layout, tens, self.tol)
 
+    def nonzero(self) -> np.ndarray:
+        """The nonzero amplitudes in flat-index order."""
+        return _sparse_amplitudes(self.entries)
+
     def __repr__(self) -> str:
         return f"SparseState(entries={len(self.entries)}, labels={self.layout.labels})"
 
 
+def _sparse_amplitudes(entries) -> np.ndarray:
+    return np.array([entries[index] for index in sorted(entries)], dtype=np.complex128)
+
+
 def _sparse_norm2(entries) -> float:
     """Squared norm of sparse entries, summed by ``vdot`` in flat-index order."""
-    amps = np.array([entries[index] for index in sorted(entries)], dtype=np.complex128)
+    amps = _sparse_amplitudes(entries)
     return float(np.real(np.vdot(amps, amps)))
 
 
@@ -462,18 +474,90 @@ def _apply_to_rows(matrix: np.ndarray, op_layout: RegisterLayout,
 
 
 def apply(op: Operator, state):
-    """Apply a unitary supported on a subset of the state's registers.
-
-    A ``SparseState`` takes only an operator in monomial form and stays
-    sparse.
-    """
+    """Apply a unitary supported on a subset of a dense state's registers."""
     if not op.is_unitary:
         raise NotUnitaryError("apply() requires a unitary operator")
-    if isinstance(state, SparseState):
-        return SparseState(state.layout, _sparse_contract(op, state.layout, state.entries),
-                           state.tol)
+    if not isinstance(state, QState):
+        raise TypeError(f"apply() got {type(state).__name__}")
     amp = _apply_to_vector(op.matrix, op.layout, state)
     return QState(state.layout, amp, state.tol)
+
+
+def _check_pm1(op: Operator, caller: str) -> None:
+    if not (op.is_hermitian and op.is_involutory):
+        raise NotInvolutoryError(f"{caller} needs a +-1 observable")
+
+
+def project(op: Operator, state, value: int, tol: float = NUMERIC_TOL):
+    """Renormalized P_value |state> and its probability, P_value = (I + value O)/2.
+
+    ``op`` must be a +-1 observable.  A ``SparseState`` is projected as
+    (v + value O v)/2, from the same two children ``born_table`` branches
+    into; for a monomial observable with +-1 entries that is exactly the
+    dense projector's image.  Raises ``ZeroBranchError`` when the
+    probability is at most ``tol``.
+    """
+    if value not in (1, -1):
+        raise ValueError(f"outcome value must be +1 or -1, got {value!r}")
+    if isinstance(state, SparseState):
+        _check_pm1(op, "project()")
+        kept = _sparse_children(op, state.layout, state.entries)[0 if value == 1 else 1]
+        p = math.ldexp(_sparse_norm2(kept), -2)
+        if p <= tol:
+            raise ZeroBranchError(f"outcome {value:+d} has probability {p}")
+        amps = np.array(list(kept.values())) * 0.5 / np.sqrt(p)
+        return SparseState(state.layout, dict(zip(kept, amps.tolist())), state.tol), p
+    if not isinstance(state, QState):
+        raise TypeError(f"project() got {type(state).__name__}")
+    plus, minus = spectral_projectors(op)
+    proj = plus if value == 1 else minus
+    amp = _apply_to_vector(proj.matrix, proj.layout, state)
+    p = float(np.real(np.vdot(amp, amp)))
+    if p <= tol:
+        raise ZeroBranchError(f"outcome {value:+d} has probability {p}")
+    return QState(state.layout, amp / np.sqrt(p), state.tol), p
+
+
+def apply_controlled(control: Operator, unitary: Operator, state: SparseState) -> SparseState:
+    """Apply P_plus + U P_minus: ``unitary`` where the +-1 ``control`` reads -1.
+
+    ``control`` and ``unitary`` act on disjoint registers, so the sum is
+    unitary; with U flipping a pointer it is a von Neumann premeasurement
+    of the control.  On a sparse state it goes in as its four monomial
+    terms, (v + O v)/2 + U (v - O v)/2, and the state stays sparse.
+    """
+    if not isinstance(state, SparseState):
+        raise TypeError(f"apply_controlled() got {type(state).__name__}")
+    _check_pm1(control, "apply_controlled()")
+    if not unitary.is_unitary:
+        raise NotUnitaryError("apply_controlled() requires a unitary operator")
+    shared = set(control.layout.labels) & set(unitary.layout.labels)
+    if shared:
+        raise LayoutMismatchError(f"control and unitary share registers {sorted(shared)}")
+    plus, minus = _sparse_children(control, state.layout, state.entries)
+    total, _ = _sparse_sums(plus, _sparse_contract(unitary, state.layout, minus))
+    return SparseState(state.layout, {i: 0.5 * a for i, a in total.items()}, state.tol)
+
+
+def split_register(state: SparseState, label: str) -> list[tuple[float, SparseState]]:
+    """(w_j, psi_j) for each basis state j of one register with w_j > 0.
+
+    psi_j = P_j psi / sqrt(w_j) and w_j = ||P_j psi||**2, with P_j the
+    projector onto |j> of that register; the branches come in index order.
+    """
+    if not isinstance(state, SparseState):
+        raise TypeError(f"split_register() got {type(state).__name__}")
+    ax = state.layout.axis(label)
+    groups: dict[int, dict] = {}
+    for index in sorted(state.entries):
+        groups.setdefault(index[ax], {})[index] = state.entries[index]
+    out = []
+    for group in groups.values():
+        weight = _sparse_norm2(group)
+        amps = np.array(list(group.values())) / np.sqrt(weight)
+        out.append((weight, SparseState(state.layout, dict(zip(group, amps.tolist())),
+                                        state.tol)))
+    return out
 
 
 def embed(op: Operator, layout: RegisterLayout) -> Operator:
@@ -495,9 +579,14 @@ def embed(op: Operator, layout: RegisterLayout) -> Operator:
 
 
 def expectation(op: Operator, state, tol: float = NUMERIC_TOL) -> float:
-    """Real expectation value of a hermitian operator on a state or density matrix."""
+    """Real expectation value of a hermitian operator on a state or density matrix.
+
+    A ``SparseState`` goes through ``to_dense()``.
+    """
     if not op.is_hermitian:
         raise NotHermitianError("expectation() requires a hermitian operator")
+    if isinstance(state, SparseState):
+        state = state.to_dense()
     if isinstance(state, QState):
         val = complex(np.vdot(state.amplitudes, _apply_to_vector(op.matrix, op.layout, state)))
     elif isinstance(state, DensityMatrix):
@@ -510,7 +599,12 @@ def expectation(op: Operator, state, tol: float = NUMERIC_TOL) -> float:
 
 
 def partial_trace(state, keep) -> DensityMatrix:
-    """Reduced density matrix over ``keep`` labels, in layout order."""
+    """Reduced density matrix over ``keep`` labels, in layout order.
+
+    A ``SparseState`` goes through ``to_dense()``.
+    """
+    if isinstance(state, SparseState):
+        state = state.to_dense()
     if isinstance(state, QState):
         layout = state.layout
         sub = layout.subset(keep)

@@ -30,14 +30,13 @@ relies on for byte-identical reruns.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qcore, stabilizer
-from .errors import NotInvolutoryError, UnknownAgentError, ZeroBranchError
-from .qcore import Operator, QState, RegisterLayout
+from .errors import UnknownAgentError
+from .qcore import Operator, RegisterLayout
 
 FRIENDS = ("Alice", "Bob", "Charlie")
 WIGNERS = ("Eugene", "Johnny", "Daniel")
@@ -142,20 +141,13 @@ class MeasurementSpec:
     def apply(self, state):
         """This premeasurement applied to a dense or a sparse state.
 
-        A sparse state never meets a dense unitary.  When ``unitary`` is not
-        monomial, it is applied as its four monomial terms
-        (I x I + I x F + O x I - O x F)/2, O the observable and F the
-        pointer flip: the new state is (v + O v)/2 + F (v - O v)/2.
+        A sparse state never meets the dense unitary: it takes the
+        premeasurement as P_plus + F P_minus, F the pointer flip, through
+        ``qcore.apply_controlled``.
         """
-        if isinstance(state, qcore.QState) or _is_sign_diagonal(self.observable):
-            return qcore.apply(self.unitary(), state)
-        if not (self.observable.is_hermitian and self.observable.is_involutory):
-            raise NotInvolutoryError("a premeasured observable must be a +-1 observable")
-        plus, minus = qcore._sparse_children(self.observable, state.layout, state.entries)
-        flipped = qcore._sparse_contract(_flip(self.pointer), state.layout, minus)
-        total, _ = qcore._sparse_sums(plus, flipped)
-        return qcore.SparseState(state.layout, {i: 0.5 * a for i, a in total.items()},
-                                 state.tol)
+        if isinstance(state, qcore.SparseState):
+            return qcore.apply_controlled(self.observable, _flip(self.pointer), state)
+        return qcore.apply(self.unitary(), state)
 
 
 class ScenarioModel:
@@ -266,7 +258,7 @@ class ScenarioModel:
         return self._commuting[frozenset((x, y))]
 
     def post_premeasurement_state(self) -> qcore.SparseState:
-        """psi: the state after all three friends' premeasurements.
+        """psi: the state after all three friends' premeasurements, a ``SparseState``.
 
         Built once, on first use, by ``run_friend_stage`` in the default
         order, and shared by every caller (states are immutable).
@@ -288,7 +280,7 @@ def build_scenario(lab_width: int = 1, tol: float = qcore.STRUCTURAL_TOL) -> Sce
 
 
 def run_friend_stage(model: ScenarioModel, order=FRIENDS) -> qcore.SparseState:
-    """State after all three premeasurements, applied in the given order."""
+    """Sparse state after all three premeasurements, applied in the given order."""
     order = tuple(order)
     if sorted(order) != sorted(FRIENDS):
         raise UnknownAgentError(f"friend order must permute {FRIENDS}, got {order}")
@@ -360,28 +352,9 @@ def conditional_state(state, observable: Operator, value: int,
                       tol: float = qcore.NUMERIC_TOL):
     """Renormalized post-selection of a +-1 outcome; returns (state, probability).
 
-    A sparse state is projected as (v + value * O v)/2, which for a monomial
-    observable with +-1 entries is exactly the dense projector's image.
+    Dense and sparse states alike go through ``qcore.project``.
     """
-    if value not in (1, -1):
-        raise ValueError(f"outcome value must be +1 or -1, got {value!r}")
-    if isinstance(state, qcore.SparseState):
-        if not (observable.is_hermitian and observable.is_involutory):
-            raise NotInvolutoryError("conditional_state() needs a +-1 observable")
-        children = qcore._sparse_children(observable, state.layout, state.entries)
-        kept = children[0 if value == 1 else 1]
-        p = math.ldexp(qcore._sparse_norm2(kept), -2)
-        if p <= tol:
-            raise ZeroBranchError(f"outcome {value:+d} has probability {p}")
-        amps = np.array(list(kept.values())) * 0.5 / np.sqrt(p)
-        return qcore.SparseState(state.layout, dict(zip(kept, amps.tolist())), state.tol), p
-    plus, minus = qcore.spectral_projectors(observable)
-    proj = plus if value == 1 else minus
-    amp = qcore._apply_to_vector(proj.matrix, proj.layout, state)
-    p = float(np.real(np.vdot(amp, amp)))
-    if p <= tol:
-        raise ZeroBranchError(f"outcome {value:+d} has probability {p}")
-    return QState(state.layout, amp / np.sqrt(p), state.tol), p
+    return qcore.project(observable, state, value, tol)
 
 
 @dataclass(frozen=True)

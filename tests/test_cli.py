@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wignerlab import qcore
+from wignerlab import cli, qcore
 from wignerlab.cli import (
     ScenarioConfig,
     build_config,
@@ -412,6 +412,22 @@ def test_lab_width_sixteen_runs(tmp_path, capsys, command):
 def test_lab_width_beyond_memory_or_indexing_exits_two(tmp_path, capsys, command, width):
     assert main([command, "--lab-width", str(width), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: lab_width: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_error_names_lab_width_only_for_scenario_commands(tmp_path, capsys,
+                                                                   monkeypatch):
+    def out_of_memory(config):
+        raise MemoryError
+
+    for command in ("frames", "paradox"):
+        monkeypatch.setitem(cli._HANDLERS, command, out_of_memory)
+    assert main(["frames", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: run needs more memory than this machine has\n")
+    assert main(["paradox", "--lab-width", "3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: lab_width: 3 needs more memory than this machine has\n")
     assert not list(tmp_path.iterdir())
 
 

@@ -132,7 +132,7 @@ def test_monomial_form_guards_and_dense_fallback():
     with pytest.raises(ValueError):
         Operator.from_monomial(qubits("q"), [0, 2], [1, 1])
     # A non-monomial observable keeps the dense path: its premeasurement
-    # unitary is dense, and a sparse state refuses it.
+    # unitary is dense, and qcore.apply refuses a sparse state.
     h = Operator(qubits("a"), (X + Z) / np.sqrt(2))
     assert h.monomial is None
     u = vn_unitary(h, qubits("p"))
@@ -191,6 +191,83 @@ def test_sparse_born_table_matches_dense_on_random_monomials():
         assert list(sparse_table.rows) == list(dense_table.rows)
         for outcome, p in dense_table.rows.items():
             assert abs(sparse_table.rows[outcome] - p) <= TOL
+
+
+def _random_sparse(rng, layout, zero_share=0.6):
+    d = layout.total_dim
+    vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+    vec[rng.random(d) < zero_share] = 0.0
+    vec[0] = 1.0
+    dense = qcore.QState(layout, vec / np.linalg.norm(vec))
+    return SparseState.from_dense(dense), dense
+
+
+def test_expectation_and_partial_trace_take_a_sparse_state():
+    rng = np.random.default_rng(5)
+    lay = RegisterLayout((("a", 2), ("b", 3), ("c", 2)))
+    y = Operator.from_monomial(lay.subset(["a"]), [1, 0], [1j, -1j])
+    swap = Operator.from_monomial(lay.subset(["b", "c"]), [5, 4, 3, 2, 1, 0],
+                                  [1, -1, 1, 1, -1, 1])
+    hadamard = Operator(lay.subset(["c"]), (X + Z) / np.sqrt(2))  # dense path
+    for _ in range(5):
+        sparse, dense = _random_sparse(rng, lay)
+        for op in (y, swap, hadamard):
+            assert abs(qcore.expectation(op, sparse) - qcore.expectation(op, dense)) <= TOL
+        for keep in (["a"], ["b", "c"]):
+            assert np.array_equal(qcore.partial_trace(sparse, keep).matrix,
+                                  qcore.partial_trace(dense, keep).matrix)
+
+
+def test_project_and_split_register_match_dense():
+    rng = np.random.default_rng(11)
+    lay = RegisterLayout((("a", 2), ("b", 3), ("c", 2)))
+    y = Operator.from_monomial(lay.subset(["a"]), [1, 0], [1j, -1j])
+    for _ in range(5):
+        sparse, dense = _random_sparse(rng, lay, zero_share=0.3)
+        for value in (1, -1):
+            fast, p_fast = qcore.project(y, sparse, value)
+            slow, p_slow = qcore.project(y, dense, value)
+            assert isinstance(fast, SparseState)
+            assert abs(p_fast - p_slow) <= TOL
+            assert np.max(np.abs(fast.to_dense().amplitudes - slow.amplitudes)) <= TOL
+        tens = dense.tensor_view()
+        branches = qcore.split_register(sparse, "b")
+        slices = [tens[:, j, :] for j in range(3) if np.any(tens[:, j, :])]
+        assert len(branches) == len(slices)
+        total = np.zeros_like(tens)
+        for (weight, branch), piece in zip(branches, slices):
+            assert abs(weight - np.vdot(piece, piece).real) <= TOL
+            total += np.sqrt(weight) * branch.to_dense().tensor_view()
+        assert np.max(np.abs(total - tens)) <= TOL
+    with pytest.raises(ValueError):
+        qcore.project(y, sparse, 0)
+    with pytest.raises(TypeError):
+        qcore.split_register(dense, "b")
+
+
+def test_apply_controlled_matches_the_dense_premeasurement():
+    rng = np.random.default_rng(23)
+    lay = RegisterLayout((("a", 2), ("b", 2), ("p", 4)))
+    pointer = lay.subset(["p"])
+    flip = Operator.from_monomial(pointer, [3, 2, 1, 0], np.ones(4))
+    controls = (Operator.from_monomial(lay.subset(["a"]), [1, 0], [1j, -1j]),  # Y
+                Operator.from_monomial(lay.subset(["a", "b"]), [0, 1, 2, 3], [1, -1, -1, 1]),
+                Operator.from_monomial(lay.subset(["a", "b"]), [3, 2, 1, 0], [1, -1, -1, 1]))
+    for control in controls:
+        unitary = Operator(control.layout.concat(pointer), dense_vn_unitary(control, pointer))
+        for _ in range(3):
+            sparse, dense = _random_sparse(rng, lay, zero_share=0.5)
+            fast = qcore.apply_controlled(control, flip, sparse)
+            slow = qcore.apply(unitary, dense)
+            assert isinstance(fast, SparseState)
+            assert np.max(np.abs(fast.to_dense().amplitudes - slow.amplitudes)) <= TOL
+    with pytest.raises(TypeError):
+        qcore.apply_controlled(controls[0], flip, dense)
+    with pytest.raises(qcore.LayoutMismatchError):
+        qcore.apply_controlled(controls[0], Operator(lay.subset(["a"]), X), sparse)
+    twice = Operator.from_monomial(lay.subset(["b"]), [0, 1], [2.0, 0.5])
+    with pytest.raises(qcore.NotInvolutoryError):
+        qcore.apply_controlled(twice, flip, sparse)
 
 
 def _dense_friend_stage(model):
