@@ -8,22 +8,26 @@ only place a timestamp appears).  The digest is a content hash of the
 canonicalized physics configuration, so reordering keys in the config
 file does not move the output.
 
-Config file grammar (JSON object; every key optional):
+Config file grammar (JSON object; every key optional).  Every subcommand
+accepts the first group; a key of the second group is read by the one
+subcommand named with it, and the others reject it (exit 2):
 
   lab_width      integer 1..57, pointer qubits per lab (default 1)
   seed           unsigned 64-bit integer (default 0)
   tolerance      positive finite float for report assertions (default 1e-10)
-  robust_tol     positive finite float, residual-coherence threshold (default 1e-3)
   geometry       "default" | "collinear" | {"events": {"A": [t,x,y,z], ...}}
   frame_filter   boolean, drop joint contexts without a simultaneity frame
-  frame_triples  list of 3-letter strings over ABCUVW (default the five
-                 singled-out triples)
-  dephasing      {"target": "L1", "strength": 0.5, "steps": 20}
-  generators     three signed Pauli words fixing the entangled state
-                 (ghz-check only; the other subcommands reject the key)
-  stage          "full" | "friend" (paradox subcommand only)
   out            output directory (default "reports")
   format         "text" | "json" stdout rendering
+
+  generators     ghz-check: three signed Pauli words fixing the entangled
+                 state
+  stage          paradox: "full" | "friend"
+  dephasing      decohere: {"target": "L1", "strength": 0.5, "steps": 20}
+  robust_tol     decohere: positive finite float, residual-coherence
+                 threshold (default 1e-3)
+  frame_triples  frames: list of 3-letter strings over ABCUVW (default the
+                 five singled-out triples)
 
 Flags override file values; the WIGNERLAB_OUT environment variable
 overrides the default output directory.  Exit status: 0 all checks
@@ -833,16 +837,26 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommands that build a ScenarioModel, whose arrays grow with lab_width.
 _SCENARIO_COMMANDS = frozenset({"paradox", "contexts", "decohere"})
 
+# Config keys that one subcommand reads; the others reject them.
+_KEY_READER = {
+    "generators": "ghz-check",
+    "stage": "paradox",
+    "dephasing": "decohere",
+    "robust_tol": "decohere",
+    "frame_triples": "frames",
+}
+
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         raw = load_config(args.config)
-        if "generators" in raw and args.command != "ghz-check":
-            raise ConfigValidationError(
-                f"generators: only ghz-check uses this key, not {args.command}"
-            )
+        for key in raw:
+            reader = _KEY_READER.get(key, args.command)
+            if reader != args.command:
+                raise ConfigValidationError(
+                    f"{key}: only {reader} uses this key, not {args.command}")
         config = build_config(raw, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
-"""Pointer-basis dephasing and what it does to the protocol's statistics.
+"""Record-basis dephasing and what it does to the protocol's statistics.
 
 Repeatedly coupling a lab to an unmodeled environment suppresses the
-off-diagonal blocks of the state in that lab's pointer basis by a factor
-of (1 - strength) per step.  Diagonal blocks never move, so any statistic
+off-diagonal blocks of the state in that lab's pointer basis, the
+computational basis its record is written in, by a factor of
+(1 - strength) per step.  Diagonal blocks never move, so any statistic
 that reads the lab through its pointer record survives unchanged, while
 statistics that interfere the lab's branches (the conjugated x-type
 observables an outside observer would need) decay geometrically.  Once
@@ -13,10 +14,8 @@ One step is D = (1 - lam)*id + lam*Delta, where Delta removes every
 coherence between pointer states.  Delta is idempotent, so with q = 1 - lam
 the k-th power is exactly D**k = q**k*id + (1 - q**k)*Delta (pointer-basis
 dephasing as in Zurek, Rev. Mod. Phys. 75, 715 (2003)).  Every series here
-is therefore read off the pure post-premeasurement state psi, without a
-d x d density matrix (in O(d) memory for a dense psi, and from its nonzero
-entries for the sparse one the scenario builds): an expectation after k
-steps is
+is therefore read off the nonzero entries of the sparse post-premeasurement
+state psi, without a d x d density matrix: an expectation after k steps is
 q**k*<psi|O|psi> + (1 - q**k)*sum_j w_j*<psi_j|O|psi_j> over the pointer
 branches psi_j = P_j psi / sqrt(w_j), w_j = ||P_j psi||**2, and the
 residual coherence is q**k times that of psi.  ``dephase`` and
@@ -29,16 +28,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
-from .errors import (
-    BadStrengthError,
-    DimensionMismatchError,
-    NotUnitaryError,
-)
+from .errors import BadStrengthError
 from .scenario import (
     WIGNERS,
     ScenarioModel,
@@ -49,36 +44,16 @@ from .scenario import (
 
 @dataclass(frozen=True)
 class DephasingChannel:
-    """One dephasing step on a named register.
-
-    ``basis`` optionally gives the pointer basis as a unitary whose columns
-    are the pointer states; None means the computational basis.
-    """
+    """One dephasing step on a named register, in its computational basis."""
 
     target: str
     strength: float
-    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.strength <= 1.0:
             raise BadStrengthError(
                 f"dephasing strength must lie in [0, 1], got {self.strength!r}"
             )
-        if self.basis is not None:
-            mat = np.asarray(self.basis, dtype=np.complex128)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise DimensionMismatchError(
-                    f"pointer basis must be a square matrix, got shape {mat.shape}"
-                )
-            eye = np.eye(mat.shape[0])
-            if np.max(np.abs(mat @ mat.conj().T - eye)) > qcore.STRUCTURAL_TOL:
-                raise NotUnitaryError("pointer basis must be unitary")
-            object.__setattr__(self, "basis", mat)
-
-
-def _rotate_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, arr, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
 
 
 def _as_density(state) -> qcore.DensityMatrix:
@@ -92,36 +67,19 @@ def _as_density(state) -> qcore.DensityMatrix:
         f"expected QState, SparseState or DensityMatrix, got {type(state).__name__}")
 
 
-def _target_axis(layout: qcore.RegisterLayout, target: str,
-                 basis: np.ndarray | None) -> tuple[int, int]:
-    ax = layout.axis(target)
-    dim = layout.shape[ax]
-    if basis is not None and basis.shape[0] != dim:
-        raise DimensionMismatchError(
-            f"pointer basis dimension {basis.shape[0]} vs register "
-            f"{target!r} dimension {dim}"
-        )
-    return ax, dim
-
-
 def dephase(state, channel: DephasingChannel) -> qcore.DensityMatrix:
     """One application of the channel; accepts a pure state or a density matrix."""
     rho = _as_density(state)
-    ax, dim = _target_axis(rho.layout, channel.target, channel.basis)
+    ax = rho.layout.axis(channel.target)
+    dim = rho.layout.shape[ax]
     n = len(rho.layout.sites)
     arr = rho.matrix.reshape(rho.layout.shape + rho.layout.shape)
-    if channel.basis is not None:
-        arr = _rotate_axis(arr, channel.basis.conj().T, ax)
-        arr = _rotate_axis(arr, channel.basis.T, n + ax)
     scale = np.full((dim, dim), 1.0 - channel.strength)
     np.fill_diagonal(scale, 1.0)
     shape = [1] * (2 * n)
     shape[ax] = dim
     shape[n + ax] = dim
     arr = arr * scale.reshape(shape)
-    if channel.basis is not None:
-        arr = _rotate_axis(arr, channel.basis, ax)
-        arr = _rotate_axis(arr, channel.basis.conj(), n + ax)
     d = rho.layout.total_dim
     # A convex mix of rho and its pointer-block diagonal is PSD whenever rho is.
     return qcore.DensityMatrix(rho.layout, arr.reshape(d, d), rho.tol,
@@ -140,18 +98,7 @@ def dephased_states(state, channel: DephasingChannel, steps: int):
                                 initial=_as_density(state))
 
 
-def _pointer_tensor(state: qcore.QState, target: str,
-                    basis: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """Amplitude tensor with the target axis in the pointer basis, and that axis."""
-    ax, _ = _target_axis(state.layout, target, basis)
-    tens = state.tensor_view()
-    if basis is not None:
-        tens = _rotate_axis(tens, basis.conj().T, ax)
-    return tens, ax
-
-
-def pointer_diagonality(state, target: str,
-                        basis: np.ndarray | None = None) -> float:
+def pointer_diagonality(state, target: str) -> float:
     """Mean residual coherence of the target register.
 
     Sum of the magnitudes of all entries whose row and column disagree on
@@ -159,26 +106,20 @@ def pointer_diagonality(state, target: str,
     when the state is block-diagonal in the target's pointer basis.  For a
     pure state the entries are |c_a||c_b|, so with m_j the summed
     magnitudes of pointer branch j the value is ((sum m_j)**2 - sum m_j**2)/d,
-    taken in O(d) without forming the density matrix, and from the nonzero
-    entries alone for a ``SparseState`` in the computational basis.
+    taken from the nonzero entries alone (a ``QState`` goes through
+    ``SparseState.from_dense``); a density matrix is summed entry by entry.
     """
-    if isinstance(state, qcore.SparseState):
-        if basis is None:
-            m = np.array([math.sqrt(w) * np.sum(np.abs(branch.nonzero()))
-                          for w, branch in qcore.split_register(state, target)])
-            return float((m.sum() ** 2 - np.dot(m, m)) / state.layout.total_dim)
-        state = state.to_dense()
     if isinstance(state, qcore.QState):
-        tens, ax = _pointer_tensor(state, target, basis)
-        m = np.moveaxis(np.abs(tens), ax, 0).reshape(tens.shape[ax], -1).sum(axis=1)
+        state = qcore.SparseState.from_dense(state)
+    if isinstance(state, qcore.SparseState):
+        m = np.array([math.sqrt(w) * np.sum(np.abs(branch.nonzero()))
+                      for w, branch in qcore.split_register(state, target)])
         return float((m.sum() ** 2 - np.dot(m, m)) / state.layout.total_dim)
     rho = _as_density(state)
-    ax, dim = _target_axis(rho.layout, target, basis)
+    ax = rho.layout.axis(target)
+    dim = rho.layout.shape[ax]
     n = len(rho.layout.sites)
     arr = rho.matrix.reshape(rho.layout.shape + rho.layout.shape)
-    if basis is not None:
-        arr = _rotate_axis(arr, basis.conj().T, ax)
-        arr = _rotate_axis(arr, basis.T, n + ax)
     mask = 1.0 - np.eye(dim)
     shape = [1] * (2 * n)
     shape[ax] = dim
@@ -201,14 +142,14 @@ def diagonality_trajectory(state, channel: DephasingChannel,
 
     With q = 1 - strength, D**k scales every entry between distinct pointer
     states by q**k and keeps the rest, so the series needs one
-    ``pointer_diagonality``; for a dense pure state that costs O(d), for a
-    sparse one O(entries).  The dense check iterates ``dephase`` through
-    ``dephased_states`` and reads ``pointer_diagonality`` at every step; the
-    ``decohere`` subcommand runs it up to lab_width 2.
+    ``pointer_diagonality``, which for a pure state costs O(entries).  The
+    dense check iterates ``dephase`` through ``dephased_states`` and reads
+    ``pointer_diagonality`` at every step; the ``decohere`` subcommand runs
+    it up to lab_width 2.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    start = pointer_diagonality(state, channel.target, channel.basis)
+    start = pointer_diagonality(state, channel.target)
     q = 1.0 - channel.strength
     values = tuple(q ** k * start for k in range(steps + 1))
     return DiagonalityTrajectory(channel.target, channel.strength, values)
@@ -222,31 +163,6 @@ def onset_step(trajectory: DiagonalityTrajectory, tol: float) -> int | None:
             break
         onset = k
     return onset
-
-
-def _pointer_branches(state, channel: DephasingChannel):
-    """(w_j, psi_j) for every pointer state j of the target with w_j > 0.
-
-    A ``SparseState`` in the computational basis splits into sparse
-    branches; with a custom basis it is made dense first.
-    """
-    if isinstance(state, qcore.SparseState):
-        if channel.basis is None:
-            return qcore.split_register(state, channel.target)
-        state = state.to_dense()
-    tens, ax = _pointer_tensor(state, channel.target, channel.basis)
-    out = []
-    for j in range(tens.shape[ax]):
-        index = (slice(None),) * ax + (j,)
-        branch = np.zeros_like(tens)
-        branch[index] = tens[index]
-        weight = float(np.vdot(branch, branch).real)
-        if weight > 0.0:
-            if channel.basis is not None:
-                branch = _rotate_axis(branch, channel.basis, ax)
-            out.append((weight, qcore.QState(state.layout, branch / np.sqrt(weight),
-                                             state.tol)))
-    return out
 
 
 def expectation_trajectory(model: ScenarioModel, channel: DephasingChannel,
@@ -264,12 +180,13 @@ def expectation_trajectory(model: ScenarioModel, channel: DephasingChannel,
     context = scenario_context(model, agents)
     observables, names = tuple(context.values()), tuple(context)
 
-    def product(state: qcore.QState) -> float:
+    def product(state: qcore.SparseState) -> float:
         return qcore.born_table(observables, state, names=names).expectation_product()
 
     psi = model.post_premeasurement_state()
     coherent = product(psi)
-    recorded = sum(w * product(branch) for w, branch in _pointer_branches(psi, channel))
+    recorded = sum(w * product(branch)
+                   for w, branch in qcore.split_register(psi, channel.target))
     q = 1.0 - channel.strength
     return tuple(q ** k * coherent + (1.0 - q ** k) * recorded
                  for k in range(steps + 1))
@@ -279,7 +196,7 @@ def correlation_decay(model: ScenarioModel, channel: DephasingChannel,
                       steps: int) -> tuple[float, ...]:
     """Decay of the three outside observers' joint x-type correlation.
 
-    The channel must target one lab's pointer in its record basis.  The
+    The channel must target one lab's pointer register.  The
     closed form of ``expectation_trajectory`` gives q**k*E(psi) plus
     (1 - q**k) times the branch average; the Born tables make the first
     -1 and the second 0, so the value at step k is -(1 - strength)**k, the
@@ -293,6 +210,4 @@ def correlation_decay(model: ScenarioModel, channel: DephasingChannel,
             f"channel must target one lab pointer {sorted(labs)}, "
             f"got {channel.target!r}"
         )
-    if channel.basis is not None:
-        raise ValueError("channel must dephase in the record basis")
     return expectation_trajectory(model, channel, WIGNERS, steps)

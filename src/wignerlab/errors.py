@@ -84,10 +84,6 @@ class BadStrengthError(ValueError):
     """Dephasing strength outside [0, 1]."""
 
 
-class DimensionMismatchError(ValueError):
-    """Pointer basis dimension does not match the target register."""
-
-
 class ConfigError(ValueError):
     """Base class for configuration failures."""
 

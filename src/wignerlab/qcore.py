@@ -359,9 +359,6 @@ class Operator:
 
         return self._flag("involutory", test)
 
-    def dagger(self) -> "Operator":
-        return Operator(self.layout, self.matrix.conj().T, self.tol)
-
     def __repr__(self) -> str:
         return f"Operator(dim={self.layout.total_dim}, labels={self.layout.labels})"
 
@@ -698,9 +695,6 @@ class BornTable:
             total += p
         if abs(total - 1.0) > max(self.tol, 1e-9):
             raise ValueError(f"probabilities sum to {total}, not 1")
-
-    def probability(self, outcome: tuple[int, ...]) -> float:
-        return self.rows[outcome]
 
     def expectation_product(self) -> float:
         """Expectation of the product of all outcomes."""

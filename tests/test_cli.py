@@ -483,17 +483,34 @@ def test_decohere_width_three_runs_closed_form_only(tmp_path, capsys):
                      "erasure_even_odds"}
 
 
-@pytest.mark.parametrize("command", ["paradox", "contexts", "frames", "decohere"])
-def test_generators_rejected_outside_ghz_check(tmp_path, capsys, command):
-    path = write_json(tmp_path, "gen.json",
-                      {"generators": ["-XZZ", "+ZXZ", "+ZZX"]})
-    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
-    assert "config error: generators" in capsys.readouterr().err
+COMMANDS = ("ghz-check", "paradox", "contexts", "frames", "decohere")
+
+# A valid value of each key that one subcommand reads, and that subcommand.
+SINGLE_READER_KEYS = (
+    ("generators", ["+XZZ", "+ZXZ", "+ZZX"], "ghz-check"),
+    ("stage", "friend", "paradox"),
+    ("dephasing", {"strength": 0.3, "steps": 3}, "decohere"),
+    ("robust_tol", 0.1, "decohere"),
+    ("frame_triples", ["ABC"], "frames"),
+)
+
+
+@pytest.mark.parametrize("key,value,reader", SINGLE_READER_KEYS,
+                         ids=[key for key, _, _ in SINGLE_READER_KEYS])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_key_accepted_only_by_its_reader(tmp_path, capsys, command, key, value, reader):
+    path = write_json(tmp_path, "key.json", {key: value})
+    code = main([command, "--config", path, "--out", str(tmp_path)])
+    if command == reader:
+        assert code == 0
+        return
+    assert code == 2
+    assert (f"config error: {key}: only {reader} uses this key, not {command}"
+            in capsys.readouterr().err)
     assert not list(tmp_path.rglob("*.report.json"))
 
 
-@pytest.mark.parametrize("command",
-                         ["ghz-check", "paradox", "contexts", "frames", "decohere"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_seed_accepted_by_every_subcommand(tmp_path, command):
     path = write_json(tmp_path, "seed.json", {"seed": 5})
     assert main([command, "--config", path, "--out", str(tmp_path)]) == 0

@@ -14,8 +14,6 @@ from wignerlab.decoherence import (
 )
 from wignerlab.errors import (
     BadStrengthError,
-    DimensionMismatchError,
-    NotUnitaryError,
     UnknownLabelError,
 )
 from wignerlab.qcore import (
@@ -28,8 +26,6 @@ from wignerlab.qcore import (
     qubits,
 )
 from wignerlab.scenario import build_scenario, run_friend_stage, scenario_context
-
-HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
 def plus_state():
@@ -45,10 +41,6 @@ def test_channel_guards():
         DephasingChannel("q", -0.1)
     with pytest.raises(BadStrengthError):
         DephasingChannel("q", 1.5)
-    with pytest.raises(DimensionMismatchError):
-        DephasingChannel("q", 0.5, basis=np.ones((2, 3)))
-    with pytest.raises(NotUnitaryError):
-        DephasingChannel("q", 0.5, basis=np.ones((2, 2)))
 
 
 def test_dephase_scales_off_diagonal():
@@ -71,26 +63,6 @@ def test_two_steps_compose_like_one():
     assert np.max(np.abs(rho.matrix - direct.matrix)) <= 1e-12
 
 
-def test_dephasing_in_its_own_eigenbasis_is_inert():
-    chan = DephasingChannel("q", 1.0, basis=HADAMARD)
-    rho = dephase(plus_state(), chan)
-    assert np.max(np.abs(rho.matrix - pure_density(plus_state()).matrix)) <= 1e-12
-
-
-def test_rotated_basis_dephasing_mixes_computational_state():
-    layout = qubits("q")
-    zero = QState(layout, np.array([1, 0]))
-    rho = dephase(zero, DephasingChannel("q", 1.0, basis=HADAMARD))
-    assert np.max(np.abs(rho.matrix - np.eye(2) / 2)) <= 1e-12
-
-
-def test_basis_dimension_checked_at_application():
-    layout = RegisterLayout((("q", 3),))
-    rho = DensityMatrix(layout, np.eye(3) / 3)
-    with pytest.raises(DimensionMismatchError):
-        dephase(rho, DephasingChannel("q", 0.5, basis=HADAMARD))
-
-
 def test_unknown_target_rejected():
     with pytest.raises(UnknownLabelError):
         dephase(plus_state(), DephasingChannel("nope", 0.5))
@@ -106,7 +78,6 @@ def test_pointer_diagonality_values():
     assert pointer_diagonality(bell_pair(), "L1") == pytest.approx(0.25)
     zero = QState(qubits("q"), np.array([1, 0]))
     assert pointer_diagonality(zero, "q") == 0.0
-    assert pointer_diagonality(zero, "q", basis=HADAMARD) == pytest.approx(0.5)
 
 
 def test_trajectory_halves_each_step():
@@ -141,11 +112,6 @@ def test_trajectory_rejects_negative_steps():
                                ("Alice", "Bob", "Charlie"), -1)
 
 
-def random_unitary(rng, dim):
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_mixed(rng, layout, rank):
     d = layout.total_dim
     a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
@@ -155,8 +121,7 @@ def random_mixed(rng, layout, rank):
 
 def test_channel_preserves_trace_positivity_and_marginal():
     # dephase skips the eigenvalue check on its output, so positivity is
-    # asserted here, on pure and mixed inputs, in the record basis and in
-    # random pointer bases.
+    # asserted here, on pure and mixed inputs.
     rng = np.random.default_rng(20260822)
     layout = RegisterLayout((("a1", 2), ("L1", 3)))
     for trial in range(25):
@@ -165,9 +130,8 @@ def test_channel_preserves_trace_positivity_and_marginal():
             state = pure_density(QState(layout, vec / np.linalg.norm(vec)))
         else:
             state = random_mixed(rng, layout, rank=int(rng.integers(2, 7)))
-        basis = random_unitary(rng, 3) if trial % 3 else None
         lam = float(rng.uniform(0.0, 1.0))
-        rho = dephase(state, DephasingChannel("L1", lam, basis=basis))
+        rho = dephase(state, DephasingChannel("L1", lam))
         assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
         assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) <= 1e-12
         assert np.min(np.linalg.eigvalsh(rho.matrix)) >= -1e-12
@@ -240,8 +204,6 @@ def test_correlation_decay_guards():
     model = build_scenario()
     with pytest.raises(ValueError):
         correlation_decay(model, DephasingChannel("a1", 0.5), 2)
-    with pytest.raises(ValueError):
-        correlation_decay(model, DephasingChannel("L1", 0.5, basis=HADAMARD), 2)
 
 
 def test_record_context_table_is_invariant():
@@ -275,7 +237,7 @@ def iterated_series(model, channel, steps, contexts):
         for agents, context in tables.items():
             table = born_table(tuple(context.values()), rho, names=tuple(context))
             series[agents].append(table.expectation_product())
-        diagonality.append(pointer_diagonality(rho, channel.target, channel.basis))
+        diagonality.append(pointer_diagonality(rho, channel.target))
     return series, diagonality
 
 
@@ -303,36 +265,18 @@ def test_closed_form_matches_iterated_channel(width, target, lam):
     assert largest_gap(traj.values, diagonality) <= 1e-12
 
 
-def test_closed_form_matches_iterated_channel_in_custom_basis():
-    # At width 1 the lab is maximally mixed, so every basis splits it into
-    # equal-weight branches; the width-2 basis gives unequal ones.
-    rng = np.random.default_rng(31)
-    contexts = [("Eugene", "Johnny", "Daniel"), ("Alice", "Johnny", "Charlie"),
-                ("Alice", "Bob", "Daniel"), ("Eugene", "Bob", "Charlie")]
-    cases = [(1, HADAMARD), (1, random_unitary(rng, 2)), (1, random_unitary(rng, 2)),
-             (2, random_unitary(rng, 4))]
-    for width, basis in cases:
-        model = build_scenario(width)
-        channel = DephasingChannel("L1", 0.3, basis=basis)
-        series, diagonality = iterated_series(model, channel, 3, contexts)
-        for agents in contexts:
-            closed = expectation_trajectory(model, channel, agents, 3)
-            assert largest_gap(closed, series[agents]) <= 1e-12
-        traj = diagonality_trajectory(run_friend_stage(model), channel, 3)
-        assert largest_gap(traj.values, diagonality) <= 1e-12
-
-
 def test_pure_state_diagonality_matches_density_path():
     rng = np.random.default_rng(5)
     layout = RegisterLayout((("a", 2), ("p", 3), ("b", 4)))
     for _ in range(10):
         vec = rng.normal(size=24) + 1j * rng.normal(size=24)
         state = QState(layout, vec / np.linalg.norm(vec))
-        for target, dim in layout.sites:
-            for basis in (None, random_unitary(rng, dim)):
-                fast = pointer_diagonality(state, target, basis)
-                dense = pointer_diagonality(pure_density(state), target, basis)
-                assert abs(fast - dense) <= 1e-12
+        for target, _ in layout.sites:
+            fast = pointer_diagonality(state, target)
+            dense = pointer_diagonality(pure_density(state), target)
+            assert abs(fast - dense) <= 1e-12
+            traj = diagonality_trajectory(state, DephasingChannel(target, 0.5), 1)
+            assert traj.values == (fast, 0.5 * fast)
 
 
 def test_dephased_states_iterates_the_channel():

@@ -11,9 +11,9 @@ import itertools
 import numpy as np
 import pytest
 
-from wignerlab import decoherence, qcore
+from wignerlab import qcore
 from wignerlab.cli import _CONSTRAINT_AGENTS, _RECORD_AGENTS
-from wignerlab.decoherence import DephasingChannel, pointer_diagonality
+from wignerlab.decoherence import pointer_diagonality
 from wignerlab.qcore import Operator, RegisterLayout, SparseState, qubits
 from wignerlab.scenario import (
     AGENTS,
@@ -298,23 +298,30 @@ def test_pointer_branches_and_diagonality_match_the_dense_oracle(width):
     model = build_scenario(width)
     psi = model.post_premeasurement_state()
     dense = psi.to_dense()
+    tens = dense.tensor_view()
     for target in ("L1", "L2", "L3"):
-        channel = DephasingChannel(target, 0.5)
-        fast = decoherence._pointer_branches(psi, channel)
-        slow = decoherence._pointer_branches(dense, channel)
+        # Oracle: project the dense tensor onto each pointer state of the target.
+        ax = dense.layout.axis(target)
+        slow = []
+        for j in range(tens.shape[ax]):
+            branch = np.zeros_like(tens)
+            index = (slice(None),) * ax + (j,)
+            branch[index] = tens[index]
+            weight = float(np.vdot(branch, branch).real)
+            if weight > 0.0:
+                slow.append((weight, branch.reshape(-1) / np.sqrt(weight)))
+        fast = qcore.split_register(psi, target)
         assert len(fast) == len(slow) == 2
         for (w_fast, s_fast), (w_slow, s_slow) in zip(fast, slow):
             assert abs(w_fast - w_slow) <= TOL
-            assert np.max(np.abs(s_fast.to_dense().amplitudes - s_slow.amplitudes)) <= TOL
-        assert abs(pointer_diagonality(psi, target)
-                   - pointer_diagonality(dense, target)) <= TOL
+            assert np.max(np.abs(s_fast.to_dense().amplitudes - s_slow)) <= TOL
+        # Oracle: ((sum m_j)**2 - sum m_j**2)/d over the summed magnitudes.
+        m = np.moveaxis(np.abs(tens), ax, 0).reshape(tens.shape[ax], -1).sum(axis=1)
+        expected = (m.sum() ** 2 - np.dot(m, m)) / dense.layout.total_dim
+        assert abs(pointer_diagonality(psi, target) - expected) <= TOL
         if width <= 2:
             assert abs(pointer_diagonality(psi, target)
                        - pointer_diagonality(qcore.pure_density(dense), target)) <= TOL
-    # A custom pointer basis takes the dense path.
-    basis = np.eye(2**width, dtype=np.complex128)[::-1]
-    assert abs(pointer_diagonality(psi, "L1", basis)
-               - pointer_diagonality(dense, "L1", basis)) <= TOL
 
 
 def _dense_erasure(model, apply_measurement):
