@@ -711,9 +711,8 @@ def cmd_frames(config: ScenarioConfig) -> RunReport:
 
 # Largest register dimension at which ``decohere`` also iterates the dense
 # channel to check the closed-form series.  d = 512 (lab_width 2) holds 4 MiB
-# density matrices and costs about 0.1 s; lab_width 3 (d = 4096) would hold
-# 256 MiB ones, and the eigenvalue check of its first one alone took 17.8 s
-# on a 2-core box.
+# density matrices and costs about 43 ms at the default 20 steps (one BLAS
+# thread, 2-vCPU Xeon); lab_width 3 (d = 4096) would hold 256 MiB ones.
 DENSE_CHECK_MAX_DIM = 512
 
 

@@ -81,9 +81,8 @@ def dephase(state, channel: DephasingChannel) -> qcore.DensityMatrix:
     shape[n + ax] = dim
     arr = arr * scale.reshape(shape)
     d = rho.layout.total_dim
-    # A convex mix of rho and its pointer-block diagonal is PSD whenever rho is.
-    return qcore.DensityMatrix(rho.layout, arr.reshape(d, d), rho.tol,
-                               _known_psd=True)
+    # Hermitian, unit-trace and PSD whenever rho is: see qcore.DensityMatrix.
+    return qcore.DensityMatrix._trusted(rho.layout, arr.reshape(d, d), rho.tol)
 
 
 def dephased_states(state, channel: DephasingChannel, steps: int):

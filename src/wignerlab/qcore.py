@@ -37,8 +37,9 @@ order, so the sums that follow each contraction and the next contraction
 read memory in order.
 
 All value types are immutable: arrays are copied on construction and marked
-read-only, and every operation returns a fresh object.  Instances are safe
-to share across threads.
+read-only (the two trusted ``DensityMatrix`` producers freeze their own
+fresh arrays instead), and every operation returns a fresh object.
+Instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -363,29 +364,50 @@ class Operator:
         return f"Operator(dim={self.layout.total_dim}, labels={self.layout.labels})"
 
 
+class _TrustedMatrix:
+    """A fresh d x d complex128 array that is a density matrix by construction.
+
+    ``DensityMatrix._trusted`` passes it to ``DensityMatrix.__init__``, so
+    every instance, trusted or checked, is built in that one place.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over a layout.
 
-    ``_known_psd`` is for matrices that are PSD by construction (channel
-    outputs, and the outer product v v^dagger of a normalized state); it
-    skips only the O(d**3) eigenvalue check.
+    The constructor copies the caller's matrix and checks all three
+    properties, positivity by ``eigvalsh``.  ``_trusted`` adopts a fresh
+    array without copy or checks; its only producers, and why each holds:
+
+    - ``pure_density``: v v^dagger is Hermitian and PSD, with trace ||v||**2.
+    - ``decoherence.dephase``: a real symmetric scale with unit diagonal
+      treats rho_ij and rho_ji alike and leaves the diagonal, hence the
+      trace, bitwise unchanged; rho and its pointer-block diagonal mix
+      convexly, so PSD.
     """
 
-    def __init__(self, layout: RegisterLayout, matrix, tol: float = STRUCTURAL_TOL,
-                 *, _known_psd: bool = False):
-        mat = np.array(matrix, dtype=np.complex128)
+    def __init__(self, layout: RegisterLayout, matrix, tol: float = STRUCTURAL_TOL):
+        trusted = isinstance(matrix, _TrustedMatrix)
+        mat = matrix.array if trusted else np.array(matrix, dtype=np.complex128)
         d = layout.total_dim
         if mat.shape != (d, d):
             raise LayoutMismatchError(
                 f"matrix of shape {mat.shape} does not fit layout of dimension {d}"
             )
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > tol:
-            raise NotHermitianError(f"density matrix asymmetry {herm} exceeds tol={tol}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tol:
-            raise ValueError(f"density matrix trace {tr} deviates from 1 beyond tol={tol}")
-        if not _known_psd:
+        if not trusted:
+            herm = float(np.max(np.abs(mat - mat.conj().T)))
+            if herm > tol:
+                raise NotHermitianError(
+                    f"density matrix asymmetry {herm} exceeds tol={tol}")
+            tr = complex(np.trace(mat))
+            if abs(tr - 1.0) > tol:
+                raise ValueError(
+                    f"density matrix trace {tr} deviates from 1 beyond tol={tol}")
             lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)))
             if lo < -tol:
                 raise ValueError(f"density matrix has eigenvalue {lo} below -tol={-tol}")
@@ -393,13 +415,19 @@ class DensityMatrix:
         self.matrix = _frozen(mat)
         self.tol = tol
 
+    @classmethod
+    def _trusted(cls, layout: RegisterLayout, matrix: np.ndarray,
+                 tol: float) -> DensityMatrix:
+        """Adopt ``matrix`` in place, read-only; the caller must hold no other reference."""
+        return cls(layout, _TrustedMatrix(matrix), tol)
+
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.layout.total_dim}, labels={self.layout.labels})"
 
 
 def pure_density(state: QState) -> DensityMatrix:
     v = state.amplitudes
-    return DensityMatrix(state.layout, np.outer(v, v.conj()), state.tol, _known_psd=True)
+    return DensityMatrix._trusted(state.layout, np.outer(v, v.conj()), state.tol)
 
 
 def tensor(a, b):

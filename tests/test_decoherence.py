@@ -49,6 +49,14 @@ def test_dephase_scales_off_diagonal():
     assert np.max(np.abs(rho.matrix - expected)) <= 1e-12
 
 
+def test_trusted_outputs_are_read_only():
+    psi = plus_state()
+    for rho in (pure_density(psi), dephase(psi, DephasingChannel("q", 0.5))):
+        assert not rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            rho.matrix[0, 1] = 0.0
+
+
 def test_full_strength_kills_coherence():
     rho = dephase(plus_state(), DephasingChannel("q", 1.0))
     assert np.max(np.abs(rho.matrix - np.eye(2) / 2)) <= 1e-12
@@ -263,6 +271,26 @@ def test_closed_form_matches_iterated_channel(width, target, lam):
         assert largest_gap(closed, series[agents]) <= 1e-12
     traj = diagonality_trajectory(run_friend_stage(model), channel, steps)
     assert largest_gap(traj.values, diagonality) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("target", ["L1", "L2", "L3"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_iterates_would_pass_the_public_checks(width, target, lam):
+    # pure_density and dephase build these without validation; each must be
+    # bitwise Hermitian, keep the first trace bitwise, and pass the public
+    # constructor (eigvalsh on d = 512 is run for one case at width 2 only).
+    model = build_scenario(width)
+    channel = DephasingChannel(target, lam)
+    states = list(dephased_states(model.post_premeasurement_state(), channel, 3))
+    trace = np.trace(states[0].matrix)
+    assert abs(trace - 1.0) <= 1e-12
+    for rho in states:
+        m = rho.matrix
+        assert np.array_equal(m, m.conj().T)
+        assert np.trace(m) == trace
+        if width == 1 or (target, lam) == ("L2", 0.3):
+            DensityMatrix(rho.layout, m, rho.tol)
 
 
 def test_pure_state_diagonality_matches_density_path():

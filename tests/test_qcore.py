@@ -202,6 +202,16 @@ def test_density_matrix_rejects_negative_eigenvalue():
             DensityMatrix(lay, mat)
 
 
+def test_density_matrix_copies_its_input():
+    lay = qubits("a")
+    m = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=np.complex128)
+    rho = DensityMatrix(lay, m)
+    assert m.flags.writeable
+    m[0, 1] = m[1, 0] = 0.0
+    assert np.array_equal(rho.matrix, np.full((2, 2), 0.5))
+    assert not rho.matrix.flags.writeable
+
+
 def test_commutes_basic():
     a = Operator(qubits("q1"), X)
     b = Operator(qubits("q2"), Z)
