@@ -1,12 +1,22 @@
 """Command-line front end: config ingestion, seeded runs, canonical reports.
 
+Usage: ``wignerlab [-h] [--version] COMMAND [options]``, where COMMAND is
+one of ghz-check, paradox, contexts, frames and decohere, and the options
+are ``--config PATH`` and one flag for each of lab_width, seed, tolerance,
+frame_filter, out and format below; ``wignerlab --help`` lists the
+commands with one line each.  One flat parser reads them all, built
+afresh by each ``main`` call.
+
 Subcommands compose the library through its public operations only, so a
 CLI run doubles as an end-to-end test.  Reports land in
 ``<out>/<digest>/<command>.report.json`` (machine-readable, byte-identical
 for identical config and seed) and ``.report.txt`` (human-readable, the
 only place a timestamp appears).  The digest is a content hash of the
 canonicalized physics configuration, so reordering keys in the config
-file does not move the output.
+file does not move the output.  Each report is rendered once: text stdout
+is the ``.report.txt`` bytes, timestamp included, followed by a
+``report: <path>`` line, and ``--format json`` stdout is the
+``.report.json`` bytes.
 
 Config file grammar (JSON object; every key optional).  Every subcommand
 accepts the first group; a key of the second group is read by the one
@@ -46,6 +56,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -174,8 +185,12 @@ def _plain(value):
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
+# Sorted keys, no spaces: what ``json.dumps`` gives with the same two options.
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
+    return _JSON.encode(_plain(obj))
 
 
 def _sig12(x: float) -> float:
@@ -397,19 +412,30 @@ class RunReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @cached_property
     def document(self) -> dict:
-        return {
+        """The report body in builtin types; ``_plain`` runs once per report."""
+        return _plain({
             "command": self.command,
             "version": self.version,
             "config_digest": self.digest,
             "config": self.config,
             "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "values": _plain(c.values)}
-                for c in self.checks
-            ],
-            "data": _plain(self.data),
-        }
+            "checks": [{"name": c.name, "passed": c.passed, "values": c.values}
+                       for c in self.checks],
+            "data": self.data,
+        })
+
+    @cached_property
+    def json_text(self) -> str:
+        """Canonical JSON body: the ``.report.json`` bytes and the json stdout."""
+        return _JSON.encode(self.document) + "\n"
+
+    @cached_property
+    def text(self) -> str:
+        """Text rendering, stamped when first built: the ``.report.txt``
+        bytes and the text stdout."""
+        return render_text(self, time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
 
 
 def _report(command: str, config: ScenarioConfig, checks, data) -> RunReport:
@@ -427,6 +453,7 @@ def _render_rows(value) -> bool:
 
 
 def _text_lines(data: dict, indent: int) -> list[str]:
+    """Indented lines for already-plain ``data`` (see ``RunReport.document``)."""
     pad = "  " * indent
     lines = []
     for key in sorted(data):
@@ -441,15 +468,16 @@ def _text_lines(data: dict, indent: int) -> list[str]:
                        for x in row):
                     lines.append(f"{pad}  " + " ".join(str(x) for x in row))
                 else:
-                    lines.append(f"{pad}  " + canonical_json(row))
+                    lines.append(f"{pad}  " + _JSON.encode(row))
         elif isinstance(value, list):
-            lines.append(f"{pad}{key}: " + canonical_json(value))
+            lines.append(f"{pad}{key}: " + _JSON.encode(value))
         else:
             lines.append(f"{pad}{key}: {value}")
     return lines
 
 
 def render_text(report: RunReport, timestamp: str) -> str:
+    doc = report.document
     lines = [
         f"command: {report.command}",
         f"version: {report.version}",
@@ -457,13 +485,12 @@ def render_text(report: RunReport, timestamp: str) -> str:
         f"generated: {timestamp}",
         "checks:",
     ]
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        detail = canonical_json(check.values)
-        lines.append(f"  {status} {check.name} {detail}")
+    for check in doc["checks"]:
+        status = "PASS" if check["passed"] else "FAIL"
+        lines.append(f"  {status} {check['name']} {_JSON.encode(check['values'])}")
     lines.append("data:")
-    lines.extend(_text_lines(_plain(report.data), 1))
-    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
+    lines.extend(_text_lines(doc["data"], 1))
+    lines.append(f"result: {'PASS' if doc['passed'] else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
@@ -474,10 +501,9 @@ def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
     json_path = os.path.join(directory, f"{report.command}.report.json")
     txt_path = os.path.join(directory, f"{report.command}.report.txt")
     with open(json_path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(report.document()) + "\n")
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        handle.write(report.json_text)
     with open(txt_path, "w", encoding="utf-8") as handle:
-        handle.write(render_text(report, stamp))
+        handle.write(report.text)
     return json_path, txt_path
 
 
@@ -711,7 +737,7 @@ def cmd_frames(config: ScenarioConfig) -> RunReport:
 
 # Largest register dimension at which ``decohere`` also iterates the dense
 # channel to check the closed-form series.  d = 512 (lab_width 2) holds 4 MiB
-# density matrices and costs about 43 ms at the default 20 steps (one BLAS
+# density matrices and costs about 27 ms at the default 20 steps (one BLAS
 # thread, 2-vCPU Xeon); lab_width 3 (d = 4096) would hold 256 MiB ones.
 DENSE_CHECK_MAX_DIM = 512
 
@@ -796,40 +822,42 @@ _HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="JSON configuration file")
-    common.add_argument("--seed", type=int, help="unsigned 64-bit RNG seed")
-    common.add_argument("--out", metavar="DIR", help="report output directory")
-    common.add_argument("--tolerance", type=float,
-                        help="assertion tolerance for report checks")
-    common.add_argument("--format", choices=("text", "json"),
-                        help="stdout rendering")
-    common.add_argument("--frame-filter", choices=("on", "off"),
-                        help="keep only joint contexts with a simultaneity frame")
-    common.add_argument("--lab-width", type=int,
-                        help="pointer qubits per laboratory")
+# One-line help per subcommand, listed by ``wignerlab --help``.
+_COMMAND_HELP = {
+    "ghz-check": "verify the entangled state's probability pattern",
+    "paradox": "derive the four constraints and show their joint failure",
+    "contexts": "enumerate compatible record environments",
+    "frames": "simultaneity-frame certificates for event triples",
+    "decohere": "dephasing trajectories and erasure statistics",
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: a positional command and the seven shared options."""
     parser = argparse.ArgumentParser(
         prog="wignerlab",
-        description="Three-lab entangled-measurement protocol: verify the "
-                    "state, exhibit the outcome paradox, and map which "
-                    "records can be jointly assessed.",
+        usage="%(prog)s [-h] [--version] COMMAND [options]",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Three-lab entangled-measurement protocol: verify the state, exhibit\n"
+                    "the outcome paradox, and map which records can be jointly assessed.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<10}  {line}" for name, line in _COMMAND_HELP.items()),
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("ghz-check", parents=[common],
-                   help="verify the entangled state's probability pattern")
-    sub.add_parser("paradox", parents=[common],
-                   help="derive the four constraints and show their joint failure")
-    sub.add_parser("contexts", parents=[common],
-                   help="enumerate compatible record environments")
-    sub.add_parser("frames", parents=[common],
-                   help="simultaneity-frame certificates for event triples")
-    sub.add_parser("decohere", parents=[common],
-                   help="dephasing trajectories and erasure statistics")
+    parser.add_argument("command", choices=tuple(_HANDLERS), metavar="COMMAND",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", metavar="PATH", help="JSON configuration file")
+    parser.add_argument("--seed", type=int, help="unsigned 64-bit RNG seed")
+    parser.add_argument("--out", metavar="DIR", help="report output directory")
+    parser.add_argument("--tolerance", type=float,
+                        help="assertion tolerance for report checks")
+    parser.add_argument("--format", choices=("text", "json"),
+                        help="stdout rendering")
+    parser.add_argument("--frame-filter", choices=("on", "off"),
+                        help="keep only joint contexts with a simultaneity frame")
+    parser.add_argument("--lab-width", type=int,
+                        help="pointer qubits per laboratory")
     return parser
 
 
@@ -872,12 +900,11 @@ def main(argv=None) -> int:
                 else "run needs")
         print(f"config error: {need} more memory than this machine has", file=sys.stderr)
         return 2
-    json_path, txt_path = write_report(report, config.out)
+    json_path, _ = write_report(report, config.out)
     if config.format == "json":
-        print(canonical_json(report.document()))
+        print(report.json_text, end="")
     else:
-        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        print(render_text(report, stamp), end="")
+        print(report.text, end="")
         print(f"report: {json_path}")
     return 0 if report.passed else 1
 

@@ -37,39 +37,73 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
-def test_parser_accepts_all_subcommands():
-    parser = build_parser()
-    for command in ("ghz-check", "paradox", "contexts", "frames", "decohere"):
-        args = parser.parse_args([command])
-        assert args.command == command
-        assert args.config is None
-        assert args.seed is None
+COMMANDS = ("ghz-check", "paradox", "contexts", "frames", "decohere")
+NO_FLAGS = {"config": None, "seed": None, "out": None, "tolerance": None,
+            "format": None, "frame_filter": None, "lab_width": None}
 
 
-def test_parser_shared_flags():
-    parser = build_parser()
-    args = parser.parse_args([
-        "paradox", "--config", "c.json", "--seed", "42", "--out", "o",
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_accepts_each_command_bare(command):
+    args = build_parser().parse_args([command])
+    assert vars(args) == {"command": command, **NO_FLAGS}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_shared_flags(command):
+    args = build_parser().parse_args([
+        command, "--config", "c.json", "--seed", "42", "--out", "o",
         "--tolerance", "1e-9", "--format", "json", "--frame-filter", "on",
         "--lab-width", "2",
     ])
-    assert args.config == "c.json"
-    assert args.seed == 42
-    assert args.out == "o"
-    assert args.tolerance == 1e-9
-    assert args.format == "json"
-    assert args.frame_filter == "on"
-    assert args.lab_width == 2
+    assert vars(args) == {
+        "command": command, "config": "c.json", "seed": 42, "out": "o",
+        "tolerance": 1e-9, "format": "json", "frame_filter": "on",
+        "lab_width": 2,
+    }
 
 
-def test_parser_rejects_missing_subcommand_and_bad_flag():
-    parser = build_parser()
+@pytest.mark.parametrize("argv", [
+    [], ["nope"], ["frames", "--nope"], ["frames", "extra"],
+    ["paradox", "--seed", "x"], ["paradox", "--format", "yaml"],
+    ["paradox", "--frame-filter", "yes"],
+])
+def test_parser_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as info:
-        parser.parse_args([])
+        build_parser().parse_args(argv)
     assert info.value.code == 2
+    assert "usage: wignerlab" in capsys.readouterr().err
+
+
+def test_help_lists_every_command_with_its_line(capsys):
     with pytest.raises(SystemExit) as info:
-        parser.parse_args(["frames", "--nope"])
-    assert info.value.code == 2
+        main(["--help"])
+    assert info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for command, help_line in cli._COMMAND_HELP.items():
+        assert any(line.split() == [command, *help_line.split()] for line in lines)
+    assert tuple(cli._COMMAND_HELP) == COMMANDS
+
+
+def test_version_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == f"wignerlab {cli.__version__}\n"
+
+
+def test_each_main_call_builds_its_own_parser(monkeypatch, tmp_path):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        parser = original()
+        built.append(parser)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(2):
+        assert main(["frames", "--out", str(tmp_path)]) == 0
+    assert len(built) == 2 and built[0] is not built[1]
 
 
 def test_load_config_defaults_and_errors(tmp_path):
@@ -343,7 +377,7 @@ def test_contexts_frame_filter_matches_library(geometry):
     config = config_from({"geometry": geometry, "frame_filter": True})
     kept = maximal_contexts(build_scenario(1), geometry=config.geometry,
                             require_frame=True)
-    doc = cmd_contexts(config).document()
+    doc = cmd_contexts(config).document
     assert doc["data"]["frame_filtered_ids"] == [r.environment.id for r in kept]
 
 
@@ -549,3 +583,32 @@ def test_cmd_frames_direct_call_matches_main(tmp_path):
     assert report.command == "frames"
     assert report.passed
     assert report.digest == config.digest()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_text_stdout_is_the_report_file(tmp_path, capsys, monkeypatch, command):
+    renders = []
+    original = cli.render_text
+
+    def counting(report, timestamp):
+        renders.append(timestamp)
+        return original(report, timestamp)
+
+    monkeypatch.setattr(cli, "render_text", counting)
+    assert main([command, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    body, _, last = out.rstrip("\n").rpartition("\n")
+    assert last.startswith("report: ")
+    json_path = last[len("report: "):]
+    txt_path = json_path[:-len(".json")] + ".txt"
+    with open(txt_path, "rb") as handle:
+        assert (body + "\n").encode("utf-8") == handle.read()
+    assert len(renders) == 1
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_stdout_is_the_report_file(tmp_path, capsys, command):
+    assert main([command, "--out", str(tmp_path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    (sub,) = list(tmp_path.iterdir())
+    assert out.encode("utf-8") == (sub / f"{command}.report.json").read_bytes()

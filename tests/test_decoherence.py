@@ -316,3 +316,31 @@ def test_dephased_states_iterates_the_channel():
         assert np.max(np.abs(dephase(before, chan).matrix - after.matrix)) == 0.0
     with pytest.raises(ValueError):
         dephased_states(bell_pair(), chan, -1)
+
+
+def masked_diagonality(rho, target):
+    """The residual coherence as an off-diagonal mask broadcast over every axis."""
+    ax = rho.layout.axis(target)
+    dim = rho.layout.shape[ax]
+    n = len(rho.layout.sites)
+    arr = rho.matrix.reshape(rho.layout.shape + rho.layout.shape)
+    shape = [1] * (2 * n)
+    shape[ax] = dim
+    shape[n + ax] = dim
+    mask = (1.0 - np.eye(dim)).reshape(shape)
+    return float(np.sum(np.abs(arr) * mask) / rho.layout.total_dim)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("target", ["L1", "L2", "L3"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_diagonality_equals_the_masked_sum(width, target, lam):
+    model = build_scenario(width)
+    channel = DephasingChannel(target, lam)
+    states = list(dephased_states(model.post_premeasurement_state(), channel, 3))
+    for rho in states:
+        before = rho.matrix.copy()
+        assert pointer_diagonality(rho, target) == masked_diagonality(rho, target)
+        assert np.array_equal(rho.matrix, before)
+    if lam == 1.0:
+        assert pointer_diagonality(states[1], target) == 0.0
