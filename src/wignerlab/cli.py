@@ -18,14 +18,17 @@ is the ``.report.txt`` bytes, timestamp included, followed by a
 ``report: <path>`` line, and ``--format json`` stdout is the
 ``.report.json`` bytes.
 
-Config file grammar (JSON object; every key optional).  Every subcommand
-accepts the first group; a key of the second group is read by the one
-subcommand named with it, and the others reject it (exit 2):
+Config file grammar (JSON object; every key optional).  Each key's
+default, check and reader live in one table in this module, ``_KEYS``.
+Every subcommand accepts the first group; a key of the second group is read
+by the one subcommand named with it, and the others reject it (exit 2):
 
   lab_width      integer 1..57, pointer qubits per lab (default 1)
   seed           unsigned 64-bit integer (default 0)
   tolerance      positive finite float for report assertions (default 1e-10)
-  geometry       "default" | "collinear" | {"events": {"A": [t,x,y,z], ...}}
+  geometry       "default" | "collinear" | {"events": {"A": [t,x,y,z], ...}};
+                 one that breaks the separation pattern is a config error, so
+                 frames has no check of its own
   frame_filter   boolean, drop joint contexts without a simultaneity frame
   out            output directory (default "reports")
   format         "text" | "json" stdout rendering
@@ -40,10 +43,11 @@ subcommand named with it, and the others reject it (exit 2):
                  five singled-out triples)
 
 Flags override file values; the WIGNERLAB_OUT environment variable
-overrides the default output directory.  Exit status: 0 all checks
-passed, 1 a check failed, 2 usage or config error; a run that does not fit
-in memory is a config error, naming ``lab_width`` for the subcommands that
-build the scenario (paradox, contexts, decohere).
+overrides the default output directory.  Every key but out and format
+enters the config digest.  Exit status, which ``main`` returns: 0 all
+checks passed, 1 a check failed, 2 usage or config error; a run that does
+not fit in memory is a config error, naming ``lab_width`` for the
+subcommands that build the scenario (paradox, contexts, decohere).
 """
 
 from __future__ import annotations
@@ -51,12 +55,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -105,10 +110,6 @@ from .stabilizer import joint_eigenstate, parse_pauli, to_operator
 
 ENV_OUT = "WIGNERLAB_OUT"
 
-_DEFAULT_GENERATORS = ("+XZZ", "+ZXZ", "+ZZX")
-_DEFAULT_TRIPLES = ("ABC", "UVW", "UBC", "AVC", "ABW")
-_DEFAULT_DEPHASING = {"target": "L1", "strength": 0.5, "steps": 20}
-
 # Agent triples realizing the four parity constraints, in constraint order.
 _CONSTRAINT_AGENTS = (
     ("Eugene", "Bob", "Charlie"),
@@ -131,9 +132,7 @@ class ScenarioConfig:
     geometry: spacetime.Geometry
     frame_filter: bool
     frame_triples: tuple[str, ...]
-    dephasing_target: str
-    dephasing_strength: float
-    dephasing_steps: int
+    dephasing: MappingProxyType  # read-only {"target", "strength", "steps"}
     generators: tuple[str, ...]
     stage: str
     out: str
@@ -141,29 +140,16 @@ class ScenarioConfig:
     warnings: tuple[str, ...]
 
     def digest_payload(self) -> dict:
+        """The validated value of each digested key; a custom geometry
+        enters as its events table, a built-in one by name."""
+        payload = {key: getattr(self, key)
+                   for key, row in _KEYS.items() if row.digest}
         if self.geometry_name == "custom":
-            geometry = {
-                label: [e.t, e.x, e.y, e.z]
-                for label, e in sorted(self.geometry.events.items())
-            }
+            payload["geometry"] = {label: [e.t, e.x, e.y, e.z]
+                                   for label, e in self.geometry.events.items()}
         else:
-            geometry = self.geometry_name
-        return {
-            "lab_width": self.lab_width,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "robust_tol": self.robust_tol,
-            "geometry": geometry,
-            "frame_filter": self.frame_filter,
-            "frame_triples": list(self.frame_triples),
-            "dephasing": {
-                "target": self.dephasing_target,
-                "strength": self.dephasing_strength,
-                "steps": self.dephasing_steps,
-            },
-            "generators": list(self.generators),
-            "stage": self.stage,
-        }
+            payload["geometry"] = self.geometry_name
+        return payload
 
     def digest(self) -> str:
         payload = canonical_json(self.digest_payload()).encode("utf-8")
@@ -172,7 +158,7 @@ class ScenarioConfig:
 
 def _plain(value):
     """Recursively coerce to builtin JSON-serializable types."""
-    if isinstance(value, dict):
+    if isinstance(value, (dict, MappingProxyType)):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
@@ -218,178 +204,165 @@ def load_config(path: str | None) -> dict:
     return raw
 
 
-def _need(kind, raw, key, default):
-    value = raw.get(key, default)
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise ConfigValidationError(f"{key}: expected an integer, got {value!r}")
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigValidationError(f"{key}: expected a number, got {value!r}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ConfigValidationError(f"{key}: must be finite, got {value!r}")
-    if kind is bool and not isinstance(value, bool):
-        raise ConfigValidationError(f"{key}: expected true or false, got {value!r}")
-    if kind is str and not isinstance(value, str):
-        raise ConfigValidationError(f"{key}: expected a string, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class _Key:
+    """A config key's row: ``check`` takes the key, which any error message
+    names first, and the raw value, and returns the validated value."""
+
+    default: object
+    check: Callable[[str, object], object]
+    reader: str | None = None  # the one subcommand that reads the key; None: all
+    digest: bool = True        # whether the key enters the config digest
 
 
-def _build_geometry(value) -> tuple[str, spacetime.Geometry]:
+def _check(ok, expected: str, convert=None) -> Callable[[str, object], object]:
+    """A check that passes a value for which ``ok`` holds, converted if asked."""
+    def check(key, value):
+        if not ok(value):
+            raise ConfigValidationError(f"{key}: expected {expected}, got {value!r}")
+        return value if convert is None else convert(value)
+    return check
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# NaN fails both comparisons; an integer above the largest float could not
+# be converted.
+_POSITIVE = _check(lambda v: _real(v) and 0 < v <= sys.float_info.max,
+                   "a positive finite number", float)
+
+
+def _build_geometry(key, value) -> tuple[str, spacetime.Geometry]:
     if value == "default":
-        return "default", spacetime.default_geometry()
-    if value == "collinear":
-        return "collinear", spacetime.collinear_geometry()
-    if isinstance(value, dict) and set(value) == {"events"}:
+        name, geometry = "default", spacetime.default_geometry()
+    elif value == "collinear":
+        name, geometry = "collinear", spacetime.collinear_geometry()
+    elif isinstance(value, dict) and set(value) == {"events"}:
         events = value["events"]
         if not isinstance(events, dict) or set(events) != set(spacetime.EVENT_LABELS):
             raise ConfigValidationError(
-                f"geometry: events must map exactly the labels "
+                f"{key}: events must map exactly the labels "
                 f"{'/'.join(spacetime.EVENT_LABELS)}"
             )
         built = {}
         for label, coords in events.items():
-            if (not isinstance(coords, list) or len(coords) != 4
-                    or any(isinstance(c, bool) or not isinstance(c, (int, float))
-                           for c in coords)):
+            if not isinstance(coords, list) or len(coords) != 4 or not all(map(_real, coords)):
                 raise ConfigValidationError(
-                    f"geometry: event {label} needs four numbers [t, x, y, z]"
+                    f"{key}: event {label} needs four numbers [t, x, y, z]"
                 )
             built[label] = spacetime.Event4(label, *map(float, coords))
-        return "custom", spacetime.Geometry(built)
-    raise ConfigValidationError(
-        f"geometry: expected \"default\", \"collinear\", or an events table, "
-        f"got {value!r}"
-    )
-
-
-def build_config(raw: dict, args: argparse.Namespace | None = None) -> ScenarioConfig:
-    """Validate the merged file + flag configuration and fill defaults."""
-    known = {"lab_width", "seed", "tolerance", "robust_tol", "geometry",
-             "frame_filter", "frame_triples", "dephasing", "generators",
-             "stage", "out", "format"}
-    for key in raw:
-        if key not in known:
-            raise ConfigValidationError(f"{key}: unknown configuration key")
-    merged = dict(raw)
-    if args is not None:
-        if args.lab_width is not None:
-            merged["lab_width"] = args.lab_width
-        if args.seed is not None:
-            merged["seed"] = args.seed
-        if args.tolerance is not None:
-            merged["tolerance"] = args.tolerance
-        if args.frame_filter is not None:
-            merged["frame_filter"] = args.frame_filter == "on"
-        if args.format is not None:
-            merged["format"] = args.format
-        if args.out is not None:
-            merged["out"] = args.out
-
-    lab_width = _need(int, merged, "lab_width", 1)
-    if not 1 <= lab_width <= MAX_LAB_WIDTH:
+        name, geometry = "custom", spacetime.Geometry(built)
+    else:
         raise ConfigValidationError(
-            f"lab_width: must lie in 1..{MAX_LAB_WIDTH}, got {lab_width}")
-    seed = _need(int, merged, "seed", 0)
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigValidationError(f"seed: must fit in 64 unsigned bits, got {seed}")
-    tolerance = _need(float, merged, "tolerance", 1e-10)
-    if tolerance <= 0:
-        raise ConfigValidationError(f"tolerance: must be positive, got {tolerance}")
-    robust_tol = _need(float, merged, "robust_tol", 1e-3)
-    if robust_tol <= 0:
-        raise ConfigValidationError(f"robust_tol: must be positive, got {robust_tol}")
-
-    geometry_name, geometry = _build_geometry(merged.get("geometry", "default"))
+            f"{key}: expected \"default\", \"collinear\", or an events table, "
+            f"got {value!r}"
+        )
     violations = spacetime.separation_violations(geometry)
     if violations:
-        raise ConfigValidationError("geometry: " + "; ".join(violations))
+        raise ConfigValidationError(f"{key}: " + "; ".join(violations))
+    return name, geometry
 
-    frame_filter = _need(bool, merged, "frame_filter", False)
-    warnings = []
-    if frame_filter and geometry_name == "collinear":
-        warnings.append(
-            "frame_filter with the collinear geometry leaves only the "
-            "same-stage contexts; mixed-stage triples admit no frame there"
-        )
 
-    triples = merged.get("frame_triples", list(_DEFAULT_TRIPLES))
-    if (not isinstance(triples, list) or not triples
-            or any(not isinstance(t, str) for t in triples)):
-        raise ConfigValidationError("frame_triples: expected a list of strings")
-    for t in triples:
-        if len(t) != 3 or len(set(t)) != 3 or any(
-                ch not in spacetime.EVENT_LABELS for ch in t):
-            raise ConfigValidationError(
-                f"frame_triples: {t!r} is not three distinct letters "
-                f"from {''.join(spacetime.EVENT_LABELS)}"
-            )
+def _triple(value) -> bool:
+    return (isinstance(value, str) and len(value) == len(set(value)) == 3
+            and set(value) <= set(spacetime.EVENT_LABELS))
 
-    dephasing = merged.get("dephasing", {})
-    if not isinstance(dephasing, dict):
-        raise ConfigValidationError("dephasing: expected an object")
-    for key in dephasing:
-        if key not in _DEFAULT_DEPHASING:
-            raise ConfigValidationError(f"dephasing.{key}: unknown key")
-    target = dephasing.get("target", _DEFAULT_DEPHASING["target"])
-    if target not in {lab_label(i) for i in (1, 2, 3)}:
-        raise ConfigValidationError(
-            f"dephasing.target: must be one lab pointer L1/L2/L3, got {target!r}"
-        )
-    strength = dephasing.get("strength", _DEFAULT_DEPHASING["strength"])
-    if (isinstance(strength, bool) or not isinstance(strength, (int, float))
-            or not 0.0 <= strength <= 1.0):
-        raise ConfigValidationError(
-            f"dephasing.strength: must lie in [0, 1], got {strength!r}"
-        )
-    steps = dephasing.get("steps", _DEFAULT_DEPHASING["steps"])
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
-        raise ConfigValidationError(
-            f"dephasing.steps: must be a nonnegative integer, got {steps!r}"
-        )
 
-    generators = merged.get("generators", list(_DEFAULT_GENERATORS))
-    if (not isinstance(generators, list) or len(generators) != 3
-            or any(not isinstance(g, str) for g in generators)):
-        raise ConfigValidationError("generators: expected three Pauli words")
-    for word in generators:
+_TRIPLES = _check(lambda v: isinstance(v, list) and v and all(map(_triple, v)),
+                  "a nonempty list of strings, each three distinct letters of "
+                  + "".join(spacetime.EVENT_LABELS), tuple)
+
+
+# The dephasing object's fields, in the same form as the config keys.
+_DEPHASING = {
+    "target": _Key("L1", _check(lambda v: v in tuple(map(lab_label, (1, 2, 3))),
+                                "one lab pointer L1/L2/L3")),
+    "strength": _Key(0.5, _check(lambda v: _real(v) and 0 <= v <= 1, "a number in [0, 1]",
+                                 float)),
+    "steps": _Key(20, _check(lambda v: _integer(v) and v >= 0, "a nonnegative integer")),
+}
+
+
+def _dephasing(key, value) -> MappingProxyType:
+    """Each field checked, a missing one at its default; read-only."""
+    if not isinstance(value, dict):
+        raise ConfigValidationError(f"{key}: expected an object")
+    for field in value:
+        if field not in _DEPHASING:
+            raise ConfigValidationError(f"{key}.{field}: unknown key")
+    return MappingProxyType({field: row.check(f"{key}.{field}", value.get(field, row.default))
+                             for field, row in _DEPHASING.items()})
+
+
+def _generators(key, value) -> tuple[str, ...]:
+    if (not isinstance(value, list) or len(value) != 3
+            or any(not isinstance(g, str) for g in value)):
+        raise ConfigValidationError(f"{key}: expected three Pauli words")
+    for word in value:
         try:
             p = parse_pauli(word)
         except ValueError as exc:
-            raise ConfigValidationError(f"generators: {exc}") from None
-        if len(p.letters) != 3:
+            raise ConfigValidationError(f"{key}: {exc}") from None
+        if len(p.letters) != 3 or not p.is_hermitian:
             raise ConfigValidationError(
-                f"generators: {word!r} must act on exactly three atoms"
-            )
-        if not p.is_hermitian:
+                f"{key}: {word!r} must act on exactly three atoms with a real phase")
+    return tuple(value)
+
+
+# Every config key.  A default is checked like a given value.
+_KEYS = {
+    "lab_width": _Key(1, _check(lambda v: _integer(v) and 1 <= v <= MAX_LAB_WIDTH,
+                                f"an integer in 1..{MAX_LAB_WIDTH}")),
+    "seed": _Key(0, _check(lambda v: _integer(v) and 0 <= v < 2 ** 64,
+                           "an unsigned 64-bit integer")),
+    "tolerance": _Key(1e-10, _POSITIVE),
+    "robust_tol": _Key(1e-3, _POSITIVE, "decohere"),
+    "geometry": _Key("default", _build_geometry),
+    "frame_filter": _Key(False, _check(lambda v: isinstance(v, bool), "true or false")),
+    "frame_triples": _Key(["ABC", "UVW", "UBC", "AVC", "ABW"], _TRIPLES, "frames"),
+    "dephasing": _Key({}, _dephasing, "decohere"),  # every field at its default
+    "generators": _Key(["+XZZ", "+ZXZ", "+ZZX"], _generators, "ghz-check"),
+    "stage": _Key("full", _check(lambda v: v in ("full", "friend"), '"full" or "friend"'),
+                  "paradox"),
+    "out": _Key(None, _check(lambda v: v is None or isinstance(v, str), "a string",
+                             lambda v: os.environ.get(ENV_OUT, "reports") if v is None else v),
+                digest=False),
+    "format": _Key("text", _check(lambda v: v in ("text", "json"), '"text" or "json"'),
+                   digest=False),
+}
+
+
+def build_config(raw: dict, args: argparse.Namespace | None = None) -> ScenarioConfig:
+    """Validate the file config merged with the flags in ``args``, and fill
+    the defaults; with ``args``, a key read by one subcommand is rejected by
+    the others."""
+    for key in raw:
+        row = _KEYS.get(key)
+        if row is None:
+            raise ConfigValidationError(f"{key}: unknown configuration key")
+        if args is not None and row.reader not in (None, args.command):
             raise ConfigValidationError(
-                f"generators: {word!r} has an imaginary phase"
-            )
-
-    stage = _need(str, merged, "stage", "full")
-    if stage not in ("full", "friend"):
-        raise ConfigValidationError(
-            f"stage: expected \"full\" or \"friend\", got {stage!r}"
-        )
-    fmt = _need(str, merged, "format", "text")
-    if fmt not in ("text", "json"):
-        raise ConfigValidationError(
-            f"format: expected \"text\" or \"json\", got {fmt!r}"
-        )
-    out = merged.get("out")
-    if out is None:
-        out = os.environ.get(ENV_OUT, "reports")
-    elif not isinstance(out, str):
-        raise ConfigValidationError(f"out: expected a string, got {out!r}")
-
-    return ScenarioConfig(
-        lab_width=lab_width, seed=seed, tolerance=tolerance,
-        robust_tol=robust_tol, geometry_name=geometry_name, geometry=geometry,
-        frame_filter=frame_filter, frame_triples=tuple(triples),
-        dephasing_target=target, dephasing_strength=float(strength),
-        dephasing_steps=steps, generators=tuple(generators), stage=stage,
-        out=out, format=fmt, warnings=tuple(warnings),
-    )
+                f"{key}: only {row.reader} uses this key, not {args.command}")
+    merged = dict(raw)
+    if args is not None:
+        for key in _KEYS:
+            flag = getattr(args, key, None)
+            if flag is not None:
+                merged[key] = flag == "on" if key == "frame_filter" else flag
+    values = {key: row.check(key, merged.get(key, row.default))
+              for key, row in _KEYS.items()}
+    values["geometry_name"], values["geometry"] = values["geometry"]
+    warnings = ()
+    if values["frame_filter"] and values["geometry_name"] == "collinear":
+        warnings = ("frame_filter with the collinear geometry leaves only the "
+                    "same-stage contexts; mixed-stage triples admit no frame there",)
+    return ScenarioConfig(**values, warnings=warnings)
 
 
 @dataclass(frozen=True)
@@ -720,10 +693,6 @@ def cmd_contexts(config: ScenarioConfig) -> RunReport:
 def cmd_frames(config: ScenarioConfig) -> RunReport:
     """Simultaneity-frame verdicts for the configured event triples."""
     geometry = config.geometry
-    violations = spacetime.separation_violations(geometry)
-    checks = [CheckResult(
-        "separation_pattern", not violations, {"violations": list(violations)},
-    )]
     entries = []
     for triple in config.frame_triples:
         solution = spacetime.frame_for_events(
@@ -732,7 +701,7 @@ def cmd_frames(config: ScenarioConfig) -> RunReport:
         entry.update(_frame_entry(solution))
         entries.append(entry)
     data = {"geometry": config.geometry_name, "frames": entries}
-    return _report("frames", config, checks, data)
+    return _report("frames", config, (), data)
 
 
 # Largest register dimension at which ``decohere`` also iterates the dense
@@ -751,10 +720,8 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
     compares the two diagonality series.
     """
     model = build_scenario(config.lab_width)
-    channel = DephasingChannel(config.dephasing_target,
-                               config.dephasing_strength)
-    steps = config.dephasing_steps
-    lam = config.dephasing_strength
+    target, lam, steps = (config.dephasing[k] for k in ("target", "strength", "steps"))
+    channel = DephasingChannel(target, lam)
 
     decay = correlation_decay(model, channel, steps)
     analytic = [-((1.0 - lam) ** k) for k in range(steps + 1)]
@@ -764,7 +731,7 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
         {"strength": lam, "largest_drift": _sig12(drift)},
     )]
 
-    lab_index = int(config.dephasing_target[1:])
+    lab_index = int(target[1:])
     survivors = [agents for agents in _CONSTRAINT_AGENTS
                  if agents[lab_index - 1] in _RECORD_AGENTS]
     survivor_series = {}
@@ -864,27 +831,15 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommands that build a ScenarioModel, whose arrays grow with lab_width.
 _SCENARIO_COMMANDS = frozenset({"paradox", "contexts", "decohere"})
 
-# Config keys that one subcommand reads; the others reject them.
-_KEY_READER = {
-    "generators": "ghz-check",
-    "stage": "paradox",
-    "dephasing": "decohere",
-    "robust_tol": "decohere",
-    "frame_triples": "frames",
-}
-
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns the exit status, 2 for a usage error."""
     try:
-        raw = load_config(args.config)
-        for key in raw:
-            reader = _KEY_READER.get(key, args.command)
-            if reader != args.command:
-                raise ConfigValidationError(
-                    f"{key}: only {reader} uses this key, not {args.command}")
-        config = build_config(raw, args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage error, --help or --version
+        return exc.code
+    try:
+        config = build_config(load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

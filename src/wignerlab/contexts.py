@@ -148,16 +148,12 @@ class ContextReport:
 
 
 def maximal_contexts(model: ScenarioModel,
-                     geometry: spacetime.Geometry | None = None,
-                     require_frame: bool = False) -> tuple[ContextReport, ...]:
+                     geometry: spacetime.Geometry | None = None) -> tuple[ContextReport, ...]:
     """All maximal sets of agents with pairwise-commuting records.
 
     With a geometry, each context also carries the simultaneity-frame
-    certificate of its event triple; ``require_frame`` keeps only contexts
-    whose events admit a common simultaneity frame.
+    certificate of its event triple.
     """
-    if require_frame and geometry is None:
-        raise ValueError("require_frame needs a geometry")
     cliques = []
     for size in range(len(AGENTS), 0, -1):
         for subset in itertools.combinations(AGENTS, size):
@@ -173,8 +169,6 @@ def maximal_contexts(model: ScenarioModel,
         if geometry is not None:
             events = [geometry.events[EVENT_OF_AGENT[a]] for a in clique]
             frame = spacetime.frame_for_events(events)
-            if require_frame and not frame.exists:
-                continue
         reports.append(ContextReport(tuple(clique), env,
                                      env.id in NAMED_CONTEXT_IDS, frame))
     return tuple(sorted(reports, key=lambda r: r.environment.id))

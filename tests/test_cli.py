@@ -72,12 +72,13 @@ def test_parser_usage_errors_exit_two(argv, capsys):
         build_parser().parse_args(argv)
     assert info.value.code == 2
     assert "usage: wignerlab" in capsys.readouterr().err
+    # main returns the status the parser would have exited with.
+    assert main(argv) == 2
+    assert "usage: wignerlab" in capsys.readouterr().err
 
 
 def test_help_lists_every_command_with_its_line(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["--help"])
-    assert info.value.code == 0
+    assert main(["--help"]) == 0
     lines = capsys.readouterr().out.splitlines()
     for command, help_line in cli._COMMAND_HELP.items():
         assert any(line.split() == [command, *help_line.split()] for line in lines)
@@ -85,9 +86,7 @@ def test_help_lists_every_command_with_its_line(capsys):
 
 
 def test_version_exits_zero(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["--version"])
-    assert info.value.code == 0
+    assert main(["--version"]) == 0
     assert capsys.readouterr().out == f"wignerlab {cli.__version__}\n"
 
 
@@ -130,10 +129,10 @@ def test_defaults_fill_in():
     assert config.geometry_name == "default"
     assert config.stage == "full"
     assert config.frame_triples == ("ABC", "UVW", "UBC", "AVC", "ABW")
-    assert config.dephasing_target == "L1"
-    assert config.dephasing_strength == 0.5
-    assert config.dephasing_steps == 20
+    assert dict(config.dephasing) == {"target": "L1", "strength": 0.5, "steps": 20}
     assert config.warnings == ()
+    with pytest.raises(TypeError):
+        config.dephasing["steps"] = 1
 
 
 @pytest.mark.parametrize(
@@ -151,6 +150,7 @@ def test_defaults_fill_in():
         ({"frame_triples": ["AB"]}, "frame_triples"),
         ({"frame_triples": ["AAB"]}, "frame_triples"),
         ({"dephasing": {"target": "a1"}}, "dephasing.target"),
+        ({"dephasing": {"target": []}}, "dephasing.target"),
         ({"dephasing": {"strength": 1.5}}, "dephasing.strength"),
         ({"dephasing": {"steps": -1}}, "dephasing.steps"),
         ({"dephasing": {"rate": 2}}, "dephasing.rate"),
@@ -164,12 +164,13 @@ def test_defaults_fill_in():
         ({"tolerance": float("nan")}, "tolerance"),
         ({"robust_tol": float("inf")}, "robust_tol"),
         ({"robust_tol": float("nan")}, "robust_tol"),
+        ({"tolerance": 10 ** 400}, "tolerance"),
     ],
 )
 def test_validation_errors_name_the_key(raw, key):
     with pytest.raises(ConfigValidationError) as info:
         config_from(raw)
-    assert key in str(info.value)
+    assert str(info.value).startswith(f"{key}: ")
 
 
 def test_digest_stable_under_key_reorder():
@@ -177,6 +178,59 @@ def test_digest_stable_under_key_reorder():
     second = config_from({"lab_width": 2, "seed": 5})
     assert first.digest() == second.digest()
     assert first.digest() != config_from({"seed": 6, "lab_width": 2}).digest()
+
+
+CUSTOM_EVENTS = {
+    "A": [1, 0, 0, 0], "B": [1, 7, 0, 0], "C": [1, 0, 7, 0],
+    "U": [2, 0, 0, 0], "V": [2, 7, 0, 0], "W": [2, 0, 7, 0],
+}
+
+# Each digest names a report directory, so a change to any of these moves
+# where the reports of that config land.
+PINNED_DIGESTS = [
+    ({}, "394926d31c2d69b4"),
+    ({"lab_width": 2, "seed": 5}, "7f24bdfaa44a5a6a"),
+    ({"dephasing": {"strength": 0.3}}, "34ebeadeb353c1fd"),
+    ({"dephasing": {"target": "L2", "strength": 1, "steps": 0}}, "983a88432d970747"),
+    ({"geometry": {"events": CUSTOM_EVENTS}}, "b9b5023afad68513"),
+    ({"stage": "friend"}, "0ce825c7040ef98c"),
+    ({"frame_triples": ["ABC"]}, "949d95f1d5e9a6f2"),
+    ({"generators": ["+XZZ", "+ZXZ", "-ZZX"]}, "e2033c3d6c7a7506"),
+    ({"tolerance": 1e-9, "robust_tol": 0.01, "frame_filter": True,
+      "geometry": "collinear"}, "fc9df70501c41a8f"),
+    ({"out": "x", "format": "json"}, "394926d31c2d69b4"),
+]
+
+
+@pytest.mark.parametrize("raw,digest", PINNED_DIGESTS,
+                         ids=[str(i) for i in range(len(PINNED_DIGESTS))])
+def test_config_digest_pinned(raw, digest):
+    assert config_from(raw).digest() == digest
+
+
+# Each key given at its default value, written out here rather than read
+# from the CLI, so a changed default fails this test.
+EXPLICIT_DEFAULTS = [
+    {"lab_width": 1},
+    {"seed": 0},
+    {"tolerance": 1e-10},
+    {"robust_tol": 1e-3},
+    {"geometry": "default"},
+    {"frame_filter": False},
+    {"frame_triples": ["ABC", "UVW", "UBC", "AVC", "ABW"]},
+    {"dephasing": {"target": "L1", "strength": 0.5, "steps": 20}},
+    {"dephasing": {}},
+    {"generators": ["+XZZ", "+ZXZ", "+ZZX"]},
+    {"stage": "full"},
+    {"out": "reports"},
+    {"format": "text"},
+]
+
+
+@pytest.mark.parametrize("raw", EXPLICIT_DEFAULTS,
+                         ids=[canonical_json(raw) for raw in EXPLICIT_DEFAULTS])
+def test_explicit_default_hashes_like_omitted(raw):
+    assert config_from(raw).digest() == config_from({}).digest()
 
 
 def test_flag_and_file_configs_hash_alike(tmp_path):
@@ -187,11 +241,14 @@ def test_flag_and_file_configs_hash_alike(tmp_path):
     assert flagged.digest() == filed.digest()
 
 
+@pytest.mark.parametrize("flag,value", [("on", True), ("off", False)])
+def test_frame_filter_flag_beats_file(flag, value):
+    args = build_parser().parse_args(["contexts", "--frame-filter", flag])
+    assert build_config({"frame_filter": not value}, args).frame_filter is value
+
+
 def test_custom_geometry_roundtrip():
-    events = {
-        "A": [1, 0, 0, 0], "B": [1, 7, 0, 0], "C": [1, 0, 7, 0],
-        "U": [2, 0, 0, 0], "V": [2, 7, 0, 0], "W": [2, 0, 7, 0],
-    }
+    events = CUSTOM_EVENTS
     config = config_from({"geometry": {"events": events}})
     assert config.geometry_name == "custom"
     assert config.geometry.events["B"].x == 7.0
@@ -375,8 +432,8 @@ def test_contexts_collinear_frame_filter(tmp_path, capsys):
 @pytest.mark.parametrize("geometry", ["default", "collinear"])
 def test_contexts_frame_filter_matches_library(geometry):
     config = config_from({"geometry": geometry, "frame_filter": True})
-    kept = maximal_contexts(build_scenario(1), geometry=config.geometry,
-                            require_frame=True)
+    kept = [r for r in maximal_contexts(build_scenario(1), geometry=config.geometry)
+            if r.frame.exists]
     doc = cmd_contexts(config).document
     assert doc["data"]["frame_filtered_ids"] == [r.environment.id for r in kept]
 
@@ -469,6 +526,7 @@ def test_frames_default_velocities(tmp_path, capsys):
     code = main(["frames", "--out", str(tmp_path), "--format", "json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == []
     frames = {"".join(f["events"]): f for f in doc["data"]["frames"]}
     assert frames["ABC"]["velocity"] == [0.0, 0.0, 0.0]
     assert frames["UVW"]["velocity"] == [0.0, 0.0, 0.0]
@@ -477,6 +535,16 @@ def test_frames_default_velocities(tmp_path, capsys):
     assert frames["ABW"]["velocity"] == [0.0, 0.2, 0.0]
     for entry in frames.values():
         assert entry["max_time_residual"] <= 1e-9
+
+
+def test_frames_rejects_geometry_breaking_the_separation_pattern(tmp_path, capsys):
+    # B timelike to A: a config error before any handler runs, so frames
+    # needs no check of its own.
+    path = write_json(tmp_path, "timelike.json",
+                      {"geometry": {"events": dict(CUSTOM_EVENTS, B=[30, 7, 0, 0])}})
+    assert main(["frames", "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: geometry: ")
+    assert not list(tmp_path.rglob("*.report.json"))
 
 
 def test_frames_collinear_certificate(tmp_path, capsys):

@@ -137,22 +137,16 @@ def test_maximal_contexts_with_default_geometry_all_framed(model):
     for report in reports:
         assert report.frame is not None and report.frame.exists
         assert report.frame.velocity.speed < 1.0
-    filtered = maximal_contexts(model, geometry=default_geometry(),
-                                require_frame=True)
+    filtered = [r for r in reports if r.frame.exists]
     assert len(filtered) == 8
 
 
 def test_collinear_geometry_frames_only_same_stage_contexts(model):
-    filtered = maximal_contexts(model, geometry=collinear_geometry(),
-                                require_frame=True)
+    filtered = [r for r in maximal_contexts(model, geometry=collinear_geometry())
+                if r.frame.exists]
     assert {r.environment.id for r in filtered} == {"E_ABC", "E_UVW"}
     for report in filtered:
         assert report.frame.velocity.speed == 0.0
-
-
-def test_require_frame_needs_geometry(model):
-    with pytest.raises(ValueError):
-        maximal_contexts(model, require_frame=True)
 
 
 def test_proposition_guards():
