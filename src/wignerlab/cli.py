@@ -25,7 +25,9 @@ by the one subcommand named with it, and the others reject it (exit 2):
 
   lab_width      integer 1..57, pointer qubits per lab (default 1)
   seed           unsigned 64-bit integer (default 0)
-  tolerance      positive finite float for report assertions (default 1e-10)
+  tolerance      positive finite float for report assertions and the
+                 zero threshold of table supports (default 1e-10); the
+                 library's own thresholds are fixed (see ``qcore``)
   geometry       "default" | "collinear" | {"events": {"A": [t,x,y,z], ...}};
                  one that breaks the separation pattern is a config error, so
                  frames has no check of its own
@@ -99,7 +101,7 @@ from .paradox import (
 from .scenario import (
     MAX_LAB_WIDTH,
     OUTCOME_VARIABLE,
-    build_scenario,
+    ScenarioModel,
     context_born_table,
     erasure_check,
     lab_label,
@@ -551,7 +553,7 @@ def _by_variable(table: qcore.BornTable) -> qcore.BornTable:
 
 def cmd_paradox(config: ScenarioConfig) -> RunReport:
     """Recover the four parity constraints and exhibit their joint failure."""
-    model = build_scenario(config.lab_width)
+    model = ScenarioModel(config.lab_width)
     state = model.post_premeasurement_state()
     record_agent_table = context_born_table(
         state, scenario_context(model, _RECORD_AGENTS))
@@ -645,7 +647,7 @@ def _frame_entry(solution: spacetime.FrameSolution) -> dict:
 
 def cmd_contexts(config: ScenarioConfig) -> RunReport:
     """Map which records can share an environment and which never can."""
-    model = build_scenario(config.lab_width)
+    model = ScenarioModel(config.lab_width)
     graph = incompatibility_graph(model)
     checks = [CheckResult(
         "incompatibility_graph",
@@ -663,7 +665,7 @@ def cmd_contexts(config: ScenarioConfig) -> RunReport:
         {"named": named, "named_count": len(named)},
     ))
 
-    four = [primary_context(model, a)
+    four = [primary_context(a)
             for a in ("Alice", "Bob", "Charlie", "Eugene")]
     checks.append(CheckResult(
         "no_common_extension_with_unsealed_lab",
@@ -719,7 +721,7 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
     dense channel runs too, and the ``closed_form_matches_iterated`` check
     compares the two diagonality series.
     """
-    model = build_scenario(config.lab_width)
+    model = ScenarioModel(config.lab_width)
     target, lam, steps = (config.dephasing[k] for k in ("target", "strength", "steps"))
     channel = DephasingChannel(target, lam)
 

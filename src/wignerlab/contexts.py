@@ -83,7 +83,7 @@ def _env_id(records: frozenset[Record]) -> str:
     return "E_" + "".join(letters)
 
 
-def primary_context(model: ScenarioModel, agent: str) -> DecoherenceEnvironment:
+def primary_context(agent: str) -> DecoherenceEnvironment:
     """Smallest environment holding one agent's outcome record."""
     if agent not in AGENTS:
         raise UnknownAgentError(f"unknown agent {agent!r}; expected one of {AGENTS}")
@@ -144,15 +144,15 @@ class ContextReport:
     agents: tuple[str, ...]
     environment: DecoherenceEnvironment
     named: bool
-    frame: spacetime.FrameSolution | None
+    frame: spacetime.FrameSolution
 
 
 def maximal_contexts(model: ScenarioModel,
-                     geometry: spacetime.Geometry | None = None) -> tuple[ContextReport, ...]:
+                     geometry: spacetime.Geometry) -> tuple[ContextReport, ...]:
     """All maximal sets of agents with pairwise-commuting records.
 
-    With a geometry, each context also carries the simultaneity-frame
-    certificate of its event triple.
+    Each context also carries the simultaneity-frame certificate of its
+    events in ``geometry``.
     """
     cliques = []
     for size in range(len(AGENTS), 0, -1):
@@ -164,11 +164,9 @@ def maximal_contexts(model: ScenarioModel,
     reports = []
     for clique in cliques:
         # Every pair in the clique commutes, so the union is consistent.
-        env = _union(primary_context(model, a) for a in clique)
-        frame = None
-        if geometry is not None:
-            events = [geometry.events[EVENT_OF_AGENT[a]] for a in clique]
-            frame = spacetime.frame_for_events(events)
+        env = _union(primary_context(a) for a in clique)
+        frame = spacetime.frame_for_events([geometry.events[EVENT_OF_AGENT[a]]
+                                            for a in clique])
         reports.append(ContextReport(tuple(clique), env,
                                      env.id in NAMED_CONTEXT_IDS, frame))
     return tuple(sorted(reports, key=lambda r: r.environment.id))
@@ -182,7 +180,7 @@ def assess(model: ScenarioModel, proposition: Proposition,
     the claimed agent's primary context; otherwise compares the claim with
     the sampled record, which must cover all of the environment's agents.
     """
-    primary = primary_context(model, proposition.agent)
+    primary = primary_context(proposition.agent)
     if not compatibly_extends(model, environment, primary):
         return Assessment.NOT_ASSESSABLE
     needed = {r.agent for r in environment.records}

@@ -82,7 +82,7 @@ def dephase(state, channel: DephasingChannel) -> qcore.DensityMatrix:
     arr = arr * scale.reshape(shape)
     d = rho.layout.total_dim
     # Hermitian, unit-trace and PSD whenever rho is: see qcore.DensityMatrix.
-    return qcore.DensityMatrix._trusted(rho.layout, arr.reshape(d, d), rho.tol)
+    return qcore.DensityMatrix._trusted(rho.layout, arr.reshape(d, d))
 
 
 def dephased_states(state, channel: DephasingChannel, steps: int):

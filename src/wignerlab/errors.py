@@ -21,19 +21,19 @@ class LayoutMismatchError(ValueError):
 
 
 class NotUnitaryError(ValueError):
-    """Operator fails the unitarity check at the working tolerance."""
+    """Operator fails the unitarity check at ``qcore.STRUCTURAL_TOL``."""
 
 
 class NotHermitianError(ValueError):
-    """Operator fails the hermiticity check at the working tolerance."""
+    """Operator fails the hermiticity check at ``qcore.STRUCTURAL_TOL``."""
 
 
 class NotInvolutoryError(ValueError):
-    """Operator squared is not the identity at the working tolerance."""
+    """Operator squared is not the identity at ``qcore.STRUCTURAL_TOL``."""
 
 
 class NonrealResultError(ValueError):
-    """Imaginary residue of an expectation value exceeds tolerance."""
+    """Imaginary residue of an expectation value exceeds ``qcore.NUMERIC_TOL``."""
 
 
 class ContextIncompatibleError(ValueError):
@@ -70,10 +70,6 @@ class SuperluminalError(ValueError):
 
 class UniverseTooLargeError(ValueError):
     """Brute-force enumeration refused above the variable cap."""
-
-
-class CoverageGapError(ValueError):
-    """Tables do not jointly cover the requested variable universe."""
 
 
 class MarginalMismatchError(ValueError):

@@ -14,11 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    CoverageGapError,
-    MarginalMismatchError,
-    UniverseTooLargeError,
-)
+from .errors import MarginalMismatchError, UniverseTooLargeError
+from .qcore import NUMERIC_TOL
 
 ENUMERATION_CAP = 24
 
@@ -37,12 +34,6 @@ class ParityConstraint:
             raise ValueError("constraint needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"repeated variable in {self.variables}")
-
-    def satisfied_by(self, assignment: dict[str, int]) -> bool:
-        prod = 1
-        for v in self.variables:
-            prod *= assignment[v]
-        return prod == self.parity
 
     def __str__(self) -> str:
         return "*".join(self.variables) + ("=+1" if self.parity == 1 else "=-1")
@@ -105,9 +96,6 @@ class EnumerationReport:
     total: int
     count: int
     satisfying: tuple[tuple[int, ...], ...]
-
-    def assignments(self) -> tuple[dict[str, int], ...]:
-        return tuple(dict(zip(self.universe, s)) for s in self.satisfying)
 
 
 def enumerate_satisfying(system: ConstraintSystem) -> EnumerationReport:
@@ -189,13 +177,13 @@ class ExtractionReport:
     skipped: tuple[tuple[int, str], ...]
 
 
-def constraints_from_born(tables, zero_tol: float = 1e-10,
-                          universe=None) -> ExtractionReport:
+def constraints_from_born(tables, zero_tol: float = 1e-10) -> ExtractionReport:
     """Emit one parity constraint per table whose support has fixed product.
 
-    Table outcome names are used as variable names; rename tables first if
-    the constraint variables should differ.  Tables with mixed support
-    product are skipped (flagged, not fatal).
+    Table outcome names are used as variable names, in order of first
+    appearance; rename tables first if the constraint variables should
+    differ.  Tables with mixed support product are skipped (flagged, not
+    fatal).
     """
     constraints = []
     skipped = []
@@ -210,9 +198,7 @@ def constraints_from_born(tables, zero_tol: float = 1e-10,
             constraints.append(ParityConstraint(tuple(table.names), products.pop()))
         else:
             skipped.append((k, "NO_PARITY_STRUCTURE"))
-    if universe is None:
-        universe = tuple(seen)
-    return ExtractionReport(ConstraintSystem(tuple(constraints), tuple(universe)),
+    return ExtractionReport(ConstraintSystem(tuple(constraints), tuple(seen)),
                             tuple(skipped))
 
 
@@ -239,24 +225,19 @@ class GlobalSectionReport:
     sections: tuple[tuple[int, ...], ...]
 
 
-def global_section_exists(tables, zero_tol: float = 1e-10,
-                          universe=None,
-                          marginal_tol: float = 1e-12) -> GlobalSectionReport:
-    """Search all assignments; each must restrict into every table's support."""
+def global_section_exists(tables, zero_tol: float = 1e-10) -> GlobalSectionReport:
+    """Search all assignments; each must restrict into every table's support.
+
+    The variables are the tables' outcome names in order of first appearance.
+    """
     tables = list(tables)
     seen: list[str] = []
     for t in tables:
         for name in t.names:
             if name not in seen:
                 seen.append(name)
-    if universe is None:
-        universe = tuple(seen)
-    else:
-        universe = tuple(universe)
-        gap = set(universe) - set(seen)
-        if gap:
-            raise CoverageGapError(f"no table covers variables {sorted(gap)}")
-    _check_shared_marginals(tables, marginal_tol)
+    universe = tuple(seen)
+    _check_shared_marginals(tables)
     n = len(universe)
     if n > ENUMERATION_CAP:
         raise UniverseTooLargeError(f"{n} variables exceeds cap {ENUMERATION_CAP}")
@@ -274,7 +255,7 @@ def global_section_exists(tables, zero_tol: float = 1e-10,
     return GlobalSectionReport(bool(sections), len(sections), universe, tuple(sections))
 
 
-def _check_shared_marginals(tables, tol: float) -> None:
+def _check_shared_marginals(tables) -> None:
     for i in range(len(tables)):
         for j in range(i + 1, len(tables)):
             shared = [n for n in tables[i].names if n in tables[j].names]
@@ -283,7 +264,7 @@ def _check_shared_marginals(tables, tol: float) -> None:
             mi = tables[i].marginal(shared)
             mj = tables[j].marginal(shared)
             for outcome, p in mi.rows.items():
-                if abs(p - mj.rows[outcome]) > tol:
+                if abs(p - mj.rows[outcome]) > NUMERIC_TOL:
                     raise MarginalMismatchError(
                         f"tables {i} and {j} disagree on {shared} at {outcome}: "
                         f"{p} vs {mj.rows[outcome]}"

@@ -36,6 +36,14 @@ per row as an exact power-of-two rescale, 4**-k for a squared norm and
 order, so the sums that follow each contraction and the next contraction
 read memory in order.
 
+Tolerances are fixed, not per object: ``STRUCTURAL_TOL`` (1e-10) guards
+the operator flags, state norms and density-matrix checks; ``NUMERIC_TOL``
+(1e-12) guards commutators, zero branches, nonreal expectation residues
+and negative Born-table rows; ``BORN_SUM_TOL`` (1e-9) bounds how far a
+Born table's rows may sum from 1.  The CLI's ``tolerance`` key moves none
+of them: it feeds only report assertions and the ``zero_tol`` support
+threshold of ``BornTable.support`` and the ``paradox`` searches.
+
 All value types are immutable: arrays are copied on construction and marked
 read-only (the two trusted ``DensityMatrix`` producers freeze their own
 fresh arrays instead), and every operation returns a fresh object.
@@ -63,10 +71,14 @@ from .errors import (
     ZeroBranchError,
 )
 
-# Structural checks (hermitian / unitary / involutory flags, norm checks).
+# Operator flags (hermitian, unitary, involutory), state norms and the
+# density-matrix checks.
 STRUCTURAL_TOL = 1e-10
-# Numeric assertions (commutators, expectation residues, probability sums).
+# Commutators, zero branches of ``project``, nonreal expectation residues
+# and negative Born-table rows.
 NUMERIC_TOL = 1e-12
+# How far a Born table's rows may sum from 1.
+BORN_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,25 +145,27 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class QState:
     """Normalized pure state over a layout."""
 
-    def __init__(self, layout: RegisterLayout, amplitudes, tol: float = STRUCTURAL_TOL):
+    def __init__(self, layout: RegisterLayout, amplitudes):
         arr = np.array(amplitudes, dtype=np.complex128).reshape(-1)
         if arr.size != layout.total_dim:
             raise LayoutMismatchError(
                 f"amplitude vector of size {arr.size} does not fit layout of dimension "
                 f"{layout.total_dim}"
             )
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > tol:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond tol={tol}")
+        _check_norm(float(np.linalg.norm(arr)))
         self.layout = layout
         self.amplitudes = _frozen(arr)
-        self.tol = tol
 
     def tensor_view(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.shape)
 
     def __repr__(self) -> str:
         return f"QState(dim={self.layout.total_dim}, labels={self.layout.labels})"
+
+
+def _check_norm(norm: float) -> None:
+    if abs(norm - 1.0) > STRUCTURAL_TOL:
+        raise ValueError(f"state norm {norm} deviates from 1 beyond {STRUCTURAL_TOL}")
 
 
 def basis_state(layout: RegisterLayout, index: int = 0) -> QState:
@@ -169,7 +183,7 @@ class SparseState:
     the scenario reaches at lab_width 21.
     """
 
-    def __init__(self, layout: RegisterLayout, entries, tol: float = STRUCTURAL_TOL):
+    def __init__(self, layout: RegisterLayout, entries):
         shape = layout.shape
         kept = {}
         for index, amp in dict(entries).items():
@@ -178,24 +192,21 @@ class SparseState:
                 raise LayoutMismatchError(f"index {index} does not fit layout shape {shape}")
             if amp != 0:
                 kept[index] = complex(amp)
-        norm = math.sqrt(_sparse_norm2(kept))
-        if abs(norm - 1.0) > tol:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond tol={tol}")
+        _check_norm(math.sqrt(_sparse_norm2(kept)))
         self.layout = layout
         self.entries = MappingProxyType(kept)
-        self.tol = tol
 
     @classmethod
     def from_dense(cls, state: QState) -> "SparseState":
         tens = state.tensor_view()
         return cls(state.layout,
-                   {index: tens[index] for index in zip(*np.nonzero(tens))}, state.tol)
+                   {index: tens[index] for index in zip(*np.nonzero(tens))})
 
     def to_dense(self) -> QState:
         tens = np.zeros(self.layout.shape, dtype=np.complex128)
         for index, amp in self.entries.items():
             tens[index] = amp
-        return QState(self.layout, tens, self.tol)
+        return QState(self.layout, tens)
 
     def nonzero(self) -> np.ndarray:
         """The nonzero amplitudes in flat-index order."""
@@ -264,7 +275,7 @@ class Operator:
     floating-point operations the dense tests make on their nonzero entries.
     """
 
-    def __init__(self, layout: RegisterLayout, matrix, tol: float = STRUCTURAL_TOL):
+    def __init__(self, layout: RegisterLayout, matrix):
         mat = np.array(matrix, dtype=np.complex128)
         d = layout.total_dim
         if mat.shape != (d, d):
@@ -274,12 +285,10 @@ class Operator:
         self.layout = layout
         self._matrix: np.ndarray | None = _frozen(mat)
         self.monomial: tuple[np.ndarray, np.ndarray] | None = None
-        self.tol = tol
         self._flags: dict[str, bool] = {}
 
     @classmethod
-    def from_monomial(cls, layout: RegisterLayout, perm, phase,
-                      tol: float = STRUCTURAL_TOL) -> "Operator":
+    def from_monomial(cls, layout: RegisterLayout, perm, phase) -> "Operator":
         """The operator sending basis state j to phase[j] times basis state perm[j]."""
         d = layout.total_dim
         perm = np.array(perm, dtype=np.int64).reshape(-1)
@@ -299,7 +308,6 @@ class Operator:
         op.layout = layout
         op._matrix = None
         op.monomial = (_frozen(perm), _frozen(phase))
-        op.tol = tol
         op._flags = {}
         return op
 
@@ -326,11 +334,11 @@ class Operator:
     def is_hermitian(self) -> bool:
         def test():
             if self.monomial is None:
-                return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= self.tol
+                return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= STRUCTURAL_TOL
             perm, phase = self.monomial
             paired = perm[perm] == np.arange(perm.size)
             resid = np.where(paired, np.abs(phase - phase[perm].conj()), np.abs(phase))
-            return np.max(resid) <= self.tol
+            return np.max(resid) <= STRUCTURAL_TOL
 
         return self._flag("hermitian", test)
 
@@ -339,9 +347,10 @@ class Operator:
         def test():
             if self.monomial is None:
                 d = self.matrix.shape[0]
-                return np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(d))) <= self.tol
+                resid = np.abs(self.matrix @ self.matrix.conj().T - np.eye(d))
+                return np.max(resid) <= STRUCTURAL_TOL
             _, phase = self.monomial
-            return np.max(np.abs(phase * phase.conj() - 1.0)) <= self.tol
+            return np.max(np.abs(phase * phase.conj() - 1.0)) <= STRUCTURAL_TOL
 
         return self._flag("unitary", test)
 
@@ -350,13 +359,13 @@ class Operator:
         def test():
             if self.monomial is None:
                 d = self.matrix.shape[0]
-                return np.max(np.abs(self.matrix @ self.matrix - np.eye(d))) <= self.tol
+                return np.max(np.abs(self.matrix @ self.matrix - np.eye(d))) <= STRUCTURAL_TOL
             perm, phase = self.monomial
             paired = perm[perm] == np.arange(perm.size)
             square = np.abs(phase[perm] * phase)
             resid = np.where(paired, np.abs(phase[perm] * phase - 1.0),
                              np.maximum(square, 1.0))
-            return np.max(resid) <= self.tol
+            return np.max(resid) <= STRUCTURAL_TOL
 
         return self._flag("involutory", test)
 
@@ -391,7 +400,7 @@ class DensityMatrix:
       convexly, so PSD.
     """
 
-    def __init__(self, layout: RegisterLayout, matrix, tol: float = STRUCTURAL_TOL):
+    def __init__(self, layout: RegisterLayout, matrix):
         trusted = isinstance(matrix, _TrustedMatrix)
         mat = matrix.array if trusted else np.array(matrix, dtype=np.complex128)
         d = layout.total_dim
@@ -401,25 +410,24 @@ class DensityMatrix:
             )
         if not trusted:
             herm = float(np.max(np.abs(mat - mat.conj().T)))
-            if herm > tol:
+            if herm > STRUCTURAL_TOL:
                 raise NotHermitianError(
-                    f"density matrix asymmetry {herm} exceeds tol={tol}")
+                    f"density matrix asymmetry {herm} exceeds {STRUCTURAL_TOL}")
             tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > tol:
+            if abs(tr - 1.0) > STRUCTURAL_TOL:
                 raise ValueError(
-                    f"density matrix trace {tr} deviates from 1 beyond tol={tol}")
+                    f"density matrix trace {tr} deviates from 1 beyond {STRUCTURAL_TOL}")
             lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)))
-            if lo < -tol:
-                raise ValueError(f"density matrix has eigenvalue {lo} below -tol={-tol}")
+            if lo < -STRUCTURAL_TOL:
+                raise ValueError(
+                    f"density matrix has eigenvalue {lo} below {-STRUCTURAL_TOL}")
         self.layout = layout
         self.matrix = _frozen(mat)
-        self.tol = tol
 
     @classmethod
-    def _trusted(cls, layout: RegisterLayout, matrix: np.ndarray,
-                 tol: float) -> DensityMatrix:
+    def _trusted(cls, layout: RegisterLayout, matrix: np.ndarray) -> DensityMatrix:
         """Adopt ``matrix`` in place, read-only; the caller must hold no other reference."""
-        return cls(layout, _TrustedMatrix(matrix), tol)
+        return cls(layout, _TrustedMatrix(matrix))
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.layout.total_dim}, labels={self.layout.labels})"
@@ -427,7 +435,7 @@ class DensityMatrix:
 
 def pure_density(state: QState) -> DensityMatrix:
     v = state.amplitudes
-    return DensityMatrix._trusted(state.layout, np.outer(v, v.conj()), state.tol)
+    return DensityMatrix._trusted(state.layout, np.outer(v, v.conj()))
 
 
 def tensor(a, b):
@@ -435,17 +443,11 @@ def tensor(a, b):
     if isinstance(a, SparseState) and isinstance(b, SparseState):
         return SparseState(a.layout.concat(b.layout),
                            {ia + ib: va * vb for ia, va in a.entries.items()
-                            for ib, vb in b.entries.items()},
-                           max(a.tol, b.tol))
+                            for ib, vb in b.entries.items()})
     if isinstance(a, QState) and isinstance(b, QState):
-        return QState(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes),
-                      max(a.tol, b.tol))
+        return QState(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(a.layout.concat(b.layout), np.kron(a.matrix, b.matrix),
-                        max(a.tol, b.tol))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.layout.concat(b.layout), np.kron(a.matrix, b.matrix),
-                             max(a.tol, b.tol))
+        return Operator(a.layout.concat(b.layout), np.kron(a.matrix, b.matrix))
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
 
 
@@ -489,15 +491,6 @@ def _apply_to_vector(matrix: np.ndarray, op_layout: RegisterLayout,
     return _contract(matrix, tens, state.layout, axes).reshape(-1)
 
 
-def _apply_to_rows(matrix: np.ndarray, op_layout: RegisterLayout,
-                   rho: DensityMatrix) -> np.ndarray:
-    """Left-multiply the embedded operator onto a density matrix."""
-    axes = _check_sublayout(op_layout, rho.layout)
-    d = rho.layout.total_dim
-    tens = rho.matrix.reshape(rho.layout.shape + (d,))
-    return _contract(matrix, tens, rho.layout, axes).reshape(d, d)
-
-
 def apply(op: Operator, state):
     """Apply a unitary supported on a subset of a dense state's registers."""
     if not op.is_unitary:
@@ -505,7 +498,7 @@ def apply(op: Operator, state):
     if not isinstance(state, QState):
         raise TypeError(f"apply() got {type(state).__name__}")
     amp = _apply_to_vector(op.matrix, op.layout, state)
-    return QState(state.layout, amp, state.tol)
+    return QState(state.layout, amp)
 
 
 def _check_pm1(op: Operator, caller: str) -> None:
@@ -513,14 +506,14 @@ def _check_pm1(op: Operator, caller: str) -> None:
         raise NotInvolutoryError(f"{caller} needs a +-1 observable")
 
 
-def project(op: Operator, state, value: int, tol: float = NUMERIC_TOL):
+def project(op: Operator, state, value: int):
     """Renormalized P_value |state> and its probability, P_value = (I + value O)/2.
 
     ``op`` must be a +-1 observable.  A ``SparseState`` is projected as
     (v + value O v)/2, from the same two children ``born_table`` branches
     into; for a monomial observable with +-1 entries that is exactly the
     dense projector's image.  Raises ``ZeroBranchError`` when the
-    probability is at most ``tol``.
+    probability is at most ``NUMERIC_TOL``.
     """
     if value not in (1, -1):
         raise ValueError(f"outcome value must be +1 or -1, got {value!r}")
@@ -528,19 +521,19 @@ def project(op: Operator, state, value: int, tol: float = NUMERIC_TOL):
         _check_pm1(op, "project()")
         kept = _sparse_children(op, state.layout, state.entries)[0 if value == 1 else 1]
         p = math.ldexp(_sparse_norm2(kept), -2)
-        if p <= tol:
+        if p <= NUMERIC_TOL:
             raise ZeroBranchError(f"outcome {value:+d} has probability {p}")
         amps = np.array(list(kept.values())) * 0.5 / np.sqrt(p)
-        return SparseState(state.layout, dict(zip(kept, amps.tolist())), state.tol), p
+        return SparseState(state.layout, dict(zip(kept, amps.tolist()))), p
     if not isinstance(state, QState):
         raise TypeError(f"project() got {type(state).__name__}")
     plus, minus = spectral_projectors(op)
     proj = plus if value == 1 else minus
     amp = _apply_to_vector(proj.matrix, proj.layout, state)
     p = float(np.real(np.vdot(amp, amp)))
-    if p <= tol:
+    if p <= NUMERIC_TOL:
         raise ZeroBranchError(f"outcome {value:+d} has probability {p}")
-    return QState(state.layout, amp / np.sqrt(p), state.tol), p
+    return QState(state.layout, amp / np.sqrt(p)), p
 
 
 def apply_controlled(control: Operator, unitary: Operator, state: SparseState) -> SparseState:
@@ -561,7 +554,7 @@ def apply_controlled(control: Operator, unitary: Operator, state: SparseState) -
         raise LayoutMismatchError(f"control and unitary share registers {sorted(shared)}")
     plus, minus = _sparse_children(control, state.layout, state.entries)
     total, _ = _sparse_sums(plus, _sparse_contract(unitary, state.layout, minus))
-    return SparseState(state.layout, {i: 0.5 * a for i, a in total.items()}, state.tol)
+    return SparseState(state.layout, {i: 0.5 * a for i, a in total.items()})
 
 
 def split_register(state: SparseState, label: str) -> list[tuple[float, SparseState]]:
@@ -580,8 +573,7 @@ def split_register(state: SparseState, label: str) -> list[tuple[float, SparseSt
     for group in groups.values():
         weight = _sparse_norm2(group)
         amps = np.array(list(group.values())) / np.sqrt(weight)
-        out.append((weight, SparseState(state.layout, dict(zip(group, amps.tolist())),
-                                        state.tol)))
+        out.append((weight, SparseState(state.layout, dict(zip(group, amps.tolist())))))
     return out
 
 
@@ -600,11 +592,11 @@ def embed(op: Operator, layout: RegisterLayout) -> Operator:
     tens = big.reshape(tuple(layout.shape[i] for i in order) * 2)
     tens = np.transpose(tens, perm + [n + p for p in perm])
     d = layout.total_dim
-    return Operator(layout, tens.reshape(d, d), op.tol)
+    return Operator(layout, tens.reshape(d, d))
 
 
-def expectation(op: Operator, state, tol: float = NUMERIC_TOL) -> float:
-    """Real expectation value of a hermitian operator on a state or density matrix.
+def expectation(op: Operator, state) -> float:
+    """Real expectation value of a hermitian operator on a pure state.
 
     A ``SparseState`` goes through ``to_dense()``.
     """
@@ -612,14 +604,11 @@ def expectation(op: Operator, state, tol: float = NUMERIC_TOL) -> float:
         raise NotHermitianError("expectation() requires a hermitian operator")
     if isinstance(state, SparseState):
         state = state.to_dense()
-    if isinstance(state, QState):
-        val = complex(np.vdot(state.amplitudes, _apply_to_vector(op.matrix, op.layout, state)))
-    elif isinstance(state, DensityMatrix):
-        val = complex(np.trace(_apply_to_rows(op.matrix, op.layout, state)))
-    else:
+    if not isinstance(state, QState):
         raise TypeError(f"expectation() got {type(state).__name__}")
-    if abs(val.imag) > tol:
-        raise NonrealResultError(f"imaginary residue {val.imag} exceeds tol={tol}")
+    val = complex(np.vdot(state.amplitudes, _apply_to_vector(op.matrix, op.layout, state)))
+    if abs(val.imag) > NUMERIC_TOL:
+        raise NonrealResultError(f"imaginary residue {val.imag} exceeds {NUMERIC_TOL}")
     return float(val.real)
 
 
@@ -638,7 +627,7 @@ def partial_trace(state, keep) -> DensityMatrix:
         tens = state.tensor_view().transpose(keep_axes + rest_axes)
         dk = sub.total_dim
         a = tens.reshape(dk, -1)
-        return DensityMatrix(sub, a @ a.conj().T, state.tol)
+        return DensityMatrix(sub, a @ a.conj().T)
     if isinstance(state, DensityMatrix):
         layout = state.layout
         sub = layout.subset(keep)
@@ -651,7 +640,7 @@ def partial_trace(state, keep) -> DensityMatrix:
         dk = sub.total_dim
         dr = layout.total_dim // dk
         tens = tens.reshape(dk, dr, dk, dr)
-        return DensityMatrix(sub, np.einsum("iaja->ij", tens), state.tol)
+        return DensityMatrix(sub, np.einsum("iaja->ij", tens))
     raise TypeError(f"partial_trace() got {type(state).__name__}")
 
 
@@ -669,8 +658,8 @@ def _union_layout(a: RegisterLayout, b: RegisterLayout) -> RegisterLayout:
     return RegisterLayout(tuple(sites))
 
 
-def commutes(a: Operator, b: Operator, tol: float = NUMERIC_TOL) -> bool:
-    """Whether [a, b] vanishes on the union of their supports (max-norm <= tol).
+def commutes(a: Operator, b: Operator) -> bool:
+    """Whether [a, b] vanishes on the union of their supports (max-norm <= NUMERIC_TOL).
 
     Operators on disjoint registers commute exactly: each entry of both
     products (A x I)(I x B) and (I x B)(A x I) is the same single product
@@ -684,7 +673,7 @@ def commutes(a: Operator, b: Operator, tol: float = NUMERIC_TOL) -> bool:
         return True
     am = embed(a, common).matrix
     bm = embed(b, common).matrix
-    return bool(np.max(np.abs(am @ bm - bm @ am)) <= tol)
+    return bool(np.max(np.abs(am @ bm - bm @ am)) <= NUMERIC_TOL)
 
 
 def spectral_projectors(op: Operator) -> tuple[Operator, Operator]:
@@ -695,8 +684,8 @@ def spectral_projectors(op: Operator) -> tuple[Operator, Operator]:
         raise NotInvolutoryError("spectral_projectors() requires an involutory operator")
     d = op.layout.total_dim
     eye = np.eye(d, dtype=np.complex128)
-    plus = Operator(op.layout, (eye + op.matrix) / 2.0, op.tol)
-    minus = Operator(op.layout, (eye - op.matrix) / 2.0, op.tol)
+    plus = Operator(op.layout, (eye + op.matrix) / 2.0)
+    minus = Operator(op.layout, (eye - op.matrix) / 2.0)
     return plus, minus
 
 
@@ -711,17 +700,16 @@ class BornTable:
 
     names: tuple[str, ...]
     rows: dict[tuple[int, ...], float]
-    tol: float = NUMERIC_TOL
 
     def __post_init__(self) -> None:
         total = 0.0
         for outcome, p in self.rows.items():
             if len(outcome) != len(self.names):
                 raise ValueError(f"outcome {outcome} does not match {self.names}")
-            if p < -self.tol:
+            if p < -NUMERIC_TOL:
                 raise ValueError(f"negative probability {p} for outcome {outcome}")
             total += p
-        if abs(total - 1.0) > max(self.tol, 1e-9):
+        if abs(total - 1.0) > BORN_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     def expectation_product(self) -> float:
@@ -746,12 +734,12 @@ class BornTable:
         for outcome, p in self.rows.items():
             key = tuple(outcome[i] for i in idx)
             rows[key] += p
-        return BornTable(tuple(self.names[i] for i in idx), rows, self.tol)
+        return BornTable(tuple(self.names[i] for i in idx), rows)
 
     def with_names(self, names: tuple[str, ...]) -> "BornTable":
         if len(names) != len(self.names):
             raise ValueError("name tuple length mismatch")
-        return BornTable(tuple(names), dict(self.rows), self.tol)
+        return BornTable(tuple(names), dict(self.rows))
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Draw one outcome tuple; row order is fixed, so draws are reproducible."""
@@ -767,7 +755,7 @@ class BornTable:
         return outcomes[-1]
 
 
-def born_table(observables, state, names=None, tol: float = NUMERIC_TOL) -> BornTable:
+def born_table(observables, state, names=None) -> BornTable:
     """Joint Born distribution of pairwise-commuting involutory observables.
 
     Probabilities are ||P_s1 ... P_sk |psi>||^2 with P_s = (I + s O)/2, or
@@ -805,7 +793,7 @@ def born_table(observables, state, names=None, tol: float = NUMERIC_TOL) -> Born
             raise NotInvolutoryError("born_table() observables must be involutory")
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
-            if not commutes(obs[i], obs[j], tol=max(tol, 1e-12)):
+            if not commutes(obs[i], obs[j]):
                 raise ContextIncompatibleError(
                     f"observables {i} and {j} do not commute; no joint table exists"
                 )
@@ -863,4 +851,4 @@ def born_table(observables, state, names=None, tol: float = NUMERIC_TOL) -> Born
             pending.append((prefix + (-1,), minus))
             pending.append((prefix + (1,), plus))
         del plus, minus
-    return BornTable(names, rows, tol)
+    return BornTable(names, rows)

@@ -111,11 +111,11 @@ def vn_unitary(observable: Operator, pointer: RegisterLayout) -> Operator:
         _, signs = observable.monomial
         reads = np.where(signs.real[:, None] > 0, np.arange(dp), np.arange(dp)[::-1])
         perm = np.arange(signs.size)[:, None] * dp + reads
-        return Operator.from_monomial(layout, perm, np.ones(perm.size), observable.tol)
+        return Operator.from_monomial(layout, perm, np.ones(perm.size))
     plus, minus = qcore.spectral_projectors(observable)
     flip = np.eye(dp, dtype=np.complex128)[::-1]
     mat = np.kron(plus.matrix, np.eye(dp)) + np.kron(minus.matrix, flip)
-    return Operator(layout, mat, observable.tol)
+    return Operator(layout, mat)
 
 
 def _majority_diagonal(width: int) -> np.ndarray:
@@ -153,12 +153,11 @@ class MeasurementSpec:
 class ScenarioModel:
     """Registers, initial state and measurement specs for one lab width."""
 
-    def __init__(self, lab_width: int = 1, tol: float = qcore.STRUCTURAL_TOL):
+    def __init__(self, lab_width: int = 1):
         if not isinstance(lab_width, int) or not 1 <= lab_width <= MAX_LAB_WIDTH:
             raise ValueError(
                 f"lab_width must be an integer in 1..{MAX_LAB_WIDTH}, got {lab_width!r}")
         self.lab_width = lab_width
-        self.tol = tol
         pdim = 2**lab_width
         atoms = [(atom_label(i), 2) for i in (1, 2, 3)]
         labs = [(lab_label(i), pdim) for i in (1, 2, 3)]
@@ -179,16 +178,13 @@ class ScenarioModel:
         _check_agent(agent)
         return RegisterLayout(((probe_label(LAB_INDEX[agent]), 2**self.lab_width),))
 
-    def atom_observable(self, i: int, matrix: np.ndarray) -> Operator:
-        return Operator(self._atom_layouts[i], matrix, self.tol)
-
     def friend_observable(self, agent: str) -> Operator:
         """sigma_z on the agent's atom; what the friend premeasures."""
         _check_agent(agent)
         if agent not in FRIENDS:
             raise UnknownAgentError(f"{agent} is not a friend agent")
         return Operator.from_monomial(self._atom_layouts[LAB_INDEX[agent]],
-                                      [0, 1], [1.0, -1.0], self.tol)
+                                      [0, 1], [1.0, -1.0])
 
     def friend_spec(self, agent: str) -> MeasurementSpec:
         i = LAB_INDEX[agent]
@@ -215,7 +211,7 @@ class ScenarioModel:
         i = LAB_INDEX[agent]
         block = self._atom_layouts[i].concat(self._lab_layouts[i])
         d = block.total_dim
-        return Operator.from_monomial(block, np.arange(d)[::-1], np.ones(d), self.tol)
+        return Operator.from_monomial(block, np.arange(d)[::-1], np.ones(d))
 
     def record_observable(self, agent: str) -> Operator:
         """Majority-vote pointer reading of a friend's lab."""
@@ -227,7 +223,7 @@ class ScenarioModel:
         i = LAB_INDEX[agent]
         dim = 2**self.lab_width
         return Operator.from_monomial(self._lab_layouts[i], np.arange(dim),
-                                      _majority_diagonal(self.lab_width), self.tol)
+                                      _majority_diagonal(self.lab_width))
 
     def scenario_observable(self, agent: str) -> Operator:
         """The outcome-bearing observable: pointer record or conjugated x.
@@ -275,10 +271,6 @@ class ScenarioModel:
         return qcore.tensor(qcore.SparseState.from_dense(ghz), ready)
 
 
-def build_scenario(lab_width: int = 1, tol: float = qcore.STRUCTURAL_TOL) -> ScenarioModel:
-    return ScenarioModel(lab_width, tol)
-
-
 def run_friend_stage(model: ScenarioModel, order=FRIENDS) -> qcore.SparseState:
     """Sparse state after all three premeasurements, applied in the given order."""
     order = tuple(order)
@@ -320,11 +312,9 @@ def scenario_context(model: ScenarioModel, agents) -> dict[str, Operator]:
     return out
 
 
-def context_born_table(state, context: dict[str, Operator],
-                       tol: float = qcore.NUMERIC_TOL) -> qcore.BornTable:
+def context_born_table(state, context: dict[str, Operator]) -> qcore.BornTable:
     """Joint Born table of a context, rows annotated with agent names."""
-    return qcore.born_table(tuple(context.values()), state,
-                            names=tuple(context), tol=tol)
+    return qcore.born_table(tuple(context.values()), state, names=tuple(context))
 
 
 @dataclass(frozen=True)
@@ -348,15 +338,6 @@ def sample_outcomes(table: qcore.BornTable, seed: int) -> OutcomeRecord:
                          table.rows[outcome])
 
 
-def conditional_state(state, observable: Operator, value: int,
-                      tol: float = qcore.NUMERIC_TOL):
-    """Renormalized post-selection of a +-1 outcome; returns (state, probability).
-
-    Dense and sparse states alike go through ``qcore.project``.
-    """
-    return qcore.project(observable, state, value, tol)
-
-
 @dataclass(frozen=True)
 class ErasureReport:
     """Pointer statistics after a lab measurement scrambles a friend's record.
@@ -369,7 +350,7 @@ class ErasureReport:
     p_plus_given_minus: float
 
 
-def erasure_check(model: ScenarioModel, apply_measurement: bool = True) -> ErasureReport:
+def erasure_check(model: ScenarioModel) -> ErasureReport:
     """Condition on Alice's record, run Eugene's premeasurement, reread the record.
 
     Works on the sparse psi throughout: Eugene's premeasurement goes in as
@@ -380,9 +361,7 @@ def erasure_check(model: ScenarioModel, apply_measurement: bool = True) -> Erasu
     record = model.scenario_observable("Alice")
     probs = {}
     for branch in (1, -1):
-        cond, _ = conditional_state(post, record, branch)
-        work = extend_with_probe(model, cond, "Eugene")
-        if apply_measurement:
-            work = model.wigner_spec("Eugene").apply(work)
+        cond, _ = qcore.project(record, post, branch)
+        work = model.wigner_spec("Eugene").apply(extend_with_probe(model, cond, "Eugene"))
         probs[branch] = qcore.born_table((record,), work).rows[(1,)]
     return ErasureReport(probs[1], probs[-1])

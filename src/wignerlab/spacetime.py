@@ -168,9 +168,9 @@ class Geometry:
             raise ValueError(f"geometry is missing events {missing}")
 
 
-def default_geometry(side: float = 5.0) -> Geometry:
-    """Labs on a right triangle; early events at t=1, late events at t=2."""
-    pos = {1: (0.0, 0.0), 2: (side, 0.0), 3: (0.0, side)}
+def default_geometry() -> Geometry:
+    """Labs on a right triangle of legs 5; early events at t=1, late at t=2."""
+    pos = {1: (0.0, 0.0), 2: (5.0, 0.0), 3: (0.0, 5.0)}
     ev = {}
     for letter, lab in (("A", 1), ("B", 2), ("C", 3)):
         ev[letter] = Event4(letter, 1.0, pos[lab][0], pos[lab][1], 0.0)
@@ -179,9 +179,9 @@ def default_geometry(side: float = 5.0) -> Geometry:
     return Geometry(ev)
 
 
-def collinear_geometry(side: float = 5.0) -> Geometry:
-    """Labs on a line; mixed early/late triples then span timelike planes."""
-    pos = {1: 0.0, 2: side, 3: 2.0 * side}
+def collinear_geometry() -> Geometry:
+    """Labs 5 apart on a line; mixed early/late triples then span timelike planes."""
+    pos = {1: 0.0, 2: 5.0, 3: 10.0}
     ev = {}
     for letter, lab in (("A", 1), ("B", 2), ("C", 3)):
         ev[letter] = Event4(letter, 1.0, pos[lab], 0.0, 0.0)

@@ -1,9 +1,9 @@
 """Phased Pauli strings and joint eigenstate construction.
 
 A ``PauliString`` is a phase in {+1, -1, +i, -i} times a word over
-{I, X, Y, Z}.  Multiplication and commutation use exact integer phase
-bookkeeping; nothing here touches floating point until a string is turned
-into a dense operator.
+{I, X, Y, Z}.  Commutation is decided exactly, by counting the positions
+where two strings anticommute; nothing here touches floating point until a
+string is turned into a dense operator.
 
 Serialized form is sign then letters (``+XZZ``, ``-XXX``); imaginary phases
 spell ``+i`` / ``-i`` (``+iZY``).  ``parse_pauli`` inverts ``str()``
@@ -25,19 +25,6 @@ from .errors import (
 )
 
 _LETTERS = "IXYZ"
-
-# Single-qubit products: (left, right) -> (phase exponent k with factor i**k, letter).
-_MUL: dict[tuple[str, str], tuple[int, str]] = {}
-for _a in _LETTERS:
-    _MUL[("I", _a)] = (0, _a)
-    _MUL[(_a, "I")] = (0, _a)
-    _MUL[(_a, _a)] = (0, "I")
-_MUL[("X", "Y")] = (1, "Z")
-_MUL[("Y", "X")] = (3, "Z")
-_MUL[("Y", "Z")] = (1, "X")
-_MUL[("Z", "Y")] = (3, "X")
-_MUL[("Z", "X")] = (1, "Y")
-_MUL[("X", "Z")] = (3, "Y")
 
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PHASE_VAL = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
@@ -89,18 +76,6 @@ def parse_pauli(text: str) -> PauliString:
         exp = 0 if body[0] == "+" else 2
         body = body[1:]
     return PauliString(exp, body)
-
-
-def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
-    if len(a) != len(b):
-        raise LengthMismatchError(f"length {len(a)} vs {len(b)}")
-    exp = (a.phase_exp + b.phase_exp) % 4
-    out = []
-    for la, lb in zip(a.letters, b.letters):
-        k, lc = _MUL[(la, lb)]
-        exp = (exp + k) % 4
-        out.append(lc)
-    return PauliString(exp, "".join(out))
 
 
 def pauli_commutes(a: PauliString, b: PauliString) -> bool:

@@ -32,7 +32,7 @@ from wignerlab.paradox import (
 from wignerlab.scenario import (
     FRIENDS,
     OUTCOME_VARIABLE,
-    build_scenario,
+    ScenarioModel,
     context_born_table,
     erasure_check,
     run_friend_stage,
@@ -113,7 +113,7 @@ def test_criterion_02_x_context_products():
 
 def test_criterion_03_post_premeasurement_expectations():
     start = time.perf_counter()
-    model = build_scenario()
+    model = ScenarioModel()
     state = run_friend_stage(model)
     tables = []
     for agents, sign in zip(CONSTRAINT_TRIPLES, CONSTRAINT_SIGNS):
@@ -150,13 +150,13 @@ def test_criterion_04_no_joint_assignment():
 
 
 def test_criterion_05_context_algebra():
-    model = build_scenario()
+    model = ScenarioModel()
     graph = incompatibility_graph(model)
     assert graph == (("A", "U"), ("B", "V"), ("C", "W"))
-    primaries = [primary_context(model, a)
+    primaries = [primary_context(a)
                  for a in ("Alice", "Bob", "Charlie", "Eugene")]
     assert common_extension(model, primaries) is None
-    reports = maximal_contexts(model)
+    reports = maximal_contexts(model, default_geometry())
     assert len(reports) == 8
     named = {r.environment.id for r in reports if r.named}
     assert named == set(NAMED_CONTEXT_IDS)
@@ -184,7 +184,7 @@ def test_criterion_06_simultaneity_frames():
 
 def test_criterion_07_erasure_even_odds():
     start = time.perf_counter()
-    report = erasure_check(build_scenario())
+    report = erasure_check(ScenarioModel())
     elapsed = time.perf_counter() - start
     assert abs(report.p_plus_given_plus - 0.5) <= TOL
     assert abs(report.p_plus_given_minus - 0.5) <= TOL
@@ -193,7 +193,7 @@ def test_criterion_07_erasure_even_odds():
 
 
 def test_criterion_08_correlation_decay():
-    model = build_scenario()
+    model = ScenarioModel()
     flat = correlation_decay(model, DephasingChannel("L1", 0.0), 20)
     assert all(abs(v + 1.0) <= TOL for v in flat)
     channel = DephasingChannel("L1", 0.35)
@@ -211,7 +211,7 @@ def test_criterion_08_correlation_decay():
 
 
 def test_criterion_09_property_sweeps():
-    model = build_scenario()
+    model = ScenarioModel()
     base = run_friend_stage(model)
     for order in itertools.permutations(FRIENDS):
         state = run_friend_stage(model, order=order)
@@ -232,7 +232,7 @@ def test_criterion_09_property_sweeps():
         table = context_born_table(base, scenario_context(model, agents))
         assert abs(sum(table.rows.values()) - 1.0) <= TOL
     for width in (1, 2, 3):
-        wide = build_scenario(lab_width=width)
+        wide = ScenarioModel(lab_width=width)
         state = run_friend_stage(wide)
         born = []
         for agents, sign in zip(CONSTRAINT_TRIPLES, CONSTRAINT_SIGNS):

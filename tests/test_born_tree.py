@@ -24,7 +24,7 @@ from wignerlab.qcore import (
     embed,
     pure_density,
 )
-from wignerlab.scenario import build_scenario, scenario_context
+from wignerlab.scenario import ScenarioModel, scenario_context
 from wignerlab.stabilizer import joint_eigenstate, parse_pauli, to_operator
 
 
@@ -146,7 +146,7 @@ def _paradox_contexts(model):
 
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_tree_is_bitwise_the_per_row_chain_on_paradox_contexts(width):
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     psi = model.post_premeasurement_state().to_dense()
     for context in _paradox_contexts(model):
         observables = tuple(context.values())
@@ -156,7 +156,7 @@ def test_tree_is_bitwise_the_per_row_chain_on_paradox_contexts(width):
 
 
 def test_tree_is_bitwise_the_per_row_chain_on_density_matrices():
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     psi = model.post_premeasurement_state().to_dense()
     rng = np.random.default_rng(5)
     d = psi.layout.total_dim

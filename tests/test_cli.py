@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -19,7 +20,6 @@ from wignerlab.errors import ConfigParseError, ConfigValidationError
 from wignerlab.scenario import (
     OUTCOME_VARIABLE,
     ScenarioModel,
-    build_scenario,
     context_born_table,
     run_friend_stage,
     sample_outcomes,
@@ -335,7 +335,7 @@ def test_paradox_samples_match_fresh_tables(tmp_path, capsys):
     assert main(["paradox", "--seed", "7", "--lab-width", "2",
                  "--out", str(tmp_path), "--format", "json"]) == 0
     sampled = json.loads(capsys.readouterr().out)["data"]["sampled_outcomes"]
-    model = build_scenario(2)
+    model = ScenarioModel(2)
     state = run_friend_stage(model)
     for key, entry in sampled.items():
         agents = tuple(entry["agents"])
@@ -432,7 +432,7 @@ def test_contexts_collinear_frame_filter(tmp_path, capsys):
 @pytest.mark.parametrize("geometry", ["default", "collinear"])
 def test_contexts_frame_filter_matches_library(geometry):
     config = config_from({"geometry": geometry, "frame_filter": True})
-    kept = [r for r in maximal_contexts(build_scenario(1), geometry=config.geometry)
+    kept = [r for r in maximal_contexts(ScenarioModel(1), geometry=config.geometry)
             if r.frame.exists]
     doc = cmd_contexts(config).document
     assert doc["data"]["frame_filtered_ids"] == [r.environment.id for r in kept]
@@ -680,3 +680,28 @@ def test_json_stdout_is_the_report_file(tmp_path, capsys, command):
     out = capsys.readouterr().out
     (sub,) = list(tmp_path.iterdir())
     assert out.encode("utf-8") == (sub / f"{command}.report.json").read_bytes()
+
+
+# sha256 of the canonical .report.json body of seven invocations.  Every
+# report is byte-identical for identical config and seed, so a change to
+# the library that moves any value, key or float rendering moves these.
+PINNED_REPORTS = [
+    (["ghz-check"], "c4fc26bf77242fd7c6e1d0f3c8d98ddad03a8bb26d8462deb5045ef90a72ee60"),
+    (["paradox"], "84221181fc10dba732dd76578b605a996f79032384b8bc73bc8d92b8563f90df"),
+    (["contexts"], "a0886c950c54432e24d6989e0c1ec77f4188d2fda7a84d66c2bbab30e24afd66"),
+    (["frames"], "22910623391c7efe1994a12a6debf87987d3a880e43e229bafbe6d0ad0685810"),
+    (["decohere"], "3be8b55f850788a5b6742b20a1c48905900dd0367eaaa6fe167a9252f7229f7c"),
+    (["decohere", "--lab-width", "2"],
+     "61391f997d1c6e7f4392ee8d23c628f9b28dd6272a49f6b1122377573d755755"),
+    (["paradox", "--lab-width", "4", "--seed", "7"],
+     "eaceea11510f218da184abe4f14a3f01c08c21b016dfce46e8a0d4b5419733dd"),
+]
+
+
+@pytest.mark.parametrize("argv,sha", PINNED_REPORTS,
+                         ids=[" ".join(argv) for argv, _ in PINNED_REPORTS])
+def test_report_body_pinned(tmp_path, argv, sha):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    (sub,) = list(tmp_path.iterdir())
+    body = (sub / f"{argv[0]}.report.json").read_bytes()
+    assert hashlib.sha256(body).hexdigest() == sha

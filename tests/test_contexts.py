@@ -18,7 +18,7 @@ from wignerlab.scenario import (
     EVENT_OF_AGENT,
     LAB_INDEX,
     OutcomeRecord,
-    build_scenario,
+    ScenarioModel,
     context_born_table,
     run_friend_stage,
     sample_outcomes,
@@ -29,11 +29,11 @@ from wignerlab.spacetime import collinear_geometry, default_geometry
 
 @pytest.fixture(scope="module")
 def model():
-    return build_scenario()
+    return ScenarioModel()
 
 
-def test_primary_context_of_friend(model):
-    env = primary_context(model, "Alice")
+def test_primary_context_of_friend():
+    env = primary_context("Alice")
     assert env.id == "E_A"
     assert env.region == frozenset({"A"})
     (rec,) = env.records
@@ -41,8 +41,8 @@ def test_primary_context_of_friend(model):
     assert rec.systems == frozenset({"a1", "L1"})
 
 
-def test_primary_context_of_wigner(model):
-    env = primary_context(model, "Eugene")
+def test_primary_context_of_wigner():
+    env = primary_context("Eugene")
     assert env.id == "E_U"
     assert env.region == frozenset({"U"})
     (rec,) = env.records
@@ -51,16 +51,16 @@ def test_primary_context_of_wigner(model):
     assert rec.systems == frozenset({"a1", "L1"})
 
 
-def test_primary_context_rejects_unknown_agent(model):
+def test_primary_context_rejects_unknown_agent():
     with pytest.raises(UnknownAgentError):
-        primary_context(model, "Wigner")
+        primary_context("Wigner")
 
 
 def test_resolve_observable_matches_model(model):
     # A record's observable is its agent's scenario observable, supported
     # within the record's systems.
     for agent in AGENTS:
-        (rec,) = primary_context(model, agent).records
+        (rec,) = primary_context(agent).records
         op = model.scenario_observable(rec.agent)
         assert frozenset(op.layout.labels) <= rec.systems
     assert model.scenario_observable("Bob").layout == model.record_observable("Bob").layout
@@ -71,13 +71,13 @@ def test_incompatibility_graph_is_the_three_lab_pairs(model):
 
 
 def test_incompatibility_graph_stable_at_width_two():
-    assert incompatibility_graph(build_scenario(lab_width=2)) == (
+    assert incompatibility_graph(ScenarioModel(lab_width=2)) == (
         ("A", "U"), ("B", "V"), ("C", "W"))
 
 
 def test_compatible_extension_and_its_failure(model):
-    env_a = primary_context(model, "Alice")
-    env_ab = common_extension(model, [env_a, primary_context(model, "Bob")])
+    env_a = primary_context("Alice")
+    env_ab = common_extension(model, [env_a, primary_context("Bob")])
     assert env_ab is not None
     assert env_ab.id == "E_AB"
     assert compatibly_extends(model, env_ab, env_a)
@@ -85,20 +85,20 @@ def test_compatible_extension_and_its_failure(model):
 
 
 def test_no_common_extension_across_a_sealed_lab(model):
-    envs = [primary_context(model, a)
+    envs = [primary_context(a)
             for a in ("Alice", "Bob", "Charlie", "Eugene")]
     assert common_extension(model, envs) is None
 
 
 def test_common_extension_id_uses_event_letter_order(model):
-    env = common_extension(model, [primary_context(model, a)
+    env = common_extension(model, [primary_context(a)
                                    for a in ("Eugene", "Bob", "Charlie")])
     assert env.id == "E_BCU"
     assert env.region == frozenset({"B", "C", "U"})
 
 
 def test_maximal_contexts_are_the_eight_transversals(model):
-    reports = maximal_contexts(model)
+    reports = maximal_contexts(model, default_geometry())
     assert len(reports) == 8
     ids = [r.environment.id for r in reports]
     assert ids == sorted(ids)
@@ -108,22 +108,21 @@ def test_maximal_contexts_are_the_eight_transversals(model):
         assert sorted(LAB_INDEX[a] for a in report.agents) == [1, 2, 3]
         letters = {EVENT_OF_AGENT[a] for a in report.agents}
         assert report.environment.region == frozenset(letters)
-        assert report.frame is None
 
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_maximal_context_environment_is_the_common_extension(width):
     # Oracle: the checked union of the agents' primary contexts.
-    wide = build_scenario(lab_width=width)
-    for report in maximal_contexts(wide):
-        oracle = common_extension(wide, [primary_context(wide, a)
+    wide = ScenarioModel(lab_width=width)
+    for report in maximal_contexts(wide, default_geometry()):
+        oracle = common_extension(wide, [primary_context(a)
                                          for a in report.agents])
         assert oracle is not None
         assert report.environment == oracle
 
 
 def test_named_contexts_flagged(model):
-    reports = maximal_contexts(model)
+    reports = maximal_contexts(model, default_geometry())
     named = {r.environment.id for r in reports if r.named}
     assert named == NAMED_CONTEXT_IDS
     assert len(NAMED_CONTEXT_IDS) == 5
@@ -161,7 +160,7 @@ def _friend_record(values):
 
 
 def test_assess_true_false_and_not_assessable(model):
-    env = common_extension(model, [primary_context(model, a)
+    env = common_extension(model, [primary_context(a)
                                    for a in ("Alice", "Bob", "Charlie")])
     record = _friend_record({"Alice": 1, "Bob": 1, "Charlie": 1})
     assert assess(model, Proposition("Alice", 1), env, record) is Assessment.TRUE
@@ -173,7 +172,7 @@ def test_assess_true_false_and_not_assessable(model):
 
 
 def test_assess_requires_full_record_coverage(model):
-    env = common_extension(model, [primary_context(model, a)
+    env = common_extension(model, [primary_context(a)
                                    for a in ("Alice", "Bob", "Charlie")])
     partial = OutcomeRecord({"Alice": 1}, ("Alice",), 0.5)
     with pytest.raises(RecordContextMismatchError):
@@ -181,7 +180,7 @@ def test_assess_requires_full_record_coverage(model):
 
 
 def test_not_assessable_takes_precedence_over_mismatch(model):
-    env = common_extension(model, [primary_context(model, a)
+    env = common_extension(model, [primary_context(a)
                                    for a in ("Alice", "Bob", "Charlie")])
     partial = OutcomeRecord({"Alice": 1}, ("Alice",), 0.5)
     verdict = assess(model, Proposition("Eugene", 1), env, partial)
@@ -191,9 +190,9 @@ def test_not_assessable_takes_precedence_over_mismatch(model):
 def test_assessability_is_monotone_under_extension(model):
     state = run_friend_stage(model)
     table = context_born_table(state, scenario_context(model, ("Alice", "Bob", "Charlie")))
-    env_a = primary_context(model, "Alice")
-    env_ab = common_extension(model, [env_a, primary_context(model, "Bob")])
-    env_abc = common_extension(model, [env_ab, primary_context(model, "Charlie")])
+    env_a = primary_context("Alice")
+    env_ab = common_extension(model, [env_a, primary_context("Bob")])
+    env_abc = common_extension(model, [env_ab, primary_context("Charlie")])
     for seed in range(40):
         record = sample_outcomes(table, seed)
         prop = Proposition("Alice", record.values["Alice"])
@@ -205,18 +204,18 @@ def test_assessability_is_monotone_under_extension(model):
 
 
 def test_every_agent_is_assessable_somewhere(model):
-    reports = maximal_contexts(model)
+    reports = maximal_contexts(model, default_geometry())
     for agent in AGENTS:
         homes = [r for r in reports if agent in r.agents]
         assert len(homes) == 4
         for report in homes:
             assert compatibly_extends(model, report.environment,
-                                      primary_context(model, agent))
+                                      primary_context(agent))
 
 
 def test_environment_ids_are_deterministic(model):
-    first = maximal_contexts(model)
-    second = maximal_contexts(model)
+    first = maximal_contexts(model, default_geometry())
+    second = maximal_contexts(model, default_geometry())
     assert [r.environment.id for r in first] == [r.environment.id for r in second]
     env = DecoherenceEnvironment("E_X", frozenset({"A"}), frozenset())
     assert env.records == frozenset()

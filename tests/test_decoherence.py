@@ -25,7 +25,7 @@ from wignerlab.qcore import (
     pure_density,
     qubits,
 )
-from wignerlab.scenario import build_scenario, run_friend_stage, scenario_context
+from wignerlab.scenario import ScenarioModel, run_friend_stage, scenario_context
 
 
 def plus_state():
@@ -116,7 +116,7 @@ def test_trajectory_rejects_negative_steps():
     with pytest.raises(ValueError):
         diagonality_trajectory(bell_pair(), DephasingChannel("L1", 0.5), -1)
     with pytest.raises(ValueError):
-        expectation_trajectory(build_scenario(), DephasingChannel("L1", 0.5),
+        expectation_trajectory(ScenarioModel(), DephasingChannel("L1", 0.5),
                                ("Alice", "Bob", "Charlie"), -1)
 
 
@@ -170,7 +170,7 @@ def test_diagonality_monotone_in_strength_and_steps():
     ],
 )
 def test_x_type_correlations_decay_geometrically(agents, sign):
-    model = build_scenario()
+    model = ScenarioModel()
     values = expectation_trajectory(model, DephasingChannel("L1", 0.5),
                                     agents, 4)
     for k, value in enumerate(values):
@@ -182,7 +182,7 @@ def test_x_type_correlations_decay_geometrically(agents, sign):
     [("Alice", "Johnny", "Charlie"), ("Alice", "Bob", "Daniel")],
 )
 def test_record_type_correlations_survive(agents):
-    model = build_scenario()
+    model = ScenarioModel()
     values = expectation_trajectory(model, DephasingChannel("L1", 0.5),
                                     agents, 4)
     for value in values:
@@ -190,7 +190,7 @@ def test_record_type_correlations_survive(agents):
 
 
 def test_correlation_decay_analytic_law():
-    model = build_scenario()
+    model = ScenarioModel()
     lam = 0.3
     values = correlation_decay(model, DephasingChannel("L1", lam), 10)
     assert len(values) == 11
@@ -199,7 +199,7 @@ def test_correlation_decay_analytic_law():
 
 
 def test_correlation_decay_edge_strengths():
-    model = build_scenario()
+    model = ScenarioModel()
     flat = correlation_decay(model, DephasingChannel("L2", 0.0), 5)
     assert all(abs(v + 1.0) <= 1e-12 for v in flat)
     dead = correlation_decay(model, DephasingChannel("L3", 1.0), 2)
@@ -209,13 +209,13 @@ def test_correlation_decay_edge_strengths():
 
 
 def test_correlation_decay_guards():
-    model = build_scenario()
+    model = ScenarioModel()
     with pytest.raises(ValueError):
         correlation_decay(model, DephasingChannel("a1", 0.5), 2)
 
 
 def test_record_context_table_is_invariant():
-    model = build_scenario()
+    model = ScenarioModel()
     context = scenario_context(model, ("Alice", "Johnny", "Charlie"))
     state = run_friend_stage(model)
     clean = born_table(tuple(context.values()), state, names=tuple(context))
@@ -258,7 +258,7 @@ def largest_gap(a, b):
 @pytest.mark.parametrize("target", ["L1", "L2", "L3"])
 @pytest.mark.parametrize("width", [1, 2])
 def test_closed_form_matches_iterated_channel(width, target, lam):
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     channel = DephasingChannel(target, lam)
     steps = 3 if width == 1 else 2
     contexts = record_contexts(target)
@@ -280,7 +280,7 @@ def test_iterates_would_pass_the_public_checks(width, target, lam):
     # pure_density and dephase build these without validation; each must be
     # bitwise Hermitian, keep the first trace bitwise, and pass the public
     # constructor (eigvalsh on d = 512 is run for one case at width 2 only).
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     channel = DephasingChannel(target, lam)
     states = list(dephased_states(model.post_premeasurement_state(), channel, 3))
     trace = np.trace(states[0].matrix)
@@ -290,7 +290,7 @@ def test_iterates_would_pass_the_public_checks(width, target, lam):
         assert np.array_equal(m, m.conj().T)
         assert np.trace(m) == trace
         if width == 1 or (target, lam) == ("L2", 0.3):
-            DensityMatrix(rho.layout, m, rho.tol)
+            DensityMatrix(rho.layout, m)
 
 
 def test_pure_state_diagonality_matches_density_path():
@@ -335,7 +335,7 @@ def masked_diagonality(rho, target):
 @pytest.mark.parametrize("target", ["L1", "L2", "L3"])
 @pytest.mark.parametrize("width", [1, 2])
 def test_diagonality_equals_the_masked_sum(width, target, lam):
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     channel = DephasingChannel(target, lam)
     states = list(dephased_states(model.post_premeasurement_state(), channel, 3))
     for rho in states:

@@ -15,7 +15,7 @@ from wignerlab.scenario import (
     FRIENDS,
     OUTCOME_VARIABLE,
     WIGNERS,
-    build_scenario,
+    ScenarioModel,
     context_born_table,
     erasure_check,
     run_friend_stage,
@@ -59,7 +59,7 @@ def test_random_subsystem_unitaries_preserve_norm():
 
 @pytest.fixture(scope="module")
 def post_friend():
-    model = build_scenario()
+    model = ScenarioModel()
     return model, run_friend_stage(model)
 
 
@@ -103,7 +103,7 @@ def test_single_agent_marginals_match_direct_tables(post_friend):
 
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_lab_width_leaves_the_structure_alone(width):
-    model = build_scenario(lab_width=width)
+    model = ScenarioModel(lab_width=width)
     state = run_friend_stage(model)
     tables = []
     for agents in AGENT_TRIPLES[1:]:

@@ -142,15 +142,6 @@ def test_expectation_rejects_nonhermitian():
         expectation(Operator(lay, [[0, 1], [0, 0]]), basis_state(lay, 0))
 
 
-def test_expectation_on_density_matrix():
-    s = bell_state()
-    rho = pure_density(s)
-    zz = Operator(s.layout, kron(Z, Z))
-    assert abs(expectation(zz, rho) - 1.0) <= 1e-12
-    x1 = Operator(qubits("q1"), X)
-    assert abs(expectation(x1, rho) - expectation(x1, s)) <= 1e-12
-
-
 def test_partial_trace_ghz_single_qubit():
     # Oracle: explicit outer product and axis sum.
     lay = qubits("q1", "q2", "q3")
@@ -412,3 +403,31 @@ def test_operator_flags():
     assert op.is_hermitian and op.is_unitary and op.is_involutory
     rot = Operator(qubits("a"), [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
     assert rot.is_unitary and not rot.is_hermitian and not rot.is_involutory
+
+
+# The fixed thresholds, pinned on either side: qcore.NUMERIC_TOL (1e-12)
+# for commutators, qcore.STRUCTURAL_TOL (1e-10) for norms, and 1e-9 for the
+# row sum of a Born table.
+
+@pytest.mark.parametrize("eps,expected", [(1e-12, False), (2.5e-13, True)])
+def test_commutes_threshold(eps, expected):
+    # [Z, Z + eps X] = 2i eps Y, so the residue is 2 eps: 2e-12 and 5e-13.
+    lay = qubits("a")
+    assert commutes(Operator(lay, Z), Operator(lay, Z + eps * X)) is expected
+
+
+@pytest.mark.parametrize("make", [
+    lambda lay, amp: QState(lay, [amp, 0.0]),
+    lambda lay, amp: qcore.SparseState(lay, {(0,): amp}),
+], ids=["dense", "sparse"])
+def test_state_norm_threshold(make):
+    lay = qubits("a")
+    with pytest.raises(ValueError, match="norm"):
+        make(lay, 1.0 + 2e-10)
+    make(lay, 1.0 + 5e-11)
+
+
+def test_born_table_sum_threshold():
+    with pytest.raises(ValueError, match="sum"):
+        BornTable(("a",), {(1,): 0.5 + 2e-9, (-1,): 0.5})
+    BornTable(("a",), {(1,): 0.5 + 5e-10, (-1,): 0.5})

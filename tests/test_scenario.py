@@ -10,8 +10,7 @@ from wignerlab.scenario import (
     FRIENDS,
     WIGNERS,
     ScenarioModel,
-    build_scenario,
-    conditional_state,
+    atom_label,
     context_born_table,
     erasure_check,
     extend_with_probe,
@@ -61,7 +60,7 @@ def test_vn_unitary_correlates_pointer():
 
 def test_lifted_x_is_xx_at_width_one():
     # Dense oracle: conjugate sigma_x (x) I by the explicit premeasurement.
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     got = model.lifted_x_observable("Eugene")
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     oracle = cnot @ np.kron(X, I2) @ cnot.conj().T
@@ -73,7 +72,7 @@ def test_lifted_x_is_xx_at_width_one():
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_lifted_x_general_width_oracle(width):
     # Oracle: conjugate sigma_x (x) I by Bob's explicit premeasurement.
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     got = model.lifted_x_observable("Johnny")
     v = vn_unitary(model.friend_observable("Bob"), model.layout.subset(["L2"]))
     oracle = v.matrix @ np.kron(X, np.eye(2**width)) @ v.matrix.conj().T
@@ -83,7 +82,7 @@ def test_lifted_x_general_width_oracle(width):
 
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_scenario_observable_built_once_per_model(width):
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     for agent in FRIENDS + WIGNERS:
         op = model.scenario_observable(agent)
         assert op is model.scenario_observable(agent)
@@ -99,7 +98,7 @@ def test_scenario_observable_built_once_per_model(width):
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_post_premeasurement_state_built_once_per_model(width):
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     psi = model.post_premeasurement_state()
     assert psi is model.post_premeasurement_state()
     assert psi.layout == model.layout
@@ -109,7 +108,7 @@ def test_post_premeasurement_state_built_once_per_model(width):
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_observables_commute_matches_dense_check(width):
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     for x, y in itertools.product(FRIENDS + WIGNERS, repeat=2):
         expected = qcore.commutes(model.scenario_observable(x), model.scenario_observable(y))
         assert model.observables_commute(x, y) is expected
@@ -122,16 +121,16 @@ def test_observables_commute_matches_dense_check(width):
 
 
 def test_record_observable_widths():
-    assert np.max(np.abs(build_scenario(1).record_observable("Alice").matrix - Z)) <= 1e-12
-    m2 = build_scenario(2).record_observable("Bob").matrix
+    assert np.max(np.abs(ScenarioModel(1).record_observable("Alice").matrix - Z)) <= 1e-12
+    m2 = ScenarioModel(2).record_observable("Bob").matrix
     assert np.max(np.abs(m2 - np.diag([1.0, 1.0, -1.0, -1.0]))) <= 1e-12
-    m3 = build_scenario(3).record_observable("Charlie").matrix
+    m3 = ScenarioModel(3).record_observable("Charlie").matrix
     expected = np.diag([1, 1, 1, -1, 1, -1, -1, -1]).astype(float)
     assert np.max(np.abs(m3 - expected)) <= 1e-12
 
 
 def test_agent_role_guards():
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     with pytest.raises(UnknownAgentError):
         model.record_observable("Eugene")
     with pytest.raises(UnknownAgentError):
@@ -145,7 +144,7 @@ def test_agent_role_guards():
 
 
 def test_initial_state_layout_and_marginals():
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     s = model.initial_state()
     assert s.layout.labels == ("a1", "a2", "a3", "L1", "L2", "L3")
     red = qcore.partial_trace(s.to_dense(), ["L1", "L2", "L3"])
@@ -155,7 +154,7 @@ def test_initial_state_layout_and_marginals():
 
 
 def test_friend_stage_order_invariance():
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     reference = run_friend_stage(model).to_dense().amplitudes
     for order in itertools.permutations(FRIENDS):
         got = run_friend_stage(model, order).to_dense().amplitudes
@@ -163,7 +162,7 @@ def test_friend_stage_order_invariance():
 
 
 def test_friend_stage_rejects_bad_order():
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     with pytest.raises(UnknownAgentError):
         run_friend_stage(model, ("Alice", "Bob"))
     with pytest.raises(UnknownAgentError):
@@ -180,7 +179,7 @@ POST_FRIEND_EXPECTATIONS = [
 
 @pytest.mark.parametrize("agents,expected", POST_FRIEND_EXPECTATIONS)
 def test_post_friend_product_expectations(agents, expected):
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     post = run_friend_stage(model).to_dense()
     ops = [model.scenario_observable(a) for a in agents]
     product = qcore.tensor(qcore.tensor(ops[0], ops[1]), ops[2])
@@ -189,7 +188,7 @@ def test_post_friend_product_expectations(agents, expected):
 
 @pytest.mark.parametrize("agents,expected", POST_FRIEND_EXPECTATIONS)
 def test_post_friend_tables_support_and_rows(agents, expected):
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     post = run_friend_stage(model)
     table = context_born_table(post, scenario_context(model, agents))
     for outcome, p in table.rows.items():
@@ -202,7 +201,7 @@ def test_post_friend_tables_support_and_rows(agents, expected):
 
 
 def test_post_friend_record_table_is_uniform():
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     post = run_friend_stage(model)
     table = context_born_table(post, scenario_context(model, FRIENDS))
     for p in table.rows.values():
@@ -212,15 +211,15 @@ def test_post_friend_record_table_is_uniform():
 def test_record_matches_atom_z_in_tables():
     # Invariant: swapping a pointer record for sigma_z on the measured atom
     # changes no row of any standard context table.
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     post = run_friend_stage(model).to_dense()
     for agents in [("Eugene", "Bob", "Charlie"), ("Alice", "Bob", "Daniel")]:
         ctx = scenario_context(model, agents)
         swapped = {}
         for agent, obs in ctx.items():
             if agent in FRIENDS:
-                swapped[agent] = model.atom_observable(
-                    scenario.LAB_INDEX[agent], Z
+                swapped[agent] = Operator(
+                    model.layout.subset([atom_label(scenario.LAB_INDEX[agent])]), Z
                 )
             else:
                 swapped[agent] = obs
@@ -233,7 +232,7 @@ def test_record_matches_atom_z_in_tables():
 def test_wigner_probe_reproduces_lifted_x_statistics():
     # Measuring the conjugated x and then reading the probe's record gives
     # the same distribution as the observable itself: vN consistency.
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     post = run_friend_stage(model).to_dense()
     direct = context_born_table(post, scenario_context(model, ["Eugene", "Bob"]))
     final = run_wigner_stage(model, post, ["Eugene"])
@@ -245,7 +244,7 @@ def test_wigner_probe_reproduces_lifted_x_statistics():
 
 
 def test_wigner_stage_order_invariance():
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     post = run_friend_stage(model).to_dense()
     tables = []
     for order in itertools.permutations(WIGNERS):
@@ -257,41 +256,35 @@ def test_wigner_stage_order_invariance():
             assert abs(t.rows[outcome] - tables[0].rows[outcome]) <= 1e-12
 
 
-def test_conditional_state_record_branches():
-    model = build_scenario(1)
+def test_project_record_branches():
+    model = ScenarioModel(1)
     post = run_friend_stage(model)
     record = model.record_observable("Alice")
     for value in (1, -1):
-        cond, p = conditional_state(post, record, value)
+        cond, p = qcore.project(record, post, value)
         assert abs(p - 0.5) <= 1e-12
         assert abs(qcore.expectation(record, cond.to_dense()) - value) <= 1e-12
 
 
-def test_conditional_state_zero_branch():
-    model = build_scenario(1)
+def test_project_zero_branch():
+    model = ScenarioModel(1)
     post = run_friend_stage(model).to_dense()
     ops = [model.scenario_observable(a) for a in ("Eugene", "Bob", "Charlie")]
     product = qcore.tensor(qcore.tensor(ops[0], ops[1]), ops[2])
     with pytest.raises(ZeroBranchError):
-        conditional_state(post, product, -1)
+        qcore.project(product, post, -1)
     with pytest.raises(ValueError):
-        conditional_state(post, product, 2)
+        qcore.project(product, post, 2)
 
 
 def test_erasure_check_half_half():
-    report = erasure_check(build_scenario(1))
+    report = erasure_check(ScenarioModel(1))
     assert abs(report.p_plus_given_plus - 0.5) <= 1e-12
     assert abs(report.p_plus_given_minus - 0.5) <= 1e-12
 
 
-def test_erasure_check_control_without_measurement():
-    report = erasure_check(build_scenario(1), apply_measurement=False)
-    assert abs(report.p_plus_given_plus - 1.0) <= 1e-12
-    assert abs(report.p_plus_given_minus - 0.0) <= 1e-12
-
-
 def test_sample_outcomes_deterministic_and_supported():
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     post = run_friend_stage(model)
     table = context_born_table(post, scenario_context(model, ["Eugene", "Bob", "Charlie"]))
     rec1 = sample_outcomes(table, seed=123)
@@ -305,7 +298,7 @@ def test_sample_outcomes_deterministic_and_supported():
 
 def test_sample_outcomes_empirical_frequency():
     # Law-of-large-numbers check against the exact table.
-    model = build_scenario(1)
+    model = ScenarioModel(1)
     post = run_friend_stage(model)
     table = context_born_table(post, scenario_context(model, ["Eugene", "Bob", "Charlie"]))
     rng = scenario.outcome_rng(7)
@@ -314,7 +307,7 @@ def test_sample_outcomes_empirical_frequency():
 
 
 def test_extend_with_probe_ready_state():
-    model = build_scenario(2)
+    model = ScenarioModel(2)
     post = run_friend_stage(model)
     ext = extend_with_probe(model, post, "Johnny")
     assert ext.layout.labels[-1] == "e2"
@@ -323,7 +316,7 @@ def test_extend_with_probe_ready_state():
 
 @pytest.mark.parametrize("width", [2, 3])
 def test_post_friend_expectations_wider_labs(width):
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     post = run_friend_stage(model).to_dense()
     for agents, expected in POST_FRIEND_EXPECTATIONS:
         ops = [model.scenario_observable(a) for a in agents]

@@ -19,8 +19,7 @@ from wignerlab.scenario import (
     AGENTS,
     FRIENDS,
     WIGNERS,
-    build_scenario,
-    conditional_state,
+    ScenarioModel,
     erasure_check,
     extend_with_probe,
     run_friend_stage,
@@ -71,7 +70,7 @@ def test_majority_diagonal_matches_the_loop(width):
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_scenario_operators_are_bitwise_the_dense_builders(width):
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     flip = np.eye(2**width, dtype=np.complex128)[::-1]
     for agent in AGENTS:
         op = model.scenario_observable(agent)
@@ -279,7 +278,7 @@ def _dense_friend_stage(model):
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_friend_stage_and_tables_match_the_dense_oracle(width):
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     psi = model.post_premeasurement_state()
     assert isinstance(psi, SparseState)
     assert len(psi.entries) == 8
@@ -295,7 +294,7 @@ def test_friend_stage_and_tables_match_the_dense_oracle(width):
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_pointer_branches_and_diagonality_match_the_dense_oracle(width):
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     psi = model.post_premeasurement_state()
     dense = psi.to_dense()
     tens = dense.tensor_view()
@@ -324,41 +323,39 @@ def test_pointer_branches_and_diagonality_match_the_dense_oracle(width):
                        - pointer_diagonality(qcore.pure_density(dense), target)) <= TOL
 
 
-def _dense_erasure(model, apply_measurement):
+def _dense_erasure(model):
     """The earlier erasure_check, on the dense psi with the dense unitary."""
     post = model.post_premeasurement_state().to_dense()
     record = model.scenario_observable("Alice")
     plus_proj, _ = qcore.spectral_projectors(record)
     probs = {}
     for branch in (1, -1):
-        cond, _ = conditional_state(post, record, branch)
+        cond, _ = qcore.project(record, post, branch)
         work = extend_with_probe(model, cond, "Eugene")
-        if apply_measurement:
-            work = qcore.apply(model.wigner_spec("Eugene").unitary(), work)
+        work = qcore.apply(model.wigner_spec("Eugene").unitary(), work)
         amp = qcore._apply_to_vector(plus_proj.matrix, plus_proj.layout, work)
         probs[branch] = float(np.real(np.vdot(amp, amp)))
     return probs
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-@pytest.mark.parametrize("apply_measurement", [True, False])
-def test_erasure_check_matches_the_dense_oracle(width, apply_measurement):
-    model = build_scenario(width)
-    report = erasure_check(model, apply_measurement)
-    oracle = _dense_erasure(model, apply_measurement)
+def test_erasure_check_matches_the_dense_oracle(width):
+    model = ScenarioModel(width)
+    report = erasure_check(model)
+    oracle = _dense_erasure(model)
     assert abs(report.p_plus_given_plus - oracle[1]) <= TOL
     assert abs(report.p_plus_given_minus - oracle[-1]) <= TOL
 
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_sparse_conditioning_and_wigner_stage_match_dense(width):
-    model = build_scenario(width)
+    model = ScenarioModel(width)
     psi = model.post_premeasurement_state()
     dense = psi.to_dense()
     for agent, value in itertools.product(AGENTS, (1, -1)):
         observable = model.scenario_observable(agent)
-        fast, p_fast = conditional_state(psi, observable, value)
-        slow, p_slow = conditional_state(dense, observable, value)
+        fast, p_fast = qcore.project(observable, psi, value)
+        slow, p_slow = qcore.project(observable, dense, value)
         assert abs(p_fast - p_slow) <= TOL
         assert np.max(np.abs(fast.to_dense().amplitudes - slow.amplitudes)) <= TOL
     for order in itertools.permutations(WIGNERS):
@@ -369,7 +366,7 @@ def test_sparse_conditioning_and_wigner_stage_match_dense(width):
 
 
 def test_width_sixteen_builds_no_dense_matrix():
-    model = build_scenario(16)
+    model = ScenarioModel(16)
     psi = run_friend_stage(model)
     assert len(psi.entries) == 8
     for agents in (_RECORD_AGENTS,) + _CONSTRAINT_AGENTS:

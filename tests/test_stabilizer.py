@@ -15,7 +15,6 @@ from wignerlab.stabilizer import (
     joint_eigenstate,
     parse_pauli,
     pauli_commutes,
-    pauli_multiply,
     to_operator,
 )
 
@@ -41,33 +40,6 @@ def test_parse_rejects_bad_letters():
         parse_pauli("+XQZ")
     with pytest.raises(ValueError):
         parse_pauli("+")
-
-
-def test_multiply_mixed_generators():
-    got = pauli_multiply(parse_pauli("+XZZ"), parse_pauli("+ZXZ"))
-    assert str(got) == "+YYI"
-
-
-def test_multiply_chain_gives_minus_xxx():
-    a, b, c = SCENARIO_GENERATORS
-    assert str(pauli_multiply(pauli_multiply(a, b), c)) == "-XXX"
-
-
-def test_multiply_matches_dense_oracle():
-    rng = np.random.default_rng(29)
-    letters = np.array(list("IXYZ"))
-    for _ in range(150):
-        n = int(rng.integers(1, 4))
-        p = PauliString(int(rng.integers(0, 4)), "".join(rng.choice(letters, size=n)))
-        q = PauliString(int(rng.integers(0, 4)), "".join(rng.choice(letters, size=n)))
-        prod = pauli_multiply(p, q)
-        dense = to_operator(p).matrix @ to_operator(q).matrix
-        assert np.max(np.abs(dense - to_operator(prod).matrix)) <= 1e-12
-
-
-def test_multiply_rejects_length_mismatch():
-    with pytest.raises(LengthMismatchError):
-        pauli_multiply(parse_pauli("+XZ"), parse_pauli("+X"))
 
 
 def test_commutes_examples():
