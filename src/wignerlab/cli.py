@@ -49,7 +49,8 @@ overrides the default output directory.  Every key but out and format
 enters the config digest.  Exit status, which ``main`` returns: 0 all
 checks passed, 1 a check failed, 2 usage or config error; a run that does
 not fit in memory is a config error, naming ``lab_width`` for the
-subcommands that build the scenario (paradox, contexts, decohere).
+subcommands that build the scenario (paradox, contexts, decohere), and so
+is an ``out`` where the report cannot be written, such as a regular file.
 """
 
 from __future__ import annotations
@@ -99,8 +100,10 @@ from .paradox import (
     scenario_constraints,
 )
 from .scenario import (
+    FRIENDS,
     MAX_LAB_WIDTH,
     OUTCOME_VARIABLE,
+    PROTOCOL_CONTEXTS,
     ScenarioModel,
     context_born_table,
     erasure_check,
@@ -108,18 +111,9 @@ from .scenario import (
     sample_outcomes,
     scenario_context,
 )
-from .stabilizer import joint_eigenstate, parse_pauli, to_operator
+from .stabilizer import SCENARIO_GENERATORS, joint_eigenstate, parse_pauli, to_operator
 
 ENV_OUT = "WIGNERLAB_OUT"
-
-# Agent triples realizing the four parity constraints, in constraint order.
-_CONSTRAINT_AGENTS = (
-    ("Eugene", "Bob", "Charlie"),
-    ("Alice", "Johnny", "Charlie"),
-    ("Alice", "Bob", "Daniel"),
-    ("Eugene", "Johnny", "Daniel"),
-)
-_RECORD_AGENTS = ("Alice", "Bob", "Charlie")
 
 
 @dataclass(frozen=True)
@@ -327,9 +321,11 @@ _KEYS = {
     "robust_tol": _Key(1e-3, _POSITIVE, "decohere"),
     "geometry": _Key("default", _build_geometry),
     "frame_filter": _Key(False, _check(lambda v: isinstance(v, bool), "true or false")),
+    # The five contexts of ``scenario.PROTOCOL_CONTEXTS`` as event triples, in
+    # the order the config digest has always hashed (not the table's).
     "frame_triples": _Key(["ABC", "UVW", "UBC", "AVC", "ABW"], _TRIPLES, "frames"),
     "dephasing": _Key({}, _dephasing, "decohere"),  # every field at its default
-    "generators": _Key(["+XZZ", "+ZXZ", "+ZZX"], _generators, "ghz-check"),
+    "generators": _Key(list(map(str, SCENARIO_GENERATORS)), _generators, "ghz-check"),
     "stage": _Key("full", _check(lambda v: v in ("full", "friend"), '"full" or "friend"'),
                   "paradox"),
     "out": _Key(None, _check(lambda v: v is None or isinstance(v, str), "a string",
@@ -555,8 +551,7 @@ def cmd_paradox(config: ScenarioConfig) -> RunReport:
     """Recover the four parity constraints and exhibit their joint failure."""
     model = ScenarioModel(config.lab_width)
     state = model.post_premeasurement_state()
-    record_agent_table = context_born_table(
-        state, scenario_context(model, _RECORD_AGENTS))
+    record_agent_table = context_born_table(state, scenario_context(model, FRIENDS))
     record_table = _by_variable(record_agent_table)
 
     checks = []
@@ -574,7 +569,7 @@ def cmd_paradox(config: ScenarioConfig) -> RunReport:
                         "outcome assignment exists")
     else:
         agent_tables = [context_born_table(state, scenario_context(model, agents))
-                        for agents in _CONSTRAINT_AGENTS]
+                        for agents, parity in PROTOCOL_CONTEXTS.items() if parity is not None]
         tables = [_by_variable(t) for t in agent_tables]
         extraction = constraints_from_born(tables, zero_tol=config.tolerance)
         expected = scenario_constraints().lines()
@@ -734,8 +729,8 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
     )]
 
     lab_index = int(target[1:])
-    survivors = [agents for agents in _CONSTRAINT_AGENTS
-                 if agents[lab_index - 1] in _RECORD_AGENTS]
+    survivors = [agents for agents, parity in PROTOCOL_CONTEXTS.items()
+                 if parity is not None and agents[lab_index - 1] in FRIENDS]
     survivor_series = {}
     flat = True
     for agents in survivors:
@@ -762,7 +757,7 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
     if model.layout.total_dim <= DENSE_CHECK_MAX_DIM:
         iterated = [pointer_diagonality(rho, channel.target)
                     for rho in dephased_states(psi, channel, steps)]
-        gap = max(abs(c - i) for c, i in zip(trajectory.values, iterated))
+        gap = max(abs(c - i) for c, i in zip(trajectory, iterated))
         checks.append(CheckResult(
             "closed_form_matches_iterated", gap <= 1e-12,
             {"largest_gap": _sig12(gap)},
@@ -772,7 +767,7 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
         "decay_series": [[k, _sig12(v)] for k, v in enumerate(decay)],
         "record_series": survivor_series,
         "diagonality_series": [
-            [k, _sig12(v)] for k, v in enumerate(trajectory.values)],
+            [k, _sig12(v)] for k, v in enumerate(trajectory)],
         "robust": {
             "tol": config.robust_tol,
             "onset": onset,
@@ -857,7 +852,11 @@ def main(argv=None) -> int:
                 else "run needs")
         print(f"config error: {need} more memory than this machine has", file=sys.stderr)
         return 2
-    json_path, _ = write_report(report, config.out)
+    try:
+        json_path, _ = write_report(report, config.out)
+    except OSError as exc:
+        print(f"config error: out: cannot write report: {exc}", file=sys.stderr)
+        return 2
     if config.format == "json":
         print(report.json_text, end="")
     else:

@@ -1,15 +1,15 @@
 """Decoherence environments and what they can assess.
 
-An environment is a region of spacetime plus the set of outcome records it
-stably holds.  One agent's record is assessable from an environment only
-if that environment compatibly extends the agent's primary context: it
-must contain the record, cover the region, and keep all of its records
-pairwise commuting.  Incompatible records (a sealed lab's pointer reading
-versus the conjugated x-observable of the same lab) can never share an
-environment, which is where the assessment algebra gets its structure.
+An environment is the set of agents whose records it stably holds; its
+region of spacetime is their measurement events.  One agent's record is
+assessable from an environment only if that environment compatibly extends
+the agent's primary context: it must hold the agent and keep all of its
+records pairwise commuting.  Incompatible records (a sealed lab's pointer
+reading versus the conjugated x-observable of the same lab) can never share
+an environment, which is where the assessment algebra gets its structure.
 
 Environment ids are stable: ``E_`` plus the event letters of the recorded
-agents in canonical order (A, B, C, U, V, W), so the environment holding
+agents in alphabetical order (A, B, C, U, V, W), so the environment holding
 the records of Bob, Charlie, and Eugene is ``E_BCU``.
 """
 
@@ -24,35 +24,18 @@ from .errors import RecordContextMismatchError, UnknownAgentError
 from .scenario import (
     AGENTS,
     EVENT_OF_AGENT,
-    LAB_INDEX,
+    PROTOCOL_CONTEXTS,
     OutcomeRecord,
     ScenarioModel,
-    atom_label,
-    lab_label,
 )
-
-_AGENT_OF_EVENT = {v: k for k, v in EVENT_OF_AGENT.items()}
-_LETTER_ORDER = ("A", "B", "C", "U", "V", "W")
-
-
-@dataclass(frozen=True)
-class Record:
-    """One agent's stably recorded outcome: who, and on which systems.
-
-    What was recorded is the agent's scenario observable.
-    """
-
-    agent: str
-    systems: frozenset[str]
 
 
 @dataclass(frozen=True)
 class DecoherenceEnvironment:
-    """A spacetime region together with the records decohered into it."""
+    """The agents whose outcome records have decohered into one environment."""
 
     id: str
-    region: frozenset[str]
-    records: frozenset[Record]
+    agents: frozenset[str]
 
 
 class Assessment(enum.Enum):
@@ -75,66 +58,49 @@ class Proposition:
             raise ValueError(f"outcome value must be +1 or -1, got {self.value!r}")
 
 
-def _env_id(records: frozenset[Record]) -> str:
-    letters = sorted(
-        (EVENT_OF_AGENT[r.agent] for r in records),
-        key=_LETTER_ORDER.index,
-    )
-    return "E_" + "".join(letters)
+def _env_id(agents) -> str:
+    return "E_" + "".join(sorted(EVENT_OF_AGENT[a] for a in agents))
 
 
 def primary_context(agent: str) -> DecoherenceEnvironment:
     """Smallest environment holding one agent's outcome record."""
     if agent not in AGENTS:
         raise UnknownAgentError(f"unknown agent {agent!r}; expected one of {AGENTS}")
-    i = LAB_INDEX[agent]
-    rec = Record(agent, frozenset({atom_label(i), lab_label(i)}))
-    records = frozenset({rec})
-    return DecoherenceEnvironment(_env_id(records),
-                                  frozenset({EVENT_OF_AGENT[agent]}), records)
+    return DecoherenceEnvironment(_env_id((agent,)), frozenset({agent}))
 
 
-def _records_commute(model: ScenarioModel, records) -> bool:
-    return all(model.observables_commute(a.agent, b.agent)
-               for a, b in itertools.combinations(records, 2))
+def _records_commute(model: ScenarioModel, agents) -> bool:
+    return all(model.observables_commute(a, b)
+               for a, b in itertools.combinations(agents, 2))
 
 
 def compatibly_extends(model: ScenarioModel, extension: DecoherenceEnvironment,
                        base: DecoherenceEnvironment) -> bool:
     """Whether ``extension`` holds everything ``base`` does, consistently."""
-    if not base.records <= extension.records:
-        return False
-    if not base.region <= extension.region:
-        return False
-    return _records_commute(model, extension.records)
+    return base.agents <= extension.agents and _records_commute(model, extension.agents)
 
 
 def _union(environments) -> DecoherenceEnvironment:
-    records: frozenset[Record] = frozenset()
-    region: frozenset[str] = frozenset()
-    for env in environments:
-        records |= env.records
-        region |= env.region
-    return DecoherenceEnvironment(_env_id(records), region, records)
+    agents = frozenset().union(*(env.agents for env in environments))
+    return DecoherenceEnvironment(_env_id(agents), agents)
 
 
 def common_extension(model: ScenarioModel, environments) -> DecoherenceEnvironment | None:
     """Union environment, or None when any two records fail to commute."""
     env = _union(environments)
-    return env if _records_commute(model, env.records) else None
+    return env if _records_commute(model, env.agents) else None
 
 
 def incompatibility_graph(model: ScenarioModel) -> tuple[tuple[str, str], ...]:
     """Event-letter pairs whose record observables do not commute."""
-    bad = [tuple(sorted((EVENT_OF_AGENT[x], EVENT_OF_AGENT[y]), key=_LETTER_ORDER.index))
+    bad = [tuple(sorted((EVENT_OF_AGENT[x], EVENT_OF_AGENT[y])))
            for x, y in itertools.combinations(AGENTS, 2)
            if not model.observables_commute(x, y)]
     return tuple(sorted(bad))
 
 
-# The five contexts the protocol narrative singles out: both homogeneous
-# triples and the three with a single lab-measurement substituted in.
-NAMED_CONTEXT_IDS = frozenset({"E_ABC", "E_ABW", "E_ACV", "E_BCU", "E_UVW"})
+# Both homogeneous triples and the three with one lab measurement substituted in.
+NAMED_CONTEXT_IDS = frozenset(_env_id(agents) for agents in PROTOCOL_CONTEXTS)
 
 
 @dataclass(frozen=True)
@@ -183,8 +149,7 @@ def assess(model: ScenarioModel, proposition: Proposition,
     primary = primary_context(proposition.agent)
     if not compatibly_extends(model, environment, primary):
         return Assessment.NOT_ASSESSABLE
-    needed = {r.agent for r in environment.records}
-    missing = needed - set(record.values)
+    missing = environment.agents - set(record.values)
     if missing:
         raise RecordContextMismatchError(
             f"outcome record lacks agents {sorted(missing)} required by "

@@ -129,17 +129,8 @@ def pointer_diagonality(state, target: str) -> float:
     return float(np.sum(mags) / rho.layout.total_dim)
 
 
-@dataclass(frozen=True)
-class DiagonalityTrajectory:
-    """Residual coherence after 0, 1, ... applications of one channel."""
-
-    target: str
-    strength: float
-    values: tuple[float, ...]
-
-
 def diagonality_trajectory(state, channel: DephasingChannel,
-                           steps: int) -> DiagonalityTrajectory:
+                           steps: int) -> tuple[float, ...]:
     """Residual coherence after k steps: q**k times that of ``state``.
 
     With q = 1 - strength, D**k scales every entry between distinct pointer
@@ -153,15 +144,14 @@ def diagonality_trajectory(state, channel: DephasingChannel,
         raise ValueError(f"steps must be nonnegative, got {steps}")
     start = pointer_diagonality(state, channel.target)
     q = 1.0 - channel.strength
-    values = tuple(q ** k * start for k in range(steps + 1))
-    return DiagonalityTrajectory(channel.target, channel.strength, values)
+    return tuple(q ** k * start for k in range(steps + 1))
 
 
-def onset_step(trajectory: DiagonalityTrajectory, tol: float) -> int | None:
+def onset_step(trajectory: tuple[float, ...], tol: float) -> int | None:
     """First step from which the coherence stays at or under ``tol`` for good."""
     onset = None
-    for k in reversed(range(len(trajectory.values))):
-        if trajectory.values[k] > tol:
+    for k in reversed(range(len(trajectory))):
+        if trajectory[k] > tol:
             break
         onset = k
     return onset

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import MarginalMismatchError, UniverseTooLargeError
 from .qcore import NUMERIC_TOL
+from .scenario import AGENTS, OUTCOME_VARIABLE, PROTOCOL_CONTEXTS
 
 ENUMERATION_CAP = 24
 
@@ -70,32 +71,28 @@ class ConstraintSystem:
         return tuple(str(c) for c in self.constraints)
 
 
-def parse_system(lines, universe=None) -> ConstraintSystem:
+def _first_seen(groups) -> tuple[str, ...]:
+    """Every name in the name tuples ``groups``, in order of first appearance."""
+    return tuple(dict.fromkeys(name for group in groups for name in group))
+
+
+def parse_system(lines) -> ConstraintSystem:
     constraints = tuple(parse_constraint(l) for l in lines if l.strip())
-    if universe is None:
-        seen: list[str] = []
-        for c in constraints:
-            for v in c.variables:
-                if v not in seen:
-                    seen.append(v)
-        universe = tuple(seen)
-    return ConstraintSystem(constraints, tuple(universe))
+    return ConstraintSystem(constraints, _first_seen(c.variables for c in constraints))
 
 
 def scenario_constraints() -> ConstraintSystem:
-    """The four product constraints every joint outcome table enforces."""
-    return parse_system(
-        ("u*b*c=+1", "a*v*c=+1", "a*b*w=+1", "u*v*w=-1"),
-        universe=("a", "b", "c", "u", "v", "w"),
-    )
+    """The four product constraints of ``scenario.PROTOCOL_CONTEXTS``."""
+    constraints = tuple(
+        ParityConstraint(tuple(OUTCOME_VARIABLE[a] for a in agents), parity)
+        for agents, parity in PROTOCOL_CONTEXTS.items() if parity is not None)
+    return ConstraintSystem(constraints, tuple(OUTCOME_VARIABLE[a] for a in AGENTS))
 
 
 @dataclass(frozen=True)
 class EnumerationReport:
-    universe: tuple[str, ...]
     total: int
     count: int
-    satisfying: tuple[tuple[int, ...], ...]
 
 
 def enumerate_satisfying(system: ConstraintSystem) -> EnumerationReport:
@@ -107,7 +104,7 @@ def enumerate_satisfying(system: ConstraintSystem) -> EnumerationReport:
     compiled = [
         ([index[v] for v in c.variables], c.parity) for c in system.constraints
     ]
-    hits = []
+    count = 0
     for values in itertools.product((1, -1), repeat=n):
         ok = True
         for idxs, parity in compiled:
@@ -118,8 +115,8 @@ def enumerate_satisfying(system: ConstraintSystem) -> EnumerationReport:
                 ok = False
                 break
         if ok:
-            hits.append(values)
-    return EnumerationReport(system.universe, 2**n, len(hits), tuple(hits))
+            count += 1
+    return EnumerationReport(2**n, count)
 
 
 @dataclass(frozen=True)
@@ -185,21 +182,18 @@ def constraints_from_born(tables, zero_tol: float = 1e-10) -> ExtractionReport:
     differ.  Tables with mixed support product are skipped (flagged, not
     fatal).
     """
+    tables = tuple(tables)
     constraints = []
     skipped = []
-    seen: list[str] = []
     for k, table in enumerate(tables):
-        for name in table.names:
-            if name not in seen:
-                seen.append(name)
         support = table.support(zero_tol)
         products = {_product(s) for s in support}
         if len(products) == 1:
             constraints.append(ParityConstraint(tuple(table.names), products.pop()))
         else:
             skipped.append((k, "NO_PARITY_STRUCTURE"))
-    return ExtractionReport(ConstraintSystem(tuple(constraints), tuple(seen)),
-                            tuple(skipped))
+    system = ConstraintSystem(tuple(constraints), _first_seen(t.names for t in tables))
+    return ExtractionReport(system, tuple(skipped))
 
 
 def _product(outcome) -> int:
@@ -222,7 +216,6 @@ class GlobalSectionReport:
     exists: bool
     count: int
     universe: tuple[str, ...]
-    sections: tuple[tuple[int, ...], ...]
 
 
 def global_section_exists(tables, zero_tol: float = 1e-10) -> GlobalSectionReport:
@@ -231,19 +224,14 @@ def global_section_exists(tables, zero_tol: float = 1e-10) -> GlobalSectionRepor
     The variables are the tables' outcome names in order of first appearance.
     """
     tables = list(tables)
-    seen: list[str] = []
-    for t in tables:
-        for name in t.names:
-            if name not in seen:
-                seen.append(name)
-    universe = tuple(seen)
+    universe = _first_seen(t.names for t in tables)
     _check_shared_marginals(tables)
     n = len(universe)
     if n > ENUMERATION_CAP:
         raise UniverseTooLargeError(f"{n} variables exceeds cap {ENUMERATION_CAP}")
     supports = [frozenset(t.support(zero_tol)) for t in tables]
     positions = [[universe.index(name) for name in t.names] for t in tables]
-    sections = []
+    count = 0
     for values in itertools.product((1, -1), repeat=n):
         ok = True
         for sup, pos in zip(supports, positions):
@@ -251,8 +239,8 @@ def global_section_exists(tables, zero_tol: float = 1e-10) -> GlobalSectionRepor
                 ok = False
                 break
         if ok:
-            sections.append(values)
-    return GlobalSectionReport(bool(sections), len(sections), universe, tuple(sections))
+            count += 1
+    return GlobalSectionReport(count > 0, count, universe)
 
 
 def _check_shared_marginals(tables) -> None:

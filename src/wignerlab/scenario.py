@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qcore, stabilizer
+from . import qcore, spacetime, stabilizer
 from .errors import UnknownAgentError
 from .qcore import Operator, RegisterLayout
 
@@ -47,16 +47,20 @@ LAB_INDEX = {
     "Eugene": 1, "Johnny": 2, "Daniel": 3,
 }
 
-# Parity variable letter for each agent's outcome.
-OUTCOME_VARIABLE = {
-    "Alice": "a", "Bob": "b", "Charlie": "c",
-    "Eugene": "u", "Johnny": "v", "Daniel": "w",
-}
-
 # Spacetime event label of each agent's measurement.
-EVENT_OF_AGENT = {
-    "Alice": "A", "Bob": "B", "Charlie": "C",
-    "Eugene": "U", "Johnny": "V", "Daniel": "W",
+EVENT_OF_AGENT = dict(zip(AGENTS, spacetime.EVENT_LABELS))
+
+# Parity variable letter for each agent's outcome: its event letter, lower case.
+OUTCOME_VARIABLE = {agent: event.lower() for agent, event in EVENT_OF_AGENT.items()}
+
+# The protocol's five contexts, agents in lab order, with the outcome product psi
+# fixes: the friends' records (none), then the parity contexts in constraint order.
+PROTOCOL_CONTEXTS = {
+    FRIENDS: None,
+    ("Eugene", "Bob", "Charlie"): 1,
+    ("Alice", "Johnny", "Charlie"): 1,
+    ("Alice", "Bob", "Daniel"): 1,
+    WIGNERS: -1,
 }
 
 # Widest lab the model can index.  A lifted x holds 2**(w+1) complex
@@ -130,8 +134,6 @@ def _majority_diagonal(width: int) -> np.ndarray:
 class MeasurementSpec:
     """One agent's measurement: what is measured, onto which pointer."""
 
-    agent: str
-    stage: str  # "friend" | "wigner"
     observable: Operator = field(repr=False)
     pointer: RegisterLayout = field(repr=False)
 
@@ -188,15 +190,13 @@ class ScenarioModel:
 
     def friend_spec(self, agent: str) -> MeasurementSpec:
         i = LAB_INDEX[agent]
-        return MeasurementSpec(agent, "friend", self.friend_observable(agent),
-                               self._lab_layouts[i])
+        return MeasurementSpec(self.friend_observable(agent), self._lab_layouts[i])
 
     def wigner_spec(self, agent: str) -> MeasurementSpec:
         _check_agent(agent)
         if agent not in WIGNERS:
             raise UnknownAgentError(f"{agent} is not a lab-measuring agent")
-        return MeasurementSpec(agent, "wigner", self.scenario_observable(agent),
-                               self.probe_layout(agent))
+        return MeasurementSpec(self.scenario_observable(agent), self.probe_layout(agent))
 
     def lifted_x_observable(self, agent: str) -> Operator:
         """The atom's sigma_x conjugated by the friend's premeasurement.

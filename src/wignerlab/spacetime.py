@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import SuperluminalError
 
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
-
 
 @dataclass(frozen=True)
 class Event4:

@@ -11,7 +11,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from wignerlab import cli, qcore
 from wignerlab.contexts import (
@@ -23,10 +22,10 @@ from wignerlab.contexts import (
 )
 from wignerlab.decoherence import DephasingChannel, correlation_decay, expectation_trajectory
 from wignerlab.paradox import (
+    ConstraintSystem,
     constraints_from_born,
     enumerate_satisfying,
     gf2_consistency,
-    parse_system,
     scenario_constraints,
 )
 from wignerlab.scenario import (
@@ -134,8 +133,8 @@ def test_criterion_04_no_joint_assignment():
     start = time.perf_counter()
     full = enumerate_satisfying(system)
     singles = [
-        enumerate_satisfying(parse_system([line], universe=system.universe))
-        for line in system.lines()
+        enumerate_satisfying(ConstraintSystem((c,), system.universe))
+        for c in system.constraints
     ]
     report = gf2_consistency(system)
     elapsed = time.perf_counter() - start

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from wignerlab import qcore
-from wignerlab.cli import _CONSTRAINT_AGENTS, _RECORD_AGENTS
 from wignerlab.qcore import (
     DensityMatrix,
     Operator,
@@ -24,7 +23,7 @@ from wignerlab.qcore import (
     embed,
     pure_density,
 )
-from wignerlab.scenario import ScenarioModel, scenario_context
+from wignerlab.scenario import PROTOCOL_CONTEXTS, ScenarioModel, scenario_context
 from wignerlab.stabilizer import joint_eigenstate, parse_pauli, to_operator
 
 
@@ -141,7 +140,7 @@ def test_tree_matches_dense_projector_oracle(seed, k, kind):
 
 def _paradox_contexts(model):
     return [scenario_context(model, agents)
-            for agents in (_RECORD_AGENTS,) + _CONSTRAINT_AGENTS]
+            for agents in PROTOCOL_CONTEXTS]
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])

@@ -547,6 +547,22 @@ def test_frames_rejects_geometry_breaking_the_separation_pattern(tmp_path, capsy
     assert not list(tmp_path.rglob("*.report.json"))
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, via):
+    # The report directory cannot be made under a regular file.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = ["frames"]
+    if via == "flag":
+        argv += ["--out", str(afile)]
+    else:
+        monkeypatch.setenv("WIGNERLAB_OUT", str(afile))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out: ")
+    assert "Traceback" not in err
+
+
 def test_frames_collinear_certificate(tmp_path, capsys):
     path = write_json(tmp_path, "coll.json", {"geometry": "collinear"})
     code = main(["frames", "--config", path, "--out", str(tmp_path),

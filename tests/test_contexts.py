@@ -15,11 +15,12 @@ from wignerlab.contexts import (
 from wignerlab.errors import RecordContextMismatchError, UnknownAgentError
 from wignerlab.scenario import (
     AGENTS,
-    EVENT_OF_AGENT,
     LAB_INDEX,
     OutcomeRecord,
     ScenarioModel,
+    atom_label,
     context_born_table,
+    lab_label,
     run_friend_stage,
     sample_outcomes,
     scenario_context,
@@ -35,20 +36,13 @@ def model():
 def test_primary_context_of_friend():
     env = primary_context("Alice")
     assert env.id == "E_A"
-    assert env.region == frozenset({"A"})
-    (rec,) = env.records
-    assert rec.agent == "Alice"
-    assert rec.systems == frozenset({"a1", "L1"})
+    assert env.agents == frozenset({"Alice"})
 
 
 def test_primary_context_of_wigner():
     env = primary_context("Eugene")
     assert env.id == "E_U"
-    assert env.region == frozenset({"U"})
-    (rec,) = env.records
-    # Eugene measures the conjugated x-observable of Alice's whole lab,
-    # so his record lives on the same systems as hers.
-    assert rec.systems == frozenset({"a1", "L1"})
+    assert env.agents == frozenset({"Eugene"})
 
 
 def test_primary_context_rejects_unknown_agent():
@@ -58,11 +52,13 @@ def test_primary_context_rejects_unknown_agent():
 
 def test_resolve_observable_matches_model(model):
     # A record's observable is its agent's scenario observable, supported
-    # within the record's systems.
+    # within the agent's lab: a lab-measuring agent reads the same atom and
+    # pointer as the friend inside.
     for agent in AGENTS:
-        (rec,) = primary_context(agent).records
-        op = model.scenario_observable(rec.agent)
-        assert frozenset(op.layout.labels) <= rec.systems
+        assert primary_context(agent).agents == {agent}
+        op = model.scenario_observable(agent)
+        i = LAB_INDEX[agent]
+        assert frozenset(op.layout.labels) <= {atom_label(i), lab_label(i)}
     assert model.scenario_observable("Bob").layout == model.record_observable("Bob").layout
 
 
@@ -94,7 +90,7 @@ def test_common_extension_id_uses_event_letter_order(model):
     env = common_extension(model, [primary_context(a)
                                    for a in ("Eugene", "Bob", "Charlie")])
     assert env.id == "E_BCU"
-    assert env.region == frozenset({"B", "C", "U"})
+    assert env.agents == frozenset({"Eugene", "Bob", "Charlie"})
 
 
 def test_maximal_contexts_are_the_eight_transversals(model):
@@ -106,8 +102,7 @@ def test_maximal_contexts_are_the_eight_transversals(model):
         assert len(report.agents) == 3
         # One agent per lab: never a friend and their own observer together.
         assert sorted(LAB_INDEX[a] for a in report.agents) == [1, 2, 3]
-        letters = {EVENT_OF_AGENT[a] for a in report.agents}
-        assert report.environment.region == frozenset(letters)
+        assert report.environment.agents == frozenset(report.agents)
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -125,7 +120,7 @@ def test_named_contexts_flagged(model):
     reports = maximal_contexts(model, default_geometry())
     named = {r.environment.id for r in reports if r.named}
     assert named == NAMED_CONTEXT_IDS
-    assert len(NAMED_CONTEXT_IDS) == 5
+    assert NAMED_CONTEXT_IDS == {"E_ABC", "E_ABW", "E_ACV", "E_BCU", "E_UVW"}
     unnamed = {r.environment.id for r in reports if not r.named}
     assert unnamed == {"E_AVW", "E_BUW", "E_CUV"}
 
@@ -217,5 +212,5 @@ def test_environment_ids_are_deterministic(model):
     first = maximal_contexts(model, default_geometry())
     second = maximal_contexts(model, default_geometry())
     assert [r.environment.id for r in first] == [r.environment.id for r in second]
-    env = DecoherenceEnvironment("E_X", frozenset({"A"}), frozenset())
-    assert env.records == frozenset()
+    env = DecoherenceEnvironment("E_X", frozenset())
+    assert env.agents == frozenset()

@@ -3,7 +3,6 @@ import pytest
 
 from wignerlab.decoherence import (
     DephasingChannel,
-    DiagonalityTrajectory,
     correlation_decay,
     dephase,
     dephased_states,
@@ -90,9 +89,8 @@ def test_pointer_diagonality_values():
 
 def test_trajectory_halves_each_step():
     traj = diagonality_trajectory(bell_pair(), DephasingChannel("L1", 0.5), 8)
-    assert traj.target == "L1"
-    assert len(traj.values) == 9
-    for k, value in enumerate(traj.values):
+    assert len(traj) == 9
+    for k, value in enumerate(traj):
         assert value == pytest.approx(0.25 * 0.5 ** k, abs=1e-12)
 
 
@@ -102,13 +100,15 @@ def test_onset_and_robustness_threshold():
     assert onset_step(traj, 1e-3) == 8
     # Every value from the onset on stays under the threshold; the one
     # before it does not.
-    assert all(v <= 1e-3 for v in traj.values[8:])
-    assert traj.values[7] > 1e-3
+    assert all(v <= 1e-3 for v in traj[8:])
+    assert traj[7] > 1e-3
     assert onset_step(traj, 0.25) == 0
     # The onset is the first step of the final run under the threshold, so
     # an early dip that rises again does not count.
-    bumpy = DiagonalityTrajectory("L1", 0.5, (0.5, 1e-4, 0.5, 1e-4, 1e-5))
+    bumpy = (0.5, 1e-4, 0.5, 1e-4, 1e-5)
     assert onset_step(bumpy, 1e-3) == 3
+    # A value equal to the threshold is at or under it.
+    assert onset_step((0.5, 1e-3), 1e-3) == 1
     assert onset_step(traj, 1e-9) is None
 
 
@@ -158,8 +158,8 @@ def test_diagonality_monotone_in_strength_and_steps():
         strong = diagonality_trajectory(bell_pair(),
                                         DephasingChannel("L1", lam_big), 6)
         for k in range(6):
-            assert weak.values[k + 1] <= weak.values[k] + 1e-12
-            assert strong.values[k + 1] <= weak.values[k + 1] + 1e-12
+            assert weak[k + 1] <= weak[k] + 1e-12
+            assert strong[k + 1] <= weak[k + 1] + 1e-12
 
 
 @pytest.mark.parametrize(
@@ -270,7 +270,7 @@ def test_closed_form_matches_iterated_channel(width, target, lam):
         closed = expectation_trajectory(model, channel, agents, steps)
         assert largest_gap(closed, series[agents]) <= 1e-12
     traj = diagonality_trajectory(run_friend_stage(model), channel, steps)
-    assert largest_gap(traj.values, diagonality) <= 1e-12
+    assert largest_gap(traj, diagonality) <= 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
@@ -304,7 +304,7 @@ def test_pure_state_diagonality_matches_density_path():
             dense = pointer_diagonality(pure_density(state), target)
             assert abs(fast - dense) <= 1e-12
             traj = diagonality_trajectory(state, DephasingChannel(target, 0.5), 1)
-            assert traj.values == (fast, 0.5 * fast)
+            assert traj == (fast, 0.5 * fast)
 
 
 def test_dephased_states_iterates_the_channel():

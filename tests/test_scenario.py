@@ -200,6 +200,24 @@ def test_post_friend_tables_support_and_rows(agents, expected):
     assert abs(table.expectation_product() - expected) <= 1e-12
 
 
+def test_scenario_maps_pinned():
+    # Written out here, so a change to any derived map fails this test.
+    assert scenario.EVENT_OF_AGENT == {
+        "Alice": "A", "Bob": "B", "Charlie": "C",
+        "Eugene": "U", "Johnny": "V", "Daniel": "W"}
+    assert scenario.OUTCOME_VARIABLE == {
+        "Alice": "a", "Bob": "b", "Charlie": "c",
+        "Eugene": "u", "Johnny": "v", "Daniel": "w"}
+    assert scenario.LAB_INDEX == {
+        "Alice": 1, "Bob": 2, "Charlie": 3,
+        "Eugene": 1, "Johnny": 2, "Daniel": 3}
+    # In order: the records context, then the parity contexts whose
+    # products the two tests above check against Born tables.
+    assert list(scenario.PROTOCOL_CONTEXTS.items()) == (
+        [(("Alice", "Bob", "Charlie"), None)]
+        + [(agents, int(expected)) for agents, expected in POST_FRIEND_EXPECTATIONS])
+
+
 def test_post_friend_record_table_is_uniform():
     model = ScenarioModel(1)
     post = run_friend_stage(model)

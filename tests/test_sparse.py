@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from wignerlab import qcore
-from wignerlab.cli import _CONSTRAINT_AGENTS, _RECORD_AGENTS
 from wignerlab.decoherence import pointer_diagonality
 from wignerlab.qcore import Operator, RegisterLayout, SparseState, qubits
 from wignerlab.scenario import (
     AGENTS,
     FRIENDS,
+    PROTOCOL_CONTEXTS,
     WIGNERS,
     ScenarioModel,
     erasure_check,
@@ -284,7 +284,7 @@ def test_friend_stage_and_tables_match_the_dense_oracle(width):
     assert len(psi.entries) == 8
     dense = _dense_friend_stage(model)
     assert np.array_equal(psi.to_dense().amplitudes, dense.amplitudes)
-    for agents in (_RECORD_AGENTS,) + _CONSTRAINT_AGENTS + (WIGNERS,):
+    for agents in tuple(PROTOCOL_CONTEXTS) + (WIGNERS,):
         context = scenario_context(model, agents)
         sparse_table = qcore.born_table(tuple(context.values()), psi)
         dense_table = qcore.born_table(tuple(context.values()), dense)
@@ -369,7 +369,7 @@ def test_width_sixteen_builds_no_dense_matrix():
     model = ScenarioModel(16)
     psi = run_friend_stage(model)
     assert len(psi.entries) == 8
-    for agents in (_RECORD_AGENTS,) + _CONSTRAINT_AGENTS:
+    for agents in PROTOCOL_CONTEXTS:
         table = qcore.born_table(tuple(scenario_context(model, agents).values()), psi)
         assert abs(sum(table.rows.values()) - 1.0) <= TOL
     report = erasure_check(model)

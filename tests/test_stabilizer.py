@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wignerlab import qcore, stabilizer
+from wignerlab import qcore
 from wignerlab.errors import (
     LengthMismatchError,
     NoncommutingGeneratorsError,
