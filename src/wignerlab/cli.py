@@ -616,9 +616,10 @@ def cmd_paradox(config: ScenarioConfig) -> RunReport:
         sampled = {}
         for table in [record_agent_table] + agent_tables:
             outcome = sample_outcomes(table, config.seed)
-            key = "".join(OUTCOME_VARIABLE[a] for a in outcome.context)
+            agents = tuple(outcome.values)
+            key = "".join(OUTCOME_VARIABLE[a] for a in agents)
             sampled[key] = {
-                "agents": list(outcome.context),
+                "agents": list(agents),
                 "values": dict(outcome.values),
                 "probability": _sig12(outcome.probability),
             }
@@ -665,7 +666,7 @@ def cmd_contexts(config: ScenarioConfig) -> RunReport:
     checks.append(CheckResult(
         "no_common_extension_with_unsealed_lab",
         common_extension(model, four) is None,
-        {"environments": ["E_A", "E_B", "E_C", "E_U"]},
+        {"environments": [e.id for e in four]},
     ))
 
     entries = []
@@ -701,20 +702,14 @@ def cmd_frames(config: ScenarioConfig) -> RunReport:
     return _report("frames", config, (), data)
 
 
-# Largest register dimension at which ``decohere`` also iterates the dense
-# channel to check the closed-form series.  d = 512 (lab_width 2) holds 4 MiB
-# density matrices and costs about 27 ms at the default 20 steps (one BLAS
-# thread, 2-vCPU Xeon); lab_width 3 (d = 4096) would hold 256 MiB ones.
-DENSE_CHECK_MAX_DIM = 512
-
-
 def cmd_decohere(config: ScenarioConfig) -> RunReport:
     """Trace how environmental dephasing kills the paradox-feeding correlation.
 
     Every series comes from the channel's closed form on the pure
-    post-premeasurement state; up to ``DENSE_CHECK_MAX_DIM`` the iterated
-    dense channel runs too, and the ``closed_form_matches_iterated`` check
-    compares the two diagonality series.
+    post-premeasurement state psi.  At every lab_width the iterated dense
+    channel runs too, on psi's support layout (``qcore.support_state``,
+    d' = 64), and the ``closed_form_matches_iterated`` check compares the
+    two diagonality series.
     """
     model = ScenarioModel(config.lab_width)
     target, lam, steps = (config.dephasing[k] for k in ("target", "strength", "steps"))
@@ -754,14 +749,18 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
 
     psi = model.post_premeasurement_state()
     trajectory = diagonality_trajectory(psi, channel, steps)
-    if model.layout.total_dim <= DENSE_CHECK_MAX_DIM:
-        iterated = [pointer_diagonality(rho, channel.target)
-                    for rho in dephased_states(psi, channel, steps)]
-        gap = max(abs(c - i) for c, i in zip(trajectory, iterated))
-        checks.append(CheckResult(
-            "closed_form_matches_iterated", gap <= 1e-12,
-            {"largest_gap": _sig12(gap)},
-        ))
+    # The channel scales entries one by one, so an entry outside
+    # supp(psi) x supp(psi) stays zero: iterate it on the support layout and
+    # rescale the per-dimension mean by d'/d (powers of two, so exactly).
+    compact = qcore.support_state(psi)
+    scale = compact.layout.total_dim / model.layout.total_dim
+    iterated = [scale * pointer_diagonality(rho, channel.target)
+                for rho in dephased_states(compact, channel, steps)]
+    gap = max(abs(c - i) for c, i in zip(trajectory, iterated, strict=True))
+    checks.append(CheckResult(
+        "closed_form_matches_iterated", gap <= 1e-12,
+        {"largest_gap": _sig12(gap)},
+    ))
     onset = onset_step(trajectory, config.robust_tol)
     data = {
         "decay_series": [[k, _sig12(v)] for k, v in enumerate(decay)],

@@ -19,9 +19,13 @@ state psi, without a d x d density matrix: an expectation after k steps is
 q**k*<psi|O|psi> + (1 - q**k)*sum_j w_j*<psi_j|O|psi_j> over the pointer
 branches psi_j = P_j psi / sqrt(w_j), w_j = ||P_j psi||**2, and the
 residual coherence is q**k times that of psi.  ``dephase`` and
-``dephased_states`` keep the iterated dense channel as the reference: the
-``decohere`` subcommand checks the diagonality series against it up to
-lab_width 2 (d = 512), and the tests check every series at widths 1 and 2.
+``dephased_states`` keep the iterated dense channel as the reference.  It
+scales each entry of the density matrix on its own, so an entry outside
+supp(psi) x supp(psi) is zero at every step: at every lab_width the
+``decohere`` subcommand iterates it on psi's support layout
+(``qcore.support_state``, d' = 64) and checks the diagonality series
+against it, and the tests check every series against the full d x d
+iterate at widths 1 and 2.
 """
 
 from __future__ import annotations
@@ -88,8 +92,10 @@ def dephase(state, channel: DephasingChannel) -> qcore.DensityMatrix:
 def dephased_states(state, channel: DephasingChannel, steps: int):
     """The iterated dense reference: rho, D(rho), ..., D**steps(rho), lazily.
 
-    Each step holds a d x d density matrix, so this is for small registers
-    and for checking the closed forms above against the channel itself.
+    Each step holds a d x d density matrix, so this is for small layouts:
+    the full layout at lab_width 1 and 2 in the tests, and psi's support
+    layout (d = 64) in ``decohere`` at every width, checking the closed
+    forms above against the channel itself.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -138,7 +144,8 @@ def diagonality_trajectory(state, channel: DephasingChannel,
     ``pointer_diagonality``, which for a pure state costs O(entries).  The
     dense check iterates ``dephase`` through ``dephased_states`` and reads
     ``pointer_diagonality`` at every step; the ``decohere`` subcommand runs
-    it up to lab_width 2.
+    it at every lab_width on psi's support layout, each value rescaled by
+    d'/d.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")

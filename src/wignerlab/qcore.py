@@ -19,7 +19,8 @@ unitary where a +-1 observable reads -1) and ``split_register`` (the
 branches on one register's basis states) move each entry by the monomial
 form and keep their results sparse, so their cost follows the number of
 entries, not the dimension, and callers never handle the entries.
-``to_dense()`` gives the ``QState`` back where the dimension allows.
+``to_dense()`` gives the ``QState`` back where the dimension allows, and
+``support_state`` shrinks each register to the index values in use.
 
 Commutation is locality-aware.  Operators on disjoint registers commute
 exactly: every entry of (A x I)(I x B) and of (I x B)(A x I) is the same
@@ -575,6 +576,22 @@ def split_register(state: SparseState, label: str) -> list[tuple[float, SparseSt
         amps = np.array(list(group.values())) / np.sqrt(weight)
         out.append((weight, SparseState(state.layout, dict(zip(group, amps.tolist())))))
     return out
+
+
+def support_state(state: SparseState) -> SparseState:
+    """The state on its support layout: each register keeps only the index
+    values the entries use, renumbered 0..n-1 in order.
+
+    The renumbering is one-to-one and order-preserving on every register, so
+    two entries share a value of a register here exactly when they share
+    one in ``state``, and the amplitudes keep their flat-index order.
+    """
+    used = [sorted(set(column)) for column in zip(*state.entries)]
+    rank = [{value: r for r, value in enumerate(values)} for values in used]
+    layout = RegisterLayout(tuple((label, len(values))
+                                  for label, values in zip(state.layout.labels, used)))
+    return SparseState(layout, {tuple(r[i] for r, i in zip(rank, index)): amp
+                                for index, amp in state.entries.items()})
 
 
 def embed(op: Operator, layout: RegisterLayout) -> Operator:

@@ -319,10 +319,13 @@ def context_born_table(state, context: dict[str, Operator]) -> qcore.BornTable:
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """One sampled joint outcome of a measurement context."""
+    """One sampled joint outcome of a measurement context.
+
+    ``values`` maps each agent of the context, in the context's order, to
+    the outcome drawn for it.
+    """
 
     values: dict[str, int]
-    context: tuple[str, ...]
     probability: float
 
 
@@ -334,8 +337,7 @@ def outcome_rng(seed: int) -> np.random.Generator:
 def sample_outcomes(table: qcore.BornTable, seed: int) -> OutcomeRecord:
     """One joint outcome drawn from a context's table; names are the agents."""
     outcome = table.sample(outcome_rng(seed))
-    return OutcomeRecord(dict(zip(table.names, outcome)), table.names,
-                         table.rows[outcome])
+    return OutcomeRecord(dict(zip(table.names, outcome)), table.rows[outcome])
 
 
 @dataclass(frozen=True)

@@ -413,6 +413,8 @@ def test_contexts_report_counts(tmp_path, capsys):
     assert names["maximal_context_count"]["values"]["count"] == 8
     assert names["named_contexts_flagged"]["values"]["named_count"] == 5
     assert names["no_common_extension_with_unsealed_lab"]["passed"]
+    assert names["no_common_extension_with_unsealed_lab"]["values"] == {
+        "environments": ["E_A", "E_B", "E_C", "E_U"]}
     assert doc["data"]["frame_admissible_count"] == 8
 
 
@@ -590,15 +592,18 @@ def test_decohere_report(tmp_path, capsys):
                      "erasure_even_odds", "closed_form_matches_iterated"}
 
 
-def test_decohere_width_three_runs_closed_form_only(tmp_path, capsys):
-    code = main(["decohere", "--lab-width", "3", "--out", str(tmp_path),
+@pytest.mark.parametrize("width", [3, 16])
+def test_decohere_checks_the_iterated_channel_at_every_width(tmp_path, capsys, width):
+    code = main(["decohere", "--lab-width", str(width), "--out", str(tmp_path),
                  "--format", "json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"]
-    names = {c["name"] for c in doc["checks"]}
-    assert names == {"decay_matches_analytic", "record_constraints_unchanged",
-                     "erasure_even_odds"}
+    assert [c["name"] for c in doc["checks"]] == [
+        "decay_matches_analytic", "record_constraints_unchanged",
+        "erasure_even_odds", "closed_form_matches_iterated"]
+    assert doc["checks"][-1] == {"name": "closed_form_matches_iterated",
+                                 "passed": True, "values": {"largest_gap": 0.0}}
 
 
 COMMANDS = ("ghz-check", "paradox", "contexts", "frames", "decohere")

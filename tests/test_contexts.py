@@ -151,7 +151,7 @@ def test_proposition_guards():
 
 
 def _friend_record(values):
-    return OutcomeRecord(values, ("Alice", "Bob", "Charlie"), 0.25)
+    return OutcomeRecord(values, 0.25)
 
 
 def test_assess_true_false_and_not_assessable(model):
@@ -169,7 +169,7 @@ def test_assess_true_false_and_not_assessable(model):
 def test_assess_requires_full_record_coverage(model):
     env = common_extension(model, [primary_context(a)
                                    for a in ("Alice", "Bob", "Charlie")])
-    partial = OutcomeRecord({"Alice": 1}, ("Alice",), 0.5)
+    partial = OutcomeRecord({"Alice": 1}, 0.5)
     with pytest.raises(RecordContextMismatchError):
         assess(model, Proposition("Alice", 1), env, partial)
 
@@ -177,7 +177,7 @@ def test_assess_requires_full_record_coverage(model):
 def test_not_assessable_takes_precedence_over_mismatch(model):
     env = common_extension(model, [primary_context(a)
                                    for a in ("Alice", "Bob", "Charlie")])
-    partial = OutcomeRecord({"Alice": 1}, ("Alice",), 0.5)
+    partial = OutcomeRecord({"Alice": 1}, 0.5)
     verdict = assess(model, Proposition("Eugene", 1), env, partial)
     assert verdict is Assessment.NOT_ASSESSABLE
 

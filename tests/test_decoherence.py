@@ -23,6 +23,7 @@ from wignerlab.qcore import (
     partial_trace,
     pure_density,
     qubits,
+    support_state,
 )
 from wignerlab.scenario import ScenarioModel, run_friend_stage, scenario_context
 
@@ -271,6 +272,34 @@ def test_closed_form_matches_iterated_channel(width, target, lam):
         assert largest_gap(closed, series[agents]) <= 1e-12
     traj = diagonality_trajectory(run_friend_stage(model), channel, steps)
     assert largest_gap(traj, diagonality) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("target", ["L1", "L2", "L3"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_support_layout_iterate_matches_the_full_iterate(width, target, lam):
+    # The reference ``decohere`` runs: the channel iterated on psi's support
+    # layout (d' = 64), its per-dimension mean rescaled by d'/d.
+    model = ScenarioModel(width)
+    channel = DephasingChannel(target, lam)
+    psi = model.post_premeasurement_state()
+    compact = support_state(psi)
+    scale = compact.layout.total_dim / psi.layout.total_dim
+    assert scale == 64 / 8 ** (width + 1)
+    full = list(dephased_states(psi, channel, 3))
+    small = list(dephased_states(compact, channel, 3))
+    assert largest_gap([scale * pointer_diagonality(rho, target) for rho in small],
+                       [pointer_diagonality(rho, target) for rho in full]) <= 1e-12
+    # Entry by entry: the full iterate is the compact one on supp(psi) x
+    # supp(psi) and zero elsewhere, at every step.
+    rows = [np.ravel_multi_index(np.array(sorted(s.entries)).T, s.layout.shape)
+            for s in (psi, compact)]
+    for big, little in zip(full, small):
+        rest = big.matrix.copy()
+        assert np.array_equal(rest[np.ix_(rows[0], rows[0])],
+                              little.matrix[np.ix_(rows[1], rows[1])])
+        rest[np.ix_(rows[0], rows[0])] = 0.0
+        assert not rest.any()
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])

@@ -308,7 +308,7 @@ def test_sample_outcomes_deterministic_and_supported():
     rec1 = sample_outcomes(table, seed=123)
     rec2 = sample_outcomes(table, seed=123)
     assert rec1.values == rec2.values
-    assert rec1.context == ("Eugene", "Bob", "Charlie")
+    assert tuple(rec1.values) == ("Eugene", "Bob", "Charlie")
     prod = rec1.values["Eugene"] * rec1.values["Bob"] * rec1.values["Charlie"]
     assert prod == 1
     assert abs(rec1.probability - 0.25) <= 1e-12

@@ -17,11 +17,13 @@ from wignerlab.qcore import Operator, RegisterLayout, SparseState, qubits
 from wignerlab.scenario import (
     AGENTS,
     FRIENDS,
+    MAX_LAB_WIDTH,
     PROTOCOL_CONTEXTS,
     WIGNERS,
     ScenarioModel,
     erasure_check,
     extend_with_probe,
+    lab_label,
     run_friend_stage,
     run_wigner_stage,
     scenario_context,
@@ -321,6 +323,56 @@ def test_pointer_branches_and_diagonality_match_the_dense_oracle(width):
         if width <= 2:
             assert abs(pointer_diagonality(psi, target)
                        - pointer_diagonality(qcore.pure_density(dense), target)) <= TOL
+
+
+def _widened_psi(width):
+    """The width-1 psi on the width-``width`` layout: a lab reading 1 holds all ones.
+
+    ``ScenarioModel`` holds 2**width phases per record observable, so at the
+    largest widths psi is widened by hand; below that it equals the model's.
+    """
+    psi1 = ScenarioModel(1).post_premeasurement_state()
+    labs = {lab_label(i) for i in (1, 2, 3)}
+    layout = RegisterLayout(tuple((label, 2**width if label in labs else dim)
+                                  for label, dim in psi1.layout.sites))
+    return SparseState(layout, {
+        tuple(i * (dim - 1) for i, dim in zip(index, layout.shape)): amp
+        for index, amp in psi1.entries.items()})
+
+
+@pytest.mark.parametrize("width", [*range(1, 9), MAX_LAB_WIDTH])
+def test_support_state_of_psi_is_the_width_one_psi(width):
+    psi1 = ScenarioModel(1).post_premeasurement_state()
+    psi = _widened_psi(width)
+    if width <= 8:
+        model_psi = ScenarioModel(width).post_premeasurement_state()
+        assert model_psi.layout == psi.layout
+        assert dict(model_psi.entries) == dict(psi.entries)
+    compact = qcore.support_state(psi)
+    assert compact.layout == psi1.layout
+    assert dict(compact.entries) == dict(psi1.entries)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_support_state_renumbers_each_register_one_to_one(seed):
+    rng = np.random.default_rng(seed)
+    layout = RegisterLayout((("a", 3), ("b", 4), ("c", 5)))
+    tens = rng.normal(size=layout.shape) + 1j * rng.normal(size=layout.shape)
+    tens[rng.random(layout.shape) < 0.7] = 0.0
+    tens[:, 1, :] = tens[:, :, [0, 3]] = 0.0  # values the state never uses
+    tens[2, 3, 4] = 1.0
+    state = SparseState.from_dense(qcore.QState(layout, tens / np.linalg.norm(tens)))
+    compact = qcore.support_state(state)
+    assert compact.layout.labels == layout.labels
+    assert compact.layout.dim("b") <= 3 and compact.layout.dim("c") <= 3
+    old, new = sorted(state.entries), sorted(compact.entries)
+    assert [state.entries[i] for i in old] == [compact.entries[j] for j in new]
+    for ax, dim in enumerate(compact.layout.shape):
+        # Each used value of the register maps to one new value, in order,
+        # and the new values are exactly 0..dim-1.
+        pairs = sorted({(i[ax], j[ax]) for i, j in zip(old, new)})
+        assert [o for o, _ in pairs] == sorted({i[ax] for i in old})
+        assert [n for _, n in pairs] == list(range(dim))
 
 
 def _dense_erasure(model):
