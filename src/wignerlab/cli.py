@@ -100,6 +100,7 @@ from .paradox import (
     scenario_constraints,
 )
 from .scenario import (
+    AGENTS,
     FRIENDS,
     MAX_LAB_WIDTH,
     OUTCOME_VARIABLE,
@@ -647,7 +648,7 @@ def cmd_contexts(config: ScenarioConfig) -> RunReport:
     graph = incompatibility_graph(model)
     checks = [CheckResult(
         "incompatibility_graph",
-        graph == (("A", "U"), ("B", "V"), ("C", "W")),
+        graph == spacetime.TIMELIKE_PAIRS,
         {"pairs": [list(p) for p in graph]},
     )]
 
@@ -673,7 +674,7 @@ def cmd_contexts(config: ScenarioConfig) -> RunReport:
     for report in reports:
         entries.append({
             "id": report.environment.id,
-            "agents": list(report.agents),
+            "agents": [a for a in AGENTS if a in report.environment.agents],
             "named": report.named,
             "frame": _frame_entry(report.frame),
         })

@@ -107,7 +107,6 @@ NAMED_CONTEXT_IDS = frozenset(_env_id(agents) for agents in PROTOCOL_CONTEXTS)
 class ContextReport:
     """One maximal joint context, its environment, and its frame status."""
 
-    agents: tuple[str, ...]
     environment: DecoherenceEnvironment
     named: bool
     frame: spacetime.FrameSolution
@@ -133,8 +132,7 @@ def maximal_contexts(model: ScenarioModel,
         env = _union(primary_context(a) for a in clique)
         frame = spacetime.frame_for_events([geometry.events[EVENT_OF_AGENT[a]]
                                             for a in clique])
-        reports.append(ContextReport(tuple(clique), env,
-                                     env.id in NAMED_CONTEXT_IDS, frame))
+        reports.append(ContextReport(env, env.id in NAMED_CONTEXT_IDS, frame))
     return tuple(sorted(reports, key=lambda r: r.environment.id))
 
 

@@ -7,17 +7,18 @@ contraction instead of materializing a full-space matrix, so wide scenarios
 stay cheap as long as each operator's own support is small.
 
 ``QState``, ``DensityMatrix`` and a dense ``Operator`` are dense complex128.
-An ``Operator`` may instead be held in monomial form, a permutation plus a
-phase per basis state (one nonzero per row and per column, as for Pauli
-strings and the scenario's observables, in the signed-permutation form of
-the Gottesman-Knill observation: Aaronson and Gottesman, PRA 70, 052328
-(2004)).  Its flags come from that form in O(d), and its dense ``matrix``
-is built only on first use.  A ``SparseState`` keeps only the nonzero
-amplitudes of a pure state, keyed by one index per register.
+An ``Operator`` on a layout of power-of-two dimension may instead be held
+in mask form, O|j> = phase[j] |j XOR mask>: an XOR mask on the flat index
+plus a phase per basis state, as for Pauli strings and the scenario's
+observables (the Gottesman-Knill form: Aaronson and Gottesman, PRA 70,
+052328 (2004); an affine map over GF(2): Dehaene and De Moor, PRA 68,
+042318 (2003)).  Its flags come from that form in O(d), and its dense
+``matrix`` is built only on first use.  A ``SparseState`` keeps only the
+nonzero amplitudes of a pure state, keyed by one index per register.
 ``born_table``, ``project`` (one +-1 outcome), ``apply_controlled`` (a
 unitary where a +-1 observable reads -1) and ``split_register`` (the
-branches on one register's basis states) move each entry by the monomial
-form and keep their results sparse, so their cost follows the number of
+branches on one register's basis states) move each entry by the mask form
+and keep their results sparse, so their cost follows the number of
 entries, not the dimension, and callers never handle the entries.
 ``to_dense()`` gives the ``QState`` back where the dimension allows, and
 ``support_state`` shrinks each register to the index values in use.
@@ -228,21 +229,24 @@ def _sparse_norm2(entries) -> float:
 
 
 def _sparse_contract(op: "Operator", layout: RegisterLayout, entries) -> dict:
-    """A monomial operator applied to sparse entries: entry j moves to perm[j]."""
-    if op.monomial is None:
-        raise TypeError("a sparse state takes only operators in monomial form")
+    """A mask-form operator applied to sparse entries: entry j moves to j ^ mask.
+
+    Each register's dimension is a power of two, so that XOR is each
+    register's index XORed with the mask's digits for that register.
+    """
+    if op.mask_form is None:
+        raise TypeError("a sparse state takes only operators in mask form")
     axes = _check_sublayout(op.layout, layout)
-    perm, phase = op.monomial
+    mask, phase = op.mask_form
     dims = op.layout.shape
+    bits = [int(m) for m in np.unravel_index(mask, dims)]
     out = {}
     for index, amp in entries.items():
         j = 0
-        for ax, dim in zip(axes, dims):
-            j = j * dim + index[ax]
         moved = list(index)
-        rest = int(perm[j])
-        for ax, dim in zip(reversed(axes), reversed(dims)):
-            rest, moved[ax] = divmod(rest, dim)
+        for ax, dim, m in zip(axes, dims, bits):
+            j = j * dim + index[ax]
+            moved[ax] = index[ax] ^ m
         out[tuple(moved)] = complex(phase[j]) * amp
     return out
 
@@ -269,9 +273,9 @@ def _sparse_sums(node, flipped) -> tuple[dict, dict]:
 class Operator:
     """Linear operator over a layout, with lazily cached structural flags.
 
-    ``monomial`` is None for a dense operator.  An operator built by
-    ``from_monomial`` holds ``(perm, phase)`` there instead, meaning
-    O|j> = phase[j] |perm[j]> on the layout's flat basis; its ``matrix`` is
+    ``mask_form`` is None for a dense operator.  An operator built by
+    ``from_mask`` holds ``(mask, phase)`` there instead, meaning
+    O|j> = phase[j] |j ^ mask> on the layout's flat basis; its ``matrix`` is
     built on first use, and its flags are read off the form with the same
     floating-point operations the dense tests make on their nonzero entries.
     """
@@ -285,39 +289,34 @@ class Operator:
             )
         self.layout = layout
         self._matrix: np.ndarray | None = _frozen(mat)
-        self.monomial: tuple[np.ndarray, np.ndarray] | None = None
+        self.mask_form: tuple[int, np.ndarray] | None = None
         self._flags: dict[str, bool] = {}
 
     @classmethod
-    def from_monomial(cls, layout: RegisterLayout, perm, phase) -> "Operator":
-        """The operator sending basis state j to phase[j] times basis state perm[j]."""
+    def from_mask(cls, layout: RegisterLayout, mask: int, phase) -> "Operator":
+        """The operator sending basis state j to phase[j] times basis state j ^ mask."""
         d = layout.total_dim
-        perm = np.array(perm, dtype=np.int64).reshape(-1)
+        if d & (d - 1):
+            raise LayoutMismatchError(f"a mask form needs a power-of-two dimension, not {d}")
+        if not 0 <= mask < d:
+            raise ValueError(f"mask {mask} is outside 0..{d - 1}")
         phase = np.array(phase, dtype=np.complex128).reshape(-1)
-        if perm.shape != (d,) or phase.shape != (d,):
-            raise LayoutMismatchError(
-                f"monomial form of sizes {perm.size}, {phase.size} does not fit layout "
-                f"of dimension {d}"
-            )
-        if perm.min() < 0 or perm.max() >= d:
-            raise ValueError("perm must be a permutation of the layout's basis")
-        hit = np.zeros(d, dtype=bool)
-        hit[perm] = True
-        if not hit.all():
-            raise ValueError("perm must be a permutation of the layout's basis")
+        if phase.shape != (d,):
+            raise LayoutMismatchError(f"{phase.size} phases do not fit layout of dimension {d}")
         op = cls.__new__(cls)
         op.layout = layout
         op._matrix = None
-        op.monomial = (_frozen(perm), _frozen(phase))
+        op.mask_form = (int(mask), _frozen(phase))
         op._flags = {}
         return op
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            perm, phase = self.monomial
-            mat = np.zeros((perm.size, perm.size), dtype=np.complex128)
-            mat[perm, np.arange(perm.size)] = phase
+            mask, phase = self.mask_form
+            cols = np.arange(phase.size)
+            mat = np.zeros((phase.size, phase.size), dtype=np.complex128)
+            mat[cols ^ mask, cols] = phase
             self._matrix = _frozen(mat)
         return self._matrix
 
@@ -326,31 +325,30 @@ class Operator:
             self._flags[name] = bool(test())
         return self._flags[name]
 
-    # Each monomial test takes the max over the entries the dense test can
-    # find nonzero.  Where perm pairs j with perm[j] both ways, O - O^dagger
-    # and O O - I hold one combined entry there; elsewhere the entries of the
-    # two terms sit apart.
+    # XOR pairs j with j ^ mask both ways, so O - O^dagger and O O - I hold
+    # one combined entry there, from phase[j] and its partner phase[j ^ mask],
+    # and each mask-form test takes the max over the entries the dense test
+    # can find nonzero.
 
     @property
     def is_hermitian(self) -> bool:
         def test():
-            if self.monomial is None:
+            if self.mask_form is None:
                 return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= STRUCTURAL_TOL
-            perm, phase = self.monomial
-            paired = perm[perm] == np.arange(perm.size)
-            resid = np.where(paired, np.abs(phase - phase[perm].conj()), np.abs(phase))
-            return np.max(resid) <= STRUCTURAL_TOL
+            mask, phase = self.mask_form
+            partner = phase[np.arange(phase.size) ^ mask]
+            return np.max(np.abs(phase - partner.conj())) <= STRUCTURAL_TOL
 
         return self._flag("hermitian", test)
 
     @property
     def is_unitary(self) -> bool:
         def test():
-            if self.monomial is None:
+            if self.mask_form is None:
                 d = self.matrix.shape[0]
                 resid = np.abs(self.matrix @ self.matrix.conj().T - np.eye(d))
                 return np.max(resid) <= STRUCTURAL_TOL
-            _, phase = self.monomial
+            _, phase = self.mask_form
             return np.max(np.abs(phase * phase.conj() - 1.0)) <= STRUCTURAL_TOL
 
         return self._flag("unitary", test)
@@ -358,15 +356,12 @@ class Operator:
     @property
     def is_involutory(self) -> bool:
         def test():
-            if self.monomial is None:
+            if self.mask_form is None:
                 d = self.matrix.shape[0]
                 return np.max(np.abs(self.matrix @ self.matrix - np.eye(d))) <= STRUCTURAL_TOL
-            perm, phase = self.monomial
-            paired = perm[perm] == np.arange(perm.size)
-            square = np.abs(phase[perm] * phase)
-            resid = np.where(paired, np.abs(phase[perm] * phase - 1.0),
-                             np.maximum(square, 1.0))
-            return np.max(resid) <= STRUCTURAL_TOL
+            mask, phase = self.mask_form
+            partner = phase[np.arange(phase.size) ^ mask]
+            return np.max(np.abs(partner * phase - 1.0)) <= STRUCTURAL_TOL
 
         return self._flag("involutory", test)
 
@@ -512,7 +507,7 @@ def project(op: Operator, state, value: int):
 
     ``op`` must be a +-1 observable.  A ``SparseState`` is projected as
     (v + value O v)/2, from the same two children ``born_table`` branches
-    into; for a monomial observable with +-1 entries that is exactly the
+    into; for a mask-form observable with +-1 entries that is exactly the
     dense projector's image.  Raises ``ZeroBranchError`` when the
     probability is at most ``NUMERIC_TOL``.
     """
@@ -542,7 +537,7 @@ def apply_controlled(control: Operator, unitary: Operator, state: SparseState) -
 
     ``control`` and ``unitary`` act on disjoint registers, so the sum is
     unitary; with U flipping a pointer it is a von Neumann premeasurement
-    of the control.  On a sparse state it goes in as its four monomial
+    of the control.  On a sparse state it goes in as its four mask-form
     terms, (v + O v)/2 + U (v - O v)/2, and the state stays sparse.
     """
     if not isinstance(state, SparseState):
@@ -787,7 +782,7 @@ def born_table(observables, state, names=None) -> BornTable:
     is 2**k - 1 contractions for k observables, where a projector chain per
     row would take k * 2**k.  Each leaf is rescaled once by the exact power
     of two 4**-k (a squared norm) or 2**-k (a trace), so the factors 1/2 are
-    never applied on the way down.  For monomial observables with entries
+    never applied on the way down.  For mask-form observables with entries
     in {0, +-1, +-i}, such as Pauli strings and the scenario's observables,
     v +- O v is exactly twice the dense (I +- O)/2 v in floating point, so
     the table is bitwise the one per-row projector chains give.  The walk
@@ -795,7 +790,7 @@ def born_table(observables, state, names=None) -> BornTable:
 
     The walk serves a ``QState``, a ``DensityMatrix`` or a ``SparseState``;
     each kind supplies its own root, children and leaf.  A sparse state
-    needs observables in monomial form; its leaves sum the same nonzero
+    needs observables in mask form; its leaves sum the same nonzero
     terms as the dense ones, in flat-index order, so a row can differ from
     the dense one in the last bit, where ``vdot`` over the full vector
     groups the terms otherwise.

@@ -5,16 +5,18 @@ ideal von Neumann interaction that copies the value into their lab's
 pointer register.  Eugene, Johnny and Daniel later address whole labs:
 each measures the conjugated x-observable obtained by dressing the atom's
 sigma_x with the friend's interaction, so it acts jointly on atom plus
-pointer.  The module builds all of these as explicit unitaries and
-observables over a labeled register layout and evaluates joint Born tables
-on the exact post-premeasurement state.
+pointer.  The module builds these observables over a labeled register
+layout, applies each premeasurement as a pointer flip controlled by the
+measured observable, and evaluates joint Born tables on the exact
+post-premeasurement state.
 
-Every scenario observable is monomial, and so is a friend's premeasurement
-unitary: the record is a +-1 diagonal, the conjugated x reverses the joint
-(atom, lab) index, and reading sigma_z into a pointer is a permutation.
-They are built in ``qcore``'s monomial form, and the post-premeasurement
-state, which has 8 nonzero amplitudes at every lab width, is a
-``qcore.SparseState``, so no array here grows with more than one lab.
+Every scenario observable, the friend's sigma_z and the pointer flip are
+an XOR mask plus phases on the flat index: a record and sigma_z are +-1
+diagonals (mask 0), the conjugated x flips every bit of the joint (atom,
+lab) index and the pointer flip every bit of the lab's.  They are built in
+``qcore``'s mask form, and the post-premeasurement state, which has 8
+nonzero amplitudes at every lab width, is a ``qcore.SparseState``, so no
+array here grows with more than one lab.
 
 Pointer registers have ``lab_width`` qubits each and are modeled as one
 site of dimension 2**w.  A friend's record observable reads the pointer in
@@ -42,13 +44,9 @@ FRIENDS = ("Alice", "Bob", "Charlie")
 WIGNERS = ("Eugene", "Johnny", "Daniel")
 AGENTS = FRIENDS + WIGNERS
 
-LAB_INDEX = {
-    "Alice": 1, "Bob": 2, "Charlie": 3,
-    "Eugene": 1, "Johnny": 2, "Daniel": 3,
-}
-
-# Spacetime event label of each agent's measurement.
+# Spacetime event label of each agent's measurement, and the agent's lab.
 EVENT_OF_AGENT = dict(zip(AGENTS, spacetime.EVENT_LABELS))
+LAB_INDEX = {agent: spacetime.EVENT_LAB[event] for agent, event in EVENT_OF_AGENT.items()}
 
 # Parity variable letter for each agent's outcome: its event letter, lower case.
 OUTCOME_VARIABLE = {agent: event.lower() for agent, event in EVENT_OF_AGENT.items()}
@@ -88,38 +86,22 @@ def _check_agent(agent: str) -> None:
 
 
 def _flip(pointer: RegisterLayout) -> Operator:
-    """X on every qubit of a pointer register: basis state p goes to d - 1 - p."""
+    """X on every qubit of a pointer register: basis state p goes to p ^ (d - 1)."""
     dp = pointer.total_dim
-    return Operator.from_monomial(pointer, np.arange(dp)[::-1], np.ones(dp))
-
-
-def _is_sign_diagonal(op: Operator) -> bool:
-    if op.monomial is None:
-        return False
-    perm, phase = op.monomial
-    return (np.array_equal(perm, np.arange(perm.size))
-            and bool(np.all((phase == 1.0) | (phase == -1.0))))
+    return Operator.from_mask(pointer, dp - 1, np.ones(dp))
 
 
 def vn_unitary(observable: Operator, pointer: RegisterLayout) -> Operator:
-    """Premeasurement unitary P_plus x I + P_minus x F for a +-1 observable.
+    """Premeasurement unitary P_plus x I + P_minus x F for a +-1 observable, dense.
 
     F flips every qubit of the pointer register, so a pointer prepared in
-    all-zeros ends correlated with the observable's eigenvalue.  For a +-1
-    diagonal observable, such as sigma_z, the unitary is the permutation
-    |s, p> -> |s, p> or |s, F p> by the sign of s, built in monomial form.
+    all-zeros ends correlated with the observable's eigenvalue.  This is the
+    dense oracle of ``MeasurementSpec.apply`` on a sparse state.
     """
-    dp = pointer.total_dim
-    layout = observable.layout.concat(pointer)
-    if _is_sign_diagonal(observable):
-        _, signs = observable.monomial
-        reads = np.where(signs.real[:, None] > 0, np.arange(dp), np.arange(dp)[::-1])
-        perm = np.arange(signs.size)[:, None] * dp + reads
-        return Operator.from_monomial(layout, perm, np.ones(perm.size))
     plus, minus = qcore.spectral_projectors(observable)
-    flip = np.eye(dp, dtype=np.complex128)[::-1]
-    mat = np.kron(plus.matrix, np.eye(dp)) + np.kron(minus.matrix, flip)
-    return Operator(layout, mat)
+    dp = pointer.total_dim
+    mat = np.kron(plus.matrix, np.eye(dp)) + np.kron(minus.matrix, _flip(pointer).matrix)
+    return Operator(observable.layout.concat(pointer), mat)
 
 
 def _majority_diagonal(width: int) -> np.ndarray:
@@ -185,8 +167,7 @@ class ScenarioModel:
         _check_agent(agent)
         if agent not in FRIENDS:
             raise UnknownAgentError(f"{agent} is not a friend agent")
-        return Operator.from_monomial(self._atom_layouts[LAB_INDEX[agent]],
-                                      [0, 1], [1.0, -1.0])
+        return Operator.from_mask(self._atom_layouts[LAB_INDEX[agent]], 0, [1.0, -1.0])
 
     def friend_spec(self, agent: str) -> MeasurementSpec:
         i = LAB_INDEX[agent]
@@ -202,8 +183,8 @@ class ScenarioModel:
         """The atom's sigma_x conjugated by the friend's premeasurement.
 
         Acts on the atom + lab block; equal to sigma_x on the atom tensored
-        with a flip of every lab pointer qubit, which reverses the joint
-        (atom, lab) index.
+        with a flip of every lab pointer qubit, which flips every bit of the
+        joint (atom, lab) index: mask d - 1.
         """
         _check_agent(agent)
         if agent not in WIGNERS:
@@ -211,7 +192,7 @@ class ScenarioModel:
         i = LAB_INDEX[agent]
         block = self._atom_layouts[i].concat(self._lab_layouts[i])
         d = block.total_dim
-        return Operator.from_monomial(block, np.arange(d)[::-1], np.ones(d))
+        return Operator.from_mask(block, d - 1, np.ones(d))
 
     def record_observable(self, agent: str) -> Operator:
         """Majority-vote pointer reading of a friend's lab."""
@@ -221,9 +202,7 @@ class ScenarioModel:
                 f"{agent} keeps no lab record; record_observable is for friends"
             )
         i = LAB_INDEX[agent]
-        dim = 2**self.lab_width
-        return Operator.from_monomial(self._lab_layouts[i], np.arange(dim),
-                                      _majority_diagonal(self.lab_width))
+        return Operator.from_mask(self._lab_layouts[i], 0, _majority_diagonal(self.lab_width))
 
     def scenario_observable(self, agent: str) -> Operator:
         """The outcome-bearing observable: pointer record or conjugated x.
@@ -356,7 +335,7 @@ def erasure_check(model: ScenarioModel) -> ErasureReport:
     """Condition on Alice's record, run Eugene's premeasurement, reread the record.
 
     Works on the sparse psi throughout: Eugene's premeasurement goes in as
-    its four monomial terms (``MeasurementSpec.apply``), and the reread is
+    its four mask-form terms (``MeasurementSpec.apply``), and the reread is
     a one-observable Born table.
     """
     post = model.post_premeasurement_state()

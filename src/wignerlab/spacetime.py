@@ -10,6 +10,7 @@ onto the span's orthogonal complement.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +152,16 @@ def frame_for_events(events) -> FrameSolution:
     return FrameSolution(True, vel, gram_t, eig_t, residual)
 
 
-EVENT_LABELS = ("A", "B", "C", "U", "V", "W")
+# Each lab's early (t = 1) and late (t = 2) event letters, lab 1 first.
+EARLY, LATE = "ABC", "UVW"
+EVENT_LABELS = tuple(EARLY + LATE)
+EVENT_LAB = {letter: i % 3 + 1 for i, letter in enumerate(EVENT_LABELS)}
+
+# One lab's two events: timelike.  One stage, or two labs' late and early: spacelike.
+TIMELIKE_PAIRS = tuple(zip(EARLY, LATE))
+SPACELIKE_PAIRS = (*itertools.combinations(EARLY, 2), *itertools.combinations(LATE, 2),
+                   *((late, early) for late in LATE for early in EARLY
+                     if EVENT_LAB[late] != EVENT_LAB[early]))
 
 
 @dataclass(frozen=True)
@@ -166,34 +176,21 @@ class Geometry:
             raise ValueError(f"geometry is missing events {missing}")
 
 
+def _placed(positions) -> Geometry:
+    """Each lab's events at its (x, y, z): the early one at t=1, the late one at t=2."""
+    return Geometry({letter: Event4(letter, 1.0 if letter in EARLY else 2.0,
+                                    *positions[EVENT_LAB[letter]])
+                     for letter in EVENT_LABELS})
+
+
 def default_geometry() -> Geometry:
     """Labs on a right triangle of legs 5; early events at t=1, late at t=2."""
-    pos = {1: (0.0, 0.0), 2: (5.0, 0.0), 3: (0.0, 5.0)}
-    ev = {}
-    for letter, lab in (("A", 1), ("B", 2), ("C", 3)):
-        ev[letter] = Event4(letter, 1.0, pos[lab][0], pos[lab][1], 0.0)
-    for letter, lab in (("U", 1), ("V", 2), ("W", 3)):
-        ev[letter] = Event4(letter, 2.0, pos[lab][0], pos[lab][1], 0.0)
-    return Geometry(ev)
+    return _placed({1: (0.0, 0.0, 0.0), 2: (5.0, 0.0, 0.0), 3: (0.0, 5.0, 0.0)})
 
 
 def collinear_geometry() -> Geometry:
     """Labs 5 apart on a line; mixed early/late triples then span timelike planes."""
-    pos = {1: 0.0, 2: 5.0, 3: 10.0}
-    ev = {}
-    for letter, lab in (("A", 1), ("B", 2), ("C", 3)):
-        ev[letter] = Event4(letter, 1.0, pos[lab], 0.0, 0.0)
-    for letter, lab in (("U", 1), ("V", 2), ("W", 3)):
-        ev[letter] = Event4(letter, 2.0, pos[lab], 0.0, 0.0)
-    return Geometry(ev)
-
-
-SPACELIKE_PAIRS = (
-    ("A", "B"), ("A", "C"), ("B", "C"),
-    ("U", "V"), ("U", "W"), ("V", "W"),
-    ("U", "B"), ("U", "C"), ("V", "A"), ("V", "C"), ("W", "A"), ("W", "B"),
-)
-TIMELIKE_PAIRS = (("A", "U"), ("B", "V"), ("C", "W"))
+    return _placed({1: (0.0, 0.0, 0.0), 2: (5.0, 0.0, 0.0), 3: (10.0, 0.0, 0.0)})
 
 
 def separation_violations(geometry: Geometry) -> list[str]:

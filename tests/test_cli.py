@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -16,11 +17,18 @@ from wignerlab.cli import (
     main,
 )
 from wignerlab.contexts import maximal_contexts
+from wignerlab.decoherence import (
+    DephasingChannel,
+    correlation_decay,
+    dephased_states,
+    expectation_trajectory,
+)
 from wignerlab.errors import ConfigParseError, ConfigValidationError
 from wignerlab.scenario import (
     OUTCOME_VARIABLE,
     ScenarioModel,
     context_born_table,
+    erasure_check,
     run_friend_stage,
     sample_outcomes,
     scenario_context,
@@ -487,7 +495,7 @@ def test_lab_width_five_runs(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["paradox", "decohere"])
 def test_lab_width_sixteen_runs(tmp_path, capsys, command):
-    # psi keeps 8 nonzero amplitudes and every operator is monomial, so no
+    # psi keeps 8 nonzero amplitudes and every operator is in mask form, so no
     # array spans more than one lab (2**17 entries) at width 16.
     code = main([command, "--lab-width", "16", "--out", str(tmp_path),
                  "--format", "json"])
@@ -606,6 +614,44 @@ def test_decohere_checks_the_iterated_channel_at_every_width(tmp_path, capsys, w
                                  "passed": True, "values": {"largest_gap": 0.0}}
 
 
+def _undephased(state, channel, steps):
+    """The iterated reference with the channel switched off."""
+    return dephased_states(state, DephasingChannel(channel.target, 0.0), steps)
+
+
+def _shifted(series):
+    """``series`` with every value it returns moved up by 1e-9."""
+    return lambda *args: tuple(v + 1e-9 for v in series(*args))
+
+
+def _erasure_shifted(model):
+    report = erasure_check(model)
+    return dataclasses.replace(report, p_plus_given_plus=report.p_plus_given_plus + 1e-9)
+
+
+# Each decohere check, and a faulty stand-in for the ``cli`` binding it reads.
+DECOHERE_FAULTS = (
+    ("closed_form_matches_iterated", "dephased_states", _undephased),
+    ("decay_matches_analytic", "correlation_decay", _shifted(correlation_decay)),
+    ("record_constraints_unchanged", "expectation_trajectory",
+     _shifted(expectation_trajectory)),
+    ("erasure_even_odds", "erasure_check", _erasure_shifted),
+)
+
+
+@pytest.mark.parametrize("check,binding,fault", DECOHERE_FAULTS,
+                         ids=[check for check, _, _ in DECOHERE_FAULTS])
+def test_each_decohere_check_fails_on_its_own_fault(tmp_path, capsys, monkeypatch,
+                                                    check, binding, fault):
+    monkeypatch.setattr(cli, binding, fault)
+    code = main(["decohere", "--out", str(tmp_path), "--format", "json"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert {c["name"]: c["passed"] for c in doc["checks"]} == {
+        name: name != check for name, _, _ in DECOHERE_FAULTS}
+
+
 COMMANDS = ("ghz-check", "paradox", "contexts", "frames", "decohere")
 
 # A valid value of each key that one subcommand reads, and that subcommand.
@@ -716,6 +762,12 @@ PINNED_REPORTS = [
      "61391f997d1c6e7f4392ee8d23c628f9b28dd6272a49f6b1122377573d755755"),
     (["paradox", "--lab-width", "4", "--seed", "7"],
      "eaceea11510f218da184abe4f14a3f01c08c21b016dfce46e8a0d4b5419733dd"),
+    (["paradox", "--lab-width", "16", "--seed", "7"],
+     "533b21f5ccfc5d5ac60af3752bdf014bceccebd078f9edc7505d4420c23cd5b5"),
+    (["decohere", "--lab-width", "16"],
+     "2525fe05abe0155725bf453b866b12ea79151f7c547aa798d7c47202b8d1a608"),
+    (["contexts", "--lab-width", "8"],
+     "a9ff0d1a82abb9e1c67457e64e9b3d0b385eb449205e4b14b7b7bae5c7f651e4"),
 ]
 
 

@@ -99,10 +99,9 @@ def test_maximal_contexts_are_the_eight_transversals(model):
     ids = [r.environment.id for r in reports]
     assert ids == sorted(ids)
     for report in reports:
-        assert len(report.agents) == 3
+        assert len(report.environment.agents) == 3
         # One agent per lab: never a friend and their own observer together.
-        assert sorted(LAB_INDEX[a] for a in report.agents) == [1, 2, 3]
-        assert report.environment.agents == frozenset(report.agents)
+        assert sorted(LAB_INDEX[a] for a in report.environment.agents) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -111,7 +110,7 @@ def test_maximal_context_environment_is_the_common_extension(width):
     wide = ScenarioModel(lab_width=width)
     for report in maximal_contexts(wide, default_geometry()):
         oracle = common_extension(wide, [primary_context(a)
-                                         for a in report.agents])
+                                         for a in report.environment.agents])
         assert oracle is not None
         assert report.environment == oracle
 
@@ -201,7 +200,7 @@ def test_assessability_is_monotone_under_extension(model):
 def test_every_agent_is_assessable_somewhere(model):
     reports = maximal_contexts(model, default_geometry())
     for agent in AGENTS:
-        homes = [r for r in reports if agent in r.agents]
+        homes = [r for r in reports if agent in r.environment.agents]
         assert len(homes) == 4
         for report in homes:
             assert compatibly_extends(model, report.environment,

@@ -3,6 +3,9 @@ import pytest
 
 from wignerlab.errors import SuperluminalError
 from wignerlab.spacetime import (
+    EVENT_LAB,
+    SPACELIKE_PAIRS,
+    TIMELIKE_PAIRS,
     BoostVelocity,
     Event4,
     Geometry,
@@ -118,6 +121,27 @@ def test_frame_velocity_is_minimal_speed():
         other = v + t * kernel
         assert np.max(np.abs(a_mat @ other - b_vec)) <= 1e-12
         assert np.linalg.norm(other) >= np.linalg.norm(v) - 1e-12
+
+
+def test_event_tables_derived_from_the_lab_map_are_the_written_out_ones():
+    # Written out here, so a change to the map or to a derivation fails
+    # this test; the pair order fixes the order of violation messages.
+    assert EVENT_LAB == {"A": 1, "B": 2, "C": 3, "U": 1, "V": 2, "W": 3}
+    assert TIMELIKE_PAIRS == (("A", "U"), ("B", "V"), ("C", "W"))
+    assert SPACELIKE_PAIRS == (
+        ("A", "B"), ("A", "C"), ("B", "C"),
+        ("U", "V"), ("U", "W"), ("V", "W"),
+        ("U", "B"), ("U", "C"), ("V", "A"), ("V", "C"), ("W", "A"), ("W", "B"),
+    )
+    for geometry, places in ((default_geometry(), {1: (0.0, 0.0), 2: (5.0, 0.0),
+                                                   3: (0.0, 5.0)}),
+                             (collinear_geometry(), {1: (0.0, 0.0), 2: (5.0, 0.0),
+                                                     3: (10.0, 0.0)})):
+        written = [Event4(letter, t, *places[lab], 0.0)
+                   for t, letters in ((1.0, "ABC"), (2.0, "UVW"))
+                   for letter, lab in zip(letters, (1, 2, 3))]
+        assert list(geometry.events.values()) == written
+        assert list(geometry.events) == [e.label for e in written]
 
 
 def test_default_geometry_separation_pattern():

@@ -1,9 +1,11 @@
-"""Monomial operators and sparse states against their dense oracles.
+"""Mask-form operators and sparse states against their dense oracles.
 
-The scenario's observables and friend unitaries are built in monomial form
-and psi is a ``SparseState``.  Every fast result here is compared with the
-dense path at lab widths up to 4, at the pinned 1e-12, and the lazily built
-matrices with the dense builders they replace, bit for bit.
+The scenario's observables and pointer flips are built in mask form, an XOR
+mask plus phases, and psi is a ``SparseState``.  A mask form is a monomial
+operator, one nonzero per row and per column, and the test names say so.
+Every fast result here is compared with the dense path at lab widths up to
+4, at the pinned 1e-12, and the lazily built matrices with the dense
+builders they replace, bit for bit.
 """
 
 import itertools
@@ -51,12 +53,23 @@ def loop_majority_diagonal(width):
     return diag
 
 
-def dense_vn_unitary(observable, pointer):
-    """The earlier dense builder: P_plus x I + P_minus x F."""
-    plus, minus = qcore.spectral_projectors(Operator(observable.layout, observable.matrix))
-    dp = pointer.total_dim
-    flip = np.eye(dp, dtype=np.complex128)[::-1]
-    return np.kron(plus.matrix, np.eye(dp)) + np.kron(minus.matrix, flip)
+def controlled_flip(signs, dp):
+    """The permutation |s, p> -> |s, p> or |s, p ^ (dp - 1)> by the sign of s."""
+    d = len(signs) * dp
+    rows = [s * dp + (p if signs[s] > 0 else p ^ (dp - 1))
+            for s in range(len(signs)) for p in range(dp)]
+    mat = np.zeros((d, d), dtype=np.complex128)
+    mat[rows, np.arange(d)] = 1.0
+    return mat
+
+
+def random_pm1_observable(rng, layout):
+    """A random +-1 observable in mask form: real phases, equal across j and j ^ mask."""
+    d = layout.total_dim
+    mask = int(rng.integers(d))
+    index = np.arange(d)
+    phase = rng.choice([1.0, -1.0], size=d)[np.minimum(index, index ^ mask)]
+    return Operator.from_mask(layout, mask, phase)
 
 
 def same_flags(op, dense):
@@ -76,7 +89,7 @@ def test_scenario_operators_are_bitwise_the_dense_builders(width):
     flip = np.eye(2**width, dtype=np.complex128)[::-1]
     for agent in AGENTS:
         op = model.scenario_observable(agent)
-        assert op.monomial is not None
+        assert op.mask_form is not None
         if agent in FRIENDS:
             old = np.array(np.diag(loop_majority_diagonal(width)), dtype=np.complex128)
         else:
@@ -86,14 +99,14 @@ def test_scenario_operators_are_bitwise_the_dense_builders(width):
     for agent in FRIENDS:
         spec = model.friend_spec(agent)
         u = spec.unitary()
-        assert u.monomial is not None
-        old = dense_vn_unitary(spec.observable, spec.pointer)
+        assert u.mask_form is None
+        old = controlled_flip([1.0, -1.0], 2**width)
         assert u.matrix.tobytes() == old.tobytes()
-        assert same_flags(u, Operator(u.layout, old))
+        assert u.is_unitary
 
 
 def test_pauli_y_monomial_is_bitwise_dense_y():
-    op = Operator.from_monomial(qubits("q"), [1, 0], [1j, -1j])
+    op = Operator.from_mask(qubits("q"), 1, [1j, -1j])
     assert op.matrix.tobytes() == Y.tobytes()
     assert same_flags(op, Operator(qubits("q"), Y))
     assert op.is_hermitian and op.is_unitary and op.is_involutory
@@ -101,24 +114,19 @@ def test_pauli_y_monomial_is_bitwise_dense_y():
 
 def test_monomial_flags_match_dense_on_random_forms():
     rng = np.random.default_rng(11)
-    lay = RegisterLayout((("a", 2), ("b", 3)))
+    lay = RegisterLayout((("a", 2), ("b", 4)))
     phases = np.array([1.0, -1.0, 1j, -1j, np.exp(0.3j), 0.5])
     seen = set()
     for _ in range(300):
-        if rng.random() < 0.5:
-            perm = rng.permutation(6)
-        else:  # an involution: swap a few disjoint pairs
-            perm = np.arange(6)
-            for i, j in rng.permutation(6).reshape(3, 2)[: rng.integers(0, 4)]:
-                perm[i], perm[j] = j, i
-        phase = rng.choice(phases, size=6)
-        if rng.random() < 0.5:  # conjugate phases across each pair
-            for j in range(6):
-                if perm[perm[j]] == j and perm[j] >= j:
-                    phase[perm[j]] = np.conj(phase[j])
-                    if perm[j] == j:
+        mask = int(rng.integers(8))
+        phase = rng.choice(phases, size=8)
+        if rng.random() < 0.5:  # conjugate phases across each pair j, j ^ mask
+            for j in range(8):
+                if j ^ mask >= j:
+                    phase[j ^ mask] = np.conj(phase[j])
+                    if j ^ mask == j:
                         phase[j] = rng.choice([1.0, -1.0])
-        op = Operator.from_monomial(lay, perm, phase)
+        op = Operator.from_mask(lay, mask, phase)
         dense = Operator(lay, op.matrix)
         assert same_flags(op, dense)
         seen.add((dense.is_hermitian, dense.is_unitary, dense.is_involutory))
@@ -127,18 +135,19 @@ def test_monomial_flags_match_dense_on_random_forms():
 
 def test_monomial_form_guards_and_dense_fallback():
     with pytest.raises(qcore.LayoutMismatchError):
-        Operator.from_monomial(qubits("q"), [0, 1, 2], [1, 1, 1])
+        Operator.from_mask(RegisterLayout((("q", 3),)), 0, [1, 1, 1])
+    with pytest.raises(qcore.LayoutMismatchError):
+        Operator.from_mask(qubits("q"), 0, [1, 1, 1])
     with pytest.raises(ValueError):
-        Operator.from_monomial(qubits("q"), [0, 0], [1, 1])
+        Operator.from_mask(qubits("q"), 2, [1, 1])
     with pytest.raises(ValueError):
-        Operator.from_monomial(qubits("q"), [0, 2], [1, 1])
-    # A non-monomial observable keeps the dense path: its premeasurement
-    # unitary is dense, and qcore.apply refuses a sparse state.
+        Operator.from_mask(qubits("q"), -1, [1, 1])
+    # A non-mask observable keeps the dense path, and qcore.apply and
+    # born_table refuse a sparse state.
     h = Operator(qubits("a"), (X + Z) / np.sqrt(2))
-    assert h.monomial is None
+    assert h.mask_form is None
     u = vn_unitary(h, qubits("p"))
-    assert u.monomial is None
-    assert np.array_equal(u.matrix, dense_vn_unitary(h, qubits("p")))
+    assert u.mask_form is None
     ready = SparseState(qubits("a", "p"), {(0, 0): 1.0})
     with pytest.raises(TypeError):
         qcore.apply(u, ready)
@@ -171,22 +180,17 @@ def test_sparse_state_round_trip_and_guards():
 
 def test_sparse_born_table_matches_dense_on_random_monomials():
     rng = np.random.default_rng(17)
-    lay = RegisterLayout((("c", 2), ("a", 2), ("b", 3), ("d", 2)))
+    lay = RegisterLayout((("c", 2), ("a", 2), ("b", 4), ("d", 2)))
     supports = (("a",), ("b", "c"), ("d",))
     for _ in range(10):
-        vec = rng.normal(size=24) + 1j * rng.normal(size=24)
-        vec[rng.random(24) < 0.6] = 0.0
+        vec = rng.normal(size=32) + 1j * rng.normal(size=32)
+        vec[rng.random(32) < 0.6] = 0.0
         vec[0] = 1.0
         dense = qcore.QState(lay, vec / np.linalg.norm(vec))
-        observables = [Operator.from_monomial(lay.subset(["a"]), [1, 0], [1j, -1j])]
-        for support in supports[1:]:  # disjoint supports, so they commute
-            sub = lay.subset(support)
-            d = sub.total_dim
-            perm = np.arange(d)
-            perm[[0, d - 1]] = perm[[d - 1, 0]]
-            phase = rng.choice([1.0, -1.0], size=d)
-            phase[d - 1] = phase[0]
-            observables.append(Operator.from_monomial(sub, perm, phase))
+        observables = [Operator.from_mask(lay.subset(["a"]), 1, [1j, -1j])]
+        # Disjoint supports, so they commute.
+        observables += [random_pm1_observable(rng, lay.subset(support))
+                        for support in supports[1:]]
         sparse_table = qcore.born_table(observables, SparseState.from_dense(dense))
         dense_table = qcore.born_table(observables, dense)
         assert list(sparse_table.rows) == list(dense_table.rows)
@@ -205,10 +209,9 @@ def _random_sparse(rng, layout, zero_share=0.6):
 
 def test_expectation_and_partial_trace_take_a_sparse_state():
     rng = np.random.default_rng(5)
-    lay = RegisterLayout((("a", 2), ("b", 3), ("c", 2)))
-    y = Operator.from_monomial(lay.subset(["a"]), [1, 0], [1j, -1j])
-    swap = Operator.from_monomial(lay.subset(["b", "c"]), [5, 4, 3, 2, 1, 0],
-                                  [1, -1, 1, 1, -1, 1])
+    lay = RegisterLayout((("a", 2), ("b", 4), ("c", 2)))
+    y = Operator.from_mask(lay.subset(["a"]), 1, [1j, -1j])
+    swap = Operator.from_mask(lay.subset(["b", "c"]), 7, [1, -1, 1, 1, 1, 1, -1, 1])
     hadamard = Operator(lay.subset(["c"]), (X + Z) / np.sqrt(2))  # dense path
     for _ in range(5):
         sparse, dense = _random_sparse(rng, lay)
@@ -222,7 +225,7 @@ def test_expectation_and_partial_trace_take_a_sparse_state():
 def test_project_and_split_register_match_dense():
     rng = np.random.default_rng(11)
     lay = RegisterLayout((("a", 2), ("b", 3), ("c", 2)))
-    y = Operator.from_monomial(lay.subset(["a"]), [1, 0], [1j, -1j])
+    y = Operator.from_mask(lay.subset(["a"]), 1, [1j, -1j])
     for _ in range(5):
         sparse, dense = _random_sparse(rng, lay, zero_share=0.3)
         for value in (1, -1):
@@ -250,12 +253,12 @@ def test_apply_controlled_matches_the_dense_premeasurement():
     rng = np.random.default_rng(23)
     lay = RegisterLayout((("a", 2), ("b", 2), ("p", 4)))
     pointer = lay.subset(["p"])
-    flip = Operator.from_monomial(pointer, [3, 2, 1, 0], np.ones(4))
-    controls = (Operator.from_monomial(lay.subset(["a"]), [1, 0], [1j, -1j]),  # Y
-                Operator.from_monomial(lay.subset(["a", "b"]), [0, 1, 2, 3], [1, -1, -1, 1]),
-                Operator.from_monomial(lay.subset(["a", "b"]), [3, 2, 1, 0], [1, -1, -1, 1]))
+    flip = Operator.from_mask(pointer, 3, np.ones(4))
+    controls = (Operator.from_mask(lay.subset(["a"]), 1, [1j, -1j]),  # Y
+                Operator.from_mask(lay.subset(["a", "b"]), 0, [1, -1, -1, 1]),
+                Operator.from_mask(lay.subset(["a", "b"]), 3, [1, -1, -1, 1]))
     for control in controls:
-        unitary = Operator(control.layout.concat(pointer), dense_vn_unitary(control, pointer))
+        unitary = vn_unitary(control, pointer)
         for _ in range(3):
             sparse, dense = _random_sparse(rng, lay, zero_share=0.5)
             fast = qcore.apply_controlled(control, flip, sparse)
@@ -266,7 +269,7 @@ def test_apply_controlled_matches_the_dense_premeasurement():
         qcore.apply_controlled(controls[0], flip, dense)
     with pytest.raises(qcore.LayoutMismatchError):
         qcore.apply_controlled(controls[0], Operator(lay.subset(["a"]), X), sparse)
-    twice = Operator.from_monomial(lay.subset(["b"]), [0, 1], [2.0, 0.5])
+    twice = Operator.from_mask(lay.subset(["b"]), 0, [2.0, 0.5])
     with pytest.raises(qcore.NotInvolutoryError):
         qcore.apply_controlled(twice, flip, sparse)
 
@@ -426,6 +429,4 @@ def test_width_sixteen_builds_no_dense_matrix():
         assert abs(sum(table.rows.values()) - 1.0) <= TOL
     report = erasure_check(model)
     assert abs(report.p_plus_given_plus - 0.5) <= TOL
-    operators = [model.scenario_observable(a) for a in AGENTS]
-    operators += [model.friend_spec(a).unitary() for a in FRIENDS]
-    assert all(op._matrix is None for op in operators)
+    assert all(model.scenario_observable(a)._matrix is None for a in AGENTS)
