@@ -236,34 +236,34 @@ _POSITIVE = _check(lambda v: _real(v) and 0 < v <= sys.float_info.max,
 
 
 def _build_geometry(key, value) -> tuple[str, spacetime.Geometry]:
+    """A built-in geometry (checked once, by a test) or a custom events table."""
     if value == "default":
-        name, geometry = "default", spacetime.default_geometry()
-    elif value == "collinear":
-        name, geometry = "collinear", spacetime.collinear_geometry()
-    elif isinstance(value, dict) and set(value) == {"events"}:
-        events = value["events"]
-        if not isinstance(events, dict) or set(events) != set(spacetime.EVENT_LABELS):
-            raise ConfigValidationError(
-                f"{key}: events must map exactly the labels "
-                f"{'/'.join(spacetime.EVENT_LABELS)}"
-            )
-        built = {}
-        for label, coords in events.items():
-            if not isinstance(coords, list) or len(coords) != 4 or not all(map(_real, coords)):
-                raise ConfigValidationError(
-                    f"{key}: event {label} needs four numbers [t, x, y, z]"
-                )
-            built[label] = spacetime.Event4(label, *map(float, coords))
-        name, geometry = "custom", spacetime.Geometry(built)
-    else:
+        return "default", spacetime.default_geometry()
+    if value == "collinear":
+        return "collinear", spacetime.collinear_geometry()
+    if not (isinstance(value, dict) and set(value) == {"events"}):
         raise ConfigValidationError(
             f"{key}: expected \"default\", \"collinear\", or an events table, "
             f"got {value!r}"
         )
+    events = value["events"]
+    if not isinstance(events, dict) or set(events) != set(spacetime.EVENT_LABELS):
+        raise ConfigValidationError(
+            f"{key}: events must map exactly the labels "
+            f"{'/'.join(spacetime.EVENT_LABELS)}"
+        )
+    built = {}
+    for label, coords in events.items():
+        if not isinstance(coords, list) or len(coords) != 4 or not all(map(_real, coords)):
+            raise ConfigValidationError(
+                f"{key}: event {label} needs four numbers [t, x, y, z]"
+            )
+        built[label] = spacetime.Event4(label, *map(float, coords))
+    geometry = spacetime.Geometry(built)
     violations = spacetime.separation_violations(geometry)
     if violations:
         raise ConfigValidationError(f"{key}: " + "; ".join(violations))
-    return name, geometry
+    return "custom", geometry
 
 
 def _triple(value) -> bool:
@@ -479,18 +479,31 @@ def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
     return json_path, txt_path
 
 
+def _quarter_parity(table: qcore.BornTable, parity: int, tol: float) -> tuple[bool, dict]:
+    """Whether the table's support is four rows of 1/4, each with outcome
+    product ``parity``; and the support's size and products."""
+    support = table.support(tol)
+    products = {s[0] * s[1] * s[2] for s in support}
+    ok = (len(support) == 4 and products == {parity}
+          and all(abs(table.rows[s] - 0.25) <= tol for s in support))
+    return ok, {"support_size": len(support), "products": sorted(products)}
+
+
 def cmd_ghz_check(config: ScenarioConfig) -> RunReport:
-    """Verify the three defining probability patterns of the entangled state."""
+    """Verify the three defining probability patterns of the entangled state:
+    ``joint_eigenstate``'s dense rank check, then five sparse tables."""
     generators = tuple(parse_pauli(w) for w in config.generators)
-    state = joint_eigenstate(generators)
-    labels = state.layout.labels
+    state = qcore.SparseState.from_dense(joint_eigenstate(generators))
     tol = config.tolerance
 
-    def single(letter: str, who: int):
-        return to_operator(parse_pauli(letter), (labels[who],))
+    def table(letters: str) -> qcore.BornTable:
+        """One letter per atom, in slots named by letter and atom: x1, z2, ..."""
+        observables = [to_operator(parse_pauli(letter), (label,))
+                       for letter, label in zip(letters, state.layout.labels)]
+        names = tuple(f"{letter.lower()}{i}" for i, letter in enumerate(letters, 1))
+        return qcore.born_table(observables, state, names=names)
 
-    y_table = qcore.born_table(tuple(single("Y", i) for i in range(3)), state,
-                               names=("y1", "y2", "y3"))
+    y_table = table("YYY")
     p_up = y_table.rows[(1, 1, 1)]
     p_down = y_table.rows[(-1, -1, -1)]
     others = max(p for o, p in y_table.rows.items()
@@ -502,35 +515,17 @@ def cmd_ghz_check(config: ScenarioConfig) -> RunReport:
          "largest_other_row": _sig12(others)},
     )
 
-    x_table = qcore.born_table(tuple(single("X", i) for i in range(3)), state,
-                               names=("x1", "x2", "x3"))
-    x_support = x_table.support(tol)
-    x_ok = (len(x_support) == 4
-            and all(s[0] * s[1] * s[2] == -1 for s in x_support)
-            and all(abs(x_table.rows[s] - 0.25) <= tol for s in x_support))
-    check2 = CheckResult(
-        "condition_2_x_product_minus_one", x_ok,
-        {"support_size": len(x_support),
-         "products": sorted({s[0] * s[1] * s[2] for s in x_support})},
-    )
+    x_table = table("XXX")
+    check2 = CheckResult("condition_2_x_product_minus_one",
+                         *_quarter_parity(x_table, -1, tol))
 
-    mixed_tables = {}
-    mixed_ok = True
-    mixed_values = {}
-    for who in range(3):
-        obs = tuple(single("X" if i == who else "Z", i) for i in range(3))
-        names = tuple(("x" if i == who else "z") + str(i + 1) for i in range(3))
-        table = qcore.born_table(obs, state, names=names)
-        support = table.support(tol)
-        ok = (len(support) == 4
-              and all(s[0] * s[1] * s[2] == 1 for s in support)
-              and all(abs(table.rows[s] - 0.25) <= tol for s in support))
+    mixed_tables, mixed_values, mixed_ok = {}, {}, True
+    for letters in ("XZZ", "ZXZ", "ZZX"):
+        mixed = table(letters)
+        key = "".join(mixed.names)
+        ok, mixed_values[key] = _quarter_parity(mixed, 1, tol)
         mixed_ok = mixed_ok and ok
-        mixed_tables["".join(names)] = _table_rows(table)
-        mixed_values["".join(names)] = {
-            "support_size": len(support),
-            "products": sorted({s[0] * s[1] * s[2] for s in support}),
-        }
+        mixed_tables[key] = _table_rows(mixed)
     check3 = CheckResult("condition_3_mixed_products_plus_one", mixed_ok,
                          mixed_values)
 

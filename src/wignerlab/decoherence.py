@@ -168,24 +168,17 @@ def expectation_trajectory(model: ScenarioModel, channel: DephasingChannel,
                            agents, steps: int) -> tuple[float, ...]:
     """Product expectation of a joint context under repeated dephasing.
 
-    Reads the product of the named agents' protocol observables after k
+    Reads the product O of the named agents' protocol observables after k
     applications of the channel to the post-premeasurement state psi, for
     each k from 0 through ``steps``.  With q = 1 - strength the value is
-    q**k*E(psi) + (1 - q**k)*sum_j w_j*E(psi_j) over the target's pointer
-    branches, from 1 + (number of branches) Born tables on pure states.
+    q**k*<psi|O|psi> + (1 - q**k)*sum_j <psi|P_j O P_j|psi> over the target's
+    pointer projectors P_j, both read by ``qcore.product_expectation``.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     context = scenario_context(model, agents)
-    observables, names = tuple(context.values()), tuple(context)
-
-    def product(state: qcore.SparseState) -> float:
-        return qcore.born_table(observables, state, names=names).expectation_product()
-
-    psi = model.post_premeasurement_state()
-    coherent = product(psi)
-    recorded = sum(w * product(branch)
-                   for w, branch in qcore.split_register(psi, channel.target))
+    coherent, recorded = qcore.product_expectation(
+        context.values(), model.post_premeasurement_state(), channel.target)
     q = 1.0 - channel.strength
     return tuple(q ** k * coherent + (1.0 - q ** k) * recorded
                  for k in range(steps + 1))
@@ -195,13 +188,13 @@ def correlation_decay(model: ScenarioModel, channel: DephasingChannel,
                       steps: int) -> tuple[float, ...]:
     """Decay of the three outside observers' joint x-type correlation.
 
-    The channel must target one lab's pointer register.  The
-    closed form of ``expectation_trajectory`` gives q**k*E(psi) plus
-    (1 - q**k) times the branch average; the Born tables make the first
-    -1 and the second 0, so the value at step k is -(1 - strength)**k, the
-    delicate minus-one correlation washing out while every record stays put.
-    No density matrix is formed; the tests compare the series with Born
-    tables on ``dephased_states`` at lab_width 1 and 2.
+    The channel must target one lab's pointer register.  In the closed form
+    of ``expectation_trajectory`` psi gives -1 and the branch part 0, as each
+    lifted x moves its lab's pointer, so the value at step k is
+    -(1 - strength)**k: the delicate minus-one correlation washes out while
+    every record stays put.  No density matrix or Born table is formed; the
+    tests compare the series with Born tables on ``dephased_states`` at
+    lab_width 1 and 2.
     """
     labs = {lab_label(i) for i in (1, 2, 3)}
     if channel.target not in labs:

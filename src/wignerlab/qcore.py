@@ -9,19 +9,25 @@ stay cheap as long as each operator's own support is small.
 ``QState``, ``DensityMatrix`` and a dense ``Operator`` are dense complex128.
 An ``Operator`` on a layout of power-of-two dimension may instead be held
 in mask form, O|j> = phase[j] |j XOR mask>: an XOR mask on the flat index
-plus a phase per basis state, as for Pauli strings and the scenario's
+plus a tuple of phases, as for Pauli strings and the scenario's
 observables (the Gottesman-Knill form: Aaronson and Gottesman, PRA 70,
 052328 (2004); an affine map over GF(2): Dehaene and De Moor, PRA 68,
-042318 (2003)).  Its flags come from that form in O(d), and its dense
+042318 (2003)).  Its flags are set at construction (stated by
+``from_pauli_mask``, computed by ``from_mask``), and its dense
 ``matrix`` is built only on first use.  A ``SparseState`` keeps only the
 nonzero amplitudes of a pure state, keyed by one index per register.
-``born_table``, ``project`` (one +-1 outcome), ``apply_controlled`` (a
-unitary where a +-1 observable reads -1) and ``split_register`` (the
-branches on one register's basis states) move each entry by the mask form
-and keep their results sparse, so their cost follows the number of
-entries, not the dimension, and callers never handle the entries.
-``to_dense()`` gives the ``QState`` back where the dimension allows, and
-``support_state`` shrinks each register to the index values in use.
+``born_table``, ``expectation``, ``project`` (one +-1 outcome),
+``apply_controlled`` (a unitary where a +-1 observable reads -1) and
+``split_register`` (the branches on one register's basis states) move
+each entry by the mask form, through a per-layout (axis, mask digit) plan
+the operator caches, in plain Python with no numpy call; states stay
+sparse, so the cost follows the number of entries, not the
+dimension, and sums are correctly rounded ``math.fsum`` sums.
+``product_expectation`` reads a product's expectation and its part
+diagonal in one register's basis.  Sparse results, and ``support_state``'s
+(each register shrunk to the index values in use), are adopted through
+``SparseState._trusted``, as their indices and norm hold by construction.
+``to_dense()`` gives the ``QState`` back where the dimension allows.
 
 Commutation is locality-aware.  Operators on disjoint registers commute
 exactly: every entry of (A x I)(I x B) and of (I x B)(A x I) is the same
@@ -47,9 +53,9 @@ of them: it feeds only report assertions and the ``zero_tol`` support
 threshold of ``BornTable.support`` and the ``paradox`` searches.
 
 All value types are immutable: arrays are copied on construction and marked
-read-only (the two trusted ``DensityMatrix`` producers freeze their own
-fresh arrays instead), and every operation returns a fresh object.
-Instances are safe to share across threads.
+read-only (the trusted producers adopt their own fresh values instead), and
+every operation returns a fresh object.  Instances are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -85,39 +91,31 @@ BORN_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered sequence of (label, dimension) register sites."""
+    """Ordered (label, dimension) register sites; labels, shape and axes built once."""
 
     sites: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        labels = [s[0] for s in self.sites]
+        labels = tuple(s[0] for s in self.sites)
         if len(set(labels)) != len(labels):
             dup = sorted({l for l in labels if labels.count(l) > 1})
             raise LabelClashError(f"duplicate register labels: {dup}")
         for label, dim in self.sites:
             if not isinstance(dim, int) or dim < 1:
                 raise ValueError(f"register {label!r} has invalid dimension {dim!r}")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s[0] for s in self.sites)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(s[1] for s in self.sites)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "shape", tuple(s[1] for s in self.sites))
+        object.__setattr__(self, "_axes", {l: i for i, l in enumerate(labels)})
 
     @property
     def total_dim(self) -> int:
-        out = 1
-        for _, d in self.sites:
-            out *= d
-        return out
+        return math.prod(self.shape)
 
     def axis(self, label: str) -> int:
-        for i, (l, _) in enumerate(self.sites):
-            if l == label:
-                return i
-        raise UnknownLabelError(f"no register labeled {label!r}")
+        try:
+            return self._axes[label]
+        except KeyError:
+            raise UnknownLabelError(f"no register labeled {label!r}") from None
 
     def dim(self, label: str) -> int:
         return self.sites[self.axis(label)][1]
@@ -176,16 +174,31 @@ def basis_state(layout: RegisterLayout, index: int = 0) -> QState:
     return QState(layout, amp)
 
 
+class _Trusted:
+    """A fresh value valid by construction, which ``_trusted`` on a class
+    passes to its ``__init__``: every instance is built in that one place."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
 class SparseState:
     """Normalized pure state held as its nonzero amplitudes.
 
     ``entries`` maps index tuples, one index per register in layout order,
     to amplitudes; exact zeros are dropped.  Tuples rather than flat
     indices: a flat index over n qubits overflows int64 once n > 63, which
-    the scenario reaches at lab_width 21.
+    the scenario reaches at lab_width 21.  The constructor checks every
+    index and the norm, except for ``qcore``'s own producers (``_trusted``).
     """
 
     def __init__(self, layout: RegisterLayout, entries):
+        self.layout = layout
+        if isinstance(entries, _Trusted):
+            self.entries = MappingProxyType(entries.value)
+            return
         shape = layout.shape
         kept = {}
         for index, amp in dict(entries).items():
@@ -195,8 +208,14 @@ class SparseState:
             if amp != 0:
                 kept[index] = complex(amp)
         _check_norm(math.sqrt(_sparse_norm2(kept)))
-        self.layout = layout
         self.entries = MappingProxyType(kept)
+
+    @classmethod
+    def _trusted(cls, layout: RegisterLayout, entries: dict) -> "SparseState":
+        """Adopt ``entries`` as they are: tuple indices that fit ``layout``,
+        complex amplitudes, no exact zero, unit norm; the caller must hold no
+        other reference."""
+        return cls(layout, _Trusted(entries))
 
     @classmethod
     def from_dense(cls, state: QState) -> "SparseState":
@@ -212,42 +231,48 @@ class SparseState:
 
     def nonzero(self) -> np.ndarray:
         """The nonzero amplitudes in flat-index order."""
-        return _sparse_amplitudes(self.entries)
+        return np.array([self.entries[index] for index in sorted(self.entries)],
+                        dtype=np.complex128)
 
     def __repr__(self) -> str:
         return f"SparseState(entries={len(self.entries)}, labels={self.layout.labels})"
 
 
-def _sparse_amplitudes(entries) -> np.ndarray:
-    return np.array([entries[index] for index in sorted(entries)], dtype=np.complex128)
-
-
 def _sparse_norm2(entries) -> float:
-    """Squared norm of sparse entries, summed by ``vdot`` in flat-index order."""
-    amps = _sparse_amplitudes(entries)
-    return float(np.real(np.vdot(amps, amps)))
+    """Squared norm of sparse entries, one correctly rounded ``math.fsum``."""
+    return math.fsum(a.real * a.real + a.imag * a.imag for a in entries.values())
+
+
+def _plan(op: "Operator", layout: RegisterLayout) -> tuple:
+    """(axis in ``layout``, mask digit, stride in ``op``'s flat index) per
+    register of a mask-form ``op``, built once per layout."""
+    if layout not in op._plans:
+        dims = op.layout.shape
+        strides = [math.prod(dims[r + 1:]) for r in range(len(dims))]
+        op._plans[layout] = tuple(
+            (ax, op.mask_form[0] // stride % dim, stride)
+            for ax, dim, stride in zip(_check_sublayout(op.layout, layout), dims, strides))
+    return op._plans[layout]
 
 
 def _sparse_contract(op: "Operator", layout: RegisterLayout, entries) -> dict:
     """A mask-form operator applied to sparse entries: entry j moves to j ^ mask.
 
     Each register's dimension is a power of two, so that XOR is each
-    register's index XORed with the mask's digits for that register.
+    register's index XORed with the mask's digit for that register.
     """
     if op.mask_form is None:
         raise TypeError("a sparse state takes only operators in mask form")
-    axes = _check_sublayout(op.layout, layout)
-    mask, phase = op.mask_form
-    dims = op.layout.shape
-    bits = [int(m) for m in np.unravel_index(mask, dims)]
+    plan = _plan(op, layout)
+    phase = op.mask_form[1]
     out = {}
     for index, amp in entries.items():
         j = 0
         moved = list(index)
-        for ax, dim, m in zip(axes, dims, bits):
-            j = j * dim + index[ax]
-            moved[ax] = index[ax] ^ m
-        out[tuple(moved)] = complex(phase[j]) * amp
+        for ax, digit, stride in plan:
+            j += index[ax] * stride
+            moved[ax] = index[ax] ^ digit
+        out[tuple(moved)] = phase[j] * amp
     return out
 
 
@@ -271,13 +296,14 @@ def _sparse_sums(node, flipped) -> tuple[dict, dict]:
 
 
 class Operator:
-    """Linear operator over a layout, with lazily cached structural flags.
+    """Linear operator over a layout, with cached structural flags.
 
-    ``mask_form`` is None for a dense operator.  An operator built by
-    ``from_mask`` holds ``(mask, phase)`` there instead, meaning
-    O|j> = phase[j] |j ^ mask> on the layout's flat basis; its ``matrix`` is
-    built on first use, and its flags are read off the form with the same
-    floating-point operations the dense tests make on their nonzero entries.
+    ``mask_form`` is None for a dense operator, whose flags are computed on
+    first use.  An operator in mask form holds ``(mask, phase)`` there
+    instead, ``phase`` a tuple, meaning O|j> = phase[j] |j ^ mask> on the
+    layout's flat basis; its ``matrix`` is built on first use, and its flags
+    at construction: ``from_pauli_mask`` reads them off one phase product,
+    and ``from_mask`` computes them in O(d).
     """
 
     def __init__(self, layout: RegisterLayout, matrix):
@@ -289,97 +315,80 @@ class Operator:
             )
         self.layout = layout
         self._matrix: np.ndarray | None = _frozen(mat)
-        self.mask_form: tuple[int, np.ndarray] | None = None
+        self.mask_form: tuple[int, tuple] | None = None
         self._flags: dict[str, bool] = {}
 
     @classmethod
+    def from_pauli_mask(cls, layout: RegisterLayout, mask: int, phase) -> "Operator":
+        """``from_mask`` for unit phases with one product phase[j]*phase[j ^ mask]
+        = c for all j, as in every Pauli word and the scenario's operators:
+        O is unitary with O O = c I, so hermitian and involutory iff c = 1,
+        which j = 0 decides.  Nothing else is checked."""
+        op = cls._mask_op(layout, mask, tuple(phase))
+        one = abs(op.mask_form[1][0] * op.mask_form[1][mask] - 1) <= STRUCTURAL_TOL
+        op._flags = {"hermitian": one, "unitary": True, "involutory": one}
+        return op
+
+    @classmethod
     def from_mask(cls, layout: RegisterLayout, mask: int, phase) -> "Operator":
-        """The operator sending basis state j to phase[j] times basis state j ^ mask."""
+        """The operator sending basis state j to phase[j] times basis state
+        j ^ mask, for any phases; its flags are read off the form in O(d) (the
+        tests' oracle for ``from_pauli_mask``)."""
+        phase = np.array(phase, dtype=np.complex128).reshape(-1)
+        op = cls._mask_op(layout, mask, tuple(phase.tolist()))
+        # XOR pairs j with j ^ mask both ways, so O - O^dagger and O O - I hold
+        # one combined entry there, from phase[j] and its partner, and each
+        # test takes the max over the entries the dense test can find nonzero.
+        partner = phase[np.arange(phase.size) ^ mask]
+        flags = [bool(np.max(np.abs(residual)) <= STRUCTURAL_TOL) for residual in
+                 (phase - partner.conj(), phase * phase.conj() - 1.0, partner * phase - 1.0)]
+        op._flags = dict(zip(("hermitian", "unitary", "involutory"), flags))
+        return op
+
+    @classmethod
+    def _mask_op(cls, layout: RegisterLayout, mask: int, phase: tuple) -> "Operator":
+        """The form, checked in O(1); the public constructors set its flags."""
         d = layout.total_dim
         if d & (d - 1):
             raise LayoutMismatchError(f"a mask form needs a power-of-two dimension, not {d}")
         if not 0 <= mask < d:
             raise ValueError(f"mask {mask} is outside 0..{d - 1}")
-        phase = np.array(phase, dtype=np.complex128).reshape(-1)
-        if phase.shape != (d,):
-            raise LayoutMismatchError(f"{phase.size} phases do not fit layout of dimension {d}")
+        if len(phase) != d:
+            raise LayoutMismatchError(f"{len(phase)} phases do not fit layout of dimension {d}")
         op = cls.__new__(cls)
-        op.layout = layout
-        op._matrix = None
-        op.mask_form = (int(mask), _frozen(phase))
-        op._flags = {}
+        op.layout, op._matrix, op.mask_form, op._plans = layout, None, (int(mask), phase), {}
         return op
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             mask, phase = self.mask_form
-            cols = np.arange(phase.size)
-            mat = np.zeros((phase.size, phase.size), dtype=np.complex128)
+            cols = np.arange(len(phase))
+            mat = np.zeros((len(phase), len(phase)), dtype=np.complex128)
             mat[cols ^ mask, cols] = phase
             self._matrix = _frozen(mat)
         return self._matrix
 
-    def _flag(self, name: str, test) -> bool:
+    def _flag(self, name: str, residual) -> bool:
+        """A dense operator's flag, on first use: max |residual(matrix)| is small."""
         if name not in self._flags:
-            self._flags[name] = bool(test())
+            self._flags[name] = bool(np.max(np.abs(residual(self.matrix))) <= STRUCTURAL_TOL)
         return self._flags[name]
-
-    # XOR pairs j with j ^ mask both ways, so O - O^dagger and O O - I hold
-    # one combined entry there, from phase[j] and its partner phase[j ^ mask],
-    # and each mask-form test takes the max over the entries the dense test
-    # can find nonzero.
 
     @property
     def is_hermitian(self) -> bool:
-        def test():
-            if self.mask_form is None:
-                return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= STRUCTURAL_TOL
-            mask, phase = self.mask_form
-            partner = phase[np.arange(phase.size) ^ mask]
-            return np.max(np.abs(phase - partner.conj())) <= STRUCTURAL_TOL
-
-        return self._flag("hermitian", test)
+        return self._flag("hermitian", lambda m: m - m.conj().T)
 
     @property
     def is_unitary(self) -> bool:
-        def test():
-            if self.mask_form is None:
-                d = self.matrix.shape[0]
-                resid = np.abs(self.matrix @ self.matrix.conj().T - np.eye(d))
-                return np.max(resid) <= STRUCTURAL_TOL
-            _, phase = self.mask_form
-            return np.max(np.abs(phase * phase.conj() - 1.0)) <= STRUCTURAL_TOL
-
-        return self._flag("unitary", test)
+        return self._flag("unitary", lambda m: m @ m.conj().T - np.eye(m.shape[0]))
 
     @property
     def is_involutory(self) -> bool:
-        def test():
-            if self.mask_form is None:
-                d = self.matrix.shape[0]
-                return np.max(np.abs(self.matrix @ self.matrix - np.eye(d))) <= STRUCTURAL_TOL
-            mask, phase = self.mask_form
-            partner = phase[np.arange(phase.size) ^ mask]
-            return np.max(np.abs(partner * phase - 1.0)) <= STRUCTURAL_TOL
-
-        return self._flag("involutory", test)
+        return self._flag("involutory", lambda m: m @ m - np.eye(m.shape[0]))
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.layout.total_dim}, labels={self.layout.labels})"
-
-
-class _TrustedMatrix:
-    """A fresh d x d complex128 array that is a density matrix by construction.
-
-    ``DensityMatrix._trusted`` passes it to ``DensityMatrix.__init__``, so
-    every instance, trusted or checked, is built in that one place.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
 
 
 class DensityMatrix:
@@ -397,8 +406,8 @@ class DensityMatrix:
     """
 
     def __init__(self, layout: RegisterLayout, matrix):
-        trusted = isinstance(matrix, _TrustedMatrix)
-        mat = matrix.array if trusted else np.array(matrix, dtype=np.complex128)
+        trusted = isinstance(matrix, _Trusted)
+        mat = matrix.value if trusted else np.array(matrix, dtype=np.complex128)
         d = layout.total_dim
         if mat.shape != (d, d):
             raise LayoutMismatchError(
@@ -423,7 +432,7 @@ class DensityMatrix:
     @classmethod
     def _trusted(cls, layout: RegisterLayout, matrix: np.ndarray) -> DensityMatrix:
         """Adopt ``matrix`` in place, read-only; the caller must hold no other reference."""
-        return cls(layout, _TrustedMatrix(matrix))
+        return cls(layout, _Trusted(matrix))
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.layout.total_dim}, labels={self.layout.labels})"
@@ -437,9 +446,10 @@ def pure_density(state: QState) -> DensityMatrix:
 def tensor(a, b):
     """Kronecker product of two states or two operators (left factor first)."""
     if isinstance(a, SparseState) and isinstance(b, SparseState):
-        return SparseState(a.layout.concat(b.layout),
-                           {ia + ib: va * vb for ia, va in a.entries.items()
-                            for ib, vb in b.entries.items()})
+        # Products of nonzero amplitudes; the norm is the product of norms.
+        return SparseState._trusted(a.layout.concat(b.layout),
+                                    {ia + ib: va * vb for ia, va in a.entries.items()
+                                     for ib, vb in b.entries.items()})
     if isinstance(a, QState) and isinstance(b, QState):
         return QState(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, Operator) and isinstance(b, Operator):
@@ -519,8 +529,8 @@ def project(op: Operator, state, value: int):
         p = math.ldexp(_sparse_norm2(kept), -2)
         if p <= NUMERIC_TOL:
             raise ZeroBranchError(f"outcome {value:+d} has probability {p}")
-        amps = np.array(list(kept.values())) * 0.5 / np.sqrt(p)
-        return SparseState(state.layout, dict(zip(kept, amps.tolist()))), p
+        scale = 0.5 / math.sqrt(p)
+        return SparseState._trusted(state.layout, {i: a * scale for i, a in kept.items()}), p
     if not isinstance(state, QState):
         raise TypeError(f"project() got {type(state).__name__}")
     plus, minus = spectral_projectors(op)
@@ -550,7 +560,8 @@ def apply_controlled(control: Operator, unitary: Operator, state: SparseState) -
         raise LayoutMismatchError(f"control and unitary share registers {sorted(shared)}")
     plus, minus = _sparse_children(control, state.layout, state.entries)
     total, _ = _sparse_sums(plus, _sparse_contract(unitary, state.layout, minus))
-    return SparseState(state.layout, {i: 0.5 * a for i, a in total.items()})
+    # P_plus + U P_minus is unitary, so the norm stays 1.
+    return SparseState._trusted(state.layout, {i: 0.5 * a for i, a in total.items()})
 
 
 def split_register(state: SparseState, label: str) -> list[tuple[float, SparseState]]:
@@ -568,8 +579,9 @@ def split_register(state: SparseState, label: str) -> list[tuple[float, SparseSt
     out = []
     for group in groups.values():
         weight = _sparse_norm2(group)
-        amps = np.array(list(group.values())) / np.sqrt(weight)
-        out.append((weight, SparseState(state.layout, dict(zip(group, amps.tolist())))))
+        scale = 1.0 / math.sqrt(weight)
+        out.append((weight, SparseState._trusted(
+            state.layout, {i: a * scale for i, a in group.items()})))
     return out
 
 
@@ -585,8 +597,8 @@ def support_state(state: SparseState) -> SparseState:
     rank = [{value: r for r, value in enumerate(values)} for values in used]
     layout = RegisterLayout(tuple((label, len(values))
                                   for label, values in zip(state.layout.labels, used)))
-    return SparseState(layout, {tuple(r[i] for r, i in zip(rank, index)): amp
-                                for index, amp in state.entries.items()})
+    return SparseState._trusted(layout, {tuple(r[i] for r, i in zip(rank, index)): amp
+                                         for index, amp in state.entries.items()})
 
 
 def embed(op: Operator, layout: RegisterLayout) -> Operator:
@@ -607,21 +619,51 @@ def embed(op: Operator, layout: RegisterLayout) -> Operator:
     return Operator(layout, tens.reshape(d, d))
 
 
+def _sparse_product(observables, state: SparseState) -> complex:
+    """<psi|O_1 ... O_k|psi> for mask-form operators, which send each entry
+    to one image: one ``math.fsum`` per part over the images."""
+    image = state.entries
+    for op in observables:
+        image = _sparse_contract(op, state.layout, image)
+    terms = [state.entries.get(index, 0.0).conjugate() * amp for index, amp in image.items()]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def _real(val: complex) -> float:
+    if abs(val.imag) > NUMERIC_TOL:
+        raise NonrealResultError(f"imaginary residue {val.imag} exceeds {NUMERIC_TOL}")
+    return float(val.real)
+
+
 def expectation(op: Operator, state) -> float:
     """Real expectation value of a hermitian operator on a pure state.
 
-    A ``SparseState`` goes through ``to_dense()``.
+    A ``SparseState`` is summed entry by entry for ``op`` in mask form and
+    goes through ``to_dense()`` otherwise.
     """
     if not op.is_hermitian:
         raise NotHermitianError("expectation() requires a hermitian operator")
     if isinstance(state, SparseState):
+        if op.mask_form is not None:
+            return _real(_sparse_product((op,), state))
         state = state.to_dense()
     if not isinstance(state, QState):
         raise TypeError(f"expectation() got {type(state).__name__}")
-    val = complex(np.vdot(state.amplitudes, _apply_to_vector(op.matrix, op.layout, state)))
-    if abs(val.imag) > NUMERIC_TOL:
-        raise NonrealResultError(f"imaginary residue {val.imag} exceeds {NUMERIC_TOL}")
-    return float(val.real)
+    return _real(complex(np.vdot(state.amplitudes,
+                                 _apply_to_vector(op.matrix, op.layout, state))))
+
+
+def product_expectation(observables, state: SparseState, label: str) -> tuple[float, float]:
+    """<psi|O|psi> for the product O of jointly measurable +-1 observables in
+    mask form, and its part sum_j <psi|P_j O P_j|psi> over register
+    ``label``'s basis projectors: all of it where the XOR of the masks keeps
+    ``label``'s index, 0 where it moves it."""
+    obs = _joint_observables(observables, "product_expectation()")
+    value = _real(_sparse_product(obs, state))
+    axis, digit = state.layout.axis(label), 0
+    for op in obs:
+        digit ^= sum(m for ax, m, _ in _plan(op, state.layout) if ax == axis)
+    return value, 0.0 if digit else value
 
 
 def partial_trace(state, keep) -> DensityMatrix:
@@ -676,13 +718,13 @@ def commutes(a: Operator, b: Operator) -> bool:
     Operators on disjoint registers commute exactly: each entry of both
     products (A x I)(I x B) and (I x B)(A x I) is the same single product
     a_ij * b_kl, so for finite matrices the dense commutator is identically
-    zero and is not formed.  The union layout is still built first, so a
-    label shared with different dimensions raises ``LayoutMismatchError``.
-    Overlapping supports are checked densely on the union layout.
+    zero and is not formed.  Overlapping supports are checked densely on the
+    union layout, which raises ``LayoutMismatchError`` for a label shared
+    with different dimensions.
     """
-    common = _union_layout(a.layout, b.layout)
     if not set(a.layout.labels) & set(b.layout.labels):
         return True
+    common = _union_layout(a.layout, b.layout)
     am = embed(a, common).matrix
     bm = embed(b, common).matrix
     return bool(np.max(np.abs(am @ bm - bm @ am)) <= NUMERIC_TOL)
@@ -767,6 +809,25 @@ class BornTable:
         return outcomes[-1]
 
 
+def _joint_observables(observables, caller: str) -> tuple[Operator, ...]:
+    """At least one observable, each hermitian and involutory, all commuting."""
+    obs = tuple(observables)
+    if not obs:
+        raise ValueError(f"{caller} needs at least one observable")
+    for o in obs:
+        if not o.is_hermitian:
+            raise NotHermitianError(f"{caller} observables must be hermitian")
+        if not o.is_involutory:
+            raise NotInvolutoryError(f"{caller} observables must be involutory")
+    for i in range(len(obs)):
+        for j in range(i + 1, len(obs)):
+            if not commutes(obs[i], obs[j]):
+                raise ContextIncompatibleError(
+                    f"observables {i} and {j} do not commute; no joint table exists"
+                )
+    return obs
+
+
 def born_table(observables, state, names=None) -> BornTable:
     """Joint Born distribution of pairwise-commuting involutory observables.
 
@@ -790,25 +851,11 @@ def born_table(observables, state, names=None) -> BornTable:
 
     The walk serves a ``QState``, a ``DensityMatrix`` or a ``SparseState``;
     each kind supplies its own root, children and leaf.  A sparse state
-    needs observables in mask form; its leaves sum the same nonzero
-    terms as the dense ones, in flat-index order, so a row can differ from
-    the dense one in the last bit, where ``vdot`` over the full vector
-    groups the terms otherwise.
+    needs observables in mask form; its leaves are ``math.fsum`` sums of
+    the same nonzero terms as the dense ones, correctly rounded, so a row
+    can differ from the dense ``vdot`` in the last bit.
     """
-    obs = tuple(observables)
-    if not obs:
-        raise ValueError("born_table() needs at least one observable")
-    for o in obs:
-        if not o.is_hermitian:
-            raise NotHermitianError("born_table() observables must be hermitian")
-        if not o.is_involutory:
-            raise NotInvolutoryError("born_table() observables must be involutory")
-    for i in range(len(obs)):
-        for j in range(i + 1, len(obs)):
-            if not commutes(obs[i], obs[j]):
-                raise ContextIncompatibleError(
-                    f"observables {i} and {j} do not commute; no joint table exists"
-                )
+    obs = _joint_observables(observables, "born_table()")
     if names is None:
         names = tuple(f"O{i + 1}" for i in range(len(obs)))
     names = tuple(names)
@@ -819,7 +866,6 @@ def born_table(observables, state, names=None) -> BornTable:
         raise TypeError(f"born_table() got {type(state).__name__}")
     k = len(obs)
     layout = state.layout
-    axes = [_check_sublayout(o.layout, layout) for o in obs]
     # Per kind of state: the root node, the two children of a node at a
     # depth, and a leaf's probability.
     if isinstance(state, SparseState):
@@ -831,6 +877,7 @@ def born_table(observables, state, names=None) -> BornTable:
         def leaf(node) -> float:
             return math.ldexp(_sparse_norm2(node), -2 * k)
     else:
+        axes = [_check_sublayout(o.layout, layout) for o in obs]
         if isinstance(state, QState):
             root = state.tensor_view()
 

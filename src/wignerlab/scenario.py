@@ -14,7 +14,8 @@ Every scenario observable, the friend's sigma_z and the pointer flip are
 an XOR mask plus phases on the flat index: a record and sigma_z are +-1
 diagonals (mask 0), the conjugated x flips every bit of the joint (atom,
 lab) index and the pointer flip every bit of the lab's.  They are built in
-``qcore``'s mask form, and the post-premeasurement state, which has 8
+``qcore``'s mask form, their flags set at construction rather than
+checked over 2**w entries, and the post-premeasurement state, which has 8
 nonzero amplitudes at every lab width, is a ``qcore.SparseState``, so no
 array here grows with more than one lab.
 
@@ -88,7 +89,7 @@ def _check_agent(agent: str) -> None:
 def _flip(pointer: RegisterLayout) -> Operator:
     """X on every qubit of a pointer register: basis state p goes to p ^ (d - 1)."""
     dp = pointer.total_dim
-    return Operator.from_mask(pointer, dp - 1, np.ones(dp))
+    return Operator.from_pauli_mask(pointer, dp - 1, (1.0,) * dp)
 
 
 def vn_unitary(observable: Operator, pointer: RegisterLayout) -> Operator:
@@ -167,7 +168,7 @@ class ScenarioModel:
         _check_agent(agent)
         if agent not in FRIENDS:
             raise UnknownAgentError(f"{agent} is not a friend agent")
-        return Operator.from_mask(self._atom_layouts[LAB_INDEX[agent]], 0, [1.0, -1.0])
+        return Operator.from_pauli_mask(self._atom_layouts[LAB_INDEX[agent]], 0, (1.0, -1.0))
 
     def friend_spec(self, agent: str) -> MeasurementSpec:
         i = LAB_INDEX[agent]
@@ -192,7 +193,7 @@ class ScenarioModel:
         i = LAB_INDEX[agent]
         block = self._atom_layouts[i].concat(self._lab_layouts[i])
         d = block.total_dim
-        return Operator.from_mask(block, d - 1, np.ones(d))
+        return Operator.from_pauli_mask(block, d - 1, (1.0,) * d)
 
     def record_observable(self, agent: str) -> Operator:
         """Majority-vote pointer reading of a friend's lab."""
@@ -202,7 +203,8 @@ class ScenarioModel:
                 f"{agent} keeps no lab record; record_observable is for friends"
             )
         i = LAB_INDEX[agent]
-        return Operator.from_mask(self._lab_layouts[i], 0, _majority_diagonal(self.lab_width))
+        return Operator.from_pauli_mask(self._lab_layouts[i], 0,
+                                        _majority_diagonal(self.lab_width).tolist())
 
     def scenario_observable(self, agent: str) -> Operator:
         """The outcome-bearing observable: pointer record or conjugated x.

@@ -3,7 +3,8 @@
 A ``PauliString`` is a phase in {+1, -1, +i, -i} times a word over
 {I, X, Y, Z}.  Commutation is decided exactly, by counting the positions
 where two strings anticommute; nothing here touches floating point until a
-string is turned into a dense operator.
+string is turned into an operator, which ``to_operator`` builds in
+``qcore``'s mask form with its flags set at construction.
 
 Serialized form is sign then letters (``+XZZ``, ``-XXX``); imaginary phases
 spell ``+i`` / ``-i`` (``+iZY``).  ``parse_pauli`` inverts ``str()``
@@ -28,13 +29,6 @@ _LETTERS = "IXYZ"
 
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PHASE_VAL = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
 
 @dataclass(frozen=True)
@@ -91,16 +85,25 @@ def pauli_commutes(a: PauliString, b: PauliString) -> bool:
 
 
 def to_operator(p: PauliString, labels=None) -> qcore.Operator:
-    """Dense matrix of the string over a qubit layout (default labels q1..qn)."""
+    """The string in mask form over a qubit layout (default labels q1..qn).
+
+    Y|b> = i(-1)**b |1 - b> and Z|b> = (-1)**b |b>, first letter on the top
+    bit: the mask holds the X and Y letters, and phase[j] is the string's
+    phase times i**(number of Y) times (-1)**popcount(j & Y-or-Z bits).
+    """
     if labels is None:
         labels = tuple(f"q{i + 1}" for i in range(len(p)))
     labels = tuple(labels)
     if len(labels) != len(p):
         raise LengthMismatchError(f"{len(labels)} labels for {len(p)} letters")
-    mat = np.array([[p.phase]], dtype=np.complex128)
+    flips = reads = 0
     for letter in p.letters:
-        mat = np.kron(mat, PAULI_MATRICES[letter])
-    return qcore.Operator(qcore.qubits(*labels), mat)
+        flips = 2 * flips + (letter in "XY")
+        reads = 2 * reads + (letter in "YZ")
+    base = p.phase_exp + p.letters.count("Y")
+    values = _PHASE_VAL if base % 2 else {0: 1.0, 2: -1.0}
+    phase = tuple(values[(base + 2 * (j & reads).bit_count()) % 4] for j in range(2 ** len(p)))
+    return qcore.Operator.from_pauli_mask(qcore.qubits(*labels), flips, phase)
 
 
 def joint_eigenstate(generators, labels=None) -> qcore.QState:

@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import types
 
 import pytest
 
-from wignerlab import cli, qcore
+from wignerlab import cli, qcore, spacetime
 from wignerlab.cli import (
     ScenarioConfig,
     build_config,
@@ -290,6 +291,49 @@ def test_ghz_check_corrupted_generators_fail(tmp_path, capsys):
     assert "FAIL condition_2_x_product_minus_one" in out
 
 
+GHZ_CHECKS = ("condition_1_y_even_split", "condition_2_x_product_minus_one",
+              "condition_3_mixed_products_plus_one")
+
+
+def _qcore_moving_mass(target):
+    """A stand-in for the ``cli`` binding of ``qcore`` whose ``born_table``
+    moves 1e-9 of probability between two support rows of the table named
+    ``target``, and returns every other table as it is."""
+    def born_table(observables, state, names=None):
+        table = qcore.born_table(observables, state, names=names)
+        if names != target:
+            return table
+        rows = dict(table.rows)
+        first, second = table.support()[:2]
+        rows[first] += 1e-9
+        rows[second] -= 1e-9
+        return qcore.BornTable(table.names, rows)
+
+    stand_in = types.ModuleType("qcore")
+    stand_in.__dict__.update(vars(qcore))
+    stand_in.born_table = born_table
+    return stand_in
+
+
+# Each ghz-check check, and the names of the one table its fault moves.
+GHZ_FAULTS = (
+    ("condition_1_y_even_split", ("y1", "y2", "y3")),
+    ("condition_2_x_product_minus_one", ("x1", "x2", "x3")),
+    ("condition_3_mixed_products_plus_one", ("x1", "z2", "z3")),
+)
+
+
+@pytest.mark.parametrize("check,names", GHZ_FAULTS, ids=[check for check, _ in GHZ_FAULTS])
+def test_each_ghz_check_fails_on_its_own_fault(tmp_path, capsys, monkeypatch, check, names):
+    monkeypatch.setattr(cli, "qcore", _qcore_moving_mass(names))
+    code = main(["ghz-check", "--out", str(tmp_path), "--format", "json"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert {c["name"]: c["passed"] for c in doc["checks"]} == {
+        name: name != check for name in GHZ_CHECKS}
+
+
 def test_inconsistent_generators_are_config_errors(tmp_path, capsys):
     noncommuting = write_json(tmp_path, "nc.json",
                               {"generators": ["+XZZ", "+ZXZ", "+XXZ"]})
@@ -545,6 +589,20 @@ def test_frames_default_velocities(tmp_path, capsys):
     assert frames["ABW"]["velocity"] == [0.0, 0.2, 0.0]
     for entry in frames.values():
         assert entry["max_time_residual"] <= 1e-9
+
+
+def test_built_in_geometries_are_checked_here_not_on_every_run(monkeypatch):
+    built_in = {name: config_from({"geometry": name}).geometry
+                for name in ("default", "collinear")}
+    for geometry in built_in.values():
+        assert spacetime.separation_violations(geometry) == []
+
+    def unexpected(geometry):
+        raise AssertionError("a built-in geometry was checked again")
+
+    monkeypatch.setattr(spacetime, "separation_violations", unexpected)
+    for name in built_in:
+        assert config_from({"geometry": name}).geometry_name == name
 
 
 def test_frames_rejects_geometry_breaking_the_separation_pattern(tmp_path, capsys):

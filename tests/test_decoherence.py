@@ -25,7 +25,13 @@ from wignerlab.qcore import (
     qubits,
     support_state,
 )
-from wignerlab.scenario import ScenarioModel, run_friend_stage, scenario_context
+from wignerlab.scenario import (
+    FRIENDS,
+    PROTOCOL_CONTEXTS,
+    ScenarioModel,
+    run_friend_stage,
+    scenario_context,
+)
 
 
 def plus_state():
@@ -373,3 +379,24 @@ def test_diagonality_equals_the_masked_sum(width, target, lam):
         assert np.array_equal(rho.matrix, before)
     if lam == 1.0:
         assert pointer_diagonality(states[1], target) == 0.0
+
+
+PARITY_CONTEXTS = tuple(agents for agents, parity in PROTOCOL_CONTEXTS.items()
+                        if parity is not None)
+
+
+@pytest.mark.parametrize("target", ["L1", "L2", "L3"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_one_pass_series_matches_born_tables_on_the_iterated_channel(width, target):
+    # All four parity contexts, the target lab's Wigner context included.
+    model = ScenarioModel(width)
+    channel = DephasingChannel(target, 0.3)
+    series, _ = iterated_series(model, channel, 2, PARITY_CONTEXTS)
+    for agents in PARITY_CONTEXTS:
+        closed = expectation_trajectory(model, channel, agents, 2)
+        assert largest_gap(closed, series[agents]) <= 1e-12
+        # Fully dephased, only the branch part is left: 0 where the target
+        # lab's Wigner moves its pointer, the coherent value where a record reads it.
+        dead = expectation_trajectory(model, DephasingChannel(target, 1.0), agents, 1)
+        reads_record = agents[int(target[1]) - 1] in FRIENDS
+        assert dead[1] == (dead[0] if reads_record else 0.0)

@@ -15,7 +15,9 @@ import pytest
 
 from wignerlab import qcore
 from wignerlab.decoherence import pointer_diagonality
+from wignerlab.errors import ContextIncompatibleError
 from wignerlab.qcore import Operator, RegisterLayout, SparseState, qubits
+from wignerlab.stabilizer import ghz_scenario_state
 from wignerlab.scenario import (
     AGENTS,
     FRIENDS,
@@ -23,6 +25,7 @@ from wignerlab.scenario import (
     PROTOCOL_CONTEXTS,
     WIGNERS,
     ScenarioModel,
+    _flip,
     erasure_check,
     extend_with_probe,
     lab_label,
@@ -430,3 +433,77 @@ def test_width_sixteen_builds_no_dense_matrix():
     report = erasure_check(model)
     assert abs(report.p_plus_given_plus - 0.5) <= TOL
     assert all(model.scenario_observable(a)._matrix is None for a in AGENTS)
+
+
+def computed_flags(op):
+    """The O(d) flags of the same mask form, read off its phases."""
+    fresh = Operator.from_mask(op.layout, *op.mask_form)
+    return {"hermitian": fresh.is_hermitian, "unitary": fresh.is_unitary,
+            "involutory": fresh.is_involutory}
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_scenario_flags_set_at_construction_equal_the_computed_flags(width):
+    model = ScenarioModel(width)
+    operators = [model.scenario_observable(a) for a in AGENTS]
+    for friend in FRIENDS:
+        spec = model.friend_spec(friend)
+        operators += [spec.observable, _flip(spec.pointer)]
+    for op in operators:
+        built = dict(op._flags)  # before any flag is read
+        assert built == {"hermitian": True, "unitary": True, "involutory": True}
+        assert built == computed_flags(op)
+
+
+def norm(state):
+    return float(np.linalg.norm(state.nonzero()))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_trusted_sparse_producers_are_unit_and_match_dense(width):
+    model = ScenarioModel(width)
+    # tensor: the initial state against the dense Kronecker product.
+    ghz = SparseState.from_dense(ghz_scenario_state(labels=("a1", "a2", "a3")))
+    ready = SparseState(model.layout.subset(["L1", "L2", "L3"]), {(0, 0, 0): 1.0})
+    start = qcore.tensor(ghz, ready)
+    assert np.array_equal(start.to_dense().amplitudes,
+                          qcore.tensor(ghz.to_dense(), ready.to_dense()).amplitudes)
+    # apply_controlled: each friend's premeasurement against its dense unitary.
+    sparse, dense = start, start.to_dense()
+    produced = [start]
+    for friend in FRIENDS:
+        spec = model.friend_spec(friend)
+        sparse, dense = spec.apply(sparse), qcore.apply(spec.unitary(), dense)
+        assert np.max(np.abs(sparse.to_dense().amplitudes - dense.amplitudes)) <= TOL
+        produced.append(sparse)
+    for agent, value in itertools.product(AGENTS, (1, -1)):
+        observable = model.scenario_observable(agent)
+        # project, against the dense projector.
+        fast, _ = qcore.project(observable, sparse, value)
+        slow, _ = qcore.project(observable, dense, value)
+        assert np.max(np.abs(fast.to_dense().amplitudes - slow.amplitudes)) <= TOL
+        produced.append(fast)
+    for target in ("L1", "L2", "L3"):
+        produced += [branch for _, branch in qcore.split_register(sparse, target)]
+    compact = qcore.support_state(sparse)
+    assert list(compact.entries.values()) == list(sparse.entries.values())
+    for state in produced + [compact]:
+        assert abs(norm(state) - 1.0) <= TOL
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_product_expectation_matches_born_tables_on_the_branches(width):
+    model = ScenarioModel(width)
+    psi = model.post_premeasurement_state()
+    for agents, target in itertools.product(PROTOCOL_CONTEXTS, ("L1", "L2", "L3")):
+        context = scenario_context(model, agents)
+        value, part = qcore.product_expectation(context.values(), psi, target)
+        # Oracle: the Born table on psi, and the weighted tables on its branches.
+        table = qcore.born_table(context.values(), psi)
+        assert abs(value - table.expectation_product()) <= TOL
+        branches = sum(w * qcore.born_table(context.values(), branch).expectation_product()
+                       for w, branch in qcore.split_register(psi, target))
+        assert abs(part - branches) <= TOL
+    with pytest.raises(ContextIncompatibleError):
+        qcore.product_expectation(scenario_context(model, ("Alice", "Eugene")).values(),
+                                  psi, "L1")

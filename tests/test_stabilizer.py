@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,62 @@ def test_scenario_state_custom_labels():
     s = ghz_scenario_state(labels=("a1", "a2", "a3"))
     assert s.layout.labels == ("a1", "a2", "a3")
     assert np.max(np.abs(s.amplitudes - GHZ_SIGNS / np.sqrt(8))) <= 1e-12
+
+
+# The Pauli words of the generator sets the tests use: the scenario's, the
+# sign-flipped one and the contradictory one; then every word on three qubits.
+GENERATOR_SETS = (("+XZZ", "+ZXZ", "+ZZX"), ("+XZZ", "+ZXZ", "-ZZX"),
+                  ("+XZZ", "+ZXZ", "-YYI"))
+ALL_WORDS = tuple(PauliString(exp, "".join(letters)) for exp in range(4)
+                  for letters in itertools.product("IXYZ", repeat=3))
+
+
+@pytest.mark.parametrize("words", [
+    [parse_pauli(w) for words in GENERATOR_SETS for w in words],
+    [parse_pauli(letter) for letter in "IXYZ"],
+    ALL_WORDS,
+], ids=["generator sets", "ghz-check letters", "every 3-qubit word"])
+def test_pauli_word_flags_are_set_at_construction_and_match_the_dense_flags(words):
+    for p in words:
+        op = to_operator(p)
+        built = dict(op._flags)  # before any flag is read
+        assert built["hermitian"] == p.is_hermitian
+        computed = qcore.Operator.from_mask(op.layout, *op.mask_form)
+        dense = qcore.Operator(op.layout, op.matrix)
+        for flags in (computed, dense):
+            assert built == {"hermitian": flags.is_hermitian, "unitary": flags.is_unitary,
+                             "involutory": flags.is_involutory}
+
+
+def kron_matrix(p):
+    """The dense matrix of a Pauli string as a Kronecker product of letters."""
+    letters = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+               "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+    mat = np.array([[p.phase]], dtype=complex)
+    for letter in p.letters:
+        mat = np.kron(mat, letters[letter])
+    return mat
+
+
+def test_mask_form_words_equal_their_kronecker_products():
+    for p in ALL_WORDS:
+        assert np.array_equal(to_operator(p).matrix, kron_matrix(p))
+
+
+# ghz-check's five contexts: one letter per atom.
+GHZ_CONTEXTS = ("YYY", "XXX", "XZZ", "ZXZ", "ZZX")
+
+
+@pytest.mark.parametrize("generators", GENERATOR_SETS[:2] + (("+XXX", "+ZZI", "+IZZ"),
+                                                             ("+XYY", "+YXY", "+YYX")))
+def test_ghz_check_sparse_tables_match_the_dense_tables(generators):
+    dense = joint_eigenstate([parse_pauli(g) for g in generators])
+    sparse = qcore.SparseState.from_dense(dense)
+    labels = dense.layout.labels
+    for letters in GHZ_CONTEXTS:
+        observables = [to_operator(parse_pauli(letter), (label,))
+                       for letter, label in zip(letters, labels)]
+        fast = qcore.born_table(observables, sparse)
+        slow = qcore.born_table(observables, dense)
+        assert list(fast.rows) == list(slow.rows)
+        assert max(abs(fast.rows[o] - p) for o, p in slow.rows.items()) <= 1e-12
