@@ -467,15 +467,21 @@ def render_text(report: RunReport, timestamp: str) -> str:
 
 
 def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
-    """Persist the canonical JSON body and the timestamped text rendering."""
+    """Persist the canonical JSON body and the timestamped text rendering.
+
+    A rerun of one config finds both files in place, and each is rewritten
+    over its old bytes and then cut at the new end, not truncated to zero
+    first: on ext4 a truncate-to-zero starts writeback at close.
+    """
     directory = os.path.join(outdir, report.digest)
     os.makedirs(directory, exist_ok=True)
     json_path = os.path.join(directory, f"{report.command}.report.json")
     txt_path = os.path.join(directory, f"{report.command}.report.txt")
-    with open(json_path, "w", encoding="utf-8") as handle:
-        handle.write(report.json_text)
-    with open(txt_path, "w", encoding="utf-8") as handle:
-        handle.write(report.text)
+    for path, text in ((json_path, report.json_text), (txt_path, report.text)):
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  encoding="utf-8") as handle:
+            handle.write(text)
+            handle.truncate()
     return json_path, txt_path
 
 

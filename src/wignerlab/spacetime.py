@@ -6,14 +6,19 @@ is spacelike, i.e. the Gram matrix of an independent subset of them is
 negative definite.  Among all admissible frames the one returned moves
 slowest: its normal is the Minkowski-orthogonal projection of (1, 0, 0, 0)
 onto the span's orthogonal complement.
+
+The frame search is exact arithmetic on the coordinates as given: each
+float is an integer over one common power of two, the rank, the
+definiteness test and the normal are computed on those integers, and no
+step has a tolerance.  Floats enter only in the returned velocity (one
+correctly rounded division per component) and in the Gram certificate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SuperluminalError
 
@@ -28,17 +33,18 @@ class Event4:
     y: float
     z: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z], dtype=float)
+    def as_array(self) -> tuple[float, float, float, float]:
+        return (self.t, self.x, self.y, self.z)
 
 
-def minkowski_dot(u: np.ndarray, v: np.ndarray) -> float:
-    return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
+def minkowski_dot(u, v):
+    """Minkowski product; exact for integer vectors, a float for float ones."""
+    return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
 
 
 def interval(e1: Event4, e2: Event4) -> float:
     """Squared invariant interval; positive timelike, negative spacelike."""
-    d = e2.as_array() - e1.as_array()
+    d = [b - a for a, b in zip(e1.as_array(), e2.as_array())]
     return minkowski_dot(d, d)
 
 
@@ -62,24 +68,24 @@ class BoostVelocity:
 
     @property
     def speed(self) -> float:
-        return float(np.sqrt(self.vx**2 + self.vy**2 + self.vz**2))
+        return math.sqrt(self.vx**2 + self.vy**2 + self.vz**2)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vx, self.vy, self.vz], dtype=float)
+    def as_array(self) -> tuple[float, float, float]:
+        return (self.vx, self.vy, self.vz)
 
 
 def boost(event: Event4, velocity: BoostVelocity) -> Event4:
     """Coordinates of the event in the frame moving at ``velocity``."""
     v = velocity.as_array()
-    v2 = float(v @ v)
-    r = event.as_array()[1:]
-    t = event.t
+    v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
     if v2 == 0.0:
         return event
-    gamma = 1.0 / np.sqrt(1.0 - v2)
-    t_new = gamma * (t - float(v @ r))
-    r_new = r + ((gamma - 1.0) * float(v @ r) / v2 - gamma * t) * v
-    return Event4(event.label, float(t_new), *map(float, r_new))
+    r = (event.x, event.y, event.z)
+    vr = v[0] * r[0] + v[1] * r[1] + v[2] * r[2]
+    gamma = 1.0 / math.sqrt(1.0 - v2)
+    shift = (gamma - 1.0) * vr / v2 - gamma * event.t
+    return Event4(event.label, gamma * (event.t - vr),
+                  *(ri + shift * vi for ri, vi in zip(r, v)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,9 @@ class FrameSolution:
     ``gram`` is the Minkowski Gram matrix of the independent difference
     vectors; its eigenvalues certify the verdict (all negative means the
     spanned plane is spacelike and a frame exists).  ``residual`` is the
-    largest pairwise boosted-time difference, None when no frame exists.
+    largest pairwise difference of the events' times in the returned frame:
+    0.0, since the frame is solved exactly; None when no frame exists.  A
+    frame whose exact velocity rounds to a float speed of 1 counts as none.
     """
 
     exists: bool
@@ -99,57 +107,132 @@ class FrameSolution:
     residual: float | None
 
 
-def _solve_plane(diffs):
-    """Minimal-speed frame normal for the span of the difference vectors."""
-    if not diffs:
-        return True, BoostVelocity(0.0, 0.0, 0.0), (), ()
-    gram = np.array([[minkowski_dot(a, b) for b in diffs] for a in diffs])
-    eigs = np.linalg.eigvalsh(gram)
-    gram_t = tuple(tuple(float(x) for x in row) for row in gram)
-    eig_t = tuple(float(x) for x in eigs)
-    if eigs[-1] >= 0.0:
-        return False, None, gram_t, eig_t
-    # Normal = (1,0,0,0) minus its Minkowski projection onto the plane.
-    e0 = np.array([1.0, 0.0, 0.0, 0.0])
-    coeff = np.linalg.solve(gram, np.array([d[0] for d in diffs]))
-    normal = e0.copy()
-    for c, d in zip(coeff, diffs):
-        normal -= c * d
-    vel = BoostVelocity(*(normal[1:] / normal[0]))
-    return True, vel, gram_t, eig_t
+def _scaled_differences(events) -> tuple[list[tuple[int, ...]], int]:
+    """Each event minus the first, as integers over one common power of two
+    ``scale``: every float is an exact dyadic rational."""
+    ratios = [c.as_integer_ratio() for e in events for c in e.as_array()]
+    scale = max(den for _, den in ratios)
+    flat = [num * (scale // den) for num, den in ratios]
+    base = flat[:4]
+    return [tuple(a - b for a, b in zip(flat[i:i + 4], base))
+            for i in range(4, len(flat), 4)], scale
 
 
-def _max_time_spread(events, vel: BoostVelocity) -> float:
-    times = [boost(e, vel).t for e in events]
-    return float(max(times) - min(times))
+def _independent(diffs):
+    """The differences that raise the span's rank, by exact elimination."""
+    kept, echelon = [], []  # echelon rows as (pivot column, row)
+    for d in diffs:
+        row = d
+        for col, pivot_row in echelon:
+            if row[col]:
+                row = tuple(pivot_row[col] * a - row[col] * b for a, b in zip(row, pivot_row))
+        if any(row):
+            kept.append(d)
+            echelon.append((next(i for i, a in enumerate(row) if a), row))
+    return kept
+
+
+def _solve_negated(gram, rhs):
+    """Bareiss elimination of -G x = -b, with Sylvester's criterion on -G.
+
+    Returns (det(-G), det(-G) * x) with integer entries when every leading
+    minor of -G is positive (G negative definite), else None.  Without row
+    exchanges each pivot is the next leading minor, and every division is
+    exact.
+    """
+    k = len(gram)
+    m = [[-g for g in row] + [-b] for row, b in zip(gram, rhs)]
+    previous = 1
+    for p in range(k):
+        pivot = m[p][p]
+        if pivot <= 0:
+            return None
+        for i in range(p + 1, k):
+            for j in range(p + 1, k + 1):
+                m[i][j] = (m[i][j] * pivot - m[i][p] * m[p][j]) // previous
+        previous = pivot
+    det = previous
+    scaled = [0] * k
+    for i in range(k - 1, -1, -1):
+        numerator = det * m[i][k] - sum(m[i][j] * scaled[j] for j in range(i + 1, k))
+        scaled[i] = numerator // m[i][i]
+    return det, scaled
+
+
+def _gram_eigenvalues(gram, exact, square) -> tuple[float, ...]:
+    """Ascending eigenvalues of the float Gram matrix ``gram``, which is the
+    integer matrix ``exact`` over ``square``."""
+    k = len(gram)
+    if k <= 1:
+        return tuple(row[0] for row in gram)
+    if k == 2:
+        (a, b), (_, c) = exact
+        half_trace = (a + c) / (2 * square)
+        radius = math.sqrt(((a - c) ** 2 + 4 * b * b) / (4 * square * square))
+        # The larger-magnitude root, then the other from the exact
+        # determinant, so neither loses digits to cancellation.
+        large = half_trace - radius if half_trace < 0 else half_trace + radius
+        det = a * c - b * b
+        small = det / (square * square) / large if det else 0.0
+        return tuple(sorted((large, small)))
+    # Cyclic Jacobi sweeps, each rotation zeroing one off-diagonal pair,
+    # until the off-diagonal part is below 1e-15 of the norm.
+    m = [list(row) for row in gram]
+    norm = sum(x * x for row in m for x in row)
+    for _ in range(32):
+        if sum(m[p][q] ** 2 for p in range(k) for q in range(p + 1, k)) <= 1e-30 * norm:
+            break
+        for p in range(k):
+            for q in range(p + 1, k):
+                if m[p][q] == 0.0:
+                    continue
+                theta = (m[q][q] - m[p][p]) / (2 * m[p][q])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                for r in range(k):
+                    m[r][p], m[r][q] = c * m[r][p] - s * m[r][q], s * m[r][p] + c * m[r][q]
+                for r in range(k):
+                    m[p][r], m[q][r] = c * m[p][r] - s * m[q][r], s * m[p][r] + c * m[q][r]
+                m[p][q] = m[q][p] = 0.0
+    return tuple(sorted(m[i][i] for i in range(k)))
 
 
 def frame_for_events(events) -> FrameSolution:
-    """Simultaneity frame for any event collection, degeneracy-tolerant.
+    """Simultaneity frame for any event collection, decided exactly.
 
     Affinely dependent collections are reduced to an independent subset of
     difference vectors first, so collinear-but-simultaneous triples come
-    back with the rest frame instead of an error.
+    back with the rest frame instead of an error.  Rank, definiteness and
+    the frame's normal are exact integer arithmetic on the coordinates as
+    given, with no tolerance: every difference lies exactly in the span the
+    frame is orthogonal to, so an admissible frame's residual is 0.0.
     """
     events = tuple(events)
     if not events:
         raise ValueError("frame_for_events() needs at least one event")
-    base = events[0].as_array()
-    independent: list[np.ndarray] = []
-    for e in events[1:]:
-        d = e.as_array() - base
-        trial = np.stack(independent + [d]) if independent else d[None, :]
-        if np.linalg.matrix_rank(trial, tol=1e-12) > len(independent):
-            independent.append(d)
-    exists, vel, gram_t, eig_t = _solve_plane(independent)
-    if not exists:
-        return FrameSolution(False, None, gram_t, eig_t, None)
-    residual = _max_time_spread(events, vel)
-    if residual > 1e-9:
-        # Reduced span admits a frame but the full collection does not
-        # (dependent event sitting off the simultaneity slice).
-        return FrameSolution(False, None, gram_t, eig_t, None)
-    return FrameSolution(True, vel, gram_t, eig_t, residual)
+    differences, scale = _scaled_differences(events)
+    diffs = _independent(differences)
+    exact = [[minkowski_dot(a, b) for b in diffs] for a in diffs]
+    square = scale * scale
+    gram = tuple(tuple(g / square for g in row) for row in exact)
+    eigenvalues = _gram_eigenvalues(gram, exact, square)
+    solved = _solve_negated(exact, [d[0] for d in diffs])
+    if solved is None:
+        return FrameSolution(False, None, gram, eigenvalues, None)
+    # det * ((1, 0, 0, 0) - sum_j x_j d_j), with det > 0.
+    det, scaled = solved
+    normal = (det, 0, 0, 0)
+    for x, d in zip(scaled, diffs):
+        normal = [n - x * c for n, c in zip(normal, d)]
+    t = normal[0]
+    try:
+        velocity = BoostVelocity(normal[1] / t, normal[2] / t, normal[3] / t)
+    except SuperluminalError:
+        # The exact frame moves slower than light by less than the float
+        # spacing below 1, so no float velocity reaches it.
+        return FrameSolution(False, None, gram, eigenvalues, None)
+    return FrameSolution(True, velocity, gram, eigenvalues, 0.0)
 
 
 # Each lab's early (t = 1) and late (t = 2) event letters, lab 1 first.

@@ -17,7 +17,7 @@ from wignerlab.cli import (
     load_config,
     main,
 )
-from wignerlab.contexts import maximal_contexts
+from wignerlab.contexts import incompatibility_graph, maximal_contexts
 from wignerlab.decoherence import (
     DephasingChannel,
     correlation_decay,
@@ -492,6 +492,41 @@ def test_contexts_frame_filter_matches_library(geometry):
     assert doc["data"]["frame_filtered_ids"] == [r.environment.id for r in kept]
 
 
+CONTEXTS_CHECKS = ("incompatibility_graph", "maximal_context_count",
+                   "named_contexts_flagged", "no_common_extension_with_unsealed_lab")
+
+
+def _graph_missing_a_pair(model):
+    return incompatibility_graph(model)[1:]
+
+
+def _contexts_without_e_avw(model, geometry):
+    return tuple(r for r in maximal_contexts(model, geometry=geometry)
+                 if r.environment.id != "E_AVW")
+
+
+# Each contexts check with a fault of its own, and a faulty stand-in for
+# the ``cli`` binding it reads.  E_AVW is one of the three unnamed contexts.
+CONTEXTS_FAULTS = (
+    ("incompatibility_graph", "incompatibility_graph", _graph_missing_a_pair),
+    ("maximal_context_count", "maximal_contexts", _contexts_without_e_avw),
+)
+
+
+@pytest.mark.parametrize("check,binding,fault", CONTEXTS_FAULTS,
+                         ids=[check for check, _, _ in CONTEXTS_FAULTS])
+def test_each_contexts_check_fails_on_its_own_fault(tmp_path, capsys, monkeypatch,
+                                                    check, binding, fault):
+    assert "E_AVW" not in cli.NAMED_CONTEXT_IDS
+    monkeypatch.setattr(cli, binding, fault)
+    code = main(["contexts", "--out", str(tmp_path), "--format", "json"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert {c["name"]: c["passed"] for c in doc["checks"]} == {
+        name: name != check for name in CONTEXTS_CHECKS}
+
+
 @pytest.mark.parametrize("width", [1, 2])
 def test_decohere_prepares_psi_once(monkeypatch, width):
     # The decay, both record series, the erasure check and the diagonality
@@ -642,6 +677,22 @@ def test_frames_collinear_certificate(tmp_path, capsys):
     assert not frames["UBC"]["exists"]
     assert max(frames["UBC"]["gram_eigenvalues"]) > 0
     assert "velocity" not in frames["UBC"]
+
+
+def test_frames_on_a_lightlike_plane_is_no_frame(tmp_path, capsys):
+    # A B - A = (-1, 9, 2, -4) and C - A = (0, 6, 2, -3) span a plane whose
+    # Gram matrix is singular: it holds a light ray, so no frame exists.
+    events = {"A": [0, -4, -3, 0], "B": [-1, 5, -1, -4], "C": [0, 2, -1, -3],
+              "U": [2, -4, -3, 0], "V": [0, 5, -1, -4], "W": [2, 2, -1, -3]}
+    path = write_json(tmp_path, "lightlike.json",
+                      {"geometry": {"events": events}, "frame_triples": ["ABC"]})
+    code = main(["frames", "--config", path, "--out", str(tmp_path), "--format", "json"])
+    assert code == 0
+    (frame,) = json.loads(capsys.readouterr().out)["data"]["frames"]
+    assert frame == {"events": ["A", "B", "C"], "exists": False,
+                     "gram": [[-100.0, -70.0], [-70.0, -49.0]],
+                     "gram_eigenvalues": [-149.0, 0.0]}
+    assert str(frame["gram_eigenvalues"][1]) == "0.0"
 
 
 def test_decohere_report(tmp_path, capsys):
@@ -807,14 +858,53 @@ def test_json_stdout_is_the_report_file(tmp_path, capsys, command):
     assert out.encode("utf-8") == (sub / f"{command}.report.json").read_bytes()
 
 
+@pytest.mark.parametrize("size", [0, 10, 100_000], ids=["empty", "shorter", "longer"])
+def test_reports_are_rewritten_in_place(tmp_path, size):
+    # Old files of any length give way to exactly the new bytes.
+    report = cmd_frames(config_from({}))
+    directory = tmp_path / report.digest
+    directory.mkdir()
+    for name in ("frames.report.json", "frames.report.txt"):
+        (directory / name).write_bytes(b"x" * size)
+    json_path, txt_path = cli.write_report(report, str(tmp_path))
+    assert (json_path, txt_path) == (str(directory / "frames.report.json"),
+                                     str(directory / "frames.report.txt"))
+    with open(json_path, "rb") as handle:
+        assert handle.read() == report.json_text.encode("utf-8")
+    with open(txt_path, "rb") as handle:
+        assert handle.read() == report.text.encode("utf-8")
+
+
+def test_second_run_into_one_out_rewrites_the_same_report(tmp_path, capsys):
+    assert main(["contexts", "--out", str(tmp_path)]) == 0
+    (sub,) = list(tmp_path.iterdir())
+    path = sub / "contexts.report.json"
+    first = path.read_bytes()
+    assert main(["contexts", "--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [sub.name]
+    assert path.read_bytes() == first
+
+
+def test_report_path_that_cannot_be_opened_is_a_config_error(tmp_path, capsys):
+    assert main(["frames", "--out", str(tmp_path)]) == 0
+    (sub,) = list(tmp_path.iterdir())
+    (sub / "frames.report.json").unlink()
+    (sub / "frames.report.json").mkdir()
+    capsys.readouterr()
+    assert main(["frames", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out: ")
+    assert "Traceback" not in err
+
+
 # sha256 of the canonical .report.json body of seven invocations.  Every
 # report is byte-identical for identical config and seed, so a change to
 # the library that moves any value, key or float rendering moves these.
 PINNED_REPORTS = [
     (["ghz-check"], "c4fc26bf77242fd7c6e1d0f3c8d98ddad03a8bb26d8462deb5045ef90a72ee60"),
     (["paradox"], "84221181fc10dba732dd76578b605a996f79032384b8bc73bc8d92b8563f90df"),
-    (["contexts"], "a0886c950c54432e24d6989e0c1ec77f4188d2fda7a84d66c2bbab30e24afd66"),
-    (["frames"], "22910623391c7efe1994a12a6debf87987d3a880e43e229bafbe6d0ad0685810"),
+    (["contexts"], "5efc1846fe2b39f1f5fc7a62af5de3bef2caf669515c0c542556dcc3e16cf139"),
+    (["frames"], "655218cecb97519c846738dbbcce1aebc85b538afbae39ed6feabdc7b31ac0b5"),
     (["decohere"], "3be8b55f850788a5b6742b20a1c48905900dd0367eaaa6fe167a9252f7229f7c"),
     (["decohere", "--lab-width", "2"],
      "61391f997d1c6e7f4392ee8d23c628f9b28dd6272a49f6b1122377573d755755"),
@@ -825,7 +915,7 @@ PINNED_REPORTS = [
     (["decohere", "--lab-width", "16"],
      "2525fe05abe0155725bf453b866b12ea79151f7c547aa798d7c47202b8d1a608"),
     (["contexts", "--lab-width", "8"],
-     "a9ff0d1a82abb9e1c67457e64e9b3d0b385eb449205e4b14b7b7bae5c7f651e4"),
+     "bdb6bb37f0ad9b17319467f99e7b72c2b30f59afef40a00ff96e5447237bbd93"),
 ]
 
 
