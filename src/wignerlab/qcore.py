@@ -8,11 +8,12 @@ stay cheap as long as each operator's own support is small.
 
 ``QState``, ``DensityMatrix`` and a dense ``Operator`` are dense complex128.
 An ``Operator`` on a layout of power-of-two dimension may instead be held
-in mask form, O|j> = phase[j] |j XOR mask>: an XOR mask on the flat index
-plus a tuple of phases, as for Pauli strings and the scenario's
-observables (the Gottesman-Knill form: Aaronson and Gottesman, PRA 70,
-052328 (2004); an affine map over GF(2): Dehaene and De Moor, PRA 68,
-042318 (2003)).  Its flags are set at construction (stated by
+in mask form, O|j> = phase(j) |j XOR mask>: an XOR mask on the flat index
+plus a phase rule, a function of j evaluated only where it is read, so it
+holds nothing sized by the dimension, as for Pauli strings and the
+scenario's observables (the Gottesman-Knill form: Aaronson and Gottesman,
+PRA 70, 052328 (2004); an affine map over GF(2): Dehaene and De Moor, PRA
+68, 042318 (2003)).  Its flags are set at construction (stated by
 ``from_pauli_mask``, computed by ``from_mask``), and its dense
 ``matrix`` is built only on first use.  A ``SparseState`` keeps only the
 nonzero amplitudes of a pure state, keyed by one index per register.
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -272,7 +274,7 @@ def _sparse_contract(op: "Operator", layout: RegisterLayout, entries) -> dict:
         for ax, digit, stride in plan:
             j += index[ax] * stride
             moved[ax] = index[ax] ^ digit
-        out[tuple(moved)] = phase[j] * amp
+        out[tuple(moved)] = phase(j) * amp
     return out
 
 
@@ -300,7 +302,7 @@ class Operator:
 
     ``mask_form`` is None for a dense operator, whose flags are computed on
     first use.  An operator in mask form holds ``(mask, phase)`` there
-    instead, ``phase`` a tuple, meaning O|j> = phase[j] |j ^ mask> on the
+    instead, ``phase`` a rule on j, meaning O|j> = phase(j) |j ^ mask> on the
     layout's flat basis; its ``matrix`` is built on first use, and its flags
     at construction: ``from_pauli_mask`` reads them off one phase product,
     and ``from_mask`` computes them in O(d).
@@ -315,27 +317,30 @@ class Operator:
             )
         self.layout = layout
         self._matrix: np.ndarray | None = _frozen(mat)
-        self.mask_form: tuple[int, tuple] | None = None
+        self.mask_form: tuple[int, Callable[[int], complex]] | None = None
         self._flags: dict[str, bool] = {}
 
     @classmethod
     def from_pauli_mask(cls, layout: RegisterLayout, mask: int, phase) -> "Operator":
-        """``from_mask`` for unit phases with one product phase[j]*phase[j ^ mask]
-        = c for all j, as in every Pauli word and the scenario's operators:
-        O is unitary with O O = c I, so hermitian and involutory iff c = 1,
-        which j = 0 decides.  Nothing else is checked."""
-        op = cls._mask_op(layout, mask, tuple(phase))
-        one = abs(op.mask_form[1][0] * op.mask_form[1][mask] - 1) <= STRUCTURAL_TOL
+        """``from_mask`` for a phase rule of unit phases with one product
+        phase(j)*phase(j ^ mask) = c for all j, as in every Pauli word and the
+        scenario's operators: O is unitary with O O = c I, so hermitian and
+        involutory iff c = 1, which j = 0 decides.  Nothing else is checked."""
+        op = cls._mask_op(layout, mask, phase)
+        one = abs(phase(0) * phase(mask) - 1) <= STRUCTURAL_TOL
         op._flags = {"hermitian": one, "unitary": True, "involutory": one}
         return op
 
     @classmethod
     def from_mask(cls, layout: RegisterLayout, mask: int, phase) -> "Operator":
         """The operator sending basis state j to phase[j] times basis state
-        j ^ mask, for any phases; its flags are read off the form in O(d) (the
-        tests' oracle for ``from_pauli_mask``)."""
+        j ^ mask, for a sequence of any d phases; its flags are read off the
+        form in O(d) (the tests' oracle for ``from_pauli_mask``)."""
         phase = np.array(phase, dtype=np.complex128).reshape(-1)
-        op = cls._mask_op(layout, mask, tuple(phase.tolist()))
+        op = cls._mask_op(layout, mask, tuple(phase.tolist()).__getitem__)
+        if phase.size != layout.total_dim:
+            raise LayoutMismatchError(
+                f"{phase.size} phases do not fit layout of dimension {layout.total_dim}")
         # XOR pairs j with j ^ mask both ways, so O - O^dagger and O O - I hold
         # one combined entry there, from phase[j] and its partner, and each
         # test takes the max over the entries the dense test can find nonzero.
@@ -346,15 +351,13 @@ class Operator:
         return op
 
     @classmethod
-    def _mask_op(cls, layout: RegisterLayout, mask: int, phase: tuple) -> "Operator":
+    def _mask_op(cls, layout: RegisterLayout, mask: int, phase) -> "Operator":
         """The form, checked in O(1); the public constructors set its flags."""
         d = layout.total_dim
         if d & (d - 1):
             raise LayoutMismatchError(f"a mask form needs a power-of-two dimension, not {d}")
         if not 0 <= mask < d:
             raise ValueError(f"mask {mask} is outside 0..{d - 1}")
-        if len(phase) != d:
-            raise LayoutMismatchError(f"{len(phase)} phases do not fit layout of dimension {d}")
         op = cls.__new__(cls)
         op.layout, op._matrix, op.mask_form, op._plans = layout, None, (int(mask), phase), {}
         return op
@@ -363,9 +366,9 @@ class Operator:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             mask, phase = self.mask_form
-            cols = np.arange(len(phase))
-            mat = np.zeros((len(phase), len(phase)), dtype=np.complex128)
-            mat[cols ^ mask, cols] = phase
+            cols = np.arange(self.layout.total_dim)
+            mat = np.zeros((cols.size, cols.size), dtype=np.complex128)
+            mat[cols ^ mask, cols] = [phase(j) for j in range(cols.size)]
             self._matrix = _frozen(mat)
         return self._matrix
 

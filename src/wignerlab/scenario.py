@@ -11,13 +11,13 @@ measured observable, and evaluates joint Born tables on the exact
 post-premeasurement state.
 
 Every scenario observable, the friend's sigma_z and the pointer flip are
-an XOR mask plus phases on the flat index: a record and sigma_z are +-1
-diagonals (mask 0), the conjugated x flips every bit of the joint (atom,
-lab) index and the pointer flip every bit of the lab's.  They are built in
-``qcore``'s mask form, their flags set at construction rather than
-checked over 2**w entries, and the post-premeasurement state, which has 8
-nonzero amplitudes at every lab width, is a ``qcore.SparseState``, so no
-array here grows with more than one lab.
+an XOR mask plus a phase rule on the flat index: a record and sigma_z are
++-1 diagonals (mask 0), the conjugated x flips every bit of the joint
+(atom, lab) index and the pointer flip every bit of the lab's.  Built in
+``qcore``'s mask form, with flags set at construction and phases read only
+at a state's entries, they act on psi, a ``qcore.SparseState`` with 8
+amplitudes at every lab width: only a dense ``matrix`` (``vn_unitary``,
+``qcore.commutes``) grows with the width.
 
 Pointer registers have ``lab_width`` qubits each and are modeled as one
 site of dimension 2**w.  A friend's record observable reads the pointer in
@@ -62,9 +62,8 @@ PROTOCOL_CONTEXTS = {
     WIGNERS: -1,
 }
 
-# Widest lab the model can index.  A lifted x holds 2**(w+1) complex
-# phases, 2**(w+5) bytes, and numpy counts an array's bytes in a signed
-# 64-bit integer.
+# Widest lab accepted; no array is sized by it.  decohere divides by 2**(3w+3)
+# as a float, which overflows from w = 341, and the tests run widths up to 57.
 MAX_LAB_WIDTH = 57
 
 
@@ -88,8 +87,7 @@ def _check_agent(agent: str) -> None:
 
 def _flip(pointer: RegisterLayout) -> Operator:
     """X on every qubit of a pointer register: basis state p goes to p ^ (d - 1)."""
-    dp = pointer.total_dim
-    return Operator.from_pauli_mask(pointer, dp - 1, (1.0,) * dp)
+    return Operator.from_pauli_mask(pointer, pointer.total_dim - 1, lambda j: 1.0)
 
 
 def vn_unitary(observable: Operator, pointer: RegisterLayout) -> Operator:
@@ -105,12 +103,11 @@ def vn_unitary(observable: Operator, pointer: RegisterLayout) -> Operator:
     return Operator(observable.layout.concat(pointer), mat)
 
 
-def _majority_diagonal(width: int) -> np.ndarray:
-    """+1 where most pointer qubits read 0; a tie goes to the first qubit."""
-    index = np.arange(2**width, dtype=np.uint64)
-    ones = np.bitwise_count(index).astype(np.int64)
-    first_is_zero = index < 2 ** (width - 1)
-    return np.where((2 * ones < width) | ((2 * ones == width) & first_is_zero), 1.0, -1.0)
+def _majority_diagonal(width: int):
+    """The record's phase rule: +1 where most pointer qubits read 0.  A tie
+    goes to the first qubit, the top bit of j, which adds a half vote."""
+    half = 2 ** (width - 1)
+    return lambda j: 1.0 if 2 * j.bit_count() + (j >= half) <= width else -1.0
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,8 @@ class ScenarioModel:
         _check_agent(agent)
         if agent not in FRIENDS:
             raise UnknownAgentError(f"{agent} is not a friend agent")
-        return Operator.from_pauli_mask(self._atom_layouts[LAB_INDEX[agent]], 0, (1.0, -1.0))
+        return Operator.from_pauli_mask(self._atom_layouts[LAB_INDEX[agent]], 0,
+                                        (1.0, -1.0).__getitem__)
 
     def friend_spec(self, agent: str) -> MeasurementSpec:
         i = LAB_INDEX[agent]
@@ -192,8 +190,7 @@ class ScenarioModel:
             raise UnknownAgentError(f"{agent} is not a lab-measuring agent")
         i = LAB_INDEX[agent]
         block = self._atom_layouts[i].concat(self._lab_layouts[i])
-        d = block.total_dim
-        return Operator.from_pauli_mask(block, d - 1, (1.0,) * d)
+        return Operator.from_pauli_mask(block, block.total_dim - 1, lambda j: 1.0)
 
     def record_observable(self, agent: str) -> Operator:
         """Majority-vote pointer reading of a friend's lab."""
@@ -204,7 +201,7 @@ class ScenarioModel:
             )
         i = LAB_INDEX[agent]
         return Operator.from_pauli_mask(self._lab_layouts[i], 0,
-                                        _majority_diagonal(self.lab_width).tolist())
+                                        _majority_diagonal(self.lab_width))
 
     def scenario_observable(self, agent: str) -> Operator:
         """The outcome-bearing observable: pointer record or conjugated x.

@@ -88,8 +88,8 @@ def to_operator(p: PauliString, labels=None) -> qcore.Operator:
     """The string in mask form over a qubit layout (default labels q1..qn).
 
     Y|b> = i(-1)**b |1 - b> and Z|b> = (-1)**b |b>, first letter on the top
-    bit: the mask holds the X and Y letters, and phase[j] is the string's
-    phase times i**(number of Y) times (-1)**popcount(j & Y-or-Z bits).
+    bit: the mask holds the X and Y letters, and the phase rule phase(j) is
+    the string's phase times i**(number of Y) times (-1)**popcount(j & Y-or-Z bits).
     """
     if labels is None:
         labels = tuple(f"q{i + 1}" for i in range(len(p)))
@@ -102,8 +102,8 @@ def to_operator(p: PauliString, labels=None) -> qcore.Operator:
         reads = 2 * reads + (letter in "YZ")
     base = p.phase_exp + p.letters.count("Y")
     values = _PHASE_VAL if base % 2 else {0: 1.0, 2: -1.0}
-    phase = tuple(values[(base + 2 * (j & reads).bit_count()) % 4] for j in range(2 ** len(p)))
-    return qcore.Operator.from_pauli_mask(qcore.qubits(*labels), flips, phase)
+    return qcore.Operator.from_pauli_mask(
+        qcore.qubits(*labels), flips, lambda j: values[(base + 2 * (j & reads).bit_count()) % 4])
 
 
 def joint_eigenstate(generators, labels=None) -> qcore.QState:

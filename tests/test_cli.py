@@ -25,7 +25,14 @@ from wignerlab.decoherence import (
     expectation_trajectory,
 )
 from wignerlab.errors import ConfigParseError, ConfigValidationError
+from wignerlab.paradox import (
+    Gf2Report,
+    constraints_from_born,
+    enumerate_satisfying,
+    global_section_exists,
+)
 from wignerlab.scenario import (
+    MAX_LAB_WIDTH,
     OUTCOME_VARIABLE,
     ScenarioModel,
     context_born_table,
@@ -584,10 +591,21 @@ def test_lab_width_sixteen_runs(tmp_path, capsys, command):
     assert all(c["passed"] for c in doc["checks"])
 
 
-# Only widths whose first allocation fails at once: 8 TiB at 40.  Widths
-# from about 20 to 35 can commit gigabytes before they fail.
-@pytest.mark.parametrize("command,width", [("contexts", 40), ("paradox", 40),
-                                           ("decohere", 40), ("contexts", 60),
+@pytest.mark.parametrize("command", ["paradox", "decohere"])
+def test_max_lab_width_runs(tmp_path, capsys, command):
+    # Every operator evaluates its phases at psi's 8 entries only, so the
+    # widest accepted lab costs what width 1 does.
+    code = main([command, "--lab-width", str(MAX_LAB_WIDTH), "--out", str(tmp_path),
+                 "--format", "json"])
+    assert code == 0
+    assert all(c["passed"] for c in json.loads(capsys.readouterr().out)["checks"])
+
+
+# contexts still builds dense matrices: at 40 its first allocation, 8 TiB,
+# fails at once.  Widths from about 20 to 35 can commit gigabytes before
+# they fail.  Above MAX_LAB_WIDTH every command rejects the width.
+@pytest.mark.parametrize("command,width", [("contexts", 40), ("paradox", 58),
+                                           ("decohere", 58), ("contexts", 60),
                                            ("frames", 58)])
 def test_lab_width_beyond_memory_or_indexing_exits_two(tmp_path, capsys, command, width):
     assert main([command, "--lab-width", str(width), "--out", str(tmp_path)]) == 2
@@ -759,6 +777,52 @@ def test_each_decohere_check_fails_on_its_own_fault(tmp_path, capsys, monkeypatc
     assert doc["passed"] is False
     assert {c["name"]: c["passed"] for c in doc["checks"]} == {
         name: name != check for name, _, _ in DECOHERE_FAULTS}
+
+
+def _one_table_skipped(tables, zero_tol):
+    report = constraints_from_born(tables, zero_tol=zero_tol)
+    return dataclasses.replace(report, skipped=((0, "NO_PARITY_STRUCTURE"),))
+
+
+def _one_assignment_satisfies(system):
+    return dataclasses.replace(enumerate_satisfying(system), count=1)
+
+
+def _three_constraint_witness(system):
+    return Gf2Report(False, (0, 1, 2))
+
+
+def _section_count(count):
+    """``global_section_exists`` reporting ``count`` sections."""
+    def fault(tables, zero_tol):
+        report = global_section_exists(tables, zero_tol=zero_tol)
+        return dataclasses.replace(report, exists=count > 0, count=count)
+    return fault
+
+
+# Each paradox check, the stage that runs it, and a faulty stand-in for the
+# ``cli`` binding it reads.
+PARADOX_FAULTS = (
+    ("constraints_recovered", "full", "constraints_from_born", _one_table_skipped),
+    ("no_satisfying_assignment", "full", "enumerate_satisfying", _one_assignment_satisfies),
+    ("parity_elimination_witness", "full", "gf2_consistency", _three_constraint_witness),
+    ("no_global_section", "full", "global_section_exists", _section_count(1)),
+    ("global_section_exists", "friend", "global_section_exists", _section_count(7)),
+)
+
+
+@pytest.mark.parametrize("check,stage,binding,fault", PARADOX_FAULTS,
+                         ids=[check for check, _, _, _ in PARADOX_FAULTS])
+def test_each_paradox_check_fails_on_its_own_fault(tmp_path, capsys, monkeypatch,
+                                                   check, stage, binding, fault):
+    monkeypatch.setattr(cli, binding, fault)
+    path = write_json(tmp_path, "stage.json", {"stage": stage})
+    code = main(["paradox", "--config", path, "--out", str(tmp_path), "--format", "json"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert {c["name"]: c["passed"] for c in doc["checks"]} == {
+        name: name != check for name, s, _, _ in PARADOX_FAULTS if s == stage}
 
 
 COMMANDS = ("ghz-check", "paradox", "contexts", "frames", "decohere")

@@ -1,7 +1,7 @@
 """Mask-form operators and sparse states against their dense oracles.
 
 The scenario's observables and pointer flips are built in mask form, an XOR
-mask plus phases, and psi is a ``SparseState``.  A mask form is a monomial
+mask plus a phase rule, and psi is a ``SparseState``.  A mask form is a monomial
 operator, one nonzero per row and per column, and the test names say so.
 Every fast result here is compared with the dense path at lab widths up to
 4, at the pinned 1e-12, and the lazily built matrices with the dense
@@ -28,7 +28,6 @@ from wignerlab.scenario import (
     _flip,
     erasure_check,
     extend_with_probe,
-    lab_label,
     run_friend_stage,
     run_wigner_stage,
     scenario_context,
@@ -83,7 +82,8 @@ def same_flags(op, dense):
 @pytest.mark.parametrize("width", range(1, 11))
 def test_majority_diagonal_matches_the_loop(width):
     from wignerlab.scenario import _majority_diagonal
-    assert np.array_equal(_majority_diagonal(width), loop_majority_diagonal(width))
+    phase = _majority_diagonal(width)
+    assert [phase(j) for j in range(2**width)] == loop_majority_diagonal(width).tolist()
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -331,29 +331,14 @@ def test_pointer_branches_and_diagonality_match_the_dense_oracle(width):
                        - pointer_diagonality(qcore.pure_density(dense), target)) <= TOL
 
 
-def _widened_psi(width):
-    """The width-1 psi on the width-``width`` layout: a lab reading 1 holds all ones.
-
-    ``ScenarioModel`` holds 2**width phases per record observable, so at the
-    largest widths psi is widened by hand; below that it equals the model's.
-    """
-    psi1 = ScenarioModel(1).post_premeasurement_state()
-    labs = {lab_label(i) for i in (1, 2, 3)}
-    layout = RegisterLayout(tuple((label, 2**width if label in labs else dim)
-                                  for label, dim in psi1.layout.sites))
-    return SparseState(layout, {
-        tuple(i * (dim - 1) for i, dim in zip(index, layout.shape)): amp
-        for index, amp in psi1.entries.items()})
-
-
 @pytest.mark.parametrize("width", [*range(1, 9), MAX_LAB_WIDTH])
 def test_support_state_of_psi_is_the_width_one_psi(width):
     psi1 = ScenarioModel(1).post_premeasurement_state()
-    psi = _widened_psi(width)
-    if width <= 8:
-        model_psi = ScenarioModel(width).post_premeasurement_state()
-        assert model_psi.layout == psi.layout
-        assert dict(model_psi.entries) == dict(psi.entries)
+    psi = ScenarioModel(width).post_premeasurement_state()
+    # A lab that read 1 holds all ones.
+    assert dict(psi.entries) == {
+        tuple(i * (dim - 1) for i, dim in zip(index, psi.layout.shape)): amp
+        for index, amp in psi1.entries.items()}
     compact = qcore.support_state(psi)
     assert compact.layout == psi1.layout
     assert dict(compact.entries) == dict(psi1.entries)
@@ -423,8 +408,8 @@ def test_sparse_conditioning_and_wigner_stage_match_dense(width):
         assert np.max(np.abs(fast.to_dense().amplitudes - slow.amplitudes)) <= TOL
 
 
-def test_width_sixteen_builds_no_dense_matrix():
-    model = ScenarioModel(16)
+def test_max_lab_width_builds_no_dense_matrix():
+    model = ScenarioModel(MAX_LAB_WIDTH)
     psi = run_friend_stage(model)
     assert len(psi.entries) == 8
     for agents in PROTOCOL_CONTEXTS:
@@ -436,8 +421,9 @@ def test_width_sixteen_builds_no_dense_matrix():
 
 
 def computed_flags(op):
-    """The O(d) flags of the same mask form, read off its phases."""
-    fresh = Operator.from_mask(op.layout, *op.mask_form)
+    """The O(d) flags of the same mask form, read off its phases tabulated."""
+    mask, phase = op.mask_form
+    fresh = Operator.from_mask(op.layout, mask, [phase(j) for j in range(op.layout.total_dim)])
     return {"hermitian": fresh.is_hermitian, "unitary": fresh.is_unitary,
             "involutory": fresh.is_involutory}
 

@@ -169,7 +169,9 @@ def test_pauli_word_flags_are_set_at_construction_and_match_the_dense_flags(word
         op = to_operator(p)
         built = dict(op._flags)  # before any flag is read
         assert built["hermitian"] == p.is_hermitian
-        computed = qcore.Operator.from_mask(op.layout, *op.mask_form)
+        mask, phase = op.mask_form
+        computed = qcore.Operator.from_mask(op.layout, mask,
+                                            [phase(j) for j in range(op.layout.total_dim)])
         dense = qcore.Operator(op.layout, op.matrix)
         for flags in (computed, dense):
             assert built == {"hermitian": flags.is_hermitian, "unitary": flags.is_unitary,
