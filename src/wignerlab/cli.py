@@ -16,7 +16,9 @@ canonicalized physics configuration, so reordering keys in the config
 file does not move the output.  Each report is rendered once: text stdout
 is the ``.report.txt`` bytes, timestamp included, followed by a
 ``report: <path>`` line, and ``--format json`` stdout is the
-``.report.json`` bytes.
+``.report.json`` bytes.  numpy is loaded only by the first dense array a
+run builds, so ``frames``, ``--help``, ``--version`` and every usage or
+config error start without it.
 
 Config file grammar (JSON object; every key optional).  Each key's
 default, check and reader live in one table in this module, ``_KEYS``.
@@ -65,8 +67,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-
-import numpy as np
 
 from . import __version__, qcore, spacetime
 from .contexts import (
@@ -161,9 +161,9 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, (bool, type(None), str)):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return float(value)
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 

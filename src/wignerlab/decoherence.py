@@ -34,8 +34,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import qcore
 from .errors import BadStrengthError
 from .scenario import (
@@ -73,6 +71,8 @@ def _as_density(state) -> qcore.DensityMatrix:
 
 def dephase(state, channel: DephasingChannel) -> qcore.DensityMatrix:
     """One application of the channel; accepts a pure state or a density matrix."""
+    import numpy as np
+
     rho = _as_density(state)
     ax = rho.layout.axis(channel.target)
     dim = rho.layout.shape[ax]
@@ -114,6 +114,8 @@ def pointer_diagonality(state, target: str) -> float:
     taken from the nonzero entries alone (a ``QState`` goes through
     ``SparseState.from_dense``); a density matrix is summed entry by entry.
     """
+    import numpy as np
+
     if isinstance(state, qcore.QState):
         state = qcore.SparseState.from_dense(state)
     if isinstance(state, qcore.SparseState):

@@ -29,6 +29,8 @@ diagonal in one register's basis.  Sparse results, and ``support_state``'s
 (each register shrunk to the index values in use), are adopted through
 ``SparseState._trusted``, as their indices and norm hold by construction.
 ``to_dense()`` gives the ``QState`` back where the dimension allows.
+numpy is imported by the functions that build or read a dense array, not
+by the module, so the mask-form paths run without loading it.
 
 Commutation is locality-aware.  Operators on disjoint registers commute
 exactly: every entry of (A x I)(I x B) and of (I x B)(A x I) is the same
@@ -66,8 +68,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from types import MappingProxyType
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ContextIncompatibleError,
@@ -80,6 +81,9 @@ from .errors import (
     UnknownLabelError,
     ZeroBranchError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Operator flags (hermitian, unitary, involutory), state norms and the
 # density-matrix checks.
@@ -148,6 +152,8 @@ class QState:
     """Normalized pure state over a layout."""
 
     def __init__(self, layout: RegisterLayout, amplitudes):
+        import numpy as np
+
         arr = np.array(amplitudes, dtype=np.complex128).reshape(-1)
         if arr.size != layout.total_dim:
             raise LayoutMismatchError(
@@ -171,6 +177,8 @@ def _check_norm(norm: float) -> None:
 
 
 def basis_state(layout: RegisterLayout, index: int = 0) -> QState:
+    import numpy as np
+
     amp = np.zeros(layout.total_dim, dtype=np.complex128)
     amp[index] = 1.0
     return QState(layout, amp)
@@ -221,11 +229,15 @@ class SparseState:
 
     @classmethod
     def from_dense(cls, state: QState) -> "SparseState":
+        import numpy as np
+
         tens = state.tensor_view()
         return cls(state.layout,
                    {index: tens[index] for index in zip(*np.nonzero(tens))})
 
     def to_dense(self) -> QState:
+        import numpy as np
+
         tens = np.zeros(self.layout.shape, dtype=np.complex128)
         for index, amp in self.entries.items():
             tens[index] = amp
@@ -233,6 +245,8 @@ class SparseState:
 
     def nonzero(self) -> np.ndarray:
         """The nonzero amplitudes in flat-index order."""
+        import numpy as np
+
         return np.array([self.entries[index] for index in sorted(self.entries)],
                         dtype=np.complex128)
 
@@ -309,6 +323,8 @@ class Operator:
     """
 
     def __init__(self, layout: RegisterLayout, matrix):
+        import numpy as np
+
         mat = np.array(matrix, dtype=np.complex128)
         d = layout.total_dim
         if mat.shape != (d, d):
@@ -336,6 +352,8 @@ class Operator:
         """The operator sending basis state j to phase[j] times basis state
         j ^ mask, for a sequence of any d phases; its flags are read off the
         form in O(d) (the tests' oracle for ``from_pauli_mask``)."""
+        import numpy as np
+
         phase = np.array(phase, dtype=np.complex128).reshape(-1)
         op = cls._mask_op(layout, mask, tuple(phase.tolist()).__getitem__)
         if phase.size != layout.total_dim:
@@ -365,6 +383,8 @@ class Operator:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
+            import numpy as np
+
             mask, phase = self.mask_form
             cols = np.arange(self.layout.total_dim)
             mat = np.zeros((cols.size, cols.size), dtype=np.complex128)
@@ -373,22 +393,25 @@ class Operator:
         return self._matrix
 
     def _flag(self, name: str, residual) -> bool:
-        """A dense operator's flag, on first use: max |residual(matrix)| is small."""
+        """A dense operator's flag, on first use: max |residual(np, matrix)| is small."""
         if name not in self._flags:
-            self._flags[name] = bool(np.max(np.abs(residual(self.matrix))) <= STRUCTURAL_TOL)
+            import numpy as np
+
+            self._flags[name] = bool(
+                np.max(np.abs(residual(np, self.matrix))) <= STRUCTURAL_TOL)
         return self._flags[name]
 
     @property
     def is_hermitian(self) -> bool:
-        return self._flag("hermitian", lambda m: m - m.conj().T)
+        return self._flag("hermitian", lambda np, m: m - m.conj().T)
 
     @property
     def is_unitary(self) -> bool:
-        return self._flag("unitary", lambda m: m @ m.conj().T - np.eye(m.shape[0]))
+        return self._flag("unitary", lambda np, m: m @ m.conj().T - np.eye(m.shape[0]))
 
     @property
     def is_involutory(self) -> bool:
-        return self._flag("involutory", lambda m: m @ m - np.eye(m.shape[0]))
+        return self._flag("involutory", lambda np, m: m @ m - np.eye(m.shape[0]))
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.layout.total_dim}, labels={self.layout.labels})"
@@ -409,6 +432,8 @@ class DensityMatrix:
     """
 
     def __init__(self, layout: RegisterLayout, matrix):
+        import numpy as np
+
         trusted = isinstance(matrix, _Trusted)
         mat = matrix.value if trusted else np.array(matrix, dtype=np.complex128)
         d = layout.total_dim
@@ -442,6 +467,8 @@ class DensityMatrix:
 
 
 def pure_density(state: QState) -> DensityMatrix:
+    import numpy as np
+
     v = state.amplitudes
     return DensityMatrix._trusted(state.layout, np.outer(v, v.conj()))
 
@@ -453,6 +480,8 @@ def tensor(a, b):
         return SparseState._trusted(a.layout.concat(b.layout),
                                     {ia + ib: va * vb for ia, va in a.entries.items()
                                      for ib, vb in b.entries.items()})
+    import numpy as np
+
     if isinstance(a, QState) and isinstance(b, QState):
         return QState(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, Operator) and isinstance(b, Operator):
@@ -486,6 +515,8 @@ def _contract(matrix: np.ndarray, arr: np.ndarray, layout: RegisterLayout,
     The result is C-contiguous in ``arr``'s axis order, so callers can add
     to it, contract it again or flatten it without a strided copy.
     """
+    import numpy as np
+
     k = len(axes)
     dims = [layout.shape[a] for a in axes]
     tens = matrix.reshape(dims + dims)
@@ -536,6 +567,8 @@ def project(op: Operator, state, value: int):
         return SparseState._trusted(state.layout, {i: a * scale for i, a in kept.items()}), p
     if not isinstance(state, QState):
         raise TypeError(f"project() got {type(state).__name__}")
+    import numpy as np
+
     plus, minus = spectral_projectors(op)
     proj = plus if value == 1 else minus
     amp = _apply_to_vector(proj.matrix, proj.layout, state)
@@ -606,6 +639,8 @@ def support_state(state: SparseState) -> SparseState:
 
 def embed(op: Operator, layout: RegisterLayout) -> Operator:
     """Dense embedding of ``op`` into a larger layout (identity elsewhere)."""
+    import numpy as np
+
     axes = _check_sublayout(op.layout, layout)
     rest = [i for i in range(len(layout.sites)) if i not in axes]
     d_rest = 1
@@ -652,6 +687,8 @@ def expectation(op: Operator, state) -> float:
         state = state.to_dense()
     if not isinstance(state, QState):
         raise TypeError(f"expectation() got {type(state).__name__}")
+    import numpy as np
+
     return _real(complex(np.vdot(state.amplitudes,
                                  _apply_to_vector(op.matrix, op.layout, state))))
 
@@ -686,6 +723,8 @@ def partial_trace(state, keep) -> DensityMatrix:
         a = tens.reshape(dk, -1)
         return DensityMatrix(sub, a @ a.conj().T)
     if isinstance(state, DensityMatrix):
+        import numpy as np
+
         layout = state.layout
         sub = layout.subset(keep)
         keep_axes = [layout.axis(l) for l in sub.labels]
@@ -727,6 +766,8 @@ def commutes(a: Operator, b: Operator) -> bool:
     """
     if not set(a.layout.labels) & set(b.layout.labels):
         return True
+    import numpy as np
+
     common = _union_layout(a.layout, b.layout)
     am = embed(a, common).matrix
     bm = embed(b, common).matrix
@@ -739,6 +780,8 @@ def spectral_projectors(op: Operator) -> tuple[Operator, Operator]:
         raise NotHermitianError("spectral_projectors() requires a hermitian operator")
     if not op.is_involutory:
         raise NotInvolutoryError("spectral_projectors() requires an involutory operator")
+    import numpy as np
+
     d = op.layout.total_dim
     eye = np.eye(d, dtype=np.complex128)
     plus = Operator(op.layout, (eye + op.matrix) / 2.0)
@@ -800,6 +843,8 @@ class BornTable:
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Draw one outcome tuple; row order is fixed, so draws are reproducible."""
+        import numpy as np
+
         outcomes = list(self.rows)
         probs = np.array([max(self.rows[o], 0.0) for o in outcomes])
         probs = probs / probs.sum()
@@ -880,6 +925,8 @@ def born_table(observables, state, names=None) -> BornTable:
         def leaf(node) -> float:
             return math.ldexp(_sparse_norm2(node), -2 * k)
     else:
+        import numpy as np
+
         axes = [_check_sublayout(o.layout, layout) for o in obs]
         if isinstance(state, QState):
             root = state.tensor_view()

@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import qcore, spacetime, stabilizer
 from .errors import UnknownAgentError
 from .qcore import Operator, RegisterLayout
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FRIENDS = ("Alice", "Bob", "Charlie")
 WIGNERS = ("Eugene", "Johnny", "Daniel")
@@ -97,6 +99,8 @@ def vn_unitary(observable: Operator, pointer: RegisterLayout) -> Operator:
     all-zeros ends correlated with the observable's eigenvalue.  This is the
     dense oracle of ``MeasurementSpec.apply`` on a sparse state.
     """
+    import numpy as np
+
     plus, minus = qcore.spectral_projectors(observable)
     dp = pointer.total_dim
     mat = np.kron(plus.matrix, np.eye(dp)) + np.kron(minus.matrix, _flip(pointer).matrix)
@@ -309,6 +313,8 @@ class OutcomeRecord:
 
 def outcome_rng(seed: int) -> np.random.Generator:
     """Philox counter-based stream for the given seed (splittable, stable)."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import qcore
 from .errors import (
     LengthMismatchError,
@@ -130,6 +128,8 @@ def joint_eigenstate(generators, labels=None) -> qcore.QState:
                 )
     if labels is None:
         labels = tuple(f"q{i + 1}" for i in range(n))
+    import numpy as np
+
     layout = qcore.qubits(*labels)
     d = layout.total_dim
     proj = np.eye(d, dtype=np.complex128)

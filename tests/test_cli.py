@@ -3,6 +3,7 @@ import hashlib
 import json
 import types
 
+import numpy as np
 import pytest
 
 from wignerlab import cli, qcore, spacetime
@@ -440,6 +441,15 @@ def test_json_report_has_no_timestamp_but_text_does(tmp_path):
     assert "generated" not in canonical_json(body)
     text = (sub / "frames.report.txt").read_text()
     assert "generated: " in text
+
+
+def test_reports_take_no_numpy_integer():
+    # No report value is a numpy scalar; a producer that leaks a numpy integer
+    # fails here, while np.float64 is a float and serializes as one.
+    with pytest.raises(TypeError, match="int64"):
+        cli._plain(np.int64(1))
+    assert cli._plain(np.float64(0.5)) == 0.5
+    assert type(cli._plain(np.float64(0.5))) is float
 
 
 def test_env_var_sets_default_out(tmp_path, monkeypatch):

@@ -1,11 +1,17 @@
-"""Every name a module imports is read in that module.
+"""Import hygiene: every name a module imports is read in that module, and
+importing ``wignerlab`` loads no numpy.
 
 No linter runs over this repository, so an import left behind by a change
-would otherwise go unnoticed.
+would otherwise go unnoticed.  numpy is imported inside the functions that
+build or read a dense array, so a run that builds none (``frames``, help,
+usage and config errors) starts without it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +37,80 @@ def unread_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def numpy_imports_at_import_time(source: str) -> list[int]:
+    """Lines that import numpy when the module is imported: any statement
+    outside a function body, class bodies included, but not under
+    ``if TYPE_CHECKING:``, which never runs."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            for child in node.orelse:
+                visit(child)
+            return
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "wignerlab").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_numpy_at_import_time(path):
+    assert numpy_imports_at_import_time(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_numpy_import_check_finds_module_level_imports():
+    source = ("import numpy as np\n"
+              "from numpy.linalg import norm\n"
+              "from typing import TYPE_CHECKING\n"
+              "if TYPE_CHECKING:\n    import numpy\n"
+              "class C:\n    import numpy\n"
+              "def f():\n    import numpy as np\n")
+    assert numpy_imports_at_import_time(source) == [1, 2, 7]
+
+
+# A fresh interpreter per case: import the CLI, run ``main`` on the
+# arguments if there are any, and print its exit status and whether any
+# numpy module was loaded.
+PROBE = """
+import contextlib, io, sys
+import wignerlab.cli
+args = sys.argv[1:]
+status = None
+if args:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = wignerlab.cli.main(args)
+print(status, any(name == "numpy" or name.startswith("numpy.") for name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("args,expected", [
+    pytest.param([], "None False", id="import"),
+    pytest.param(["frames", "--out", "{out}"], "0 False", id="frames"),
+    pytest.param(["--help"], "0 False", id="help"),
+    pytest.param(["--version"], "0 False", id="version"),
+    pytest.param(["nope"], "2 False", id="unknown-command"),
+    pytest.param(["paradox", "--lab-width", "0"], "2 False", id="config-error"),
+    # The dense rank check loads numpy, so the probe can see it.
+    pytest.param(["ghz-check", "--out", "{out}"], "0 True", id="ghz-check"),
+])
+def test_numpy_is_loaded_only_by_dense_work(tmp_path, args, expected):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("WIGNERLAB_OUT", None)
+    argv = [a.format(out=tmp_path) for a in args]
+    result = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, cwd=tmp_path,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == expected
