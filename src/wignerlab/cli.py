@@ -17,8 +17,8 @@ file does not move the output.  Each report is rendered once: text stdout
 is the ``.report.txt`` bytes, timestamp included, followed by a
 ``report: <path>`` line, and ``--format json`` stdout is the
 ``.report.json`` bytes.  numpy is loaded only by the first dense array a
-run builds, so ``frames``, ``--help``, ``--version`` and every usage or
-config error start without it.
+run builds, so ``ghz-check``, ``paradox``, ``frames``, ``--help``,
+``--version`` and every usage or config error run without it.
 
 Config file grammar (JSON object; every key optional).  Each key's
 default, check and reader live in one table in this module, ``_KEYS``.
@@ -30,9 +30,11 @@ by the one subcommand named with it, and the others reject it (exit 2):
   tolerance      positive finite float for report assertions and the
                  zero threshold of table supports (default 1e-10); the
                  library's own thresholds are fixed (see ``qcore``)
-  geometry       "default" | "collinear" | {"events": {"A": [t,x,y,z], ...}};
-                 one that breaks the separation pattern is a config error, so
-                 frames has no check of its own
+  geometry       "default" | "collinear" | {"events": {"A": [t,x,y,z], ...}},
+                 each number finite and read exactly as the shortest
+                 decimal of its float (0.1 is 1/10); one that breaks the
+                 separation pattern is a config error, so frames has no
+                 check of its own
   frame_filter   boolean, drop joint contexts without a simultaneity frame
   out            output directory (default "reports")
   format         "text" | "json" stdout rendering
@@ -142,7 +144,7 @@ class ScenarioConfig:
         payload = {key: getattr(self, key)
                    for key, row in _KEYS.items() if row.digest}
         if self.geometry_name == "custom":
-            payload["geometry"] = {label: [e.t, e.x, e.y, e.z]
+            payload["geometry"] = {label: list(map(float, e.as_array()))
                                    for label, e in self.geometry.events.items()}
         else:
             payload["geometry"] = self.geometry_name
@@ -229,10 +231,13 @@ def _real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# NaN fails both comparisons; an integer above the largest float could not
-# be converted.
-_POSITIVE = _check(lambda v: _real(v) and 0 < v <= sys.float_info.max,
-                   "a positive finite number", float)
+def _finite(value) -> bool:
+    """A number no larger in magnitude than the largest float: NaN fails
+    both comparisons, and a larger integer could not be converted."""
+    return _real(value) and -sys.float_info.max <= value <= sys.float_info.max
+
+
+_POSITIVE = _check(lambda v: _finite(v) and v > 0, "a positive finite number", float)
 
 
 def _build_geometry(key, value) -> tuple[str, spacetime.Geometry]:
@@ -252,13 +257,17 @@ def _build_geometry(key, value) -> tuple[str, spacetime.Geometry]:
             f"{key}: events must map exactly the labels "
             f"{'/'.join(spacetime.EVENT_LABELS)}"
         )
+    from fractions import Fraction
+
     built = {}
     for label, coords in events.items():
-        if not isinstance(coords, list) or len(coords) != 4 or not all(map(_real, coords)):
+        if not isinstance(coords, list) or len(coords) != 4 or not all(map(_finite, coords)):
             raise ConfigValidationError(
-                f"{key}: event {label} needs four numbers [t, x, y, z]"
+                f"{key}: event {label} needs four finite numbers [t, x, y, z]"
             )
-        built[label] = spacetime.Event4(label, *map(float, coords))
+        # Each number exactly as its shortest decimal: 0.1 is 1/10, not the
+        # binary float nearest to it.
+        built[label] = spacetime.Event4(label, *(Fraction(repr(c)) for c in coords))
     geometry = spacetime.Geometry(built)
     violations = spacetime.separation_violations(geometry)
     if violations:
@@ -497,9 +506,9 @@ def _quarter_parity(table: qcore.BornTable, parity: int, tol: float) -> tuple[bo
 
 def cmd_ghz_check(config: ScenarioConfig) -> RunReport:
     """Verify the three defining probability patterns of the entangled state:
-    ``joint_eigenstate``'s dense rank check, then five sparse tables."""
+    ``joint_eigenstate``'s exact rank check, then five sparse tables."""
     generators = tuple(parse_pauli(w) for w in config.generators)
-    state = qcore.SparseState.from_dense(joint_eigenstate(generators))
+    state = joint_eigenstate(generators)
     tol = config.tolerance
 
     def table(letters: str) -> qcore.BornTable:

@@ -841,17 +841,18 @@ class BornTable:
             raise ValueError("name tuple length mismatch")
         return BornTable(tuple(names), dict(self.rows))
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        """Draw one outcome tuple; row order is fixed, so draws are reproducible."""
-        import numpy as np
-
+    def sample(self, rng) -> tuple[int, ...]:
+        """Draw one outcome tuple with one ``rng.random()`` in [0, 1), from any
+        object that has that method.  The rows, negative ones read as 0, are
+        normalized by their ``math.fsum``; row order is fixed, so the same
+        draw gives the same outcome."""
         outcomes = list(self.rows)
-        probs = np.array([max(self.rows[o], 0.0) for o in outcomes])
-        probs = probs / probs.sum()
+        weights = [max(self.rows[o], 0.0) for o in outcomes]
+        total = math.fsum(weights)
         u = rng.random()
         acc = 0.0
-        for o, p in zip(outcomes, probs):
-            acc += p
+        for o, w in zip(outcomes, weights):
+            acc += w / total
             if u < acc:
                 return o
         return outcomes[-1]

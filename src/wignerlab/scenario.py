@@ -24,24 +24,22 @@ site of dimension 2**w.  A friend's record observable reads the pointer in
 the computational basis and takes a majority vote across its qubits (ties
 broken by the first qubit, which only matters off the reachable subspace).
 
-Randomness: outcome sampling uses numpy's Philox counter-based generator,
-keyed by the caller's seed.  Distinct seeds give independent streams and
-the same seed replays the same draws, which is what the reporting layer
-relies on for byte-identical reruns.
+Randomness: each sampled context draws from its own counter-based stream
+(Salmon et al., SC'11), keyed by the caller's seed and the context's agent
+names: draw k is a SHA-256 hash of (seed, names, k).  Contexts sampled
+under one seed draw independently of each other, and the same seed
+replays the same draws, which is what the reporting layer relies on for
+byte-identical reruns.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from . import qcore, spacetime, stabilizer
 from .errors import UnknownAgentError
 from .qcore import Operator, RegisterLayout
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FRIENDS = ("Alice", "Bob", "Charlie")
 WIGNERS = ("Eugene", "Johnny", "Daniel")
@@ -250,7 +248,7 @@ class ScenarioModel:
         ghz = stabilizer.ghz_scenario_state(labels=tuple(atom_label(i) for i in (1, 2, 3)))
         labs_layout = self.layout.subset([lab_label(i) for i in (1, 2, 3)])
         ready = qcore.SparseState(labs_layout, {(0, 0, 0): 1.0})
-        return qcore.tensor(qcore.SparseState.from_dense(ghz), ready)
+        return qcore.tensor(ghz, ready)
 
 
 def run_friend_stage(model: ScenarioModel, order=FRIENDS) -> qcore.SparseState:
@@ -311,16 +309,33 @@ class OutcomeRecord:
     probability: float
 
 
-def outcome_rng(seed: int) -> np.random.Generator:
-    """Philox counter-based stream for the given seed (splittable, stable)."""
-    import numpy as np
+class _OutcomeStream:
+    """Uniform floats in [0, 1): draw k is the top 53 bits of
+    sha256(seed as 8 bytes, names, k as 8 bytes) over 2**53."""
 
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    def __init__(self, key: bytes):
+        self._key = key
+        self._counter = 0
+
+    def random(self) -> float:
+        import hashlib
+
+        block = self._key + self._counter.to_bytes(8, "big")
+        self._counter += 1
+        return (int.from_bytes(hashlib.sha256(block).digest()[:8], "big") >> 11) / 2**53
+
+
+def outcome_rng(seed: int, names) -> _OutcomeStream:
+    """The counter-based stream of one context: keyed by the seed and the
+    context's agent names, so every context sampled under one seed has its
+    own stream, and the same (seed, names) replays the same draws."""
+    return _OutcomeStream(seed.to_bytes(8, "big") + ",".join(names).encode("utf-8"))
 
 
 def sample_outcomes(table: qcore.BornTable, seed: int) -> OutcomeRecord:
-    """One joint outcome drawn from a context's table; names are the agents."""
-    outcome = table.sample(outcome_rng(seed))
+    """One joint outcome drawn from a context's table, on the stream of
+    (seed, the table's names); names are the agents."""
+    outcome = table.sample(outcome_rng(seed, table.names))
     return OutcomeRecord(dict(zip(table.names, outcome)), table.rows[outcome])
 
 

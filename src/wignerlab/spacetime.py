@@ -8,9 +8,10 @@ slowest: its normal is the Minkowski-orthogonal projection of (1, 0, 0, 0)
 onto the span's orthogonal complement.
 
 The frame search is exact arithmetic on the coordinates as given: each
-float is an integer over one common power of two, the rank, the
-definiteness test and the normal are computed on those integers, and no
-step has a tolerance.  Floats enter only in the returned velocity (one
+coordinate (a float, or a ``Fraction`` where a config wrote a decimal) is
+an integer over one common denominator, the rank, the definiteness test
+and the normal are computed on those integers, and no step has a
+tolerance.  Floats enter only in the returned velocity (one
 correctly rounded division per component) and in the Gram certificate.
 """
 
@@ -25,7 +26,8 @@ from .errors import SuperluminalError
 
 @dataclass(frozen=True)
 class Event4:
-    """Labeled spacetime point."""
+    """Labeled spacetime point; a coordinate is a float, or a ``Fraction``
+    where a config wrote an exact decimal."""
 
     label: str
     t: float
@@ -108,10 +110,11 @@ class FrameSolution:
 
 
 def _scaled_differences(events) -> tuple[list[tuple[int, ...]], int]:
-    """Each event minus the first, as integers over one common power of two
-    ``scale``: every float is an exact dyadic rational."""
+    """Each event minus the first, as integers over one common denominator
+    ``scale``, the lcm of the coordinates' denominators: every float is an
+    exact dyadic rational, and a ``Fraction`` any rational."""
     ratios = [c.as_integer_ratio() for e in events for c in e.as_array()]
-    scale = max(den for _, den in ratios)
+    scale = math.lcm(*(den for _, den in ratios))
     flat = [num * (scale // den) for num, den in ratios]
     base = flat[:4]
     return [tuple(a - b for a, b in zip(flat[i:i + 4], base))

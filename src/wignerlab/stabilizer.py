@@ -5,6 +5,10 @@ A ``PauliString`` is a phase in {+1, -1, +i, -i} times a word over
 where two strings anticommute; nothing here touches floating point until a
 string is turned into an operator, which ``to_operator`` builds in
 ``qcore``'s mask form with its flags set at construction.
+``joint_eigenstate`` builds a stabilizer state from those mask forms in
+exact arithmetic: the joint projector's rank is a sum of Gaussian
+integers, and the state is a ``qcore.SparseState`` of Gaussian integers
+over one square root, built with no tolerance and no dense array.
 
 Serialized form is sign then letters (``+XZZ``, ``-XXX``); imaginary phases
 spell ``+i`` / ``-i`` (``+iZY``).  ``parse_pauli`` inverts ``str()``
@@ -104,19 +108,14 @@ def to_operator(p: PauliString, labels=None) -> qcore.Operator:
         qcore.qubits(*labels), flips, lambda j: values[(base + 2 * (j & reads).bit_count()) % 4])
 
 
-def joint_eigenstate(generators, labels=None) -> qcore.QState:
-    """Unique joint +1 eigenstate of commuting hermitian Pauli generators.
-
-    Builds the projector prod (I + G_i)/2 densely and requires it to have
-    rank 1; the extracted state fixes its global phase by making the first
-    nonzero amplitude real and positive.
-    """
+def commuting_hermitian(generators) -> tuple[PauliString, ...]:
+    """The generators as a tuple, checked: nonempty, of one length,
+    hermitian and pairwise commuting."""
     gens = tuple(generators)
     if not gens:
         raise RankNotOneError("no generators given")
-    n = len(gens[0])
     for g in gens:
-        if len(g) != n:
+        if len(g) != len(gens[0]):
             raise LengthMismatchError("generators of unequal length")
         if not g.is_hermitian:
             raise NotHermitianError(f"generator {g} has imaginary phase")
@@ -126,26 +125,73 @@ def joint_eigenstate(generators, labels=None) -> qcore.QState:
                 raise NoncommutingGeneratorsError(
                     f"generators {gens[i]} and {gens[j]} anticommute"
                 )
+    return gens
+
+
+def _trace(forms, d: int) -> complex:
+    """Tr of the product of mask forms on dimension d: 0 unless their masks
+    cancel, else the sum over j of the phases met from |j> back to |j>."""
+    product_mask = 0
+    for mask, _ in forms:
+        product_mask ^= mask
+    if product_mask:
+        return 0
+    trace = 0
+    for j in range(d):
+        amp, k = 1, j
+        for mask, phase in forms:
+            amp *= phase(k)
+            k ^= mask
+        trace += amp
+    return trace
+
+
+def _stabilized(forms, x: int) -> dict[int, complex]:
+    """prod (I + G_i) |x> from the generators' mask forms, keyed by flat
+    index, exact zeros dropped: every amplitude is a Gaussian integer."""
+    v = {x: 1}
+    for mask, phase in forms:
+        out = dict(v)
+        for j, a in v.items():
+            out[j ^ mask] = out.get(j ^ mask, 0) + phase(j) * a
+        v = {j: a for j, a in out.items() if a}
+    return v
+
+
+def joint_eigenstate(generators, labels=None) -> qcore.SparseState:
+    """Unique joint +1 eigenstate of commuting hermitian Pauli generators, built exactly.
+
+    P = prod (I + G_i)/2 is the joint +1 projector.  Its rank, Tr P, is
+    2**-m times the sum over subsets S of the generators of Tr prod_S G_i,
+    and only a product whose masks cancel to 0 has a nonzero trace; every
+    trace is a Gaussian integer, so rank 1 is decided with no tolerance.
+    The state is P|x>/||P|x>|| for the first basis index x with P|x> != 0:
+    with v = prod (I + G_i)|x>, amplitude j is v_j / sqrt(||v||**2).  Every
+    earlier amplitude is 0 and <x|v> > 0, so the first nonzero amplitude is
+    real and positive (Dehaene and De Moor, PRA 68, 042318 (2003), give the
+    same state as a quadratic form over an affine subspace of GF(2)**n).
+    """
+    gens = commuting_hermitian(generators)
+    n, m = len(gens[0]), len(gens)
     if labels is None:
         labels = tuple(f"q{i + 1}" for i in range(n))
-    import numpy as np
+    forms = [to_operator(g, labels).mask_form for g in gens]
+    trace = sum(_trace([f for i, f in enumerate(forms) if subset >> i & 1], 2**n)
+                for subset in range(2**m))
+    if trace != 2**m:
+        raise RankNotOneError(f"projector rank {trace.real / 2**m:g}; "
+                              "generators dependent or contradictory")
+    for x in range(2**n):
+        v = _stabilized(forms, x)
+        if v:
+            break
+    import math
 
-    layout = qcore.qubits(*labels)
-    d = layout.total_dim
-    proj = np.eye(d, dtype=np.complex128)
-    for g in gens:
-        proj = proj @ (np.eye(d) + to_operator(g, labels).matrix) / 2.0
-    rank = float(np.real(np.trace(proj)))
-    if abs(rank - 1.0) > 1e-9:
-        raise RankNotOneError(
-            f"projector rank {rank:.6f}; generators dependent or contradictory"
-        )
-    col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-    vec = proj[:, col]
-    vec = vec / np.linalg.norm(vec)
-    first = int(np.flatnonzero(np.abs(vec) > 1e-12)[0])
-    vec = vec * (vec[first].conjugate() / abs(vec[first]))
-    return qcore.QState(layout, vec)
+    norm = math.sqrt(math.fsum(a.real * a.real + a.imag * a.imag for a in v.values()))
+    return qcore.SparseState(
+        qcore.qubits(*labels),
+        {tuple(j >> (n - 1 - q) & 1 for q in range(n)): complex(a) / norm
+         for j, a in sorted(v.items())})
 
 
 SCENARIO_GENERATORS = (
@@ -155,6 +201,6 @@ SCENARIO_GENERATORS = (
 )
 
 
-def ghz_scenario_state(labels=("q1", "q2", "q3")) -> qcore.QState:
+def ghz_scenario_state(labels=("q1", "q2", "q3")) -> qcore.SparseState:
     """Three-qubit state jointly stabilized by XZZ, ZXZ, ZZX."""
     return joint_eigenstate(SCENARIO_GENERATORS, labels)

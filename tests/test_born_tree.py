@@ -181,7 +181,7 @@ def _ghz_contexts(labels):
 @pytest.mark.parametrize("generators", [("+XZZ", "+ZXZ", "+ZZX"),
                                         ("-XZZ", "+ZXZ", "-ZZX")])
 def test_tree_is_bitwise_the_per_row_chain_on_ghz_tables(generators):
-    state = joint_eigenstate(tuple(parse_pauli(g) for g in generators))
+    state = joint_eigenstate(tuple(parse_pauli(g) for g in generators)).to_dense()
     for observables in _ghz_contexts(state.layout.labels):
         assert born_table(observables, state).rows == per_row_chain_rows(observables, state)
 

@@ -1,7 +1,15 @@
 import dataclasses
 import hashlib
+import itertools
 import json
+import os
+import pathlib
+import random
+import resource
+import subprocess
+import sys
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +33,12 @@ from wignerlab.decoherence import (
     dephased_states,
     expectation_trajectory,
 )
-from wignerlab.errors import ConfigParseError, ConfigValidationError
+from wignerlab.errors import (
+    ConfigParseError,
+    ConfigValidationError,
+    NoncommutingGeneratorsError,
+    RankNotOneError,
+)
 from wignerlab.paradox import (
     Gf2Report,
     constraints_from_born,
@@ -42,6 +55,9 @@ from wignerlab.scenario import (
     sample_outcomes,
     scenario_context,
 )
+from wignerlab.stabilizer import parse_pauli
+
+import dense_oracle
 
 
 def config_from(raw):
@@ -275,6 +291,36 @@ def test_custom_geometry_roundtrip():
         config_from({"geometry": {"events": events_bad}})
 
 
+# (t, x) = (0, 0), (0.1, 1), (0.3, 3): one spacelike line in decimal, but not
+# in binary floats, where 0.3 != 3 * 0.1.  The late events keep the pattern.
+DECIMAL_LINE = {"A": [0, 0, 0, 0], "B": [0.1, 1, 0, 0], "C": [0.3, 3, 0, 0],
+                "U": [0.5, -0.4, 0, 0], "V": [0.6, 1.4, 0, 0], "W": [0.8, 3.4, 0, 0]}
+
+
+def test_custom_geometry_decimals_are_read_exactly(tmp_path, capsys):
+    config = config_from({"geometry": {"events": DECIMAL_LINE}})
+    assert config.geometry.events["B"].t == Fraction(1, 10)
+    # The digest hashes the floats it always did.
+    assert config.digest_payload()["geometry"]["C"] == [0.3, 3.0, 0.0, 0.0]
+    assert config.digest() == "1c4dd35ec76cbcbe"
+    path = write_json(tmp_path, "line.json",
+                      {"geometry": {"events": DECIMAL_LINE}, "frame_triples": ["ABC"]})
+    assert main(["frames", "--config", path, "--format", "json",
+                 "--out", str(tmp_path)]) == 0
+    (frame,) = json.loads(capsys.readouterr().out)["data"]["frames"]
+    assert frame == {"events": ["A", "B", "C"], "exists": True, "max_time_residual": 0.0,
+                     "speed": 0.1, "velocity": [0.1, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
+def test_custom_geometry_needs_finite_numbers(tmp_path, capsys, value):
+    path = write_json(tmp_path, "big.json",
+                      {"geometry": {"events": dict(DECIMAL_LINE, U=[value, 0, 0, 0])}})
+    assert main(["frames", "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: geometry: event U needs four finite numbers [t, x, y, z]\n")
+
+
 def test_collinear_with_frame_filter_warns_not_errors():
     config = config_from({"geometry": "collinear", "frame_filter": True})
     assert len(config.warnings) == 1
@@ -353,6 +399,27 @@ def test_inconsistent_generators_are_config_errors(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+def test_sets_the_dense_oracle_rejects_exit_two(tmp_path, capsys):
+    # Seeded sets of three signed 3-letter words, CI's dependent set first.
+    words = [sign + "".join(letters) for sign in "+-"
+             for letters in itertools.product("IXYZ", repeat=3)]
+    rng = random.Random(5)
+    sets = [["+XZZ", "+XZZ", "+ZZX"]] + [rng.sample(words, 3) for _ in range(200)]
+    rejected = 0
+    for generators in sets:
+        path = write_json(tmp_path, "g.json", {"generators": generators})
+        code = main(["ghz-check", "--config", path, "--out", str(tmp_path / "out")])
+        try:
+            dense_oracle.joint_eigenstate(map(parse_pauli, generators))
+        except (NoncommutingGeneratorsError, RankNotOneError):
+            rejected += 1
+            assert code == 2, generators
+            assert capsys.readouterr().err.startswith("config error: generators: ")
+        else:
+            assert code in (0, 1), generators
+    assert 20 <= rejected < len(sets)
 
 
 def test_config_errors_exit_two(tmp_path, capsys):
@@ -609,6 +676,26 @@ def test_max_lab_width_runs(tmp_path, capsys, command):
                  "--format", "json"])
     assert code == 0
     assert all(c["passed"] for c in json.loads(capsys.readouterr().out)["checks"])
+
+
+def cap_address_space():
+    """Run in the child before exec: 512 MiB of address space, so a run that
+    grew with the width would fail instead of swapping the machine."""
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("command", ["paradox", "decohere"])
+def test_max_lab_width_fits_in_512_mib_of_address_space(tmp_path, command):
+    # contexts waits for a mask-form commutes: its dense overlap checks at
+    # width 57 would not fit.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "wignerlab.cli", command, "--lab-width", str(MAX_LAB_WIDTH),
+         "--format", "json", "--out", str(tmp_path)],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert all(c["passed"] for c in json.loads(result.stdout)["checks"])
 
 
 # contexts still builds dense matrices: at 40 its first allocation, 8 TiB,
@@ -971,21 +1058,21 @@ def test_report_path_that_cannot_be_opened_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# sha256 of the canonical .report.json body of seven invocations.  Every
+# sha256 of the canonical .report.json body of ten invocations.  Every
 # report is byte-identical for identical config and seed, so a change to
 # the library that moves any value, key or float rendering moves these.
 PINNED_REPORTS = [
     (["ghz-check"], "c4fc26bf77242fd7c6e1d0f3c8d98ddad03a8bb26d8462deb5045ef90a72ee60"),
-    (["paradox"], "84221181fc10dba732dd76578b605a996f79032384b8bc73bc8d92b8563f90df"),
+    (["paradox"], "d54d32eb8f05a8f32e5a82b7d029fda9d5d9227125156bb7c515be955029b1f2"),
     (["contexts"], "5efc1846fe2b39f1f5fc7a62af5de3bef2caf669515c0c542556dcc3e16cf139"),
     (["frames"], "655218cecb97519c846738dbbcce1aebc85b538afbae39ed6feabdc7b31ac0b5"),
     (["decohere"], "3be8b55f850788a5b6742b20a1c48905900dd0367eaaa6fe167a9252f7229f7c"),
     (["decohere", "--lab-width", "2"],
      "61391f997d1c6e7f4392ee8d23c628f9b28dd6272a49f6b1122377573d755755"),
     (["paradox", "--lab-width", "4", "--seed", "7"],
-     "eaceea11510f218da184abe4f14a3f01c08c21b016dfce46e8a0d4b5419733dd"),
+     "c0b807d0a61f9157d94bd9ac6ff12960d4f6b108329a1cb9050658d94af04840"),
     (["paradox", "--lab-width", "16", "--seed", "7"],
-     "533b21f5ccfc5d5ac60af3752bdf014bceccebd078f9edc7505d4420c23cd5b5"),
+     "e410a28034604853b37db583ffce137f6bfe740e1fce45e608d03b1c78cd33e6"),
     (["decohere", "--lab-width", "16"],
      "2525fe05abe0155725bf453b866b12ea79151f7c547aa798d7c47202b8d1a608"),
     (["contexts", "--lab-width", "8"],

@@ -3,8 +3,9 @@ importing ``wignerlab`` loads no numpy.
 
 No linter runs over this repository, so an import left behind by a change
 would otherwise go unnoticed.  numpy is imported inside the functions that
-build or read a dense array, so a run that builds none (``frames``, help,
-usage and config errors) starts without it.
+build or read a dense array, so a run that builds none (``frames``,
+``ghz-check``, ``paradox``, help, usage and config errors) starts without
+it, and no default run loads ``numpy.random``.
 """
 
 import ast
@@ -83,8 +84,8 @@ def test_the_numpy_import_check_finds_module_level_imports():
 
 
 # A fresh interpreter per case: import the CLI, run ``main`` on the
-# arguments if there are any, and print its exit status and whether any
-# numpy module was loaded.
+# arguments if there are any, and print its exit status, whether any numpy
+# module was loaded and whether ``numpy.random`` was.
 PROBE = """
 import contextlib, io, sys
 import wignerlab.cli
@@ -93,8 +94,18 @@ status = None
 if args:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         status = wignerlab.cli.main(args)
-print(status, any(name == "numpy" or name.startswith("numpy.") for name in sys.modules))
+print(status, any(name == "numpy" or name.startswith("numpy.") for name in sys.modules),
+      any(name == "numpy.random" or name.startswith("numpy.random.") for name in sys.modules))
 """
+
+
+def run_probe(tmp_path, args) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("WIGNERLAB_OUT", None)
+    argv = [a.format(out=tmp_path) for a in args]
+    result = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, cwd=tmp_path,
+                            capture_output=True, text=True, timeout=60, check=True)
+    return result.stdout.strip()
 
 
 @pytest.mark.parametrize("args,expected", [
@@ -104,13 +115,18 @@ print(status, any(name == "numpy" or name.startswith("numpy.") for name in sys.m
     pytest.param(["--version"], "0 False", id="version"),
     pytest.param(["nope"], "2 False", id="unknown-command"),
     pytest.param(["paradox", "--lab-width", "0"], "2 False", id="config-error"),
-    # The dense rank check loads numpy, so the probe can see it.
-    pytest.param(["ghz-check", "--out", "{out}"], "0 True", id="ghz-check"),
+    # psi is built exactly, and each context samples its own SHA-256 stream.
+    pytest.param(["ghz-check", "--out", "{out}"], "0 False", id="ghz-check"),
+    pytest.param(["paradox", "--out", "{out}"], "0 False", id="paradox"),
+    pytest.param(["paradox", "--lab-width", "57", "--out", "{out}"], "0 False",
+                 id="paradox-w57"),
+    # The dense reference channel loads numpy, so the probe can see it.
+    pytest.param(["decohere", "--out", "{out}"], "0 True", id="decohere"),
 ])
 def test_numpy_is_loaded_only_by_dense_work(tmp_path, args, expected):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("WIGNERLAB_OUT", None)
-    argv = [a.format(out=tmp_path) for a in args]
-    result = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, cwd=tmp_path,
-                            capture_output=True, text=True, timeout=60, check=True)
-    assert result.stdout.strip() == expected
+    assert run_probe(tmp_path, args).rsplit(" ", 1)[0] == expected
+
+
+@pytest.mark.parametrize("command", ["ghz-check", "paradox", "contexts", "frames", "decohere"])
+def test_no_default_run_loads_numpy_random(tmp_path, command):
+    assert run_probe(tmp_path, [command, "--out", "{out}"]).endswith(" False")

@@ -384,6 +384,28 @@ def test_born_table_sampling_is_seeded():
     assert draws1 == draws2
 
 
+class FixedDraws:
+    """Any object with ``random()`` drives ``BornTable.sample``."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def test_sample_takes_one_draw_against_the_normalized_cumulative_rows():
+    # The rows sum to 1 - 8e-10, inside the Born-sum bound, and the last two
+    # are zero (one slightly negative).  Normalized, the first row ends at
+    # 0.5 exactly: a draw there takes the next row, and a draw near 1 still
+    # lands on the last nonzero row.
+    t = BornTable(("a", "b"), {(1, 1): 0.5 - 4e-10, (1, -1): 0.5 - 4e-10,
+                               (-1, 1): 0.0, (-1, -1): -1e-13})
+    rng = FixedDraws(0.0, 0.5 - 4e-10, 0.5, 0.75, 1 - 2**-53)
+    assert [t.sample(rng) for _ in range(5)] == [(1, 1), (1, 1), (1, -1), (1, -1), (1, -1)]
+    assert rng.draws == []
+
+
 def test_tensor_states_and_operators():
     a = basis_state(qubits("a"), 1)
     b = basis_state(qubits("b"), 0)

@@ -1,4 +1,7 @@
+import collections
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from wignerlab.errors import UnknownAgentError, ZeroBranchError
 from wignerlab.qcore import Operator, qubits
 from wignerlab.scenario import (
     FRIENDS,
+    PROTOCOL_CONTEXTS,
     WIGNERS,
     ScenarioModel,
     atom_label,
@@ -319,9 +323,56 @@ def test_sample_outcomes_empirical_frequency():
     model = ScenarioModel(1)
     post = run_friend_stage(model)
     table = context_born_table(post, scenario_context(model, ["Eugene", "Bob", "Charlie"]))
-    rng = scenario.outcome_rng(7)
+    rng = scenario.outcome_rng(7, table.names)
     hits = sum(table.sample(rng) == (1, 1, 1) for _ in range(100_000))
     assert abs(hits / 100_000 - 0.25) <= 0.01
+
+
+def protocol_tables(width=1):
+    model = ScenarioModel(width)
+    post = model.post_premeasurement_state()
+    return [context_born_table(post, scenario_context(model, agents))
+            for agents in PROTOCOL_CONTEXTS]
+
+
+def test_outcome_stream_is_the_sha256_counter_stream():
+    # Draw k: the top 53 bits of sha256(seed, names, k) over 2**53.
+    names = ("Eugene", "Bob", "Charlie")
+    rng = scenario.outcome_rng(2**64 - 1, names)
+    for k in range(5):
+        block = b"\xff" * 8 + b"Eugene,Bob,Charlie" + k.to_bytes(8, "big")
+        top = int.from_bytes(hashlib.sha256(block).digest()[:8], "big") >> 11
+        assert rng.random() == top / 2**53
+
+
+def test_outcome_stream_is_deterministic_per_seed_and_context():
+    for names in PROTOCOL_CONTEXTS:
+        first = [scenario.outcome_rng(3, names).random() for _ in range(2)]
+        assert first[0] == first[1]
+        a, b = scenario.outcome_rng(3, names), scenario.outcome_rng(3, names)
+        assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
+        assert scenario.outcome_rng(4, names).random() != first[0]
+    tables = protocol_tables()
+    for seed in (0, 7):
+        assert ([sample_outcomes(t, seed) for t in tables]
+                == [sample_outcomes(t, seed) for t in protocol_tables(3)])
+
+
+def test_each_context_draws_its_own_stream():
+    # One seed no longer gives every context the same draw.
+    for seed in range(100):
+        draws = [scenario.outcome_rng(seed, names).random() for names in PROTOCOL_CONTEXTS]
+        assert len(set(draws)) == len(draws), seed
+
+
+def test_sampled_frequencies_match_the_born_rows():
+    # 100 000 draws per context, each row within 4 standard deviations.
+    n = 100_000
+    for table in protocol_tables():
+        rng = scenario.outcome_rng(11, table.names)
+        counts = collections.Counter(table.sample(rng) for _ in range(n))
+        for row, p in table.rows.items():
+            assert abs(counts[row] / n - p) <= 4 * math.sqrt(p * (1 - p) / n), (table.names, row)
 
 
 def test_extend_with_probe_ready_state():

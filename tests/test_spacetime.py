@@ -488,6 +488,19 @@ def test_rank_is_decided_on_the_floats_as_given():
     assert cert.velocity.as_array() == (0.25, 0.0, 0.0) and cert.residual == 0.0
 
 
+def test_fraction_coordinates_share_the_lcm_of_their_denominators():
+    # 1/4 = 5/2 * 1/10 exactly.  The common denominator is 20, the lcm of
+    # 10, 4 and 2; the largest denominator, 10, is not a multiple of 4.
+    line = [Event4("p", Fraction(0), Fraction(0), Fraction(0), Fraction(0)),
+            Event4("q", Fraction(1, 10), Fraction(1), Fraction(0), Fraction(0)),
+            Event4("r", Fraction(1, 4), Fraction(5, 2), Fraction(0), Fraction(0))]
+    cert = frame_for_events(line)
+    assert cert.exists and len(cert.gram) == 1
+    assert cert.velocity.as_array() == (0.1, 0.0, 0.0) and cert.residual == 0.0
+    assert not frame_for_events([Event4(e.label, *map(float, e.as_array()))
+                                 for e in line]).exists
+
+
 def test_gram_eigenvalues_of_four_independent_differences():
     # k = 4 runs the Jacobi rotations; no report reaches k >= 3.
     rng = np.random.default_rng(5)

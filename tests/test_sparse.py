@@ -449,7 +449,7 @@ def norm(state):
 def test_trusted_sparse_producers_are_unit_and_match_dense(width):
     model = ScenarioModel(width)
     # tensor: the initial state against the dense Kronecker product.
-    ghz = SparseState.from_dense(ghz_scenario_state(labels=("a1", "a2", "a3")))
+    ghz = ghz_scenario_state(labels=("a1", "a2", "a3"))
     ready = SparseState(model.layout.subset(["L1", "L2", "L3"]), {(0, 0, 0): 1.0})
     start = qcore.tensor(ghz, ready)
     assert np.array_equal(start.to_dense().amplitudes,

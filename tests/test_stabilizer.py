@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from wignerlab.stabilizer import (
     pauli_commutes,
     to_operator,
 )
+
+import dense_oracle
 
 
 def test_parse_and_str_round_trip():
@@ -79,13 +83,13 @@ def test_to_operator_custom_labels():
 
 def test_joint_eigenstate_single_z():
     s = joint_eigenstate([parse_pauli("+Z")])
-    assert np.max(np.abs(s.amplitudes - np.array([1, 0]))) <= 1e-12
+    assert np.max(np.abs(s.to_dense().amplitudes - np.array([1, 0]))) <= 1e-12
 
 
 def test_joint_eigenstate_bell():
     s = joint_eigenstate([parse_pauli("+XX"), parse_pauli("+ZZ")])
     expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    assert np.max(np.abs(s.amplitudes - expected)) <= 1e-12
+    assert np.max(np.abs(s.to_dense().amplitudes - expected)) <= 1e-12
 
 
 def test_joint_eigenstate_rejects_noncommuting():
@@ -116,7 +120,7 @@ def test_scenario_state_frozen_amplitudes():
     # this exact sign pattern once the global phase is fixed.
     s = ghz_scenario_state()
     expected = GHZ_SIGNS / np.sqrt(8)
-    assert np.max(np.abs(s.amplitudes - expected)) <= 1e-12
+    assert np.max(np.abs(s.to_dense().amplitudes - expected)) <= 1e-12
 
 
 def test_scenario_state_matches_eigenvector_oracle():
@@ -131,7 +135,7 @@ def test_scenario_state_matches_eigenvector_oracle():
     vec = vecs[:, -1]
     first = np.flatnonzero(np.abs(vec) > 1e-12)[0]
     vec = vec * (vec[first].conjugate() / abs(vec[first]))
-    assert np.max(np.abs(ghz_scenario_state().amplitudes - vec)) <= 1e-12
+    assert np.max(np.abs(ghz_scenario_state().to_dense().amplitudes - vec)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -148,7 +152,7 @@ def test_scenario_state_expectations(text, value):
 def test_scenario_state_custom_labels():
     s = ghz_scenario_state(labels=("a1", "a2", "a3"))
     assert s.layout.labels == ("a1", "a2", "a3")
-    assert np.max(np.abs(s.amplitudes - GHZ_SIGNS / np.sqrt(8))) <= 1e-12
+    assert np.max(np.abs(s.to_dense().amplitudes - GHZ_SIGNS / np.sqrt(8))) <= 1e-12
 
 
 # The Pauli words of the generator sets the tests use: the scenario's, the
@@ -200,8 +204,8 @@ GHZ_CONTEXTS = ("YYY", "XXX", "XZZ", "ZXZ", "ZZX")
 @pytest.mark.parametrize("generators", GENERATOR_SETS[:2] + (("+XXX", "+ZZI", "+IZZ"),
                                                              ("+XYY", "+YXY", "+YYX")))
 def test_ghz_check_sparse_tables_match_the_dense_tables(generators):
-    dense = joint_eigenstate([parse_pauli(g) for g in generators])
-    sparse = qcore.SparseState.from_dense(dense)
+    dense = dense_oracle.joint_eigenstate([parse_pauli(g) for g in generators])
+    sparse = joint_eigenstate([parse_pauli(g) for g in generators])
     labels = dense.layout.labels
     for letters in GHZ_CONTEXTS:
         observables = [to_operator(parse_pauli(letter), (label,))
@@ -210,3 +214,55 @@ def test_ghz_check_sparse_tables_match_the_dense_tables(generators):
         slow = qcore.born_table(observables, dense)
         assert list(fast.rows) == list(slow.rows)
         assert max(abs(fast.rows[o] - p) for o, p in slow.rows.items()) <= 1e-12
+
+
+def test_scenario_state_amplitudes_are_exact():
+    # Every amplitude is +-1 over sqrt(8), one correctly rounded division.
+    s = ghz_scenario_state()
+    assert list(s.entries) == sorted(s.entries)
+    signs = GHZ_SIGNS.tolist()
+    assert list(s.entries.values()) == [complex(sign / math.sqrt(8)) for sign in signs]
+    assert s.entries[(0, 0, 0)] == 0.35355339059327373
+
+
+# Every generator set the tests and CI hand to joint_eigenstate or ghz-check,
+# accepted or rejected.
+USED_SETS = GENERATOR_SETS + (
+    ("-XZZ", "+ZXZ", "-ZZX"), ("+XXX", "+ZZI", "+IZZ"), ("+XYY", "+YXY", "+YYX"),
+    ("+XZZ", "+XZZ", "+ZZX"), ("+XZZ", "+ZXZ", "+XXZ"),
+    ("+Z",), ("+XX", "+ZZ"), ("+X", "+Z"), ("+Z", "-Z"), ("+ZZ",), ("+iZ",),
+)
+
+
+def outcome(build, generators):
+    """The state as a dense vector, or the class of the error it raised."""
+    try:
+        state = build([parse_pauli(g) for g in generators])
+    except Exception as exc:  # compared by class below
+        return type(exc)
+    return state if isinstance(state, qcore.QState) else state.to_dense()
+
+
+def assert_matches_oracle(generators):
+    exact = outcome(joint_eigenstate, generators)
+    dense = outcome(dense_oracle.joint_eigenstate, generators)
+    if isinstance(dense, type):
+        assert exact is dense
+        return False
+    assert not isinstance(exact, type), exact
+    assert exact.layout == dense.layout
+    assert np.max(np.abs(exact.amplitudes - dense.amplitudes)) <= 1e-12
+    return True
+
+
+@pytest.mark.parametrize("generators", USED_SETS, ids=",".join)
+def test_exact_state_matches_the_dense_oracle_on_the_sets_in_use(generators):
+    assert_matches_oracle(generators)
+
+
+def test_exact_state_matches_the_dense_oracle_on_sampled_signed_words():
+    words = [sign + "".join(letters) for sign in "+-"
+             for letters in itertools.product("IXYZ", repeat=3)]
+    rng = random.Random(22)
+    accepted = sum(assert_matches_oracle(rng.sample(words, 3)) for _ in range(3000))
+    assert accepted > 100  # the sample reaches the rank-1 case often
