@@ -2,10 +2,9 @@
 
 Usage: ``wignerlab [-h] [--version] COMMAND [options]``, where COMMAND is
 one of ghz-check, paradox, contexts, frames and decohere, and the options
-are ``--config PATH`` and one flag for each of lab_width, seed, tolerance,
-frame_filter, out and format below; ``wignerlab --help`` lists the
-commands with one line each.  One flat parser reads them all, built
-afresh by each ``main`` call.
+are ``--config PATH`` and one flag for each of lab_width, seed, out and
+format below; ``wignerlab --help`` lists the commands with one line each.
+One flat parser reads them all, built afresh by each ``main`` call.
 
 Subcommands compose the library through its public operations only, so a
 CLI run doubles as an end-to-end test.  Reports land in
@@ -21,27 +20,23 @@ run builds, so ``ghz-check``, ``paradox``, ``frames``, ``--help``,
 ``--version`` and every usage or config error run without it.
 
 Config file grammar (JSON object; every key optional).  Each key's
-default, check and reader live in one table in this module, ``_KEYS``.
+default, check and readers live in one table in this module, ``_KEYS``.
 Every subcommand accepts the first group; a key of the second group is read
-by the one subcommand named with it, and the others reject it (exit 2):
+by the subcommands named with it, and the others reject it (exit 2):
 
-  lab_width      integer 1..57, pointer qubits per lab (default 1)
   seed           unsigned 64-bit integer (default 0)
-  tolerance      positive finite float for report assertions and the
-                 zero threshold of table supports (default 1e-10); the
-                 library's own thresholds are fixed (see ``qcore``)
-  geometry       "default" | "collinear" | {"events": {"A": [t,x,y,z], ...}},
-                 each number finite and read exactly as the shortest
-                 decimal of its float (0.1 is 1/10); one that breaks the
-                 separation pattern is a config error, so frames has no
-                 check of its own
-  frame_filter   boolean, drop joint contexts without a simultaneity frame
   out            output directory (default "reports")
   format         "text" | "json" stdout rendering
 
+  lab_width      paradox, contexts, decohere: integer 1..57, pointer qubits
+                 per lab (default 1)
+  geometry       contexts, frames: "default" | "collinear" |
+                 {"events": {"A": [t,x,y,z], ...}}, each number finite and
+                 read exactly as the shortest decimal of its float (0.1 is
+                 1/10); one that breaks the separation pattern is a config
+                 error, so frames has no check of its own
   generators     ghz-check: three signed Pauli words fixing the entangled
                  state
-  stage          paradox: "full" | "friend"
   dephasing      decohere: {"target": "L1", "strength": 0.5, "steps": 20}
   robust_tol     decohere: positive finite float, residual-coherence
                  threshold (default 1e-3)
@@ -50,7 +45,9 @@ by the one subcommand named with it, and the others reject it (exit 2):
 
 Flags override file values; the WIGNERLAB_OUT environment variable
 overrides the default output directory.  Every key but out and format
-enters the config digest.  Exit status, which ``main`` returns: 0 all
+enters the config digest.  Report assertions and the zero threshold of
+table supports use one fixed ``REPORT_TOL``; the library's own thresholds
+are fixed too (see ``qcore``).  Exit status, which ``main`` returns: 0 all
 checks passed, 1 a check failed, 2 usage or config error; a run that does
 not fit in memory is a config error, naming ``lab_width`` for the
 subcommands that build the scenario (paradox, contexts, decohere), and so
@@ -118,6 +115,9 @@ from .stabilizer import SCENARIO_GENERATORS, joint_eigenstate, parse_pauli, to_o
 
 ENV_OUT = "WIGNERLAB_OUT"
 
+# Report assertions and the zero threshold of table supports.
+REPORT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -125,18 +125,14 @@ class ScenarioConfig:
 
     lab_width: int
     seed: int
-    tolerance: float
     robust_tol: float
     geometry_name: str
     geometry: spacetime.Geometry
-    frame_filter: bool
     frame_triples: tuple[str, ...]
     dephasing: MappingProxyType  # read-only {"target", "strength", "steps"}
     generators: tuple[str, ...]
-    stage: str
     out: str
     format: str
-    warnings: tuple[str, ...]
 
     def digest_payload(self) -> dict:
         """The validated value of each digested key; a custom geometry
@@ -210,8 +206,8 @@ class _Key:
 
     default: object
     check: Callable[[str, object], object]
-    reader: str | None = None  # the one subcommand that reads the key; None: all
-    digest: bool = True        # whether the key enters the config digest
+    readers: tuple[str, ...] | None = None  # subcommands that read the key; None: all
+    digest: bool = True  # whether the key enters the config digest
 
 
 def _check(ok, expected: str, convert=None) -> Callable[[str, object], object]:
@@ -324,20 +320,19 @@ def _generators(key, value) -> tuple[str, ...]:
 # Every config key.  A default is checked like a given value.
 _KEYS = {
     "lab_width": _Key(1, _check(lambda v: _integer(v) and 1 <= v <= MAX_LAB_WIDTH,
-                                f"an integer in 1..{MAX_LAB_WIDTH}")),
+                                f"an integer in 1..{MAX_LAB_WIDTH}"),
+                      ("paradox", "contexts", "decohere")),
+    # Read by paradox only, but accepted everywhere: a benchmark config
+    # passes it to decohere.
     "seed": _Key(0, _check(lambda v: _integer(v) and 0 <= v < 2 ** 64,
                            "an unsigned 64-bit integer")),
-    "tolerance": _Key(1e-10, _POSITIVE),
-    "robust_tol": _Key(1e-3, _POSITIVE, "decohere"),
-    "geometry": _Key("default", _build_geometry),
-    "frame_filter": _Key(False, _check(lambda v: isinstance(v, bool), "true or false")),
+    "robust_tol": _Key(1e-3, _POSITIVE, ("decohere",)),
+    "geometry": _Key("default", _build_geometry, ("contexts", "frames")),
     # The five contexts of ``scenario.PROTOCOL_CONTEXTS`` as event triples, in
     # the order the config digest has always hashed (not the table's).
-    "frame_triples": _Key(["ABC", "UVW", "UBC", "AVC", "ABW"], _TRIPLES, "frames"),
-    "dephasing": _Key({}, _dephasing, "decohere"),  # every field at its default
-    "generators": _Key(list(map(str, SCENARIO_GENERATORS)), _generators, "ghz-check"),
-    "stage": _Key("full", _check(lambda v: v in ("full", "friend"), '"full" or "friend"'),
-                  "paradox"),
+    "frame_triples": _Key(["ABC", "UVW", "UBC", "AVC", "ABW"], _TRIPLES, ("frames",)),
+    "dephasing": _Key({}, _dephasing, ("decohere",)),  # every field at its default
+    "generators": _Key(list(map(str, SCENARIO_GENERATORS)), _generators, ("ghz-check",)),
     "out": _Key(None, _check(lambda v: v is None or isinstance(v, str), "a string",
                              lambda v: os.environ.get(ENV_OUT, "reports") if v is None else v),
                 digest=False),
@@ -348,29 +343,25 @@ _KEYS = {
 
 def build_config(raw: dict, args: argparse.Namespace | None = None) -> ScenarioConfig:
     """Validate the file config merged with the flags in ``args``, and fill
-    the defaults; with ``args``, a key read by one subcommand is rejected by
-    the others."""
+    the defaults; with ``args``, a key, from the file or a flag, is rejected
+    by every subcommand that does not read it."""
     for key in raw:
-        row = _KEYS.get(key)
-        if row is None:
+        if key not in _KEYS:
             raise ConfigValidationError(f"{key}: unknown configuration key")
-        if args is not None and row.reader not in (None, args.command):
-            raise ConfigValidationError(
-                f"{key}: only {row.reader} uses this key, not {args.command}")
     merged = dict(raw)
     if args is not None:
-        for key in _KEYS:
-            flag = getattr(args, key, None)
-            if flag is not None:
-                merged[key] = flag == "on" if key == "frame_filter" else flag
+        merged.update((key, getattr(args, key)) for key in _KEYS
+                      if getattr(args, key, None) is not None)
+        for key in merged:
+            readers = _KEYS[key].readers
+            if readers is not None and args.command not in readers:
+                raise ConfigValidationError(
+                    f"{key}: only {', '.join(readers)} "
+                    f"use{'s' if len(readers) == 1 else ''} this key, not {args.command}")
     values = {key: row.check(key, merged.get(key, row.default))
               for key, row in _KEYS.items()}
     values["geometry_name"], values["geometry"] = values["geometry"]
-    warnings = ()
-    if values["frame_filter"] and values["geometry_name"] == "collinear":
-        warnings = ("frame_filter with the collinear geometry leaves only the "
-                    "same-stage contexts; mixed-stage triples admit no frame there",)
-    return ScenarioConfig(**values, warnings=warnings)
+    return ScenarioConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -494,13 +485,13 @@ def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
     return json_path, txt_path
 
 
-def _quarter_parity(table: qcore.BornTable, parity: int, tol: float) -> tuple[bool, dict]:
+def _quarter_parity(table: qcore.BornTable, parity: int) -> tuple[bool, dict]:
     """Whether the table's support is four rows of 1/4, each with outcome
     product ``parity``; and the support's size and products."""
-    support = table.support(tol)
+    support = table.support(REPORT_TOL)
     products = {s[0] * s[1] * s[2] for s in support}
     ok = (len(support) == 4 and products == {parity}
-          and all(abs(table.rows[s] - 0.25) <= tol for s in support))
+          and all(abs(table.rows[s] - 0.25) <= REPORT_TOL for s in support))
     return ok, {"support_size": len(support), "products": sorted(products)}
 
 
@@ -509,7 +500,6 @@ def cmd_ghz_check(config: ScenarioConfig) -> RunReport:
     ``joint_eigenstate``'s exact rank check, then five sparse tables."""
     generators = tuple(parse_pauli(w) for w in config.generators)
     state = joint_eigenstate(generators)
-    tol = config.tolerance
 
     def table(letters: str) -> qcore.BornTable:
         """One letter per atom, in slots named by letter and atom: x1, z2, ..."""
@@ -525,20 +515,21 @@ def cmd_ghz_check(config: ScenarioConfig) -> RunReport:
                  if o not in ((1, 1, 1), (-1, -1, -1)))
     check1 = CheckResult(
         "condition_1_y_even_split",
-        abs(p_up - 0.5) <= tol and abs(p_down - 0.5) <= tol and others <= tol,
+        abs(p_up - 0.5) <= REPORT_TOL and abs(p_down - 0.5) <= REPORT_TOL
+        and others <= REPORT_TOL,
         {"p_plus_plus_plus": _sig12(p_up), "p_minus_minus_minus": _sig12(p_down),
          "largest_other_row": _sig12(others)},
     )
 
     x_table = table("XXX")
     check2 = CheckResult("condition_2_x_product_minus_one",
-                         *_quarter_parity(x_table, -1, tol))
+                         *_quarter_parity(x_table, -1))
 
     mixed_tables, mixed_values, mixed_ok = {}, {}, True
     for letters in ("XZZ", "ZXZ", "ZZX"):
         mixed = table(letters)
         key = "".join(mixed.names)
-        ok, mixed_values[key] = _quarter_parity(mixed, 1, tol)
+        ok, mixed_values[key] = _quarter_parity(mixed, 1)
         mixed_ok = mixed_ok and ok
         mixed_tables[key] = _table_rows(mixed)
     check3 = CheckResult("condition_3_mixed_products_plus_one", mixed_ok,
@@ -558,84 +549,79 @@ def _by_variable(table: qcore.BornTable) -> qcore.BornTable:
     return table.with_names(tuple(OUTCOME_VARIABLE[a] for a in table.names))
 
 
+def _section_values(section) -> dict:
+    return {"exists": section.exists, "count": section.count,
+            "universe": list(section.universe)}
+
+
 def cmd_paradox(config: ScenarioConfig) -> RunReport:
-    """Recover the four parity constraints and exhibit their joint failure."""
+    """Recover the four parity constraints and exhibit their joint failure,
+    next to the joint assignments the friends' records alone admit."""
     model = ScenarioModel(config.lab_width)
     state = model.post_premeasurement_state()
     record_agent_table = context_born_table(state, scenario_context(model, FRIENDS))
     record_table = _by_variable(record_agent_table)
+    agent_tables = [context_born_table(state, scenario_context(model, agents))
+                    for agents, parity in PROTOCOL_CONTEXTS.items() if parity is not None]
+    tables = [_by_variable(t) for t in agent_tables]
 
-    checks = []
-    data = {"stage": config.stage}
+    extraction = constraints_from_born(tables, zero_tol=REPORT_TOL)
+    expected = scenario_constraints().lines()
+    recovered = extraction.system.lines()
+    checks = [CheckResult(
+        "constraints_recovered",
+        recovered == expected and extraction.skipped == (),
+        {"constraints": list(recovered), "skipped": list(extraction.skipped)},
+    )]
 
-    if config.stage == "friend":
-        section = global_section_exists([record_table], zero_tol=config.tolerance)
-        checks.append(CheckResult(
-            "global_section_exists", section.exists and section.count == 8,
-            {"exists": section.exists, "count": section.count,
-             "universe": list(section.universe)},
-        ))
-        data["record_context"] = _table_rows(record_table)
-        data["note"] = ("with only the sealed-lab records in play, a joint "
-                        "outcome assignment exists")
-    else:
-        agent_tables = [context_born_table(state, scenario_context(model, agents))
-                        for agents, parity in PROTOCOL_CONTEXTS.items() if parity is not None]
-        tables = [_by_variable(t) for t in agent_tables]
-        extraction = constraints_from_born(tables, zero_tol=config.tolerance)
-        expected = scenario_constraints().lines()
-        recovered = extraction.system.lines()
-        checks.append(CheckResult(
-            "constraints_recovered",
-            recovered == expected and extraction.skipped == (),
-            {"constraints": list(recovered), "skipped": list(extraction.skipped)},
-        ))
+    enumeration = enumerate_satisfying(extraction.system)
+    checks.append(CheckResult(
+        "no_satisfying_assignment",
+        enumeration.count == 0 and enumeration.total == 64,
+        {"count": enumeration.count, "total": enumeration.total},
+    ))
 
-        enumeration = enumerate_satisfying(extraction.system)
-        checks.append(CheckResult(
-            "no_satisfying_assignment",
-            enumeration.count == 0 and enumeration.total == 64,
-            {"count": enumeration.count, "total": enumeration.total},
-        ))
+    parity = gf2_consistency(extraction.system)
+    witness = [str(c) for c in parity.witness_constraints(extraction.system)]
+    checks.append(CheckResult(
+        "parity_elimination_witness",
+        not parity.consistent and parity.witness is not None
+        and set(parity.witness) == {0, 1, 2, 3},
+        {"consistent": parity.consistent,
+         "witness_constraints": witness},
+    ))
 
-        parity = gf2_consistency(extraction.system)
-        witness = [str(c) for c in parity.witness_constraints(extraction.system)]
-        checks.append(CheckResult(
-            "parity_elimination_witness",
-            not parity.consistent and parity.witness is not None
-            and set(parity.witness) == {0, 1, 2, 3},
-            {"consistent": parity.consistent,
-             "witness_constraints": witness},
-        ))
+    section = global_section_exists([record_table] + tables, zero_tol=REPORT_TOL)
+    checks.append(CheckResult(
+        "no_global_section", not section.exists and section.count == 0,
+        _section_values(section),
+    ))
+    # The records alone: every one of the 8 assignments of a, b, c fits.
+    records = global_section_exists([record_table], zero_tol=REPORT_TOL)
+    checks.append(CheckResult(
+        "records_have_global_section", records.exists and records.count == 8,
+        _section_values(records),
+    ))
 
-        five = [record_table] + tables
-        section = global_section_exists(five, zero_tol=config.tolerance)
-        checks.append(CheckResult(
-            "no_global_section", not section.exists and section.count == 0,
-            {"exists": section.exists, "count": section.count,
-             "universe": list(section.universe)},
-        ))
-
-        data["constraint_tables"] = {
-            "".join(t.names): _table_rows(t) for t in tables
+    sampled = {}
+    for table in [record_agent_table] + agent_tables:
+        outcome = sample_outcomes(table, config.seed)
+        agents = tuple(outcome.values)
+        key = "".join(OUTCOME_VARIABLE[a] for a in agents)
+        sampled[key] = {
+            "agents": list(agents),
+            "values": dict(outcome.values),
+            "probability": _sig12(outcome.probability),
         }
-        data["record_context"] = _table_rows(record_table)
-        data["note"] = ("the four constraints multiply to a contradiction, "
-                        "and no joint assignment sits inside every context's "
-                        "support; extremal supports rule out probabilistic "
-                        "joint distributions as well")
-        sampled = {}
-        for table in [record_agent_table] + agent_tables:
-            outcome = sample_outcomes(table, config.seed)
-            agents = tuple(outcome.values)
-            key = "".join(OUTCOME_VARIABLE[a] for a in agents)
-            sampled[key] = {
-                "agents": list(agents),
-                "values": dict(outcome.values),
-                "probability": _sig12(outcome.probability),
-            }
-        data["sampled_outcomes"] = sampled
-
+    data = {
+        "constraint_tables": {"".join(t.names): _table_rows(t) for t in tables},
+        "record_context": _table_rows(record_table),
+        "note": ("the four constraints multiply to a contradiction, "
+                 "and no joint assignment sits inside every context's "
+                 "support; extremal supports rule out probabilistic "
+                 "joint distributions as well"),
+        "sampled_outcomes": sampled,
+    }
     return _report("paradox", config, checks, data)
 
 
@@ -688,14 +674,11 @@ def cmd_contexts(config: ScenarioConfig) -> RunReport:
             "named": report.named,
             "frame": _frame_entry(report.frame),
         })
-    admissible = [r.environment.id for r in reports if r.frame.exists]
     data = {
         "geometry": config.geometry_name,
         "contexts": entries,
-        "frame_admissible_count": len(admissible),
+        "frame_admissible_count": sum(r.frame.exists for r in reports),
     }
-    if config.frame_filter:
-        data["frame_filtered_ids"] = admissible
     return _report("contexts", config, checks, data)
 
 
@@ -752,8 +735,8 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
     erasure = erasure_check(model)
     checks.append(CheckResult(
         "erasure_even_odds",
-        abs(erasure.p_plus_given_plus - 0.5) <= config.tolerance
-        and abs(erasure.p_plus_given_minus - 0.5) <= config.tolerance,
+        abs(erasure.p_plus_given_plus - 0.5) <= REPORT_TOL
+        and abs(erasure.p_plus_given_minus - 0.5) <= REPORT_TOL,
         {"p_plus_given_plus": _sig12(erasure.p_plus_given_plus),
          "p_plus_given_minus": _sig12(erasure.p_plus_given_minus)},
     ))
@@ -807,7 +790,7 @@ _COMMAND_HELP = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flat parser: a positional command and the seven shared options."""
+    """One flat parser: a positional command and the five shared options."""
     parser = argparse.ArgumentParser(
         prog="wignerlab",
         usage="%(prog)s [-h] [--version] COMMAND [options]",
@@ -824,19 +807,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="JSON configuration file")
     parser.add_argument("--seed", type=int, help="unsigned 64-bit RNG seed")
     parser.add_argument("--out", metavar="DIR", help="report output directory")
-    parser.add_argument("--tolerance", type=float,
-                        help="assertion tolerance for report checks")
     parser.add_argument("--format", choices=("text", "json"),
                         help="stdout rendering")
-    parser.add_argument("--frame-filter", choices=("on", "off"),
-                        help="keep only joint contexts with a simultaneity frame")
     parser.add_argument("--lab-width", type=int,
                         help="pointer qubits per laboratory")
     return parser
-
-
-# Subcommands that build a ScenarioModel, whose arrays grow with lab_width.
-_SCENARIO_COMMANDS = frozenset({"paradox", "contexts", "decohere"})
 
 
 def main(argv=None) -> int:
@@ -850,16 +825,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    for warning in config.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     try:
         report = _HANDLERS[args.command](config)
     except (NoncommutingGeneratorsError, RankNotOneError) as exc:
         print(f"config error: generators: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        need = (f"lab_width: {config.lab_width} needs" if args.command in _SCENARIO_COMMANDS
-                else "run needs")
+        # The readers of lab_width build a ScenarioModel, which grows with it.
+        need = (f"lab_width: {config.lab_width} needs"
+                if args.command in _KEYS["lab_width"].readers else "run needs")
         print(f"config error: {need} more memory than this machine has", file=sys.stderr)
         return 2
     try:

@@ -51,9 +51,9 @@ Tolerances are fixed, not per object: ``STRUCTURAL_TOL`` (1e-10) guards
 the operator flags, state norms and density-matrix checks; ``NUMERIC_TOL``
 (1e-12) guards commutators, zero branches, nonreal expectation residues
 and negative Born-table rows; ``BORN_SUM_TOL`` (1e-9) bounds how far a
-Born table's rows may sum from 1.  The CLI's ``tolerance`` key moves none
-of them: it feeds only report assertions and the ``zero_tol`` support
-threshold of ``BornTable.support`` and the ``paradox`` searches.
+Born table's rows may sum from 1.  The CLI's report assertions and the
+``zero_tol`` support threshold it passes to ``BornTable.support`` and the
+``paradox`` searches are one more fixed constant, ``cli.REPORT_TOL`` (1e-10).
 
 All value types are immutable: arrays are copied on construction and marked
 read-only (the trusted producers adopt their own fresh values instead), and

@@ -71,8 +71,8 @@ def write_json(tmp_path, name, payload):
 
 
 COMMANDS = ("ghz-check", "paradox", "contexts", "frames", "decohere")
-NO_FLAGS = {"config": None, "seed": None, "out": None, "tolerance": None,
-            "format": None, "frame_filter": None, "lab_width": None}
+NO_FLAGS = {"config": None, "seed": None, "out": None, "format": None,
+            "lab_width": None}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -85,20 +85,19 @@ def test_parser_accepts_each_command_bare(command):
 def test_parser_shared_flags(command):
     args = build_parser().parse_args([
         command, "--config", "c.json", "--seed", "42", "--out", "o",
-        "--tolerance", "1e-9", "--format", "json", "--frame-filter", "on",
-        "--lab-width", "2",
+        "--format", "json", "--lab-width", "2",
     ])
     assert vars(args) == {
         "command": command, "config": "c.json", "seed": 42, "out": "o",
-        "tolerance": 1e-9, "format": "json", "frame_filter": "on",
-        "lab_width": 2,
+        "format": "json", "lab_width": 2,
     }
 
 
 @pytest.mark.parametrize("argv", [
     [], ["nope"], ["frames", "--nope"], ["frames", "extra"],
     ["paradox", "--seed", "x"], ["paradox", "--format", "yaml"],
-    ["paradox", "--frame-filter", "yes"],
+    # Flags of removed keys.
+    ["contexts", "--frame-filter", "on"], ["ghz-check", "--tolerance", "1e-9"],
 ])
 def test_parser_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -160,22 +159,22 @@ def test_defaults_fill_in():
     assert config.lab_width == 1
     assert config.seed == 0
     assert config.geometry_name == "default"
-    assert config.stage == "full"
     assert config.frame_triples == ("ABC", "UVW", "UBC", "AVC", "ABW")
     assert dict(config.dephasing) == {"target": "L1", "strength": 0.5, "steps": 20}
-    assert config.warnings == ()
     with pytest.raises(TypeError):
         config.dephasing["steps"] = 1
 
 
 @pytest.mark.parametrize(
     "raw,key",
+    # The tolerance and stage rows give removed keys values they once
+    # accepted; each now fails as an unknown key.
     [
         ({"lab_width": 0}, "lab_width"),
         ({"lab_width": "one"}, "lab_width"),
         ({"seed": -1}, "seed"),
         ({"seed": 2 ** 64}, "seed"),
-        ({"tolerance": 0.0}, "tolerance"),
+        ({"tolerance": 1e-9}, "tolerance"),
         ({"robust_tol": -1e-3}, "robust_tol"),
         ({"geometry": "spherical"}, "geometry"),
         ({"geometry": {"events": {"A": [0, 0, 0, 0]}}}, "geometry"),
@@ -190,14 +189,14 @@ def test_defaults_fill_in():
         ({"generators": ["+XZZ"]}, "generators"),
         ({"generators": ["+XZZ", "+ZXZ", "+QZZ"]}, "generators"),
         ({"generators": ["+XZZ", "+ZXZ", "+iZZX"]}, "generators"),
-        ({"stage": "both"}, "stage"),
+        ({"stage": "friend"}, "stage"),
         ({"format": "yaml"}, "format"),
         ({"mystery": 1}, "mystery"),
-        ({"tolerance": float("inf")}, "tolerance"),
-        ({"tolerance": float("nan")}, "tolerance"),
+        ({"tolerance": 0.001}, "tolerance"),
+        ({"tolerance": 0.05}, "tolerance"),
         ({"robust_tol": float("inf")}, "robust_tol"),
         ({"robust_tol": float("nan")}, "robust_tol"),
-        ({"tolerance": 10 ** 400}, "tolerance"),
+        ({"tolerance": 0.2}, "tolerance"),
     ],
 )
 def test_validation_errors_name_the_key(raw, key):
@@ -221,17 +220,16 @@ CUSTOM_EVENTS = {
 # Each digest names a report directory, so a change to any of these moves
 # where the reports of that config land.
 PINNED_DIGESTS = [
-    ({}, "394926d31c2d69b4"),
-    ({"lab_width": 2, "seed": 5}, "7f24bdfaa44a5a6a"),
-    ({"dephasing": {"strength": 0.3}}, "34ebeadeb353c1fd"),
-    ({"dephasing": {"target": "L2", "strength": 1, "steps": 0}}, "983a88432d970747"),
-    ({"geometry": {"events": CUSTOM_EVENTS}}, "b9b5023afad68513"),
-    ({"stage": "friend"}, "0ce825c7040ef98c"),
-    ({"frame_triples": ["ABC"]}, "949d95f1d5e9a6f2"),
-    ({"generators": ["+XZZ", "+ZXZ", "-ZZX"]}, "e2033c3d6c7a7506"),
-    ({"tolerance": 1e-9, "robust_tol": 0.01, "frame_filter": True,
-      "geometry": "collinear"}, "fc9df70501c41a8f"),
-    ({"out": "x", "format": "json"}, "394926d31c2d69b4"),
+    ({}, "963a6e5e0a1b3533"),
+    ({"lab_width": 2, "seed": 5}, "b3ac6265fff7ae34"),
+    ({"dephasing": {"strength": 0.3}}, "d84844a227cafbad"),
+    ({"dephasing": {"target": "L2", "strength": 1, "steps": 0}}, "2f998007102658ae"),
+    ({"geometry": {"events": CUSTOM_EVENTS}}, "392ee49e9dfe1d0e"),
+    ({"seed": 7}, "6ca606d05db48bda"),
+    ({"frame_triples": ["ABC"]}, "37325aae7fe1edc6"),
+    ({"generators": ["+XZZ", "+ZXZ", "-ZZX"]}, "bb43b18a6919ea71"),
+    ({"robust_tol": 0.01, "geometry": "collinear"}, "7a3b342bb4957ca1"),
+    ({"out": "x", "format": "json"}, "963a6e5e0a1b3533"),
 ]
 
 
@@ -246,15 +244,12 @@ def test_config_digest_pinned(raw, digest):
 EXPLICIT_DEFAULTS = [
     {"lab_width": 1},
     {"seed": 0},
-    {"tolerance": 1e-10},
     {"robust_tol": 1e-3},
     {"geometry": "default"},
-    {"frame_filter": False},
     {"frame_triples": ["ABC", "UVW", "UBC", "AVC", "ABW"]},
     {"dephasing": {"target": "L1", "strength": 0.5, "steps": 20}},
     {"dephasing": {}},
     {"generators": ["+XZZ", "+ZXZ", "+ZZX"]},
-    {"stage": "full"},
     {"out": "reports"},
     {"format": "text"},
 ]
@@ -272,12 +267,6 @@ def test_flag_and_file_configs_hash_alike(tmp_path):
     flagged = build_config({}, args)
     filed = config_from({"seed": 9})
     assert flagged.digest() == filed.digest()
-
-
-@pytest.mark.parametrize("flag,value", [("on", True), ("off", False)])
-def test_frame_filter_flag_beats_file(flag, value):
-    args = build_parser().parse_args(["contexts", "--frame-filter", flag])
-    assert build_config({"frame_filter": not value}, args).frame_filter is value
 
 
 def test_custom_geometry_roundtrip():
@@ -302,7 +291,7 @@ def test_custom_geometry_decimals_are_read_exactly(tmp_path, capsys):
     assert config.geometry.events["B"].t == Fraction(1, 10)
     # The digest hashes the floats it always did.
     assert config.digest_payload()["geometry"]["C"] == [0.3, 3.0, 0.0, 0.0]
-    assert config.digest() == "1c4dd35ec76cbcbe"
+    assert config.digest() == "afc6dbe32218ca82"
     path = write_json(tmp_path, "line.json",
                       {"geometry": {"events": DECIMAL_LINE}, "frame_triples": ["ABC"]})
     assert main(["frames", "--config", path, "--format", "json",
@@ -319,13 +308,6 @@ def test_custom_geometry_needs_finite_numbers(tmp_path, capsys, value):
     assert main(["frames", "--config", path, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         "config error: geometry: event U needs four finite numbers [t, x, y, z]\n")
-
-
-def test_collinear_with_frame_filter_warns_not_errors():
-    config = config_from({"geometry": "collinear", "frame_filter": True})
-    assert len(config.warnings) == 1
-    clean = config_from({"geometry": "collinear"})
-    assert clean.warnings == ()
 
 
 def test_ghz_check_passes_by_default(tmp_path, capsys):
@@ -430,14 +412,20 @@ def test_config_errors_exit_two(tmp_path, capsys):
 
 def test_non_finite_tolerance_exits_two(tmp_path, capsys):
     # json.dumps writes the JSON extension literals Infinity and NaN.
-    path = write_json(tmp_path, "inf.json", {"tolerance": float("inf")})
-    assert main(["ghz-check", "--config", path, "--out", str(tmp_path)]) == 2
-    assert "tolerance" in capsys.readouterr().err
-    path = write_json(tmp_path, "nan.json", {"robust_tol": float("nan")})
-    assert main(["decohere", "--config", path, "--out", str(tmp_path)]) == 2
-    assert "robust_tol" in capsys.readouterr().err
-    assert main(["ghz-check", "--tolerance", "inf", "--out", str(tmp_path)]) == 2
-    assert "tolerance" in capsys.readouterr().err
+    for name, value in (("inf", float("inf")), ("nan", float("nan"))):
+        path = write_json(tmp_path, f"{name}.json", {"robust_tol": value})
+        assert main(["decohere", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: robust_tol: ")
+    assert not list(tmp_path.rglob("*.report.json"))
+
+
+@pytest.mark.parametrize("key,value", [("tolerance", 1e-10), ("frame_filter", True),
+                                       ("stage", "friend")])
+def test_removed_keys_are_unknown(tmp_path, capsys, key, value):
+    path = write_json(tmp_path, "removed.json", {key: value})
+    assert main(["paradox", "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {key}: unknown configuration key\n"
+    assert not list(tmp_path.rglob("*.report.json"))
 
 
 def test_paradox_report_content(tmp_path, capsys):
@@ -452,6 +440,8 @@ def test_paradox_report_content(tmp_path, capsys):
     assert len(names["parity_elimination_witness"]["values"]
                ["witness_constraints"]) == 4
     assert names["no_global_section"]["passed"]
+    assert list(names) == list(PARADOX_CHECKS)
+    assert "stage" not in doc["data"]
     assert doc["config_digest"] == doc["config_digest"].lower()
     assert set(doc["data"]["sampled_outcomes"]) == {
         "abc", "ubc", "avc", "abw", "uvw"}
@@ -475,15 +465,12 @@ def test_paradox_samples_match_fresh_tables(tmp_path, capsys):
 
 
 def test_paradox_friend_stage_has_global_section(tmp_path, capsys):
-    path = write_json(tmp_path, "friend.json", {"stage": "friend"})
-    code = main(["paradox", "--config", path, "--out", str(tmp_path),
-                 "--format", "json"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    (check,) = doc["checks"]
-    assert check["name"] == "global_section_exists"
-    assert check["values"]["exists"] is True
-    assert check["values"]["count"] == 8
+    # The friends' records alone admit all 8 joint assignments of a, b, c.
+    assert main(["paradox", "--out", str(tmp_path), "--format", "json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["records_have_global_section"] == {
+        "name": "records_have_global_section", "passed": True,
+        "values": {"count": 8, "exists": True, "universe": ["a", "b", "c"]}}
 
 
 def test_paradox_reports_are_byte_identical(tmp_path):
@@ -554,26 +541,32 @@ def test_contexts_report_counts(tmp_path, capsys):
     assert doc["data"]["frame_admissible_count"] == 8
 
 
+def _frame_admissible_ids(doc):
+    return [c["id"] for c in doc["data"]["contexts"] if c["frame"]["exists"]]
+
+
 def test_contexts_collinear_frame_filter(tmp_path, capsys):
-    path = write_json(tmp_path, "coll.json",
-                      {"geometry": "collinear", "frame_filter": True})
+    # The frame-admissible contexts are read off the full report.
+    path = write_json(tmp_path, "coll.json", {"geometry": "collinear"})
     code = main(["contexts", "--config", path, "--out", str(tmp_path),
                  "--format", "json"])
     assert code == 0
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
-    assert doc["data"]["frame_filtered_ids"] == ["E_ABC", "E_UVW"]
+    assert _frame_admissible_ids(doc) == ["E_ABC", "E_UVW"]
     assert doc["data"]["frame_admissible_count"] == 2
-    assert "warning" in captured.err
+    assert len(doc["data"]["contexts"]) == 8
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("geometry", ["default", "collinear"])
 def test_contexts_frame_filter_matches_library(geometry):
-    config = config_from({"geometry": geometry, "frame_filter": True})
+    config = config_from({"geometry": geometry})
     kept = [r for r in maximal_contexts(ScenarioModel(1), geometry=config.geometry)
             if r.frame.exists]
     doc = cmd_contexts(config).document
-    assert doc["data"]["frame_filtered_ids"] == [r.environment.id for r in kept]
+    assert _frame_admissible_ids(doc) == [r.environment.id for r in kept]
+    assert doc["data"]["frame_admissible_count"] == len(kept)
 
 
 CONTEXTS_CHECKS = ("incompatibility_graph", "maximal_context_count",
@@ -627,7 +620,7 @@ def test_decohere_prepares_psi_once(monkeypatch, width):
     assert calls == [width]
 
 
-@pytest.mark.parametrize("raw", [{}, {"frame_filter": True}, {"lab_width": 2}])
+@pytest.mark.parametrize("raw", [{}, {"geometry": "collinear"}, {"lab_width": 2}])
 def test_contexts_builds_the_pair_table_once(monkeypatch, raw):
     # 15 agent pairs, each checked once: the incompatibility graph, the
     # maximal contexts and the common-extension check all read one table.
@@ -700,7 +693,8 @@ def test_max_lab_width_fits_in_512_mib_of_address_space(tmp_path, command):
 
 # contexts still builds dense matrices: at 40 its first allocation, 8 TiB,
 # fails at once.  Widths from about 20 to 35 can commit gigabytes before
-# they fail.  Above MAX_LAB_WIDTH every command rejects the width.
+# they fail.  Above MAX_LAB_WIDTH every command that reads the width rejects
+# it, and frames, which does not, rejects the key.
 @pytest.mark.parametrize("command,width", [("contexts", 40), ("paradox", 58),
                                            ("decohere", 58), ("contexts", 60),
                                            ("frames", 58)])
@@ -889,64 +883,105 @@ def _three_constraint_witness(system):
     return Gf2Report(False, (0, 1, 2))
 
 
-def _section_count(count):
-    """``global_section_exists`` reporting ``count`` sections."""
+def _section_count(count, of_tables):
+    """``global_section_exists`` reporting ``count`` sections for a call on
+    ``of_tables`` tables, and the true report for every other call."""
     def fault(tables, zero_tol):
         report = global_section_exists(tables, zero_tol=zero_tol)
+        if len(tables) != of_tables:
+            return report
         return dataclasses.replace(report, exists=count > 0, count=count)
     return fault
 
 
-# Each paradox check, the stage that runs it, and a faulty stand-in for the
-# ``cli`` binding it reads.
+# Each paradox check, in report order, and a faulty stand-in for the ``cli``
+# binding it reads.  The two section checks share a binding: the records
+# alone are one table, the records with the four parity contexts five.
 PARADOX_FAULTS = (
-    ("constraints_recovered", "full", "constraints_from_born", _one_table_skipped),
-    ("no_satisfying_assignment", "full", "enumerate_satisfying", _one_assignment_satisfies),
-    ("parity_elimination_witness", "full", "gf2_consistency", _three_constraint_witness),
-    ("no_global_section", "full", "global_section_exists", _section_count(1)),
-    ("global_section_exists", "friend", "global_section_exists", _section_count(7)),
+    ("constraints_recovered", "constraints_from_born", _one_table_skipped),
+    ("no_satisfying_assignment", "enumerate_satisfying", _one_assignment_satisfies),
+    ("parity_elimination_witness", "gf2_consistency", _three_constraint_witness),
+    ("no_global_section", "global_section_exists", _section_count(1, of_tables=5)),
+    ("records_have_global_section", "global_section_exists", _section_count(7, of_tables=1)),
 )
+PARADOX_CHECKS = tuple(check for check, _, _ in PARADOX_FAULTS)
 
 
-@pytest.mark.parametrize("check,stage,binding,fault", PARADOX_FAULTS,
-                         ids=[check for check, _, _, _ in PARADOX_FAULTS])
+@pytest.mark.parametrize("check,binding,fault", PARADOX_FAULTS, ids=PARADOX_CHECKS)
 def test_each_paradox_check_fails_on_its_own_fault(tmp_path, capsys, monkeypatch,
-                                                   check, stage, binding, fault):
+                                                   check, binding, fault):
     monkeypatch.setattr(cli, binding, fault)
-    path = write_json(tmp_path, "stage.json", {"stage": stage})
-    code = main(["paradox", "--config", path, "--out", str(tmp_path), "--format", "json"])
+    code = main(["paradox", "--out", str(tmp_path), "--format", "json"])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False
     assert {c["name"]: c["passed"] for c in doc["checks"]} == {
-        name: name != check for name, s, _, _ in PARADOX_FAULTS if s == stage}
+        name: name != check for name in PARADOX_CHECKS}
 
 
 COMMANDS = ("ghz-check", "paradox", "contexts", "frames", "decohere")
 
-# A valid value of each key that one subcommand reads, and that subcommand.
-SINGLE_READER_KEYS = (
-    ("generators", ["+XZZ", "+ZXZ", "+ZZX"], "ghz-check"),
-    ("stage", "friend", "paradox"),
-    ("dephasing", {"strength": 0.3, "steps": 3}, "decohere"),
-    ("robust_tol", 0.1, "decohere"),
-    ("frame_triples", ["ABC"], "frames"),
+# A valid value of each key that not every subcommand reads, and its readers.
+READ_KEYS = (
+    ("generators", ["+XZZ", "+ZXZ", "+ZZX"], ("ghz-check",)),
+    ("dephasing", {"strength": 0.3, "steps": 3}, ("decohere",)),
+    ("robust_tol", 0.1, ("decohere",)),
+    ("frame_triples", ["ABC"], ("frames",)),
+    ("lab_width", 2, ("paradox", "contexts", "decohere")),
+    ("geometry", "collinear", ("contexts", "frames")),
 )
 
 
-@pytest.mark.parametrize("key,value,reader", SINGLE_READER_KEYS,
-                         ids=[key for key, _, _ in SINGLE_READER_KEYS])
+def _rejection(key, readers, command):
+    verb = "uses" if len(readers) == 1 else "use"
+    return f"config error: {key}: only {', '.join(readers)} {verb} this key, not {command}\n"
+
+
+@pytest.mark.parametrize("key,value,readers", READ_KEYS, ids=[key for key, _, _ in READ_KEYS])
 @pytest.mark.parametrize("command", COMMANDS)
-def test_key_accepted_only_by_its_reader(tmp_path, capsys, command, key, value, reader):
+def test_key_accepted_only_by_its_reader(tmp_path, capsys, command, key, value, readers):
+    assert cli._KEYS[key].readers == readers
     path = write_json(tmp_path, "key.json", {key: value})
     code = main([command, "--config", path, "--out", str(tmp_path)])
-    if command == reader:
+    if command in readers:
         assert code == 0
         return
     assert code == 2
-    assert (f"config error: {key}: only {reader} uses this key, not {command}"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == _rejection(key, readers, command)
     assert not list(tmp_path.rglob("*.report.json"))
+
+
+@pytest.mark.parametrize("command", ["ghz-check", "frames"])
+def test_lab_width_flag_rejected_where_unread(tmp_path, capsys, command):
+    assert main([command, "--lab-width", "3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == _rejection(
+        "lab_width", ("paradox", "contexts", "decohere"), command)
+    assert not list(tmp_path.rglob("*.report.json"))
+
+
+# For each digested key, a subcommand that reads it and a value that moves
+# that subcommand's report checks or data away from the defaults': a key
+# that moved only the digest would file the same physics twice.
+KEY_EFFECTS = {
+    "lab_width": ("decohere", 2),
+    "seed": ("paradox", 7),
+    "robust_tol": ("decohere", 0.1),
+    "geometry": ("contexts", "collinear"),
+    "frame_triples": ("frames", ["ABC"]),
+    "dephasing": ("decohere", {"strength": 0.3}),
+    "generators": ("ghz-check", ["+XZZ", "+ZXZ", "-ZZX"]),
+}
+
+
+def test_every_digested_key_changes_a_report():
+    assert set(KEY_EFFECTS) == {key for key, row in cli._KEYS.items() if row.digest}
+    for key, (command, value) in KEY_EFFECTS.items():
+        readers = cli._KEYS[key].readers
+        assert readers is None or command in readers, key
+        handler = cli._HANDLERS[command]
+        base = handler(config_from({})).document
+        moved = handler(config_from({key: value})).document
+        assert (base["checks"], base["data"]) != (moved["checks"], moved["data"]), key
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -1062,21 +1097,21 @@ def test_report_path_that_cannot_be_opened_is_a_config_error(tmp_path, capsys):
 # report is byte-identical for identical config and seed, so a change to
 # the library that moves any value, key or float rendering moves these.
 PINNED_REPORTS = [
-    (["ghz-check"], "c4fc26bf77242fd7c6e1d0f3c8d98ddad03a8bb26d8462deb5045ef90a72ee60"),
-    (["paradox"], "d54d32eb8f05a8f32e5a82b7d029fda9d5d9227125156bb7c515be955029b1f2"),
-    (["contexts"], "5efc1846fe2b39f1f5fc7a62af5de3bef2caf669515c0c542556dcc3e16cf139"),
-    (["frames"], "655218cecb97519c846738dbbcce1aebc85b538afbae39ed6feabdc7b31ac0b5"),
-    (["decohere"], "3be8b55f850788a5b6742b20a1c48905900dd0367eaaa6fe167a9252f7229f7c"),
+    (["ghz-check"], "927bedf11c38d72e1a523fed79c35965d13c18b8031b59d1addddeac6f59e9b0"),
+    (["paradox"], "cec4ca8abcf80a7494991ad9ba9c77cf5480e63707bb5624888039a2ee3f93e8"),
+    (["contexts"], "83af3bf07a90666771ba4b260bb9777851a35d0829733466e3a0df4ded0b63b0"),
+    (["frames"], "87db639926ad94d942ff8e5ba563a5c941ebd3332da23baab4672beb29935cfc"),
+    (["decohere"], "9b2fcfff02be85637cbabd83ad2261bb8817a0a93180e7e168ef4a71118c06b8"),
     (["decohere", "--lab-width", "2"],
-     "61391f997d1c6e7f4392ee8d23c628f9b28dd6272a49f6b1122377573d755755"),
+     "02fd5f9ccae09effe354a288af56a294195eae7bbf59c79fb989e8b834e763a4"),
     (["paradox", "--lab-width", "4", "--seed", "7"],
-     "c0b807d0a61f9157d94bd9ac6ff12960d4f6b108329a1cb9050658d94af04840"),
+     "e1217558391589549273cf53b9ffa15ffb9792803cd3f894f7dd1ab0ac72bf79"),
     (["paradox", "--lab-width", "16", "--seed", "7"],
-     "e410a28034604853b37db583ffce137f6bfe740e1fce45e608d03b1c78cd33e6"),
+     "65fd50356cabe8666f1597e2521dc9590d6da62c2b430d1396bbc2ce67cff5c8"),
     (["decohere", "--lab-width", "16"],
-     "2525fe05abe0155725bf453b866b12ea79151f7c547aa798d7c47202b8d1a608"),
+     "9ca8c93f442ddec2d5c5de11b6b77200a874f2f7796463076d7224ca0a459d2f"),
     (["contexts", "--lab-width", "8"],
-     "bdb6bb37f0ad9b17319467f99e7b72c2b30f59afef40a00ff96e5447237bbd93"),
+     "b6e1d79d245e2161190ea7211a2548cda4102ed33a75359cb4b7df55c1349d60"),
 ]
 
 
