@@ -45,9 +45,9 @@ by the subcommands named with it, and the others reject it (exit 2):
 
 Flags override file values; the WIGNERLAB_OUT environment variable
 overrides the default output directory.  Every key but out and format
-enters the config digest.  Report assertions and the zero threshold of
-table supports use one fixed ``REPORT_TOL``; the library's own thresholds
-are fixed too (see ``qcore``).  Exit status, which ``main`` returns: 0 all
+enters the config digest.  Report assertions such as |p - 1/2| use one
+fixed ``REPORT_TOL``; table supports and the library's other thresholds
+are fixed in ``qcore``.  Exit status, which ``main`` returns: 0 all
 checks passed, 1 a check failed, 2 usage or config error; a run that does
 not fit in memory is a config error, naming ``lab_width`` for the
 subcommands that build the scenario (paradox, contexts, decohere), and so
@@ -115,7 +115,7 @@ from .stabilizer import SCENARIO_GENERATORS, joint_eigenstate, parse_pauli, to_o
 
 ENV_OUT = "WIGNERLAB_OUT"
 
-# Report assertions and the zero threshold of table supports.
+# Report assertions such as |p - 1/2| <= REPORT_TOL.
 REPORT_TOL = 1e-10
 
 
@@ -488,7 +488,7 @@ def write_report(report: RunReport, outdir: str) -> tuple[str, str]:
 def _quarter_parity(table: qcore.BornTable, parity: int) -> tuple[bool, dict]:
     """Whether the table's support is four rows of 1/4, each with outcome
     product ``parity``; and the support's size and products."""
-    support = table.support(REPORT_TOL)
+    support = table.support()
     products = {s[0] * s[1] * s[2] for s in support}
     ok = (len(support) == 4 and products == {parity}
           and all(abs(table.rows[s] - 0.25) <= REPORT_TOL for s in support))
@@ -565,7 +565,7 @@ def cmd_paradox(config: ScenarioConfig) -> RunReport:
                     for agents, parity in PROTOCOL_CONTEXTS.items() if parity is not None]
     tables = [_by_variable(t) for t in agent_tables]
 
-    extraction = constraints_from_born(tables, zero_tol=REPORT_TOL)
+    extraction = constraints_from_born(tables)
     expected = scenario_constraints().lines()
     recovered = extraction.system.lines()
     checks = [CheckResult(
@@ -591,13 +591,13 @@ def cmd_paradox(config: ScenarioConfig) -> RunReport:
          "witness_constraints": witness},
     ))
 
-    section = global_section_exists([record_table] + tables, zero_tol=REPORT_TOL)
+    section = global_section_exists([record_table] + tables)
     checks.append(CheckResult(
         "no_global_section", not section.exists and section.count == 0,
         _section_values(section),
     ))
     # The records alone: every one of the 8 assignments of a, b, c fits.
-    records = global_section_exists([record_table], zero_tol=REPORT_TOL)
+    records = global_section_exists([record_table])
     checks.append(CheckResult(
         "records_have_global_section", records.exists and records.count == 8,
         _section_values(records),
@@ -677,7 +677,6 @@ def cmd_contexts(config: ScenarioConfig) -> RunReport:
     data = {
         "geometry": config.geometry_name,
         "contexts": entries,
-        "frame_admissible_count": sum(r.frame.exists for r in reports),
     }
     return _report("contexts", config, checks, data)
 

@@ -3,15 +3,17 @@
 A constraint fixes the product of a few +-1 variables.  Three independent
 checks live here: brute-force enumeration of satisfying assignments, GF(2)
 Gaussian elimination with a contradiction witness, and a support-level
-global-section search across a family of Born tables.
-
-Serialization: one constraint per line, ``u*b*c=+1`` / ``u*v*w=-1``;
-``parse_constraint`` inverts ``str()`` exactly.
+global-section search across a family of Born tables.  The enumeration and
+the global-section search share one assignment search: an assignment
+counts when its values on each constraint's variables have that
+constraint's parity, and on each table's names lie in that table's support
+(``BornTable.support``, the one support rule).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import MarginalMismatchError, UniverseTooLargeError
@@ -40,17 +42,6 @@ class ParityConstraint:
         return "*".join(self.variables) + ("=+1" if self.parity == 1 else "=-1")
 
 
-def parse_constraint(text: str) -> ParityConstraint:
-    lhs, _, rhs = text.strip().partition("=")
-    if rhs == "+1":
-        parity = 1
-    elif rhs == "-1":
-        parity = -1
-    else:
-        raise ValueError(f"constraint {text!r} must end in =+1 or =-1")
-    return ParityConstraint(tuple(lhs.split("*")), parity)
-
-
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Ordered constraints over an explicit variable universe."""
@@ -76,11 +67,6 @@ def _first_seen(groups) -> tuple[str, ...]:
     return tuple(dict.fromkeys(name for group in groups for name in group))
 
 
-def parse_system(lines) -> ConstraintSystem:
-    constraints = tuple(parse_constraint(l) for l in lines if l.strip())
-    return ConstraintSystem(constraints, _first_seen(c.variables for c in constraints))
-
-
 def scenario_constraints() -> ConstraintSystem:
     """The four product constraints of ``scenario.PROTOCOL_CONTEXTS``."""
     constraints = tuple(
@@ -95,28 +81,42 @@ class EnumerationReport:
     count: int
 
 
-def enumerate_satisfying(system: ConstraintSystem) -> EnumerationReport:
-    """Brute force over all 2**n assignments, lexicographic with +1 first."""
-    n = len(system.universe)
+def _count_assignments(universe: tuple[str, ...], restrictions) -> int:
+    """Count the 2**n assignments of the +-1 variables ``universe`` whose
+    values at each ``(names, allowed)`` restriction, names distinct, form a
+    tuple in ``allowed``.  An assignment is held as the bit set of its -1
+    variables; ``restrictions`` is read only once the universe has passed
+    the cap."""
+    n = len(universe)
     if n > ENUMERATION_CAP:
         raise UniverseTooLargeError(f"{n} variables exceeds cap {ENUMERATION_CAP}")
-    index = {v: i for i, v in enumerate(system.universe)}
-    compiled = [
-        ([index[v] for v in c.variables], c.parity) for c in system.constraints
-    ]
+    bit = {v: 1 << i for i, v in enumerate(universe)}
+    compiled = []
+    for names, allowed in restrictions:
+        bits = [bit[v] for v in names]
+        compiled.append((sum(bits), {sum(b for b, s in zip(bits, t) if s == -1)
+                                     for t in allowed}))
     count = 0
-    for values in itertools.product((1, -1), repeat=n):
-        ok = True
-        for idxs, parity in compiled:
-            prod = 1
-            for i in idxs:
-                prod *= values[i]
-            if prod != parity:
-                ok = False
+    for assignment in range(1 << n):
+        for mask, codes in compiled:
+            if assignment & mask not in codes:
                 break
-        if ok:
+        else:
             count += 1
-    return EnumerationReport(2**n, count)
+    return count
+
+
+def _with_parity(k: int, parity: int):
+    """The +-1 tuples of length ``k`` whose product is ``parity``."""
+    return (t for t in itertools.product((1, -1), repeat=k) if math.prod(t) == parity)
+
+
+def enumerate_satisfying(system: ConstraintSystem) -> EnumerationReport:
+    """Count the assignments that satisfy every constraint, of all 2**n."""
+    count = _count_assignments(system.universe, (
+        (c.variables, _with_parity(len(c.variables), c.parity))
+        for c in system.constraints))
+    return EnumerationReport(2 ** len(system.universe), count)
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ class ExtractionReport:
     skipped: tuple[tuple[int, str], ...]
 
 
-def constraints_from_born(tables, zero_tol: float = 1e-10) -> ExtractionReport:
+def constraints_from_born(tables) -> ExtractionReport:
     """Emit one parity constraint per table whose support has fixed product.
 
     Table outcome names are used as variable names, in order of first
@@ -186,21 +186,13 @@ def constraints_from_born(tables, zero_tol: float = 1e-10) -> ExtractionReport:
     constraints = []
     skipped = []
     for k, table in enumerate(tables):
-        support = table.support(zero_tol)
-        products = {_product(s) for s in support}
+        products = {math.prod(s) for s in table.support()}
         if len(products) == 1:
             constraints.append(ParityConstraint(tuple(table.names), products.pop()))
         else:
             skipped.append((k, "NO_PARITY_STRUCTURE"))
     system = ConstraintSystem(tuple(constraints), _first_seen(t.names for t in tables))
     return ExtractionReport(system, tuple(skipped))
-
-
-def _product(outcome) -> int:
-    prod = 1
-    for s in outcome:
-        prod *= s
-    return prod
 
 
 @dataclass(frozen=True)
@@ -218,7 +210,7 @@ class GlobalSectionReport:
     universe: tuple[str, ...]
 
 
-def global_section_exists(tables, zero_tol: float = 1e-10) -> GlobalSectionReport:
+def global_section_exists(tables) -> GlobalSectionReport:
     """Search all assignments; each must restrict into every table's support.
 
     The variables are the tables' outcome names in order of first appearance.
@@ -226,20 +218,7 @@ def global_section_exists(tables, zero_tol: float = 1e-10) -> GlobalSectionRepor
     tables = list(tables)
     universe = _first_seen(t.names for t in tables)
     _check_shared_marginals(tables)
-    n = len(universe)
-    if n > ENUMERATION_CAP:
-        raise UniverseTooLargeError(f"{n} variables exceeds cap {ENUMERATION_CAP}")
-    supports = [frozenset(t.support(zero_tol)) for t in tables]
-    positions = [[universe.index(name) for name in t.names] for t in tables]
-    count = 0
-    for values in itertools.product((1, -1), repeat=n):
-        ok = True
-        for sup, pos in zip(supports, positions):
-            if tuple(values[i] for i in pos) not in sup:
-                ok = False
-                break
-        if ok:
-            count += 1
+    count = _count_assignments(universe, ((t.names, t.support()) for t in tables))
     return GlobalSectionReport(count > 0, count, universe)
 
 

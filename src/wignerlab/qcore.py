@@ -51,9 +51,10 @@ Tolerances are fixed, not per object: ``STRUCTURAL_TOL`` (1e-10) guards
 the operator flags, state norms and density-matrix checks; ``NUMERIC_TOL``
 (1e-12) guards commutators, zero branches, nonreal expectation residues
 and negative Born-table rows; ``BORN_SUM_TOL`` (1e-9) bounds how far a
-Born table's rows may sum from 1.  The CLI's report assertions and the
-``zero_tol`` support threshold it passes to ``BornTable.support`` and the
-``paradox`` searches are one more fixed constant, ``cli.REPORT_TOL`` (1e-10).
+Born table's rows may sum from 1; ``SUPPORT_TOL`` (1e-10) is the one rule
+for a table's support, the rows above it, which ``BornTable.support`` and
+every ``paradox`` search read.  The CLI's report assertions use one more
+fixed constant, ``cli.REPORT_TOL`` (1e-10).
 
 All value types are immutable: arrays are copied on construction and marked
 read-only (the trusted producers adopt their own fresh values instead), and
@@ -93,6 +94,8 @@ STRUCTURAL_TOL = 1e-10
 NUMERIC_TOL = 1e-12
 # How far a Born table's rows may sum from 1.
 BORN_SUM_TOL = 1e-9
+# Born-table rows above this are in the table's support.
+SUPPORT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -795,13 +798,15 @@ class BornTable:
 
     ``rows`` maps each outcome tuple in ``{+1, -1}**k`` (lexicographic, +1
     first) to its probability.  Zero rows are retained.  ``names`` labels the
-    outcome slots.
+    outcome slots, one distinct name each.
     """
 
     names: tuple[str, ...]
     rows: dict[tuple[int, ...], float]
 
     def __post_init__(self) -> None:
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"repeated outcome name in {self.names}")
         total = 0.0
         for outcome, p in self.rows.items():
             if len(outcome) != len(self.names):
@@ -822,8 +827,9 @@ class BornTable:
             out += sign * p
         return out
 
-    def support(self, zero_tol: float = 1e-10) -> tuple[tuple[int, ...], ...]:
-        return tuple(o for o, p in self.rows.items() if p > zero_tol)
+    def support(self) -> tuple[tuple[int, ...], ...]:
+        """The outcomes whose probability exceeds ``SUPPORT_TOL``, in row order."""
+        return tuple(o for o, p in self.rows.items() if p > SUPPORT_TOL)
 
     def marginal(self, names) -> "BornTable":
         """Marginal table over a subset of outcome slots, keeping their order here."""
@@ -855,7 +861,8 @@ class BornTable:
             acc += w / total
             if u < acc:
                 return o
-        return outcomes[-1]
+        # Rounding can leave the sum below u: take the last row of positive weight.
+        return [o for o, w in zip(outcomes, weights) if w > 0][-1]
 
 
 def _joint_observables(observables, caller: str) -> tuple[Operator, ...]:

@@ -91,7 +91,8 @@ def test_criterion_02_x_context_products():
     start = time.perf_counter()
     state = ghz_scenario_state()
     xxx = _single_letter_table(state, "XXX")
-    support = xxx.support(TOL)
+    # Rows above TOL (1e-12), stricter than the library's SUPPORT_TOL (1e-10).
+    support = [o for o, p in xxx.rows.items() if p > TOL]
     assert len(support) == 4
     for outcome in support:
         assert int(np.prod(outcome)) == -1
@@ -99,7 +100,7 @@ def test_criterion_02_x_context_products():
     assert abs(xxx.expectation_product() + 1.0) <= TOL
     for letters in ("XZZ", "ZXZ", "ZZX"):
         table = _single_letter_table(state, letters)
-        support = table.support(TOL)
+        support = [o for o, p in table.rows.items() if p > TOL]
         assert len(support) == 4
         for outcome in support:
             assert int(np.prod(outcome)) == 1

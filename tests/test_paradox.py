@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from wignerlab import scenario
+from wignerlab import paradox, scenario
 from wignerlab.errors import MarginalMismatchError, UniverseTooLargeError
 from wignerlab.paradox import (
     ConstraintSystem,
@@ -12,22 +13,15 @@ from wignerlab.paradox import (
     enumerate_satisfying,
     gf2_consistency,
     global_section_exists,
-    parse_constraint,
-    parse_system,
     scenario_constraints,
 )
-from wignerlab.qcore import BornTable
+from wignerlab.qcore import SUPPORT_TOL, BornTable
 from wignerlab.scenario import ScenarioModel, run_friend_stage, scenario_context
-
-
-def test_constraint_str_round_trip():
-    for text in ("u*b*c=+1", "a*v*c=+1", "a*b*w=+1", "u*v*w=-1", "x=+1", "p*q=-1"):
-        assert str(parse_constraint(text)) == text
 
 
 def test_constraint_guards():
     with pytest.raises(ValueError):
-        parse_constraint("u*b*c=2")
+        ParityConstraint(("u", "b", "c"), 2)
     with pytest.raises(ValueError):
         ParityConstraint(("a", "a"), 1)
     with pytest.raises(ValueError):
@@ -38,7 +32,7 @@ def test_constraint_guards():
 
 def test_system_guards():
     with pytest.raises(ValueError):
-        ConstraintSystem((parse_constraint("a*b=+1"),), ("a",))
+        ConstraintSystem((ParityConstraint(("a", "b"), 1),), ("a",))
     with pytest.raises(ValueError):
         ConstraintSystem((), ("a", "a"))
 
@@ -77,8 +71,14 @@ def test_enumerate_three_constraint_subsets():
         assert report.count == 8
 
 
+def system(*constraints):
+    """``(variables, parity)`` pairs over their variables in order of first use."""
+    built = tuple(ParityConstraint(tuple(v), parity) for v, parity in constraints)
+    return ConstraintSystem(built, tuple(dict.fromkeys(x for c in built for x in c.variables)))
+
+
 def test_enumerate_deterministic_order():
-    sys_ = parse_system(["a*b=+1"])
+    sys_ = system(("ab", 1))
     report = enumerate_satisfying(sys_)
     assert sys_.universe == ("a", "b")
     assert (report.count, report.total) == (2, 4)
@@ -90,7 +90,7 @@ def test_enumerate_universe_cap():
 
 
 def test_gf2_consistent_system():
-    report = gf2_consistency(parse_system(["a*b=+1", "b*c=+1"]))
+    report = gf2_consistency(system(("ab", 1), ("bc", 1)))
     assert report.consistent and report.witness is None
 
 
@@ -103,7 +103,7 @@ def test_gf2_scenario_witness_is_all_four():
 
 
 def test_gf2_direct_contradiction():
-    report = gf2_consistency(parse_system(["a*b=+1", "a*b=-1"]))
+    report = gf2_consistency(system(("ab", 1), ("ab", -1)))
     assert not report.consistent
     assert report.witness == (0, 1)
 
@@ -126,6 +126,26 @@ def test_gf2_agrees_with_enumeration_on_random_systems():
         sys_ = ConstraintSystem(tuple(constraints), universe)
         empty = enumerate_satisfying(sys_).count == 0
         assert gf2_consistency(sys_).consistent == (not empty)
+
+
+def test_assignment_search_matches_a_direct_count():
+    # Oracle for the shared search: restrict each +-1 tuple directly.
+    rng = np.random.default_rng(102)
+    outcomes = {k: list(itertools.product((1, -1), repeat=k)) for k in range(1, 7)}
+    for _ in range(500):
+        universe = tuple(f"x{i}" for i in range(int(rng.integers(1, 7))))
+        restrictions = []
+        for _ in range(int(rng.integers(0, 4))):
+            k = int(rng.integers(1, len(universe) + 1))
+            picked = rng.choice(len(universe), size=k, replace=False)
+            names = tuple(universe[i] for i in picked)
+            keep = rng.random(2 ** k) < 0.6
+            restrictions.append((names, [t for t, kept in zip(outcomes[k], keep) if kept]))
+        expected = sum(
+            all(tuple(values[universe.index(v)] for v in names) in allowed
+                for names, allowed in restrictions)
+            for values in itertools.product((1, -1), repeat=len(universe)))
+        assert paradox._count_assignments(universe, restrictions) == expected
 
 
 def table_from_rows(names, rows):
@@ -161,6 +181,17 @@ def test_constraints_from_born_flags_structureless_table():
     assert report.skipped == ((0, "NO_PARITY_STRUCTURE"),)
     assert report.system.lines() == ("c=+1",)
     assert report.system.universe == ("a", "b", "c")
+
+
+@pytest.mark.parametrize("stray,inside", [
+    (SUPPORT_TOL, False), (math.nextafter(SUPPORT_TOL, 1.0), True)], ids=["at", "above"])
+def test_extraction_and_section_read_the_one_support_rule(stray, inside):
+    # An odd row at the threshold is outside the support; just above it, inside.
+    table = table_from_rows(("a", "b"), {(1, 1): 0.5, (1, -1): stray, (-1, 1): 0.0,
+                                         (-1, -1): 0.5})
+    extraction = constraints_from_born([table])
+    assert extraction.skipped == (((0, "NO_PARITY_STRUCTURE"),) if inside else ())
+    assert global_section_exists([table]).count == (3 if inside else 2)
 
 
 def test_global_section_exists_compatible_family():

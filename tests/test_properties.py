@@ -128,7 +128,7 @@ def test_samples_sit_inside_supports(post_friend):
     for agents in AGENT_TRIPLES:
         context = scenario_context(model, agents)
         table = context_born_table(state, context)
-        support = set(table.support(1e-10))
+        support = set(table.support())
         for seed in range(30):
             record = sample_outcomes(table, seed)
             outcome = tuple(record.values[a] for a in agents)

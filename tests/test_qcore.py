@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -320,6 +321,12 @@ def test_born_table_zero_rows_retained():
     assert t.rows[(-1, -1)] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_born_table_rejects_repeated_names():
+    # The assignment searches in ``paradox`` give each name one variable.
+    with pytest.raises(ValueError, match="repeated"):
+        BornTable(("a", "a"), {(1, 1): 1.0, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.0})
+
+
 def test_born_table_rejects_noncommuting():
     lay = qubits("a")
     with pytest.raises(ContextIncompatibleError):
@@ -406,6 +413,15 @@ def test_sample_takes_one_draw_against_the_normalized_cumulative_rows():
     assert rng.draws == []
 
 
+def test_sample_never_returns_a_zero_row():
+    # Ten rows of 0.1 then six zero rows: normalized, the running sum ends at
+    # 1 - 2**-53, so the largest draw passes every row and takes the last one
+    # of positive weight.
+    outcomes = list(itertools.product((1, -1), repeat=4))
+    t = BornTable(tuple("abcd"), {o: 0.1 if k < 10 else 0.0 for k, o in enumerate(outcomes)})
+    assert t.sample(FixedDraws((2**53 - 1) / 2**53)) == outcomes[9]
+
+
 def test_tensor_states_and_operators():
     a = basis_state(qubits("a"), 1)
     b = basis_state(qubits("b"), 0)
@@ -428,8 +444,8 @@ def test_operator_flags():
 
 
 # The fixed thresholds, pinned on either side: qcore.NUMERIC_TOL (1e-12)
-# for commutators, qcore.STRUCTURAL_TOL (1e-10) for norms, and 1e-9 for the
-# row sum of a Born table.
+# for commutators, qcore.STRUCTURAL_TOL (1e-10) for norms, 1e-9 for the
+# row sum of a Born table and qcore.SUPPORT_TOL (1e-10) for its support.
 
 @pytest.mark.parametrize("eps,expected", [(1e-12, False), (2.5e-13, True)])
 def test_commutes_threshold(eps, expected):
@@ -453,3 +469,10 @@ def test_born_table_sum_threshold():
     with pytest.raises(ValueError, match="sum"):
         BornTable(("a",), {(1,): 0.5 + 2e-9, (-1,): 0.5})
     BornTable(("a",), {(1,): 0.5 + 5e-10, (-1,): 0.5})
+
+
+def test_support_threshold():
+    at = BornTable(("a",), {(1,): 1.0, (-1,): qcore.SUPPORT_TOL})
+    assert at.support() == ((1,),)
+    above = BornTable(("a",), {(1,): 1.0, (-1,): math.nextafter(qcore.SUPPORT_TOL, 1.0)})
+    assert above.support() == ((1,), (-1,))
