@@ -16,7 +16,7 @@ file does not move the output.  Each report is rendered once: text stdout
 is the ``.report.txt`` bytes, timestamp included, followed by a
 ``report: <path>`` line, and ``--format json`` stdout is the
 ``.report.json`` bytes.  numpy is loaded only by the first dense array a
-run builds, so ``ghz-check``, ``paradox``, ``frames``, ``--help``,
+run builds, and no command builds one, so every command, ``--help``,
 ``--version`` and every usage or config error run without it.
 
 Config file grammar (JSON object; every key optional).  Each key's
@@ -699,10 +699,12 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
     """Trace how environmental dephasing kills the paradox-feeding correlation.
 
     Every series comes from the channel's closed form on the pure
-    post-premeasurement state psi.  At every lab_width the iterated dense
-    channel runs too, on psi's support layout (``qcore.support_state``,
-    d' = 64), and the ``closed_form_matches_iterated`` check compares the
-    two diagonality series.
+    post-premeasurement state psi.  At every lab_width the iterated
+    reference channel runs too, on psi's support layout
+    (``qcore.support_state``, d' = 64) in entries form, a dict over
+    supp(psi) x supp(psi) with no array, and the
+    ``closed_form_matches_iterated`` check compares the two diagonality
+    series.
     """
     model = ScenarioModel(config.lab_width)
     target, lam, steps = (config.dephasing[k] for k in ("target", "strength", "steps"))

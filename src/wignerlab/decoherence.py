@@ -19,13 +19,15 @@ state psi, without a d x d density matrix: an expectation after k steps is
 q**k*<psi|O|psi> + (1 - q**k)*sum_j w_j*<psi_j|O|psi_j> over the pointer
 branches psi_j = P_j psi / sqrt(w_j), w_j = ||P_j psi||**2, and the
 residual coherence is q**k times that of psi.  ``dephase`` and
-``dephased_states`` keep the iterated dense channel as the reference.  It
+``dephased_states`` keep the iterated channel as the reference.  It
 scales each entry of the density matrix on its own, so an entry outside
-supp(psi) x supp(psi) is zero at every step: at every lab_width the
-``decohere`` subcommand iterates it on psi's support layout
-(``qcore.support_state``, d' = 64) and checks the diagonality series
-against it, and the tests check every series against the full d x d
-iterate at widths 1 and 2.
+supp(psi) x supp(psi) is zero at every step, and from a ``SparseState``
+it runs on the entries form of ``qcore.DensityMatrix``, a dict over
+supp(psi) x supp(psi) summed with ``math.fsum``, with no array and no
+numpy.  At every lab_width the ``decohere`` subcommand iterates it on
+psi's support layout (``qcore.support_state``, d' = 64) and checks the
+diagonality series against it; the tests check every series against the
+full d x d dense iterate at widths 1 and 2.
 """
 
 from __future__ import annotations
@@ -59,9 +61,7 @@ class DephasingChannel:
 
 
 def _as_density(state) -> qcore.DensityMatrix:
-    if isinstance(state, qcore.SparseState):
-        state = state.to_dense()
-    if isinstance(state, qcore.QState):
+    if isinstance(state, (qcore.QState, qcore.SparseState)):
         return qcore.pure_density(state)
     if isinstance(state, qcore.DensityMatrix):
         return state
@@ -70,32 +70,41 @@ def _as_density(state) -> qcore.DensityMatrix:
 
 
 def dephase(state, channel: DephasingChannel) -> qcore.DensityMatrix:
-    """One application of the channel; accepts a pure state or a density matrix."""
-    import numpy as np
+    """One application of the channel; accepts a pure state or a density matrix.
 
+    Every entry whose row and column differ on the target register is
+    scaled by 1 - strength: entry by entry for an entries form, which a
+    ``SparseState`` gives, and by one broadcast product for a dense matrix.
+    """
     rho = _as_density(state)
     ax = rho.layout.axis(channel.target)
+    q = 1.0 - channel.strength
+    # Hermitian, unit-trace and PSD whenever rho is: see qcore.DensityMatrix.
+    if rho.entries is not None:
+        return qcore.DensityMatrix._trusted(rho.layout, {
+            (i, j): v if i[ax] == j[ax] else v * q for (i, j), v in rho.entries.items()})
+    import numpy as np
+
     dim = rho.layout.shape[ax]
     n = len(rho.layout.sites)
     arr = rho.matrix.reshape(rho.layout.shape + rho.layout.shape)
-    scale = np.full((dim, dim), 1.0 - channel.strength)
+    scale = np.full((dim, dim), q)
     np.fill_diagonal(scale, 1.0)
     shape = [1] * (2 * n)
     shape[ax] = dim
     shape[n + ax] = dim
     arr = arr * scale.reshape(shape)
     d = rho.layout.total_dim
-    # Hermitian, unit-trace and PSD whenever rho is: see qcore.DensityMatrix.
     return qcore.DensityMatrix._trusted(rho.layout, arr.reshape(d, d))
 
 
 def dephased_states(state, channel: DephasingChannel, steps: int):
-    """The iterated dense reference: rho, D(rho), ..., D**steps(rho), lazily.
+    """The iterated reference channel: rho, D(rho), ..., D**steps(rho), lazily.
 
-    Each step holds a d x d density matrix, so this is for small layouts:
-    the full layout at lab_width 1 and 2 in the tests, and psi's support
-    layout (d = 64) in ``decohere`` at every width, checking the closed
-    forms above against the channel itself.
+    A ``SparseState`` starts an entries form over supp(psi) x supp(psi),
+    which every step keeps, so ``decohere`` runs it at every lab_width with
+    no array (on psi's support layout, d' = 64); the tests also run it
+    from dense states and read each step's ``matrix`` at lab_width 1 and 2.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -112,18 +121,23 @@ def pointer_diagonality(state, target: str) -> float:
     pure state the entries are |c_a||c_b|, so with m_j the summed
     magnitudes of pointer branch j the value is ((sum m_j)**2 - sum m_j**2)/d,
     taken from the nonzero entries alone (a ``QState`` goes through
-    ``SparseState.from_dense``); a density matrix is summed entry by entry.
+    ``SparseState.from_dense``).  A density matrix in entries form is summed
+    over its entries, each sum a ``math.fsum``; a dense one entry by entry
+    with numpy.
     """
-    import numpy as np
-
     if isinstance(state, qcore.QState):
         state = qcore.SparseState.from_dense(state)
     if isinstance(state, qcore.SparseState):
-        m = np.array([math.sqrt(w) * np.sum(np.abs(branch.nonzero()))
-                      for w, branch in qcore.split_register(state, target)])
-        return float((m.sum() ** 2 - np.dot(m, m)) / state.layout.total_dim)
+        m = [math.sqrt(w) * math.fsum(abs(a) for a in branch.entries.values())
+             for w, branch in qcore.split_register(state, target)]
+        return (math.fsum(m) ** 2 - math.fsum(x * x for x in m)) / state.layout.total_dim
     rho = _as_density(state)
     ax = rho.layout.axis(target)
+    if rho.entries is not None:
+        return math.fsum(abs(v) for (i, j), v in rho.entries.items()
+                         if i[ax] != j[ax]) / rho.layout.total_dim
+    import numpy as np
+
     dim = rho.layout.shape[ax]
     n = len(rho.layout.sites)
     mags = np.abs(rho.matrix)

@@ -228,11 +228,11 @@ def _check_shared_marginals(tables) -> None:
             shared = [n for n in tables[i].names if n in tables[j].names]
             if not shared:
                 continue
-            mi = tables[i].marginal(shared)
-            mj = tables[j].marginal(shared)
-            for outcome, p in mi.rows.items():
-                if abs(p - mj.rows[outcome]) > NUMERIC_TOL:
+            mi = tables[i].marginal_rows(shared)
+            mj = tables[j].marginal_rows(shared)
+            for outcome, p in mi.items():
+                if abs(p - mj[outcome]) > NUMERIC_TOL:
                     raise MarginalMismatchError(
                         f"tables {i} and {j} disagree on {shared} at {outcome}: "
-                        f"{p} vs {mj.rows[outcome]}"
+                        f"{p} vs {mj[outcome]}"
                     )

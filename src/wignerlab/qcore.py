@@ -29,14 +29,20 @@ diagonal in one register's basis.  Sparse results, and ``support_state``'s
 (each register shrunk to the index values in use), are adopted through
 ``SparseState._trusted``, as their indices and norm hold by construction.
 ``to_dense()`` gives the ``QState`` back where the dimension allows.
-numpy is imported by the functions that build or read a dense array, not
-by the module, so the mask-form paths run without loading it.
+``pure_density`` of a ``SparseState`` is a ``DensityMatrix`` in entries
+form, its nonzero entries over supp(psi) x supp(psi), with ``matrix``
+built only on first read.  numpy is imported by the functions that build
+or read a dense array, not by the module, so the mask-form and entries
+paths run without loading it.
 
 Commutation is locality-aware.  Operators on disjoint registers commute
 exactly: every entry of (A x I)(I x B) and of (I x B)(A x I) is the same
 single product a_ij * b_kl, so for finite matrices the dense commutator is
 identically zero.  ``commutes`` returns True for such pairs without forming
-it, and checks only overlapping pairs densely on the union layout.
+it.  Overlapping pairs are embedded on the union layout, where mask forms
+stay mask forms; two of them that differ at the commutator's entry from
+|0> do not commute, read from two phases each, at any dimension.  Only
+the other overlapping pairs are checked densely.
 
 ``born_table`` walks the outcome tree depth first: each inner node applies
 its observable once and branches into v + O v and v - O v, so k
@@ -246,13 +252,6 @@ class SparseState:
             tens[index] = amp
         return QState(self.layout, tens)
 
-    def nonzero(self) -> np.ndarray:
-        """The nonzero amplitudes in flat-index order."""
-        import numpy as np
-
-        return np.array([self.entries[index] for index in sorted(self.entries)],
-                        dtype=np.complex128)
-
     def __repr__(self) -> str:
         return f"SparseState(entries={len(self.entries)}, labels={self.layout.labels})"
 
@@ -425,9 +424,15 @@ class DensityMatrix:
 
     The constructor copies the caller's matrix and checks all three
     properties, positivity by ``eigvalsh``.  ``_trusted`` adopts a fresh
-    array without copy or checks; its only producers, and why each holds:
+    value without copy or checks: a dense array, or, as ``Operator`` has a
+    mask form, an entries form, a dict from (row, column) pairs of index
+    tuples (one index per register, as in ``SparseState``) to the nonzero
+    entries, which holds nothing sized by the dimension.  ``entries`` is
+    None for a dense matrix; an entries form builds ``matrix`` only on
+    first read.  The trusted producers, and why each holds:
 
-    - ``pure_density``: v v^dagger is Hermitian and PSD, with trace ||v||**2.
+    - ``pure_density``: v v^dagger is Hermitian and PSD, with trace ||v||**2;
+      a ``SparseState`` gives the entries a_i conj(a_j) over its support.
     - ``decoherence.dephase``: a real symmetric scale with unit diagonal
       treats rho_ij and rho_ji alike and leaves the diagonal, hence the
       trace, bitwise unchanged; rho and its pointer-block diagonal mix
@@ -435,6 +440,11 @@ class DensityMatrix:
     """
 
     def __init__(self, layout: RegisterLayout, matrix):
+        self.layout = layout
+        self.entries: MappingProxyType | None = None
+        if isinstance(matrix, _Trusted) and isinstance(matrix.value, dict):
+            self.entries, self._matrix = MappingProxyType(matrix.value), None
+            return
         import numpy as np
 
         trusted = isinstance(matrix, _Trusted)
@@ -457,19 +467,36 @@ class DensityMatrix:
             if lo < -STRUCTURAL_TOL:
                 raise ValueError(
                     f"density matrix has eigenvalue {lo} below {-STRUCTURAL_TOL}")
-        self.layout = layout
-        self.matrix = _frozen(mat)
+        self._matrix = _frozen(mat)
 
     @classmethod
-    def _trusted(cls, layout: RegisterLayout, matrix: np.ndarray) -> DensityMatrix:
-        """Adopt ``matrix`` in place, read-only; the caller must hold no other reference."""
-        return cls(layout, _Trusted(matrix))
+    def _trusted(cls, layout: RegisterLayout, value) -> DensityMatrix:
+        """Adopt ``value``, an array or an entries dict, in place and
+        read-only; the caller must hold no other reference."""
+        return cls(layout, _Trusted(value))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            import numpy as np
+
+            shape = self.layout.shape
+            mat = np.zeros((self.layout.total_dim,) * 2, dtype=np.complex128)
+            for (row, col), value in self.entries.items():
+                mat[np.ravel_multi_index(row, shape), np.ravel_multi_index(col, shape)] = value
+            self._matrix = _frozen(mat)
+        return self._matrix
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.layout.total_dim}, labels={self.layout.labels})"
 
 
-def pure_density(state: QState) -> DensityMatrix:
+def pure_density(state) -> DensityMatrix:
+    """|psi><psi| of a ``QState``, dense, or of a ``SparseState``, in entries form."""
+    if isinstance(state, SparseState):
+        items = state.entries.items()
+        return DensityMatrix._trusted(state.layout, {(i, j): a * b.conjugate()
+                                                     for i, a in items for j, b in items})
     import numpy as np
 
     v = state.amplitudes
@@ -641,7 +668,25 @@ def support_state(state: SparseState) -> SparseState:
 
 
 def embed(op: Operator, layout: RegisterLayout) -> Operator:
-    """Dense embedding of ``op`` into a larger layout (identity elsewhere)."""
+    """``op`` on a larger layout, the identity on the other registers.
+
+    A mask-form ``op`` embedded in a layout of power-of-two dimension stays
+    in mask form: its mask digits move to its registers' strides in
+    ``layout``, its phase rule reads its own registers' digits of j, and its
+    flags are copied, as A x I keeps A's.  Any other embedding is dense.
+    """
+    d = layout.total_dim
+    if op.mask_form is not None and not d & (d - 1):
+        plan = _plan(op, layout)
+        strides = [math.prod(layout.shape[ax + 1:]) for ax in range(len(layout.shape))]
+        mask = sum(digit * strides[ax] for ax, digit, _ in plan)
+        reads = [(strides[ax], layout.shape[ax], own) for ax, _, own in plan]
+        phase = op.mask_form[1]
+        out = Operator._mask_op(
+            layout, mask,
+            lambda j: phase(sum(j // stride % dim * own for stride, dim, own in reads)))
+        out._flags = dict(op._flags)
+        return out
     import numpy as np
 
     axes = _check_sublayout(op.layout, layout)
@@ -656,7 +701,6 @@ def embed(op: Operator, layout: RegisterLayout) -> Operator:
     n = len(layout.sites)
     tens = big.reshape(tuple(layout.shape[i] for i in order) * 2)
     tens = np.transpose(tens, perm + [n + p for p in perm])
-    d = layout.total_dim
     return Operator(layout, tens.reshape(d, d))
 
 
@@ -763,17 +807,25 @@ def commutes(a: Operator, b: Operator) -> bool:
     Operators on disjoint registers commute exactly: each entry of both
     products (A x I)(I x B) and (I x B)(A x I) is the same single product
     a_ij * b_kl, so for finite matrices the dense commutator is identically
-    zero and is not formed.  Overlapping supports are checked densely on the
-    union layout, which raises ``LayoutMismatchError`` for a label shared
-    with different dimensions.
+    zero and is not formed.  Overlapping operators are embedded on the union
+    layout, which raises ``LayoutMismatchError`` for a label shared with
+    different dimensions.  For two mask forms, AB and BA both send |0> to a
+    multiple of |m_a ^ m_b>, so the commutator has the entry
+    phase_b(0) phase_a(m_b) - phase_a(0) phase_b(m_a) there; when that
+    exceeds ``NUMERIC_TOL`` the answer is False with no matrix built.  Every
+    other overlapping pair is checked densely.
     """
     if not set(a.layout.labels) & set(b.layout.labels):
         return True
+    common = _union_layout(a.layout, b.layout)
+    a, b = embed(a, common), embed(b, common)
+    if a.mask_form is not None and b.mask_form is not None:
+        (mask_a, phase_a), (mask_b, phase_b) = a.mask_form, b.mask_form
+        if abs(phase_b(0) * phase_a(mask_b) - phase_a(0) * phase_b(mask_a)) > NUMERIC_TOL:
+            return False
     import numpy as np
 
-    common = _union_layout(a.layout, b.layout)
-    am = embed(a, common).matrix
-    bm = embed(b, common).matrix
+    am, bm = a.matrix, b.matrix
     return bool(np.max(np.abs(am @ bm - bm @ am)) <= NUMERIC_TOL)
 
 
@@ -833,14 +885,15 @@ class BornTable:
 
     def marginal(self, names) -> "BornTable":
         """Marginal table over a subset of outcome slots, keeping their order here."""
+        return BornTable(tuple(names), self.marginal_rows(names))
+
+    def marginal_rows(self, names) -> dict[tuple[int, ...], float]:
+        """The rows of ``marginal(names)``, summed without building a checked table."""
         idx = [self.names.index(n) for n in names]
-        rows: dict[tuple[int, ...], float] = {}
-        for outcome in itertools.product((1, -1), repeat=len(idx)):
-            rows[outcome] = 0.0
+        rows = dict.fromkeys(itertools.product((1, -1), repeat=len(idx)), 0.0)
         for outcome, p in self.rows.items():
-            key = tuple(outcome[i] for i in idx)
-            rows[key] += p
-        return BornTable(tuple(self.names[i] for i in idx), rows)
+            rows[tuple(outcome[i] for i in idx)] += p
+        return rows
 
     def with_names(self, names: tuple[str, ...]) -> "BornTable":
         if len(names) != len(self.names):

@@ -16,8 +16,9 @@ an XOR mask plus a phase rule on the flat index: a record and sigma_z are
 (atom, lab) index and the pointer flip every bit of the lab's.  Built in
 ``qcore``'s mask form, with flags set at construction and phases read only
 at a state's entries, they act on psi, a ``qcore.SparseState`` with 8
-amplitudes at every lab width: only a dense ``matrix`` (``vn_unitary``,
-``qcore.commutes``) grows with the width.
+amplitudes at every lab width, and ``qcore.commutes`` reads each
+overlapping pair at two indices: only a dense ``matrix`` (``vn_unitary``)
+grows with the width.
 
 Pointer registers have ``lab_width`` qubits each and are modeled as one
 site of dimension 2**w.  A friend's record observable reads the pointer in

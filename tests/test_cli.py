@@ -665,10 +665,11 @@ def test_lab_width_sixteen_runs(tmp_path, capsys, command):
     assert all(c["passed"] for c in doc["checks"])
 
 
-@pytest.mark.parametrize("command", ["paradox", "decohere"])
+@pytest.mark.parametrize("command", ["paradox", "contexts", "decohere"])
 def test_max_lab_width_runs(tmp_path, capsys, command):
-    # Every operator evaluates its phases at psi's 8 entries only, so the
-    # widest accepted lab costs what width 1 does.
+    # Every operator evaluates its phases at psi's 8 entries, or at the one
+    # index pair commutes reads, so the widest accepted lab costs what
+    # width 1 does.
     code = main([command, "--lab-width", str(MAX_LAB_WIDTH), "--out", str(tmp_path),
                  "--format", "json"])
     assert code == 0
@@ -682,10 +683,8 @@ def cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-@pytest.mark.parametrize("command", ["paradox", "decohere"])
+@pytest.mark.parametrize("command", ["paradox", "contexts", "decohere"])
 def test_max_lab_width_fits_in_512_mib_of_address_space(tmp_path, command):
-    # contexts waits for a mask-form commutes: its dense overlap checks at
-    # width 57 would not fit.
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-m", "wignerlab.cli", command, "--lab-width", str(MAX_LAB_WIDTH),
@@ -695,11 +694,10 @@ def test_max_lab_width_fits_in_512_mib_of_address_space(tmp_path, command):
     assert all(c["passed"] for c in json.loads(result.stdout)["checks"])
 
 
-# contexts still builds dense matrices: at 40 its first allocation, 8 TiB,
-# fails at once.  Widths from about 20 to 35 can commit gigabytes before
-# they fail.  Above MAX_LAB_WIDTH every command that reads the width rejects
+# No command builds an array sized by the width, so every width up to
+# MAX_LAB_WIDTH runs.  Above it every command that reads the width rejects
 # it, and frames, which does not, rejects the key.
-@pytest.mark.parametrize("command,width", [("contexts", 40), ("paradox", 58),
+@pytest.mark.parametrize("command,width", [("contexts", 58), ("paradox", 58),
                                            ("decohere", 58), ("contexts", 60),
                                            ("frames", 58)])
 def test_lab_width_beyond_memory_or_indexing_exits_two(tmp_path, capsys, command, width):

@@ -381,6 +381,35 @@ def test_diagonality_equals_the_masked_sum(width, target, lam):
         assert pointer_diagonality(states[1], target) == 0.0
 
 
+@pytest.mark.parametrize("target", ["L1", "L2", "L3", "a2"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_entries_form_channel_equals_the_dense_channel(width, target):
+    # psi, a SparseState, starts an entries form over supp(psi) x supp(psi);
+    # its dense copy starts a d x d array.  Both must agree bit for bit, as
+    # must each step's residual coherence and that of psi itself.
+    psi = ScenarioModel(width).post_premeasurement_state()
+    assert pure_density(psi).entries is not None
+    assert pure_density(psi.to_dense()).entries is None
+    for lam in (0.0, 0.3, 0.5, 1.0):
+        channel = DephasingChannel(target, lam)
+        sparse = list(dephased_states(psi, channel, 3))
+        dense = list(dephased_states(psi.to_dense(), channel, 3))
+        for fast, slow in zip(sparse, dense, strict=True):
+            assert fast.entries is not None
+            assert len(fast.entries) == len(psi.entries) ** 2
+            assert np.array_equal(fast.matrix, slow.matrix)
+            assert np.array_equal(dephase(fast, channel).matrix, dephase(slow, channel).matrix)
+            assert pointer_diagonality(fast, target) == pointer_diagonality(slow, target)
+    assert pointer_diagonality(psi, target) == pointer_diagonality(dense[0], target)
+
+
+def test_entries_form_matrix_is_built_once_and_read_only():
+    rho = pure_density(ScenarioModel(1).post_premeasurement_state())
+    assert rho.matrix is rho.matrix
+    assert not rho.matrix.flags.writeable
+    assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-15)
+
+
 PARITY_CONTEXTS = tuple(agents for agents, parity in PROTOCOL_CONTEXTS.items()
                         if parity is not None)
 

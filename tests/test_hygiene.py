@@ -3,12 +3,13 @@ importing ``wignerlab`` loads no numpy.
 
 No linter runs over this repository, so an import left behind by a change
 would otherwise go unnoticed.  numpy is imported inside the functions that
-build or read a dense array, so a run that builds none (``frames``,
-``ghz-check``, ``paradox``, help, usage and config errors) starts without
-it, and no default run loads ``numpy.random``.
+build or read a dense array, so a run that builds none (every command,
+help, usage and config errors) runs without it, and no default run loads
+``numpy.random``.
 """
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -120,8 +121,14 @@ def run_probe(tmp_path, args) -> str:
     pytest.param(["paradox", "--out", "{out}"], "0 False", id="paradox"),
     pytest.param(["paradox", "--lab-width", "57", "--out", "{out}"], "0 False",
                  id="paradox-w57"),
-    # The dense reference channel loads numpy, so the probe can see it.
-    pytest.param(["decohere", "--out", "{out}"], "0 True", id="decohere"),
+    # commutes reads two phases per overlapping pair, and the reference
+    # channel iterates an entries form over supp(psi) x supp(psi).
+    pytest.param(["contexts", "--out", "{out}"], "0 False", id="contexts"),
+    pytest.param(["contexts", "--lab-width", "57", "--out", "{out}"], "0 False",
+                 id="contexts-w57"),
+    pytest.param(["decohere", "--out", "{out}"], "0 False", id="decohere"),
+    pytest.param(["decohere", "--lab-width", "57", "--out", "{out}"], "0 False",
+                 id="decohere-w57"),
 ])
 def test_numpy_is_loaded_only_by_dense_work(tmp_path, args, expected):
     assert run_probe(tmp_path, args).rsplit(" ", 1)[0] == expected
@@ -130,3 +137,42 @@ def test_numpy_is_loaded_only_by_dense_work(tmp_path, args, expected):
 @pytest.mark.parametrize("command", ["ghz-check", "paradox", "contexts", "frames", "decohere"])
 def test_no_default_run_loads_numpy_random(tmp_path, command):
     assert run_probe(tmp_path, [command, "--out", "{out}"]).endswith(" False")
+
+
+# numpy made unimportable: a ``sys.meta_path`` finder raises for every numpy
+# module, then ``main`` runs each argument list given as JSON and the exit
+# statuses are printed.
+NO_NUMPY = """
+import contextlib, io, json, sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is unimportable here")
+
+sys.meta_path.insert(0, NoNumpy())
+import wignerlab.cli
+statuses = []
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        statuses.append(wignerlab.cli.main(args))
+print(statuses)
+"""
+
+
+def test_benchmark_invocations_run_where_numpy_cannot_be_imported(tmp_path):
+    # Every command on its defaults, and the wide runs of both benchmark
+    # passes: paradox and contexts at width 4, decohere's width-2 config.
+    config = tmp_path / "decohere-w2.json"
+    config.write_text(json.dumps({"lab_width": 2, "seed": 1, "dephasing": {
+        "target": "L1", "strength": 0.5, "steps": 5}}), encoding="utf-8")
+    runs = [[command] for command in ("ghz-check", "frames", "paradox", "contexts",
+                                      "decohere")]
+    runs += [["paradox", "--lab-width", "4", "--seed", "7"], ["contexts", "--lab-width", "4"],
+             ["contexts", "--lab-width", "57"], ["decohere", "--config", str(config)]]
+    runs = [args + ["--out", str(tmp_path / "out")] for args in runs]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", NO_NUMPY, json.dumps(runs)], env=env,
+                            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str([0] * len(runs))

@@ -233,3 +233,8 @@ def test_global_section_marginal_mismatch():
                                       (-1, -1): 0.0})
     with pytest.raises(MarginalMismatchError):
         global_section_exists([t1, t2])
+    # The message names the first disagreeing row of the shared marginal.
+    with pytest.raises(MarginalMismatchError) as caught:
+        global_section_exists([t2, t1])
+    assert str(caught.value) == "tables 0 and 1 disagree on ['b'] at (1,): 0.0 vs 1.0"
+    assert t1.marginal_rows(["b"]) == t1.marginal(["b"]).rows == {(1,): 1.0, (-1,): 0.0}

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from wignerlab.qcore import (
     spectral_projectors,
     tensor,
 )
+from wignerlab.scenario import AGENTS, ScenarioModel
+from wignerlab.stabilizer import PauliString, parse_pauli, pauli_commutes, to_operator
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -272,6 +275,112 @@ def test_embed_permuted_two_site_operator():
         if a_bit and c_bit:
             diag[idx] = -1
     assert np.max(np.abs(got - np.diag(diag))) <= 1e-12
+
+
+def _dense(op):
+    """The same operator without its mask form, for the dense branches."""
+    return Operator(op.layout, op.matrix)
+
+
+def _union(a, b):
+    return RegisterLayout(a.layout.sites + tuple(s for s in b.layout.sites
+                                                 if s not in a.layout.sites))
+
+
+def _scenario_pairs(width):
+    model = ScenarioModel(width)
+    return [(model.scenario_observable(x), model.scenario_observable(y))
+            for x, y in itertools.combinations(AGENTS, 2)]
+
+
+def _seeded_word_pairs(seed, count=40):
+    """Pairs of signed Pauli words on random subsets of five qubits."""
+    rng = random.Random(seed)
+    labels = ("q1", "q2", "q3", "q4", "q5")
+    pairs = []
+    for _ in range(count):
+        words = []
+        for _ in range(2):
+            on = rng.sample(labels, rng.randint(1, 4))
+            word = parse_pauli(rng.choice(("+", "-", "+i", "-i")) + "".join(
+                rng.choice("IXYZ") for _ in on))
+            words.append((word, to_operator(word, on)))
+        pairs.append(tuple(words))
+    return pairs
+
+
+def _assert_mask_embedding_is_the_dense_one(op, layout):
+    got = embed(op, layout)
+    assert got.mask_form is not None
+    assert np.array_equal(got.matrix, embed(_dense(op), layout).matrix)
+    assert (got.is_hermitian, got.is_unitary, got.is_involutory) == (
+        op.is_hermitian, op.is_unitary, op.is_involutory)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_mask_embed_matches_the_dense_embedding_on_scenario_unions(width):
+    for a, b in _scenario_pairs(width):
+        for op in (a, b):
+            _assert_mask_embedding_is_the_dense_one(op, _union(a, b))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mask_embed_matches_the_dense_embedding_for_seeded_words(seed):
+    layout = qubits("q3", "q1", "q5", "q2", "q4")
+    for (_, a), (_, b) in _seeded_word_pairs(seed):
+        for op in (a, b):
+            _assert_mask_embedding_is_the_dense_one(op, layout)
+            _assert_mask_embedding_is_the_dense_one(op, _union(a, b))
+
+
+def test_mask_embed_keeps_wider_registers_and_goes_dense_off_powers_of_two():
+    # A phase rule over a dimension-4 register, and a layout with a qutrit.
+    op = Operator.from_mask(RegisterLayout((("p", 4), ("a", 2))), 0b110,
+                            [1, -1, 1j, -1j, -1, 1, 1j, 1j])
+    _assert_mask_embedding_is_the_dense_one(
+        op, RegisterLayout((("b", 2), ("a", 2), ("c", 4), ("p", 4))))
+    odd = RegisterLayout((("a", 2), ("t", 3), ("p", 4)))
+    got = embed(op, odd)
+    assert got.mask_form is None
+    assert np.array_equal(got.matrix, embed(_dense(op), odd).matrix)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_commutes_matches_the_dense_verdict_on_scenario_pairs(width):
+    pairs = _scenario_pairs(width)
+    verdicts = [commutes(a, b) for a, b in pairs]
+    assert verdicts == [commutes(_dense(a), _dense(b)) for a, b in pairs]
+    assert verdicts.count(False) == 3
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_commutes_matches_the_dense_verdict_for_seeded_words(seed):
+    for (pa, a), (pb, b) in _seeded_word_pairs(seed):
+        verdict = commutes(a, b)
+        assert verdict is commutes(_dense(a), _dense(b))
+        # The symplectic rule on the words padded to the union.
+        labels = _union(a, b).labels
+        padded = [PauliString(p.phase_exp, "".join(
+            dict(zip(op.layout.labels, p.letters)).get(label, "I") for label in labels))
+                  for p, op in ((pa, a), (pb, b))]
+        assert verdict is pauli_commutes(*padded)
+
+
+def test_commuting_overlapping_mask_forms_reach_the_dense_branch(monkeypatch):
+    built = []
+    matrix = Operator.matrix.fget
+    monkeypatch.setattr(Operator, "matrix",
+                        property(lambda op: built.append(op.layout.labels) or matrix(op)))
+    zz = to_operator(parse_pauli("+ZZ"), ("a", "b"))
+    xx = to_operator(parse_pauli("+XX"), ("a", "b"))
+    zb = to_operator(parse_pauli("+Z"), ("b",))
+    assert commutes(zz, xx) and commutes(zb, zz)
+    # Each call reads both embedded matrices on its union layout.
+    assert built == [("a", "b")] * 2 + [("b", "a")] * 2
+    built.clear()
+    # X on a against Z x Z: the entry at |0> differs, and no matrix is built.
+    assert not commutes(to_operator(parse_pauli("+X"), ("a",)), zz)
+    assert built == []
 
 
 def test_spectral_projectors_sigma_z():

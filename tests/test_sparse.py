@@ -442,7 +442,7 @@ def test_scenario_flags_set_at_construction_equal_the_computed_flags(width):
 
 
 def norm(state):
-    return float(np.linalg.norm(state.nonzero()))
+    return float(np.linalg.norm(list(state.entries.values())))
 
 
 @pytest.mark.parametrize("width", WIDTHS)
