@@ -15,9 +15,8 @@ canonicalized physics configuration, so reordering keys in the config
 file does not move the output.  Each report is rendered once: text stdout
 is the ``.report.txt`` bytes, timestamp included, followed by a
 ``report: <path>`` line, and ``--format json`` stdout is the
-``.report.json`` bytes.  numpy is loaded only by the first dense array a
-run builds, and no command builds one, so every command, ``--help``,
-``--version`` and every usage or config error run without it.
+``.report.json`` bytes.  No command, ``--help``, ``--version`` or usage
+or config error imports numpy: it is a test-only dependency.
 
 Config file grammar (JSON object; every key optional).  Each key's
 default, check and readers live in one table in this module, ``_KEYS``.

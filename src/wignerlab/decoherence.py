@@ -21,13 +21,12 @@ branches psi_j = P_j psi / sqrt(w_j), w_j = ||P_j psi||**2, and the
 residual coherence is q**k times that of psi.  ``dephase`` and
 ``dephased_states`` keep the iterated channel as the reference.  It
 scales each entry of the density matrix on its own, so an entry outside
-supp(psi) x supp(psi) is zero at every step, and from a ``SparseState``
-it runs on the entries form of ``qcore.DensityMatrix``, a dict over
-supp(psi) x supp(psi) summed with ``math.fsum``, with no array and no
-numpy.  At every lab_width the ``decohere`` subcommand iterates it on
-psi's support layout (``qcore.support_state``, d' = 64) and checks the
+supp(psi) x supp(psi) is zero at every step, and it runs on the entries
+of ``qcore.DensityMatrix``, a dict over supp(psi) x supp(psi) summed with
+``math.fsum``.  At every lab_width the ``decohere`` subcommand iterates it
+on psi's support layout (``qcore.support_state``, d' = 64) and checks the
 diagonality series against it; the tests check every series against the
-full d x d dense iterate at widths 1 and 2.
+full d x d iterate of their dense oracle at widths 1 and 2.
 """
 
 from __future__ import annotations
@@ -61,50 +60,34 @@ class DephasingChannel:
 
 
 def _as_density(state) -> qcore.DensityMatrix:
-    if isinstance(state, (qcore.QState, qcore.SparseState)):
+    if isinstance(state, qcore.SparseState):
         return qcore.pure_density(state)
     if isinstance(state, qcore.DensityMatrix):
         return state
-    raise TypeError(
-        f"expected QState, SparseState or DensityMatrix, got {type(state).__name__}")
+    raise TypeError(f"expected SparseState or DensityMatrix, got {type(state).__name__}")
 
 
 def dephase(state, channel: DephasingChannel) -> qcore.DensityMatrix:
     """One application of the channel; accepts a pure state or a density matrix.
 
     Every entry whose row and column differ on the target register is
-    scaled by 1 - strength: entry by entry for an entries form, which a
-    ``SparseState`` gives, and by one broadcast product for a dense matrix.
+    scaled by 1 - strength.
     """
     rho = _as_density(state)
     ax = rho.layout.axis(channel.target)
     q = 1.0 - channel.strength
     # Hermitian, unit-trace and PSD whenever rho is: see qcore.DensityMatrix.
-    if rho.entries is not None:
-        return qcore.DensityMatrix._trusted(rho.layout, {
-            (i, j): v if i[ax] == j[ax] else v * q for (i, j), v in rho.entries.items()})
-    import numpy as np
-
-    dim = rho.layout.shape[ax]
-    n = len(rho.layout.sites)
-    arr = rho.matrix.reshape(rho.layout.shape + rho.layout.shape)
-    scale = np.full((dim, dim), q)
-    np.fill_diagonal(scale, 1.0)
-    shape = [1] * (2 * n)
-    shape[ax] = dim
-    shape[n + ax] = dim
-    arr = arr * scale.reshape(shape)
-    d = rho.layout.total_dim
-    return qcore.DensityMatrix._trusted(rho.layout, arr.reshape(d, d))
+    return qcore.DensityMatrix(rho.layout, {
+        (i, j): v if i[ax] == j[ax] else v * q for (i, j), v in rho.entries.items()})
 
 
 def dephased_states(state, channel: DephasingChannel, steps: int):
     """The iterated reference channel: rho, D(rho), ..., D**steps(rho), lazily.
 
     A ``SparseState`` starts an entries form over supp(psi) x supp(psi),
-    which every step keeps, so ``decohere`` runs it at every lab_width with
-    no array (on psi's support layout, d' = 64); the tests also run it
-    from dense states and read each step's ``matrix`` at lab_width 1 and 2.
+    which every step keeps, so ``decohere`` runs it at every lab_width
+    (on psi's support layout, d' = 64); the tests also read each step
+    densely through their oracle at lab_width 1 and 2.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -120,35 +103,17 @@ def pointer_diagonality(state, target: str) -> float:
     when the state is block-diagonal in the target's pointer basis.  For a
     pure state the entries are |c_a||c_b|, so with m_j the summed
     magnitudes of pointer branch j the value is ((sum m_j)**2 - sum m_j**2)/d,
-    taken from the nonzero entries alone (a ``QState`` goes through
-    ``SparseState.from_dense``).  A density matrix in entries form is summed
-    over its entries, each sum a ``math.fsum``; a dense one entry by entry
-    with numpy.
+    taken from the nonzero entries alone.  A density matrix is summed over
+    its entries.  Each sum is a ``math.fsum``.
     """
-    if isinstance(state, qcore.QState):
-        state = qcore.SparseState.from_dense(state)
     if isinstance(state, qcore.SparseState):
         m = [math.sqrt(w) * math.fsum(abs(a) for a in branch.entries.values())
              for w, branch in qcore.split_register(state, target)]
         return (math.fsum(m) ** 2 - math.fsum(x * x for x in m)) / state.layout.total_dim
     rho = _as_density(state)
     ax = rho.layout.axis(target)
-    if rho.entries is not None:
-        return math.fsum(abs(v) for (i, j), v in rho.entries.items()
-                         if i[ax] != j[ax]) / rho.layout.total_dim
-    import numpy as np
-
-    dim = rho.layout.shape[ax]
-    n = len(rho.layout.sites)
-    mags = np.abs(rho.matrix)
-    # Zero the diagonal blocks in place: the same values, layout and summation
-    # order as multiplying by an off-diagonal mask, without the product.
-    blocks = mags.reshape(rho.layout.shape + rho.layout.shape)
-    index = [slice(None)] * (2 * n)
-    for j in range(dim):
-        index[ax] = index[n + ax] = j
-        blocks[tuple(index)] = 0.0
-    return float(np.sum(mags) / rho.layout.total_dim)
+    return math.fsum(abs(v) for (i, j), v in rho.entries.items()
+                     if i[ax] != j[ax]) / rho.layout.total_dim
 
 
 def diagonality_trajectory(state, channel: DephasingChannel,
@@ -158,10 +123,10 @@ def diagonality_trajectory(state, channel: DephasingChannel,
     With q = 1 - strength, D**k scales every entry between distinct pointer
     states by q**k and keeps the rest, so the series needs one
     ``pointer_diagonality``, which for a pure state costs O(entries).  The
-    dense check iterates ``dephase`` through ``dephased_states`` and reads
-    ``pointer_diagonality`` at every step; the ``decohere`` subcommand runs
-    it at every lab_width on psi's support layout, each value rescaled by
-    d'/d.
+    reference check iterates ``dephase`` through ``dephased_states`` and
+    reads ``pointer_diagonality`` at every step; the ``decohere`` subcommand
+    runs it at every lab_width on psi's support layout, each value rescaled
+    by d'/d.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")

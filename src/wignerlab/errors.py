@@ -20,16 +20,12 @@ class LayoutMismatchError(ValueError):
     """Operator and state layouts disagree (labels or dimensions)."""
 
 
-class NotUnitaryError(ValueError):
-    """Operator fails the unitarity check at ``qcore.STRUCTURAL_TOL``."""
-
-
 class NotHermitianError(ValueError):
-    """Operator fails the hermiticity check at ``qcore.STRUCTURAL_TOL``."""
+    """A Pauli generator carries an imaginary phase, so it is not hermitian."""
 
 
 class NotInvolutoryError(ValueError):
-    """Operator squared is not the identity at ``qcore.STRUCTURAL_TOL``."""
+    """Operator is not a +-1 observable (hermitian and squaring to the identity)."""
 
 
 class NonrealResultError(ValueError):

@@ -16,9 +16,8 @@ an XOR mask plus a phase rule on the flat index: a record and sigma_z are
 (atom, lab) index and the pointer flip every bit of the lab's.  Built in
 ``qcore``'s mask form, with flags set at construction and phases read only
 at a state's entries, they act on psi, a ``qcore.SparseState`` with 8
-amplitudes at every lab width, and ``qcore.commutes`` reads each
-overlapping pair at two indices: only a dense ``matrix`` (``vn_unitary``)
-grows with the width.
+amplitudes at every lab width, and ``qcore.commutes`` decides each
+overlapping pair from their phases: nothing grows with the width.
 
 Pointer registers have ``lab_width`` qubits each and are modeled as one
 site of dimension 2**w.  A friend's record observable reads the pointer in
@@ -91,21 +90,6 @@ def _flip(pointer: RegisterLayout) -> Operator:
     return Operator.from_pauli_mask(pointer, pointer.total_dim - 1, lambda j: 1.0)
 
 
-def vn_unitary(observable: Operator, pointer: RegisterLayout) -> Operator:
-    """Premeasurement unitary P_plus x I + P_minus x F for a +-1 observable, dense.
-
-    F flips every qubit of the pointer register, so a pointer prepared in
-    all-zeros ends correlated with the observable's eigenvalue.  This is the
-    dense oracle of ``MeasurementSpec.apply`` on a sparse state.
-    """
-    import numpy as np
-
-    plus, minus = qcore.spectral_projectors(observable)
-    dp = pointer.total_dim
-    mat = np.kron(plus.matrix, np.eye(dp)) + np.kron(minus.matrix, _flip(pointer).matrix)
-    return Operator(observable.layout.concat(pointer), mat)
-
-
 def _majority_diagonal(width: int):
     """The record's phase rule: +1 where most pointer qubits read 0.  A tie
     goes to the first qubit, the top bit of j, which adds a half vote."""
@@ -120,19 +104,10 @@ class MeasurementSpec:
     observable: Operator = field(repr=False)
     pointer: RegisterLayout = field(repr=False)
 
-    def unitary(self) -> Operator:
-        return vn_unitary(self.observable, self.pointer)
-
-    def apply(self, state):
-        """This premeasurement applied to a dense or a sparse state.
-
-        A sparse state never meets the dense unitary: it takes the
-        premeasurement as P_plus + F P_minus, F the pointer flip, through
-        ``qcore.apply_controlled``.
-        """
-        if isinstance(state, qcore.SparseState):
-            return qcore.apply_controlled(self.observable, _flip(self.pointer), state)
-        return qcore.apply(self.unitary(), state)
+    def apply(self, state: qcore.SparseState) -> qcore.SparseState:
+        """This premeasurement, P_plus + F P_minus with F the pointer flip,
+        applied to a sparse state through ``qcore.apply_controlled``."""
+        return qcore.apply_controlled(self.observable, _flip(self.pointer), state)
 
 
 class ScenarioModel:
@@ -263,23 +238,10 @@ def run_friend_stage(model: ScenarioModel, order=FRIENDS) -> qcore.SparseState:
     return state
 
 
-def extend_with_probe(model: ScenarioModel, state, agent: str):
+def extend_with_probe(model: ScenarioModel, state: qcore.SparseState,
+                      agent: str) -> qcore.SparseState:
     """Adjoin the agent's external pointer register, ready in all-zeros."""
-    probe = model.probe_layout(agent)
-    if isinstance(state, qcore.SparseState):
-        return qcore.tensor(state, qcore.SparseState(probe, {(0,): 1.0}))
-    return qcore.tensor(state, qcore.basis_state(probe, 0))
-
-
-def run_wigner_stage(model: ScenarioModel, state, order=WIGNERS):
-    """Apply lab measurements for the given agents, adjoining probes as needed."""
-    for agent in order:
-        _check_agent(agent)
-        if agent not in WIGNERS:
-            raise UnknownAgentError(f"{agent} has no lab measurement")
-        state = extend_with_probe(model, state, agent)
-        state = model.wigner_spec(agent).apply(state)
-    return state
+    return qcore.tensor(state, qcore.SparseState(model.probe_layout(agent), {(0,): 1.0}))
 
 
 def scenario_context(model: ScenarioModel, agents) -> dict[str, Operator]:

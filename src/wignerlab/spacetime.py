@@ -163,57 +163,36 @@ def _solve_negated(gram, rhs):
 
 
 def _gram_eigenvalues(gram, exact, square) -> tuple[float, ...]:
-    """Ascending eigenvalues of the float Gram matrix ``gram``, which is the
-    integer matrix ``exact`` over ``square``."""
-    k = len(gram)
-    if k <= 1:
+    """Ascending eigenvalues of the float Gram matrix ``gram``, at most
+    2 x 2, which is the integer matrix ``exact`` over ``square``."""
+    if len(gram) <= 1:
         return tuple(row[0] for row in gram)
-    if k == 2:
-        (a, b), (_, c) = exact
-        half_trace = (a + c) / (2 * square)
-        radius = math.sqrt(((a - c) ** 2 + 4 * b * b) / (4 * square * square))
-        # The larger-magnitude root, then the other from the exact
-        # determinant, so neither loses digits to cancellation.
-        large = half_trace - radius if half_trace < 0 else half_trace + radius
-        det = a * c - b * b
-        small = det / (square * square) / large if det else 0.0
-        return tuple(sorted((large, small)))
-    # Cyclic Jacobi sweeps, each rotation zeroing one off-diagonal pair,
-    # until the off-diagonal part is below 1e-15 of the norm.
-    m = [list(row) for row in gram]
-    norm = sum(x * x for row in m for x in row)
-    for _ in range(32):
-        if sum(m[p][q] ** 2 for p in range(k) for q in range(p + 1, k)) <= 1e-30 * norm:
-            break
-        for p in range(k):
-            for q in range(p + 1, k):
-                if m[p][q] == 0.0:
-                    continue
-                theta = (m[q][q] - m[p][p]) / (2 * m[p][q])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                for r in range(k):
-                    m[r][p], m[r][q] = c * m[r][p] - s * m[r][q], s * m[r][p] + c * m[r][q]
-                for r in range(k):
-                    m[p][r], m[q][r] = c * m[p][r] - s * m[q][r], s * m[p][r] + c * m[q][r]
-                m[p][q] = m[q][p] = 0.0
-    return tuple(sorted(m[i][i] for i in range(k)))
+    (a, b), (_, c) = exact
+    half_trace = (a + c) / (2 * square)
+    radius = math.sqrt(((a - c) ** 2 + 4 * b * b) / (4 * square * square))
+    # The larger-magnitude root, then the other from the exact
+    # determinant, so neither loses digits to cancellation.
+    large = half_trace - radius if half_trace < 0 else half_trace + radius
+    det = a * c - b * b
+    small = det / (square * square) / large if det else 0.0
+    return tuple(sorted((large, small)))
 
 
 def frame_for_events(events) -> FrameSolution:
-    """Simultaneity frame for any event collection, decided exactly.
+    """Simultaneity frame for one to three events, decided exactly.
 
-    Affinely dependent collections are reduced to an independent subset of
-    difference vectors first, so collinear-but-simultaneous triples come
-    back with the rest frame instead of an error.  Rank, definiteness and
+    Three events are all a report asks about: ``frames`` takes triples,
+    and every maximal context has three agents.  Affinely dependent
+    collections are reduced to an independent subset of difference vectors
+    first, so collinear-but-simultaneous triples come back with the rest
+    frame instead of an error.  Rank, definiteness and
     the frame's normal are exact integer arithmetic on the coordinates as
     given, with no tolerance: every difference lies exactly in the span the
     frame is orthogonal to, so an admissible frame's residual is 0.0.
     """
     events = tuple(events)
-    if not events:
-        raise ValueError("frame_for_events() needs at least one event")
+    if not 1 <= len(events) <= 3:
+        raise ValueError(f"frame_for_events() takes one to three events, not {len(events)}")
     differences, scale = _scaled_differences(events)
     diffs = _independent(differences)
     exact = [[minkowski_dot(a, b) for b in diffs] for a in diffs]

@@ -1,11 +1,10 @@
-"""born_table's outcome-tree walk against two oracles.
+"""born_table's outcome-tree walk against the dense oracle.
 
-The dense oracle builds every projector product on the full space with
-``embed``; the per-row oracle is the earlier implementation, which rebuilt
-the chain of (I +- O)/2 products for each row separately.  For the
-scenario's and the Pauli tables the tree must agree with the per-row chain
-bit for bit, since their observables are monomial with entries in
-{0, +-1, +-i}.
+The oracle, ``dense_oracle.born_rows``, is the earlier implementation: it
+rebuilds the chain of (I +- O)/2 products for each row separately, k * 2**k
+contractions on the state tensor.  For the scenario's and the Pauli tables
+the tree must agree with the per-row chain to the pinned 1e-12, since their
+observables are monomial with entries in {0, +-1, +-i}.
 """
 
 import itertools
@@ -13,129 +12,63 @@ import itertools
 import numpy as np
 import pytest
 
+import dense_oracle as oracle
 from wignerlab import qcore
-from wignerlab.qcore import (
-    DensityMatrix,
-    Operator,
-    QState,
-    RegisterLayout,
-    born_table,
-    embed,
-    pure_density,
-)
+from wignerlab.qcore import Operator, RegisterLayout, born_table
 from wignerlab.scenario import PROTOCOL_CONTEXTS, ScenarioModel, scenario_context
 from wignerlab.stabilizer import joint_eigenstate, parse_pauli, to_operator
 
-
-def per_row_chain_rows(observables, state):
-    """The earlier born_table body: one projector chain per row, k * 2**k contractions."""
-    layout = state.layout
-
-    def contract(matrix, arr, axes):
-        k = len(axes)
-        dims = [layout.shape[a] for a in axes]
-        out = np.tensordot(matrix.reshape(dims + dims), arr,
-                           axes=(list(range(k, 2 * k)), axes))
-        return np.moveaxis(out, list(range(k)), axes)
-
-    projectors = []
-    for o in observables:
-        eye = np.eye(o.layout.total_dim, dtype=np.complex128)
-        projectors.append({1: (eye + o.matrix) / 2.0, -1: (eye - o.matrix) / 2.0})
-    rows = {}
-    for outcome in itertools.product((1, -1), repeat=len(observables)):
-        if isinstance(state, QState):
-            vec = state.amplitudes
-            for o, proj, s in zip(observables, projectors, outcome):
-                axes = qcore._check_sublayout(o.layout, layout)
-                vec = contract(proj[s], vec.reshape(layout.shape), axes).reshape(-1)
-            rows[outcome] = float(np.real(np.vdot(vec, vec)))
-        else:
-            d = layout.total_dim
-            mat = state.matrix
-            for o, proj, s in zip(observables, projectors, outcome):
-                axes = qcore._check_sublayout(o.layout, layout)
-                mat = contract(proj[s], mat.reshape(layout.shape + (d,)), axes).reshape(d, d)
-            rows[outcome] = float(np.real(np.trace(mat)))
-    return rows
-
-
-def dense_oracle_rows(observables, state):
-    """Each row from the full-space projector product built with ``embed``."""
-    layout = state.layout
-    d = layout.total_dim
-    full = [embed(o, layout).matrix for o in observables]
-    rows = {}
-    for outcome in itertools.product((1, -1), repeat=len(observables)):
-        proj = np.eye(d, dtype=np.complex128)
-        for m, s in zip(full, outcome):
-            proj = proj @ ((np.eye(d) + s * m) / 2.0)
-        if isinstance(state, QState):
-            rows[outcome] = float(np.real(state.amplitudes.conj() @ proj @ state.amplitudes))
-        else:
-            rows[outcome] = float(np.real(np.trace(proj @ state.matrix)))
-    return rows
-
-
-def _random_unitary(rng, d):
-    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, _ = np.linalg.qr(raw)
-    return q
-
+TOL = 1e-12
 
 # Mixed dimensions, in an order no operator below uses.
-_LAYOUT = RegisterLayout((("c", 2), ("a", 2), ("b", 3), ("d", 2)))
+_LAYOUT = RegisterLayout((("c", 2), ("a", 2), ("b", 4), ("d", 2)))
 # Supports overlap on registers and list them in orders of their own.
 _SUPPORTS = (("a", "b"), ("b", "c"), ("d",), ("c", "a", "d"))
 
 
-def _commuting_involutions(rng, k):
-    """k non-monomial observables diagonal in one random product basis.
+def _pm1_observable(rng, layout):
+    """A random +-1 mask form: real signs, equal across j and j ^ mask."""
+    d = layout.total_dim
+    mask = int(rng.integers(d))
+    signs = rng.choice([1.0, -1.0], size=d).tolist()
+    return Operator.from_pauli_mask(layout, mask, lambda j: signs[min(j, j ^ mask)])
 
-    Each is R D R^dagger on its support, with R the tensor product of fixed
-    random single-register unitaries and D a random +-1 diagonal, so all
-    of them commute although their supports overlap.
-    """
-    rotations = {label: _random_unitary(rng, dim) for label, dim in _LAYOUT.sites}
+
+def _commuting_involutions(rng, k):
+    """k random +-1 mask forms on overlapping supports, each drawn again
+    until it commutes with those before it (by the oracle's commutator)."""
     out = []
     for support in _SUPPORTS[:k]:
-        sub = RegisterLayout(tuple((l, _LAYOUT.dim(l)) for l in support))
-        r = np.array([[1.0 + 0j]])
-        for label in support:
-            r = np.kron(r, rotations[label])
-        signs = rng.choice([1.0, -1.0], size=sub.total_dim)
-        signs[0], signs[-1] = 1.0, -1.0  # neither +I nor -I
-        out.append(Operator(sub, r @ np.diag(signs) @ r.conj().T))
+        sub = RegisterLayout(tuple((label, _LAYOUT.dim(label)) for label in support))
+        op = _pm1_observable(rng, sub)
+        while not all(oracle.commutes(op, other) for other in out):
+            op = _pm1_observable(rng, sub)
+        out.append(op)
     return out
 
 
 def _random_state(rng):
-    d = _LAYOUT.total_dim
-    raw = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return QState(_LAYOUT, raw / np.linalg.norm(raw))
-
-
-def _random_density(rng):
-    d = _LAYOUT.total_dim
-    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = raw @ raw.conj().T
-    return DensityMatrix(_LAYOUT, rho / np.trace(rho).real)
+    raw = rng.normal(size=_LAYOUT.shape) + 1j * rng.normal(size=_LAYOUT.shape)
+    return oracle.sparse(_LAYOUT, raw / np.linalg.norm(raw))
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", range(3))
 def test_tree_matches_dense_projector_oracle(seed, k, kind):
+    # A mixed state enters as its pure components: the tree's rows, weighted,
+    # against the oracle's Tr(P rho) on the mixture's d x d matrix.
     rng = np.random.default_rng(100 * seed + 10 * k + (kind == "mixed"))
     observables = _commuting_involutions(rng, k)
-    assert all(np.count_nonzero(np.abs(o.matrix) > 1e-9) > o.layout.total_dim
-               for o in observables)  # not monomial
-    state = _random_state(rng) if kind == "pure" else _random_density(rng)
-    table = born_table(observables, state)
-    assert list(table.rows) == list(itertools.product((1, -1), repeat=k))
-    oracle = dense_oracle_rows(observables, state)
-    for outcome, p in table.rows.items():
-        assert abs(p - oracle[outcome]) <= 1e-12
+    states = [_random_state(rng) for _ in range(3 if kind == "mixed" else 1)]
+    weights = rng.dirichlet(np.ones(len(states)))
+    tables = [born_table(observables, s) for s in states]
+    assert all(list(t.rows) == list(itertools.product((1, -1), repeat=k)) for t in tables)
+    rho = sum(w * oracle.matrix(qcore.pure_density(s)) for w, s in zip(weights, states))
+    expected = oracle.born_rows(observables, rho, _LAYOUT)
+    for outcome in expected:
+        got = sum(w * t.rows[outcome] for w, t in zip(weights, tables))
+        assert abs(got - expected[outcome]) <= TOL
 
 
 def _paradox_contexts(model):
@@ -146,26 +79,22 @@ def _paradox_contexts(model):
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_tree_is_bitwise_the_per_row_chain_on_paradox_contexts(width):
     model = ScenarioModel(width)
-    psi = model.post_premeasurement_state().to_dense()
+    psi = model.post_premeasurement_state()
     for context in _paradox_contexts(model):
         observables = tuple(context.values())
         rows = born_table(observables, psi).rows
-        assert rows == per_row_chain_rows(observables, psi)
+        assert rows == oracle.born_rows(observables, oracle.tensor(psi), psi.layout)
         assert list(rows) == list(itertools.product((1, -1), repeat=3))
 
 
 def test_tree_is_bitwise_the_per_row_chain_on_density_matrices():
     model = ScenarioModel(1)
-    psi = model.post_premeasurement_state().to_dense()
-    rng = np.random.default_rng(5)
-    d = psi.layout.total_dim
-    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    mixed = raw @ raw.conj().T
-    for rho in (pure_density(psi),
-                DensityMatrix(psi.layout, mixed / np.trace(mixed).real)):
-        for context in _paradox_contexts(model):
-            observables = tuple(context.values())
-            assert born_table(observables, rho).rows == per_row_chain_rows(observables, rho)
+    psi = model.post_premeasurement_state()
+    rho = oracle.matrix(qcore.pure_density(psi))
+    for context in _paradox_contexts(model):
+        observables = tuple(context.values())
+        assert born_table(observables, psi).rows == oracle.born_rows(observables, rho,
+                                                                     psi.layout)
 
 
 def _ghz_contexts(labels):
@@ -181,40 +110,22 @@ def _ghz_contexts(labels):
 @pytest.mark.parametrize("generators", [("+XZZ", "+ZXZ", "+ZZX"),
                                         ("-XZZ", "+ZXZ", "-ZZX")])
 def test_tree_is_bitwise_the_per_row_chain_on_ghz_tables(generators):
-    state = joint_eigenstate(tuple(parse_pauli(g) for g in generators)).to_dense()
+    state = joint_eigenstate(tuple(parse_pauli(g) for g in generators))
     for observables in _ghz_contexts(state.layout.labels):
-        assert born_table(observables, state).rows == per_row_chain_rows(observables, state)
+        assert born_table(observables, state).rows == oracle.born_rows(
+            observables, oracle.tensor(state), state.layout)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_tree_makes_one_contraction_per_inner_node(monkeypatch, k):
     calls = []
-    original = qcore._contract
+    original = qcore._sparse_contract
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(qcore, "_contract", counting)
+    monkeypatch.setattr(qcore, "_sparse_contract", counting)
     rng = np.random.default_rng(k)
     born_table(_commuting_involutions(rng, k), _random_state(rng))
     assert len(calls) == 2 ** k - 1  # the per-row chain made k * 2**k
-
-
-@pytest.mark.parametrize("axes", [[0], [2], [3], [1, 2], [3, 0], [2, 0, 3]])
-@pytest.mark.parametrize("trailing", [(), (5,)])
-def test_contract_output_is_contiguous_and_equals_moveaxis_tensordot(axes, trailing):
-    rng = np.random.default_rng(len(axes) + len(trailing))
-    shape = _LAYOUT.shape + trailing
-    arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    dims = [_LAYOUT.shape[a] for a in axes]
-    m = int(np.prod(dims))
-    matrix = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    got = qcore._contract(matrix, arr, _LAYOUT, axes)
-    k = len(axes)
-    expected = np.moveaxis(
-        np.tensordot(matrix.reshape(dims + dims), arr, axes=(list(range(k, 2 * k)), axes)),
-        list(range(k)), axes)
-    assert got.flags.c_contiguous
-    assert got.shape == shape
-    assert np.array_equal(got, expected)

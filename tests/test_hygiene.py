@@ -1,10 +1,11 @@
 """Import hygiene: every name a module imports is read in that module, and
-importing ``wignerlab`` loads no numpy.
+numpy is a test-only dependency.
 
 No linter runs over this repository, so an import left behind by a change
-would otherwise go unnoticed.  numpy is imported inside the functions that
-build or read a dense array, so a run that builds none (every command,
-help, usage and config errors) runs without it, and no default run loads
+would otherwise go unnoticed.  ``pyproject.toml`` declares no runtime
+dependency, and the only numpy import in ``src/`` is inside
+``Operator.matrix``, which the tests' oracle reads: every command, help,
+usage and config error runs without numpy, and no default run loads
 ``numpy.random``.
 """
 
@@ -14,6 +15,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -74,6 +76,64 @@ def test_no_module_imports_numpy_at_import_time(path):
     assert numpy_imports_at_import_time(path.read_text(encoding="utf-8")) == []
 
 
+def numpy_imports_outside_operator_matrix(source: str) -> list[int]:
+    """Lines that import numpy anywhere but in ``Operator.matrix`` or under
+    ``if TYPE_CHECKING:``."""
+    found = []
+
+    def visit(node, inside_matrix):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            for child in node.orelse:
+                visit(child, inside_matrix)
+            return
+        if isinstance(node, ast.ClassDef) and node.name == "Operator":
+            for child in node.body:
+                visit(child, isinstance(child, ast.FunctionDef) and child.name == "matrix")
+            return
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        if any(n == "numpy" or n.startswith("numpy.") for n in names) and not inside_matrix:
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside_matrix)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "wignerlab").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_numpy_is_imported_only_by_operator_matrix(path):
+    assert numpy_imports_outside_operator_matrix(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_matrix_import_check_finds_other_imports():
+    source = textwrap.dedent("""\
+        from typing import TYPE_CHECKING
+        if TYPE_CHECKING:
+            import numpy as np
+        class Operator:
+            def matrix(self):
+                import numpy as np
+            def other(self):
+                import numpy as np
+        def f():
+            from numpy import linalg
+        """)
+    assert numpy_imports_outside_operator_matrix(source) == [8, 10]
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["dependencies"] == []
+    assert any(d.startswith("numpy") for d in project["optional-dependencies"]["test"])
+
+
 def test_the_numpy_import_check_finds_module_level_imports():
     source = ("import numpy as np\n"
               "from numpy.linalg import norm\n"
@@ -121,7 +181,7 @@ def run_probe(tmp_path, args) -> str:
     pytest.param(["paradox", "--out", "{out}"], "0 False", id="paradox"),
     pytest.param(["paradox", "--lab-width", "57", "--out", "{out}"], "0 False",
                  id="paradox-w57"),
-    # commutes reads two phases per overlapping pair, and the reference
+    # commutes sweeps the phases of each overlapping pair, and the reference
     # channel iterates an entries form over supp(psi) x supp(psi).
     pytest.param(["contexts", "--out", "{out}"], "0 False", id="contexts"),
     pytest.param(["contexts", "--lab-width", "57", "--out", "{out}"], "0 False",
@@ -161,18 +221,38 @@ print(statuses)
 
 
 def test_benchmark_invocations_run_where_numpy_cannot_be_imported(tmp_path):
-    # Every command on its defaults, and the wide runs of both benchmark
-    # passes: paradox and contexts at width 4, decohere's width-2 config.
+    # Every command on its defaults, the wide runs of both benchmark
+    # passes (paradox and contexts at width 4, decohere's width-2 config),
+    # and contexts and decohere at the widest lab.
     config = tmp_path / "decohere-w2.json"
     config.write_text(json.dumps({"lab_width": 2, "seed": 1, "dephasing": {
         "target": "L1", "strength": 0.5, "steps": 5}}), encoding="utf-8")
     runs = [[command] for command in ("ghz-check", "frames", "paradox", "contexts",
                                       "decohere")]
     runs += [["paradox", "--lab-width", "4", "--seed", "7"], ["contexts", "--lab-width", "4"],
-             ["contexts", "--lab-width", "57"], ["decohere", "--config", str(config)]]
+             ["contexts", "--lab-width", "57"], ["decohere", "--lab-width", "57"],
+             ["decohere", "--config", str(config)]]
     runs = [args + ["--out", str(tmp_path / "out")] for args in runs]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", NO_NUMPY, json.dumps(runs)], env=env,
                             cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == str([0] * len(runs))
+
+
+# numpy made unimportable, then one commuting overlapping pair decided at
+# lab width 11, where the pointer register has dimension 2048.
+NO_NUMPY_COMMUTES = NO_NUMPY.split("import wignerlab.cli")[0] + """
+from wignerlab import qcore
+from wignerlab.scenario import ScenarioModel
+model = ScenarioModel(11)
+print(qcore.commutes(model.record_observable("Alice"), model.record_observable("Alice")))
+"""
+
+
+def test_commuting_overlapping_pair_is_decided_where_numpy_cannot_be_imported(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", NO_NUMPY_COMMUTES], env=env, cwd=tmp_path,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True"

@@ -36,25 +36,30 @@ ALL_TRANSVERSALS = tuple(itertools.product(
     ("Alice", "Eugene"), ("Bob", "Johnny"), ("Charlie", "Daniel")))
 
 
-def random_unitary(rng, dim):
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(raw)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def random_unitary(rng, layout):
+    """A mask form with a random mask and random unit phases."""
+    d = layout.total_dim
+    phases = np.exp(2j * np.pi * rng.random(d)).tolist()
+    return qcore.Operator.from_pauli_mask(layout, int(rng.integers(d)), phases.__getitem__)
 
 
 def test_random_subsystem_unitaries_preserve_norm():
+    # Each unitary acts where a random +-1 diagonal on the other registers
+    # reads -1, through apply_controlled.
     rng = np.random.default_rng(31415)
     layout = qcore.qubits("p", "q", "r")
     labels = layout.labels
     for _ in range(50):
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = qcore.QState(layout, vec / np.linalg.norm(vec))
-        k = int(rng.integers(1, 4))
-        chosen = tuple(sorted(rng.choice(3, size=k, replace=False)))
-        sub = qcore.RegisterLayout(tuple((labels[i], 2) for i in chosen))
-        op = qcore.Operator(sub, random_unitary(rng, 2 ** k))
-        moved = qcore.apply(op, state)
-        assert abs(np.linalg.norm(moved.amplitudes) - 1.0) <= 1e-12
+        vec /= np.linalg.norm(vec)
+        state = qcore.SparseState(layout, dict(zip(itertools.product((0, 1), repeat=3), vec)))
+        k = int(rng.integers(1, 3))
+        chosen = set(rng.choice(3, size=k, replace=False).tolist())
+        sub, rest = ([labels[i] for i in range(3) if (i in chosen) is side] for side in (True, False))
+        signs = rng.choice([1.0, -1.0], size=2 ** (3 - k)).tolist()
+        control = qcore.Operator.from_pauli_mask(layout.subset(rest), 0, signs.__getitem__)
+        moved = qcore.apply_controlled(control, random_unitary(rng, layout.subset(sub)), state)
+        assert abs(np.linalg.norm(list(moved.entries.values())) - 1.0) <= 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -5,32 +5,25 @@ import random
 import numpy as np
 import pytest
 
+import dense_oracle as oracle
 from wignerlab import qcore
 from wignerlab.errors import (
     ContextIncompatibleError,
     LabelClashError,
     LayoutMismatchError,
-    NotHermitianError,
     NotInvolutoryError,
-    NotUnitaryError,
     UnknownLabelError,
 )
 from wignerlab.qcore import (
     BornTable,
-    DensityMatrix,
     Operator,
-    QState,
     RegisterLayout,
-    apply,
-    basis_state,
+    SparseState,
     born_table,
     commutes,
     embed,
-    expectation,
-    partial_trace,
     pure_density,
     qubits,
-    spectral_projectors,
     tensor,
 )
 from wignerlab.scenario import AGENTS, ScenarioModel
@@ -39,7 +32,6 @@ from wignerlab.stabilizer import PauliString, parse_pauli, pauli_commutes, to_op
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 I2 = np.eye(2, dtype=complex)
 
 
@@ -48,6 +40,15 @@ def kron(*mats):
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+def pauli(word, *labels):
+    return to_operator(parse_pauli(word), labels)
+
+
+def random_state(rng, layout):
+    raw = rng.normal(size=layout.shape) + 1j * rng.normal(size=layout.shape)
+    return oracle.sparse(layout, raw / np.linalg.norm(raw))
 
 
 def test_layout_basics():
@@ -78,177 +79,131 @@ def test_layout_unknown_label():
 def test_state_norm_guard():
     lay = qubits("a")
     with pytest.raises(ValueError):
-        QState(lay, [1.0, 1.0])
-    QState(lay, [1.0, 1.0] / np.sqrt(2) * np.ones(2))
+        SparseState(lay, {(0,): 1.0, (1,): 1.0})
+    SparseState(lay, {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)})
 
 
 def test_state_is_immutable():
-    s = basis_state(qubits("a"), 0)
-    with pytest.raises(ValueError):
-        s.amplitudes[0] = 0.0
-
-
-def test_apply_hadamards_uniform():
-    # Oracle: dense kron matrix times the basis vector.
-    lay = qubits("q1", "q2", "q3")
-    s = basis_state(lay, 0)
-    h3 = Operator(lay, kron(H, H, H))
-    got = apply(h3, s).amplitudes
-    expected = kron(H, H, H) @ np.eye(8)[:, 0]
-    assert np.max(np.abs(got - expected)) <= 1e-12
-    assert np.max(np.abs(np.abs(got) - 1 / np.sqrt(8))) <= 1e-12
+    s = SparseState(qubits("a"), {(0,): 1.0})
+    with pytest.raises(TypeError):
+        s.entries[(0,)] = 0.0
 
 
 def test_apply_on_sublayout():
-    # X on the middle register only; oracle is the explicitly embedded kron.
-    lay = qubits("a", "b", "c")
+    # A premeasurement on (b, p) of a state on (a, b, p, c); the oracle is
+    # its matrix on (b, p), explicitly embedded by kron.
+    lay = qubits("a", "b", "p", "c")
     rng = np.random.default_rng(7)
-    raw = rng.normal(size=8) + 1j * rng.normal(size=8)
-    s = QState(lay, raw / np.linalg.norm(raw))
-    op = Operator(qubits("b"), X)
-    got = apply(op, s).amplitudes
-    expected = kron(I2, X, I2) @ s.amplitudes
-    assert np.max(np.abs(got - expected)) <= 1e-12
-
-
-def test_apply_rejects_nonunitary():
-    lay = qubits("a")
-    with pytest.raises(NotUnitaryError):
-        apply(Operator(lay, [[1, 0], [0, 0]]), basis_state(lay, 0))
+    s = random_state(rng, lay)
+    sub = qubits("b", "p")
+    eye = np.eye(4, dtype=complex).reshape(2, 2, 4)
+    u = oracle.premeasure(pauli("+Y", "b"), qubits("p"), eye, sub).reshape(4, 4)
+    got = qcore.apply_controlled(pauli("+Y", "b"), pauli("+X", "p"), s)
+    expected = kron(I2, u, I2) @ oracle.tensor(s).reshape(-1)
+    assert np.max(np.abs(oracle.tensor(got).reshape(-1) - expected)) <= 1e-12
 
 
 def test_apply_rejects_unknown_register():
-    op = Operator(qubits("z"), X)
     with pytest.raises(LayoutMismatchError):
-        apply(op, basis_state(qubits("a"), 0))
+        qcore.apply_controlled(pauli("+Z", "a"), pauli("+X", "z"),
+                               SparseState(qubits("a"), {(0,): 1.0}))
 
 
 def test_apply_rejects_dimension_clash():
-    op = Operator(RegisterLayout((("a", 4),)), np.eye(4))
+    four = Operator.from_pauli_mask(RegisterLayout((("a", 4),)), 3, lambda j: 1.0)
+    ready = SparseState(qubits("a", "p"), {(0, 0): 1.0})
     with pytest.raises(LayoutMismatchError):
-        apply(op, basis_state(qubits("a"), 0))
+        qcore.apply_controlled(four, pauli("+X", "p"), ready)
 
 
 def bell_state():
-    lay = qubits("q1", "q2")
-    return QState(lay, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    return SparseState(qubits("q1", "q2"), {(0, 0): 1 / np.sqrt(2), (1, 1): 1 / np.sqrt(2)})
 
 
 def test_expectation_bell_zz():
-    s = bell_state()
-    zz = Operator(s.layout, kron(Z, Z))
-    assert abs(expectation(zz, s) - 1.0) <= 1e-12
+    value, _ = qcore.product_expectation([pauli("+Z", "q1"), pauli("+Z", "q2")],
+                                         bell_state(), "q1")
+    assert abs(value - 1.0) <= 1e-12
 
 
 def test_expectation_rejects_nonhermitian():
-    lay = qubits("a")
-    with pytest.raises(NotHermitianError):
-        expectation(Operator(lay, [[0, 1], [0, 0]]), basis_state(lay, 0))
+    with pytest.raises(NotInvolutoryError):
+        qcore.product_expectation([pauli("+iZ", "q1")], bell_state(), "q1")
+
+
+def ghz():
+    return SparseState(qubits("q1", "q2", "q3"), {(0, 0, 0): 1 / np.sqrt(2),
+                                                  (1, 1, 1): 1 / np.sqrt(2)})
 
 
 def test_partial_trace_ghz_single_qubit():
-    # Oracle: explicit outer product and axis sum.
-    lay = qubits("q1", "q2", "q3")
-    amp = np.zeros(8)
-    amp[0] = amp[7] = 1 / np.sqrt(2)
-    s = QState(lay, amp)
-    red = partial_trace(s, ["q1"])
+    # Oracle: explicit outer product and axis sum, against the reduced
+    # matrix of pure_density's entries.
+    amp = oracle.tensor(ghz()).reshape(-1)
     full = np.outer(amp, amp.conj()).reshape(2, 2, 2, 2, 2, 2)
     expected = np.einsum("iabjab->ij", full)
-    assert np.max(np.abs(red.matrix - expected)) <= 1e-12
-    assert np.max(np.abs(red.matrix - I2 / 2)) <= 1e-12
+    red = oracle.partial_trace(oracle.matrix(pure_density(ghz())), ghz().layout, ["q1"])
+    assert np.max(np.abs(red - expected)) <= 1e-12
+    assert np.max(np.abs(red - I2 / 2)) <= 1e-12
 
 
 def test_partial_trace_of_density_matrix_matches_vector_path():
     lay = qubits("a", "b", "c")
-    rng = np.random.default_rng(3)
-    raw = rng.normal(size=8) + 1j * rng.normal(size=8)
-    s = QState(lay, raw / np.linalg.norm(raw))
-    via_state = partial_trace(s, ["a", "c"])
-    via_rho = partial_trace(pure_density(s), ["a", "c"])
-    assert via_state.layout.labels == ("a", "c")
-    assert np.max(np.abs(via_state.matrix - via_rho.matrix)) <= 1e-12
+    s = random_state(np.random.default_rng(3), lay)
+    tens = oracle.tensor(s)
+    # Vector path: the kept axes first, A A^dagger.
+    a = tens.transpose(0, 2, 1).reshape(4, 2)
+    via_rho = oracle.partial_trace(oracle.matrix(pure_density(s)), lay, ["a", "c"])
+    assert np.max(np.abs(a @ a.conj().T - via_rho)) <= 1e-12
 
 
 def test_partial_trace_preserves_trace():
     lay = qubits("a", "b")
-    rng = np.random.default_rng(11)
-    raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-    s = QState(lay, raw / np.linalg.norm(raw))
-    red = partial_trace(s, ["b"])
-    assert abs(np.trace(red.matrix) - 1.0) <= 1e-12
-
-
-def test_density_matrix_guards():
-    lay = qubits("a")
-    with pytest.raises(NotHermitianError):
-        DensityMatrix(lay, [[0.5, 0.5], [-0.5, 0.5]])
-    with pytest.raises(ValueError):
-        DensityMatrix(lay, [[0.9, 0], [0, 0.9]])
-    with pytest.raises(ValueError):
-        DensityMatrix(lay, [[1.5, 0], [0, -0.5]])
-
-
-def test_density_matrix_rejects_negative_eigenvalue():
-    lay = qubits("a")
-    # Hermitian with unit trace, so only the eigenvalue check can object.
-    for mat in ([[1.5, 0], [0, -0.5]], [[0.5, 1.0], [1.0, 0.5]]):
-        with pytest.raises(ValueError, match="eigenvalue"):
-            DensityMatrix(lay, mat)
-
-
-def test_density_matrix_copies_its_input():
-    lay = qubits("a")
-    m = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=np.complex128)
-    rho = DensityMatrix(lay, m)
-    assert m.flags.writeable
-    m[0, 1] = m[1, 0] = 0.0
-    assert np.array_equal(rho.matrix, np.full((2, 2), 0.5))
-    assert not rho.matrix.flags.writeable
+    s = random_state(np.random.default_rng(11), lay)
+    red = oracle.partial_trace(oracle.matrix(pure_density(s)), lay, ["b"])
+    assert abs(np.trace(red) - 1.0) <= 1e-12
 
 
 def test_commutes_basic():
-    a = Operator(qubits("q1"), X)
-    b = Operator(qubits("q2"), Z)
-    assert commutes(a, b)
-    c = Operator(qubits("q1"), Z)
-    assert not commutes(a, c)
+    a = pauli("+X", "q1")
+    assert commutes(a, pauli("+Z", "q2"))
+    assert not commutes(a, pauli("+Z", "q1"))
 
 
 def test_commutes_overlapping_supports():
     # X on (a,b) block vs Z on b alone: embedded oracle on the union.
-    ab = qubits("a", "b")
-    xa_xb = Operator(ab, kron(X, X))
-    zb = Operator(qubits("b"), Z)
-    assert not commutes(xa_xb, zb)
-    za_zb = Operator(ab, kron(Z, Z))
-    assert commutes(za_zb, zb)
+    zb = pauli("+Z", "b")
+    assert not commutes(pauli("+XX", "a", "b"), zb)
+    assert commutes(pauli("+ZZ", "a", "b"), zb)
 
 
 def _random_operator(rng, layout):
+    """A mask form with a random mask and random unit phases: neither
+    hermitian nor involutory in general, and its flags are not read."""
     d = layout.total_dim
-    return Operator(layout, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    phases = np.exp(2j * np.pi * rng.random(d)).tolist()
+    return Operator.from_pauli_mask(layout, int(rng.integers(d)), phases.__getitem__)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_commutes_disjoint_supports_matches_embed_oracle(seed):
-    # Random complex non-hermitian operators on disjoint registers of mixed
-    # dimensions.  The dense oracle on a permuted union layout finds the
-    # commutator exactly zero, which commutes() returns without forming it.
+    # Random operators on disjoint registers of mixed dimensions.  The dense
+    # oracle on a permuted union layout finds the commutator exactly zero,
+    # which commutes() returns without forming it.
     rng = np.random.default_rng(seed)
-    a = _random_operator(rng, RegisterLayout((("p", 3), ("q", 2))))
+    a = _random_operator(rng, RegisterLayout((("p", 4), ("q", 2))))
     b = _random_operator(rng, RegisterLayout((("s", 4), ("r", 2))))
-    assert not a.is_hermitian and not b.is_hermitian
+    assert not oracle.flags(a)[0] and not oracle.flags(b)[0]
     sites = a.layout.sites + b.layout.sites
     union = RegisterLayout(tuple(sites[i] for i in rng.permutation(len(sites))))
-    am, bm = embed(a, union).matrix, embed(b, union).matrix
+    am, bm = oracle.full(a, union), oracle.full(b, union)
     assert np.max(np.abs(am @ bm - bm @ am)) == 0.0
     assert commutes(a, b) and commutes(b, a)
 
 
 def test_commutes_rejects_shared_label_with_other_dimension():
-    a = Operator(RegisterLayout((("p", 2), ("q", 2))), kron(X, Z))
-    b = Operator(RegisterLayout((("q", 3), ("r", 2))), np.eye(6))
+    a = pauli("+XZ", "p", "q")
+    b = Operator.from_pauli_mask(RegisterLayout((("q", 4), ("r", 2))), 0, lambda j: 1.0)
     for x, y in ((a, b), (b, a)):
         with pytest.raises(LayoutMismatchError, match="'q'"):
             commutes(x, y)
@@ -256,17 +211,14 @@ def test_commutes_rejects_shared_label_with_other_dimension():
 
 def test_embed_matches_kron_oracle():
     lay = qubits("a", "b")
-    op = Operator(qubits("b"), X)
-    assert np.max(np.abs(embed(op, lay).matrix - kron(I2, X))) <= 1e-12
-    op2 = Operator(qubits("a"), Y)
-    assert np.max(np.abs(embed(op2, lay).matrix - kron(Y, I2))) <= 1e-12
+    assert np.max(np.abs(embed(pauli("+X", "b"), lay).matrix - kron(I2, X))) <= 1e-12
+    assert np.max(np.abs(embed(pauli("+Y", "a"), lay).matrix - kron(Y, I2))) <= 1e-12
 
 
 def test_embed_permuted_two_site_operator():
-    # Operator given on (c, a) of an (a, b, c) layout.
+    # A controlled Z given on (c, a) of an (a, b, c) layout.
     lay = qubits("a", "b", "c")
-    cz = np.diag([1, 1, 1, -1]).astype(complex)
-    op = Operator(qubits("c", "a"), cz)
+    op = Operator.from_pauli_mask(qubits("c", "a"), 0, lambda j: -1.0 if j == 3 else 1.0)
     got = embed(op, lay).matrix
     # Oracle: diagonal with -1 exactly when a=1 and c=1.
     diag = np.ones(8, dtype=complex)
@@ -275,16 +227,6 @@ def test_embed_permuted_two_site_operator():
         if a_bit and c_bit:
             diag[idx] = -1
     assert np.max(np.abs(got - np.diag(diag))) <= 1e-12
-
-
-def _dense(op):
-    """The same operator without its mask form, for the dense branches."""
-    return Operator(op.layout, op.matrix)
-
-
-def _union(a, b):
-    return RegisterLayout(a.layout.sites + tuple(s for s in b.layout.sites
-                                                 if s not in a.layout.sites))
 
 
 def _scenario_pairs(width):
@@ -311,17 +253,15 @@ def _seeded_word_pairs(seed, count=40):
 
 def _assert_mask_embedding_is_the_dense_one(op, layout):
     got = embed(op, layout)
-    assert got.mask_form is not None
-    assert np.array_equal(got.matrix, embed(_dense(op), layout).matrix)
-    assert (got.is_hermitian, got.is_unitary, got.is_involutory) == (
-        op.is_hermitian, op.is_unitary, op.is_involutory)
+    assert np.array_equal(got.matrix, oracle.full(op, layout))
+    assert (got.is_hermitian, got.is_involutory) == (op.is_hermitian, op.is_involutory)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_mask_embed_matches_the_dense_embedding_on_scenario_unions(width):
     for a, b in _scenario_pairs(width):
         for op in (a, b):
-            _assert_mask_embedding_is_the_dense_one(op, _union(a, b))
+            _assert_mask_embedding_is_the_dense_one(op, oracle.union(a, b))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -330,26 +270,26 @@ def test_mask_embed_matches_the_dense_embedding_for_seeded_words(seed):
     for (_, a), (_, b) in _seeded_word_pairs(seed):
         for op in (a, b):
             _assert_mask_embedding_is_the_dense_one(op, layout)
-            _assert_mask_embedding_is_the_dense_one(op, _union(a, b))
+            _assert_mask_embedding_is_the_dense_one(op, oracle.union(a, b))
 
 
 def test_mask_embed_keeps_wider_registers_and_goes_dense_off_powers_of_two():
-    # A phase rule over a dimension-4 register, and a layout with a qutrit.
-    op = Operator.from_mask(RegisterLayout((("p", 4), ("a", 2))), 0b110,
-                            [1, -1, 1j, -1j, -1, 1, 1j, 1j])
+    # A phase rule over a dimension-4 register; a layout with a qutrit has
+    # no mask form, so the embedding is refused.
+    phases = [1, -1, 1j, -1j, -1, 1, 1j, 1j]
+    op = Operator.from_pauli_mask(RegisterLayout((("p", 4), ("a", 2))), 0b110,
+                                  phases.__getitem__)
     _assert_mask_embedding_is_the_dense_one(
         op, RegisterLayout((("b", 2), ("a", 2), ("c", 4), ("p", 4))))
-    odd = RegisterLayout((("a", 2), ("t", 3), ("p", 4)))
-    got = embed(op, odd)
-    assert got.mask_form is None
-    assert np.array_equal(got.matrix, embed(_dense(op), odd).matrix)
+    with pytest.raises(LayoutMismatchError, match="power-of-two"):
+        embed(op, RegisterLayout((("a", 2), ("t", 3), ("p", 4))))
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_commutes_matches_the_dense_verdict_on_scenario_pairs(width):
     pairs = _scenario_pairs(width)
     verdicts = [commutes(a, b) for a, b in pairs]
-    assert verdicts == [commutes(_dense(a), _dense(b)) for a, b in pairs]
+    assert verdicts == [oracle.commutes(a, b) for a, b in pairs]
     assert verdicts.count(False) == 3
 
 
@@ -357,72 +297,74 @@ def test_commutes_matches_the_dense_verdict_on_scenario_pairs(width):
 def test_commutes_matches_the_dense_verdict_for_seeded_words(seed):
     for (pa, a), (pb, b) in _seeded_word_pairs(seed):
         verdict = commutes(a, b)
-        assert verdict is commutes(_dense(a), _dense(b))
+        assert verdict is oracle.commutes(a, b)
         # The symplectic rule on the words padded to the union.
-        labels = _union(a, b).labels
+        labels = oracle.union(a, b).labels
         padded = [PauliString(p.phase_exp, "".join(
             dict(zip(op.layout.labels, p.letters)).get(label, "I") for label in labels))
                   for p, op in ((pa, a), (pb, b))]
         assert verdict is pauli_commutes(*padded)
 
 
-def test_commuting_overlapping_mask_forms_reach_the_dense_branch(monkeypatch):
+def test_commuting_overlapping_mask_forms_are_decided_with_no_matrix(monkeypatch):
     built = []
     matrix = Operator.matrix.fget
     monkeypatch.setattr(Operator, "matrix",
                         property(lambda op: built.append(op.layout.labels) or matrix(op)))
-    zz = to_operator(parse_pauli("+ZZ"), ("a", "b"))
-    xx = to_operator(parse_pauli("+XX"), ("a", "b"))
-    zb = to_operator(parse_pauli("+Z"), ("b",))
-    assert commutes(zz, xx) and commutes(zb, zz)
-    # Each call reads both embedded matrices on its union layout.
-    assert built == [("a", "b")] * 2 + [("b", "a")] * 2
-    built.clear()
-    # X on a against Z x Z: the entry at |0> differs, and no matrix is built.
-    assert not commutes(to_operator(parse_pauli("+X"), ("a",)), zz)
+    zz = pauli("+ZZ", "a", "b")
+    # Commuting pairs sweep every column of the union, non-commuting ones
+    # stop at the first column that is not zero.
+    assert commutes(zz, pauli("+XX", "a", "b")) and commutes(pauli("+Z", "b"), zz)
+    assert not commutes(pauli("+X", "a"), zz)
     assert built == []
 
 
 def test_spectral_projectors_sigma_z():
-    op = Operator(qubits("a"), Z)
-    plus, minus = spectral_projectors(op)
-    assert np.max(np.abs(plus.matrix - np.diag([1, 0]))) <= 1e-12
-    assert np.max(np.abs(minus.matrix - np.diag([0, 1]))) <= 1e-12
+    # project() applies (I +- Z)/2: |+> goes to |0> or |1>, each with p = 1/2.
+    plus = SparseState(qubits("a"), {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)})
+    for value, kept in ((1, (0,)), (-1, (1,))):
+        state, p = qcore.project(pauli("+Z", "a"), plus, value)
+        assert dict(state.entries) == {kept: 1.0}
+        assert abs(p - 0.5) <= 1e-12
 
 
 def test_spectral_projectors_completeness_random_involutory():
+    # P_plus + P_minus = I, P_plus P_minus = 0 and P_plus P_plus = P_plus,
+    # read through project() on random states, against the oracle.
     rng = np.random.default_rng(5)
+    lay = qubits("a", "b")
     for _ in range(20):
-        # Random involutory hermitian: U diag(+-1) U+.
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        u, _ = np.linalg.qr(raw)
-        signs = np.diag(rng.choice([1.0, -1.0], size=4))
-        op = Operator(qubits("a", "b"), u @ signs @ u.conj().T)
-        plus, minus = spectral_projectors(op)
-        eye = np.eye(4)
-        assert np.max(np.abs(plus.matrix + minus.matrix - eye)) <= 1e-10
-        assert np.max(np.abs(plus.matrix @ minus.matrix)) <= 1e-10
-        assert np.max(np.abs(plus.matrix @ plus.matrix - plus.matrix)) <= 1e-10
+        mask = int(rng.integers(4))
+        signs = rng.choice([1.0, -1.0], size=4).tolist()
+        op = Operator.from_pauli_mask(lay, mask, lambda j: signs[min(j, j ^ mask)])
+        s = random_state(rng, lay)
+        branches = [qcore.project(op, s, v) for v in (1, -1)]
+        assert abs(branches[0][1] + branches[1][1] - 1.0) <= 1e-10
+        for value, (state, p) in zip((1, -1), branches):
+            dense, p_dense = oracle.project(op, oracle.tensor(s), lay, value)
+            assert abs(p - p_dense) <= 1e-10
+            assert np.max(np.abs(oracle.tensor(state) - dense)) <= 1e-10
+            again, p_again = qcore.project(op, state, value)
+            assert abs(p_again - 1.0) <= 1e-10
+            with pytest.raises(qcore.ZeroBranchError):
+                qcore.project(op, state, -value)
 
 
 def test_spectral_projectors_rejects_noninvolutory():
-    op = Operator(qubits("a"), [[2, 0], [0, -2]])
     with pytest.raises(NotInvolutoryError):
-        spectral_projectors(op)
+        qcore.project(pauli("+iZ", "a"), SparseState(qubits("a"), {(0,): 1.0}), 1)
 
 
 def test_born_table_single_z_on_plus():
-    lay = qubits("a")
-    s = QState(lay, np.array([1, 1]) / np.sqrt(2))
-    t = born_table([Operator(lay, Z)], s)
+    s = SparseState(qubits("a"), {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)})
+    t = born_table([pauli("+Z", "a")], s)
     assert abs(t.rows[(1,)] - 0.5) <= 1e-12
     assert abs(t.rows[(-1,)] - 0.5) <= 1e-12
 
 
 def test_born_table_zero_rows_retained():
-    lay = qubits("a", "b")
-    s = basis_state(lay, 0)
-    t = born_table([Operator(qubits("a"), Z), Operator(qubits("b"), Z)], s)
+    s = SparseState(qubits("a", "b"), {(0, 0): 1.0})
+    t = born_table([pauli("+Z", "a"), pauli("+Z", "b")], s)
     assert set(t.rows) == set(itertools.product((1, -1), repeat=2))
     assert abs(t.rows[(1, 1)] - 1.0) <= 1e-12
     assert t.rows[(1, -1)] == pytest.approx(0.0, abs=1e-12)
@@ -437,52 +379,45 @@ def test_born_table_rejects_repeated_names():
 
 
 def test_born_table_rejects_noncommuting():
-    lay = qubits("a")
     with pytest.raises(ContextIncompatibleError):
-        born_table([Operator(lay, X), Operator(lay, Z)], basis_state(lay, 0))
+        born_table([pauli("+X", "a"), pauli("+Z", "a")], SparseState(qubits("a"), {(0,): 1.0}))
 
 
 def test_born_table_rejects_noninvolutory():
-    lay = qubits("a")
     with pytest.raises(NotInvolutoryError):
-        born_table([Operator(lay, [[2, 0], [0, -2]])], basis_state(lay, 0))
+        born_table([pauli("+iZ", "a")], SparseState(qubits("a"), {(0,): 1.0}))
 
 
 def test_born_table_matches_projector_oracle():
     # Independent oracle: explicit projector products on the full space.
-    lay = qubits("q1", "q2")
     rng = np.random.default_rng(21)
-    raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-    s = QState(lay, raw / np.linalg.norm(raw))
-    obs = [Operator(qubits("q1"), Z), Operator(qubits("q2"), X)]
-    t = born_table(obs, s)
+    s = random_state(rng, qubits("q1", "q2"))
+    t = born_table([pauli("+Z", "q1"), pauli("+X", "q2")], s)
+    vec = oracle.tensor(s).reshape(-1)
     mats = [kron(Z, I2), kron(I2, X)]
     for outcome, p in t.rows.items():
         proj = np.eye(4, dtype=complex)
         for m, sign in zip(mats, outcome):
             proj = proj @ (np.eye(4) + sign * m) / 2
-        expected = np.real(s.amplitudes.conj() @ proj @ s.amplitudes)
+        expected = np.real(vec.conj() @ proj @ vec)
         assert abs(p - expected) <= 1e-12
 
 
 def test_born_table_on_density_matrix_matches_pure_path():
-    lay = qubits("q1", "q2")
+    # The oracle's Tr(P rho) on pure_density's entries, against the walk on psi.
     rng = np.random.default_rng(22)
-    raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-    s = QState(lay, raw / np.linalg.norm(raw))
-    obs = [Operator(qubits("q1"), Z), Operator(qubits("q2"), Z)]
+    s = random_state(rng, qubits("q1", "q2"))
+    obs = [pauli("+Z", "q1"), pauli("+Z", "q2")]
     t_pure = born_table(obs, s)
-    t_rho = born_table(obs, pure_density(s))
+    t_rho = oracle.born_rows(obs, oracle.matrix(pure_density(s)), s.layout)
     for outcome in t_pure.rows:
-        assert abs(t_pure.rows[outcome] - t_rho.rows[outcome]) <= 1e-12
+        assert abs(t_pure.rows[outcome] - t_rho[outcome]) <= 1e-12
 
 
 def test_born_table_normalization_and_marginal():
-    lay = qubits("q1", "q2", "q3")
     rng = np.random.default_rng(23)
-    raw = rng.normal(size=8) + 1j * rng.normal(size=8)
-    s = QState(lay, raw / np.linalg.norm(raw))
-    obs = [Operator(qubits(q), Z) for q in ("q1", "q2", "q3")]
+    s = random_state(rng, qubits("q1", "q2", "q3"))
+    obs = [pauli("+Z", q) for q in ("q1", "q2", "q3")]
     t = born_table(obs, s, names=("a", "b", "c"))
     assert abs(sum(t.rows.values()) - 1.0) <= 1e-12
     m = t.marginal(["a", "c"])
@@ -492,9 +427,8 @@ def test_born_table_normalization_and_marginal():
 
 
 def test_born_table_sampling_is_seeded():
-    lay = qubits("a")
-    s = QState(lay, np.array([1, 1]) / np.sqrt(2))
-    t = born_table([Operator(lay, Z)], s)
+    s = SparseState(qubits("a"), {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)})
+    t = born_table([pauli("+Z", "a")], s)
     draws1 = [t.sample(np.random.default_rng(42)) for _ in range(5)]
     draws2 = [t.sample(np.random.default_rng(42)) for _ in range(5)]
     assert draws1 == draws2
@@ -532,24 +466,22 @@ def test_sample_never_returns_a_zero_row():
 
 
 def test_tensor_states_and_operators():
-    a = basis_state(qubits("a"), 1)
-    b = basis_state(qubits("b"), 0)
+    a = SparseState(qubits("a"), {(1,): 1.0})
+    b = SparseState(qubits("b"), {(0,): 1.0})
     ab = tensor(a, b)
     assert ab.layout.labels == ("a", "b")
-    assert abs(ab.amplitudes[2] - 1.0) <= 1e-12
-    xa = Operator(qubits("a"), X)
-    zb = Operator(qubits("b"), Z)
-    exp = kron(X, Z)
-    assert np.max(np.abs(tensor(xa, zb).matrix - exp)) <= 1e-12
+    assert dict(ab.entries) == {(1, 0): 1.0}
     with pytest.raises(TypeError):
-        tensor(a, xa)
+        tensor(a, pauli("+X", "a"))
 
 
 def test_operator_flags():
-    op = Operator(qubits("a"), X)
-    assert op.is_hermitian and op.is_unitary and op.is_involutory
-    rot = Operator(qubits("a"), [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
-    assert rot.is_unitary and not rot.is_hermitian and not rot.is_involutory
+    op = pauli("+X", "a")
+    assert op.is_hermitian and op.is_involutory
+    assert oracle.flags(op) == (True, True, True)
+    iz = pauli("+iZ", "a")
+    assert not iz.is_hermitian and not iz.is_involutory
+    assert oracle.flags(iz) == (False, True, False)
 
 
 # The fixed thresholds, pinned on either side: qcore.NUMERIC_TOL (1e-12)
@@ -558,15 +490,20 @@ def test_operator_flags():
 
 @pytest.mark.parametrize("eps,expected", [(1e-12, False), (2.5e-13, True)])
 def test_commutes_threshold(eps, expected):
-    # [Z, Z + eps X] = 2i eps Y, so the residue is 2 eps: 2e-12 and 5e-13.
+    # B = cos(t) X + sin(t) Y with sin(t) = eps, in mask form: [X, B] =
+    # 2i eps Z, so the residue is 2 eps: 2e-12 and 5e-13.
     lay = qubits("a")
-    assert commutes(Operator(lay, Z), Operator(lay, Z + eps * X)) is expected
+    t = math.asin(eps)
+    b = Operator.from_pauli_mask(lay, 1, (complex(math.cos(t), math.sin(t)),
+                                          complex(math.cos(t), -math.sin(t))).__getitem__)
+    assert np.max(np.abs(oracle.full(pauli("+X", "a"), lay) @ b.matrix
+                         - b.matrix @ oracle.full(pauli("+X", "a"), lay))) == pytest.approx(2 * eps)
+    assert commutes(pauli("+X", "a"), b) is expected
 
 
 @pytest.mark.parametrize("make", [
-    lambda lay, amp: QState(lay, [amp, 0.0]),
     lambda lay, amp: qcore.SparseState(lay, {(0,): amp}),
-], ids=["dense", "sparse"])
+], ids=["sparse"])
 def test_state_norm_threshold(make):
     lay = qubits("a")
     with pytest.raises(ValueError, match="norm"):

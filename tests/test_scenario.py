@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle as oracle
+from test_sparse import run_wigner_stage
 from wignerlab import qcore, scenario
 from wignerlab.errors import UnknownAgentError, ZeroBranchError
 from wignerlab.qcore import Operator, qubits
@@ -13,49 +15,78 @@ from wignerlab.scenario import (
     FRIENDS,
     PROTOCOL_CONTEXTS,
     WIGNERS,
+    MeasurementSpec,
     ScenarioModel,
     atom_label,
     context_born_table,
     erasure_check,
     extend_with_probe,
     run_friend_stage,
-    run_wigner_stage,
     sample_outcomes,
     scenario_context,
-    vn_unitary,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def sigma_z(label):
+    return Operator.from_pauli_mask(qubits(label), 0, (1.0, -1.0).__getitem__)
+
+
+def premeasurement_matrix(spec):
+    """The oracle's premeasurement of ``spec`` on every basis state, as a matrix."""
+    layout = spec.observable.layout.concat(spec.pointer)
+    d = layout.total_dim
+    eye = np.eye(d, dtype=complex).reshape(layout.shape + (d,))
+    return oracle.premeasure(spec.observable, spec.pointer, eye, layout).reshape(d, d)
+
+
+def product_value(model, agents, state):
+    """<psi|O_1 O_2 O_3|psi> from product_expectation, checked against the oracle."""
+    ops = [model.scenario_observable(a) for a in agents]
+    value, _ = qcore.product_expectation(ops, state, "L1")
+    tens = oracle.tensor(state)
+    image = tens
+    for op in reversed(ops):
+        image = oracle.act(op.matrix, op.layout, image, state.layout)
+    assert abs(value - np.vdot(tens, image).real) <= 1e-12
+    return value
 
 
 def test_vn_unitary_is_cnot_for_z():
-    u = vn_unitary(Operator(qubits("a"), Z), qubits("p"))
-    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    assert np.max(np.abs(u.matrix - cnot)) <= 1e-12
-    assert u.layout.labels == ("a", "p")
+    spec = MeasurementSpec(sigma_z("a"), qubits("p"))
+    assert np.max(np.abs(premeasurement_matrix(spec) - CNOT)) <= 1e-12
+    for col in range(4):
+        basis = qcore.SparseState(qubits("a", "p"), {divmod(col, 2): 1.0})
+        assert np.array_equal(oracle.tensor(spec.apply(basis)).reshape(-1), CNOT[:, col])
 
 
 def test_vn_unitary_is_unitary_for_random_involutory():
     rng = np.random.default_rng(41)
     for width in (1, 2):
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        q, _ = np.linalg.qr(raw)
-        signs = np.diag(rng.choice([1.0, -1.0], size=4))
-        obs = Operator(qubits("s", "t"), q @ signs @ q.conj().T)
+        signs = rng.choice([1.0, -1.0], size=4).tolist()
+        obs = Operator.from_pauli_mask(qubits("s", "t"), 3, lambda j: signs[min(j, j ^ 3)])
         pointer = qcore.RegisterLayout((("p", 2**width),))
-        u = vn_unitary(obs, pointer)
-        assert u.is_unitary
+        spec = MeasurementSpec(obs, pointer)
+        u = premeasurement_matrix(spec)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-12
+        layout = obs.layout.concat(pointer)
+        raw = rng.normal(size=layout.shape) + 1j * rng.normal(size=layout.shape)
+        state = oracle.sparse(layout, raw / np.linalg.norm(raw))
+        moved = oracle.tensor(spec.apply(state))
+        assert abs(np.linalg.norm(moved) - 1.0) <= 1e-12
+        assert np.max(np.abs(moved.reshape(-1) - u @ raw.reshape(-1) / np.linalg.norm(raw))) <= 1e-12
 
 
 def test_vn_unitary_correlates_pointer():
     # Measuring sigma_z on |+> then reading both registers: perfect correlation.
-    u = vn_unitary(Operator(qubits("a"), Z), qubits("p"))
-    plus = qcore.QState(qubits("a"), np.array([1, 1]) / np.sqrt(2))
-    ready = qcore.basis_state(qubits("p"), 0)
-    state = qcore.apply(u, qcore.tensor(plus, ready))
-    t = qcore.born_table([Operator(qubits("a"), Z), Operator(qubits("p"), Z)], state)
+    plus = qcore.SparseState(qubits("a"), {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)})
+    ready = qcore.SparseState(qubits("p"), {(0,): 1.0})
+    state = MeasurementSpec(sigma_z("a"), qubits("p")).apply(qcore.tensor(plus, ready))
+    t = qcore.born_table([sigma_z("a"), sigma_z("p")], state)
     assert abs(t.rows[(1, 1)] - 0.5) <= 1e-12
     assert abs(t.rows[(-1, -1)] - 0.5) <= 1e-12
     assert abs(t.rows[(1, -1)]) <= 1e-12
@@ -66,9 +97,8 @@ def test_lifted_x_is_xx_at_width_one():
     # Dense oracle: conjugate sigma_x (x) I by the explicit premeasurement.
     model = ScenarioModel(1)
     got = model.lifted_x_observable("Eugene")
-    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    oracle = cnot @ np.kron(X, I2) @ cnot.conj().T
-    assert np.max(np.abs(got.matrix - oracle)) <= 1e-12
+    conjugated = CNOT @ np.kron(X, I2) @ CNOT.conj().T
+    assert np.max(np.abs(got.matrix - conjugated)) <= 1e-12
     assert np.max(np.abs(got.matrix - np.kron(X, X))) <= 1e-12
     assert got.is_hermitian and got.is_involutory
 
@@ -78,10 +108,11 @@ def test_lifted_x_general_width_oracle(width):
     # Oracle: conjugate sigma_x (x) I by Bob's explicit premeasurement.
     model = ScenarioModel(width)
     got = model.lifted_x_observable("Johnny")
-    v = vn_unitary(model.friend_observable("Bob"), model.layout.subset(["L2"]))
-    oracle = v.matrix @ np.kron(X, np.eye(2**width)) @ v.matrix.conj().T
-    assert got.layout == v.layout
-    assert np.max(np.abs(got.matrix - oracle)) <= 1e-12
+    spec = model.friend_spec("Bob")
+    v = premeasurement_matrix(spec)
+    conjugated = v @ np.kron(X, np.eye(2**width)) @ v.conj().T
+    assert got.layout == spec.observable.layout.concat(spec.pointer)
+    assert np.max(np.abs(got.matrix - conjugated)) <= 1e-12
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
@@ -106,15 +137,14 @@ def test_post_premeasurement_state_built_once_per_model(width):
     psi = model.post_premeasurement_state()
     assert psi is model.post_premeasurement_state()
     assert psi.layout == model.layout
-    assert np.array_equal(psi.to_dense().amplitudes,
-                          run_friend_stage(model).to_dense().amplitudes)
+    assert dict(psi.entries) == dict(run_friend_stage(model).entries)
 
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_observables_commute_matches_dense_check(width):
     model = ScenarioModel(width)
     for x, y in itertools.product(FRIENDS + WIGNERS, repeat=2):
-        expected = qcore.commutes(model.scenario_observable(x), model.scenario_observable(y))
+        expected = oracle.commutes(model.scenario_observable(x), model.scenario_observable(y))
         assert model.observables_commute(x, y) is expected
     # Only a lab's record and its conjugated x fail to commute.
     bad = {frozenset((f, w)) for f, w in zip(FRIENDS, WIGNERS)}
@@ -151,17 +181,18 @@ def test_initial_state_layout_and_marginals():
     model = ScenarioModel(1)
     s = model.initial_state()
     assert s.layout.labels == ("a1", "a2", "a3", "L1", "L2", "L3")
-    red = qcore.partial_trace(s.to_dense(), ["L1", "L2", "L3"])
+    red = oracle.partial_trace(oracle.matrix(qcore.pure_density(s)), s.layout,
+                               ["L1", "L2", "L3"])
     ready = np.zeros((8, 8))
     ready[0, 0] = 1.0
-    assert np.max(np.abs(red.matrix - ready)) <= 1e-12
+    assert np.max(np.abs(red - ready)) <= 1e-12
 
 
 def test_friend_stage_order_invariance():
     model = ScenarioModel(1)
-    reference = run_friend_stage(model).to_dense().amplitudes
+    reference = oracle.tensor(run_friend_stage(model))
     for order in itertools.permutations(FRIENDS):
-        got = run_friend_stage(model, order).to_dense().amplitudes
+        got = oracle.tensor(run_friend_stage(model, order))
         assert np.max(np.abs(got - reference)) <= 1e-12
 
 
@@ -184,10 +215,7 @@ POST_FRIEND_EXPECTATIONS = [
 @pytest.mark.parametrize("agents,expected", POST_FRIEND_EXPECTATIONS)
 def test_post_friend_product_expectations(agents, expected):
     model = ScenarioModel(1)
-    post = run_friend_stage(model).to_dense()
-    ops = [model.scenario_observable(a) for a in agents]
-    product = qcore.tensor(qcore.tensor(ops[0], ops[1]), ops[2])
-    assert abs(qcore.expectation(product, post) - expected) <= 1e-12
+    assert abs(product_value(model, agents, run_friend_stage(model)) - expected) <= 1e-12
 
 
 @pytest.mark.parametrize("agents,expected", POST_FRIEND_EXPECTATIONS)
@@ -234,15 +262,13 @@ def test_record_matches_atom_z_in_tables():
     # Invariant: swapping a pointer record for sigma_z on the measured atom
     # changes no row of any standard context table.
     model = ScenarioModel(1)
-    post = run_friend_stage(model).to_dense()
+    post = run_friend_stage(model)
     for agents in [("Eugene", "Bob", "Charlie"), ("Alice", "Bob", "Daniel")]:
         ctx = scenario_context(model, agents)
         swapped = {}
         for agent, obs in ctx.items():
             if agent in FRIENDS:
-                swapped[agent] = Operator(
-                    model.layout.subset([atom_label(scenario.LAB_INDEX[agent])]), Z
-                )
+                swapped[agent] = sigma_z(atom_label(scenario.LAB_INDEX[agent]))
             else:
                 swapped[agent] = obs
         t1 = context_born_table(post, ctx)
@@ -255,10 +281,10 @@ def test_wigner_probe_reproduces_lifted_x_statistics():
     # Measuring the conjugated x and then reading the probe's record gives
     # the same distribution as the observable itself: vN consistency.
     model = ScenarioModel(1)
-    post = run_friend_stage(model).to_dense()
+    post = run_friend_stage(model)
     direct = context_born_table(post, scenario_context(model, ["Eugene", "Bob"]))
     final = run_wigner_stage(model, post, ["Eugene"])
-    probe_z = Operator(final.layout.subset(["e1"]), Z)
+    probe_z = sigma_z("e1")
     record_b = model.record_observable("Bob")
     indirect = qcore.born_table([probe_z, record_b], final, names=("Eugene", "Bob"))
     for outcome in direct.rows:
@@ -267,11 +293,11 @@ def test_wigner_probe_reproduces_lifted_x_statistics():
 
 def test_wigner_stage_order_invariance():
     model = ScenarioModel(1)
-    post = run_friend_stage(model).to_dense()
+    post = run_friend_stage(model)
     tables = []
     for order in itertools.permutations(WIGNERS):
         final = run_wigner_stage(model, post, order)
-        obs = [Operator(final.layout.subset([f"e{i}"]), Z) for i in (1, 2, 3)]
+        obs = [sigma_z(f"e{i}") for i in (1, 2, 3)]
         tables.append(qcore.born_table(obs, final, names=("u", "v", "w")))
     for t in tables[1:]:
         for outcome in tables[0].rows:
@@ -285,18 +311,17 @@ def test_project_record_branches():
     for value in (1, -1):
         cond, p = qcore.project(record, post, value)
         assert abs(p - 0.5) <= 1e-12
-        assert abs(qcore.expectation(record, cond.to_dense()) - value) <= 1e-12
+        assert abs(qcore.product_expectation([record], cond, "L1")[0] - value) <= 1e-12
 
 
 def test_project_zero_branch():
     model = ScenarioModel(1)
-    post = run_friend_stage(model).to_dense()
-    ops = [model.scenario_observable(a) for a in ("Eugene", "Bob", "Charlie")]
-    product = qcore.tensor(qcore.tensor(ops[0], ops[1]), ops[2])
+    record = model.scenario_observable("Alice")
+    cond, _ = qcore.project(record, run_friend_stage(model), 1)
     with pytest.raises(ZeroBranchError):
-        qcore.project(product, post, -1)
+        qcore.project(record, cond, -1)
     with pytest.raises(ValueError):
-        qcore.project(product, post, 2)
+        qcore.project(record, cond, 2)
 
 
 def test_erasure_check_half_half():
@@ -386,11 +411,9 @@ def test_extend_with_probe_ready_state():
 @pytest.mark.parametrize("width", [2, 3])
 def test_post_friend_expectations_wider_labs(width):
     model = ScenarioModel(width)
-    post = run_friend_stage(model).to_dense()
+    post = run_friend_stage(model)
     for agents, expected in POST_FRIEND_EXPECTATIONS:
-        ops = [model.scenario_observable(a) for a in agents]
-        product = qcore.tensor(qcore.tensor(ops[0], ops[1]), ops[2])
-        assert abs(qcore.expectation(product, post) - expected) <= 1e-12
+        assert abs(product_value(model, agents, post) - expected) <= 1e-12
 
 
 def test_model_rejects_bad_width():

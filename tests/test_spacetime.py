@@ -237,9 +237,11 @@ def test_frame_for_events_single_event_and_empty():
 
 
 def test_frame_for_events_four_events_with_timelike_pair():
+    # Three of them have no frame; all four are more than a report asks about.
     geo = default_geometry()
-    cert = frame_for_events([geo.events[k] for k in ("A", "B", "C", "U")])
-    assert not cert.exists
+    assert not frame_for_events([geo.events[k] for k in ("A", "B", "U")]).exists
+    with pytest.raises(ValueError, match="one to three events"):
+        frame_for_events([geo.events[k] for k in ("A", "B", "C", "U")])
 
 
 # The numpy solver that frame_for_events replaced, kept verbatim (its
@@ -368,7 +370,7 @@ _COORDINATES = {
 
 def _random_events(rng, kinds):
     return [Event4(str(i), *(_COORDINATES[rng.choice(kinds)](rng) for _ in range(4)))
-            for i in range(rng.randint(1, 6))]
+            for i in range(rng.randint(1, 3))]
 
 
 def _check_exact(events, cert):
@@ -433,8 +435,8 @@ def test_exact_frames_match_the_numpy_oracle_on_random_geometries(kinds):
 @pytest.mark.parametrize("geometry", [default_geometry(), collinear_geometry()],
                          ids=["default", "collinear"])
 def test_exact_frames_match_the_numpy_oracle_on_built_in_geometries(geometry):
-    # Every ordered choice of one to six of the event letters.
-    for size in range(1, len(EVENT_LABELS) + 1):
+    # Every ordered choice of one to three of the event letters.
+    for size in range(1, 4):
         for labels in itertools.permutations(EVENT_LABELS, size):
             events = [geometry.events[k] for k in labels]
             cert = frame_for_events(events)
@@ -447,8 +449,8 @@ def test_numpy_oracle_raised_where_the_exact_solver_answers():
     # lightlike plane of integer differences: its solve raised.
     o = Event4("o", 0.0, 0.0, 0.0, 0.0)
     assert not frame_for_events([o, Event4("n", 1.0, 1.0, 0.0, 0.0)]).exists
-    events = [Event4("a", -1.0, 4.0, 0.0, -3.0), Event4("b", -1.0, 2.0, 0.0, 3.0),
-              Event4("c", -1.0, -4.0, 0.0, -3.0), Event4("d", -3.0, 0.0, 2.0, -1.0)]
+    events = [Event4("a", 1.0, 1.0, -1.0, 3.0), Event4("b", -3.0, 3.0, -3.0, 0.0),
+              Event4("c", 4.0, -3.0, -2.0, 4.0)]
     with pytest.raises(np.linalg.LinAlgError):
         _numpy_frame_for_events(events)
     cert = frame_for_events(events)
@@ -502,11 +504,10 @@ def test_fraction_coordinates_share_the_lcm_of_their_denominators():
 
 
 def test_gram_eigenvalues_of_four_independent_differences():
-    # k = 4 runs the Jacobi rotations; no report reaches k >= 3.
+    # Five events in general position span four differences; frames are
+    # decided for one to three events only, so they are rejected before any
+    # Gram matrix is formed.
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        events = [Event4(str(i), *rng.uniform(-5, 5, size=4)) for i in range(5)]
-        cert = frame_for_events(events)
-        assert len(cert.gram) == 4 and not cert.exists
-        oracle = np.linalg.eigvalsh(np.array(cert.gram))
-        assert np.max(np.abs(np.subtract(cert.gram_eigenvalues, oracle))) <= 1e-9
+    events = [Event4(str(i), *rng.uniform(-5, 5, size=4)) for i in range(5)]
+    with pytest.raises(ValueError, match="one to three events, not 5"):
+        frame_for_events(events)

@@ -1,11 +1,11 @@
-"""Mask-form operators and sparse states against their dense oracles.
+"""Mask-form operators and sparse states against the dense oracle.
 
 The scenario's observables and pointer flips are built in mask form, an XOR
 mask plus a phase rule, and psi is a ``SparseState``.  A mask form is a monomial
 operator, one nonzero per row and per column, and the test names say so.
-Every fast result here is compared with the dense path at lab widths up to
-4, at the pinned 1e-12, and the lazily built matrices with the dense
-builders they replace, bit for bit.
+Every fast result here is compared with ``dense_oracle`` at lab widths up
+to 4, at the pinned 1e-12, and the dense matrices with the builders they
+replaced, bit for bit.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
+import dense_oracle as oracle
 from wignerlab import qcore
 from wignerlab.decoherence import pointer_diagonality
 from wignerlab.errors import ContextIncompatibleError
@@ -29,9 +30,7 @@ from wignerlab.scenario import (
     erasure_check,
     extend_with_probe,
     run_friend_stage,
-    run_wigner_stage,
     scenario_context,
-    vn_unitary,
 )
 
 TOL = 1e-12
@@ -70,13 +69,33 @@ def random_pm1_observable(rng, layout):
     d = layout.total_dim
     mask = int(rng.integers(d))
     index = np.arange(d)
-    phase = rng.choice([1.0, -1.0], size=d)[np.minimum(index, index ^ mask)]
-    return Operator.from_mask(layout, mask, phase)
+    phase = rng.choice([1.0, -1.0], size=d)[np.minimum(index, index ^ mask)].tolist()
+    return Operator.from_pauli_mask(layout, mask, phase.__getitem__)
 
 
-def same_flags(op, dense):
-    return (op.is_hermitian, op.is_unitary, op.is_involutory) == (
-        dense.is_hermitian, dense.is_unitary, dense.is_involutory)
+def same_flags(op):
+    """The flags set at construction equal the oracle's, read off the matrix."""
+    hermitian, unitary, involutory = oracle.flags(op)
+    return unitary and (op.is_hermitian, op.is_involutory) == (hermitian, involutory)
+
+
+def run_wigner_stage(model, state, order=WIGNERS):
+    """Each lab measurement of ``order``, its probe adjoined first."""
+    for agent in order:
+        state = model.wigner_spec(agent).apply(extend_with_probe(model, state, agent))
+    return state
+
+
+def dense_wigner_stage(model, tens, layout, order=WIGNERS):
+    """``run_wigner_stage`` on the oracle's tensor, the probe as a new last axis."""
+    for agent in order:
+        probe = model.probe_layout(agent)
+        ready = np.zeros(probe.shape, dtype=np.complex128)
+        ready[0] = 1.0
+        layout = layout.concat(probe)
+        tens = oracle.premeasure(model.scenario_observable(agent), probe,
+                                 np.multiply.outer(tens, ready), layout)
+    return tens
 
 
 @pytest.mark.parametrize("width", range(1, 11))
@@ -92,70 +111,68 @@ def test_scenario_operators_are_bitwise_the_dense_builders(width):
     flip = np.eye(2**width, dtype=np.complex128)[::-1]
     for agent in AGENTS:
         op = model.scenario_observable(agent)
-        assert op.mask_form is not None
         if agent in FRIENDS:
             old = np.array(np.diag(loop_majority_diagonal(width)), dtype=np.complex128)
         else:
             old = np.kron(X, flip)
         assert op.matrix.tobytes() == old.tobytes()
-        assert same_flags(op, Operator(op.layout, old))
+        assert same_flags(op)
     for agent in FRIENDS:
+        # The premeasurement, as the oracle applies it to each basis state,
+        # is the controlled flip.
         spec = model.friend_spec(agent)
-        u = spec.unitary()
-        assert u.mask_form is None
-        old = controlled_flip([1.0, -1.0], 2**width)
-        assert u.matrix.tobytes() == old.tobytes()
-        assert u.is_unitary
+        layout = spec.observable.layout.concat(spec.pointer)
+        d = layout.total_dim
+        eye = np.eye(d, dtype=np.complex128).reshape(layout.shape + (d,))
+        u = oracle.premeasure(spec.observable, spec.pointer, eye, layout).reshape(d, d)
+        assert u.tobytes() == controlled_flip([1.0, -1.0], 2**width).tobytes()
 
 
 def test_pauli_y_monomial_is_bitwise_dense_y():
-    op = Operator.from_mask(qubits("q"), 1, [1j, -1j])
+    op = Operator.from_pauli_mask(qubits("q"), 1, (1j, -1j).__getitem__)
     assert op.matrix.tobytes() == Y.tobytes()
-    assert same_flags(op, Operator(qubits("q"), Y))
-    assert op.is_hermitian and op.is_unitary and op.is_involutory
+    assert same_flags(op)
+    assert op.is_hermitian and op.is_involutory
 
 
 def test_monomial_flags_match_dense_on_random_forms():
+    # Forms that keep from_pauli_mask's contract: unit phases whose product
+    # across each pair j, j ^ mask is one constant c.
     rng = np.random.default_rng(11)
     lay = RegisterLayout((("a", 2), ("b", 4)))
-    phases = np.array([1.0, -1.0, 1j, -1j, np.exp(0.3j), 0.5])
+    units = np.array([1.0, -1.0, 1j, -1j, np.exp(0.3j)])
     seen = set()
     for _ in range(300):
         mask = int(rng.integers(8))
-        phase = rng.choice(phases, size=8)
-        if rng.random() < 0.5:  # conjugate phases across each pair j, j ^ mask
-            for j in range(8):
-                if j ^ mask >= j:
-                    phase[j ^ mask] = np.conj(phase[j])
-                    if j ^ mask == j:
-                        phase[j] = rng.choice([1.0, -1.0])
-        op = Operator.from_mask(lay, mask, phase)
-        dense = Operator(lay, op.matrix)
-        assert same_flags(op, dense)
-        seen.add((dense.is_hermitian, dense.is_unitary, dense.is_involutory))
-    assert len(seen) >= 4  # the draws reach both answers of every flag
+        c = units[rng.integers(5)] if mask else rng.choice([1.0, -1.0])
+        phase = np.exp(2j * np.pi * rng.random(8))
+        for j in range(8):
+            if j < j ^ mask:
+                phase[j ^ mask] = c / phase[j]
+            elif j == j ^ mask:
+                phase[j] = np.sqrt(complex(c)) * rng.choice([1.0, -1.0])
+        op = Operator.from_pauli_mask(lay, mask, phase.tolist().__getitem__)
+        assert same_flags(op)
+        assert oracle.monomial_flags(lay, mask, phase) == oracle.flags(op)
+        seen.add(op.is_hermitian)
+    assert seen == {True, False}  # the draws reach both answers
 
 
 def test_monomial_form_guards_and_dense_fallback():
     with pytest.raises(qcore.LayoutMismatchError):
-        Operator.from_mask(RegisterLayout((("q", 3),)), 0, [1, 1, 1])
-    with pytest.raises(qcore.LayoutMismatchError):
-        Operator.from_mask(qubits("q"), 0, [1, 1, 1])
+        Operator.from_pauli_mask(RegisterLayout((("q", 3),)), 0, lambda j: 1.0)
     with pytest.raises(ValueError):
-        Operator.from_mask(qubits("q"), 2, [1, 1])
+        Operator.from_pauli_mask(qubits("q"), 2, lambda j: 1.0)
     with pytest.raises(ValueError):
-        Operator.from_mask(qubits("q"), -1, [1, 1])
-    # A non-mask observable keeps the dense path, and qcore.apply and
-    # born_table refuse a sparse state.
-    h = Operator(qubits("a"), (X + Z) / np.sqrt(2))
-    assert h.mask_form is None
-    u = vn_unitary(h, qubits("p"))
-    assert u.mask_form is None
-    ready = SparseState(qubits("a", "p"), {(0, 0): 1.0})
-    with pytest.raises(TypeError):
-        qcore.apply(u, ready)
-    with pytest.raises(TypeError):
-        qcore.born_table([Operator(qubits("a"), Z)], ready)
+        Operator.from_pauli_mask(qubits("q"), -1, lambda j: 1.0)
+    # There is no dense fallback: every operation takes a SparseState only.
+    z = Operator.from_pauli_mask(qubits("a"), 0, (1.0, -1.0).__getitem__)
+    dense = oracle.tensor(SparseState(qubits("a"), {(0,): 1.0}))
+    for call in (lambda: qcore.born_table([z], dense), lambda: qcore.project(z, dense, 1),
+                 lambda: qcore.apply_controlled(z, z, dense),
+                 lambda: qcore.split_register(dense, "a")):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_sparse_state_round_trip_and_guards():
@@ -163,10 +180,10 @@ def test_sparse_state_round_trip_and_guards():
     lay = RegisterLayout((("a", 2), ("b", 3), ("c", 4)))
     vec = rng.normal(size=24) + 1j * rng.normal(size=24)
     vec[rng.random(24) < 0.5] = 0.0
-    dense = qcore.QState(lay, vec / np.linalg.norm(vec))
-    sparse = SparseState.from_dense(dense)
-    assert len(sparse.entries) == np.count_nonzero(dense.amplitudes)
-    assert np.array_equal(sparse.to_dense().amplitudes, dense.amplitudes)
+    dense = (vec / np.linalg.norm(vec)).reshape(lay.shape)
+    sparse = oracle.sparse(lay, dense)
+    assert len(sparse.entries) == np.count_nonzero(dense)
+    assert np.array_equal(oracle.tensor(sparse), dense)
     with pytest.raises(ValueError):
         SparseState(lay, {(0, 0, 0): 2.0})
     with pytest.raises(qcore.LayoutMismatchError):
@@ -177,8 +194,8 @@ def test_sparse_state_round_trip_and_guards():
         sparse.entries[(0, 0, 0)] = 1.0
     other = SparseState(qubits("d"), {(1,): 1.0})
     joint = qcore.tensor(sparse, other)
-    assert np.array_equal(joint.to_dense().amplitudes,
-                          qcore.tensor(dense, other.to_dense()).amplitudes)
+    assert np.array_equal(oracle.tensor(joint),
+                          np.multiply.outer(dense, oracle.tensor(other)))
 
 
 def test_sparse_born_table_matches_dense_on_random_monomials():
@@ -186,102 +203,113 @@ def test_sparse_born_table_matches_dense_on_random_monomials():
     lay = RegisterLayout((("c", 2), ("a", 2), ("b", 4), ("d", 2)))
     supports = (("a",), ("b", "c"), ("d",))
     for _ in range(10):
-        vec = rng.normal(size=32) + 1j * rng.normal(size=32)
-        vec[rng.random(32) < 0.6] = 0.0
-        vec[0] = 1.0
-        dense = qcore.QState(lay, vec / np.linalg.norm(vec))
-        observables = [Operator.from_mask(lay.subset(["a"]), 1, [1j, -1j])]
+        sparse, dense = _random_sparse(rng, lay)
+        observables = [Operator.from_pauli_mask(lay.subset(["a"]), 1, (1j, -1j).__getitem__)]
         # Disjoint supports, so they commute.
         observables += [random_pm1_observable(rng, lay.subset(support))
                         for support in supports[1:]]
-        sparse_table = qcore.born_table(observables, SparseState.from_dense(dense))
-        dense_table = qcore.born_table(observables, dense)
-        assert list(sparse_table.rows) == list(dense_table.rows)
-        for outcome, p in dense_table.rows.items():
+        sparse_table = qcore.born_table(observables, sparse)
+        dense_table = oracle.born_rows(observables, dense, lay)
+        assert list(sparse_table.rows) == list(dense_table)
+        for outcome, p in dense_table.items():
             assert abs(sparse_table.rows[outcome] - p) <= TOL
 
 
 def _random_sparse(rng, layout, zero_share=0.6):
+    """A random SparseState and its oracle tensor."""
     d = layout.total_dim
     vec = rng.normal(size=d) + 1j * rng.normal(size=d)
     vec[rng.random(d) < zero_share] = 0.0
     vec[0] = 1.0
-    dense = qcore.QState(layout, vec / np.linalg.norm(vec))
-    return SparseState.from_dense(dense), dense
+    dense = (vec / np.linalg.norm(vec)).reshape(layout.shape)
+    return oracle.sparse(layout, dense), dense
 
 
 def test_expectation_and_partial_trace_take_a_sparse_state():
+    # product_expectation of one observable, and the reduced matrices of
+    # pure_density's entries, against the oracle on the dense tensor.
     rng = np.random.default_rng(5)
     lay = RegisterLayout((("a", 2), ("b", 4), ("c", 2)))
-    y = Operator.from_mask(lay.subset(["a"]), 1, [1j, -1j])
-    swap = Operator.from_mask(lay.subset(["b", "c"]), 7, [1, -1, 1, 1, 1, 1, -1, 1])
-    hadamard = Operator(lay.subset(["c"]), (X + Z) / np.sqrt(2))  # dense path
+    y = Operator.from_pauli_mask(lay.subset(["a"]), 1, (1j, -1j).__getitem__)
+    swap = Operator.from_pauli_mask(lay.subset(["b", "c"]), 7,
+                                    (1, -1, 1, 1, 1, 1, -1, 1).__getitem__)
     for _ in range(5):
         sparse, dense = _random_sparse(rng, lay)
-        for op in (y, swap, hadamard):
-            assert abs(qcore.expectation(op, sparse) - qcore.expectation(op, dense)) <= TOL
+        for op in (y, swap):
+            value, _ = qcore.product_expectation([op], sparse, "a")
+            assert abs(value - oracle.expectation(op, dense, lay)) <= TOL
+        vec = dense.reshape(-1)
+        rho = oracle.matrix(qcore.pure_density(sparse))
+        assert np.max(np.abs(rho - np.outer(vec, vec.conj()))) <= TOL
         for keep in (["a"], ["b", "c"]):
-            assert np.array_equal(qcore.partial_trace(sparse, keep).matrix,
-                                  qcore.partial_trace(dense, keep).matrix)
+            red = oracle.partial_trace(rho, lay, keep)
+            sub = lay.subset(keep)
+            a = np.moveaxis(dense, [lay.axis(l) for l in sub.labels],
+                            range(len(keep))).reshape(sub.total_dim, -1)
+            assert np.max(np.abs(red - a @ a.conj().T)) <= TOL
 
 
 def test_project_and_split_register_match_dense():
     rng = np.random.default_rng(11)
     lay = RegisterLayout((("a", 2), ("b", 3), ("c", 2)))
-    y = Operator.from_mask(lay.subset(["a"]), 1, [1j, -1j])
+    y = Operator.from_pauli_mask(lay.subset(["a"]), 1, (1j, -1j).__getitem__)
     for _ in range(5):
-        sparse, dense = _random_sparse(rng, lay, zero_share=0.3)
+        sparse, tens = _random_sparse(rng, lay, zero_share=0.3)
         for value in (1, -1):
             fast, p_fast = qcore.project(y, sparse, value)
-            slow, p_slow = qcore.project(y, dense, value)
+            slow, p_slow = oracle.project(y, tens, lay, value)
             assert isinstance(fast, SparseState)
             assert abs(p_fast - p_slow) <= TOL
-            assert np.max(np.abs(fast.to_dense().amplitudes - slow.amplitudes)) <= TOL
-        tens = dense.tensor_view()
+            assert np.max(np.abs(oracle.tensor(fast) - slow)) <= TOL
         branches = qcore.split_register(sparse, "b")
         slices = [tens[:, j, :] for j in range(3) if np.any(tens[:, j, :])]
         assert len(branches) == len(slices)
         total = np.zeros_like(tens)
         for (weight, branch), piece in zip(branches, slices):
             assert abs(weight - np.vdot(piece, piece).real) <= TOL
-            total += np.sqrt(weight) * branch.to_dense().tensor_view()
+            total += np.sqrt(weight) * oracle.tensor(branch)
         assert np.max(np.abs(total - tens)) <= TOL
     with pytest.raises(ValueError):
         qcore.project(y, sparse, 0)
     with pytest.raises(TypeError):
-        qcore.split_register(dense, "b")
+        qcore.split_register(tens, "b")
 
 
 def test_apply_controlled_matches_the_dense_premeasurement():
     rng = np.random.default_rng(23)
     lay = RegisterLayout((("a", 2), ("b", 2), ("p", 4)))
     pointer = lay.subset(["p"])
-    flip = Operator.from_mask(pointer, 3, np.ones(4))
-    controls = (Operator.from_mask(lay.subset(["a"]), 1, [1j, -1j]),  # Y
-                Operator.from_mask(lay.subset(["a", "b"]), 0, [1, -1, -1, 1]),
-                Operator.from_mask(lay.subset(["a", "b"]), 3, [1, -1, -1, 1]))
+    flip = Operator.from_pauli_mask(pointer, 3, lambda j: 1.0)
+    controls = (Operator.from_pauli_mask(lay.subset(["a"]), 1, (1j, -1j).__getitem__),  # Y
+                Operator.from_pauli_mask(lay.subset(["a", "b"]), 0,
+                                         (1, -1, -1, 1).__getitem__),
+                Operator.from_pauli_mask(lay.subset(["a", "b"]), 3,
+                                         (1, -1, -1, 1).__getitem__))
     for control in controls:
-        unitary = vn_unitary(control, pointer)
         for _ in range(3):
             sparse, dense = _random_sparse(rng, lay, zero_share=0.5)
             fast = qcore.apply_controlled(control, flip, sparse)
-            slow = qcore.apply(unitary, dense)
+            slow = oracle.premeasure(control, pointer, dense, lay)
             assert isinstance(fast, SparseState)
-            assert np.max(np.abs(fast.to_dense().amplitudes - slow.amplitudes)) <= TOL
+            assert np.max(np.abs(oracle.tensor(fast) - slow)) <= TOL
     with pytest.raises(TypeError):
         qcore.apply_controlled(controls[0], flip, dense)
     with pytest.raises(qcore.LayoutMismatchError):
-        qcore.apply_controlled(controls[0], Operator(lay.subset(["a"]), X), sparse)
-    twice = Operator.from_mask(lay.subset(["b"]), 0, [2.0, 0.5])
+        qcore.apply_controlled(controls[0],
+                               Operator.from_pauli_mask(lay.subset(["a"]), 1, lambda j: 1.0),
+                               sparse)
+    twice = Operator.from_pauli_mask(lay.subset(["b"]), 0, (1j, 1j).__getitem__)
     with pytest.raises(qcore.NotInvolutoryError):
         qcore.apply_controlled(twice, flip, sparse)
 
 
 def _dense_friend_stage(model):
-    state = model.initial_state().to_dense()
+    state = model.initial_state()
+    tens, layout = oracle.tensor(state), state.layout
     for agent in FRIENDS:
-        state = qcore.apply(model.friend_spec(agent).unitary(), state)
-    return state
+        spec = model.friend_spec(agent)
+        tens = oracle.premeasure(spec.observable, spec.pointer, tens, layout)
+    return tens
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -291,12 +319,12 @@ def test_friend_stage_and_tables_match_the_dense_oracle(width):
     assert isinstance(psi, SparseState)
     assert len(psi.entries) == 8
     dense = _dense_friend_stage(model)
-    assert np.array_equal(psi.to_dense().amplitudes, dense.amplitudes)
+    assert np.array_equal(oracle.tensor(psi), dense)
     for agents in tuple(PROTOCOL_CONTEXTS) + (WIGNERS,):
         context = scenario_context(model, agents)
         sparse_table = qcore.born_table(tuple(context.values()), psi)
-        dense_table = qcore.born_table(tuple(context.values()), dense)
-        for outcome, p in dense_table.rows.items():
+        dense_table = oracle.born_rows(tuple(context.values()), dense, psi.layout)
+        for outcome, p in dense_table.items():
             assert abs(sparse_table.rows[outcome] - p) <= TOL
 
 
@@ -304,11 +332,10 @@ def test_friend_stage_and_tables_match_the_dense_oracle(width):
 def test_pointer_branches_and_diagonality_match_the_dense_oracle(width):
     model = ScenarioModel(width)
     psi = model.post_premeasurement_state()
-    dense = psi.to_dense()
-    tens = dense.tensor_view()
+    tens = oracle.tensor(psi)
     for target in ("L1", "L2", "L3"):
         # Oracle: project the dense tensor onto each pointer state of the target.
-        ax = dense.layout.axis(target)
+        ax = psi.layout.axis(target)
         slow = []
         for j in range(tens.shape[ax]):
             branch = np.zeros_like(tens)
@@ -316,19 +343,20 @@ def test_pointer_branches_and_diagonality_match_the_dense_oracle(width):
             branch[index] = tens[index]
             weight = float(np.vdot(branch, branch).real)
             if weight > 0.0:
-                slow.append((weight, branch.reshape(-1) / np.sqrt(weight)))
+                slow.append((weight, branch / np.sqrt(weight)))
         fast = qcore.split_register(psi, target)
         assert len(fast) == len(slow) == 2
         for (w_fast, s_fast), (w_slow, s_slow) in zip(fast, slow):
             assert abs(w_fast - w_slow) <= TOL
-            assert np.max(np.abs(s_fast.to_dense().amplitudes - s_slow)) <= TOL
+            assert np.max(np.abs(oracle.tensor(s_fast) - s_slow)) <= TOL
         # Oracle: ((sum m_j)**2 - sum m_j**2)/d over the summed magnitudes.
         m = np.moveaxis(np.abs(tens), ax, 0).reshape(tens.shape[ax], -1).sum(axis=1)
-        expected = (m.sum() ** 2 - np.dot(m, m)) / dense.layout.total_dim
+        expected = (m.sum() ** 2 - np.dot(m, m)) / psi.layout.total_dim
         assert abs(pointer_diagonality(psi, target) - expected) <= TOL
         if width <= 2:
-            assert abs(pointer_diagonality(psi, target)
-                       - pointer_diagonality(qcore.pure_density(dense), target)) <= TOL
+            vec = tens.reshape(-1)
+            assert abs(pointer_diagonality(psi, target) - oracle.pointer_diagonality(
+                np.outer(vec, vec.conj()), psi.layout, target)) <= TOL
 
 
 @pytest.mark.parametrize("width", [*range(1, 9), MAX_LAB_WIDTH])
@@ -352,7 +380,7 @@ def test_support_state_renumbers_each_register_one_to_one(seed):
     tens[rng.random(layout.shape) < 0.7] = 0.0
     tens[:, 1, :] = tens[:, :, [0, 3]] = 0.0  # values the state never uses
     tens[2, 3, 4] = 1.0
-    state = SparseState.from_dense(qcore.QState(layout, tens / np.linalg.norm(tens)))
+    state = oracle.sparse(layout, tens / np.linalg.norm(tens))
     compact = qcore.support_state(state)
     assert compact.layout.labels == layout.labels
     assert compact.layout.dim("b") <= 3 and compact.layout.dim("c") <= 3
@@ -367,17 +395,15 @@ def test_support_state_renumbers_each_register_one_to_one(seed):
 
 
 def _dense_erasure(model):
-    """The earlier erasure_check, on the dense psi with the dense unitary."""
-    post = model.post_premeasurement_state().to_dense()
+    """The earlier erasure_check, on the oracle's dense psi."""
+    psi = model.post_premeasurement_state()
     record = model.scenario_observable("Alice")
-    plus_proj, _ = qcore.spectral_projectors(record)
     probs = {}
     for branch in (1, -1):
-        cond, _ = qcore.project(record, post, branch)
-        work = extend_with_probe(model, cond, "Eugene")
-        work = qcore.apply(model.wigner_spec("Eugene").unitary(), work)
-        amp = qcore._apply_to_vector(plus_proj.matrix, plus_proj.layout, work)
-        probs[branch] = float(np.real(np.vdot(amp, amp)))
+        cond, _ = oracle.project(record, oracle.tensor(psi), psi.layout, branch)
+        work = dense_wigner_stage(model, cond, psi.layout, ["Eugene"])
+        layout = psi.layout.concat(model.probe_layout("Eugene"))
+        probs[branch] = oracle.born_rows([record], work, layout)[(1,)]
     return probs
 
 
@@ -385,30 +411,31 @@ def _dense_erasure(model):
 def test_erasure_check_matches_the_dense_oracle(width):
     model = ScenarioModel(width)
     report = erasure_check(model)
-    oracle = _dense_erasure(model)
-    assert abs(report.p_plus_given_plus - oracle[1]) <= TOL
-    assert abs(report.p_plus_given_minus - oracle[-1]) <= TOL
+    oracle_probs = _dense_erasure(model)
+    assert abs(report.p_plus_given_plus - oracle_probs[1]) <= TOL
+    assert abs(report.p_plus_given_minus - oracle_probs[-1]) <= TOL
 
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_sparse_conditioning_and_wigner_stage_match_dense(width):
     model = ScenarioModel(width)
     psi = model.post_premeasurement_state()
-    dense = psi.to_dense()
+    dense = oracle.tensor(psi)
     for agent, value in itertools.product(AGENTS, (1, -1)):
         observable = model.scenario_observable(agent)
         fast, p_fast = qcore.project(observable, psi, value)
-        slow, p_slow = qcore.project(observable, dense, value)
+        slow, p_slow = oracle.project(observable, dense, psi.layout, value)
         assert abs(p_fast - p_slow) <= TOL
-        assert np.max(np.abs(fast.to_dense().amplitudes - slow.amplitudes)) <= TOL
+        assert np.max(np.abs(oracle.tensor(fast) - slow)) <= TOL
     for order in itertools.permutations(WIGNERS):
         fast = run_wigner_stage(model, psi, order)
-        slow = run_wigner_stage(model, dense, order)
+        slow = dense_wigner_stage(model, dense, psi.layout, order)
         assert isinstance(fast, SparseState)
-        assert np.max(np.abs(fast.to_dense().amplitudes - slow.amplitudes)) <= TOL
+        assert np.max(np.abs(oracle.tensor(fast) - slow)) <= TOL
 
 
-def test_max_lab_width_builds_no_dense_matrix():
+def test_max_lab_width_builds_no_dense_matrix(monkeypatch):
+    monkeypatch.setattr(Operator, "matrix", property(lambda op: pytest.fail("matrix built")))
     model = ScenarioModel(MAX_LAB_WIDTH)
     psi = run_friend_stage(model)
     assert len(psi.entries) == 8
@@ -417,15 +444,14 @@ def test_max_lab_width_builds_no_dense_matrix():
         assert abs(sum(table.rows.values()) - 1.0) <= TOL
     report = erasure_check(model)
     assert abs(report.p_plus_given_plus - 0.5) <= TOL
-    assert all(model.scenario_observable(a)._matrix is None for a in AGENTS)
 
 
 def computed_flags(op):
     """The O(d) flags of the same mask form, read off its phases tabulated."""
     mask, phase = op.mask_form
-    fresh = Operator.from_mask(op.layout, mask, [phase(j) for j in range(op.layout.total_dim)])
-    return {"hermitian": fresh.is_hermitian, "unitary": fresh.is_unitary,
-            "involutory": fresh.is_involutory}
+    hermitian, unitary, involutory = oracle.monomial_flags(
+        op.layout, mask, [phase(j) for j in range(op.layout.total_dim)])
+    return {"hermitian": hermitian, "unitary": unitary, "involutory": involutory}
 
 
 @pytest.mark.parametrize("width", range(1, 13))
@@ -436,9 +462,8 @@ def test_scenario_flags_set_at_construction_equal_the_computed_flags(width):
         spec = model.friend_spec(friend)
         operators += [spec.observable, _flip(spec.pointer)]
     for op in operators:
-        built = dict(op._flags)  # before any flag is read
-        assert built == {"hermitian": True, "unitary": True, "involutory": True}
-        assert built == computed_flags(op)
+        assert op.is_hermitian and op.is_involutory
+        assert computed_flags(op) == {"hermitian": True, "unitary": True, "involutory": True}
 
 
 def norm(state):
@@ -452,22 +477,23 @@ def test_trusted_sparse_producers_are_unit_and_match_dense(width):
     ghz = ghz_scenario_state(labels=("a1", "a2", "a3"))
     ready = SparseState(model.layout.subset(["L1", "L2", "L3"]), {(0, 0, 0): 1.0})
     start = qcore.tensor(ghz, ready)
-    assert np.array_equal(start.to_dense().amplitudes,
-                          qcore.tensor(ghz.to_dense(), ready.to_dense()).amplitudes)
-    # apply_controlled: each friend's premeasurement against its dense unitary.
-    sparse, dense = start, start.to_dense()
+    assert np.array_equal(oracle.tensor(start),
+                          np.multiply.outer(oracle.tensor(ghz), oracle.tensor(ready)))
+    # apply_controlled: each friend's premeasurement against the oracle's.
+    sparse, dense = start, oracle.tensor(start)
     produced = [start]
     for friend in FRIENDS:
         spec = model.friend_spec(friend)
-        sparse, dense = spec.apply(sparse), qcore.apply(spec.unitary(), dense)
-        assert np.max(np.abs(sparse.to_dense().amplitudes - dense.amplitudes)) <= TOL
+        sparse = spec.apply(sparse)
+        dense = oracle.premeasure(spec.observable, spec.pointer, dense, model.layout)
+        assert np.max(np.abs(oracle.tensor(sparse) - dense)) <= TOL
         produced.append(sparse)
     for agent, value in itertools.product(AGENTS, (1, -1)):
         observable = model.scenario_observable(agent)
         # project, against the dense projector.
         fast, _ = qcore.project(observable, sparse, value)
-        slow, _ = qcore.project(observable, dense, value)
-        assert np.max(np.abs(fast.to_dense().amplitudes - slow.amplitudes)) <= TOL
+        slow, _ = oracle.project(observable, dense, model.layout, value)
+        assert np.max(np.abs(oracle.tensor(fast) - slow)) <= TOL
         produced.append(fast)
     for target in ("L1", "L2", "L3"):
         produced += [branch for _, branch in qcore.split_register(sparse, target)]
