@@ -62,11 +62,11 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
 from . import __version__, qcore, spacetime
+from ._record import record
 from .contexts import (
     NAMED_CONTEXT_IDS,
     common_extension,
@@ -118,7 +118,7 @@ ENV_OUT = "WIGNERLAB_OUT"
 REPORT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioConfig:
     """Validated run configuration with every default filled in."""
 
@@ -198,7 +198,7 @@ def load_config(path: str | None) -> dict:
     return raw
 
 
-@dataclass(frozen=True)
+@record
 class _Key:
     """A config key's row: ``check`` takes the key, which any error message
     names first, and the raw value, and returns the validated value."""
@@ -363,14 +363,14 @@ def build_config(raw: dict, args: argparse.Namespace | None = None) -> ScenarioC
     return ScenarioConfig(**values)
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool
     values: dict
 
 
-@dataclass(frozen=True)
+@record
 class RunReport:
     command: str
     version: str

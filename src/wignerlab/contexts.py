@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 
 from . import spacetime
+from ._record import record
 from .errors import RecordContextMismatchError, UnknownAgentError
 from .scenario import (
     AGENTS,
@@ -30,7 +30,7 @@ from .scenario import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class DecoherenceEnvironment:
     """The agents whose outcome records have decohered into one environment."""
 
@@ -44,7 +44,7 @@ class Assessment(enum.Enum):
     NOT_ASSESSABLE = "NOT_ASSESSABLE"
 
 
-@dataclass(frozen=True)
+@record
 class Proposition:
     """Claim that an agent's outcome took the given value."""
 
@@ -103,7 +103,7 @@ def incompatibility_graph(model: ScenarioModel) -> tuple[tuple[str, str], ...]:
 NAMED_CONTEXT_IDS = frozenset(_env_id(agents) for agents in PROTOCOL_CONTEXTS)
 
 
-@dataclass(frozen=True)
+@record
 class ContextReport:
     """One maximal joint context, its environment, and its frame status."""
 

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import qcore
+from ._record import record
 from .errors import BadStrengthError
 from .scenario import (
     WIGNERS,
@@ -45,7 +45,7 @@ from .scenario import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class DephasingChannel:
     """One dephasing step on a named register, in its computational basis."""
 

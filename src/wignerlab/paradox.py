@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import MarginalMismatchError, UniverseTooLargeError
 from .qcore import NUMERIC_TOL
 from .scenario import AGENTS, OUTCOME_VARIABLE, PROTOCOL_CONTEXTS
@@ -23,7 +23,7 @@ from .scenario import AGENTS, OUTCOME_VARIABLE, PROTOCOL_CONTEXTS
 ENUMERATION_CAP = 24
 
 
-@dataclass(frozen=True)
+@record
 class ParityConstraint:
     """Product of the named +-1 variables equals ``parity``."""
 
@@ -42,7 +42,7 @@ class ParityConstraint:
         return "*".join(self.variables) + ("=+1" if self.parity == 1 else "=-1")
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintSystem:
     """Ordered constraints over an explicit variable universe."""
 
@@ -75,7 +75,7 @@ def scenario_constraints() -> ConstraintSystem:
     return ConstraintSystem(constraints, tuple(OUTCOME_VARIABLE[a] for a in AGENTS))
 
 
-@dataclass(frozen=True)
+@record
 class EnumerationReport:
     total: int
     count: int
@@ -119,7 +119,7 @@ def enumerate_satisfying(system: ConstraintSystem) -> EnumerationReport:
     return EnumerationReport(2 ** len(system.universe), count)
 
 
-@dataclass(frozen=True)
+@record
 class Gf2Report:
     """Outcome of Gaussian elimination over GF(2).
 
@@ -166,7 +166,7 @@ def gf2_consistency(system: ConstraintSystem) -> Gf2Report:
     return Gf2Report(True, None)
 
 
-@dataclass(frozen=True)
+@record
 class ExtractionReport:
     """Constraints read off Born-table supports, plus tables that had none."""
 
@@ -195,7 +195,7 @@ def constraints_from_born(tables) -> ExtractionReport:
     return ExtractionReport(system, tuple(skipped))
 
 
-@dataclass(frozen=True)
+@record
 class GlobalSectionReport:
     """Support-level compatibility of one assignment with every table.
 

@@ -58,10 +58,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
+from ._record import record
 from .errors import (
     ContextIncompatibleError,
     LabelClashError,
@@ -86,7 +86,7 @@ BORN_SUM_TOL = 1e-9
 SUPPORT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@record
 class RegisterLayout:
     """Ordered (label, dimension) register sites; labels, shape and axes built once."""
 
@@ -512,7 +512,7 @@ def commutes(a: Operator, b: Operator) -> bool:
                <= NUMERIC_TOL for j in range(common.total_dim))
 
 
-@dataclass(frozen=True)
+@record
 class BornTable:
     """Joint outcome distribution of commuting involutory observables.
 

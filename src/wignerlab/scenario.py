@@ -35,9 +35,9 @@ byte-identical reruns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import qcore, spacetime, stabilizer
+from ._record import record
 from .errors import UnknownAgentError
 from .qcore import Operator, RegisterLayout
 
@@ -97,12 +97,12 @@ def _majority_diagonal(width: int):
     return lambda j: 1.0 if 2 * j.bit_count() + (j >= half) <= width else -1.0
 
 
-@dataclass(frozen=True)
+@record
 class MeasurementSpec:
     """One agent's measurement: what is measured, onto which pointer."""
 
-    observable: Operator = field(repr=False)
-    pointer: RegisterLayout = field(repr=False)
+    observable: Operator
+    pointer: RegisterLayout
 
     def apply(self, state: qcore.SparseState) -> qcore.SparseState:
         """This premeasurement, P_plus + F P_minus with F the pointer flip,
@@ -260,7 +260,7 @@ def context_born_table(state, context: dict[str, Operator]) -> qcore.BornTable:
     return qcore.born_table(tuple(context.values()), state, names=tuple(context))
 
 
-@dataclass(frozen=True)
+@record
 class OutcomeRecord:
     """One sampled joint outcome of a measurement context.
 
@@ -302,7 +302,7 @@ def sample_outcomes(table: qcore.BornTable, seed: int) -> OutcomeRecord:
     return OutcomeRecord(dict(zip(table.names, outcome)), table.rows[outcome])
 
 
-@dataclass(frozen=True)
+@record
 class ErasureReport:
     """Pointer statistics after a lab measurement scrambles a friend's record.
 

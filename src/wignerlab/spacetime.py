@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import SuperluminalError
 
 
-@dataclass(frozen=True)
+@record
 class Event4:
     """Labeled spacetime point; a coordinate is a float, or a ``Fraction``
     where a config wrote an exact decimal."""
@@ -58,7 +58,7 @@ def is_timelike(e1: Event4, e2: Event4) -> bool:
     return interval(e1, e2) > 0.0
 
 
-@dataclass(frozen=True)
+@record
 class BoostVelocity:
     vx: float
     vy: float
@@ -90,7 +90,7 @@ def boost(event: Event4, velocity: BoostVelocity) -> Event4:
                   *(ri + shift * vi for ri, vi in zip(r, v)))
 
 
-@dataclass(frozen=True)
+@record
 class FrameSolution:
     """Outcome of a simultaneity-frame search.
 
@@ -229,7 +229,7 @@ SPACELIKE_PAIRS = (*itertools.combinations(EARLY, 2), *itertools.combinations(LA
                      if EVENT_LAB[late] != EVENT_LAB[early]))
 
 
-@dataclass(frozen=True)
+@record
 class Geometry:
     """Scenario event placement: one early and one late event per lab."""
 

@@ -17,9 +17,8 @@ bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import qcore
+from ._record import record
 from .errors import (
     LengthMismatchError,
     NoncommutingGeneratorsError,
@@ -33,7 +32,7 @@ _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PHASE_VAL = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
 
 
-@dataclass(frozen=True)
+@record
 class PauliString:
     """Immutable phase * letters word; ``phase_exp`` is k in i**k."""
 

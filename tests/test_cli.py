@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -40,7 +39,10 @@ from wignerlab.errors import (
     RankNotOneError,
 )
 from wignerlab.paradox import (
+    EnumerationReport,
+    ExtractionReport,
     Gf2Report,
+    GlobalSectionReport,
     constraints_from_born,
     enumerate_satisfying,
     global_section_exists,
@@ -48,6 +50,7 @@ from wignerlab.paradox import (
 from wignerlab.scenario import (
     MAX_LAB_WIDTH,
     OUTCOME_VARIABLE,
+    ErasureReport,
     ScenarioModel,
     context_born_table,
     erasure_check,
@@ -846,7 +849,7 @@ def _shifted(series):
 
 def _erasure_shifted(model):
     report = erasure_check(model)
-    return dataclasses.replace(report, p_plus_given_plus=report.p_plus_given_plus + 1e-9)
+    return ErasureReport(report.p_plus_given_plus + 1e-9, report.p_plus_given_minus)
 
 
 # Each decohere check, and a faulty stand-in for the ``cli`` binding it reads.
@@ -874,11 +877,11 @@ def test_each_decohere_check_fails_on_its_own_fault(tmp_path, capsys, monkeypatc
 
 def _one_table_skipped(tables):
     report = constraints_from_born(tables)
-    return dataclasses.replace(report, skipped=((0, "NO_PARITY_STRUCTURE"),))
+    return ExtractionReport(report.system, ((0, "NO_PARITY_STRUCTURE"),))
 
 
 def _one_assignment_satisfies(system):
-    return dataclasses.replace(enumerate_satisfying(system), count=1)
+    return EnumerationReport(enumerate_satisfying(system).total, 1)
 
 
 def _three_constraint_witness(system):
@@ -892,7 +895,7 @@ def _section_count(count, of_tables):
         report = global_section_exists(tables)
         if len(tables) != of_tables:
             return report
-        return dataclasses.replace(report, exists=count > 0, count=count)
+        return GlobalSectionReport(count > 0, count, report.universe)
     return fault
 
 

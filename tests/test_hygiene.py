@@ -6,7 +6,7 @@ would otherwise go unnoticed.  ``pyproject.toml`` declares no runtime
 dependency, and the only numpy import in ``src/`` is inside
 ``Operator.matrix``, which the tests' oracle reads: every command, help,
 usage and config error runs without numpy, and no default run loads
-``numpy.random``.
+``numpy.random``, ``dataclasses`` or ``inspect``.
 """
 
 import ast
@@ -145,8 +145,8 @@ def test_the_numpy_import_check_finds_module_level_imports():
 
 
 # A fresh interpreter per case: import the CLI, run ``main`` on the
-# arguments if there are any, and print its exit status, whether any numpy
-# module was loaded and whether ``numpy.random`` was.
+# arguments if there are any, and print its exit status, then whether each
+# of numpy, numpy.random, dataclasses and inspect was loaded.
 PROBE = """
 import contextlib, io, sys
 import wignerlab.cli
@@ -155,18 +155,19 @@ status = None
 if args:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         status = wignerlab.cli.main(args)
-print(status, any(name == "numpy" or name.startswith("numpy.") for name in sys.modules),
-      any(name == "numpy.random" or name.startswith("numpy.random.") for name in sys.modules))
+def loaded(module):
+    return any(name == module or name.startswith(module + ".") for name in sys.modules)
+print(status, *(loaded(m) for m in ("numpy", "numpy.random", "dataclasses", "inspect")))
 """
 
 
-def run_probe(tmp_path, args) -> str:
+def run_probe(tmp_path, args) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("WIGNERLAB_OUT", None)
     argv = [a.format(out=tmp_path) for a in args]
     result = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, cwd=tmp_path,
                             capture_output=True, text=True, timeout=60, check=True)
-    return result.stdout.strip()
+    return result.stdout.split()
 
 
 @pytest.mark.parametrize("args,expected", [
@@ -191,12 +192,24 @@ def run_probe(tmp_path, args) -> str:
                  id="decohere-w57"),
 ])
 def test_numpy_is_loaded_only_by_dense_work(tmp_path, args, expected):
-    assert run_probe(tmp_path, args).rsplit(" ", 1)[0] == expected
+    assert " ".join(run_probe(tmp_path, args)[:2]) == expected
 
 
-@pytest.mark.parametrize("command", ["ghz-check", "paradox", "contexts", "frames", "decohere"])
+COMMANDS = ("ghz-check", "paradox", "contexts", "frames", "decohere")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_no_default_run_loads_numpy_random(tmp_path, command):
-    assert run_probe(tmp_path, [command, "--out", "{out}"]).endswith(" False")
+    assert run_probe(tmp_path, [command, "--out", "{out}"])[2] == "False"
+
+
+# Records are frozen value classes built by ``wignerlab._record.record``,
+# which generates no source: neither importing the CLI nor running a command
+# loads ``dataclasses`` or the ``inspect`` module it imports.
+@pytest.mark.parametrize("args", [[]] + [[command, "--out", "{out}"] for command in COMMANDS],
+                         ids=["import", *COMMANDS])
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, args):
+    assert run_probe(tmp_path, args)[3:] == ["False", "False"]
 
 
 # numpy made unimportable: a ``sys.meta_path`` finder raises for every numpy
