@@ -138,6 +138,7 @@ class ScenarioConfig:
         enters as its events table, a built-in one by name."""
         payload = {key: getattr(self, key)
                    for key, row in _KEYS.items() if row.digest}
+        payload["dephasing"] = dict(self.dephasing)
         if self.geometry_name == "custom":
             payload["geometry"] = {label: list(map(float, e.as_array()))
                                    for label, e in self.geometry.events.items()}
@@ -150,27 +151,12 @@ class ScenarioConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _plain(value):
-    """Recursively coerce to builtin JSON-serializable types."""
-    if isinstance(value, (dict, MappingProxyType)):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (bool, type(None), str)):
-        return value
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):
-        return float(value)
-    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
-
-
 # Sorted keys, no spaces: what ``json.dumps`` gives with the same two options.
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_json(obj) -> str:
-    return _JSON.encode(_plain(obj))
+    return _JSON.encode(obj)
 
 
 def _sig12(x: float) -> float:
@@ -385,8 +371,8 @@ class RunReport:
 
     @cached_property
     def document(self) -> dict:
-        """The report body in builtin types; ``_plain`` runs once per report."""
-        return _plain({
+        """The report body in builtin types, built once per report."""
+        return {
             "command": self.command,
             "version": self.version,
             "config_digest": self.digest,
@@ -395,7 +381,7 @@ class RunReport:
             "checks": [{"name": c.name, "passed": c.passed, "values": c.values}
                        for c in self.checks],
             "data": self.data,
-        })
+        }
 
     @cached_property
     def json_text(self) -> str:
@@ -796,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
         usage="%(prog)s [-h] [--version] COMMAND [options]",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Three-lab entangled-measurement protocol: verify the state, exhibit\n"
-                    "the outcome paradox, and map which records can be jointly assessed.",
+                    "the outcome paradox, and map which records can share an environment.",
         epilog="commands:\n" + "\n".join(
             f"  {name:<10}  {line}" for name, line in _COMMAND_HELP.items()),
     )

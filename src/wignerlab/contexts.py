@@ -1,12 +1,13 @@
-"""Decoherence environments and what they can assess.
+"""Decoherence environments and which records they can hold together.
 
 An environment is the set of agents whose records it stably holds; its
-region of spacetime is their measurement events.  One agent's record is
-assessable from an environment only if that environment compatibly extends
-the agent's primary context: it must hold the agent and keep all of its
-records pairwise commuting.  Incompatible records (a sealed lab's pointer
-reading versus the conjugated x-observable of the same lab) can never share
-an environment, which is where the assessment algebra gets its structure.
+region of spacetime is their measurement events.  Records can share an
+environment only if their observables pairwise commute, so an agent's
+record is held consistently by exactly those environments that contain
+its primary context and keep all of their records pairwise commuting.
+Incompatible records (a sealed lab's pointer reading versus the
+conjugated x-observable of the same lab) can never share an environment:
+the maximal contexts take one or the other for each lab.
 
 Environment ids are stable: ``E_`` plus the event letters of the recorded
 agents in alphabetical order (A, B, C, U, V, W), so the environment holding
@@ -15,17 +16,15 @@ the records of Bob, Charlie, and Eugene is ``E_BCU``.
 
 from __future__ import annotations
 
-import enum
 import itertools
 
 from . import spacetime
 from ._record import record
-from .errors import RecordContextMismatchError, UnknownAgentError
+from .errors import UnknownAgentError
 from .scenario import (
     AGENTS,
     EVENT_OF_AGENT,
     PROTOCOL_CONTEXTS,
-    OutcomeRecord,
     ScenarioModel,
 )
 
@@ -36,26 +35,6 @@ class DecoherenceEnvironment:
 
     id: str
     agents: frozenset[str]
-
-
-class Assessment(enum.Enum):
-    TRUE = "TRUE"
-    FALSE = "FALSE"
-    NOT_ASSESSABLE = "NOT_ASSESSABLE"
-
-
-@record
-class Proposition:
-    """Claim that an agent's outcome took the given value."""
-
-    agent: str
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.agent not in AGENTS:
-            raise UnknownAgentError(f"unknown agent {self.agent!r}")
-        if self.value not in (1, -1):
-            raise ValueError(f"outcome value must be +1 or -1, got {self.value!r}")
 
 
 def _env_id(agents) -> str:
@@ -72,12 +51,6 @@ def primary_context(agent: str) -> DecoherenceEnvironment:
 def _records_commute(model: ScenarioModel, agents) -> bool:
     return all(model.observables_commute(a, b)
                for a, b in itertools.combinations(agents, 2))
-
-
-def compatibly_extends(model: ScenarioModel, extension: DecoherenceEnvironment,
-                       base: DecoherenceEnvironment) -> bool:
-    """Whether ``extension`` holds everything ``base`` does, consistently."""
-    return base.agents <= extension.agents and _records_commute(model, extension.agents)
 
 
 def _union(environments) -> DecoherenceEnvironment:
@@ -134,24 +107,3 @@ def maximal_contexts(model: ScenarioModel,
                                             for a in clique])
         reports.append(ContextReport(env, env.id in NAMED_CONTEXT_IDS, frame))
     return tuple(sorted(reports, key=lambda r: r.environment.id))
-
-
-def assess(model: ScenarioModel, proposition: Proposition,
-           environment: DecoherenceEnvironment, record: OutcomeRecord) -> Assessment:
-    """Evaluate a single-outcome claim relative to an environment.
-
-    Returns NOT_ASSESSABLE when the environment does not compatibly extend
-    the claimed agent's primary context; otherwise compares the claim with
-    the sampled record, which must cover all of the environment's agents.
-    """
-    primary = primary_context(proposition.agent)
-    if not compatibly_extends(model, environment, primary):
-        return Assessment.NOT_ASSESSABLE
-    missing = environment.agents - set(record.values)
-    if missing:
-        raise RecordContextMismatchError(
-            f"outcome record lacks agents {sorted(missing)} required by "
-            f"{environment.id}"
-        )
-    claimed = record.values[proposition.agent]
-    return Assessment.TRUE if claimed == proposition.value else Assessment.FALSE

@@ -56,10 +56,6 @@ class ZeroBranchError(ValueError):
     """Conditioning on an outcome branch of (numerically) zero probability."""
 
 
-class RecordContextMismatchError(ValueError):
-    """Outcome record lacks agents required by the assessing environment."""
-
-
 class SuperluminalError(ValueError):
     """Boost velocity at or above the speed of light."""
 

@@ -114,9 +114,6 @@ class RegisterLayout:
         except KeyError:
             raise UnknownLabelError(f"no register labeled {label!r}") from None
 
-    def dim(self, label: str) -> int:
-        return self.sites[self.axis(label)][1]
-
     def subset(self, labels) -> "RegisterLayout":
         """Sub-layout of the given labels, in this layout's order."""
         want = set(labels)
@@ -134,16 +131,6 @@ def qubits(*labels: str) -> RegisterLayout:
     return RegisterLayout(tuple((l, 2) for l in labels))
 
 
-class _Trusted:
-    """A fresh value valid by construction, which ``_trusted`` on a class
-    passes to its ``__init__``: every instance is built in that one place."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
 class SparseState:
     """Normalized pure state held as its nonzero amplitudes.
 
@@ -156,9 +143,6 @@ class SparseState:
 
     def __init__(self, layout: RegisterLayout, entries):
         self.layout = layout
-        if isinstance(entries, _Trusted):
-            self.entries = MappingProxyType(entries.value)
-            return
         shape = layout.shape
         kept = {}
         for index, amp in dict(entries).items():
@@ -177,7 +161,9 @@ class SparseState:
         """Adopt ``entries`` as they are: tuple indices that fit ``layout``,
         complex amplitudes, no exact zero, unit norm; the caller must hold no
         other reference."""
-        return cls(layout, _Trusted(entries))
+        state = cls.__new__(cls)
+        state.layout, state.entries = layout, MappingProxyType(entries)
+        return state
 
     def __repr__(self) -> str:
         return f"SparseState(entries={len(self.entries)}, labels={self.layout.labels})"
@@ -551,12 +537,8 @@ class BornTable:
         """The outcomes whose probability exceeds ``SUPPORT_TOL``, in row order."""
         return tuple(o for o, p in self.rows.items() if p > SUPPORT_TOL)
 
-    def marginal(self, names) -> "BornTable":
-        """Marginal table over a subset of outcome slots, keeping their order here."""
-        return BornTable(tuple(names), self.marginal_rows(names))
-
     def marginal_rows(self, names) -> dict[tuple[int, ...], float]:
-        """The rows of ``marginal(names)``, summed without building a checked table."""
+        """Rows of the marginal over a subset of outcome slots, in the order given."""
         idx = [self.names.index(n) for n in names]
         rows = dict.fromkeys(itertools.product((1, -1), repeat=len(idx)), 0.0)
         for outcome, p in self.rows.items():

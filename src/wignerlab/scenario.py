@@ -34,6 +34,7 @@ byte-identical reruns.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 from . import qcore, spacetime, stabilizer
@@ -281,8 +282,6 @@ class _OutcomeStream:
         self._counter = 0
 
     def random(self) -> float:
-        import hashlib
-
         block = self._key + self._counter.to_bytes(8, "big")
         self._counter += 1
         return (int.from_bytes(hashlib.sha256(block).digest()[:8], "big") >> 11) / 2**53

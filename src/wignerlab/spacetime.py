@@ -1,4 +1,4 @@
-"""Flat-spacetime events, pure boosts, and simultaneity frames.
+"""Flat-spacetime events, boost velocities, and simultaneity frames.
 
 Metric signature (+, -, -, -), units with c = 1.  A simultaneity frame for
 a set of events exists exactly when the span of their difference vectors
@@ -74,20 +74,6 @@ class BoostVelocity:
 
     def as_array(self) -> tuple[float, float, float]:
         return (self.vx, self.vy, self.vz)
-
-
-def boost(event: Event4, velocity: BoostVelocity) -> Event4:
-    """Coordinates of the event in the frame moving at ``velocity``."""
-    v = velocity.as_array()
-    v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    if v2 == 0.0:
-        return event
-    r = (event.x, event.y, event.z)
-    vr = v[0] * r[0] + v[1] * r[1] + v[2] * r[2]
-    gamma = 1.0 / math.sqrt(1.0 - v2)
-    shift = (gamma - 1.0) * vr / v2 - gamma * event.t
-    return Event4(event.label, gamma * (event.t - vr),
-                  *(ri + shift * vi for ri, vi in zip(r, v)))
 
 
 @record

@@ -17,6 +17,8 @@ bit-exactly.
 
 from __future__ import annotations
 
+import math
+
 from . import qcore
 from ._record import record
 from .errors import (
@@ -44,10 +46,6 @@ class PauliString:
             raise ValueError(f"phase exponent {self.phase_exp} not in 0..3")
         if not self.letters or any(c not in _LETTERS for c in self.letters):
             raise ValueError(f"letters {self.letters!r} must be nonempty over I/X/Y/Z")
-
-    @property
-    def phase(self) -> complex:
-        return _PHASE_VAL[self.phase_exp]
 
     @property
     def is_hermitian(self) -> bool:
@@ -184,8 +182,6 @@ def joint_eigenstate(generators, labels=None) -> qcore.SparseState:
         v = _stabilized(forms, x)
         if v:
             break
-    import math
-
     norm = math.sqrt(math.fsum(a.real * a.real + a.imag * a.imag for a in v.values()))
     return qcore.SparseState(
         qcore.qubits(*labels),

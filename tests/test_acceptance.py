@@ -224,10 +224,10 @@ def test_criterion_09_property_sweeps():
         shared = tuple(sorted(set(first) & set(second)))
         if not shared:
             continue
-        left = tables[first].marginal(shared)
-        right = tables[second].marginal(shared)
-        for outcome, p in left.rows.items():
-            assert abs(p - right.rows[outcome]) <= TOL
+        left = tables[first].marginal_rows(shared)
+        right = tables[second].marginal_rows(shared)
+        for outcome, p in left.items():
+            assert abs(p - right[outcome]) <= TOL
     for agents in itertools.product(("Alice", "Eugene"), ("Bob", "Johnny"),
                                     ("Charlie", "Daniel")):
         table = context_born_table(base, scenario_context(model, agents))

@@ -39,7 +39,7 @@ def _commuting_involutions(rng, k):
     until it commutes with those before it (by the oracle's commutator)."""
     out = []
     for support in _SUPPORTS[:k]:
-        sub = RegisterLayout(tuple((label, _LAYOUT.dim(label)) for label in support))
+        sub = RegisterLayout(tuple((label, dict(_LAYOUT.sites)[label]) for label in support))
         op = _pm1_observable(rng, sub)
         while not all(oracle.commutes(op, other) for other in out):
             op = _pm1_observable(rng, sub)

@@ -508,9 +508,8 @@ def test_reports_take_no_numpy_integer():
     # No report value is a numpy scalar; a producer that leaks a numpy integer
     # fails here, while np.float64 is a float and serializes as one.
     with pytest.raises(TypeError, match="int64"):
-        cli._plain(np.int64(1))
-    assert cli._plain(np.float64(0.5)) == 0.5
-    assert type(cli._plain(np.float64(0.5))) is float
+        cli.canonical_json(np.int64(1))
+    assert cli.canonical_json(np.float64(0.5)) == "0.5"
 
 
 def test_env_var_sets_default_out(tmp_path, monkeypatch):

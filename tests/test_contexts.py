@@ -2,28 +2,19 @@ import pytest
 
 from wignerlab.contexts import (
     NAMED_CONTEXT_IDS,
-    Assessment,
     DecoherenceEnvironment,
-    Proposition,
-    assess,
     common_extension,
-    compatibly_extends,
     incompatibility_graph,
     maximal_contexts,
     primary_context,
 )
-from wignerlab.errors import RecordContextMismatchError, UnknownAgentError
+from wignerlab.errors import UnknownAgentError
 from wignerlab.scenario import (
     AGENTS,
     LAB_INDEX,
-    OutcomeRecord,
     ScenarioModel,
     atom_label,
-    context_born_table,
     lab_label,
-    run_friend_stage,
-    sample_outcomes,
-    scenario_context,
 )
 from wignerlab.spacetime import collinear_geometry, default_geometry
 
@@ -76,8 +67,9 @@ def test_compatible_extension_and_its_failure(model):
     env_ab = common_extension(model, [env_a, primary_context("Bob")])
     assert env_ab is not None
     assert env_ab.id == "E_AB"
-    assert compatibly_extends(model, env_ab, env_a)
-    assert not compatibly_extends(model, env_a, env_ab)
+    # env_ab holds everything env_a does, consistently; not the reverse.
+    assert common_extension(model, [env_ab, env_a]) == env_ab
+    assert common_extension(model, [env_a, env_ab]) != env_a
 
 
 def test_no_common_extension_across_a_sealed_lab(model):
@@ -142,69 +134,14 @@ def test_collinear_geometry_frames_only_same_stage_contexts(model):
         assert report.frame.velocity.speed == 0.0
 
 
-def test_proposition_guards():
-    with pytest.raises(UnknownAgentError):
-        Proposition("Nobody", 1)
-    with pytest.raises(ValueError):
-        Proposition("Alice", 0)
-
-
-def _friend_record(values):
-    return OutcomeRecord(values, 0.25)
-
-
-def test_assess_true_false_and_not_assessable(model):
-    env = common_extension(model, [primary_context(a)
-                                   for a in ("Alice", "Bob", "Charlie")])
-    record = _friend_record({"Alice": 1, "Bob": 1, "Charlie": 1})
-    assert assess(model, Proposition("Alice", 1), env, record) is Assessment.TRUE
-    assert assess(model, Proposition("Alice", -1), env, record) is Assessment.FALSE
-    # Eugene's record cannot coexist with Alice's, so his outcome has no
-    # standing in this environment regardless of what was written down.
-    verdict = assess(model, Proposition("Eugene", 1), env, record)
-    assert verdict is Assessment.NOT_ASSESSABLE
-
-
-def test_assess_requires_full_record_coverage(model):
-    env = common_extension(model, [primary_context(a)
-                                   for a in ("Alice", "Bob", "Charlie")])
-    partial = OutcomeRecord({"Alice": 1}, 0.5)
-    with pytest.raises(RecordContextMismatchError):
-        assess(model, Proposition("Alice", 1), env, partial)
-
-
-def test_not_assessable_takes_precedence_over_mismatch(model):
-    env = common_extension(model, [primary_context(a)
-                                   for a in ("Alice", "Bob", "Charlie")])
-    partial = OutcomeRecord({"Alice": 1}, 0.5)
-    verdict = assess(model, Proposition("Eugene", 1), env, partial)
-    assert verdict is Assessment.NOT_ASSESSABLE
-
-
-def test_assessability_is_monotone_under_extension(model):
-    state = run_friend_stage(model)
-    table = context_born_table(state, scenario_context(model, ("Alice", "Bob", "Charlie")))
-    env_a = primary_context("Alice")
-    env_ab = common_extension(model, [env_a, primary_context("Bob")])
-    env_abc = common_extension(model, [env_ab, primary_context("Charlie")])
-    for seed in range(40):
-        record = sample_outcomes(table, seed)
-        prop = Proposition("Alice", record.values["Alice"])
-        small = assess(model, prop, env_a, record)
-        mid = assess(model, prop, env_ab, record)
-        big = assess(model, prop, env_abc, record)
-        assert small is Assessment.TRUE
-        assert mid is small and big is small
-
-
 def test_every_agent_is_assessable_somewhere(model):
     reports = maximal_contexts(model, default_geometry())
     for agent in AGENTS:
         homes = [r for r in reports if agent in r.environment.agents]
         assert len(homes) == 4
         for report in homes:
-            assert compatibly_extends(model, report.environment,
-                                      primary_context(agent))
+            extended = [report.environment, primary_context(agent)]
+            assert common_extension(model, extended) == report.environment
 
 
 def test_environment_ids_are_deterministic(model):

@@ -1,5 +1,6 @@
 """Import hygiene: every name a module imports is read in that module, and
-numpy is a test-only dependency.
+numpy is a test-only dependency.  Reachability: every function in ``src/``
+runs in some command.
 
 No linter runs over this repository, so an import left behind by a change
 would otherwise go unnoticed.  ``pyproject.toml`` declares no runtime
@@ -269,3 +270,86 @@ def test_commuting_overlapping_pair_is_decided_where_numpy_cannot_be_imported(tm
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "True"
+
+
+# Every function compiled from ``src/wignerlab`` runs in some command.  A
+# fresh interpreter sets ``sys.settrace`` before importing the CLI, runs
+# ``main`` on each argument list given as JSON, and prints the (file, first
+# line, name) of every package code object that was called.  Code objects
+# are matched on those three, not on ``co_qualname``, which Python 3.10
+# lacks.
+REACHED = """
+import contextlib, io, json, os, sys
+
+called = set()
+
+def trace(frame, event, arg):
+    called.add(frame.f_code)
+
+sys.settrace(trace)
+import wignerlab.cli
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        wignerlab.cli.main(args)
+sys.settrace(None)
+package = os.path.dirname(wignerlab.cli.__file__)
+print(json.dumps(sorted((os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
+                        for c in called if os.path.dirname(c.co_filename) == package)))
+"""
+
+# Functions no command calls, each kept for a reader outside the commands.
+UNREACHED = {
+    "matrix": "Operator.matrix: the dense array read by the tests' oracle and "
+              "the benchmark's tracer",
+    "__repr__": "a record's or state's repr, read when debugging",
+    "_frozen": "_record: raises on assignment to a record, which no command makes",
+    "entry": "cli.entry: the console script, which calls main and exits",
+    "expectation_product": "BornTable.expectation_product: the README's worked example",
+}
+
+
+def named_code_objects(path: pathlib.Path) -> set[tuple[str, int, str]]:
+    """(file, first line, name) of each function and class body in ``path``;
+    comprehensions, lambdas and the module body are not named."""
+    found = set()
+    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        stack.extend(c for c in code.co_consts if isinstance(c, type(code)))
+        if not code.co_name.startswith("<"):
+            found.add((path.name, code.co_firstlineno, code.co_name))
+    return found
+
+
+def test_every_src_function_runs_in_a_command(tmp_path):
+    configs = {
+        "collinear": {"geometry": "collinear"},
+        "custom": {"geometry": {"events": {
+            "A": [0, 0, 0, 0], "B": [0.1, 1, 0, 0], "C": [0.3, 3, 0, 0],
+            "U": [0.5, -0.4, 0, 0], "V": [0.6, 1.4, 0, 0], "W": [0.8, 3.4, 0, 0]}}},
+        "dependent": {"generators": ["+XZZ", "+XZZ", "+ZZX"]},
+        "invalid": {"nope": 1},
+    }
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+    out = str(tmp_path / "out")
+    (tmp_path / "afile").touch()
+    runs = [[command, "--out", out] for command in COMMANDS]
+    runs += [[command, "--config", str(tmp_path / f"{name}.json"), "--out", out]
+             for command, name in (("contexts", "collinear"), ("frames", "custom"),
+                                   ("ghz-check", "dependent"), ("paradox", "invalid"))]
+    runs += [["paradox", "--format", "json", "--out", out], ["--help"], ["--version"],
+             ["nope"], ["frames", "--out", str(tmp_path / "afile")]]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("WIGNERLAB_OUT", None)
+    result = subprocess.run([sys.executable, "-c", REACHED, json.dumps(runs)], env=env,
+                            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    called = {tuple(entry) for entry in json.loads(result.stdout)}
+    compiled = set().union(*map(named_code_objects,
+                                (ROOT / "src" / "wignerlab").glob("*.py")))
+    never = sorted(f"{file}:{line} {name}" for file, line, name in compiled - called
+                   if name not in UNREACHED)
+    assert not never, "no command runs " + ", ".join(never)
+    stale = set(UNREACHED) - {name for _, _, name in compiled - called}
+    assert not stale, f"a command runs {sorted(stale)}; drop them from UNREACHED"

@@ -237,4 +237,4 @@ def test_global_section_marginal_mismatch():
     with pytest.raises(MarginalMismatchError) as caught:
         global_section_exists([t2, t1])
     assert str(caught.value) == "tables 0 and 1 disagree on ['b'] at (1,): 0.0 vs 1.0"
-    assert t1.marginal_rows(["b"]) == t1.marginal(["b"]).rows == {(1,): 1.0, (-1,): 0.0}
+    assert t1.marginal_rows(["b"]) == {(1,): 1.0, (-1,): 0.0}

@@ -89,10 +89,10 @@ def test_marginals_agree_across_overlapping_contexts(post_friend):
         shared = sorted(set(first) & set(second))
         if not shared:
             continue
-        left = tables[first].marginal(tuple(shared))
-        right = tables[second].marginal(tuple(shared))
-        for outcome, p in left.rows.items():
-            assert abs(p - right.rows[outcome]) <= 1e-12
+        left = tables[first].marginal_rows(tuple(shared))
+        right = tables[second].marginal_rows(tuple(shared))
+        for outcome, p in left.items():
+            assert abs(p - right[outcome]) <= 1e-12
 
 
 def test_single_agent_marginals_match_direct_tables(post_friend):
@@ -101,9 +101,9 @@ def test_single_agent_marginals_match_direct_tables(post_friend):
         state, scenario_context(model, ("Alice", "Bob", "Charlie")))
     for agent in FRIENDS:
         direct = context_born_table(state, scenario_context(model, (agent,)))
-        margin = joint.marginal((agent,))
+        margin = joint.marginal_rows((agent,))
         for outcome, p in direct.rows.items():
-            assert abs(p - margin.rows[outcome]) <= 1e-12
+            assert abs(p - margin[outcome]) <= 1e-12
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])

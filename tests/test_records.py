@@ -28,7 +28,6 @@ SAMPLES = {
     cli.CheckResult: lambda: CHECK,
     cli.RunReport: lambda: cli.RunReport("frames", "0", "d", {"seed": 0}, (CHECK,), {}),
     contexts.DecoherenceEnvironment: lambda: contexts.primary_context("Alice"),
-    contexts.Proposition: lambda: contexts.Proposition("Alice", -1),
     contexts.ContextReport: lambda: contexts.maximal_contexts(
         scenario.ScenarioModel(1), spacetime.default_geometry())[0],
     decoherence.DephasingChannel: lambda: decoherence.DephasingChannel("L1", 0.5),
@@ -54,7 +53,7 @@ SAMPLES = {
 
 
 def test_every_record_class_has_a_sample():
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 23
     assert set(RECORDS) == set(SAMPLES)
 
 

@@ -405,7 +405,7 @@ def test_extend_with_probe_ready_state():
     post = run_friend_stage(model)
     ext = extend_with_probe(model, post, "Johnny")
     assert ext.layout.labels[-1] == "e2"
-    assert ext.layout.dim("e2") == 4
+    assert dict(ext.layout.sites)["e2"] == 4
 
 
 @pytest.mark.parametrize("width", [2, 3])

@@ -383,7 +383,8 @@ def test_support_state_renumbers_each_register_one_to_one(seed):
     state = oracle.sparse(layout, tens / np.linalg.norm(tens))
     compact = qcore.support_state(state)
     assert compact.layout.labels == layout.labels
-    assert compact.layout.dim("b") <= 3 and compact.layout.dim("c") <= 3
+    dims = dict(compact.layout.sites)
+    assert dims["b"] <= 3 and dims["c"] <= 3
     old, new = sorted(state.entries), sorted(compact.entries)
     assert [state.entries[i] for i in old] == [compact.entries[j] for j in new]
     for ax, dim in enumerate(compact.layout.shape):

@@ -184,7 +184,7 @@ def kron_matrix(p):
     """The dense matrix of a Pauli string as a Kronecker product of letters."""
     letters = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
                "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
-    mat = np.array([[p.phase]], dtype=complex)
+    mat = np.array([[1j ** p.phase_exp]], dtype=complex)
     for letter in p.letters:
         mat = np.kron(mat, letters[letter])
     return mat
