@@ -685,11 +685,10 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
 
     Every series comes from the channel's closed form on the pure
     post-premeasurement state psi.  At every lab_width the iterated
-    reference channel runs too, on psi's support layout
-    (``qcore.support_state``, d' = 64) in entries form, a dict over
-    supp(psi) x supp(psi) with no array, and the
-    ``closed_form_matches_iterated`` check compares the two diagonality
-    series.
+    reference channel runs too, on psi's own layout in entries form, a
+    dict over the 64 entries of supp(psi) x supp(psi) with no array, and
+    the ``closed_form_matches_iterated`` check compares the two
+    diagonality series.
     """
     model = ScenarioModel(config.lab_width)
     target, lam, steps = (config.dephasing[k] for k in ("target", "strength", "steps"))
@@ -730,12 +729,9 @@ def cmd_decohere(config: ScenarioConfig) -> RunReport:
     psi = model.post_premeasurement_state()
     trajectory = diagonality_trajectory(psi, channel, steps)
     # The channel scales entries one by one, so an entry outside
-    # supp(psi) x supp(psi) stays zero: iterate it on the support layout and
-    # rescale the per-dimension mean by d'/d (powers of two, so exactly).
-    compact = qcore.support_state(psi)
-    scale = compact.layout.total_dim / model.layout.total_dim
-    iterated = [scale * pointer_diagonality(rho, channel.target)
-                for rho in dephased_states(compact, channel, steps)]
+    # supp(psi) x supp(psi) stays zero: the iterate holds psi's 64 entries.
+    iterated = [pointer_diagonality(rho, channel.target)
+                for rho in dephased_states(psi, channel, steps)]
     gap = max(abs(c - i) for c, i in zip(trajectory, iterated, strict=True))
     checks.append(CheckResult(
         "closed_form_matches_iterated", gap <= 1e-12,

@@ -22,11 +22,12 @@ residual coherence is q**k times that of psi.  ``dephase`` and
 ``dephased_states`` keep the iterated channel as the reference.  It
 scales each entry of the density matrix on its own, so an entry outside
 supp(psi) x supp(psi) is zero at every step, and it runs on the entries
-of ``qcore.DensityMatrix``, a dict over supp(psi) x supp(psi) summed with
+of ``qcore.DensityMatrix``, a dict of psi's 64 entries over supp(psi) x
+supp(psi), each register's index read off the flat j, summed with
 ``math.fsum``.  At every lab_width the ``decohere`` subcommand iterates it
-on psi's support layout (``qcore.support_state``, d' = 64) and checks the
-diagonality series against it; the tests check every series against the
-full d x d iterate of their dense oracle at widths 1 and 2.
+on psi's own layout and checks the diagonality series against it; the
+tests check every series against the full d x d iterate of their dense
+oracle at widths 1 and 2.
 """
 
 from __future__ import annotations
@@ -74,20 +75,20 @@ def dephase(state, channel: DephasingChannel) -> qcore.DensityMatrix:
     scaled by 1 - strength.
     """
     rho = _as_density(state)
-    ax = rho.layout.axis(channel.target)
+    digit = rho.layout.digit(channel.target)
     q = 1.0 - channel.strength
     # Hermitian, unit-trace and PSD whenever rho is: see qcore.DensityMatrix.
     return qcore.DensityMatrix(rho.layout, {
-        (i, j): v if i[ax] == j[ax] else v * q for (i, j), v in rho.entries.items()})
+        (i, j): v if digit(i) == digit(j) else v * q for (i, j), v in rho.entries.items()})
 
 
 def dephased_states(state, channel: DephasingChannel, steps: int):
     """The iterated reference channel: rho, D(rho), ..., D**steps(rho), lazily.
 
     A ``SparseState`` starts an entries form over supp(psi) x supp(psi),
-    which every step keeps, so ``decohere`` runs it at every lab_width
-    (on psi's support layout, d' = 64); the tests also read each step
-    densely through their oracle at lab_width 1 and 2.
+    which every step keeps, so ``decohere`` runs it on psi at every
+    lab_width; the tests also read each step densely through their oracle
+    at lab_width 1 and 2.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -111,9 +112,9 @@ def pointer_diagonality(state, target: str) -> float:
              for w, branch in qcore.split_register(state, target)]
         return (math.fsum(m) ** 2 - math.fsum(x * x for x in m)) / state.layout.total_dim
     rho = _as_density(state)
-    ax = rho.layout.axis(target)
+    digit = rho.layout.digit(target)
     return math.fsum(abs(v) for (i, j), v in rho.entries.items()
-                     if i[ax] != j[ax]) / rho.layout.total_dim
+                     if digit(i) != digit(j)) / rho.layout.total_dim
 
 
 def diagonality_trajectory(state, channel: DephasingChannel,
@@ -125,8 +126,7 @@ def diagonality_trajectory(state, channel: DephasingChannel,
     ``pointer_diagonality``, which for a pure state costs O(entries).  The
     reference check iterates ``dephase`` through ``dephased_states`` and
     reads ``pointer_diagonality`` at every step; the ``decohere`` subcommand
-    runs it at every lab_width on psi's support layout, each value rescaled
-    by d'/d.
+    runs it on psi at every lab_width.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")

@@ -4,28 +4,33 @@ States, operators and density matrices all carry a ``RegisterLayout`` naming
 their subsystems.  An operator may be supported on a subset of a state's
 registers, and each operation reads only the operator's own registers.
 
+A basis state of a layout is one int, its flat index j: the first
+register's index is the most significant digit, so register r's index is
+j // stride % dim with stride the product of the later registers'
+dimensions (``RegisterLayout.digit``).  States, density matrices and
+operators all key on that j.
+
 An ``Operator`` is held in mask form, O|j> = phase(j) |j XOR mask>: an XOR
-mask on the flat index of a layout of power-of-two dimension plus a phase
-rule, a function of j evaluated only where it is read, so it holds nothing
-sized by the dimension, as for Pauli strings and the scenario's
-observables (the Gottesman-Knill form: Aaronson and Gottesman, PRA 70,
-052328 (2004); an affine map over GF(2): Dehaene and De Moor, PRA 68,
-042318 (2003)).  Its flags are set at construction by ``from_pauli_mask``,
-and ``matrix`` gives its dense array to the tests' oracle.  A
-``SparseState`` keeps only the nonzero amplitudes of a pure state, keyed by
-one index per register.  ``born_table``, ``project`` (one +-1 outcome),
-``apply_controlled`` (a unitary where a +-1 observable reads -1) and
-``split_register`` (the branches on one register's basis states) move
-each entry by the mask form, through a per-layout (axis, mask digit) plan
-the operator caches, in plain Python; states stay sparse, so the cost
-follows the number of entries, not the dimension, and sums are correctly
-rounded ``math.fsum`` sums.  ``product_expectation`` reads a product's
-expectation and its part diagonal in one register's basis.  Sparse
-results, and ``support_state``'s (each register shrunk to the index values
-in use), are adopted through ``SparseState._trusted``, as their indices and
-norm hold by construction.  ``pure_density`` gives a ``DensityMatrix``, its
-nonzero entries over supp(psi) x supp(psi).  No function here imports
-numpy but ``Operator.matrix``.
+mask on j over a layout of power-of-two dimension plus a phase rule, a
+function of j evaluated only where it is read, so it holds nothing sized
+by the dimension, as for Pauli strings and the scenario's observables
+(the Gottesman-Knill form: Aaronson and Gottesman, PRA 70, 052328 (2004);
+an affine map over GF(2): Dehaene and De Moor, PRA 68, 042318 (2003)).
+Its flags are set at construction by ``from_pauli_mask``, and ``matrix``
+gives its dense array to the tests' oracle.  A ``SparseState`` keeps only
+the nonzero amplitudes of a pure state, keyed by j.  ``born_table``,
+``project`` (one +-1 outcome), ``apply_controlled`` (a unitary where a +-1
+observable reads -1) and ``split_register`` (the branches on one
+register's basis states) move each entry by the mask form, lifted once
+per state layout, which must have a power-of-two dimension, in plain
+Python; states stay sparse, so the cost follows the number of entries,
+not the dimension, and sums are correctly rounded ``math.fsum`` sums.
+``product_expectation`` reads a product's expectation and its part
+diagonal in one register's basis.  Sparse results are adopted through
+``SparseState._trusted``, as their indices and norm hold by
+construction.  ``pure_density`` gives a ``DensityMatrix``, its nonzero
+entries over supp(psi) x supp(psi).  No function here imports numpy but
+``Operator.matrix``.
 
 Commutation is locality-aware.  Operators on disjoint registers commute
 exactly: every entry of (A x I)(I x B) and of (I x B)(A x I) is the same
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -88,7 +94,7 @@ SUPPORT_TOL = 1e-10
 
 @record
 class RegisterLayout:
-    """Ordered (label, dimension) register sites; labels, shape and axes built once."""
+    """Ordered (label, dimension) register sites; labels, shape, axes, strides built once."""
 
     sites: tuple[tuple[str, int], ...]
 
@@ -103,10 +109,18 @@ class RegisterLayout:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "shape", tuple(s[1] for s in self.sites))
         object.__setattr__(self, "_axes", {l: i for i, l in enumerate(labels)})
+        object.__setattr__(self, "_strides", tuple(
+            math.prod(self.shape[ax + 1:]) for ax in range(len(labels))))
 
     @property
     def total_dim(self) -> int:
         return math.prod(self.shape)
+
+    def digit(self, label: str):
+        """Register ``label``'s index as a function of the flat basis index j."""
+        ax = self.axis(label)
+        stride, dim = self._strides[ax], self.shape[ax]
+        return lambda j: j // stride % dim
 
     def axis(self, label: str) -> int:
         try:
@@ -134,23 +148,21 @@ def qubits(*labels: str) -> RegisterLayout:
 class SparseState:
     """Normalized pure state held as its nonzero amplitudes.
 
-    ``entries`` maps index tuples, one index per register in layout order,
-    to amplitudes; exact zeros are dropped.  Tuples rather than flat
-    indices: a flat index over n qubits overflows int64 once n > 63, which
-    the scenario reaches at lab_width 21.  The constructor checks every
-    index and the norm, except for ``qcore``'s own producers (``_trusted``).
+    ``entries`` maps flat basis indices j, plain ints, to amplitudes; exact
+    zeros are dropped.  The constructor checks every index and the norm,
+    except for ``qcore``'s own producers (``_trusted``).
     """
 
     def __init__(self, layout: RegisterLayout, entries):
         self.layout = layout
-        shape = layout.shape
+        d = layout.total_dim
         kept = {}
         for index, amp in dict(entries).items():
-            index = tuple(int(i) for i in index)
-            if len(index) != len(shape) or not all(0 <= i < d for i, d in zip(index, shape)):
-                raise LayoutMismatchError(f"index {index} does not fit layout shape {shape}")
+            j = operator.index(index) if hasattr(index, "__index__") else -1
+            if not 0 <= j < d:
+                raise LayoutMismatchError(f"index {index!r} is not an integer in 0..{d - 1}")
             if amp != 0:
-                kept[index] = complex(amp)
+                kept[j] = complex(amp)
         norm = math.sqrt(_sparse_norm2(kept))
         if abs(norm - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {STRUCTURAL_TOL}")
@@ -158,7 +170,7 @@ class SparseState:
 
     @classmethod
     def _trusted(cls, layout: RegisterLayout, entries: dict) -> "SparseState":
-        """Adopt ``entries`` as they are: tuple indices that fit ``layout``,
+        """Adopt ``entries`` as they are: int indices in 0..d-1 of ``layout``,
         complex amplitudes, no exact zero, unit norm; the caller must hold no
         other reference."""
         state = cls.__new__(cls)
@@ -174,35 +186,32 @@ def _sparse_norm2(entries) -> float:
     return math.fsum(a.real * a.real + a.imag * a.imag for a in entries.values())
 
 
-def _plan(op: "Operator", layout: RegisterLayout) -> tuple:
-    """(axis in ``layout``, mask digit, stride in ``op``'s flat index) per
-    register of a mask-form ``op``, built once per layout."""
-    if layout not in op._plans:
-        dims = op.layout.shape
-        strides = [math.prod(dims[r + 1:]) for r in range(len(dims))]
-        op._plans[layout] = tuple(
-            (ax, op.mask_form[0] // stride % dim, stride)
-            for ax, dim, stride in zip(_check_sublayout(op.layout, layout), dims, strides))
-    return op._plans[layout]
+def _lift(op: "Operator", layout: RegisterLayout) -> tuple:
+    """``op``'s (mask, phase) on ``layout``, the identity on its other
+    registers, built once per layout.
+
+    Each mask digit moves to its register's stride in ``layout``, and the
+    phase rule reads op's own registers' digits of j.  ``layout``'s
+    dimension must be a power of two: only there is XOR on j each
+    register's index XORed with its own digit of the mask.
+    """
+    if layout not in op._lifts:
+        d = layout.total_dim
+        if d & (d - 1):
+            raise LayoutMismatchError(f"an operator needs a power-of-two state dimension, not {d}")
+        reads = [(layout._strides[ax], dim, own) for ax, dim, own in zip(
+            _check_sublayout(op.layout, layout), op.layout.shape, op.layout._strides)]
+        mask, phase = op.mask_form
+        op._lifts[layout] = (
+            sum(mask // own % dim * stride for stride, dim, own in reads),
+            lambda j: phase(sum(j // stride % dim * own for stride, dim, own in reads)))
+    return op._lifts[layout]
 
 
 def _sparse_contract(op: "Operator", layout: RegisterLayout, entries) -> dict:
-    """A mask-form operator applied to sparse entries: entry j moves to j ^ mask.
-
-    Each register's dimension is a power of two, so that XOR is each
-    register's index XORed with the mask's digit for that register.
-    """
-    plan = _plan(op, layout)
-    phase = op.mask_form[1]
-    out = {}
-    for index, amp in entries.items():
-        j = 0
-        moved = list(index)
-        for ax, digit, stride in plan:
-            j += index[ax] * stride
-            moved[ax] = index[ax] ^ digit
-        out[tuple(moved)] = phase(j) * amp
-    return out
+    """A mask-form operator applied to sparse entries: entry j moves to j ^ mask."""
+    mask, phase = _lift(op, layout)
+    return {j ^ mask: phase(j) * a for j, a in entries.items()}
 
 
 def _sparse_children(op: "Operator", layout: RegisterLayout, node) -> tuple[dict, dict]:
@@ -247,7 +256,7 @@ class Operator:
         if not 0 <= mask < d:
             raise ValueError(f"mask {mask} is outside 0..{d - 1}")
         op = cls.__new__(cls)
-        op.layout, op.mask_form, op._plans = layout, (int(mask), phase), {}
+        op.layout, op.mask_form, op._lifts = layout, (int(mask), phase), {}
         op.is_hermitian = op.is_involutory = abs(phase(0) * phase(mask) - 1) <= STRUCTURAL_TOL
         return op
 
@@ -271,10 +280,10 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over a layout,
     held as its entries.
 
-    ``entries`` maps (row, column) pairs of index tuples, one index per
-    register as in ``SparseState``, to the nonzero entries, so it holds
-    nothing sized by the dimension.  The constructor adopts the caller's
-    dict without copy or checks; the caller must hold no other reference.
+    ``entries`` maps (row, column) pairs of flat basis indices, ints as in
+    ``SparseState``, to the nonzero entries, so it holds nothing sized by
+    the dimension.  The constructor adopts the caller's dict without copy
+    or checks; the caller must hold no other reference.
     The producers, and why each value is a density matrix:
 
     - ``pure_density``: v v^dagger is Hermitian and PSD, with trace ||v||**2,
@@ -305,8 +314,9 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
     if not (isinstance(a, SparseState) and isinstance(b, SparseState)):
         raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
     # Products of nonzero amplitudes; the norm is the product of norms.
+    d_b = b.layout.total_dim
     return SparseState._trusted(a.layout.concat(b.layout),
-                                {ia + ib: va * vb for ia, va in a.entries.items()
+                                {ia * d_b + ib: va * vb for ia, va in a.entries.items()
                                  for ib, vb in b.entries.items()})
 
 
@@ -386,12 +396,11 @@ def split_register(state: SparseState, label: str) -> list[tuple[float, SparseSt
     projector onto |j> of that register; the branches come in index order.
     """
     _sparse_state(state, "split_register()")
-    ax = state.layout.axis(label)
-    groups: dict[int, dict] = {}
-    for index in sorted(state.entries):
-        groups.setdefault(index[ax], {})[index] = state.entries[index]
+    digit, groups = state.layout.digit(label), {}
+    for j in sorted(state.entries):
+        groups.setdefault(digit(j), {})[j] = state.entries[j]
     out = []
-    for group in groups.values():
+    for _, group in sorted(groups.items()):
         weight = _sparse_norm2(group)
         scale = 1.0 / math.sqrt(weight)
         out.append((weight, SparseState._trusted(
@@ -399,39 +408,11 @@ def split_register(state: SparseState, label: str) -> list[tuple[float, SparseSt
     return out
 
 
-def support_state(state: SparseState) -> SparseState:
-    """The state on its support layout: each register keeps only the index
-    values the entries use, renumbered 0..n-1 in order.
-
-    The renumbering is one-to-one and order-preserving on every register, so
-    two entries share a value of a register here exactly when they share
-    one in ``state``, and the amplitudes keep their flat-index order.
-    """
-    used = [sorted(set(column)) for column in zip(*state.entries)]
-    rank = [{value: r for r, value in enumerate(values)} for values in used]
-    layout = RegisterLayout(tuple((label, len(values))
-                                  for label, values in zip(state.layout.labels, used)))
-    return SparseState._trusted(layout, {tuple(r[i] for r, i in zip(rank, index)): amp
-                                         for index, amp in state.entries.items()})
-
-
 def embed(op: Operator, layout: RegisterLayout) -> Operator:
     """``op`` on a larger layout of power-of-two dimension, the identity on
-    the other registers.
-
-    Its mask digits move to its registers' strides in ``layout`` and its
-    phase rule reads its own registers' digits of j, so the phase product
-    ``from_pauli_mask`` reads is op's own and the flags are op's, as A x I
-    keeps A's.
-    """
-    plan = _plan(op, layout)
-    strides = [math.prod(layout.shape[ax + 1:]) for ax in range(len(layout.shape))]
-    mask = sum(digit * strides[ax] for ax, digit, _ in plan)
-    reads = [(strides[ax], layout.shape[ax], own) for ax, _, own in plan]
-    phase = op.mask_form[1]
-    return Operator.from_pauli_mask(
-        layout, mask,
-        lambda j: phase(sum(j // stride % dim * own for stride, dim, own in reads)))
+    the other registers: its lift, whose phase product ``from_pauli_mask``
+    reads is op's own, so the flags are op's, as A x I keeps A's."""
+    return Operator.from_pauli_mask(layout, *_lift(op, layout))
 
 
 def _sparse_product(observables, state: SparseState) -> complex:
@@ -457,10 +438,10 @@ def product_expectation(observables, state: SparseState, label: str) -> tuple[fl
     ``label``'s index, 0 where it moves it."""
     obs = _joint_observables(observables, "product_expectation()")
     value = _real(_sparse_product(obs, state))
-    axis, digit = state.layout.axis(label), 0
+    mask = 0
     for op in obs:
-        digit ^= sum(m for ax, m, _ in _plan(op, state.layout) if ax == axis)
-    return value, 0.0 if digit else value
+        mask ^= _lift(op, state.layout)[0]
+    return value, 0.0 if state.layout.digit(label)(mask) else value
 
 
 def _union_layout(a: RegisterLayout, b: RegisterLayout) -> RegisterLayout:

@@ -224,7 +224,7 @@ class ScenarioModel:
         """Stabilized atom triple, every lab pointer ready in all-zeros, held sparse."""
         ghz = stabilizer.ghz_scenario_state(labels=tuple(atom_label(i) for i in (1, 2, 3)))
         labs_layout = self.layout.subset([lab_label(i) for i in (1, 2, 3)])
-        ready = qcore.SparseState(labs_layout, {(0, 0, 0): 1.0})
+        ready = qcore.SparseState(labs_layout, {0: 1.0})
         return qcore.tensor(ghz, ready)
 
 
@@ -242,7 +242,7 @@ def run_friend_stage(model: ScenarioModel, order=FRIENDS) -> qcore.SparseState:
 def extend_with_probe(model: ScenarioModel, state: qcore.SparseState,
                       agent: str) -> qcore.SparseState:
     """Adjoin the agent's external pointer register, ready in all-zeros."""
-    return qcore.tensor(state, qcore.SparseState(model.probe_layout(agent), {(0,): 1.0}))
+    return qcore.tensor(state, qcore.SparseState(model.probe_layout(agent), {0: 1.0}))
 
 
 def scenario_context(model: ScenarioModel, agents) -> dict[str, Operator]:

@@ -183,10 +183,8 @@ def joint_eigenstate(generators, labels=None) -> qcore.SparseState:
         if v:
             break
     norm = math.sqrt(math.fsum(a.real * a.real + a.imag * a.imag for a in v.values()))
-    return qcore.SparseState(
-        qcore.qubits(*labels),
-        {tuple(j >> (n - 1 - q) & 1 for q in range(n)): complex(a) / norm
-         for j, a in sorted(v.items())})
+    return qcore.SparseState(qcore.qubits(*labels),
+                             {j: complex(a) / norm for j, a in sorted(v.items())})
 
 
 SCENARIO_GENERATORS = (

@@ -26,31 +26,29 @@ TOL = 1e-10
 
 def tensor(state) -> np.ndarray:
     """A ``SparseState``'s amplitudes as a tensor shaped like its layout."""
-    out = np.zeros(state.layout.shape, dtype=np.complex128)
-    for index, amp in state.entries.items():
-        out[index] = amp
-    return out
+    out = np.zeros(state.layout.total_dim, dtype=np.complex128)
+    for j, amp in state.entries.items():
+        out[j] = amp
+    return out.reshape(state.layout.shape)
 
 
 def sparse(layout, tens) -> qcore.SparseState:
     """The nonzero entries of a normalized tensor, as a checked ``SparseState``."""
-    tens = np.asarray(tens).reshape(layout.shape)
-    return qcore.SparseState(layout, {index: tens[index] for index in zip(*np.nonzero(tens))})
+    flat = np.asarray(tens).reshape(layout.total_dim)
+    return qcore.SparseState(layout, {j: flat[j] for j in np.flatnonzero(flat)})
 
 
 def matrix(rho) -> np.ndarray:
     """A ``DensityMatrix``'s entries as a d x d array."""
-    shape = rho.layout.shape
     out = np.zeros((rho.layout.total_dim,) * 2, dtype=np.complex128)
     for (row, col), value in rho.entries.items():
-        out[np.ravel_multi_index(row, shape), np.ravel_multi_index(col, shape)] = value
+        out[row, col] = value
     return out
 
 
 def density(layout, mat) -> qcore.DensityMatrix:
     """A ``DensityMatrix`` holding the nonzero entries of a d x d array."""
-    rows = list(np.ndindex(layout.shape))
-    return qcore.DensityMatrix(layout, {(rows[r], rows[c]): complex(mat[r, c])
+    return qcore.DensityMatrix(layout, {(int(r), int(c)): complex(mat[r, c])
                                         for r, c in zip(*np.nonzero(mat))})
 
 

@@ -52,7 +52,7 @@ def test_random_subsystem_unitaries_preserve_norm():
     for _ in range(50):
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
         vec /= np.linalg.norm(vec)
-        state = qcore.SparseState(layout, dict(zip(itertools.product((0, 1), repeat=3), vec)))
+        state = qcore.SparseState(layout, dict(enumerate(vec)))
         k = int(rng.integers(1, 3))
         chosen = set(rng.choice(3, size=k, replace=False).tolist())
         sub, rest = ([labels[i] for i in range(3) if (i in chosen) is side] for side in (True, False))

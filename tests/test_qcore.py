@@ -79,14 +79,14 @@ def test_layout_unknown_label():
 def test_state_norm_guard():
     lay = qubits("a")
     with pytest.raises(ValueError):
-        SparseState(lay, {(0,): 1.0, (1,): 1.0})
-    SparseState(lay, {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)})
+        SparseState(lay, {0: 1.0, 1: 1.0})
+    SparseState(lay, {0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)})
 
 
 def test_state_is_immutable():
-    s = SparseState(qubits("a"), {(0,): 1.0})
+    s = SparseState(qubits("a"), {0: 1.0})
     with pytest.raises(TypeError):
-        s.entries[(0,)] = 0.0
+        s.entries[0] = 0.0
 
 
 def test_apply_on_sublayout():
@@ -106,18 +106,18 @@ def test_apply_on_sublayout():
 def test_apply_rejects_unknown_register():
     with pytest.raises(LayoutMismatchError):
         qcore.apply_controlled(pauli("+Z", "a"), pauli("+X", "z"),
-                               SparseState(qubits("a"), {(0,): 1.0}))
+                               SparseState(qubits("a"), {0: 1.0}))
 
 
 def test_apply_rejects_dimension_clash():
     four = Operator.from_pauli_mask(RegisterLayout((("a", 4),)), 3, lambda j: 1.0)
-    ready = SparseState(qubits("a", "p"), {(0, 0): 1.0})
+    ready = SparseState(qubits("a", "p"), {0: 1.0})
     with pytest.raises(LayoutMismatchError):
         qcore.apply_controlled(four, pauli("+X", "p"), ready)
 
 
 def bell_state():
-    return SparseState(qubits("q1", "q2"), {(0, 0): 1 / np.sqrt(2), (1, 1): 1 / np.sqrt(2)})
+    return SparseState(qubits("q1", "q2"), {0b00: 1 / np.sqrt(2), 0b11: 1 / np.sqrt(2)})
 
 
 def test_expectation_bell_zz():
@@ -132,8 +132,7 @@ def test_expectation_rejects_nonhermitian():
 
 
 def ghz():
-    return SparseState(qubits("q1", "q2", "q3"), {(0, 0, 0): 1 / np.sqrt(2),
-                                                  (1, 1, 1): 1 / np.sqrt(2)})
+    return SparseState(qubits("q1", "q2", "q3"), {0b000: 1 / np.sqrt(2), 0b111: 1 / np.sqrt(2)})
 
 
 def test_partial_trace_ghz_single_qubit():
@@ -321,8 +320,8 @@ def test_commuting_overlapping_mask_forms_are_decided_with_no_matrix(monkeypatch
 
 def test_spectral_projectors_sigma_z():
     # project() applies (I +- Z)/2: |+> goes to |0> or |1>, each with p = 1/2.
-    plus = SparseState(qubits("a"), {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)})
-    for value, kept in ((1, (0,)), (-1, (1,))):
+    plus = SparseState(qubits("a"), {0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)})
+    for value, kept in ((1, 0), (-1, 1)):
         state, p = qcore.project(pauli("+Z", "a"), plus, value)
         assert dict(state.entries) == {kept: 1.0}
         assert abs(p - 0.5) <= 1e-12
@@ -352,18 +351,18 @@ def test_spectral_projectors_completeness_random_involutory():
 
 def test_spectral_projectors_rejects_noninvolutory():
     with pytest.raises(NotInvolutoryError):
-        qcore.project(pauli("+iZ", "a"), SparseState(qubits("a"), {(0,): 1.0}), 1)
+        qcore.project(pauli("+iZ", "a"), SparseState(qubits("a"), {0: 1.0}), 1)
 
 
 def test_born_table_single_z_on_plus():
-    s = SparseState(qubits("a"), {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)})
+    s = SparseState(qubits("a"), {0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)})
     t = born_table([pauli("+Z", "a")], s)
     assert abs(t.rows[(1,)] - 0.5) <= 1e-12
     assert abs(t.rows[(-1,)] - 0.5) <= 1e-12
 
 
 def test_born_table_zero_rows_retained():
-    s = SparseState(qubits("a", "b"), {(0, 0): 1.0})
+    s = SparseState(qubits("a", "b"), {0: 1.0})
     t = born_table([pauli("+Z", "a"), pauli("+Z", "b")], s)
     assert set(t.rows) == set(itertools.product((1, -1), repeat=2))
     assert abs(t.rows[(1, 1)] - 1.0) <= 1e-12
@@ -380,12 +379,12 @@ def test_born_table_rejects_repeated_names():
 
 def test_born_table_rejects_noncommuting():
     with pytest.raises(ContextIncompatibleError):
-        born_table([pauli("+X", "a"), pauli("+Z", "a")], SparseState(qubits("a"), {(0,): 1.0}))
+        born_table([pauli("+X", "a"), pauli("+Z", "a")], SparseState(qubits("a"), {0: 1.0}))
 
 
 def test_born_table_rejects_noninvolutory():
     with pytest.raises(NotInvolutoryError):
-        born_table([pauli("+iZ", "a")], SparseState(qubits("a"), {(0,): 1.0}))
+        born_table([pauli("+iZ", "a")], SparseState(qubits("a"), {0: 1.0}))
 
 
 def test_born_table_matches_projector_oracle():
@@ -427,7 +426,7 @@ def test_born_table_normalization_and_marginal():
 
 
 def test_born_table_sampling_is_seeded():
-    s = SparseState(qubits("a"), {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)})
+    s = SparseState(qubits("a"), {0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)})
     t = born_table([pauli("+Z", "a")], s)
     draws1 = [t.sample(np.random.default_rng(42)) for _ in range(5)]
     draws2 = [t.sample(np.random.default_rng(42)) for _ in range(5)]
@@ -466,11 +465,11 @@ def test_sample_never_returns_a_zero_row():
 
 
 def test_tensor_states_and_operators():
-    a = SparseState(qubits("a"), {(1,): 1.0})
-    b = SparseState(qubits("b"), {(0,): 1.0})
+    a = SparseState(qubits("a"), {1: 1.0})
+    b = SparseState(qubits("b"), {0: 1.0})
     ab = tensor(a, b)
     assert ab.layout.labels == ("a", "b")
-    assert dict(ab.entries) == {(1, 0): 1.0}
+    assert dict(ab.entries) == {0b10: 1.0}
     with pytest.raises(TypeError):
         tensor(a, pauli("+X", "a"))
 
@@ -502,7 +501,7 @@ def test_commutes_threshold(eps, expected):
 
 
 @pytest.mark.parametrize("make", [
-    lambda lay, amp: qcore.SparseState(lay, {(0,): amp}),
+    lambda lay, amp: qcore.SparseState(lay, {0: amp}),
 ], ids=["sparse"])
 def test_state_norm_threshold(make):
     lay = qubits("a")

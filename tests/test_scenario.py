@@ -60,7 +60,7 @@ def test_vn_unitary_is_cnot_for_z():
     spec = MeasurementSpec(sigma_z("a"), qubits("p"))
     assert np.max(np.abs(premeasurement_matrix(spec) - CNOT)) <= 1e-12
     for col in range(4):
-        basis = qcore.SparseState(qubits("a", "p"), {divmod(col, 2): 1.0})
+        basis = qcore.SparseState(qubits("a", "p"), {col: 1.0})
         assert np.array_equal(oracle.tensor(spec.apply(basis)).reshape(-1), CNOT[:, col])
 
 
@@ -83,8 +83,8 @@ def test_vn_unitary_is_unitary_for_random_involutory():
 
 def test_vn_unitary_correlates_pointer():
     # Measuring sigma_z on |+> then reading both registers: perfect correlation.
-    plus = qcore.SparseState(qubits("a"), {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)})
-    ready = qcore.SparseState(qubits("p"), {(0,): 1.0})
+    plus = qcore.SparseState(qubits("a"), {0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)})
+    ready = qcore.SparseState(qubits("p"), {0: 1.0})
     state = MeasurementSpec(sigma_z("a"), qubits("p")).apply(qcore.tensor(plus, ready))
     t = qcore.born_table([sigma_z("a"), sigma_z("p")], state)
     assert abs(t.rows[(1, 1)] - 0.5) <= 1e-12

@@ -167,7 +167,7 @@ def test_monomial_form_guards_and_dense_fallback():
         Operator.from_pauli_mask(qubits("q"), -1, lambda j: 1.0)
     # There is no dense fallback: every operation takes a SparseState only.
     z = Operator.from_pauli_mask(qubits("a"), 0, (1.0, -1.0).__getitem__)
-    dense = oracle.tensor(SparseState(qubits("a"), {(0,): 1.0}))
+    dense = oracle.tensor(SparseState(qubits("a"), {0: 1.0}))
     for call in (lambda: qcore.born_table([z], dense), lambda: qcore.project(z, dense, 1),
                  lambda: qcore.apply_controlled(z, z, dense),
                  lambda: qcore.split_register(dense, "a")):
@@ -183,16 +183,18 @@ def test_sparse_state_round_trip_and_guards():
     dense = (vec / np.linalg.norm(vec)).reshape(lay.shape)
     sparse = oracle.sparse(lay, dense)
     assert len(sparse.entries) == np.count_nonzero(dense)
+    # numpy's integer keys are stored as the ints they stand for.
+    assert all(type(j) is int for j in sparse.entries)
     assert np.array_equal(oracle.tensor(sparse), dense)
     with pytest.raises(ValueError):
-        SparseState(lay, {(0, 0, 0): 2.0})
-    with pytest.raises(qcore.LayoutMismatchError):
-        SparseState(lay, {(0, 3, 0): 1.0})
-    with pytest.raises(qcore.LayoutMismatchError):
-        SparseState(lay, {(0, 0): 1.0})
+        SparseState(lay, {0: 2.0})
+    # Out of 0..23, a register tuple, a float and a float in a tuple are no index.
+    for index in (24, -1, (0, 0), 0.7, (True, 1.9)):
+        with pytest.raises(qcore.LayoutMismatchError, match="not an integer"):
+            SparseState(lay, {index: 1.0})
     with pytest.raises(TypeError):
-        sparse.entries[(0, 0, 0)] = 1.0
-    other = SparseState(qubits("d"), {(1,): 1.0})
+        sparse.entries[0] = 1.0
+    other = SparseState(qubits("d"), {1: 1.0})
     joint = qcore.tensor(sparse, other)
     assert np.array_equal(oracle.tensor(joint),
                           np.multiply.outer(dense, oracle.tensor(other)))
@@ -250,8 +252,11 @@ def test_expectation_and_partial_trace_take_a_sparse_state():
 
 
 def test_project_and_split_register_match_dense():
+    # project on a power-of-two layout; split_register also on one that is not,
+    # where an operator's XOR on j is no digit-wise XOR and project refuses.
     rng = np.random.default_rng(11)
-    lay = RegisterLayout((("a", 2), ("b", 3), ("c", 2)))
+    lay = RegisterLayout((("a", 2), ("b", 4), ("c", 2)))
+    odd = RegisterLayout((("a", 2), ("b", 3), ("c", 2)))
     y = Operator.from_pauli_mask(lay.subset(["a"]), 1, (1j, -1j).__getitem__)
     for _ in range(5):
         sparse, tens = _random_sparse(rng, lay, zero_share=0.3)
@@ -261,6 +266,9 @@ def test_project_and_split_register_match_dense():
             assert isinstance(fast, SparseState)
             assert abs(p_fast - p_slow) <= TOL
             assert np.max(np.abs(oracle.tensor(fast) - slow)) <= TOL
+        sparse, tens = _random_sparse(rng, odd, zero_share=0.3)
+        with pytest.raises(qcore.LayoutMismatchError, match="power-of-two"):
+            qcore.project(y, sparse, 1)
         branches = qcore.split_register(sparse, "b")
         slices = [tens[:, j, :] for j in range(3) if np.any(tens[:, j, :])]
         assert len(branches) == len(slices)
@@ -269,6 +277,10 @@ def test_project_and_split_register_match_dense():
             assert abs(weight - np.vdot(piece, piece).real) <= TOL
             total += np.sqrt(weight) * oracle.tensor(branch)
         assert np.max(np.abs(total - tens)) <= TOL
+    # Branches come in b's index order, not in the order of their first
+    # entry: j = 4 has b = 2, and j = 6 has b = 0.
+    branches = qcore.split_register(SparseState(odd, {4: 0.6, 6: 0.8}), "b")
+    assert [dict(branch.entries) for _, branch in branches] == [{6: 1.0}, {4: 1.0}]
     with pytest.raises(ValueError):
         qcore.project(y, sparse, 0)
     with pytest.raises(TypeError):
@@ -285,11 +297,18 @@ def test_apply_controlled_matches_the_dense_premeasurement():
                                          (1, -1, -1, 1).__getitem__),
                 Operator.from_pauli_mask(lay.subset(["a", "b"]), 3,
                                          (1, -1, -1, 1).__getitem__))
-    for control in controls:
+    cases = [(control, flip) for control in controls]
+    # X on a and on p's high bit, Z on p's low bit: a and p are not adjacent,
+    # so a mask digit lifted to the wrong stride or a phase read off the
+    # wrong digits of j shows; b is its pointer.
+    cases.append((Operator.from_pauli_mask(lay.subset(["a", "p"]), 0b110,
+                                           (1, -1, 1, -1, 1, -1, 1, -1).__getitem__),
+                  Operator.from_pauli_mask(lay.subset(["b"]), 1, lambda j: 1.0)))
+    for control, unitary in cases:
         for _ in range(3):
             sparse, dense = _random_sparse(rng, lay, zero_share=0.5)
-            fast = qcore.apply_controlled(control, flip, sparse)
-            slow = oracle.premeasure(control, pointer, dense, lay)
+            fast = qcore.apply_controlled(control, unitary, sparse)
+            slow = oracle.premeasure(control, unitary.layout, dense, lay)
             assert isinstance(fast, SparseState)
             assert np.max(np.abs(oracle.tensor(fast) - slow)) <= TOL
     with pytest.raises(TypeError):
@@ -361,38 +380,18 @@ def test_pointer_branches_and_diagonality_match_the_dense_oracle(width):
 
 @pytest.mark.parametrize("width", [*range(1, 9), MAX_LAB_WIDTH])
 def test_support_state_of_psi_is_the_width_one_psi(width):
+    # psi on its support is width-1 psi: the same 8 amplitudes in the same
+    # order, with each lab that read 1 holding all ones, 2**width - 1.
     psi1 = ScenarioModel(1).post_premeasurement_state()
     psi = ScenarioModel(width).post_premeasurement_state()
-    # A lab that read 1 holds all ones.
-    assert dict(psi.entries) == {
-        tuple(i * (dim - 1) for i, dim in zip(index, psi.layout.shape)): amp
-        for index, amp in psi1.entries.items()}
-    compact = qcore.support_state(psi)
-    assert compact.layout == psi1.layout
-    assert dict(compact.entries) == dict(psi1.entries)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_support_state_renumbers_each_register_one_to_one(seed):
-    rng = np.random.default_rng(seed)
-    layout = RegisterLayout((("a", 3), ("b", 4), ("c", 5)))
-    tens = rng.normal(size=layout.shape) + 1j * rng.normal(size=layout.shape)
-    tens[rng.random(layout.shape) < 0.7] = 0.0
-    tens[:, 1, :] = tens[:, :, [0, 3]] = 0.0  # values the state never uses
-    tens[2, 3, 4] = 1.0
-    state = oracle.sparse(layout, tens / np.linalg.norm(tens))
-    compact = qcore.support_state(state)
-    assert compact.layout.labels == layout.labels
-    dims = dict(compact.layout.sites)
-    assert dims["b"] <= 3 and dims["c"] <= 3
-    old, new = sorted(state.entries), sorted(compact.entries)
-    assert [state.entries[i] for i in old] == [compact.entries[j] for j in new]
-    for ax, dim in enumerate(compact.layout.shape):
-        # Each used value of the register maps to one new value, in order,
-        # and the new values are exactly 0..dim-1.
-        pairs = sorted({(i[ax], j[ax]) for i, j in zip(old, new)})
-        assert [o for o, _ in pairs] == sorted({i[ax] for i in old})
-        assert [n for _, n in pairs] == list(range(dim))
+    widened = {}
+    for j, amp in psi1.entries.items():
+        k = 0
+        for label, dim in psi.layout.sites:
+            k = k * dim + psi1.layout.digit(label)(j) * (dim - 1)
+        widened[k] = amp
+    assert dict(psi.entries) == widened
+    assert list(psi.entries.values()) == list(psi1.entries.values())
 
 
 def _dense_erasure(model):
@@ -476,7 +475,7 @@ def test_trusted_sparse_producers_are_unit_and_match_dense(width):
     model = ScenarioModel(width)
     # tensor: the initial state against the dense Kronecker product.
     ghz = ghz_scenario_state(labels=("a1", "a2", "a3"))
-    ready = SparseState(model.layout.subset(["L1", "L2", "L3"]), {(0, 0, 0): 1.0})
+    ready = SparseState(model.layout.subset(["L1", "L2", "L3"]), {0: 1.0})
     start = qcore.tensor(ghz, ready)
     assert np.array_equal(oracle.tensor(start),
                           np.multiply.outer(oracle.tensor(ghz), oracle.tensor(ready)))
@@ -498,9 +497,7 @@ def test_trusted_sparse_producers_are_unit_and_match_dense(width):
         produced.append(fast)
     for target in ("L1", "L2", "L3"):
         produced += [branch for _, branch in qcore.split_register(sparse, target)]
-    compact = qcore.support_state(sparse)
-    assert list(compact.entries.values()) == list(sparse.entries.values())
-    for state in produced + [compact]:
+    for state in produced:
         assert abs(norm(state) - 1.0) <= TOL
 
 

@@ -220,7 +220,7 @@ def test_scenario_state_amplitudes_are_exact():
     assert list(s.entries) == sorted(s.entries)
     signs = GHZ_SIGNS.tolist()
     assert list(s.entries.values()) == [complex(sign / math.sqrt(8)) for sign in signs]
-    assert s.entries[(0, 0, 0)] == 0.35355339059327373
+    assert s.entries[0] == 0.35355339059327373
 
 
 # Every generator set the tests and CI hand to joint_eigenstate or ghz-check,
