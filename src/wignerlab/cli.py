@@ -171,7 +171,7 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path!r}: {exc}") from None
     if not text.strip():
         return {}

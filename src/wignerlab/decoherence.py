@@ -18,16 +18,16 @@ is therefore read off the nonzero entries of the sparse post-premeasurement
 state psi, without a d x d density matrix: an expectation after k steps is
 q**k*<psi|O|psi> + (1 - q**k)*sum_j w_j*<psi_j|O|psi_j> over the pointer
 branches psi_j = P_j psi / sqrt(w_j), w_j = ||P_j psi||**2, and the
-residual coherence is q**k times that of psi.  ``dephase`` and
-``dephased_states`` keep the iterated channel as the reference.  It
-scales each entry of the density matrix on its own, so an entry outside
-supp(psi) x supp(psi) is zero at every step, and it runs on the entries
-of ``qcore.DensityMatrix``, a dict of psi's 64 entries over supp(psi) x
-supp(psi), each register's index read off the flat j, summed with
-``math.fsum``.  At every lab_width the ``decohere`` subcommand iterates it
-on psi's own layout and checks the diagonality series against it; the
-tests check every series against the full d x d iterate of their dense
-oracle at widths 1 and 2.
+residual coherence is q**k times that of psi, one ``math.fsum`` over the
+64 entries of |psi><psi|.  ``dephase`` and ``dephased_states`` keep the
+iterated channel as the reference.  It scales each entry of the density
+matrix on its own, so an entry outside supp(psi) x supp(psi) is zero at
+every step, and it runs on the entries of ``qcore.DensityMatrix``, a dict
+of psi's 64 entries, each register's index read off the bits of the flat
+j.  At every lab_width the ``decohere`` subcommand iterates it on psi's
+own layout and checks the diagonality series against it; the tests check
+every series against the full d x d iterate of their dense oracle at
+widths 1 and 2.
 """
 
 from __future__ import annotations
@@ -101,16 +101,10 @@ def pointer_diagonality(state, target: str) -> float:
 
     Sum of the magnitudes of all entries whose row and column disagree on
     the target register, divided by the total dimension.  Zero exactly
-    when the state is block-diagonal in the target's pointer basis.  For a
-    pure state the entries are |c_a||c_b|, so with m_j the summed
-    magnitudes of pointer branch j the value is ((sum m_j)**2 - sum m_j**2)/d,
-    taken from the nonzero entries alone.  A density matrix is summed over
-    its entries.  Each sum is a ``math.fsum``.
+    when the state is block-diagonal in the target's pointer basis.  A pure
+    state is read as its ``pure_density``, so the sum is one ``math.fsum``
+    over the entries either way.
     """
-    if isinstance(state, qcore.SparseState):
-        m = [math.sqrt(w) * math.fsum(abs(a) for a in branch.entries.values())
-             for w, branch in qcore.split_register(state, target)]
-        return (math.fsum(m) ** 2 - math.fsum(x * x for x in m)) / state.layout.total_dim
     rho = _as_density(state)
     digit = rho.layout.digit(target)
     return math.fsum(abs(v) for (i, j), v in rho.entries.items()
@@ -123,7 +117,7 @@ def diagonality_trajectory(state, channel: DephasingChannel,
 
     With q = 1 - strength, D**k scales every entry between distinct pointer
     states by q**k and keeps the rest, so the series needs one
-    ``pointer_diagonality``, which for a pure state costs O(entries).  The
+    ``pointer_diagonality``, which for a pure state costs O(entries**2).  The
     reference check iterates ``dephase`` through ``dephased_states`` and
     reads ``pointer_diagonality`` at every step; the ``decohere`` subcommand
     runs it on psi at every lab_width.

@@ -4,27 +4,28 @@ States, operators and density matrices all carry a ``RegisterLayout`` naming
 their subsystems.  An operator may be supported on a subset of a state's
 registers, and each operation reads only the operator's own registers.
 
-A basis state of a layout is one int, its flat index j: the first
-register's index is the most significant digit, so register r's index is
-j // stride % dim with stride the product of the later registers'
-dimensions (``RegisterLayout.digit``).  States, density matrices and
-operators all key on that j.
+Every register's dimension is a power of two, checked when its layout is
+built, so a register is a bit field: a basis state of a layout is one int,
+its flat index j, whose most significant bits hold the first register's
+index, and register r's index is j >> shift & (dim - 1), shift the bit
+count of the later registers (``RegisterLayout.digit``).  States, density
+matrices and operators all key on that j.
 
 An ``Operator`` is held in mask form, O|j> = phase(j) |j XOR mask>: an XOR
-mask on j over a layout of power-of-two dimension plus a phase rule, a
-function of j evaluated only where it is read, so it holds nothing sized
-by the dimension, as for Pauli strings and the scenario's observables
+mask on j, which XORs each register's index with its own bits of the
+mask, plus a phase rule, a function of j evaluated only where it is read,
+so it holds nothing sized by the dimension, as for Pauli strings and the
+scenario's observables
 (the Gottesman-Knill form: Aaronson and Gottesman, PRA 70, 052328 (2004);
 an affine map over GF(2): Dehaene and De Moor, PRA 68, 042318 (2003)).
 Its flags are set at construction by ``from_pauli_mask``, and ``matrix``
 gives its dense array to the tests' oracle.  A ``SparseState`` keeps only
 the nonzero amplitudes of a pure state, keyed by j.  ``born_table``,
-``project`` (one +-1 outcome), ``apply_controlled`` (a unitary where a +-1
-observable reads -1) and ``split_register`` (the branches on one
-register's basis states) move each entry by the mask form, lifted once
-per state layout, which must have a power-of-two dimension, in plain
-Python; states stay sparse, so the cost follows the number of entries,
-not the dimension, and sums are correctly rounded ``math.fsum`` sums.
+``project`` (one +-1 outcome) and ``apply_controlled`` (a unitary where a
++-1 observable reads -1) move each entry by the mask form, lifted once
+per state layout, in plain Python; states stay sparse, so the cost
+follows the number of entries, not the dimension, and sums are correctly
+rounded ``math.fsum`` sums.
 ``product_expectation`` reads a product's expectation and its part
 diagonal in one register's basis.  Sparse results are adopted through
 ``SparseState._trusted``, as their indices and norm hold by
@@ -94,7 +95,8 @@ SUPPORT_TOL = 1e-10
 
 @record
 class RegisterLayout:
-    """Ordered (label, dimension) register sites; labels, shape, axes, strides built once."""
+    """Ordered (label, dimension) register sites, each dimension a power of
+    two; labels, shape, axes and bit shifts built once."""
 
     sites: tuple[tuple[str, int], ...]
 
@@ -104,13 +106,14 @@ class RegisterLayout:
             dup = sorted({l for l in labels if labels.count(l) > 1})
             raise LabelClashError(f"duplicate register labels: {dup}")
         for label, dim in self.sites:
-            if not isinstance(dim, int) or dim < 1:
-                raise ValueError(f"register {label!r} has invalid dimension {dim!r}")
+            if not isinstance(dim, int) or dim < 1 or dim & (dim - 1):
+                raise ValueError(f"register {label!r} has invalid dimension {dim!r}, "
+                                 "not a power of two")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "shape", tuple(s[1] for s in self.sites))
         object.__setattr__(self, "_axes", {l: i for i, l in enumerate(labels)})
-        object.__setattr__(self, "_strides", tuple(
-            math.prod(self.shape[ax + 1:]) for ax in range(len(labels))))
+        object.__setattr__(self, "_shifts", tuple(
+            sum(d.bit_length() - 1 for d in self.shape[ax + 1:]) for ax in range(len(labels))))
 
     @property
     def total_dim(self) -> int:
@@ -119,8 +122,8 @@ class RegisterLayout:
     def digit(self, label: str):
         """Register ``label``'s index as a function of the flat basis index j."""
         ax = self.axis(label)
-        stride, dim = self._strides[ax], self.shape[ax]
-        return lambda j: j // stride % dim
+        shift, bits = self._shifts[ax], self.shape[ax] - 1
+        return lambda j: j >> shift & bits
 
     def axis(self, label: str) -> int:
         try:
@@ -190,21 +193,16 @@ def _lift(op: "Operator", layout: RegisterLayout) -> tuple:
     """``op``'s (mask, phase) on ``layout``, the identity on its other
     registers, built once per layout.
 
-    Each mask digit moves to its register's stride in ``layout``, and the
-    phase rule reads op's own registers' digits of j.  ``layout``'s
-    dimension must be a power of two: only there is XOR on j each
-    register's index XORed with its own digit of the mask.
+    Each register's bits of the mask move to its shift in ``layout``, and
+    the phase rule reads op's own registers' bits of j, moved back.
     """
     if layout not in op._lifts:
-        d = layout.total_dim
-        if d & (d - 1):
-            raise LayoutMismatchError(f"an operator needs a power-of-two state dimension, not {d}")
-        reads = [(layout._strides[ax], dim, own) for ax, dim, own in zip(
-            _check_sublayout(op.layout, layout), op.layout.shape, op.layout._strides)]
+        reads = [(layout._shifts[ax], dim - 1, own) for ax, dim, own in zip(
+            _check_sublayout(op.layout, layout), op.layout.shape, op.layout._shifts)]
         mask, phase = op.mask_form
         op._lifts[layout] = (
-            sum(mask // own % dim * stride for stride, dim, own in reads),
-            lambda j: phase(sum(j // stride % dim * own for stride, dim, own in reads)))
+            sum((mask >> own & bits) << shift for shift, bits, own in reads),
+            lambda j: phase(sum((j >> shift & bits) << own for shift, bits, own in reads)))
     return op._lifts[layout]
 
 
@@ -248,16 +246,15 @@ class Operator:
         j ^ mask, for a phase rule of unit phases with one product
         phase(j)*phase(j ^ mask) = c for all j, as in every Pauli word and the
         scenario's operators: O is unitary with O O = c I, so hermitian and
-        involutory iff c = 1, which j = 0 decides.  The layout's dimension
-        must be a power of two; nothing else is checked."""
+        involutory iff c = 1, which j = 0 decides.  The mask must be an
+        integer in 0..d-1; nothing else is checked."""
         d = layout.total_dim
-        if d & (d - 1):
-            raise LayoutMismatchError(f"a mask form needs a power-of-two dimension, not {d}")
-        if not 0 <= mask < d:
-            raise ValueError(f"mask {mask} is outside 0..{d - 1}")
+        m = operator.index(mask) if hasattr(mask, "__index__") else -1
+        if not 0 <= m < d:
+            raise ValueError(f"mask {mask!r} is not an integer in 0..{d - 1}")
         op = cls.__new__(cls)
-        op.layout, op.mask_form, op._lifts = layout, (int(mask), phase), {}
-        op.is_hermitian = op.is_involutory = abs(phase(0) * phase(mask) - 1) <= STRUCTURAL_TOL
+        op.layout, op.mask_form, op._lifts = layout, (m, phase), {}
+        op.is_hermitian = op.is_involutory = abs(phase(0) * phase(m) - 1) <= STRUCTURAL_TOL
         return op
 
     @property
@@ -389,29 +386,10 @@ def apply_controlled(control: Operator, unitary: Operator, state: SparseState) -
     return SparseState._trusted(state.layout, {i: 0.5 * a for i, a in total.items()})
 
 
-def split_register(state: SparseState, label: str) -> list[tuple[float, SparseState]]:
-    """(w_j, psi_j) for each basis state j of one register with w_j > 0.
-
-    psi_j = P_j psi / sqrt(w_j) and w_j = ||P_j psi||**2, with P_j the
-    projector onto |j> of that register; the branches come in index order.
-    """
-    _sparse_state(state, "split_register()")
-    digit, groups = state.layout.digit(label), {}
-    for j in sorted(state.entries):
-        groups.setdefault(digit(j), {})[j] = state.entries[j]
-    out = []
-    for _, group in sorted(groups.items()):
-        weight = _sparse_norm2(group)
-        scale = 1.0 / math.sqrt(weight)
-        out.append((weight, SparseState._trusted(
-            state.layout, {i: a * scale for i, a in group.items()})))
-    return out
-
-
 def embed(op: Operator, layout: RegisterLayout) -> Operator:
-    """``op`` on a larger layout of power-of-two dimension, the identity on
-    the other registers: its lift, whose phase product ``from_pauli_mask``
-    reads is op's own, so the flags are op's, as A x I keeps A's."""
+    """``op`` on a larger layout, the identity on the other registers: its
+    lift, whose phase product ``from_pauli_mask`` reads is op's own, so the
+    flags are op's, as A x I keeps A's."""
     return Operator.from_pauli_mask(layout, *_lift(op, layout))
 
 

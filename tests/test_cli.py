@@ -146,7 +146,7 @@ def test_each_main_call_builds_its_own_parser(monkeypatch, tmp_path):
     assert len(built) == 2 and built[0] is not built[1]
 
 
-def test_load_config_defaults_and_errors(tmp_path):
+def test_load_config_defaults_and_errors(tmp_path, capsys):
     assert load_config(None) == {}
     empty = tmp_path / "empty.json"
     empty.write_text("  \n")
@@ -161,6 +161,13 @@ def test_load_config_defaults_and_errors(tmp_path):
         load_config(str(array))
     with pytest.raises(ConfigParseError):
         load_config(str(tmp_path / "missing.json"))
+    # A file that is not UTF-8 is a config error (exit 2), not a traceback.
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(ConfigParseError, match="cannot read config"):
+        load_config(str(utf16))
+    assert main(["frames", "--config", str(utf16), "--out", str(tmp_path)]) == 2
+    assert "config error: cannot read config" in capsys.readouterr().err
 
 
 def test_defaults_fill_in():

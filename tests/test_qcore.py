@@ -59,6 +59,17 @@ def test_layout_basics():
     assert lay.axis("b") == 1
     assert dict(lay.sites)["b"] == 4
     assert lay.subset(["c", "a"]).labels == ("a", "c")
+    # Each register's digit of j is its index in the row-major unravel of j.
+    for j in range(lay.total_dim):
+        assert tuple(lay.digit(l)(j) for l in lay.labels) == np.unravel_index(j, lay.shape)
+
+
+def test_layout_rejects_dimensions_off_powers_of_two():
+    # A register is a bit field, so only a power of two is a dimension.
+    for dim in (0, 3, 6):
+        with pytest.raises(ValueError, match=f"register 't' has invalid dimension {dim}"):
+            RegisterLayout((("a", 2), ("t", dim)))
+    assert RegisterLayout((("t", 1),)).total_dim == 1
 
 
 def test_layout_label_clash():
@@ -272,16 +283,13 @@ def test_mask_embed_matches_the_dense_embedding_for_seeded_words(seed):
             _assert_mask_embedding_is_the_dense_one(op, oracle.union(a, b))
 
 
-def test_mask_embed_keeps_wider_registers_and_goes_dense_off_powers_of_two():
-    # A phase rule over a dimension-4 register; a layout with a qutrit has
-    # no mask form, so the embedding is refused.
+def test_mask_embed_keeps_wider_registers():
+    # A phase rule over a dimension-4 register, lifted between wider ones.
     phases = [1, -1, 1j, -1j, -1, 1, 1j, 1j]
     op = Operator.from_pauli_mask(RegisterLayout((("p", 4), ("a", 2))), 0b110,
                                   phases.__getitem__)
     _assert_mask_embedding_is_the_dense_one(
         op, RegisterLayout((("b", 2), ("a", 2), ("c", 4), ("p", 4))))
-    with pytest.raises(LayoutMismatchError, match="power-of-two"):
-        embed(op, RegisterLayout((("a", 2), ("t", 3), ("p", 4))))
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])

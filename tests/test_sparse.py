@@ -159,27 +159,25 @@ def test_monomial_flags_match_dense_on_random_forms():
 
 
 def test_monomial_form_guards_and_dense_fallback():
-    with pytest.raises(qcore.LayoutMismatchError):
-        Operator.from_pauli_mask(RegisterLayout((("q", 3),)), 0, lambda j: 1.0)
-    with pytest.raises(ValueError):
-        Operator.from_pauli_mask(qubits("q"), 2, lambda j: 1.0)
-    with pytest.raises(ValueError):
-        Operator.from_pauli_mask(qubits("q"), -1, lambda j: 1.0)
+    # Out of 0..1, or no integer: a float mask is not truncated.
+    for mask in (2, -1, 1.7, 1.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            Operator.from_pauli_mask(qubits("q"), mask, lambda j: 1.0)
+    assert Operator.from_pauli_mask(qubits("q"), np.int64(1), lambda j: 1.0).mask_form[0] == 1
     # There is no dense fallback: every operation takes a SparseState only.
     z = Operator.from_pauli_mask(qubits("a"), 0, (1.0, -1.0).__getitem__)
     dense = oracle.tensor(SparseState(qubits("a"), {0: 1.0}))
     for call in (lambda: qcore.born_table([z], dense), lambda: qcore.project(z, dense, 1),
-                 lambda: qcore.apply_controlled(z, z, dense),
-                 lambda: qcore.split_register(dense, "a")):
+                 lambda: qcore.apply_controlled(z, z, dense)):
         with pytest.raises(TypeError):
             call()
 
 
 def test_sparse_state_round_trip_and_guards():
     rng = np.random.default_rng(3)
-    lay = RegisterLayout((("a", 2), ("b", 3), ("c", 4)))
-    vec = rng.normal(size=24) + 1j * rng.normal(size=24)
-    vec[rng.random(24) < 0.5] = 0.0
+    lay = RegisterLayout((("a", 2), ("b", 8), ("c", 4)))
+    vec = rng.normal(size=64) + 1j * rng.normal(size=64)
+    vec[rng.random(64) < 0.5] = 0.0
     dense = (vec / np.linalg.norm(vec)).reshape(lay.shape)
     sparse = oracle.sparse(lay, dense)
     assert len(sparse.entries) == np.count_nonzero(dense)
@@ -188,8 +186,8 @@ def test_sparse_state_round_trip_and_guards():
     assert np.array_equal(oracle.tensor(sparse), dense)
     with pytest.raises(ValueError):
         SparseState(lay, {0: 2.0})
-    # Out of 0..23, a register tuple, a float and a float in a tuple are no index.
-    for index in (24, -1, (0, 0), 0.7, (True, 1.9)):
+    # Out of 0..63, a register tuple, a float and a float in a tuple are no index.
+    for index in (64, -1, (0, 0), 0.7, (True, 1.9)):
         with pytest.raises(qcore.LayoutMismatchError, match="not an integer"):
             SparseState(lay, {index: 1.0})
     with pytest.raises(TypeError):
@@ -251,12 +249,9 @@ def test_expectation_and_partial_trace_take_a_sparse_state():
             assert np.max(np.abs(red - a @ a.conj().T)) <= TOL
 
 
-def test_project_and_split_register_match_dense():
-    # project on a power-of-two layout; split_register also on one that is not,
-    # where an operator's XOR on j is no digit-wise XOR and project refuses.
+def test_project_matches_dense():
     rng = np.random.default_rng(11)
     lay = RegisterLayout((("a", 2), ("b", 4), ("c", 2)))
-    odd = RegisterLayout((("a", 2), ("b", 3), ("c", 2)))
     y = Operator.from_pauli_mask(lay.subset(["a"]), 1, (1j, -1j).__getitem__)
     for _ in range(5):
         sparse, tens = _random_sparse(rng, lay, zero_share=0.3)
@@ -266,25 +261,10 @@ def test_project_and_split_register_match_dense():
             assert isinstance(fast, SparseState)
             assert abs(p_fast - p_slow) <= TOL
             assert np.max(np.abs(oracle.tensor(fast) - slow)) <= TOL
-        sparse, tens = _random_sparse(rng, odd, zero_share=0.3)
-        with pytest.raises(qcore.LayoutMismatchError, match="power-of-two"):
-            qcore.project(y, sparse, 1)
-        branches = qcore.split_register(sparse, "b")
-        slices = [tens[:, j, :] for j in range(3) if np.any(tens[:, j, :])]
-        assert len(branches) == len(slices)
-        total = np.zeros_like(tens)
-        for (weight, branch), piece in zip(branches, slices):
-            assert abs(weight - np.vdot(piece, piece).real) <= TOL
-            total += np.sqrt(weight) * oracle.tensor(branch)
-        assert np.max(np.abs(total - tens)) <= TOL
-    # Branches come in b's index order, not in the order of their first
-    # entry: j = 4 has b = 2, and j = 6 has b = 0.
-    branches = qcore.split_register(SparseState(odd, {4: 0.6, 6: 0.8}), "b")
-    assert [dict(branch.entries) for _, branch in branches] == [{6: 1.0}, {4: 1.0}]
     with pytest.raises(ValueError):
         qcore.project(y, sparse, 0)
     with pytest.raises(TypeError):
-        qcore.split_register(tens, "b")
+        qcore.project(y, tens, 1)
 
 
 def test_apply_controlled_matches_the_dense_premeasurement():
@@ -347,29 +327,33 @@ def test_friend_stage_and_tables_match_the_dense_oracle(width):
             assert abs(sparse_table.rows[outcome] - p) <= TOL
 
 
+def dense_branches(tens, layout, target):
+    """(w_j, psi_j) for each pointer state j of ``target`` with w_j > 0: the
+    dense tensor projected onto it, w_j its squared norm, psi_j renormalized."""
+    ax = layout.axis(target)
+    out = []
+    for j in range(tens.shape[ax]):
+        branch = np.zeros_like(tens)
+        index = (slice(None),) * ax + (j,)
+        branch[index] = tens[index]
+        weight = float(np.vdot(branch, branch).real)
+        if weight > 0.0:
+            out.append((weight, branch / np.sqrt(weight)))
+    return out
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_pointer_branches_and_diagonality_match_the_dense_oracle(width):
     model = ScenarioModel(width)
     psi = model.post_premeasurement_state()
     tens = oracle.tensor(psi)
     for target in ("L1", "L2", "L3"):
-        # Oracle: project the dense tensor onto each pointer state of the target.
-        ax = psi.layout.axis(target)
-        slow = []
-        for j in range(tens.shape[ax]):
-            branch = np.zeros_like(tens)
-            index = (slice(None),) * ax + (j,)
-            branch[index] = tens[index]
-            weight = float(np.vdot(branch, branch).real)
-            if weight > 0.0:
-                slow.append((weight, branch / np.sqrt(weight)))
-        fast = qcore.split_register(psi, target)
-        assert len(fast) == len(slow) == 2
-        for (w_fast, s_fast), (w_slow, s_slow) in zip(fast, slow):
-            assert abs(w_fast - w_slow) <= TOL
-            assert np.max(np.abs(oracle.tensor(s_fast) - s_slow)) <= TOL
-        # Oracle: ((sum m_j)**2 - sum m_j**2)/d over the summed magnitudes.
-        m = np.moveaxis(np.abs(tens), ax, 0).reshape(tens.shape[ax], -1).sum(axis=1)
+        branches = dense_branches(tens, psi.layout, target)
+        assert len(branches) == 2
+        assert abs(sum(w for w, _ in branches) - 1.0) <= TOL
+        # Oracle: ((sum m_j)**2 - sum m_j**2)/d over each branch's summed
+        # magnitudes m_j, as |psi><psi|'s entries are |c_a||c_b|.
+        m = np.array([np.sqrt(w) * np.abs(branch).sum() for w, branch in branches])
         expected = (m.sum() ** 2 - np.dot(m, m)) / psi.layout.total_dim
         assert abs(pointer_diagonality(psi, target) - expected) <= TOL
         if width <= 2:
@@ -495,8 +479,6 @@ def test_trusted_sparse_producers_are_unit_and_match_dense(width):
         slow, _ = oracle.project(observable, dense, model.layout, value)
         assert np.max(np.abs(oracle.tensor(fast) - slow)) <= TOL
         produced.append(fast)
-    for target in ("L1", "L2", "L3"):
-        produced += [branch for _, branch in qcore.split_register(sparse, target)]
     for state in produced:
         assert abs(norm(state) - 1.0) <= TOL
 
@@ -505,14 +487,17 @@ def test_trusted_sparse_producers_are_unit_and_match_dense(width):
 def test_product_expectation_matches_born_tables_on_the_branches(width):
     model = ScenarioModel(width)
     psi = model.post_premeasurement_state()
+    tens = oracle.tensor(psi)
     for agents, target in itertools.product(PROTOCOL_CONTEXTS, ("L1", "L2", "L3")):
         context = scenario_context(model, agents)
         value, part = qcore.product_expectation(context.values(), psi, target)
-        # Oracle: the Born table on psi, and the weighted tables on its branches.
+        # Oracle: the Born table on psi, and the weighted tables on its
+        # branches, the dense tensor's slices.
         table = qcore.born_table(context.values(), psi)
         assert abs(value - table.expectation_product()) <= TOL
-        branches = sum(w * qcore.born_table(context.values(), branch).expectation_product()
-                       for w, branch in qcore.split_register(psi, target))
+        branches = sum(w * qcore.born_table(context.values(), oracle.sparse(psi.layout, branch)
+                                            ).expectation_product()
+                       for w, branch in dense_branches(tens, psi.layout, target))
         assert abs(part - branches) <= TOL
     with pytest.raises(ContextIncompatibleError):
         qcore.product_expectation(scenario_context(model, ("Alice", "Eugene")).values(),
