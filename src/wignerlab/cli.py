@@ -32,8 +32,9 @@ by the subcommands named with it, and the others reject it (exit 2):
   geometry       contexts, frames: "default" | "collinear" |
                  {"events": {"A": [t,x,y,z], ...}}, each number finite and
                  read exactly as the shortest decimal of its float (0.1 is
-                 1/10); one that breaks the separation pattern is a config
-                 error, so frames has no check of its own
+                 1/10); one that breaks the separation pattern, or whose
+                 Gram entries exceed a quarter of the largest float, is a
+                 config error, so frames has no check of its own
   generators     ghz-check: three signed Pauli words fixing the entangled
                  state
   dephasing      decohere: {"target": "L1", "strength": 0.5, "steps": 20}

@@ -20,7 +20,6 @@ import itertools
 
 from . import spacetime
 from ._record import record
-from .errors import UnknownAgentError
 from .scenario import (
     AGENTS,
     EVENT_OF_AGENT,
@@ -43,8 +42,6 @@ def _env_id(agents) -> str:
 
 def primary_context(agent: str) -> DecoherenceEnvironment:
     """Smallest environment holding one agent's outcome record."""
-    if agent not in AGENTS:
-        raise UnknownAgentError(f"unknown agent {agent!r}; expected one of {AGENTS}")
     return DecoherenceEnvironment(_env_id((agent,)), frozenset({agent}))
 
 

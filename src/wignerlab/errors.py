@@ -1,6 +1,6 @@
 """Exception types raised across the package.
 
-Every named failure mode gets its own class so callers can catch precisely.
+A class exists for each failure that a command or a kept guard can raise.
 All are ValueError subclasses: each one signals a malformed or inadmissible
 argument, not an internal fault.
 """
@@ -20,24 +20,8 @@ class LayoutMismatchError(ValueError):
     """Operator and state layouts disagree (labels or dimensions)."""
 
 
-class NotHermitianError(ValueError):
-    """A Pauli generator carries an imaginary phase, so it is not hermitian."""
-
-
-class NotInvolutoryError(ValueError):
-    """Operator is not a +-1 observable (hermitian and squaring to the identity)."""
-
-
-class NonrealResultError(ValueError):
-    """Imaginary residue of an expectation value exceeds ``qcore.NUMERIC_TOL``."""
-
-
 class ContextIncompatibleError(ValueError):
     """Observables handed to a joint Born table do not pairwise commute."""
-
-
-class LengthMismatchError(ValueError):
-    """Pauli strings of different length were combined."""
 
 
 class NoncommutingGeneratorsError(ValueError):
@@ -48,28 +32,12 @@ class RankNotOneError(ValueError):
     """Stabilizer projector rank is not 1 (dependent or contradictory set)."""
 
 
-class UnknownAgentError(ValueError):
-    """Agent name is not part of the scenario."""
-
-
-class ZeroBranchError(ValueError):
-    """Conditioning on an outcome branch of (numerically) zero probability."""
-
-
 class SuperluminalError(ValueError):
     """Boost velocity at or above the speed of light."""
 
 
-class UniverseTooLargeError(ValueError):
-    """Brute-force enumeration refused above the variable cap."""
-
-
 class MarginalMismatchError(ValueError):
     """Shared marginals of overlapping tables disagree."""
-
-
-class BadStrengthError(ValueError):
-    """Dephasing strength outside [0, 1]."""
 
 
 class ConfigError(ValueError):

@@ -16,27 +16,17 @@ import itertools
 import math
 
 from ._record import record
-from .errors import MarginalMismatchError, UniverseTooLargeError
+from .errors import MarginalMismatchError
 from .qcore import NUMERIC_TOL
 from .scenario import AGENTS, OUTCOME_VARIABLE, PROTOCOL_CONTEXTS
-
-ENUMERATION_CAP = 24
 
 
 @record
 class ParityConstraint:
-    """Product of the named +-1 variables equals ``parity``."""
+    """Product of the named +-1 variables, distinct, equals ``parity``, +1 or -1."""
 
     variables: tuple[str, ...]
     parity: int
-
-    def __post_init__(self) -> None:
-        if self.parity not in (1, -1):
-            raise ValueError(f"parity must be +1 or -1, got {self.parity!r}")
-        if not self.variables:
-            raise ValueError("constraint needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"repeated variable in {self.variables}")
 
     def __str__(self) -> str:
         return "*".join(self.variables) + ("=+1" if self.parity == 1 else "=-1")
@@ -44,19 +34,11 @@ class ParityConstraint:
 
 @record
 class ConstraintSystem:
-    """Ordered constraints over an explicit variable universe."""
+    """Ordered constraints over an explicit universe of distinct variables,
+    which holds every constraint's variables."""
 
     constraints: tuple[ParityConstraint, ...]
     universe: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.universe)) != len(self.universe):
-            raise ValueError(f"repeated variable in universe {self.universe}")
-        known = set(self.universe)
-        for c in self.constraints:
-            stray = set(c.variables) - known
-            if stray:
-                raise ValueError(f"constraint {c} uses unknown variables {sorted(stray)}")
 
     def lines(self) -> tuple[str, ...]:
         return tuple(str(c) for c in self.constraints)
@@ -85,11 +67,8 @@ def _count_assignments(universe: tuple[str, ...], restrictions) -> int:
     """Count the 2**n assignments of the +-1 variables ``universe`` whose
     values at each ``(names, allowed)`` restriction, names distinct, form a
     tuple in ``allowed``.  An assignment is held as the bit set of its -1
-    variables; ``restrictions`` is read only once the universe has passed
-    the cap."""
+    variables."""
     n = len(universe)
-    if n > ENUMERATION_CAP:
-        raise UniverseTooLargeError(f"{n} variables exceeds cap {ENUMERATION_CAP}")
     bit = {v: 1 << i for i, v in enumerate(universe)}
     compiled = []
     for names, allowed in restrictions:

@@ -18,9 +18,8 @@ so it holds nothing sized by the dimension, as for Pauli strings and the
 scenario's observables
 (the Gottesman-Knill form: Aaronson and Gottesman, PRA 70, 052328 (2004);
 an affine map over GF(2): Dehaene and De Moor, PRA 68, 042318 (2003)).
-Its flags are set at construction by ``from_pauli_mask``, and ``matrix``
-gives its dense array to the tests' oracle.  A ``SparseState`` keeps only
-the nonzero amplitudes of a pure state, keyed by j.  ``born_table``,
+``matrix`` gives its dense array to the tests' oracle.  A ``SparseState``
+keeps only the nonzero amplitudes of a pure state, keyed by j.  ``born_table``,
 ``project`` (one +-1 outcome) and ``apply_controlled`` (a unitary where a
 +-1 observable reads -1) move each entry by the mask form, lifted once
 per state layout, in plain Python; states stay sparse, so the cost
@@ -48,13 +47,12 @@ projector per row (24).  The factors 1/2 of the projectors are applied once
 per row as an exact power-of-two rescale, 4**-k for a squared norm.
 
 Tolerances are fixed, not per object: ``STRUCTURAL_TOL`` (1e-10) guards
-the operator flags and state norms; ``NUMERIC_TOL`` (1e-12) guards
-commutators, zero branches, nonreal expectation residues and negative
-Born-table rows; ``BORN_SUM_TOL`` (1e-9) bounds how far a Born table's rows
-may sum from 1; ``SUPPORT_TOL`` (1e-10) is the one rule for a table's
-support, the rows above it, which ``BornTable.support`` and every
-``paradox`` search read.  The CLI's report assertions use one more fixed
-constant, ``cli.REPORT_TOL`` (1e-10).
+state norms only; ``NUMERIC_TOL`` (1e-12) guards commutators, negative
+Born-table rows and ``paradox``'s shared marginals; ``BORN_SUM_TOL``
+(1e-9) bounds how far a Born table's rows may sum from 1; ``SUPPORT_TOL``
+(1e-10) is the one rule for a table's support, the rows above it, which
+``BornTable.support`` and every ``paradox`` search read.  The CLI's report
+assertions use one more fixed constant, ``cli.REPORT_TOL`` (1e-10).
 
 Every operation returns a fresh object, and states and density matrices
 expose their entries read-only.
@@ -73,19 +71,15 @@ from .errors import (
     ContextIncompatibleError,
     LabelClashError,
     LayoutMismatchError,
-    NonrealResultError,
-    NotInvolutoryError,
     UnknownLabelError,
-    ZeroBranchError,
 )
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Operator flags (hermitian, involutory) and state norms.
+# State norms.
 STRUCTURAL_TOL = 1e-10
-# Commutators, zero branches of ``project``, nonreal expectation residues
-# and negative Born-table rows.
+# Commutators, negative Born-table rows and shared marginals.
 NUMERIC_TOL = 1e-12
 # How far a Born table's rows may sum from 1.
 BORN_SUM_TOL = 1e-9
@@ -232,21 +226,17 @@ def _sparse_sums(node, flipped) -> tuple[dict, dict]:
 
 
 class Operator:
-    """Unitary operator over a layout in mask form, with its flags.
+    """Unitary operator over a layout in mask form.
 
     ``mask_form`` holds ``(mask, phase)``, ``phase`` a rule on j, meaning
-    O|j> = phase(j) |j ^ mask> on the layout's flat basis.  ``is_hermitian``
-    and ``is_involutory`` are plain attributes, set by ``from_pauli_mask``;
-    ``matrix`` builds the dense array on each read.
+    O|j> = phase(j) |j ^ mask> on the layout's flat basis; ``matrix``
+    builds the dense array on each read.
     """
 
     @classmethod
     def from_pauli_mask(cls, layout: RegisterLayout, mask: int, phase) -> "Operator":
         """The operator sending basis state j to phase(j) times basis state
-        j ^ mask, for a phase rule of unit phases with one product
-        phase(j)*phase(j ^ mask) = c for all j, as in every Pauli word and the
-        scenario's operators: O is unitary with O O = c I, so hermitian and
-        involutory iff c = 1, which j = 0 decides.  The mask must be an
+        j ^ mask, for a phase rule of unit phases.  The mask must be an
         integer in 0..d-1; nothing else is checked."""
         d = layout.total_dim
         m = operator.index(mask) if hasattr(mask, "__index__") else -1
@@ -254,7 +244,6 @@ class Operator:
             raise ValueError(f"mask {mask!r} is not an integer in 0..{d - 1}")
         op = cls.__new__(cls)
         op.layout, op.mask_form, op._lifts = layout, (m, phase), {}
-        op.is_hermitian = op.is_involutory = abs(phase(0) * phase(m) - 1) <= STRUCTURAL_TOL
         return op
 
     @property
@@ -308,8 +297,6 @@ def pure_density(state: SparseState) -> DensityMatrix:
 
 def tensor(a: SparseState, b: SparseState) -> SparseState:
     """Kronecker product of two sparse states (left factor first)."""
-    if not (isinstance(a, SparseState) and isinstance(b, SparseState)):
-        raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
     # Products of nonzero amplitudes; the norm is the product of norms.
     d_b = b.layout.total_dim
     return SparseState._trusted(a.layout.concat(b.layout),
@@ -336,33 +323,15 @@ def _check_sublayout(op_layout: RegisterLayout, layout: RegisterLayout) -> list[
     return axes
 
 
-def _check_pm1(op: Operator, caller: str) -> None:
-    if not (op.is_hermitian and op.is_involutory):
-        raise NotInvolutoryError(f"{caller} needs a +-1 observable")
-
-
-def _sparse_state(state, caller: str) -> SparseState:
-    if not isinstance(state, SparseState):
-        raise TypeError(f"{caller} got {type(state).__name__}")
-    return state
-
-
 def project(op: Operator, state: SparseState, value: int):
     """Renormalized P_value |state> and its probability, P_value = (I + value O)/2.
 
-    ``op`` must be a +-1 observable.  The state is projected as
-    (v + value O v)/2, from the same two children ``born_table`` branches
-    into.  Raises ``ZeroBranchError`` when the probability is at most
-    ``NUMERIC_TOL``.
+    ``op`` must be a +-1 observable, ``value`` +1 or -1, and the branch's
+    probability nonzero.  The state is projected as (v + value O v)/2,
+    from the same two children ``born_table`` branches into.
     """
-    if value not in (1, -1):
-        raise ValueError(f"outcome value must be +1 or -1, got {value!r}")
-    _sparse_state(state, "project()")
-    _check_pm1(op, "project()")
     kept = _sparse_children(op, state.layout, state.entries)[0 if value == 1 else 1]
     p = math.ldexp(_sparse_norm2(kept), -2)
-    if p <= NUMERIC_TOL:
-        raise ZeroBranchError(f"outcome {value:+d} has probability {p}")
     scale = 0.5 / math.sqrt(p)
     return SparseState._trusted(state.layout, {i: a * scale for i, a in kept.items()}), p
 
@@ -375,11 +344,6 @@ def apply_controlled(control: Operator, unitary: Operator, state: SparseState) -
     of the control.  It goes in as its four mask-form terms,
     (v + O v)/2 + U (v - O v)/2, and the state stays sparse.
     """
-    _sparse_state(state, "apply_controlled()")
-    _check_pm1(control, "apply_controlled()")
-    shared = set(control.layout.labels) & set(unitary.layout.labels)
-    if shared:
-        raise LayoutMismatchError(f"control and unitary share registers {sorted(shared)}")
     plus, minus = _sparse_children(control, state.layout, state.entries)
     total, _ = _sparse_sums(plus, _sparse_contract(unitary, state.layout, minus))
     # P_plus + U P_minus is unitary, so the norm stays 1.
@@ -387,9 +351,7 @@ def apply_controlled(control: Operator, unitary: Operator, state: SparseState) -
 
 
 def embed(op: Operator, layout: RegisterLayout) -> Operator:
-    """``op`` on a larger layout, the identity on the other registers: its
-    lift, whose phase product ``from_pauli_mask`` reads is op's own, so the
-    flags are op's, as A x I keeps A's."""
+    """``op`` on a larger layout, the identity on the other registers: its lift."""
     return Operator.from_pauli_mask(layout, *_lift(op, layout))
 
 
@@ -403,19 +365,13 @@ def _sparse_product(observables, state: SparseState) -> complex:
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
-def _real(val: complex) -> float:
-    if abs(val.imag) > NUMERIC_TOL:
-        raise NonrealResultError(f"imaginary residue {val.imag} exceeds {NUMERIC_TOL}")
-    return float(val.real)
-
-
 def product_expectation(observables, state: SparseState, label: str) -> tuple[float, float]:
     """<psi|O|psi> for the product O of jointly measurable +-1 observables in
     mask form, and its part sum_j <psi|P_j O P_j|psi> over register
     ``label``'s basis projectors: all of it where the XOR of the masks keeps
     ``label``'s index, 0 where it moves it."""
-    obs = _joint_observables(observables, "product_expectation()")
-    value = _real(_sparse_product(obs, state))
+    obs = _joint_observables(observables)
+    value = _sparse_product(obs, state).real
     mask = 0
     for op in obs:
         mask ^= _lift(op, state.layout)[0]
@@ -470,27 +426,13 @@ class BornTable:
     rows: dict[tuple[int, ...], float]
 
     def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"repeated outcome name in {self.names}")
         total = 0.0
         for outcome, p in self.rows.items():
-            if len(outcome) != len(self.names):
-                raise ValueError(f"outcome {outcome} does not match {self.names}")
             if p < -NUMERIC_TOL:
                 raise ValueError(f"negative probability {p} for outcome {outcome}")
             total += p
         if abs(total - 1.0) > BORN_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-
-    def expectation_product(self) -> float:
-        """Expectation of the product of all outcomes."""
-        out = 0.0
-        for outcome, p in self.rows.items():
-            sign = 1
-            for s in outcome:
-                sign *= s
-            out += sign * p
-        return out
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         """The outcomes whose probability exceeds ``SUPPORT_TOL``, in row order."""
@@ -505,8 +447,6 @@ class BornTable:
         return rows
 
     def with_names(self, names: tuple[str, ...]) -> "BornTable":
-        if len(names) != len(self.names):
-            raise ValueError("name tuple length mismatch")
         return BornTable(tuple(names), dict(self.rows))
 
     def sample(self, rng) -> tuple[int, ...]:
@@ -527,13 +467,9 @@ class BornTable:
         return [o for o, w in zip(outcomes, weights) if w > 0][-1]
 
 
-def _joint_observables(observables, caller: str) -> tuple[Operator, ...]:
-    """At least one observable, each a +-1 observable, all commuting."""
+def _joint_observables(observables) -> tuple[Operator, ...]:
+    """The observables as a tuple, checked pairwise commuting."""
     obs = tuple(observables)
-    if not obs:
-        raise ValueError(f"{caller} needs at least one observable")
-    for o in obs:
-        _check_pm1(o, caller)
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
             if not commutes(obs[i], obs[j]):
@@ -559,24 +495,20 @@ def born_table(observables, state: SparseState, names=None) -> BornTable:
     factors 1/2 are never applied on the way down.  The walk keeps at most
     one pending sibling per level.
     """
-    obs = _joint_observables(observables, "born_table()")
+    obs = _joint_observables(observables)
     if names is None:
         names = tuple(f"O{i + 1}" for i in range(len(obs)))
-    names = tuple(names)
-    if len(names) != len(obs):
-        raise ValueError("names length does not match observables")
-    layout = _sparse_state(state, "born_table()").layout
     k = len(obs)
     rows: dict[tuple[int, ...], float] = {}
     # Popping the +1 child first visits the leaves in lexicographic order.
     pending = [((), state.entries)]
     while pending:
         prefix, node = pending.pop()
-        plus, minus = _sparse_children(obs[len(prefix)], layout, node)
+        plus, minus = _sparse_children(obs[len(prefix)], state.layout, node)
         if len(prefix) + 1 == k:
             rows[prefix + (1,)] = math.ldexp(_sparse_norm2(plus), -2 * k)
             rows[prefix + (-1,)] = math.ldexp(_sparse_norm2(minus), -2 * k)
         else:
             pending.append((prefix + (-1,), minus))
             pending.append((prefix + (1,), plus))
-    return BornTable(names, rows)
+    return BornTable(tuple(names), rows)

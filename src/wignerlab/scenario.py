@@ -14,10 +14,10 @@ Every scenario observable, the friend's sigma_z and the pointer flip are
 an XOR mask plus a phase rule on the flat index: a record and sigma_z are
 +-1 diagonals (mask 0), the conjugated x flips every bit of the joint
 (atom, lab) index and the pointer flip every bit of the lab's.  Built in
-``qcore``'s mask form, with flags set at construction and phases read only
-at a state's entries, they act on psi, a ``qcore.SparseState`` with 8
-amplitudes at every lab width, and ``qcore.commutes`` decides each
-overlapping pair from their phases: nothing grows with the width.
+``qcore``'s mask form, with phases read only at a state's entries, they
+act on psi, a ``qcore.SparseState`` with 8 amplitudes at every lab width,
+and ``qcore.commutes`` decides each overlapping pair from their phases:
+nothing grows with the width.
 
 Pointer registers have ``lab_width`` qubits each and are modeled as one
 site of dimension 2**w.  A friend's record observable reads the pointer in
@@ -39,7 +39,6 @@ import itertools
 
 from . import qcore, spacetime, stabilizer
 from ._record import record
-from .errors import UnknownAgentError
 from .qcore import Operator, RegisterLayout
 
 FRIENDS = ("Alice", "Bob", "Charlie")
@@ -81,11 +80,6 @@ def probe_label(i: int) -> str:
     return f"e{i}"
 
 
-def _check_agent(agent: str) -> None:
-    if agent not in AGENTS:
-        raise UnknownAgentError(f"unknown agent {agent!r}; expected one of {AGENTS}")
-
-
 def _flip(pointer: RegisterLayout) -> Operator:
     """X on every qubit of a pointer register: basis state p goes to p ^ (d - 1)."""
     return Operator.from_pauli_mask(pointer, pointer.total_dim - 1, lambda j: 1.0)
@@ -115,9 +109,6 @@ class ScenarioModel:
     """Registers, initial state and measurement specs for one lab width."""
 
     def __init__(self, lab_width: int = 1):
-        if not isinstance(lab_width, int) or not 1 <= lab_width <= MAX_LAB_WIDTH:
-            raise ValueError(
-                f"lab_width must be an integer in 1..{MAX_LAB_WIDTH}, got {lab_width!r}")
         self.lab_width = lab_width
         pdim = 2**lab_width
         atoms = [(atom_label(i), 2) for i in (1, 2, 3)]
@@ -136,14 +127,10 @@ class ScenarioModel:
         self._post_premeasurement: qcore.SparseState | None = None
 
     def probe_layout(self, agent: str) -> RegisterLayout:
-        _check_agent(agent)
         return RegisterLayout(((probe_label(LAB_INDEX[agent]), 2**self.lab_width),))
 
     def friend_observable(self, agent: str) -> Operator:
         """sigma_z on the agent's atom; what the friend premeasures."""
-        _check_agent(agent)
-        if agent not in FRIENDS:
-            raise UnknownAgentError(f"{agent} is not a friend agent")
         return Operator.from_pauli_mask(self._atom_layouts[LAB_INDEX[agent]], 0,
                                         (1.0, -1.0).__getitem__)
 
@@ -152,9 +139,6 @@ class ScenarioModel:
         return MeasurementSpec(self.friend_observable(agent), self._lab_layouts[i])
 
     def wigner_spec(self, agent: str) -> MeasurementSpec:
-        _check_agent(agent)
-        if agent not in WIGNERS:
-            raise UnknownAgentError(f"{agent} is not a lab-measuring agent")
         return MeasurementSpec(self.scenario_observable(agent), self.probe_layout(agent))
 
     def lifted_x_observable(self, agent: str) -> Operator:
@@ -164,20 +148,12 @@ class ScenarioModel:
         with a flip of every lab pointer qubit, which flips every bit of the
         joint (atom, lab) index: mask d - 1.
         """
-        _check_agent(agent)
-        if agent not in WIGNERS:
-            raise UnknownAgentError(f"{agent} is not a lab-measuring agent")
         i = LAB_INDEX[agent]
         block = self._atom_layouts[i].concat(self._lab_layouts[i])
         return Operator.from_pauli_mask(block, block.total_dim - 1, lambda j: 1.0)
 
     def record_observable(self, agent: str) -> Operator:
         """Majority-vote pointer reading of a friend's lab."""
-        _check_agent(agent)
-        if agent not in FRIENDS:
-            raise UnknownAgentError(
-                f"{agent} keeps no lab record; record_observable is for friends"
-            )
         i = LAB_INDEX[agent]
         return Operator.from_pauli_mask(self._lab_layouts[i], 0,
                                         _majority_diagonal(self.lab_width))
@@ -189,7 +165,6 @@ class ScenarioModel:
         are immutable); ``record_observable`` and ``lifted_x_observable``
         build a fresh one.
         """
-        _check_agent(agent)
         return self._observables[agent]
 
     def observables_commute(self, x: str, y: str) -> bool:
@@ -199,8 +174,6 @@ class ScenarioModel:
         later call, from any caller, reads that table.  An observable
         commutes with itself.
         """
-        _check_agent(x)
-        _check_agent(y)
         if x == y:
             return True
         if self._commuting is None:
@@ -229,10 +202,8 @@ class ScenarioModel:
 
 
 def run_friend_stage(model: ScenarioModel, order=FRIENDS) -> qcore.SparseState:
-    """Sparse state after all three premeasurements, applied in the given order."""
-    order = tuple(order)
-    if sorted(order) != sorted(FRIENDS):
-        raise UnknownAgentError(f"friend order must permute {FRIENDS}, got {order}")
+    """Sparse state after all three premeasurements, applied in the given
+    order, a permutation of ``FRIENDS``."""
     state = model.initial_state()
     for agent in order:
         state = model.friend_spec(agent).apply(state)
@@ -247,13 +218,7 @@ def extend_with_probe(model: ScenarioModel, state: qcore.SparseState,
 
 def scenario_context(model: ScenarioModel, agents) -> dict[str, Operator]:
     """Ordered agent -> observable map for a joint measurement context."""
-    out: dict[str, Operator] = {}
-    for agent in agents:
-        _check_agent(agent)
-        if agent in out:
-            raise UnknownAgentError(f"agent {agent} listed twice")
-        out[agent] = model.scenario_observable(agent)
-    return out
+    return {agent: model.scenario_observable(agent) for agent in agents}
 
 
 def context_born_table(state, context: dict[str, Operator]) -> qcore.BornTable:

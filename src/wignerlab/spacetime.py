@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 from ._record import record
 from .errors import SuperluminalError
@@ -150,17 +151,20 @@ def _solve_negated(gram, rhs):
 
 def _gram_eigenvalues(gram, exact, square) -> tuple[float, ...]:
     """Ascending eigenvalues of the float Gram matrix ``gram``, at most
-    2 x 2, which is the integer matrix ``exact`` over ``square``."""
+    2 x 2, which is the integer matrix ``exact`` over ``square``.  With
+    every entry at most ``_GRAM_LIMIT`` no step overflows, and a root that
+    underflows to 0.0 leaves the other at 0.0 too."""
     if len(gram) <= 1:
         return tuple(row[0] for row in gram)
     (a, b), (_, c) = exact
     half_trace = (a + c) / (2 * square)
-    radius = math.sqrt(((a - c) ** 2 + 4 * b * b) / (4 * square * square))
+    radius = math.hypot((a - c) / (2 * square), gram[0][1])
     # The larger-magnitude root, then the other from the exact
     # determinant, so neither loses digits to cancellation.
     large = half_trace - radius if half_trace < 0 else half_trace + radius
     det = a * c - b * b
-    small = det / (square * square) / large if det else 0.0
+    num, den = large.as_integer_ratio()
+    small = det * den / (square * square * num) if det and num else 0.0
     return tuple(sorted((large, small)))
 
 
@@ -176,9 +180,6 @@ def frame_for_events(events) -> FrameSolution:
     given, with no tolerance: every difference lies exactly in the span the
     frame is orthogonal to, so an admissible frame's residual is 0.0.
     """
-    events = tuple(events)
-    if not 1 <= len(events) <= 3:
-        raise ValueError(f"frame_for_events() takes one to three events, not {len(events)}")
     differences, scale = _scaled_differences(events)
     diffs = _independent(differences)
     exact = [[minkowski_dot(a, b) for b in diffs] for a in diffs]
@@ -221,11 +222,6 @@ class Geometry:
 
     events: dict[str, Event4]
 
-    def __post_init__(self) -> None:
-        missing = [l for l in EVENT_LABELS if l not in self.events]
-        if missing:
-            raise ValueError(f"geometry is missing events {missing}")
-
 
 def _placed(positions) -> Geometry:
     """Each lab's events at its (x, y, z): the early one at t=1, the late one at t=2."""
@@ -244,8 +240,15 @@ def collinear_geometry() -> Geometry:
     return _placed({1: (0.0, 0.0, 0.0), 2: (5.0, 0.0, 0.0), 3: (10.0, 0.0, 0.0)})
 
 
+# The largest Gram entry a frame search may form, a quarter of the largest
+# float: then the Gram matrix and its eigenvalues are finite floats.
+_GRAM_LIMIT = sys.float_info.max / 4
+
+
 def separation_violations(geometry: Geometry) -> list[str]:
-    """Pairs whose causal character differs from the required pattern."""
+    """Pairs whose causal character differs from the required pattern, and
+    events so far apart that a frame search's Gram entry, the product
+    <e_j - e_i, e_k - e_i> of two differences, exceeds ``_GRAM_LIMIT``."""
     bad = []
     for a, b in SPACELIKE_PAIRS:
         if not is_spacelike(geometry.events[a], geometry.events[b]):
@@ -253,4 +256,11 @@ def separation_violations(geometry: Geometry) -> list[str]:
     for a, b in TIMELIKE_PAIRS:
         if not is_timelike(geometry.events[a], geometry.events[b]):
             bad.append(f"{a}-{b} must be timelike")
+    differences, scale = _scaled_differences([geometry.events[l] for l in EVENT_LABELS])
+    points = [(0, 0, 0, 0), *differences]
+    limit = int(_GRAM_LIMIT) * scale * scale
+    if any(abs(minkowski_dot([x - o for x, o in zip(u, origin)],
+                             [y - o for y, o in zip(v, origin)])) > limit
+           for origin in points for u in points for v in points):
+        bad.append(f"events too far apart: a Gram entry exceeds {_GRAM_LIMIT:.6g}")
     return bad

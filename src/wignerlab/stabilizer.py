@@ -4,7 +4,7 @@ A ``PauliString`` is a phase in {+1, -1, +i, -i} times a word over
 {I, X, Y, Z}.  Commutation is decided exactly, by counting the positions
 where two strings anticommute; nothing here touches floating point until a
 string is turned into an operator, which ``to_operator`` builds in
-``qcore``'s mask form with its flags set at construction.
+``qcore``'s mask form.
 ``joint_eigenstate`` builds a stabilizer state from those mask forms in
 exact arithmetic: the joint projector's rank is a sum of Gaussian
 integers, and the state is a ``qcore.SparseState`` of Gaussian integers
@@ -21,12 +21,7 @@ import math
 
 from . import qcore
 from ._record import record
-from .errors import (
-    LengthMismatchError,
-    NoncommutingGeneratorsError,
-    NotHermitianError,
-    RankNotOneError,
-)
+from .errors import NoncommutingGeneratorsError, RankNotOneError
 
 _LETTERS = "IXYZ"
 
@@ -72,9 +67,8 @@ def parse_pauli(text: str) -> PauliString:
 
 
 def pauli_commutes(a: PauliString, b: PauliString) -> bool:
-    """Exact commutation: even number of positions with distinct non-identity letters."""
-    if len(a) != len(b):
-        raise LengthMismatchError(f"length {len(a)} vs {len(b)}")
+    """Exact commutation of strings of one length: even number of positions
+    with distinct non-identity letters."""
     anti = sum(
         1
         for la, lb in zip(a.letters, b.letters)
@@ -84,7 +78,8 @@ def pauli_commutes(a: PauliString, b: PauliString) -> bool:
 
 
 def to_operator(p: PauliString, labels=None) -> qcore.Operator:
-    """The string in mask form over a qubit layout (default labels q1..qn).
+    """The string in mask form over a qubit layout, one label per letter
+    (default q1..qn).
 
     Y|b> = i(-1)**b |1 - b> and Z|b> = (-1)**b |b>, first letter on the top
     bit: the mask holds the X and Y letters, and the phase rule phase(j) is
@@ -92,9 +87,6 @@ def to_operator(p: PauliString, labels=None) -> qcore.Operator:
     """
     if labels is None:
         labels = tuple(f"q{i + 1}" for i in range(len(p)))
-    labels = tuple(labels)
-    if len(labels) != len(p):
-        raise LengthMismatchError(f"{len(labels)} labels for {len(p)} letters")
     flips = reads = 0
     for letter in p.letters:
         flips = 2 * flips + (letter in "XY")
@@ -106,16 +98,9 @@ def to_operator(p: PauliString, labels=None) -> qcore.Operator:
 
 
 def commuting_hermitian(generators) -> tuple[PauliString, ...]:
-    """The generators as a tuple, checked: nonempty, of one length,
-    hermitian and pairwise commuting."""
+    """The generators, nonempty, hermitian and of one length, as a tuple,
+    checked pairwise commuting."""
     gens = tuple(generators)
-    if not gens:
-        raise RankNotOneError("no generators given")
-    for g in gens:
-        if len(g) != len(gens[0]):
-            raise LengthMismatchError("generators of unequal length")
-        if not g.is_hermitian:
-            raise NotHermitianError(f"generator {g} has imaginary phase")
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             if not pauli_commutes(gens[i], gens[j]):

@@ -97,7 +97,7 @@ def test_criterion_02_x_context_products():
     for outcome in support:
         assert int(np.prod(outcome)) == -1
         assert abs(xxx.rows[outcome] - 0.25) <= TOL
-    assert abs(xxx.expectation_product() + 1.0) <= TOL
+    assert abs(sum(np.prod(o) * p for o, p in xxx.rows.items()) + 1.0) <= TOL
     for letters in ("XZZ", "ZXZ", "ZZX"):
         table = _single_letter_table(state, letters)
         support = [o for o, p in table.rows.items() if p > TOL]
@@ -105,7 +105,7 @@ def test_criterion_02_x_context_products():
         for outcome in support:
             assert int(np.prod(outcome)) == 1
             assert abs(table.rows[outcome] - 0.25) <= TOL
-        assert abs(table.expectation_product() - 1.0) <= TOL
+        assert abs(sum(np.prod(o) * p for o, p in table.rows.items()) - 1.0) <= TOL
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1
     print(f"criterion 02 PASS: x-product -1, mixed products +1, rows 0.25, {elapsed:.4f}s")
@@ -117,9 +117,10 @@ def test_criterion_03_post_premeasurement_expectations():
     state = run_friend_stage(model)
     tables = []
     for agents, sign in zip(CONSTRAINT_TRIPLES, CONSTRAINT_SIGNS):
-        table = context_born_table(state, scenario_context(model, agents))
+        context = scenario_context(model, agents)
+        table = context_born_table(state, context)
         table = table.with_names(tuple(OUTCOME_VARIABLE[a] for a in agents))
-        assert abs(table.expectation_product() - sign) <= TOL
+        assert abs(qcore.product_expectation(context.values(), state, "L1")[0] - sign) <= TOL
         tables.append(table)
     extraction = constraints_from_born(tables)
     assert extraction.skipped == ()
@@ -237,9 +238,11 @@ def test_criterion_09_property_sweeps():
         state = run_friend_stage(wide)
         born = []
         for agents, sign in zip(CONSTRAINT_TRIPLES, CONSTRAINT_SIGNS):
-            table = context_born_table(state, scenario_context(wide, agents))
+            context = scenario_context(wide, agents)
+            table = context_born_table(state, context)
             table = table.with_names(tuple(OUTCOME_VARIABLE[a] for a in agents))
-            assert abs(table.expectation_product() - sign) <= TOL
+            assert abs(qcore.product_expectation(context.values(), state, "L1")[0]
+                       - sign) <= TOL
             born.append(table)
         system = constraints_from_born(born).system
         assert (enumerate_satisfying(system).count,

@@ -208,6 +208,7 @@ VALIDATION_ERRORS = {
     "raw21": ({"mystery": 1}, "mystery"),
     "raw24": ({"robust_tol": float("inf")}, "robust_tol"),
     "raw25": ({"robust_tol": float("nan")}, "robust_tol"),
+    "raw26": ({"generators": "+XZZ"}, "generators"),
 }
 
 
@@ -768,6 +769,28 @@ def test_frames_rejects_geometry_breaking_the_separation_pattern(tmp_path, capsy
     assert main(["frames", "--config", path, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: geometry: ")
     assert not list(tmp_path.rglob("*.report.json"))
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} in a report")
+
+
+@pytest.mark.parametrize("command", ["frames", "contexts"])
+@pytest.mark.parametrize("scale,code", [(1e77, 0), (1e200, 2), (1e-165, 0), (1e-200, 0)])
+def test_scaled_geometry_reports_finite_numbers_or_is_a_config_error(tmp_path, capsys,
+                                                                     command, scale, code):
+    # The default geometry with every coordinate times ``scale``.  A traceback
+    # (exit 1) came from Gram eigenvalues that overflowed at 1e77 and divided
+    # by an underflowed root at 1e-165; at 1e200 the Gram entries are no floats.
+    events = {label: [float(c) * scale for c in e.as_array()]
+              for label, e in spacetime.default_geometry().events.items()}
+    path = write_json(tmp_path, "scaled.json", {"geometry": {"events": events}})
+    assert main([command, "--config", path, "--out", str(tmp_path), "--format", "json"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith("config error: geometry: events too far apart")
+    else:
+        json.loads(captured.out, parse_constant=_refuse)
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

@@ -8,7 +8,6 @@ from wignerlab.contexts import (
     maximal_contexts,
     primary_context,
 )
-from wignerlab.errors import UnknownAgentError
 from wignerlab.scenario import (
     AGENTS,
     LAB_INDEX,
@@ -34,11 +33,6 @@ def test_primary_context_of_wigner():
     env = primary_context("Eugene")
     assert env.id == "E_U"
     assert env.agents == frozenset({"Eugene"})
-
-
-def test_primary_context_rejects_unknown_agent():
-    with pytest.raises(UnknownAgentError):
-        primary_context("Wigner")
 
 
 def test_resolve_observable_matches_model(model):

@@ -14,10 +14,7 @@ from wignerlab.decoherence import (
     onset_step,
     pointer_diagonality,
 )
-from wignerlab.errors import (
-    BadStrengthError,
-    UnknownLabelError,
-)
+from wignerlab.errors import UnknownLabelError
 from wignerlab.qcore import (
     RegisterLayout,
     SparseState,
@@ -40,13 +37,6 @@ def plus_state():
 
 def bell_pair():
     return SparseState(qubits("a1", "L1"), {0b00: 1 / np.sqrt(2), 0b11: 1 / np.sqrt(2)})
-
-
-def test_channel_guards():
-    with pytest.raises(BadStrengthError):
-        DephasingChannel("q", -0.1)
-    with pytest.raises(BadStrengthError):
-        DephasingChannel("q", 1.5)
 
 
 def test_dephase_scales_off_diagonal():
@@ -81,11 +71,6 @@ def test_unknown_target_rejected():
         dephase(plus_state(), DephasingChannel("nope", 0.5))
 
 
-def test_dephase_rejects_other_types():
-    with pytest.raises(TypeError):
-        dephase(np.eye(2) / 2, DephasingChannel("q", 0.5))
-
-
 def test_pointer_diagonality_values():
     assert pointer_diagonality(plus_state(), "q") == pytest.approx(0.5)
     assert pointer_diagonality(bell_pair(), "L1") == pytest.approx(0.25)
@@ -116,14 +101,6 @@ def test_onset_and_robustness_threshold():
     # A value equal to the threshold is at or under it.
     assert onset_step((0.5, 1e-3), 1e-3) == 1
     assert onset_step(traj, 1e-9) is None
-
-
-def test_trajectory_rejects_negative_steps():
-    with pytest.raises(ValueError):
-        diagonality_trajectory(bell_pair(), DephasingChannel("L1", 0.5), -1)
-    with pytest.raises(ValueError):
-        expectation_trajectory(ScenarioModel(), DephasingChannel("L1", 0.5),
-                               ("Alice", "Bob", "Charlie"), -1)
 
 
 def random_mixed(rng, layout, rank):
@@ -214,12 +191,6 @@ def test_correlation_decay_edge_strengths():
     assert abs(dead[0] + 1.0) <= 1e-12
     assert abs(dead[1]) <= 1e-12
     assert abs(dead[2]) <= 1e-12
-
-
-def test_correlation_decay_guards():
-    model = ScenarioModel()
-    with pytest.raises(ValueError):
-        correlation_decay(model, DephasingChannel("a1", 0.5), 2)
 
 
 def test_record_context_table_is_invariant():
@@ -327,8 +298,6 @@ def test_dephased_states_iterates_the_channel():
     assert dict(states[0].entries) == dict(pure_density(bell_pair()).entries)
     for before, after in zip(states, states[1:]):
         assert dict(dephase(before, chan).entries) == dict(after.entries)
-    with pytest.raises(ValueError):
-        dephased_states(bell_pair(), chan, -1)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])

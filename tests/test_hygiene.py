@@ -1,6 +1,6 @@
 """Import hygiene: every name a module imports is read in that module, and
-numpy is a test-only dependency.  Reachability: every function in ``src/``
-runs in some command.
+numpy is a test-only dependency.  Reachability: every function and every
+``raise`` in ``src/`` runs in some command, or is listed with its reason.
 
 No linter runs over this repository, so an import left behind by a change
 would otherwise go unnoticed.  ``pyproject.toml`` declares no runtime
@@ -275,16 +275,24 @@ def test_commuting_overlapping_pair_is_decided_where_numpy_cannot_be_imported(tm
 # Every function compiled from ``src/wignerlab`` runs in some command.  A
 # fresh interpreter sets ``sys.settrace`` before importing the CLI, runs
 # ``main`` on each argument list given as JSON, and prints the (file, first
-# line, name) of every package code object that was called.  Code objects
-# are matched on those three, not on ``co_qualname``, which Python 3.10
-# lacks.
+# line, name) of every package code object that was called, and the (file,
+# line) of every package line that ran.  Code objects are matched on those
+# three, not on ``co_qualname``, which Python 3.10 lacks.
 REACHED = """
-import contextlib, io, json, os, sys
+import contextlib, importlib.util, io, json, os, sys
 
-called = set()
+package = os.path.dirname(importlib.util.find_spec("wignerlab").origin)
+called, lines = set(), set()
 
 def trace(frame, event, arg):
     called.add(frame.f_code)
+    if os.path.dirname(frame.f_code.co_filename) == package:
+        return trace_lines
+
+def trace_lines(frame, event, arg):
+    if event == "line":
+        lines.add((os.path.basename(frame.f_code.co_filename), frame.f_lineno))
+    return trace_lines
 
 sys.settrace(trace)
 import wignerlab.cli
@@ -292,9 +300,9 @@ for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         wignerlab.cli.main(args)
 sys.settrace(None)
-package = os.path.dirname(wignerlab.cli.__file__)
-print(json.dumps(sorted((os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
-                        for c in called if os.path.dirname(c.co_filename) == package)))
+print(json.dumps({"called": sorted((os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
+                                   for c in called if os.path.dirname(c.co_filename) == package),
+                  "lines": sorted(lines)}))
 """
 
 # Functions no command calls, each kept for a reader outside the commands.
@@ -304,7 +312,33 @@ UNREACHED = {
     "__repr__": "a record's or state's repr, read when debugging",
     "_frozen": "_record: raises on assignment to a record, which no command makes",
     "entry": "cli.entry: the console script, which calls main and exits",
-    "expectation_product": "BornTable.expectation_product: the README's worked example",
+}
+
+# Raises no command reaches, keyed by (file, enclosing function, exception
+# class), each kept for the reason given.  Every other raise runs in a
+# command: an argument that every caller builds from constants or from the
+# validated config is not checked again.
+_INVARIANT = "a constructor invariant that later arithmetic relies on"
+_LAYOUTS = "layout agreement: with a wrong layout, _lift's shifts give wrong numbers silently"
+_VERDICT = "a computed result that a report verdict rests on"
+KEPT_RAISES = {
+    ("qcore.py", "RegisterLayout.__post_init__", "LabelClashError"): _INVARIANT,
+    ("qcore.py", "RegisterLayout.__post_init__", "ValueError"): _INVARIANT,
+    ("qcore.py", "SparseState.__init__", "LayoutMismatchError"): _INVARIANT,
+    ("qcore.py", "SparseState.__init__", "ValueError"): _INVARIANT,
+    ("qcore.py", "Operator.from_pauli_mask", "ValueError"): _INVARIANT,
+    ("stabilizer.py", "PauliString.__post_init__", "ValueError"): _INVARIANT,
+    ("_record.py", "_frozen", "AttributeError"): "a record is immutable; no command assigns",
+    ("_record.py", "record.__init__", "TypeError"): "a record's arity; no command misbuilds one",
+    ("qcore.py", "RegisterLayout.axis", "UnknownLabelError"): _LAYOUTS,
+    ("qcore.py", "RegisterLayout.subset", "UnknownLabelError"): _LAYOUTS,
+    ("qcore.py", "_check_sublayout", "LayoutMismatchError"): _LAYOUTS,
+    ("qcore.py", "_union_layout", "LayoutMismatchError"): _LAYOUTS,
+    ("qcore.py", "BornTable.__post_init__", "ValueError"): _VERDICT,
+    ("qcore.py", "_joint_observables", "ContextIncompatibleError"): _VERDICT,
+    ("paradox.py", "_check_shared_marginals", "MarginalMismatchError"): _VERDICT,
+    ("spacetime.py", "BoostVelocity.__post_init__", "SuperluminalError"):
+        "frame_for_events catches it as control flow, where a frame's speed rounds to 1",
 }
 
 
@@ -321,23 +355,81 @@ def named_code_objects(path: pathlib.Path) -> set[tuple[str, int, str]]:
     return found
 
 
+def raise_statements(source: str) -> list[tuple[int, int, str, str]]:
+    """(first line, last line, enclosing function's qualified name, exception
+    class) of each ``raise`` in ``source``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                found.append((child.lineno, child.end_lineno, ".".join(scope), ast.unparse(exc)))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_raise_statements_are_keyed_by_scope_and_class():
+    source = textwrap.dedent("""\
+        class C:
+            def f(self):
+                def g():
+                    raise KeyError(
+                        "k")
+                raise ValueError from None
+        def h():
+            raise E
+        """)
+    assert raise_statements(source) == [(4, 5, "C.f.g", "KeyError"), (6, 6, "C.f", "ValueError"),
+                                      (8, 8, "h", "E")]
+
+
+# A default-shaped geometry scaled by 1e200: its Gram entries are no floats.
+FAR_GEOMETRY = {"events": {
+    label: [t * 1e200, x * 1e200, y * 1e200, 0.0]
+    for label, (t, x, y) in zip("ABCUVW", ((1, 0, 0), (1, 5, 0), (1, 0, 5),
+                                           (2, 0, 0), (2, 5, 0), (2, 0, 5)))}}
+
+
 def test_every_src_function_runs_in_a_command(tmp_path):
+    # Each invalid config reaches one raise of the config checks or of the
+    # generators' own checks.
     configs = {
-        "collinear": {"geometry": "collinear"},
-        "custom": {"geometry": {"events": {
+        "collinear": ("contexts", {"geometry": "collinear"}),
+        "custom": ("frames", {"geometry": {"events": {
             "A": [0, 0, 0, 0], "B": [0.1, 1, 0, 0], "C": [0.3, 3, 0, 0],
-            "U": [0.5, -0.4, 0, 0], "V": [0.6, 1.4, 0, 0], "W": [0.8, 3.4, 0, 0]}}},
-        "dependent": {"generators": ["+XZZ", "+XZZ", "+ZZX"]},
-        "invalid": {"nope": 1},
+            "U": [0.5, -0.4, 0, 0], "V": [0.6, 1.4, 0, 0], "W": [0.8, 3.4, 0, 0]}}}),
+        "dependent": ("ghz-check", {"generators": ["+XZZ", "+XZZ", "+ZZX"]}),
+        "anticommuting": ("ghz-check", {"generators": ["+XZZ", "+ZZZ", "+ZZX"]}),
+        "not-a-list": ("ghz-check", {"generators": "+XZZ"}),
+        "bad-letter": ("ghz-check", {"generators": ["+XQZ", "+ZXZ", "+ZZX"]}),
+        "two-letters": ("ghz-check", {"generators": ["+XZ", "+ZXZ", "+ZZX"]}),
+        "invalid": ("paradox", {"nope": 1}),
+        "unread": ("frames", {"robust_tol": 0.1}),
+        "out-of-range": ("paradox", {"lab_width": 0}),
+        "no-geometry": ("frames", {"geometry": "spherical"}),
+        "few-events": ("frames", {"geometry": {"events": {"A": [0, 0, 0, 0]}}}),
+        "short-event": ("frames", {"geometry": {"events": dict.fromkeys("ABCUVW", [0])}}),
+        "far": ("frames", {"geometry": FAR_GEOMETRY}),
+        "no-object": ("decohere", {"dephasing": 1}),
+        "unknown-field": ("decohere", {"dephasing": {"rate": 2}}),
     }
-    for name, config in configs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+    runs = []
     out = str(tmp_path / "out")
+    for name, (command, config) in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+        runs.append([command, "--config", str(tmp_path / f"{name}.json"), "--out", out])
     (tmp_path / "afile").touch()
-    runs = [[command, "--out", out] for command in COMMANDS]
-    runs += [[command, "--config", str(tmp_path / f"{name}.json"), "--out", out]
-             for command, name in (("contexts", "collinear"), ("frames", "custom"),
-                                   ("ghz-check", "dependent"), ("paradox", "invalid"))]
+    (tmp_path / "broken.json").write_text("{", encoding="utf-8")
+    (tmp_path / "array.json").write_text("[]", encoding="utf-8")
+    runs += [[command, "--out", out] for command in COMMANDS]
+    runs += [["frames", "--config", str(tmp_path / name)]
+             for name in ("missing.json", "broken.json", "array.json")]
     runs += [["paradox", "--format", "json", "--out", out], ["--help"], ["--version"],
              ["nope"], ["frames", "--out", str(tmp_path / "afile")]]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -345,11 +437,22 @@ def test_every_src_function_runs_in_a_command(tmp_path):
     result = subprocess.run([sys.executable, "-c", REACHED, json.dumps(runs)], env=env,
                             cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    called = {tuple(entry) for entry in json.loads(result.stdout)}
-    compiled = set().union(*map(named_code_objects,
-                                (ROOT / "src" / "wignerlab").glob("*.py")))
+    reached = json.loads(result.stdout)
+    called = {tuple(entry) for entry in reached["called"]}
+    sources = sorted((ROOT / "src" / "wignerlab").glob("*.py"))
+    compiled = set().union(*map(named_code_objects, sources))
     never = sorted(f"{file}:{line} {name}" for file, line, name in compiled - called
                    if name not in UNREACHED)
     assert not never, "no command runs " + ", ".join(never)
     stale = set(UNREACHED) - {name for _, _, name in compiled - called}
     assert not stale, f"a command runs {sorted(stale)}; drop them from UNREACHED"
+
+    ran = {tuple(entry) for entry in reached["lines"]}
+    unreached = [(path.name, first, scope, exc) for path in sources
+                 for first, last, scope, exc in raise_statements(path.read_text("utf-8"))
+                 if not any((path.name, line) in ran for line in range(first, last + 1))]
+    never = sorted(f"{file}:{line} {scope} raises {exc}" for file, line, scope, exc in unreached
+                   if (file, scope, exc) not in KEPT_RAISES)
+    assert not never, "no command runs " + ", ".join(never)
+    stale = set(KEPT_RAISES) - {(file, scope, exc) for file, _, scope, exc in unreached}
+    assert not stale, f"a command runs {sorted(stale)}; drop them from KEPT_RAISES"

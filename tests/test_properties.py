@@ -111,13 +111,12 @@ def test_lab_width_leaves_the_structure_alone(width):
     model = ScenarioModel(lab_width=width)
     state = run_friend_stage(model)
     tables = []
-    for agents in AGENT_TRIPLES[1:]:
-        table = context_born_table(state, scenario_context(model, agents))
-        tables.append(table.with_names(
+    for agents, sign in zip(AGENT_TRIPLES[1:], (1.0, 1.0, 1.0, -1.0)):
+        context = scenario_context(model, agents)
+        tables.append(context_born_table(state, context).with_names(
             tuple(OUTCOME_VARIABLE[a] for a in agents)))
-    signs = (1.0, 1.0, 1.0, -1.0)
-    for table, sign in zip(tables, signs):
-        assert abs(table.expectation_product() - sign) <= 1e-12
+        assert abs(qcore.product_expectation(context.values(), state, "L1")[0]
+                   - sign) <= 1e-12
     extraction = constraints_from_born(tables)
     assert extraction.skipped == ()
     assert extraction.system.lines() == scenario_constraints().lines()

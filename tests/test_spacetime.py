@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -158,9 +159,36 @@ def test_collinear_geometry_keeps_separation_pattern():
     assert separation_violations(collinear_geometry()) == []
 
 
-def test_geometry_requires_all_events():
-    with pytest.raises(ValueError):
-        Geometry({"A": Event4("A", 1, 0, 0, 0)})
+def scaled(geometry, s):
+    """``geometry`` with every coordinate multiplied by ``s``, each read
+    exactly as its shortest decimal, as a config's numbers are."""
+    return Geometry({label: Event4(label, *(Fraction(repr(c * s)) for c in e.as_array()))
+                     for label, e in geometry.events.items()})
+
+
+@pytest.mark.parametrize("s", [1e154, 1e200])
+def test_geometry_too_large_for_float_gram_entries_is_a_violation(s):
+    # Gram entries of the default geometry's differences are up to 50 s**2.
+    assert separation_violations(scaled(default_geometry(), s)) == [
+        "events too far apart: a Gram entry exceeds 4.49423e+307"]
+
+
+@pytest.mark.parametrize("s", [1e77, 1e152, 1e-165, 1e-200])
+def test_frames_of_a_scaled_geometry_are_finite(s):
+    # At s = 1e77 the eigenvalues' intermediate s**4 overflowed; at 1e-165
+    # the larger root underflowed to 0.0 and was divided by.
+    unit, geo = default_geometry(), scaled(default_geometry(), s)
+    assert separation_violations(geo) == []
+    for triple in itertools.combinations(EVENT_LABELS, 3):
+        cert = frame_for_events([geo.events[k] for k in triple])
+        expected = frame_for_events([unit.events[k] for k in triple])
+        assert cert.exists == expected.exists
+        assert all(map(math.isfinite, (*cert.gram_eigenvalues, *itertools.chain(*cert.gram))))
+        if cert.exists:
+            assert cert.velocity.as_array() == pytest.approx(expected.velocity.as_array())
+        elif s > 1:
+            assert cert.gram_eigenvalues == pytest.approx(
+                [v * s * s for v in expected.gram_eigenvalues], rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -231,16 +259,12 @@ def test_frame_for_events_single_event_and_empty():
     assert cert.exists
     assert cert.velocity.speed == 0.0
     assert cert.gram == ()
-    with pytest.raises(ValueError):
-        frame_for_events([])
 
 
 def test_frame_for_events_four_events_with_timelike_pair():
-    # Three of them have no frame; all four are more than a report asks about.
+    # A timelike pair among three events: no frame.
     geo = default_geometry()
     assert not frame_for_events([geo.events[k] for k in ("A", "B", "U")]).exists
-    with pytest.raises(ValueError, match="one to three events"):
-        frame_for_events([geo.events[k] for k in ("A", "B", "C", "U")])
 
 
 # The numpy solver that frame_for_events replaced, kept verbatim (its
@@ -500,13 +524,3 @@ def test_fraction_coordinates_share_the_lcm_of_their_denominators():
     assert cert.velocity.as_array() == (0.1, 0.0, 0.0) and cert.residual == 0.0
     assert not frame_for_events([Event4(e.label, *map(float, e.as_array()))
                                  for e in line]).exists
-
-
-def test_gram_eigenvalues_of_four_independent_differences():
-    # Five events in general position span four differences; frames are
-    # decided for one to three events only, so they are rejected before any
-    # Gram matrix is formed.
-    rng = np.random.default_rng(5)
-    events = [Event4(str(i), *rng.uniform(-5, 5, size=4)) for i in range(5)]
-    with pytest.raises(ValueError, match="one to three events, not 5"):
-        frame_for_events(events)
