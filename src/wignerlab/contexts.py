@@ -92,10 +92,9 @@ def maximal_contexts(model: ScenarioModel,
     cliques = []
     for size in range(len(AGENTS), 0, -1):
         for subset in itertools.combinations(AGENTS, size):
-            if all(model.observables_commute(x, y)
-                   for x, y in itertools.combinations(subset, 2)):
-                if not any(set(subset) < set(c) for c in cliques):
-                    cliques.append(subset)
+            if (_records_commute(model, subset)
+                    and not any(set(subset) < set(c) for c in cliques)):
+                cliques.append(subset)
     reports = []
     for clique in cliques:
         # Every pair in the clique commutes, so the union is consistent.

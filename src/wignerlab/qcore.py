@@ -25,6 +25,8 @@ keeps only the nonzero amplitudes of a pure state, keyed by j.  ``born_table``,
 per state layout, in plain Python; states stay sparse, so the cost
 follows the number of entries, not the dimension, and sums are correctly
 rounded ``math.fsum`` sums.
+The three share one step, v +- O v (``_sparse_children``), as does
+``stabilizer.joint_eigenstate``'s build of each prod (I + G_i)|x>.
 ``product_expectation`` reads a product's expectation and its part
 diagonal in one register's basis.  Sparse results are adopted through
 ``SparseState._trusted``, as their indices and norm hold by
@@ -185,7 +187,7 @@ def _sparse_norm2(entries) -> float:
 
 def _lift(op: "Operator", layout: RegisterLayout) -> tuple:
     """``op``'s (mask, phase) on ``layout``, the identity on its other
-    registers, built once per layout.
+    registers, built once per layout; on op's own layout, its mask form.
 
     Each register's bits of the mask move to its shift in ``layout``, and
     the phase rule reads op's own registers' bits of j, moved back.
@@ -243,7 +245,7 @@ class Operator:
         if not 0 <= m < d:
             raise ValueError(f"mask {mask!r} is not an integer in 0..{d - 1}")
         op = cls.__new__(cls)
-        op.layout, op.mask_form, op._lifts = layout, (m, phase), {}
+        op.layout, op.mask_form, op._lifts = layout, (m, phase), {layout: (m, phase)}
         return op
 
     @property

@@ -6,9 +6,9 @@ pointer register.  Eugene, Johnny and Daniel later address whole labs:
 each measures the conjugated x-observable obtained by dressing the atom's
 sigma_x with the friend's interaction, so it acts jointly on atom plus
 pointer.  The module builds these observables over a labeled register
-layout, applies each premeasurement as a pointer flip controlled by the
-measured observable, and evaluates joint Born tables on the exact
-post-premeasurement state.
+layout, applies each premeasurement (``premeasure``) as a pointer flip
+controlled by the measured observable, and evaluates joint Born tables on
+the exact post-premeasurement state.
 
 Every scenario observable, the friend's sigma_z and the pointer flip are
 an XOR mask plus a phase rule on the flat index: a record and sigma_z are
@@ -92,21 +92,15 @@ def _majority_diagonal(width: int):
     return lambda j: 1.0 if 2 * j.bit_count() + (j >= half) <= width else -1.0
 
 
-@record
-class MeasurementSpec:
-    """One agent's measurement: what is measured, onto which pointer."""
-
-    observable: Operator
-    pointer: RegisterLayout
-
-    def apply(self, state: qcore.SparseState) -> qcore.SparseState:
-        """This premeasurement, P_plus + F P_minus with F the pointer flip,
-        applied to a sparse state through ``qcore.apply_controlled``."""
-        return qcore.apply_controlled(self.observable, _flip(self.pointer), state)
+def premeasure(observable: Operator, pointer: RegisterLayout,
+               state: qcore.SparseState) -> qcore.SparseState:
+    """A von Neumann premeasurement of the +-1 ``observable`` onto ``pointer``:
+    P_plus + F P_minus, F the pointer flip, through ``qcore.apply_controlled``."""
+    return qcore.apply_controlled(observable, _flip(pointer), state)
 
 
 class ScenarioModel:
-    """Registers, initial state and measurement specs for one lab width."""
+    """Registers, observables and initial state for one lab width."""
 
     def __init__(self, lab_width: int = 1):
         self.lab_width = lab_width
@@ -134,13 +128,6 @@ class ScenarioModel:
         return Operator.from_pauli_mask(self._atom_layouts[LAB_INDEX[agent]], 0,
                                         (1.0, -1.0).__getitem__)
 
-    def friend_spec(self, agent: str) -> MeasurementSpec:
-        i = LAB_INDEX[agent]
-        return MeasurementSpec(self.friend_observable(agent), self._lab_layouts[i])
-
-    def wigner_spec(self, agent: str) -> MeasurementSpec:
-        return MeasurementSpec(self.scenario_observable(agent), self.probe_layout(agent))
-
     def lifted_x_observable(self, agent: str) -> Operator:
         """The atom's sigma_x conjugated by the friend's premeasurement.
 
@@ -149,8 +136,7 @@ class ScenarioModel:
         joint (atom, lab) index: mask d - 1.
         """
         i = LAB_INDEX[agent]
-        block = self._atom_layouts[i].concat(self._lab_layouts[i])
-        return Operator.from_pauli_mask(block, block.total_dim - 1, lambda j: 1.0)
+        return _flip(self._atom_layouts[i].concat(self._lab_layouts[i]))
 
     def record_observable(self, agent: str) -> Operator:
         """Majority-vote pointer reading of a friend's lab."""
@@ -206,7 +192,8 @@ def run_friend_stage(model: ScenarioModel, order=FRIENDS) -> qcore.SparseState:
     order, a permutation of ``FRIENDS``."""
     state = model.initial_state()
     for agent in order:
-        state = model.friend_spec(agent).apply(state)
+        state = premeasure(model.friend_observable(agent),
+                           model._lab_layouts[LAB_INDEX[agent]], state)
     return state
 
 
@@ -282,7 +269,7 @@ def erasure_check(model: ScenarioModel) -> ErasureReport:
     """Condition on Alice's record, run Eugene's premeasurement, reread the record.
 
     Works on the sparse psi throughout: Eugene's premeasurement goes in as
-    its four mask-form terms (``MeasurementSpec.apply``), and the reread is
+    its four mask-form terms (``premeasure``), and the reread is
     a one-observable Born table.
     """
     post = model.post_premeasurement_state()
@@ -290,6 +277,7 @@ def erasure_check(model: ScenarioModel) -> ErasureReport:
     probs = {}
     for branch in (1, -1):
         cond, _ = qcore.project(record, post, branch)
-        work = model.wigner_spec("Eugene").apply(extend_with_probe(model, cond, "Eugene"))
+        work = premeasure(model.scenario_observable("Eugene"), model.probe_layout("Eugene"),
+                          extend_with_probe(model, cond, "Eugene"))
         probs[branch] = qcore.born_table((record,), work).rows[(1,)]
     return ErasureReport(probs[1], probs[-1])

@@ -13,6 +13,8 @@ an integer over one common denominator, the rank, the definiteness test
 and the normal are computed on those integers, and no step has a
 tolerance.  Floats enter only in the returned velocity (one
 correctly rounded division per component) and in the Gram certificate.
+``separation_violations`` reads a geometry's separation pattern and the
+range of its Gram entries off the same integers.
 """
 
 from __future__ import annotations
@@ -43,20 +45,6 @@ class Event4:
 def minkowski_dot(u, v):
     """Minkowski product; exact for integer vectors, a float for float ones."""
     return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
-
-
-def interval(e1: Event4, e2: Event4) -> float:
-    """Squared invariant interval; positive timelike, negative spacelike."""
-    d = [b - a for a, b in zip(e1.as_array(), e2.as_array())]
-    return minkowski_dot(d, d)
-
-
-def is_spacelike(e1: Event4, e2: Event4) -> bool:
-    return interval(e1, e2) < 0.0
-
-
-def is_timelike(e1: Event4, e2: Event4) -> bool:
-    return interval(e1, e2) > 0.0
 
 
 @record
@@ -243,24 +231,32 @@ def collinear_geometry() -> Geometry:
 # The largest Gram entry a frame search may form, a quarter of the largest
 # float: then the Gram matrix and its eigenvalues are finite floats.
 _GRAM_LIMIT = sys.float_info.max / 4
+# The smallest nonzero one, the smallest normal float: below it an entry
+# rounds to a subnormal that has lost digits, or to 0.0.
+_GRAM_FLOOR = sys.float_info.min
 
 
 def separation_violations(geometry: Geometry) -> list[str]:
     """Pairs whose causal character differs from the required pattern, and
-    events so far apart that a frame search's Gram entry, the product
-    <e_j - e_i, e_k - e_i> of two differences, exceeds ``_GRAM_LIMIT``."""
-    bad = []
-    for a, b in SPACELIKE_PAIRS:
-        if not is_spacelike(geometry.events[a], geometry.events[b]):
-            bad.append(f"{a}-{b} must be spacelike")
-    for a, b in TIMELIKE_PAIRS:
-        if not is_timelike(geometry.events[a], geometry.events[b]):
-            bad.append(f"{a}-{b} must be timelike")
+    events so far apart or so close that a nonzero Gram entry of a frame
+    search, the product <e_j - e_i, e_k - e_i> of two differences, lies
+    above ``_GRAM_LIMIT`` or below ``_GRAM_FLOOR``.  Every test is exact, on
+    the differences as integers over one common denominator."""
     differences, scale = _scaled_differences([geometry.events[l] for l in EVENT_LABELS])
-    points = [(0, 0, 0, 0), *differences]
-    limit = int(_GRAM_LIMIT) * scale * scale
-    if any(abs(minkowski_dot([x - o for x, o in zip(u, origin)],
-                             [y - o for y, o in zip(v, origin)])) > limit
-           for origin in points for u in points for v in points):
+    points = dict(zip(EVENT_LABELS, [(0, 0, 0, 0), *differences]))
+
+    def dot(origin, u, v):
+        """<u - origin, v - origin> times scale**2, for event letters."""
+        return minkowski_dot([x - o for x, o in zip(points[u], points[origin])],
+                             [y - o for y, o in zip(points[v], points[origin])])
+
+    bad = [f"{a}-{b} must be spacelike" for a, b in SPACELIKE_PAIRS if dot(a, b, b) >= 0]
+    bad += [f"{a}-{b} must be timelike" for a, b in TIMELIKE_PAIRS if dot(a, b, b) <= 0]
+    entries = {abs(dot(o, u, v)) for o in points for u in points for v in points} - {0}
+    square = scale * scale
+    if any(g > int(_GRAM_LIMIT) * square for g in entries):
         bad.append(f"events too far apart: a Gram entry exceeds {_GRAM_LIMIT:.6g}")
+    num, den = _GRAM_FLOOR.as_integer_ratio()
+    if any(g * den < num * square for g in entries):
+        bad.append(f"events too close: a nonzero Gram entry is below {_GRAM_FLOOR:.6g}")
     return bad

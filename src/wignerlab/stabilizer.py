@@ -5,10 +5,12 @@ A ``PauliString`` is a phase in {+1, -1, +i, -i} times a word over
 where two strings anticommute; nothing here touches floating point until a
 string is turned into an operator, which ``to_operator`` builds in
 ``qcore``'s mask form.
-``joint_eigenstate`` builds a stabilizer state from those mask forms in
-exact arithmetic: the joint projector's rank is a sum of Gaussian
-integers, and the state is a ``qcore.SparseState`` of Gaussian integers
-over one square root, built with no tolerance and no dense array.
+``joint_eigenstate`` builds a stabilizer state from those operators in
+exact arithmetic, on ``qcore``'s sparse v + G v step: each column
+prod (I + G_i)|x> holds Gaussian integers, the joint projector's rank is
+the sum of their squared norms over 4**m, and the state is a
+``qcore.SparseState`` of Gaussian integers over one square root, built
+with no tolerance and no dense array.
 
 Serialized form is sign then letters (``+XZZ``, ``-XXX``); imaginary phases
 spell ``+i`` / ``-i`` (``+iZY``).  ``parse_pauli`` inverts ``str()``
@@ -110,66 +112,36 @@ def commuting_hermitian(generators) -> tuple[PauliString, ...]:
     return gens
 
 
-def _trace(forms, d: int) -> complex:
-    """Tr of the product of mask forms on dimension d: 0 unless their masks
-    cancel, else the sum over j of the phases met from |j> back to |j>."""
-    product_mask = 0
-    for mask, _ in forms:
-        product_mask ^= mask
-    if product_mask:
-        return 0
-    trace = 0
-    for j in range(d):
-        amp, k = 1, j
-        for mask, phase in forms:
-            amp *= phase(k)
-            k ^= mask
-        trace += amp
-    return trace
-
-
-def _stabilized(forms, x: int) -> dict[int, complex]:
-    """prod (I + G_i) |x> from the generators' mask forms, keyed by flat
-    index, exact zeros dropped: every amplitude is a Gaussian integer."""
-    v = {x: 1}
-    for mask, phase in forms:
-        out = dict(v)
-        for j, a in v.items():
-            out[j ^ mask] = out.get(j ^ mask, 0) + phase(j) * a
-        v = {j: a for j, a in out.items() if a}
-    return v
-
-
 def joint_eigenstate(generators, labels=None) -> qcore.SparseState:
     """Unique joint +1 eigenstate of commuting hermitian Pauli generators, built exactly.
 
-    P = prod (I + G_i)/2 is the joint +1 projector.  Its rank, Tr P, is
-    2**-m times the sum over subsets S of the generators of Tr prod_S G_i,
-    and only a product whose masks cancel to 0 has a nonzero trace; every
-    trace is a Gaussian integer, so rank 1 is decided with no tolerance.
-    The state is P|x>/||P|x>|| for the first basis index x with P|x> != 0:
-    with v = prod (I + G_i)|x>, amplitude j is v_j / sqrt(||v||**2).  Every
-    earlier amplitude is 0 and <x|v> > 0, so the first nonzero amplitude is
-    real and positive (Dehaene and De Moor, PRA 68, 042318 (2003), give the
-    same state as a quadratic form over an affine subspace of GF(2)**n).
+    P = prod (I + G_i)/2 is the joint +1 projector.  Each v_x =
+    prod (I + G_i)|x> is built from {x: 1} by ``qcore``'s v + G v step, the
+    one ``born_table`` branches into; its amplitudes are Gaussian integers.
+    The v_x are the columns of 2**m P, so sum_x ||v_x||**2 = 4**m Tr P, an
+    exact integer, and rank 1 is decided with no tolerance.  The state is
+    v / sqrt(||v||**2) for the first nonzero v = v_x: every earlier
+    amplitude is 0 and <x|v> > 0, so the first nonzero amplitude is real
+    and positive (Dehaene and De Moor, PRA 68, 042318 (2003), give the same
+    state as a quadratic form over an affine subspace of GF(2)**n).
     """
     gens = commuting_hermitian(generators)
     n, m = len(gens[0]), len(gens)
-    if labels is None:
-        labels = tuple(f"q{i + 1}" for i in range(n))
-    forms = [to_operator(g, labels).mask_form for g in gens]
-    trace = sum(_trace([f for i, f in enumerate(forms) if subset >> i & 1], 2**n)
-                for subset in range(2**m))
-    if trace != 2**m:
-        raise RankNotOneError(f"projector rank {trace.real / 2**m:g}; "
-                              "generators dependent or contradictory")
+    ops = [to_operator(g, labels) for g in gens]
+    layout = ops[0].layout
+    columns = []
     for x in range(2**n):
-        v = _stabilized(forms, x)
-        if v:
-            break
-    norm = math.sqrt(math.fsum(a.real * a.real + a.imag * a.imag for a in v.values()))
-    return qcore.SparseState(qcore.qubits(*labels),
-                             {j: complex(a) / norm for j, a in sorted(v.items())})
+        v = {x: 1}
+        for op in ops:
+            v = qcore._sparse_children(op, layout, v)[0]
+        columns.append(v)
+    total = math.fsum(map(qcore._sparse_norm2, columns))
+    if total != 4**m:
+        raise RankNotOneError(f"projector rank {total / 4**m:g}; "
+                              "generators dependent or contradictory")
+    v = next(v for v in columns if v)
+    norm = math.sqrt(qcore._sparse_norm2(v))
+    return qcore.SparseState(layout, {j: complex(a) / norm for j, a in sorted(v.items())})
 
 
 SCENARIO_GENERATORS = (

@@ -7,9 +7,12 @@ dense ``matrix`` only and acts on its own registers alone, by
 state, so the scenario's psi at lab width 4 (d = 32768) stays cheap.
 Nothing here reads a mask form, a phase rule or a sparse walk.
 
-``joint_eigenstate`` is the oracle of ``stabilizer.joint_eigenstate``'s exact
-build: it multiplies the 2**n-square projectors (I + G_i)/2, reads the
-rank off a float trace and takes a normalized column.
+``joint_eigenstate`` is the oracle of ``stabilizer.joint_eigenstate``, which
+runs ``qcore``'s sparse v + G v step from each basis state and reads the
+rank off the exact sum of the columns' squared norms: the oracle
+multiplies the 2**n-square projectors (I + G_i)/2, reads the rank off a
+float trace and takes a normalized column.  ``premeasure`` is the oracle
+of ``scenario.premeasure``, the one premeasurement the scenario applies.
 """
 
 import itertools

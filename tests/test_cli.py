@@ -775,22 +775,49 @@ def _refuse(constant):
     raise ValueError(f"{constant} in a report")
 
 
+def scaled_events(scale):
+    """The default geometry's events with every coordinate times ``scale``."""
+    return {label: [float(c) * scale for c in e.as_array()]
+            for label, e in spacetime.default_geometry().events.items()}
+
+
 @pytest.mark.parametrize("command", ["frames", "contexts"])
-@pytest.mark.parametrize("scale,code", [(1e77, 0), (1e200, 2), (1e-165, 0), (1e-200, 0)])
+@pytest.mark.parametrize("scale,code", [(1e77, 0), (1e200, 2), (1e-165, 2), (1e-200, 2)])
 def test_scaled_geometry_reports_finite_numbers_or_is_a_config_error(tmp_path, capsys,
                                                                      command, scale, code):
-    # The default geometry with every coordinate times ``scale``.  A traceback
-    # (exit 1) came from Gram eigenvalues that overflowed at 1e77 and divided
-    # by an underflowed root at 1e-165; at 1e200 the Gram entries are no floats.
-    events = {label: [float(c) * scale for c in e.as_array()]
-              for label, e in spacetime.default_geometry().events.items()}
-    path = write_json(tmp_path, "scaled.json", {"geometry": {"events": events}})
+    # A traceback (exit 1) came from Gram eigenvalues that overflowed at
+    # 1e77 and divided by an underflowed root at 1e-165; at 1e200 the Gram
+    # entries are no floats, and below about 1.5e-154 no normal floats.
+    path = write_json(tmp_path, "scaled.json", {"geometry": {"events": scaled_events(scale)}})
     assert main([command, "--config", path, "--out", str(tmp_path), "--format", "json"]) == code
     captured = capsys.readouterr()
     if code:
-        assert captured.err.startswith("config error: geometry: events too far apart")
+        assert captured.err.startswith("config error: geometry: events too "
+                                       + ("far apart" if scale > 1 else "close"))
     else:
         json.loads(captured.out, parse_constant=_refuse)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-165])
+def test_geometry_whose_gram_entries_are_not_normal_floats_is_a_config_error(
+        tmp_path, capsys, scale):
+    # At 1e-165 the timelike triple AUB printed the certificate
+    # [[0.0, 0.0], [0.0, -0.0]] with eigenvalues [0.0, 0.0], and at 1e-160
+    # -2.49997e-319 where -2.5e-319 is meant.
+    path = write_json(tmp_path, "tiny.json", {"geometry": {"events": scaled_events(scale)},
+                                              "frame_triples": ["AUB", "ABC"]})
+    code = main(["frames", "--config", path, "--out", str(tmp_path), "--format", "json"])
+    captured = capsys.readouterr()
+    if scale < 1e-155:
+        assert code == 2
+        assert captured.err == ("config error: geometry: events too close: "
+                                "a nonzero Gram entry is below 2.22507e-308\n")
+        return
+    assert code == 0
+    aub = json.loads(captured.out)["data"]["frames"][0]
+    assert aub["events"] == ["A", "U", "B"] and not aub["exists"]
+    assert aub["gram"] == [[1e-300, 0.0], [0.0, -2.5e-299]]
+    assert aub["gram_eigenvalues"] == [-2.5e-299, 1e-300]
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

@@ -7,19 +7,19 @@ import numpy as np
 import pytest
 
 import dense_oracle as oracle
-from test_sparse import run_wigner_stage
+from test_sparse import friend_premeasurement, run_wigner_stage
 from wignerlab import qcore, scenario
 from wignerlab.qcore import Operator, qubits
 from wignerlab.scenario import (
     FRIENDS,
     PROTOCOL_CONTEXTS,
     WIGNERS,
-    MeasurementSpec,
     ScenarioModel,
     atom_label,
     context_born_table,
     erasure_check,
     extend_with_probe,
+    premeasure,
     run_friend_stage,
     sample_outcomes,
     scenario_context,
@@ -35,12 +35,13 @@ def sigma_z(label):
     return Operator.from_pauli_mask(qubits(label), 0, (1.0, -1.0).__getitem__)
 
 
-def premeasurement_matrix(spec):
-    """The oracle's premeasurement of ``spec`` on every basis state, as a matrix."""
-    layout = spec.observable.layout.concat(spec.pointer)
+def premeasurement_matrix(observable, pointer):
+    """The oracle's premeasurement of ``observable`` onto ``pointer`` on every
+    basis state, as a matrix."""
+    layout = observable.layout.concat(pointer)
     d = layout.total_dim
     eye = np.eye(d, dtype=complex).reshape(layout.shape + (d,))
-    return oracle.premeasure(spec.observable, spec.pointer, eye, layout).reshape(d, d)
+    return oracle.premeasure(observable, pointer, eye, layout).reshape(d, d)
 
 
 def product_value(model, agents, state):
@@ -56,11 +57,11 @@ def product_value(model, agents, state):
 
 
 def test_vn_unitary_is_cnot_for_z():
-    spec = MeasurementSpec(sigma_z("a"), qubits("p"))
-    assert np.max(np.abs(premeasurement_matrix(spec) - CNOT)) <= 1e-12
+    assert np.max(np.abs(premeasurement_matrix(sigma_z("a"), qubits("p")) - CNOT)) <= 1e-12
     for col in range(4):
         basis = qcore.SparseState(qubits("a", "p"), {col: 1.0})
-        assert np.array_equal(oracle.tensor(spec.apply(basis)).reshape(-1), CNOT[:, col])
+        moved = premeasure(sigma_z("a"), qubits("p"), basis)
+        assert np.array_equal(oracle.tensor(moved).reshape(-1), CNOT[:, col])
 
 
 def test_vn_unitary_is_unitary_for_random_involutory():
@@ -69,13 +70,12 @@ def test_vn_unitary_is_unitary_for_random_involutory():
         signs = rng.choice([1.0, -1.0], size=4).tolist()
         obs = Operator.from_pauli_mask(qubits("s", "t"), 3, lambda j: signs[min(j, j ^ 3)])
         pointer = qcore.RegisterLayout((("p", 2**width),))
-        spec = MeasurementSpec(obs, pointer)
-        u = premeasurement_matrix(spec)
+        u = premeasurement_matrix(obs, pointer)
         assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-12
         layout = obs.layout.concat(pointer)
         raw = rng.normal(size=layout.shape) + 1j * rng.normal(size=layout.shape)
         state = oracle.sparse(layout, raw / np.linalg.norm(raw))
-        moved = oracle.tensor(spec.apply(state))
+        moved = oracle.tensor(premeasure(obs, pointer, state))
         assert abs(np.linalg.norm(moved) - 1.0) <= 1e-12
         assert np.max(np.abs(moved.reshape(-1) - u @ raw.reshape(-1) / np.linalg.norm(raw))) <= 1e-12
 
@@ -84,7 +84,7 @@ def test_vn_unitary_correlates_pointer():
     # Measuring sigma_z on |+> then reading both registers: perfect correlation.
     plus = qcore.SparseState(qubits("a"), {0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)})
     ready = qcore.SparseState(qubits("p"), {0: 1.0})
-    state = MeasurementSpec(sigma_z("a"), qubits("p")).apply(qcore.tensor(plus, ready))
+    state = premeasure(sigma_z("a"), qubits("p"), qcore.tensor(plus, ready))
     t = qcore.born_table([sigma_z("a"), sigma_z("p")], state)
     assert abs(t.rows[(1, 1)] - 0.5) <= 1e-12
     assert abs(t.rows[(-1, -1)] - 0.5) <= 1e-12
@@ -106,10 +106,10 @@ def test_lifted_x_general_width_oracle(width):
     # Oracle: conjugate sigma_x (x) I by Bob's explicit premeasurement.
     model = ScenarioModel(width)
     got = model.lifted_x_observable("Johnny")
-    spec = model.friend_spec("Bob")
-    v = premeasurement_matrix(spec)
+    observable, pointer = friend_premeasurement(model, "Bob")
+    v = premeasurement_matrix(observable, pointer)
     conjugated = v @ np.kron(X, np.eye(2**width)) @ v.conj().T
-    assert got.layout == spec.observable.layout.concat(spec.pointer)
+    assert got.layout == observable.layout.concat(pointer)
     assert np.max(np.abs(got.matrix - conjugated)) <= 1e-12
 
 
@@ -126,7 +126,6 @@ def test_scenario_observable_built_once_per_model(width):
         assert np.array_equal(op.matrix, fresh.matrix)
     context = scenario_context(model, ("Eugene", "Bob", "Charlie"))
     assert context["Eugene"] is model.scenario_observable("Eugene")
-    assert model.wigner_spec("Eugene").observable is model.scenario_observable("Eugene")
 
 
 @pytest.mark.parametrize("width", [1, 2])

@@ -22,6 +22,7 @@ from wignerlab.stabilizer import ghz_scenario_state
 from wignerlab.scenario import (
     AGENTS,
     FRIENDS,
+    LAB_INDEX,
     MAX_LAB_WIDTH,
     PROTOCOL_CONTEXTS,
     WIGNERS,
@@ -29,6 +30,8 @@ from wignerlab.scenario import (
     _flip,
     erasure_check,
     extend_with_probe,
+    lab_label,
+    premeasure,
     run_friend_stage,
     scenario_context,
 )
@@ -73,10 +76,17 @@ def random_pm1_observable(rng, layout):
     return Operator.from_pauli_mask(layout, mask, phase.__getitem__)
 
 
+def friend_premeasurement(model, agent):
+    """A friend's premeasurement: sigma_z of the atom onto the lab's pointer."""
+    return (model.friend_observable(agent),
+            model.layout.subset([lab_label(LAB_INDEX[agent])]))
+
+
 def run_wigner_stage(model, state, order=WIGNERS):
     """Each lab measurement of ``order``, its probe adjoined first."""
     for agent in order:
-        state = model.wigner_spec(agent).apply(extend_with_probe(model, state, agent))
+        state = premeasure(model.scenario_observable(agent), model.probe_layout(agent),
+                           extend_with_probe(model, state, agent))
     return state
 
 
@@ -113,11 +123,11 @@ def test_scenario_operators_are_bitwise_the_dense_builders(width):
     for agent in FRIENDS:
         # The premeasurement, as the oracle applies it to each basis state,
         # is the controlled flip.
-        spec = model.friend_spec(agent)
-        layout = spec.observable.layout.concat(spec.pointer)
+        observable, pointer = friend_premeasurement(model, agent)
+        layout = observable.layout.concat(pointer)
         d = layout.total_dim
         eye = np.eye(d, dtype=np.complex128).reshape(layout.shape + (d,))
-        u = oracle.premeasure(spec.observable, spec.pointer, eye, layout).reshape(d, d)
+        u = oracle.premeasure(observable, pointer, eye, layout).reshape(d, d)
         assert u.tobytes() == controlled_flip([1.0, -1.0], 2**width).tobytes()
 
 
@@ -276,8 +286,7 @@ def _dense_friend_stage(model):
     state = model.initial_state()
     tens, layout = oracle.tensor(state), state.layout
     for agent in FRIENDS:
-        spec = model.friend_spec(agent)
-        tens = oracle.premeasure(spec.observable, spec.pointer, tens, layout)
+        tens = oracle.premeasure(*friend_premeasurement(model, agent), tens, layout)
     return tens
 
 
@@ -413,8 +422,8 @@ def test_scenario_flags_set_at_construction_equal_the_computed_flags(width):
     model = ScenarioModel(width)
     operators = [model.scenario_observable(a) for a in AGENTS]
     for friend in FRIENDS:
-        spec = model.friend_spec(friend)
-        operators += [spec.observable, _flip(spec.pointer)]
+        observable, pointer = friend_premeasurement(model, friend)
+        operators += [observable, _flip(pointer)]
     for op in operators:
         assert computed_flags(op) == {"hermitian": True, "unitary": True, "involutory": True}
 
@@ -436,9 +445,9 @@ def test_trusted_sparse_producers_are_unit_and_match_dense(width):
     sparse, dense = start, oracle.tensor(start)
     produced = [start]
     for friend in FRIENDS:
-        spec = model.friend_spec(friend)
-        sparse = spec.apply(sparse)
-        dense = oracle.premeasure(spec.observable, spec.pointer, dense, model.layout)
+        observable, pointer = friend_premeasurement(model, friend)
+        sparse = premeasure(observable, pointer, sparse)
+        dense = oracle.premeasure(observable, pointer, dense, model.layout)
         assert np.max(np.abs(oracle.tensor(sparse) - dense)) <= TOL
         produced.append(sparse)
     for agent, value in itertools.product(AGENTS, (1, -1)):
