@@ -50,9 +50,9 @@ enters the config digest.  Report assertions such as |p - 1/2| use one
 fixed ``REPORT_TOL``; table supports and the library's other thresholds
 are fixed in ``qcore``.  Exit status, which ``main`` returns: 0 all
 checks passed, 1 a check failed, 2 usage or config error; a run that does
-not fit in memory is a config error, naming ``lab_width`` for the
-subcommands that build the scenario (paradox, contexts, decohere), and so
-is an ``out`` where the report cannot be written, such as a regular file.
+not fit in memory is a config error, naming ``dephasing.steps`` for
+decohere, whose series grow with it, and so is an ``out`` where the report
+cannot be written, such as a regular file.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class ScenarioConfig:
     seed: int
     robust_tol: float
     geometry_name: str
-    geometry: spacetime.Geometry
+    geometry: dict[str, tuple]  # event letter -> (t, x, y, z)
     frame_triples: tuple[str, ...]
     dephasing: MappingProxyType  # read-only {"target", "strength", "steps"}
     generators: tuple[str, ...]
@@ -142,8 +142,8 @@ class ScenarioConfig:
                    for key, row in _KEYS.items() if row.digest}
         payload["dephasing"] = dict(self.dephasing)
         if self.geometry_name == "custom":
-            payload["geometry"] = {label: list(map(float, e.as_array()))
-                                   for label, e in self.geometry.events.items()}
+            payload["geometry"] = {label: list(map(float, e))
+                                   for label, e in self.geometry.items()}
         else:
             payload["geometry"] = self.geometry_name
         return payload
@@ -223,7 +223,7 @@ def _finite(value) -> bool:
 _POSITIVE = _check(lambda v: _finite(v) and v > 0, "a positive finite number", float)
 
 
-def _build_geometry(key, value) -> tuple[str, spacetime.Geometry]:
+def _build_geometry(key, value) -> tuple[str, dict[str, tuple]]:
     """A built-in geometry (checked once, by a test) or a custom events table."""
     if value == "default":
         return "default", spacetime.default_geometry()
@@ -250,12 +250,11 @@ def _build_geometry(key, value) -> tuple[str, spacetime.Geometry]:
             )
         # Each number exactly as its shortest decimal: 0.1 is 1/10, not the
         # binary float nearest to it.
-        built[label] = spacetime.Event4(label, *(Fraction(repr(c)) for c in coords))
-    geometry = spacetime.Geometry(built)
-    violations = spacetime.separation_violations(geometry)
+        built[label] = tuple(Fraction(repr(c)) for c in coords)
+    violations = spacetime.separation_violations(built)
     if violations:
         raise ConfigValidationError(f"{key}: " + "; ".join(violations))
-    return "custom", geometry
+    return "custom", built
 
 
 def _triple(value) -> bool:
@@ -537,7 +536,7 @@ def _by_variable(table: qcore.BornTable) -> qcore.BornTable:
 
 
 def _section_values(section) -> dict:
-    return {"exists": section.exists, "count": section.count,
+    return {"exists": section.count > 0, "count": section.count,
             "universe": list(section.universe)}
 
 
@@ -561,44 +560,42 @@ def cmd_paradox(config: ScenarioConfig) -> RunReport:
         {"constraints": list(recovered), "skipped": list(extraction.skipped)},
     )]
 
-    enumeration = enumerate_satisfying(extraction.system)
+    count = enumerate_satisfying(extraction.system)
+    total = 2 ** len(extraction.system.universe)
     checks.append(CheckResult(
-        "no_satisfying_assignment",
-        enumeration.count == 0 and enumeration.total == 64,
-        {"count": enumeration.count, "total": enumeration.total},
+        "no_satisfying_assignment", count == 0 and total == 64,
+        {"count": count, "total": total},
     ))
 
-    parity = gf2_consistency(extraction.system)
-    witness = [str(c) for c in parity.witness_constraints(extraction.system)]
+    witness = gf2_consistency(extraction.system)
     checks.append(CheckResult(
         "parity_elimination_witness",
-        not parity.consistent and parity.witness is not None
-        and set(parity.witness) == {0, 1, 2, 3},
-        {"consistent": parity.consistent,
-         "witness_constraints": witness},
+        witness is not None and set(witness) == {0, 1, 2, 3},
+        {"consistent": witness is None,
+         "witness_constraints": [str(extraction.system.constraints[i])
+                                 for i in witness or ()]},
     ))
 
     section = global_section_exists([record_table] + tables)
     checks.append(CheckResult(
-        "no_global_section", not section.exists and section.count == 0,
+        "no_global_section", section.count == 0,
         _section_values(section),
     ))
     # The records alone: every one of the 8 assignments of a, b, c fits.
     records = global_section_exists([record_table])
     checks.append(CheckResult(
-        "records_have_global_section", records.exists and records.count == 8,
+        "records_have_global_section", records.count == 8,
         _section_values(records),
     ))
 
     sampled = {}
     for table in [record_agent_table] + agent_tables:
         outcome = sample_outcomes(table, config.seed)
-        agents = tuple(outcome.values)
-        key = "".join(OUTCOME_VARIABLE[a] for a in agents)
+        key = "".join(OUTCOME_VARIABLE[a] for a in table.names)
         sampled[key] = {
-            "agents": list(agents),
-            "values": dict(outcome.values),
-            "probability": _sig12(outcome.probability),
+            "agents": list(table.names),
+            "values": dict(zip(table.names, outcome)),
+            "probability": _sig12(table.rows[outcome]),
         }
     data = {
         "constraint_tables": {"".join(t.names): _table_rows(t) for t in tables},
@@ -613,12 +610,13 @@ def cmd_paradox(config: ScenarioConfig) -> RunReport:
 
 
 def _frame_entry(solution: spacetime.FrameSolution) -> dict:
-    entry: dict = {"exists": solution.exists}
-    if solution.exists:
-        vel = solution.velocity.as_array()
-        entry["velocity"] = [_sig12(v) for v in vel]
-        entry["speed"] = _sig12(solution.velocity.speed)
-        entry["max_time_residual"] = _sig12(solution.residual)
+    velocity = solution.velocity
+    entry: dict = {"exists": velocity is not None}
+    if velocity is not None:
+        entry["velocity"] = [_sig12(v) for v in velocity.as_array()]
+        entry["speed"] = _sig12(velocity.speed)
+        # The frame is solved exactly, so every event has one time in it.
+        entry["max_time_residual"] = 0.0
     else:
         entry["gram"] = [[_sig12(x) for x in row] for row in solution.gram]
         entry["gram_eigenvalues"] = [_sig12(x) for x in solution.gram_eigenvalues]
@@ -636,7 +634,8 @@ def cmd_contexts(config: ScenarioConfig) -> RunReport:
     )]
 
     reports = maximal_contexts(model, geometry=config.geometry)
-    named = sorted(r.environment.id for r in reports if r.named)
+    named = sorted(r.environment.id for r in reports
+                   if r.environment.id in NAMED_CONTEXT_IDS)
     checks.append(CheckResult(
         "maximal_context_count", len(reports) == 8, {"count": len(reports)},
     ))
@@ -655,10 +654,11 @@ def cmd_contexts(config: ScenarioConfig) -> RunReport:
 
     entries = []
     for report in reports:
+        env = report.environment
         entries.append({
-            "id": report.environment.id,
-            "agents": [a for a in AGENTS if a in report.environment.agents],
-            "named": report.named,
+            "id": env.id,
+            "agents": [a for a in AGENTS if a in env.agents],
+            "named": env.id in NAMED_CONTEXT_IDS,
             "frame": _frame_entry(report.frame),
         })
     data = {
@@ -673,8 +673,7 @@ def cmd_frames(config: ScenarioConfig) -> RunReport:
     geometry = config.geometry
     entries = []
     for triple in config.frame_triples:
-        solution = spacetime.frame_for_events(
-            [geometry.events[ch] for ch in triple])
+        solution = spacetime.frame_for_events([geometry[ch] for ch in triple])
         entry = {"events": list(triple)}
         entry.update(_frame_entry(solution))
         entries.append(entry)
@@ -815,9 +814,10 @@ def main(argv=None) -> int:
         print(f"config error: generators: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # The readers of lab_width build a ScenarioModel, which grows with it.
-        need = (f"lab_width: {config.lab_width} needs"
-                if args.command in _KEYS["lab_width"].readers else "run needs")
+        # No command grows with lab_width; decohere holds every series, the
+        # iterated reference's too, one value per step.
+        need = (f"dephasing.steps: {config.dephasing['steps']} needs"
+                if args.command == "decohere" else "run needs")
         print(f"config error: {need} more memory than this machine has", file=sys.stderr)
         return 2
     try:

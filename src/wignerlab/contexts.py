@@ -32,17 +32,16 @@ from .scenario import (
 class DecoherenceEnvironment:
     """The agents whose outcome records have decohered into one environment."""
 
-    id: str
     agents: frozenset[str]
 
-
-def _env_id(agents) -> str:
-    return "E_" + "".join(sorted(EVENT_OF_AGENT[a] for a in agents))
+    @property
+    def id(self) -> str:
+        return "E_" + "".join(sorted(EVENT_OF_AGENT[a] for a in self.agents))
 
 
 def primary_context(agent: str) -> DecoherenceEnvironment:
     """Smallest environment holding one agent's outcome record."""
-    return DecoherenceEnvironment(_env_id((agent,)), frozenset({agent}))
+    return DecoherenceEnvironment(frozenset({agent}))
 
 
 def _records_commute(model: ScenarioModel, agents) -> bool:
@@ -51,8 +50,7 @@ def _records_commute(model: ScenarioModel, agents) -> bool:
 
 
 def _union(environments) -> DecoherenceEnvironment:
-    agents = frozenset().union(*(env.agents for env in environments))
-    return DecoherenceEnvironment(_env_id(agents), agents)
+    return DecoherenceEnvironment(frozenset().union(*(env.agents for env in environments)))
 
 
 def common_extension(model: ScenarioModel, environments) -> DecoherenceEnvironment | None:
@@ -70,24 +68,26 @@ def incompatibility_graph(model: ScenarioModel) -> tuple[tuple[str, str], ...]:
 
 
 # Both homogeneous triples and the three with one lab measurement substituted in.
-NAMED_CONTEXT_IDS = frozenset(_env_id(agents) for agents in PROTOCOL_CONTEXTS)
+NAMED_CONTEXT_IDS = frozenset(DecoherenceEnvironment(frozenset(agents)).id
+                               for agents in PROTOCOL_CONTEXTS)
 
 
 @record
 class ContextReport:
-    """One maximal joint context, its environment, and its frame status."""
+    """One maximal joint context, its environment, and its frame status;
+    it is one of the protocol's own when its environment's id is in
+    ``NAMED_CONTEXT_IDS``."""
 
     environment: DecoherenceEnvironment
-    named: bool
     frame: spacetime.FrameSolution
 
 
 def maximal_contexts(model: ScenarioModel,
-                     geometry: spacetime.Geometry) -> tuple[ContextReport, ...]:
+                     geometry: dict[str, tuple]) -> tuple[ContextReport, ...]:
     """All maximal sets of agents with pairwise-commuting records.
 
     Each context also carries the simultaneity-frame certificate of its
-    events in ``geometry``.
+    events in ``geometry``, a dict from event letter to event.
     """
     cliques = []
     for size in range(len(AGENTS), 0, -1):
@@ -99,7 +99,6 @@ def maximal_contexts(model: ScenarioModel,
     for clique in cliques:
         # Every pair in the clique commutes, so the union is consistent.
         env = _union(primary_context(a) for a in clique)
-        frame = spacetime.frame_for_events([geometry.events[EVENT_OF_AGENT[a]]
-                                            for a in clique])
-        reports.append(ContextReport(env, env.id in NAMED_CONTEXT_IDS, frame))
+        frame = spacetime.frame_for_events([geometry[EVENT_OF_AGENT[a]] for a in clique])
+        reports.append(ContextReport(env, frame))
     return tuple(sorted(reports, key=lambda r: r.environment.id))

@@ -56,13 +56,12 @@ def _as_density(state) -> qcore.DensityMatrix:
     return qcore.pure_density(state) if isinstance(state, qcore.SparseState) else state
 
 
-def dephase(state, channel: DephasingChannel) -> qcore.DensityMatrix:
-    """One application of the channel; accepts a pure state or a density matrix.
+def dephase(rho: qcore.DensityMatrix, channel: DephasingChannel) -> qcore.DensityMatrix:
+    """One application of the channel to a density matrix.
 
     Every entry whose row and column differ on the target register is
     scaled by 1 - strength.
     """
-    rho = _as_density(state)
     digit = rho.layout.digit(channel.target)
     q = 1.0 - channel.strength
     # Hermitian, unit-trace and PSD whenever rho is: see qcore.DensityMatrix.

@@ -1,8 +1,10 @@
 """Exception types raised across the package.
 
-A class exists for each failure that a command or a kept guard can raise.
-All are ValueError subclasses: each one signals a malformed or inadmissible
-argument, not an internal fault.
+A class exists for each failure that a command or a kept guard can raise,
+in layouts, Born tables, stabilizers, marginals and configs; a frame whose
+speed rounds to 1 is none, as ``spacetime.frame_for_events`` returns no
+frame.  All are ValueError subclasses: each one signals a malformed or
+inadmissible argument, not an internal fault.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ class NoncommutingGeneratorsError(ValueError):
 
 class RankNotOneError(ValueError):
     """Stabilizer projector rank is not 1 (dependent or contradictory set)."""
-
-
-class SuperluminalError(ValueError):
-    """Boost velocity at or above the speed of light."""
 
 
 class MarginalMismatchError(ValueError):

@@ -1,13 +1,14 @@
 """Parity constraint systems over +-1 variables and their (in)consistency.
 
 A constraint fixes the product of a few +-1 variables.  Three independent
-checks live here: brute-force enumeration of satisfying assignments, GF(2)
-Gaussian elimination with a contradiction witness, and a support-level
-global-section search across a family of Born tables.  The enumeration and
-the global-section search share one assignment search: an assignment
-counts when its values on each constraint's variables have that
-constraint's parity, and on each table's names lie in that table's support
-(``BornTable.support``, the one support rule).
+checks live here: brute-force enumeration of satisfying assignments, which
+returns their count, GF(2) Gaussian elimination, which returns a
+contradiction witness or None, and a support-level global-section search
+across a family of Born tables.  The enumeration and the global-section
+search share one assignment search: an assignment counts when its values
+on each constraint's variables have that constraint's parity, and on each
+table's names lie in that table's support (``BornTable.support``, the one
+support rule).
 """
 
 from __future__ import annotations
@@ -57,12 +58,6 @@ def scenario_constraints() -> ConstraintSystem:
     return ConstraintSystem(constraints, tuple(OUTCOME_VARIABLE[a] for a in AGENTS))
 
 
-@record
-class EnumerationReport:
-    total: int
-    count: int
-
-
 def _count_assignments(universe: tuple[str, ...], restrictions) -> int:
     """Count the 2**n assignments of the +-1 variables ``universe`` whose
     values at each ``(names, allowed)`` restriction, names distinct, form a
@@ -90,33 +85,20 @@ def _with_parity(k: int, parity: int):
     return (t for t in itertools.product((1, -1), repeat=k) if math.prod(t) == parity)
 
 
-def enumerate_satisfying(system: ConstraintSystem) -> EnumerationReport:
+def enumerate_satisfying(system: ConstraintSystem) -> int:
     """Count the assignments that satisfy every constraint, of all 2**n."""
-    count = _count_assignments(system.universe, (
+    return _count_assignments(system.universe, (
         (c.variables, _with_parity(len(c.variables), c.parity))
         for c in system.constraints))
-    return EnumerationReport(2 ** len(system.universe), count)
 
 
-@record
-class Gf2Report:
-    """Outcome of Gaussian elimination over GF(2).
+def gf2_consistency(system: ConstraintSystem) -> tuple[int, ...] | None:
+    """Eliminate over GF(2) with +1 -> 0, -1 -> 1, tracking row combinations.
 
-    ``witness`` indexes the constraints whose GF(2) sum is 0 = 1; it is the
-    contradiction the elimination stumbled on first, None when consistent.
+    Returns the witness, the indices of the constraints whose GF(2) sum is
+    0 = 1: the contradiction the elimination stumbled on first; None when
+    the system is consistent.
     """
-
-    consistent: bool
-    witness: tuple[int, ...] | None
-
-    def witness_constraints(self, system: ConstraintSystem) -> tuple[ParityConstraint, ...]:
-        if self.witness is None:
-            return ()
-        return tuple(system.constraints[i] for i in self.witness)
-
-
-def gf2_consistency(system: ConstraintSystem) -> Gf2Report:
-    """Eliminate with +1 -> 0, -1 -> 1; track row combinations for the witness."""
     index = {v: i for i, v in enumerate(system.universe)}
     rows = []
     for k, c in enumerate(system.constraints):
@@ -140,9 +122,8 @@ def gf2_consistency(system: ConstraintSystem) -> Gf2Report:
                 pivots[col] = row
                 break
         if row[0] == 0 and row[1] == 1:
-            witness = tuple(i for i in range(len(rows)) if row[2] >> i & 1)
-            return Gf2Report(False, witness)
-    return Gf2Report(True, None)
+            return tuple(i for i in range(len(rows)) if row[2] >> i & 1)
+    return None
 
 
 @record
@@ -181,10 +162,10 @@ class GlobalSectionReport:
     A missing global section at the support level already rules out any
     joint distribution reproducing all tables: every joint distribution is
     a mixture of deterministic assignments, and each of those would have to
-    sit inside every table's support.
+    sit inside every table's support, so a section exists when ``count``,
+    the number of such assignments, is positive.
     """
 
-    exists: bool
     count: int
     universe: tuple[str, ...]
 
@@ -198,7 +179,7 @@ def global_section_exists(tables) -> GlobalSectionReport:
     universe = _first_seen(t.names for t in tables)
     _check_shared_marginals(tables)
     count = _count_assignments(universe, ((t.names, t.support()) for t in tables))
-    return GlobalSectionReport(count > 0, count, universe)
+    return GlobalSectionReport(count, universe)
 
 
 def _check_shared_marginals(tables) -> None:

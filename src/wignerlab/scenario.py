@@ -187,11 +187,10 @@ class ScenarioModel:
         return qcore.tensor(ghz, ready)
 
 
-def run_friend_stage(model: ScenarioModel, order=FRIENDS) -> qcore.SparseState:
-    """Sparse state after all three premeasurements, applied in the given
-    order, a permutation of ``FRIENDS``."""
+def run_friend_stage(model: ScenarioModel) -> qcore.SparseState:
+    """Sparse state after all three premeasurements, in the order of ``FRIENDS``."""
     state = model.initial_state()
-    for agent in order:
+    for agent in FRIENDS:
         state = premeasure(model.friend_observable(agent),
                            model._lab_layouts[LAB_INDEX[agent]], state)
     return state
@@ -211,18 +210,6 @@ def scenario_context(model: ScenarioModel, agents) -> dict[str, Operator]:
 def context_born_table(state, context: dict[str, Operator]) -> qcore.BornTable:
     """Joint Born table of a context, rows annotated with agent names."""
     return qcore.born_table(tuple(context.values()), state, names=tuple(context))
-
-
-@record
-class OutcomeRecord:
-    """One sampled joint outcome of a measurement context.
-
-    ``values`` maps each agent of the context, in the context's order, to
-    the outcome drawn for it.
-    """
-
-    values: dict[str, int]
-    probability: float
 
 
 class _OutcomeStream:
@@ -246,11 +233,11 @@ def outcome_rng(seed: int, names) -> _OutcomeStream:
     return _OutcomeStream(seed.to_bytes(8, "big") + ",".join(names).encode("utf-8"))
 
 
-def sample_outcomes(table: qcore.BornTable, seed: int) -> OutcomeRecord:
+def sample_outcomes(table: qcore.BornTable, seed: int) -> tuple[int, ...]:
     """One joint outcome drawn from a context's table, on the stream of
-    (seed, the table's names); names are the agents."""
-    outcome = table.sample(outcome_rng(seed, table.names))
-    return OutcomeRecord(dict(zip(table.names, outcome)), table.rows[outcome])
+    (seed, the table's names); names are the agents, and the outcome holds
+    one value per name, in the same order."""
+    return table.sample(outcome_rng(seed, table.names))
 
 
 @record

@@ -1,9 +1,11 @@
 """Flat-spacetime events, boost velocities, and simultaneity frames.
 
-Metric signature (+, -, -, -), units with c = 1.  A simultaneity frame for
-a set of events exists exactly when the span of their difference vectors
-is spacelike, i.e. the Gram matrix of an independent subset of them is
-negative definite.  Among all admissible frames the one returned moves
+Metric signature (+, -, -, -), units with c = 1.  An event is its
+``(t, x, y, z)`` tuple, each coordinate a float, or a ``Fraction`` where a
+config wrote an exact decimal; a geometry is a dict from event letter to
+event.  A simultaneity frame for a set of events exists exactly when the
+span of their difference vectors is spacelike, i.e. the Gram matrix of an
+independent subset of them is negative definite.  Among all admissible frames the one returned moves
 slowest: its normal is the Minkowski-orthogonal projection of (1, 0, 0, 0)
 onto the span's orthogonal complement.
 
@@ -24,22 +26,6 @@ import math
 import sys
 
 from ._record import record
-from .errors import SuperluminalError
-
-
-@record
-class Event4:
-    """Labeled spacetime point; a coordinate is a float, or a ``Fraction``
-    where a config wrote an exact decimal."""
-
-    label: str
-    t: float
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> tuple[float, float, float, float]:
-        return (self.t, self.x, self.y, self.z)
 
 
 def minkowski_dot(u, v):
@@ -53,10 +39,6 @@ class BoostVelocity:
     vy: float
     vz: float
 
-    def __post_init__(self) -> None:
-        if self.speed >= 1.0:
-            raise SuperluminalError(f"boost speed {self.speed} is not below 1")
-
     @property
     def speed(self) -> float:
         return math.sqrt(self.vx**2 + self.vy**2 + self.vz**2)
@@ -69,26 +51,23 @@ class BoostVelocity:
 class FrameSolution:
     """Outcome of a simultaneity-frame search.
 
-    ``gram`` is the Minkowski Gram matrix of the independent difference
-    vectors; its eigenvalues certify the verdict (all negative means the
-    spanned plane is spacelike and a frame exists).  ``residual`` is the
-    largest pairwise difference of the events' times in the returned frame:
-    0.0, since the frame is solved exactly; None when no frame exists.  A
-    frame whose exact velocity rounds to a float speed of 1 counts as none.
+    ``velocity`` is the frame's, None when no frame exists.  ``gram`` is
+    the Minkowski Gram matrix of the independent difference vectors; its
+    eigenvalues certify the verdict (all negative means the spanned plane
+    is spacelike and a frame exists).  A frame whose exact velocity rounds
+    to a float speed of 1 counts as none.
     """
 
-    exists: bool
     velocity: BoostVelocity | None
     gram: tuple[tuple[float, ...], ...]
     gram_eigenvalues: tuple[float, ...]
-    residual: float | None
 
 
 def _scaled_differences(events) -> tuple[list[tuple[int, ...]], int]:
     """Each event minus the first, as integers over one common denominator
     ``scale``, the lcm of the coordinates' denominators: every float is an
     exact dyadic rational, and a ``Fraction`` any rational."""
-    ratios = [c.as_integer_ratio() for e in events for c in e.as_array()]
+    ratios = [c.as_integer_ratio() for e in events for c in e]
     scale = math.lcm(*(den for _, den in ratios))
     flat = [num * (scale // den) for num, den in ratios]
     base = flat[:4]
@@ -176,20 +155,19 @@ def frame_for_events(events) -> FrameSolution:
     eigenvalues = _gram_eigenvalues(gram, exact, square)
     solved = _solve_negated(exact, [d[0] for d in diffs])
     if solved is None:
-        return FrameSolution(False, None, gram, eigenvalues, None)
+        return FrameSolution(None, gram, eigenvalues)
     # det * ((1, 0, 0, 0) - sum_j x_j d_j), with det > 0.
     det, scaled = solved
     normal = (det, 0, 0, 0)
     for x, d in zip(scaled, diffs):
         normal = [n - x * c for n, c in zip(normal, d)]
     t = normal[0]
-    try:
-        velocity = BoostVelocity(normal[1] / t, normal[2] / t, normal[3] / t)
-    except SuperluminalError:
+    velocity = BoostVelocity(normal[1] / t, normal[2] / t, normal[3] / t)
+    if velocity.speed >= 1.0:
         # The exact frame moves slower than light by less than the float
         # spacing below 1, so no float velocity reaches it.
-        return FrameSolution(False, None, gram, eigenvalues, None)
-    return FrameSolution(True, velocity, gram, eigenvalues, 0.0)
+        return FrameSolution(None, gram, eigenvalues)
+    return FrameSolution(velocity, gram, eigenvalues)
 
 
 # Each lab's early (t = 1) and late (t = 2) event letters, lab 1 first.
@@ -204,26 +182,18 @@ SPACELIKE_PAIRS = (*itertools.combinations(EARLY, 2), *itertools.combinations(LA
                      if EVENT_LAB[late] != EVENT_LAB[early]))
 
 
-@record
-class Geometry:
-    """Scenario event placement: one early and one late event per lab."""
-
-    events: dict[str, Event4]
-
-
-def _placed(positions) -> Geometry:
+def _placed(positions) -> dict[str, tuple]:
     """Each lab's events at its (x, y, z): the early one at t=1, the late one at t=2."""
-    return Geometry({letter: Event4(letter, 1.0 if letter in EARLY else 2.0,
-                                    *positions[EVENT_LAB[letter]])
-                     for letter in EVENT_LABELS})
+    return {letter: (1.0 if letter in EARLY else 2.0, *positions[EVENT_LAB[letter]])
+            for letter in EVENT_LABELS}
 
 
-def default_geometry() -> Geometry:
+def default_geometry() -> dict[str, tuple]:
     """Labs on a right triangle of legs 5; early events at t=1, late at t=2."""
     return _placed({1: (0.0, 0.0, 0.0), 2: (5.0, 0.0, 0.0), 3: (0.0, 5.0, 0.0)})
 
 
-def collinear_geometry() -> Geometry:
+def collinear_geometry() -> dict[str, tuple]:
     """Labs 5 apart on a line; mixed early/late triples then span timelike planes."""
     return _placed({1: (0.0, 0.0, 0.0), 2: (5.0, 0.0, 0.0), 3: (10.0, 0.0, 0.0)})
 
@@ -236,13 +206,13 @@ _GRAM_LIMIT = sys.float_info.max / 4
 _GRAM_FLOOR = sys.float_info.min
 
 
-def separation_violations(geometry: Geometry) -> list[str]:
+def separation_violations(geometry: dict[str, tuple]) -> list[str]:
     """Pairs whose causal character differs from the required pattern, and
     events so far apart or so close that a nonzero Gram entry of a frame
     search, the product <e_j - e_i, e_k - e_i> of two differences, lies
     above ``_GRAM_LIMIT`` or below ``_GRAM_FLOOR``.  Every test is exact, on
     the differences as integers over one common denominator."""
-    differences, scale = _scaled_differences([geometry.events[l] for l in EVENT_LABELS])
+    differences, scale = _scaled_differences([geometry[l] for l in EVENT_LABELS])
     points = dict(zip(EVENT_LABELS, [(0, 0, 0, 0), *differences]))
 
     def dot(origin, u, v):

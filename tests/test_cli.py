@@ -39,12 +39,9 @@ from wignerlab.errors import (
     RankNotOneError,
 )
 from wignerlab.paradox import (
-    EnumerationReport,
     ExtractionReport,
-    Gf2Report,
     GlobalSectionReport,
     constraints_from_born,
-    enumerate_satisfying,
     global_section_exists,
 )
 from wignerlab.scenario import (
@@ -288,7 +285,7 @@ def test_custom_geometry_roundtrip():
     events = CUSTOM_EVENTS
     config = config_from({"geometry": {"events": events}})
     assert config.geometry_name == "custom"
-    assert config.geometry.events["B"].x == 7.0
+    assert config.geometry["B"] == (1, 7, 0, 0)
     # A timelike pair between different labs breaks the required pattern.
     events_bad = dict(events, B=[30, 7, 0, 0])
     with pytest.raises(ConfigValidationError):
@@ -303,7 +300,7 @@ DECIMAL_LINE = {"A": [0, 0, 0, 0], "B": [0.1, 1, 0, 0], "C": [0.3, 3, 0, 0],
 
 def test_custom_geometry_decimals_are_read_exactly(tmp_path, capsys):
     config = config_from({"geometry": {"events": DECIMAL_LINE}})
-    assert config.geometry.events["B"].t == Fraction(1, 10)
+    assert config.geometry["B"][0] == Fraction(1, 10)
     # The digest hashes the floats it always did.
     assert config.digest_payload()["geometry"]["C"] == [0.3, 3.0, 0.0, 0.0]
     assert config.digest() == "afc6dbe32218ca82"
@@ -474,8 +471,8 @@ def test_paradox_samples_match_fresh_tables(tmp_path, capsys):
         assert "".join(OUTCOME_VARIABLE[a] for a in agents) == key
         table = context_born_table(state, scenario_context(model, agents))
         fresh = sample_outcomes(table, 7)
-        assert entry["values"] == fresh.values
-        assert entry["probability"] == float(f"{fresh.probability:.12g}")
+        assert entry["values"] == dict(zip(agents, fresh))
+        assert entry["probability"] == float(f"{table.rows[fresh]:.12g}")
     assert set(sampled) == {"abc", "ubc", "avc", "abw", "uvw"}
 
 
@@ -576,7 +573,7 @@ def test_contexts_collinear_frame_filter(tmp_path, capsys):
 def test_contexts_frame_filter_matches_library(geometry):
     config = config_from({"geometry": geometry})
     kept = [r for r in maximal_contexts(ScenarioModel(1), geometry=config.geometry)
-            if r.frame.exists]
+            if r.frame.velocity is not None]
     doc = cmd_contexts(config).document
     assert _frame_admissible_ids(doc) == [r.environment.id for r in kept]
     assert "frame_admissible_count" not in doc["data"]
@@ -716,20 +713,40 @@ def test_lab_width_beyond_memory_or_indexing_exits_two(tmp_path, capsys, command
     assert not list(tmp_path.iterdir())
 
 
-def test_memory_error_names_lab_width_only_for_scenario_commands(tmp_path, capsys,
-                                                                   monkeypatch):
+def test_memory_error_names_dephasing_steps_only_for_decohere(tmp_path, capsys,
+                                                              monkeypatch):
     def out_of_memory(config):
         raise MemoryError
 
-    for command in ("frames", "paradox"):
+    for command in ("frames", "paradox", "decohere"):
         monkeypatch.setitem(cli._HANDLERS, command, out_of_memory)
     assert main(["frames", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         "config error: run needs more memory than this machine has\n")
+    # No command's memory grows with the width, so the message does not name it.
     assert main(["paradox", "--lab-width", "3", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
-        "config error: lab_width: 3 needs more memory than this machine has\n")
+        "config error: run needs more memory than this machine has\n")
+    assert main(["decohere", "--lab-width", "3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: dephasing.steps: 20 needs more memory than this machine has\n")
     assert not list(tmp_path.iterdir())
+
+
+def test_decohere_beyond_memory_names_dephasing_steps(tmp_path):
+    # decohere builds every series, one value per step, so its memory grows
+    # with dephasing.steps; under 512 MiB a billion steps cannot fit.
+    config = write_json(tmp_path, "steps.json", {"dephasing": {"steps": 10**9}})
+    out = tmp_path / "reports"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "wignerlab.cli", "decohere", "--config", config,
+         "--out", str(out)],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error: dephasing.steps: ")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 def test_frames_default_velocities(tmp_path, capsys):
@@ -777,8 +794,8 @@ def _refuse(constant):
 
 def scaled_events(scale):
     """The default geometry's events with every coordinate times ``scale``."""
-    return {label: [float(c) * scale for c in e.as_array()]
-            for label, e in spacetime.default_geometry().events.items()}
+    return {label: [float(c) * scale for c in e]
+            for label, e in spacetime.default_geometry().items()}
 
 
 @pytest.mark.parametrize("command", ["frames", "contexts"])
@@ -937,11 +954,11 @@ def _one_table_skipped(tables):
 
 
 def _one_assignment_satisfies(system):
-    return EnumerationReport(enumerate_satisfying(system).total, 1)
+    return 1
 
 
 def _three_constraint_witness(system):
-    return Gf2Report(False, (0, 1, 2))
+    return (0, 1, 2)
 
 
 def _section_count(count, of_tables):
@@ -951,7 +968,7 @@ def _section_count(count, of_tables):
         report = global_section_exists(tables)
         if len(tables) != of_tables:
             return report
-        return GlobalSectionReport(count > 0, count, report.universe)
+        return GlobalSectionReport(count, report.universe)
     return fault
 
 

@@ -40,35 +40,36 @@ def bell_pair():
 
 
 def test_dephase_scales_off_diagonal():
-    rho = dephase(plus_state(), DephasingChannel("q", 0.5))
+    rho = dephase(pure_density(plus_state()), DephasingChannel("q", 0.5))
     expected = np.array([[0.5, 0.25], [0.25, 0.5]])
     assert np.max(np.abs(oracle.matrix(rho) - expected)) <= 1e-12
 
 
 def test_trusted_outputs_are_read_only():
-    psi = plus_state()
-    for rho in (pure_density(psi), dephase(psi, DephasingChannel("q", 0.5))):
+    rho = pure_density(plus_state())
+    for rho in (rho, dephase(rho, DephasingChannel("q", 0.5))):
         with pytest.raises(TypeError):
             rho.entries[0, 1] = 0.0
 
 
 def test_full_strength_kills_coherence():
-    rho = dephase(plus_state(), DephasingChannel("q", 1.0))
+    rho = dephase(pure_density(plus_state()), DephasingChannel("q", 1.0))
     assert np.max(np.abs(oracle.matrix(rho) - np.eye(2) / 2)) <= 1e-12
 
 
 def test_two_steps_compose_like_one():
     lam = 0.3
     once = DephasingChannel("L1", lam)
-    rho = dephase(dephase(bell_pair(), once), once)
+    bell = pure_density(bell_pair())
+    rho = dephase(dephase(bell, once), once)
     combined = DephasingChannel("L1", 1.0 - (1.0 - lam) ** 2)
-    direct = dephase(bell_pair(), combined)
+    direct = dephase(bell, combined)
     assert np.max(np.abs(oracle.matrix(rho) - oracle.matrix(direct))) <= 1e-12
 
 
 def test_unknown_target_rejected():
     with pytest.raises(UnknownLabelError):
-        dephase(plus_state(), DephasingChannel("nope", 0.5))
+        dephase(pure_density(plus_state()), DephasingChannel("nope", 0.5))
 
 
 def test_pointer_diagonality_values():

@@ -337,8 +337,6 @@ KEPT_RAISES = {
     ("qcore.py", "BornTable.__post_init__", "ValueError"): _VERDICT,
     ("qcore.py", "_joint_observables", "ContextIncompatibleError"): _VERDICT,
     ("paradox.py", "_check_shared_marginals", "MarginalMismatchError"): _VERDICT,
-    ("spacetime.py", "BoostVelocity.__post_init__", "SuperluminalError"):
-        "frame_for_events catches it as control flow, where a frame's speed rounds to 1",
 }
 
 

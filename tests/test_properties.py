@@ -120,8 +120,8 @@ def test_lab_width_leaves_the_structure_alone(width):
     extraction = constraints_from_born(tables)
     assert extraction.skipped == ()
     assert extraction.system.lines() == scenario_constraints().lines()
-    enumeration = enumerate_satisfying(extraction.system)
-    assert (enumeration.count, enumeration.total) == (0, 64)
+    assert enumerate_satisfying(extraction.system) == 0
+    assert len(extraction.system.universe) == 6
     erasure = erasure_check(model)
     assert abs(erasure.p_plus_given_plus - 0.5) <= 1e-12
     assert abs(erasure.p_plus_given_minus - 0.5) <= 1e-12
@@ -134,8 +134,5 @@ def test_samples_sit_inside_supports(post_friend):
         table = context_born_table(state, context)
         support = set(table.support())
         for seed in range(30):
-            record = sample_outcomes(table, seed)
-            outcome = tuple(record.values[a] for a in agents)
-            assert outcome in support
-            assert record.probability == pytest.approx(
-                table.rows[outcome], abs=1e-12)
+            outcome = sample_outcomes(table, seed)
+            assert outcome in support and table.names == tuple(agents)

@@ -6,16 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wignerlab.errors import SuperluminalError
 from wignerlab.spacetime import (
     EVENT_LAB,
     EVENT_LABELS,
     SPACELIKE_PAIRS,
     TIMELIKE_PAIRS,
     BoostVelocity,
-    Event4,
     FrameSolution,
-    Geometry,
     collinear_geometry,
     default_geometry,
     frame_for_events,
@@ -28,9 +25,7 @@ FAR = "events too far apart: a Gram entry exceeds 4.49423e+307"
 
 def moved(letter, *coords):
     """The default geometry with one event at the given (t, x, y, z)."""
-    events = dict(default_geometry().events)
-    events[letter] = Event4(letter, *coords)
-    return Geometry(events)
+    return dict(default_geometry(), **{letter: coords})
 
 
 def test_interval_signs():
@@ -54,31 +49,22 @@ def test_separation_pattern_is_exact_on_float_coordinates(s, entry):
     # As floats the squared differences overflow to inf (inf - inf is NaN)
     # or underflow to 0.0, which once named 6 and 15 pairs; as exact
     # integers the pattern holds and only the Gram bound is named.
-    geo = Geometry({label: Event4(label, *(c * s for c in e.as_array()))
-                    for label, e in default_geometry().events.items()})
+    geo = {label: tuple(c * s for c in e) for label, e in default_geometry().items()}
     assert separation_violations(geo) == [entry]
 
 
-def test_boost_velocity_guard():
-    with pytest.raises(SuperluminalError):
-        BoostVelocity(1.0, 0.0, 0.0)
-    with pytest.raises(SuperluminalError):
-        BoostVelocity(0.8, 0.8, 0.0)
-    assert BoostVelocity(0.0, 0.0, 0.0).speed == 0.0
-
-
 def test_boost_zero_velocity_is_identity():
-    e = Event4("e", 1.5, 2.0, -3.0, 0.5)
+    e = (1.5, 2.0, -3.0, 0.5)
     assert _np_boost(e, BoostVelocity(0.0, 0.0, 0.0)) == e
 
 
 def test_boost_standard_x_configuration():
     # Textbook check: event at rest at origin, viewed from frame at 0.6c.
-    e = Event4("e", 1.0, 0.0, 0.0, 0.0)
+    e = (1.0, 0.0, 0.0, 0.0)
     b = _np_boost(e, BoostVelocity(0.6, 0.0, 0.0))
     gamma = 1.25
-    assert abs(b.t - gamma * 1.0) <= 1e-12
-    assert abs(b.x - (-gamma * 0.6)) <= 1e-12
+    assert abs(b[0] - gamma * 1.0) <= 1e-12
+    assert abs(b[1] - (-gamma * 0.6)) <= 1e-12
 
 
 def test_boost_preserves_interval():
@@ -86,15 +72,15 @@ def test_boost_preserves_interval():
     for _ in range(200):
         v = rng.uniform(-0.55, 0.55, size=3)  # speed below 0.96
         vel = BoostVelocity(*v)
-        e1 = Event4("p", *rng.uniform(-5, 5, size=4))
-        e2 = Event4("q", *rng.uniform(-5, 5, size=4))
+        e1 = tuple(rng.uniform(-5, 5, size=4))
+        e2 = tuple(rng.uniform(-5, 5, size=4))
         before = _np_interval(e1, e2)
         after = _np_interval(_np_boost(e1, vel), _np_boost(e2, vel))
         assert abs(before - after) <= 1e-9
 
 
 def test_simultaneity_frame_already_simultaneous():
-    es = [Event4(l, 1.0, x, y, 0.0) for l, x, y in (("A", 0, 0), ("B", 5, 0), ("C", 0, 5))]
+    es = [(1.0, x, y, 0.0) for x, y in ((0, 0), (5, 0), (0, 5))]
     v = frame_for_events(es).velocity
     assert v is not None and v.speed <= 1e-12
 
@@ -102,9 +88,9 @@ def test_simultaneity_frame_already_simultaneous():
 def test_simultaneity_frame_worked_example():
     # Frozen expected velocity; verified against the orthogonality equations
     # v . dx = dt solved independently (minimum-norm via pseudoinverse).
-    u = Event4("U", 2.0, 0.0, 0.0, 0.0)
-    b = Event4("B", 1.0, 5.0, 0.0, 0.0)
-    c = Event4("C", 1.0, 0.0, 5.0, 0.0)
+    u = (2.0, 0.0, 0.0, 0.0)
+    b = (1.0, 5.0, 0.0, 0.0)
+    c = (1.0, 0.0, 5.0, 0.0)
     v = frame_for_events((u, b, c)).velocity
     assert v is not None
     assert np.max(np.abs(v.as_array() - np.array([-0.2, -0.2, 0.0]))) <= 1e-12
@@ -114,16 +100,16 @@ def test_simultaneity_frame_worked_example():
     oracle = np.linalg.pinv(a_mat) @ b_vec
     assert np.max(np.abs(v.as_array() - oracle)) <= 1e-12
     boosted = [_np_boost(e, v) for e in (u, b, c)]
-    assert abs(boosted[0].t - boosted[1].t) <= 1e-9
-    assert abs(boosted[0].t - boosted[2].t) <= 1e-9
+    assert abs(boosted[0][0] - boosted[1][0]) <= 1e-9
+    assert abs(boosted[0][0] - boosted[2][0]) <= 1e-9
 
 
 def test_simultaneity_frame_collinear_counterexample():
-    u = Event4("U", 2.0, 0.0, 0.0, 0.0)
-    b = Event4("B", 1.0, 5.0, 0.0, 0.0)
-    c = Event4("C", 1.0, 10.0, 0.0, 0.0)
+    u = (2.0, 0.0, 0.0, 0.0)
+    b = (1.0, 5.0, 0.0, 0.0)
+    c = (1.0, 10.0, 0.0, 0.0)
     cert = frame_for_events((u, b, c))
-    assert not cert.exists and cert.velocity is None and cert.residual is None
+    assert cert.velocity is None
     gram = np.array(cert.gram)
     assert np.max(np.abs(gram - np.array([[-24.0, -49.0], [-49.0, -99.0]]))) <= 1e-12
     assert max(cert.gram_eigenvalues) > 0  # certificate: plane is not spacelike
@@ -133,9 +119,9 @@ def test_simultaneity_frame_collinear_counterexample():
 def test_frame_velocity_is_minimal_speed():
     # Any other admissible frame for the same triple is at least as fast.
     rng = np.random.default_rng(19)
-    u = Event4("U", 2.0, 0.0, 0.0, 0.0)
-    b = Event4("B", 1.0, 5.0, 0.0, 0.0)
-    c = Event4("C", 1.0, 0.0, 5.0, 0.0)
+    u = (2.0, 0.0, 0.0, 0.0)
+    b = (1.0, 5.0, 0.0, 0.0)
+    c = (1.0, 0.0, 5.0, 0.0)
     v = frame_for_events((u, b, c)).velocity.as_array()
     a_mat = np.array([[5.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
     b_vec = np.array([-1.0, -1.0])
@@ -162,11 +148,10 @@ def test_event_tables_derived_from_the_lab_map_are_the_written_out_ones():
                                                    3: (0.0, 5.0)}),
                              (collinear_geometry(), {1: (0.0, 0.0), 2: (5.0, 0.0),
                                                      3: (10.0, 0.0)})):
-        written = [Event4(letter, t, *places[lab], 0.0)
+        written = [(letter, (t, *places[lab], 0.0))
                    for t, letters in ((1.0, "ABC"), (2.0, "UVW"))
                    for letter, lab in zip(letters, (1, 2, 3))]
-        assert list(geometry.events.values()) == written
-        assert list(geometry.events) == [e.label for e in written]
+        assert list(geometry.items()) == written
 
 
 def test_default_geometry_separation_pattern():
@@ -181,8 +166,7 @@ def test_collinear_geometry_keeps_separation_pattern():
 def scaled(geometry, s):
     """``geometry`` with every coordinate multiplied by ``s``, each read
     exactly as its shortest decimal, as a config's numbers are."""
-    return Geometry({label: Event4(label, *(Fraction(repr(c * s)) for c in e.as_array()))
-                     for label, e in geometry.events.items()})
+    return {label: tuple(Fraction(repr(c * s)) for c in e) for label, e in geometry.items()}
 
 
 @pytest.mark.parametrize("s", [1e154, 1e200])
@@ -200,11 +184,11 @@ def test_frames_of_a_scaled_geometry_are_finite(s):
     unit, geo = default_geometry(), scaled(default_geometry(), s)
     assert separation_violations(geo) == ([] if s > 1 else [CLOSE])
     for triple in itertools.combinations(EVENT_LABELS, 3):
-        cert = frame_for_events([geo.events[k] for k in triple])
-        expected = frame_for_events([unit.events[k] for k in triple])
-        assert cert.exists == expected.exists
+        cert = frame_for_events([geo[k] for k in triple])
+        expected = frame_for_events([unit[k] for k in triple])
+        assert (cert.velocity is None) == (expected.velocity is None)
         assert all(map(math.isfinite, (*cert.gram_eigenvalues, *itertools.chain(*cert.gram))))
-        if cert.exists:
+        if cert.velocity is not None:
             assert cert.velocity.as_array() == pytest.approx(expected.velocity.as_array())
         elif s > 1:
             assert cert.gram_eigenvalues == pytest.approx(
@@ -223,32 +207,34 @@ def test_frames_of_a_scaled_geometry_are_finite(s):
 )
 def test_frame_admissible_default_geometry(labels, expected):
     geo = default_geometry()
-    cert = frame_for_events([geo.events[k] for k in labels])
-    assert cert.exists
+    events = [geo[k] for k in labels]
+    cert = frame_for_events(events)
+    assert cert.velocity is not None
     assert np.max(np.abs(cert.velocity.as_array() - np.array(expected))) <= 1e-12
     assert cert.velocity.speed < 1.0
-    assert cert.residual <= 1e-9
+    assert _np_max_time_spread(events, cert.velocity) <= 1e-9
 
 
 def test_frame_admissible_collinear_mixed_triples_fail():
     geo = collinear_geometry()
     for labels in (("U", "B", "C"), ("A", "V", "C"), ("A", "B", "W")):
-        cert = frame_for_events([geo.events[k] for k in labels])
-        assert not cert.exists
+        cert = frame_for_events([geo[k] for k in labels])
+        assert cert.velocity is None
         assert max(cert.gram_eigenvalues) > 0
     # Same-stage triples collapse onto one line: one independent difference
     # vector, spacelike, so the rest frame serves.
     for labels in (("A", "B", "C"), ("U", "V", "W")):
-        cert = frame_for_events([geo.events[k] for k in labels])
-        assert cert.exists and len(cert.gram) == 1
+        cert = frame_for_events([geo[k] for k in labels])
+        assert cert.velocity is not None and len(cert.gram) == 1
 
 
 def test_frame_for_events_collinear_simultaneous_rest_frame():
     geo = collinear_geometry()
-    cert = frame_for_events([geo.events[k] for k in ("A", "B", "C")])
-    assert cert.exists
+    events = [geo[k] for k in ("A", "B", "C")]
+    cert = frame_for_events(events)
+    assert cert.velocity is not None
     assert cert.velocity.speed == 0.0
-    assert cert.residual <= 1e-12
+    assert _np_max_time_spread(events, cert.velocity) <= 1e-12
 
 
 def test_frame_for_events_matches_certificate_on_independent_triple():
@@ -256,11 +242,11 @@ def test_frame_for_events_matches_certificate_on_independent_triple():
     # certifies the frame, and the velocity is the minimum-norm solution
     # of v . dx = dt for both differences.
     geo = default_geometry()
-    triple = [geo.events[k] for k in ("U", "B", "C")]
+    triple = [geo[k] for k in ("U", "B", "C")]
     cert = frame_for_events(triple)
-    assert cert.exists
+    assert cert.velocity is not None
     assert len(cert.gram) == 2 and max(cert.gram_eigenvalues) < 0
-    diffs = [np.subtract(e.as_array(), triple[0].as_array()) for e in triple[1:]]
+    diffs = [np.subtract(e, triple[0]) for e in triple[1:]]
     a_mat = np.array([d[1:] for d in diffs])
     oracle = np.linalg.pinv(a_mat) @ np.array([d[0] for d in diffs])
     assert np.max(np.abs(cert.velocity.as_array() - oracle)) <= 1e-12
@@ -268,15 +254,15 @@ def test_frame_for_events_matches_certificate_on_independent_triple():
 
 def test_frame_for_events_rejects_timelike_pair():
     geo = default_geometry()
-    cert = frame_for_events([geo.events["A"], geo.events["U"]])
-    assert not cert.exists
+    cert = frame_for_events([geo["A"], geo["U"]])
+    assert cert.velocity is None
     assert max(cert.gram_eigenvalues) >= 0
 
 
 def test_frame_for_events_single_event_and_empty():
     geo = default_geometry()
-    cert = frame_for_events([geo.events["A"]])
-    assert cert.exists
+    cert = frame_for_events([geo["A"]])
+    assert cert.velocity is not None
     assert cert.velocity.speed == 0.0
     assert cert.gram == ()
 
@@ -284,15 +270,20 @@ def test_frame_for_events_single_event_and_empty():
 def test_frame_for_events_four_events_with_timelike_pair():
     # A timelike pair among three events: no frame.
     geo = default_geometry()
-    assert not frame_for_events([geo.events[k] for k in ("A", "B", "U")]).exists
+    assert frame_for_events([geo[k] for k in ("A", "B", "U")]).velocity is None
 
 
 # The numpy solver that frame_for_events replaced, kept verbatim (its
 # numpy event and velocity arrays written out) as an oracle: SVD rank test
 # with tolerance 1e-12, eigvalsh, solve, then a 1e-9 residual check.
 
+
+class Superluminal(Exception):
+    """The oracle's velocity is at or above the speed of light."""
+
+
 def _np_event(e):
-    return np.array([e.t, e.x, e.y, e.z], dtype=float)
+    return np.array(e, dtype=float)
 
 
 def _np_minkowski_dot(u, v):
@@ -308,13 +299,13 @@ def _np_boost(event, velocity):
     v = np.array([velocity.vx, velocity.vy, velocity.vz], dtype=float)
     v2 = float(v @ v)
     r = _np_event(event)[1:]
-    t = event.t
+    t = event[0]
     if v2 == 0.0:
         return event
     gamma = 1.0 / np.sqrt(1.0 - v2)
     t_new = gamma * (t - float(v @ r))
     r_new = r + ((gamma - 1.0) * float(v @ r) / v2 - gamma * t) * v
-    return Event4(event.label, float(t_new), *map(float, r_new))
+    return (float(t_new), *map(float, r_new))
 
 
 def _np_solve_plane(diffs):
@@ -333,11 +324,13 @@ def _np_solve_plane(diffs):
     for c, d in zip(coeff, diffs):
         normal -= c * d
     vel = BoostVelocity(*(normal[1:] / normal[0]))
+    if vel.speed >= 1.0:
+        raise Superluminal(vel)
     return True, vel, gram_t, eig_t
 
 
 def _np_max_time_spread(events, vel):
-    times = [_np_boost(e, vel).t for e in events]
+    times = [_np_boost(e, vel)[0] for e in events]
     return float(max(times) - min(times))
 
 
@@ -353,12 +346,9 @@ def _numpy_frame_for_events(events):
         if np.linalg.matrix_rank(trial, tol=1e-12) > len(independent):
             independent.append(d)
     exists, vel, gram_t, eig_t = _np_solve_plane(independent)
-    if not exists:
-        return FrameSolution(False, None, gram_t, eig_t, None)
-    residual = _np_max_time_spread(events, vel)
-    if residual > 1e-9:
-        return FrameSolution(False, None, gram_t, eig_t, None)
-    return FrameSolution(True, vel, gram_t, eig_t, residual)
+    if not exists or _np_max_time_spread(events, vel) > 1e-9:
+        return FrameSolution(None, gram_t, eig_t)
+    return FrameSolution(vel, gram_t, eig_t)
 
 
 def _fraction_frame(events):
@@ -369,7 +359,7 @@ def _fraction_frame(events):
     velocity is the exact one, each component rounded to the nearest float.
     ``lightlike``: G is singular, or the frame's speed is within 1e-9 of 1.
     """
-    points = [[Fraction(c) for c in e.as_array()] for e in events]
+    points = [[Fraction(c) for c in e] for e in events]
     basis, echelon = [], []
     for p in points[1:]:
         d = [a - b for a, b in zip(p, points[0])]
@@ -417,38 +407,33 @@ _COORDINATES = {
 
 
 def _random_events(rng, kinds):
-    return [Event4(str(i), *(_COORDINATES[rng.choice(kinds)](rng) for _ in range(4)))
-            for i in range(rng.randint(1, 3))]
+    return [tuple(_COORDINATES[rng.choice(kinds)](rng) for _ in range(4))
+            for _ in range(rng.randint(1, 3))]
 
 
 def _check_exact(events, cert):
-    """The verdict, velocity and residual equal the Fraction oracle's."""
+    """The verdict and velocity equal the Fraction oracle's, and the events
+    share one time in the frame."""
     rank, exists, lightlike, velocity = _fraction_frame(events)
     assert len(cert.gram) == len(cert.gram_eigenvalues) == rank
-    if exists:
-        try:
-            BoostVelocity(*velocity)
-        except SuperluminalError:  # exact speed rounds to 1
-            exists = False
-    assert cert.exists is exists
+    if exists and BoostVelocity(*velocity).speed >= 1.0:  # exact speed rounds to 1
+        exists = False
+    assert (cert.velocity is not None) is exists
     if not exists:
-        assert cert.velocity is None and cert.residual is None
         return rank, lightlike
     # Correctly rounded, with zeros +0.0.
     assert [str(v) for v in cert.velocity.as_array()] == [str(v) for v in velocity]
-    assert cert.residual == 0.0
-    times = [_np_boost(e, cert.velocity).t for e in events]
-    assert max(times) - min(times) <= 1e-9
+    assert _np_max_time_spread(events, cert.velocity) <= 1e-9
     return rank, lightlike
 
 
 def _check_against_numpy(events, cert, oracle):
-    assert cert.exists is oracle.exists
+    assert (cert.velocity is None) is (oracle.velocity is None)
     assert len(cert.gram) == len(oracle.gram)
     assert np.max(np.abs(np.array(cert.gram) - np.array(oracle.gram)), initial=0.0) <= 1e-9
     assert np.max(np.abs(np.subtract(cert.gram_eigenvalues, oracle.gram_eigenvalues)),
                   initial=0.0) <= 1e-9
-    if cert.exists:
+    if cert.velocity is not None:
         assert np.max(np.abs(np.subtract(cert.velocity.as_array(),
                                          oracle.velocity.as_array()))) <= 1e-12
 
@@ -471,7 +456,7 @@ def test_exact_frames_match_the_numpy_oracle_on_random_geometries(kinds):
         rank, lightlike = _check_exact(events, cert)
         try:
             oracle = _numpy_frame_for_events(events)
-        except (np.linalg.LinAlgError, SuperluminalError):
+        except (np.linalg.LinAlgError, Superluminal):
             continue
         if len(oracle.gram) != rank or lightlike:
             continue
@@ -486,7 +471,7 @@ def test_exact_frames_match_the_numpy_oracle_on_built_in_geometries(geometry):
     # Every ordered choice of one to three of the event letters.
     for size in range(1, 4):
         for labels in itertools.permutations(EVENT_LABELS, size):
-            events = [geometry.events[k] for k in labels]
+            events = [geometry[k] for k in labels]
             cert = frame_for_events(events)
             _check_exact(events, cert)
             _check_against_numpy(events, cert, _numpy_frame_for_events(events))
@@ -495,14 +480,13 @@ def test_exact_frames_match_the_numpy_oracle_on_built_in_geometries(geometry):
 def test_numpy_oracle_raised_where_the_exact_solver_answers():
     # Lightlike pair: eigvalsh gives 0 and the old solver said "no frame";
     # lightlike plane of integer differences: its solve raised.
-    o = Event4("o", 0.0, 0.0, 0.0, 0.0)
-    assert not frame_for_events([o, Event4("n", 1.0, 1.0, 0.0, 0.0)]).exists
-    events = [Event4("a", 1.0, 1.0, -1.0, 3.0), Event4("b", -3.0, 3.0, -3.0, 0.0),
-              Event4("c", 4.0, -3.0, -2.0, 4.0)]
+    o = (0.0, 0.0, 0.0, 0.0)
+    assert frame_for_events([o, (1.0, 1.0, 0.0, 0.0)]).velocity is None
+    events = [(1.0, 1.0, -1.0, 3.0), (-3.0, 3.0, -3.0, 0.0), (4.0, -3.0, -2.0, 4.0)]
     with pytest.raises(np.linalg.LinAlgError):
         _numpy_frame_for_events(events)
     cert = frame_for_events(events)
-    assert not cert.exists
+    assert cert.velocity is None
     _check_exact(events, cert)
 
 
@@ -510,13 +494,12 @@ def test_frame_whose_speed_rounds_to_light_is_no_frame():
     # In the reals the two events are lightlike apart (dt = -3, dx = -1, 2,
     # -2).  As floats they are spacelike by about 1e-16, so a frame exists,
     # but its velocity rounded to floats has speed 1 and no boost reaches it.
-    events = [Event4("p", 2.0, 1 / 3, -1 / 3, 2.0), Event4("q", -1.0, -2 / 3, 5 / 3, 0.0)]
+    events = [(2.0, 1 / 3, -1 / 3, 2.0), (-1.0, -2 / 3, 5 / 3, 0.0)]
     _, exists, lightlike, velocity = _fraction_frame(events)
     assert exists and lightlike
-    with pytest.raises(SuperluminalError):
-        BoostVelocity(*velocity)
+    assert BoostVelocity(*velocity).speed >= 1.0
     cert = frame_for_events(events)
-    assert not cert.exists and cert.velocity is None and cert.residual is None
+    assert cert.velocity is None
     assert max(cert.gram_eigenvalues) < 0
 
 
@@ -526,26 +509,24 @@ def test_rank_is_decided_on_the_floats_as_given():
     # three times 0.1, so the differences span the timelike (t, x) plane
     # and no frame exists.  Dyadic coordinates keep the line exact.
     def line(step, far):
-        return [Event4("p", 0.0, 0.0, 0.0, 0.0), Event4("q", step, 1.0, 0.0, 0.0),
-                Event4("r", far, 3.0, 0.0, 0.0)]
+        return [(0.0, 0.0, 0.0, 0.0), (step, 1.0, 0.0, 0.0), (far, 3.0, 0.0, 0.0)]
     assert 0.3 != 3 * 0.1
-    assert _numpy_frame_for_events(line(0.1, 0.3)).exists
+    assert _numpy_frame_for_events(line(0.1, 0.3)).velocity is not None
     cert = frame_for_events(line(0.1, 0.3))
-    assert not cert.exists and len(cert.gram) == 2
+    assert cert.velocity is None and len(cert.gram) == 2
     assert max(cert.gram_eigenvalues) > 0
     cert = frame_for_events(line(0.25, 0.75))
-    assert cert.exists and len(cert.gram) == 1
-    assert cert.velocity.as_array() == (0.25, 0.0, 0.0) and cert.residual == 0.0
+    assert cert.velocity is not None and len(cert.gram) == 1
+    assert cert.velocity.as_array() == (0.25, 0.0, 0.0)
 
 
 def test_fraction_coordinates_share_the_lcm_of_their_denominators():
     # 1/4 = 5/2 * 1/10 exactly.  The common denominator is 20, the lcm of
     # 10, 4 and 2; the largest denominator, 10, is not a multiple of 4.
-    line = [Event4("p", Fraction(0), Fraction(0), Fraction(0), Fraction(0)),
-            Event4("q", Fraction(1, 10), Fraction(1), Fraction(0), Fraction(0)),
-            Event4("r", Fraction(1, 4), Fraction(5, 2), Fraction(0), Fraction(0))]
+    line = [(Fraction(0), Fraction(0), Fraction(0), Fraction(0)),
+            (Fraction(1, 10), Fraction(1), Fraction(0), Fraction(0)),
+            (Fraction(1, 4), Fraction(5, 2), Fraction(0), Fraction(0))]
     cert = frame_for_events(line)
-    assert cert.exists and len(cert.gram) == 1
-    assert cert.velocity.as_array() == (0.1, 0.0, 0.0) and cert.residual == 0.0
-    assert not frame_for_events([Event4(e.label, *map(float, e.as_array()))
-                                 for e in line]).exists
+    assert cert.velocity is not None and len(cert.gram) == 1
+    assert cert.velocity.as_array() == (0.1, 0.0, 0.0)
+    assert frame_for_events([tuple(map(float, e)) for e in line]).velocity is None

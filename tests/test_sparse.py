@@ -82,6 +82,14 @@ def friend_premeasurement(model, agent):
             model.layout.subset([lab_label(LAB_INDEX[agent])]))
 
 
+def run_friend_stage_in(model, order):
+    """``run_friend_stage`` with the friends' premeasurements in ``order``."""
+    state = model.initial_state()
+    for agent in order:
+        state = premeasure(*friend_premeasurement(model, agent), state)
+    return state
+
+
 def run_wigner_stage(model, state, order=WIGNERS):
     """Each lab measurement of ``order``, its probe adjoined first."""
     for agent in order:
